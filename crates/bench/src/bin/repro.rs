@@ -1,15 +1,18 @@
 //! `repro` — regenerate every table and figure of the DCS-ctrl paper.
 //!
 //! ```text
-//! repro [--quick] [--list] [--trace-out FILE] [--json-out DIR]
+//! repro [--quick] [--list] [--profile] [--trace-out FILE] [--json-out DIR]
 //!       [all|engine|fig2|fig3|fig8|fig11|fig12|fig13|table3|table4|ablation|faults|integrity|cluster|cluster-failover|cluster-gray|anatomy|store]...
 //! ```
 //!
 //! With no experiment arguments, runs everything. `--quick` shortens the
 //! workload windows (useful for smoke runs; EXPERIMENTS.md numbers come
 //! from the full runs). `--list` prints the experiment names, one per
-//! line, and exits. `--trace-out FILE` additionally runs a traced
-//! request mix and writes Chrome trace-event JSON (open in Perfetto).
+//! line, and exits. `--profile` adds a host-time profile of the
+//! cluster-64 run to the `engine` experiment: wall time inside
+//! `Component::handle` per component kind and payload type.
+//! `--trace-out FILE` additionally runs a traced request mix and writes
+//! Chrome trace-event JSON (open in Perfetto).
 //! `--json-out DIR` writes machine-readable `BENCH_<exp>.json` files for
 //! experiments with structured reports. Unknown experiment names are
 //! rejected up front — before anything runs — with the list of valid
@@ -43,6 +46,7 @@ const EXPERIMENTS: [&str; 17] = [
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
     let mut quick = false;
+    let mut profile = false;
     let mut trace_out: Option<String> = None;
     let mut json_out: Option<String> = None;
     let mut requested: Vec<&str> = Vec::new();
@@ -50,6 +54,7 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
+            "--profile" => profile = true,
             // Machine-friendly enumeration (shell completion, CI loops).
             "--list" => {
                 for e in EXPERIMENTS {
@@ -73,7 +78,7 @@ fn main() {
             },
             s if s.starts_with("--") => {
                 eprintln!("unknown flag: {s}");
-                eprintln!("flags: --quick --list --trace-out FILE --json-out DIR");
+                eprintln!("flags: --quick --list --profile --trace-out FILE --json-out DIR");
                 exit(2);
             }
             s => requested.push(s),
@@ -105,7 +110,14 @@ fn main() {
     println!("==============================================\n");
     for w in &wanted {
         let out = match *w {
-            "engine" => dcs_bench::engine::render(quick),
+            "engine" => {
+                let mut out = dcs_bench::engine::render(quick);
+                if profile {
+                    out.push('\n');
+                    out.push_str(&dcs_bench::engine::render_profile(quick));
+                }
+                out
+            }
             "fig2" => dcs_bench::fig2::render(4096),
             "fig3" => dcs_bench::fig3::render(16 * 1024, quick),
             "fig8" => dcs_bench::fig8::render(quick),

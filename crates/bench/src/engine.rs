@@ -205,20 +205,23 @@ pub fn run_fan_out(quick: bool, reference_heap: bool) -> ScenarioResult {
     }
 }
 
-/// The rack workload at `nodes` nodes: open-loop GET/PUT traffic over
-/// the ToR switch. Bring-up runs outside the measured window (and, for
-/// the heap arm, before the calendar swap — equivalence makes the
-/// starting state identical either way).
-pub fn run_cluster_n(nodes: usize, quick: bool, reference_heap: bool) -> ScenarioResult {
-    let cfg = ClusterConfig {
+fn cluster_config(nodes: usize, quick: bool) -> ClusterConfig {
+    ClusterConfig {
         nodes,
         offered_gbps_per_node: 2.0,
         duration_ns: dcs_sim::time::ms(if quick { 3 } else { 12 }),
         warmup_ns: dcs_sim::time::ms(1),
         seed: 0xE26 + nodes as u64,
         ..ClusterConfig::default()
-    };
-    let mut cluster = build_cluster(&cfg);
+    }
+}
+
+/// The rack workload at `nodes` nodes: open-loop GET/PUT traffic over
+/// the ToR switch. Bring-up runs outside the measured window (and, for
+/// the heap arm, before the calendar swap — equivalence makes the
+/// starting state identical either way).
+pub fn run_cluster_n(nodes: usize, quick: bool, reference_heap: bool) -> ScenarioResult {
+    let mut cluster = build_cluster(&cluster_config(nodes, quick));
     if reference_heap {
         cluster.sim.set_reference_heap();
     }
@@ -248,6 +251,47 @@ pub fn run_cluster_n(nodes: usize, quick: bool, reference_heap: bool) -> Scenari
         sim_ns: cluster.sim.now().as_nanos(),
         wall_ns,
     }
+}
+
+/// Host-time profile of the cluster-64 scenario (timing wheel): where
+/// the dispatch loop's wall time goes, per component kind and payload
+/// type, heaviest first (`repro engine --profile`).
+pub fn render_profile(quick: bool) -> String {
+    const TOP: usize = 24;
+    let cfg = cluster_config(64, quick);
+    let mut cluster = build_cluster(&cfg);
+    cluster.sim.enable_host_profile();
+    cluster.sim.run();
+    let rows = cluster.sim.host_profile();
+    let total: u64 = rows.iter().map(|r| r.wall_ns).sum();
+    let mut out = format!(
+        "Host-time profile — cluster-64, wall time inside Component::handle ({:.3} s total)\n\n",
+        total as f64 / 1e9
+    );
+    out.push_str(&format!(
+        "  {:<20} {:<24} {:>10} {:>10} {:>9} {:>7}\n",
+        "component", "payload", "calls", "total ms", "ns/call", "share"
+    ));
+    for r in rows.iter().take(TOP) {
+        out.push_str(&format!(
+            "  {:<20} {:<24} {:>10} {:>10.1} {:>9.0} {:>6.1}%\n",
+            r.component,
+            r.payload,
+            r.calls,
+            r.wall_ns as f64 / 1e6,
+            r.wall_ns as f64 / r.calls.max(1) as f64,
+            r.wall_ns as f64 / total.max(1) as f64 * 100.0,
+        ));
+    }
+    if rows.len() > TOP {
+        let rest: u64 = rows[TOP..].iter().map(|r| r.wall_ns).sum();
+        out.push_str(&format!(
+            "  ({} more rows, {:.1}%)\n",
+            rows.len() - TOP,
+            rest as f64 / total.max(1) as f64 * 100.0
+        ));
+    }
+    out
 }
 
 /// Runs every scenario on both calendars: `(wheel, heap)` per entry.
@@ -355,6 +399,43 @@ mod tests {
         assert_eq!(wheel.scheduler, "timing-wheel");
         assert_eq!(heap.scheduler, "reference-heap");
         assert!(wheel.events > 100_000);
+    }
+
+    #[test]
+    fn profiling_leaves_the_run_unchanged() {
+        let run = |profile: bool| {
+            let mut cluster = build_cluster(&ClusterConfig {
+                nodes: 2,
+                duration_ns: dcs_sim::time::ms(1),
+                warmup_ns: 0,
+                ..ClusterConfig::default()
+            });
+            if profile {
+                cluster.sim.enable_host_profile();
+            }
+            cluster.sim.run();
+            let report = cluster.sim.world_mut().remove::<ClusterOutcome>();
+            let rows = cluster.sim.host_profile();
+            (
+                cluster.sim.delivered_events(),
+                cluster.sim.now(),
+                format!("{report:?}"),
+                rows,
+            )
+        };
+        let (events, now, report, rows) = run(true);
+        let (plain_events, plain_now, plain_report, plain_rows) = run(false);
+        assert_eq!(
+            (events, now, &report),
+            (plain_events, plain_now, &plain_report)
+        );
+        assert!(plain_rows.is_empty());
+        // Every delivery after the profile was switched on is charged to
+        // exactly one row; node prefixes are folded into kinds.
+        let calls: u64 = rows.iter().map(|r| r.calls).sum();
+        assert!(calls > 0 && calls <= events, "{calls} of {events}");
+        assert!(rows.iter().any(|r| r.component == "hdc-engine"));
+        assert!(rows.iter().all(|r| !r.component.starts_with("n1-")));
     }
 
     #[test]

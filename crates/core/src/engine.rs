@@ -1421,10 +1421,11 @@ impl HdcEngine {
             }
             let want = e.len - e.received;
             let take = want.min(buf.len());
-            let bytes: Vec<u8> = buf.drain(..take).collect();
-            ctx.world()
-                .expect_mut::<PhysMemory>()
-                .write(e.buf + e.received as u64, &bytes);
+            ctx.world().expect_mut::<PhysMemory>().write_front(
+                e.buf + e.received as u64,
+                buf,
+                take,
+            );
             e.received += take;
             e.last_progress = ctx.now();
             if e.received == e.len {

@@ -769,11 +769,11 @@ impl HostNicDriver {
             }
             let want = e.req.len - e.received;
             let take = want.min(buf.len());
-            let bytes: Vec<u8> = buf.drain(..take).collect();
-            {
-                let mem = ctx.world().expect_mut::<PhysMemory>();
-                mem.write(e.req.into + e.received as u64, &bytes);
-            }
+            ctx.world().expect_mut::<PhysMemory>().write_front(
+                e.req.into + e.received as u64,
+                buf,
+                take,
+            );
             e.received += take;
             e.stack_ns += stack_ns * take as u64 / total_bytes as u64;
             e.copy_ns += copy_ns * take as u64 / total_bytes as u64;

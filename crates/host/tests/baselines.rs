@@ -7,7 +7,7 @@ use dcs_host::{build_pair, CpuStats, HostNode, HostNodeBuilder, SwDesign};
 use dcs_ndp::{md5::md5, NdpFunction};
 use dcs_nic::{TcpFlow, WireConfig};
 use dcs_pcie::PhysMemory;
-use dcs_sim::{time, Category, Component, ComponentId, Ctx, Msg, Simulator};
+use dcs_sim::{time, Category, Component, ComponentId, Ctx, Msg, SimTime, Simulator};
 
 #[derive(Default, Debug)]
 struct Inbox(Vec<D2dDone>);
@@ -51,11 +51,15 @@ struct Rig {
 }
 
 fn setup(design: SwDesign) -> Rig {
+    setup_with(|name| HostNodeBuilder::new(name, design))
+}
+
+fn setup_with(builder: impl Fn(&str) -> HostNodeBuilder) -> Rig {
     let mut sim = Simulator::new(9);
     let (a, b) = build_pair(
         &mut sim,
-        &HostNodeBuilder::new("alpha", design),
-        &HostNodeBuilder::new("beta", design),
+        &builder("alpha"),
+        &builder("beta"),
         WireConfig::default(),
     );
     let app = sim.add("app", App);
@@ -240,6 +244,110 @@ fn send_and_receive_across_nodes_via_baselines() {
     let inbox = rig.sim.world().expect::<Inbox>();
     let recv_done = inbox.0.iter().find(|d| d.id == 2).expect("recv completion");
     assert_eq!(recv_done.digest.as_deref(), Some(crc.as_slice()));
+}
+
+/// A job numbered `n` that reports to `app`.
+fn job(n: usize, ops: Vec<D2dOp>, app: ComponentId) -> D2dJob {
+    D2dJob {
+        id: n as u64,
+        ops,
+        reply_to: app,
+        tag: "large-transfer",
+    }
+}
+
+/// Non-zero pattern bytes, distinct per flow.
+fn pattern(len: usize, flow: usize) -> Vec<u8> {
+    (0..len)
+        .map(|i| ((i * 131 + flow * 71) % 255) as u8 + 1)
+        .collect()
+}
+
+#[test]
+fn large_receive_on_two_concurrent_flows_lands_byte_identical() {
+    // Through the software NIC driver: hundreds of frames per flow,
+    // interleaved on the wire, gathered out of the driver's reassembly
+    // buffers into host memory and written to B's flash.
+    //
+    // One core per node: `HostNicDriver` charges each receive batch's
+    // protocol processing as its own CPU job, and on several cores a
+    // short batch can finish before a longer, earlier one and reach the
+    // flow first (the model does not serialize them the way a per-queue
+    // softirq would). One core keeps the batches in ring order.
+    let mut rig = setup_with(|name| HostNodeBuilder {
+        cores: 1,
+        ..HostNodeBuilder::new(name, SwDesign::SwP2p)
+    });
+    let len = 3 << 19;
+    let flows = [
+        TcpFlow::example(1, 2, 51_000, 9400),
+        TcpFlow::example(1, 2, 51_001, 9401),
+    ];
+    let (src_lba, dst_lba) = ([0u64, 4096], [20_000u64, 24_096]);
+    // Each flow carries 1.5 MiB in two sends, received by two jobs whose
+    // boundary falls inside a frame. The first MiB arrives before any
+    // receive is posted; the first job then drains 896 KiB of that
+    // backlog, and the second send lands in the freed front of the
+    // reassembly ring, so the second job gathers across its wrap.
+    let t0 = rig.sim.now();
+    let later = |n: u64| t0 + n * time::ms(20);
+    let mut jobs: Vec<(SimTime, ComponentId, D2dJob)> = Vec::new();
+    for (k, flow) in flows.iter().enumerate() {
+        rig.sim
+            .world_mut()
+            .expect_mut::<PhysMemory>()
+            .write(rig.a.ssds[0].lba_addr(src_lba[k]), &pattern(len, k));
+        // (when, first byte, bytes) of each send and each receive.
+        let sends = [
+            (later(0), 0usize, 1usize << 20),
+            (later(1), 1 << 20, 1 << 19),
+        ];
+        let recvs = [
+            (later(1), 0usize, 896usize << 10),
+            (later(2), 896 << 10, 640 << 10),
+        ];
+        for (at, offset, part) in sends {
+            let ops = vec![
+                D2dOp::SsdRead {
+                    ssd: 0,
+                    lba: src_lba[k] + (offset / 4096) as u64,
+                    len: part,
+                },
+                D2dOp::NicSend {
+                    flow: *flow,
+                    seq: offset as u32,
+                },
+            ];
+            jobs.push((at, rig.a.executor, job(jobs.len(), ops, rig.app)));
+        }
+        for (at, offset, part) in recvs {
+            let ops = vec![
+                D2dOp::NicRecv {
+                    flow: flow.reversed(),
+                    len: part,
+                },
+                D2dOp::SsdWrite {
+                    ssd: 0,
+                    lba: dst_lba[k] + (offset / 4096) as u64,
+                },
+            ];
+            jobs.push((at, rig.b.executor, job(jobs.len(), ops, rig.app)));
+        }
+    }
+    let count = jobs.len() as u64;
+    for (at, to, job) in jobs {
+        rig.sim.schedule_at(at, rig.app, Submit { to, job });
+    }
+    rig.sim.run();
+    assert_eq!(rig.sim.world().stats.counter_value("app.ok"), count);
+    for (k, lba) in dst_lba.into_iter().enumerate() {
+        let on_b = rig
+            .sim
+            .world()
+            .expect::<PhysMemory>()
+            .read(rig.b.ssds[0].lba_addr(lba), len);
+        assert!(on_b == pattern(len, k), "flow {k}: payload corrupted");
+    }
 }
 
 #[test]

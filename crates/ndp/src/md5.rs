@@ -4,14 +4,6 @@
 //! perform on every object (Table II of the paper), and the hash the
 //! SSD→Processing→NIC microbenchmark of Figure 11b computes.
 
-/// Per-round shift amounts.
-const S: [u32; 64] = [
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
-    5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, //
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, //
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
-];
-
 /// `K[i] = floor(2^32 * |sin(i + 1)|`, precomputed as the RFC specifies.
 const K: [u32; 64] = [
     0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
@@ -83,9 +75,7 @@ impl Md5 {
         }
         let mut chunks = data.chunks_exact(64);
         for block in &mut chunks {
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+            self.compress(block.try_into().expect("64-byte chunk"));
         }
         let rem = chunks.remainder();
         self.buf[..rem.len()].copy_from_slice(rem);
@@ -110,30 +100,117 @@ impl Md5 {
         out
     }
 
+    /// One 64-byte block, in RFC 1321's four-round form: fully unrolled,
+    /// so every message index, constant and shift is a literal.
     fn compress(&mut self, block: &[u8; 64]) {
         let mut m = [0u32; 16];
-        for (i, w) in m.iter_mut().enumerate() {
-            *w = u32::from_le_bytes(block[i * 4..i * 4 + 4].try_into().expect("4-byte chunk"));
+        for (w, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+            *w = u32::from_le_bytes(bytes.try_into().expect("4-byte chunk"));
+        }
+        // The auxiliary functions. `f` is `(x & y) | (!x & z)` as a
+        // select; `g` is `(x & z) | (y & !z)` with the OR as an add (the
+        // two terms share no bit), so `y & !z` joins the sum before `x`,
+        // the previous step's result, is ready.
+        macro_rules! f {
+            ($x:expr, $y:expr, $z:expr) => {
+                $z ^ ($x & ($y ^ $z))
+            };
+        }
+        macro_rules! g {
+            ($x:expr, $y:expr, $z:expr) => {
+                ($x & $z).wrapping_add($y & !$z)
+            };
+        }
+        macro_rules! h {
+            ($x:expr, $y:expr, $z:expr) => {
+                $x ^ $y ^ $z
+            };
+        }
+        macro_rules! i {
+            ($x:expr, $y:expr, $z:expr) => {
+                $y ^ ($x | !$z)
+            };
+        }
+        // a = b + ((a + op(b, c, d) + m + k) <<< s)
+        macro_rules! step {
+            ($op:ident, $a:ident, $b:ident, $c:ident, $d:ident, $m:expr, $k:expr, $s:expr) => {
+                $a = $b.wrapping_add(
+                    $a.wrapping_add($op!($b, $c, $d))
+                        .wrapping_add($m)
+                        .wrapping_add($k)
+                        .rotate_left($s),
+                );
+            };
         }
         let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
-        }
+        // Round 1.
+        step!(f, a, b, c, d, m[0], K[0], 7);
+        step!(f, d, a, b, c, m[1], K[1], 12);
+        step!(f, c, d, a, b, m[2], K[2], 17);
+        step!(f, b, c, d, a, m[3], K[3], 22);
+        step!(f, a, b, c, d, m[4], K[4], 7);
+        step!(f, d, a, b, c, m[5], K[5], 12);
+        step!(f, c, d, a, b, m[6], K[6], 17);
+        step!(f, b, c, d, a, m[7], K[7], 22);
+        step!(f, a, b, c, d, m[8], K[8], 7);
+        step!(f, d, a, b, c, m[9], K[9], 12);
+        step!(f, c, d, a, b, m[10], K[10], 17);
+        step!(f, b, c, d, a, m[11], K[11], 22);
+        step!(f, a, b, c, d, m[12], K[12], 7);
+        step!(f, d, a, b, c, m[13], K[13], 12);
+        step!(f, c, d, a, b, m[14], K[14], 17);
+        step!(f, b, c, d, a, m[15], K[15], 22);
+        // Round 2.
+        step!(g, a, b, c, d, m[1], K[16], 5);
+        step!(g, d, a, b, c, m[6], K[17], 9);
+        step!(g, c, d, a, b, m[11], K[18], 14);
+        step!(g, b, c, d, a, m[0], K[19], 20);
+        step!(g, a, b, c, d, m[5], K[20], 5);
+        step!(g, d, a, b, c, m[10], K[21], 9);
+        step!(g, c, d, a, b, m[15], K[22], 14);
+        step!(g, b, c, d, a, m[4], K[23], 20);
+        step!(g, a, b, c, d, m[9], K[24], 5);
+        step!(g, d, a, b, c, m[14], K[25], 9);
+        step!(g, c, d, a, b, m[3], K[26], 14);
+        step!(g, b, c, d, a, m[8], K[27], 20);
+        step!(g, a, b, c, d, m[13], K[28], 5);
+        step!(g, d, a, b, c, m[2], K[29], 9);
+        step!(g, c, d, a, b, m[7], K[30], 14);
+        step!(g, b, c, d, a, m[12], K[31], 20);
+        // Round 3.
+        step!(h, a, b, c, d, m[5], K[32], 4);
+        step!(h, d, a, b, c, m[8], K[33], 11);
+        step!(h, c, d, a, b, m[11], K[34], 16);
+        step!(h, b, c, d, a, m[14], K[35], 23);
+        step!(h, a, b, c, d, m[1], K[36], 4);
+        step!(h, d, a, b, c, m[4], K[37], 11);
+        step!(h, c, d, a, b, m[7], K[38], 16);
+        step!(h, b, c, d, a, m[10], K[39], 23);
+        step!(h, a, b, c, d, m[13], K[40], 4);
+        step!(h, d, a, b, c, m[0], K[41], 11);
+        step!(h, c, d, a, b, m[3], K[42], 16);
+        step!(h, b, c, d, a, m[6], K[43], 23);
+        step!(h, a, b, c, d, m[9], K[44], 4);
+        step!(h, d, a, b, c, m[12], K[45], 11);
+        step!(h, c, d, a, b, m[15], K[46], 16);
+        step!(h, b, c, d, a, m[2], K[47], 23);
+        // Round 4.
+        step!(i, a, b, c, d, m[0], K[48], 6);
+        step!(i, d, a, b, c, m[7], K[49], 10);
+        step!(i, c, d, a, b, m[14], K[50], 15);
+        step!(i, b, c, d, a, m[5], K[51], 21);
+        step!(i, a, b, c, d, m[12], K[52], 6);
+        step!(i, d, a, b, c, m[3], K[53], 10);
+        step!(i, c, d, a, b, m[10], K[54], 15);
+        step!(i, b, c, d, a, m[1], K[55], 21);
+        step!(i, a, b, c, d, m[8], K[56], 6);
+        step!(i, d, a, b, c, m[15], K[57], 10);
+        step!(i, c, d, a, b, m[6], K[58], 15);
+        step!(i, b, c, d, a, m[13], K[59], 21);
+        step!(i, a, b, c, d, m[4], K[60], 6);
+        step!(i, d, a, b, c, m[11], K[61], 10);
+        step!(i, c, d, a, b, m[2], K[62], 15);
+        step!(i, b, c, d, a, m[9], K[63], 21);
         self.state[0] = self.state[0].wrapping_add(a);
         self.state[1] = self.state[1].wrapping_add(b);
         self.state[2] = self.state[2].wrapping_add(c);
@@ -176,6 +253,26 @@ mod tests {
         ];
         for (input, expected) in vectors {
             assert_eq!(to_hex(&md5(input)), expected, "input {input:?}");
+        }
+    }
+
+    /// Digests of the pattern `i % 251` at lengths around the padding
+    /// and block boundaries, plus 1 MiB. Computed once with Python's
+    /// `hashlib.md5(bytes(i % 251 for i in range(n))).hexdigest()`.
+    #[test]
+    fn pinned_pattern_digests() {
+        let pinned: [(usize, &str); 7] = [
+            (55, "6912ee65fff2d9f9ce2508cddf8bcda0"),
+            (56, "51fdd1acda72405dfdfa03fcb85896d7"),
+            (63, "48a6295221902e8e0938f773a7185e72"),
+            (64, "b2d3f56bc197fd985d5965079b5e7148"),
+            (65, "8bd7053801c768420faf816fadba971c"),
+            (4095, "93e25733058beb5eb38c4f6db613da70"),
+            (1 << 20, "8f293a2f6c19b345152f7a49bb4c643c"),
+        ];
+        for (len, expected) in pinned {
+            let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            assert_eq!(to_hex(&md5(&data)), expected, "len {len}");
         }
     }
 

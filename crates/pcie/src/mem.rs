@@ -2,11 +2,14 @@
 //! real bytes between.
 //!
 //! Regions can be huge (the SSD flash region is hundreds of gigabytes) but
-//! only touched pages are materialized, so scenarios stay cheap. Each
-//! region is tagged with the PCIe [`PortId`] it sits behind so the fabric
-//! can charge transfers to the right links.
+//! only pages holding a non-zero byte are materialized, so scenarios stay
+//! cheap: an absent page reads as zero, so writing zeros onto one is a
+//! no-op. Regions are kept sorted by start address and found by binary
+//! search. Each region is tagged with the PCIe [`PortId`] it sits behind
+//! so the fabric can charge transfers to the right links.
 
 use dcs_sim::DetMap;
+use std::collections::VecDeque;
 use std::fmt;
 
 use crate::addr::{AddrRange, PhysAddr};
@@ -30,7 +33,15 @@ impl fmt::Display for PortId {
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
-/// Byte storage materialized page-by-page on first write.
+/// Whether every byte of `data` is zero.
+fn is_zero(data: &[u8]) -> bool {
+    // OR-folding fixed-size chunks vectorizes; the early exit per chunk
+    // keeps non-zero payloads cheap.
+    data.chunks(64)
+        .all(|c| c.iter().fold(0u8, |acc, &b| acc | b) == 0)
+}
+
+/// Byte storage materialized page-by-page on the first non-zero write.
 #[derive(Default)]
 struct SparseBytes {
     pages: DetMap<u64, Box<[u8; PAGE_SIZE]>>,
@@ -60,11 +71,17 @@ impl SparseBytes {
             let page = off >> PAGE_SHIFT;
             let in_page = (off as usize) & (PAGE_SIZE - 1);
             let n = (PAGE_SIZE - in_page).min(data.len() - done);
-            let p = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            p[in_page..in_page + n].copy_from_slice(&data[done..done + n]);
+            let chunk = &data[done..done + n];
+            match self.pages.get_mut(&page) {
+                Some(p) => p[in_page..in_page + n].copy_from_slice(chunk),
+                // An absent page already reads as zero.
+                None if is_zero(chunk) => {}
+                None => {
+                    let mut p = Box::new([0u8; PAGE_SIZE]);
+                    p[in_page..in_page + n].copy_from_slice(chunk);
+                    self.pages.insert(page, p);
+                }
+            }
             off += n as u64;
             done += n;
         }
@@ -126,14 +143,7 @@ impl PhysMemory {
         let start = PhysAddr(self.next_free);
         let range = AddrRange::new(start, len);
         self.next_free = (start.0 + len).div_ceil(REGION_ALIGN) * REGION_ALIGN;
-        self.regions.push(Region {
-            info: RegionInfo {
-                name: name.to_string(),
-                range,
-                port,
-            },
-            bytes: SparseBytes::default(),
-        });
+        self.insert_sorted(name, range, port);
         range
     }
 
@@ -155,29 +165,47 @@ impl PhysMemory {
         self.next_free = self
             .next_free
             .max((range.end().as_u64()).div_ceil(REGION_ALIGN) * REGION_ALIGN);
-        self.regions.push(Region {
-            info: RegionInfo {
-                name: name.to_string(),
-                range,
-                port,
+        self.insert_sorted(name, range, port);
+    }
+
+    /// Inserts a region keeping `regions` sorted by `(start, len)`: among
+    /// regions sharing a start (only an empty one can), the non-empty one
+    /// sorts last, where `region_index_of` looks.
+    fn insert_sorted(&mut self, name: &str, range: AddrRange, port: PortId) {
+        let key = (range.start, range.len);
+        let pos = self
+            .regions
+            .partition_point(|r| (r.info.range.start, r.info.range.len) <= key);
+        self.regions.insert(
+            pos,
+            Region {
+                info: RegionInfo {
+                    name: name.to_string(),
+                    range,
+                    port,
+                },
+                bytes: SparseBytes::default(),
             },
-            bytes: SparseBytes::default(),
-        });
+        );
     }
 
     fn region_index_of(&self, addr: PhysAddr, len: usize) -> usize {
-        self.regions
-            .iter()
-            .position(|r| r.info.range.contains_span(addr, len))
-            .unwrap_or_else(|| {
-                panic!(
-                    "access [{addr} +{len}) hits no single region; registered: {:?}",
-                    self.regions
-                        .iter()
-                        .map(|r| (&r.info.name, r.info.range))
-                        .collect::<Vec<_>>()
-                )
-            })
+        // Regions never overlap, so the only candidate is the last one
+        // starting at or below `addr`.
+        let candidate = self
+            .regions
+            .partition_point(|r| r.info.range.start <= addr)
+            .checked_sub(1)
+            .filter(|&i| self.regions[i].info.range.contains_span(addr, len));
+        candidate.unwrap_or_else(|| {
+            panic!(
+                "access [{addr} +{len}) hits no single region; registered: {:?}",
+                self.regions
+                    .iter()
+                    .map(|r| (&r.info.name, r.info.range))
+                    .collect::<Vec<_>>()
+            )
+        })
     }
 
     /// Region metadata for the region containing `[addr, addr+len)`.
@@ -229,6 +257,25 @@ impl PhysMemory {
         r.bytes.write_from(off, data);
     }
 
+    /// Writes the first `len` bytes of `queue` starting at `addr` and
+    /// removes them from the queue: the receive gather out of a
+    /// reassembly buffer, straight from the ring's two slices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue holds fewer than `len` bytes or the span is
+    /// not fully contained in one region.
+    pub fn write_front(&mut self, addr: PhysAddr, queue: &mut VecDeque<u8>, len: usize) {
+        let idx = self.region_index_of(addr, len);
+        let r = &mut self.regions[idx];
+        let off = addr - r.info.range.start;
+        let (head, tail) = queue.as_slices();
+        let first = len.min(head.len());
+        r.bytes.write_from(off, &head[..first]);
+        r.bytes.write_from(off + first as u64, &tail[..len - first]);
+        queue.drain(..len);
+    }
+
     /// Copies `len` bytes from `src` to `dst` (the data movement behind a
     /// completed DMA). Source and destination may be in different regions;
     /// overlapping self-copies behave like `memmove`.
@@ -236,8 +283,24 @@ impl PhysMemory {
         if len == 0 {
             return;
         }
-        let data = self.read(src, len);
-        self.write(dst, &data);
+        let s = self.region_index_of(src, len);
+        let d = self.region_index_of(dst, len);
+        let src_off = src - self.regions[s].info.range.start;
+        let dst_off = dst - self.regions[d].info.range.start;
+        // Spans can only overlap inside one region. When the destination
+        // starts inside the source, copy back to front so every chunk is
+        // read before a later chunk's write lands on it.
+        let backward = s == d && dst_off > src_off && dst_off < src_off + len as u64;
+        let mut buf = [0u8; PAGE_SIZE];
+        let mut done = 0;
+        while done < len {
+            let n = PAGE_SIZE.min(len - done);
+            let at = if backward { len - done - n } else { done } as u64;
+            let chunk = &mut buf[..n];
+            self.regions[s].bytes.read_into(src_off + at, chunk);
+            self.regions[d].bytes.write_from(dst_off + at, chunk);
+            done += n;
+        }
     }
 
     /// Total bytes of materialized backing store (for memory-pressure

@@ -13,6 +13,8 @@ use crate::addr::{AddrRange, PhysAddr};
 /// The MMIO routing table.
 #[derive(Debug, Default)]
 pub struct MmioRouting {
+    /// Sorted by `(start, len)`; claims never overlap, so an address's
+    /// only candidate owner is the last claim starting at or below it.
     claims: Vec<(AddrRange, ComponentId)>,
 }
 
@@ -34,15 +36,18 @@ impl MmioRouting {
                 "MMIO claim {range} overlaps {existing} owned by {other}"
             );
         }
-        self.claims.push((range, owner));
+        let key = (range.start, range.len);
+        let pos = self
+            .claims
+            .partition_point(|(r, _)| (r.start, r.len) <= key);
+        self.claims.insert(pos, (range, owner));
     }
 
     /// The component owning `addr`, if any.
     pub fn owner_of(&self, addr: PhysAddr) -> Option<ComponentId> {
-        self.claims
-            .iter()
-            .find(|(r, _)| r.contains(addr))
-            .map(|(_, owner)| *owner)
+        let idx = self.claims.partition_point(|(r, _)| r.start <= addr);
+        let (range, owner) = self.claims.get(idx.checked_sub(1)?)?;
+        range.contains(addr).then_some(*owner)
     }
 
     /// Number of registered claims.
@@ -70,6 +75,28 @@ mod tests {
         assert_eq!(r.owner_of(PhysAddr(0x1100)), None);
         assert_eq!(r.len(), 1);
         assert!(!r.is_empty());
+    }
+
+    #[test]
+    fn out_of_order_claims_route_by_address() {
+        let mut r = MmioRouting::new();
+        let mut sim = dcs_sim::Simulator::new(0);
+        let owners: Vec<ComponentId> = (0..4).map(|i| sim.reserve(&format!("dev{i}"))).collect();
+        // Registered out of address order, with an empty claim sharing a
+        // start with a real one and gaps between windows.
+        r.claim(AddrRange::new(PhysAddr(0x3000), 0x100), owners[0]);
+        r.claim(AddrRange::new(PhysAddr(0x1000), 0x100), owners[1]);
+        r.claim(AddrRange::new(PhysAddr(0x2000), 0x800), owners[2]);
+        r.claim(AddrRange::new(PhysAddr(0x2000), 0), owners[3]);
+        assert_eq!(r.owner_of(PhysAddr(0xfff)), None);
+        assert_eq!(r.owner_of(PhysAddr(0x1000)), Some(owners[1]));
+        assert_eq!(r.owner_of(PhysAddr(0x1100)), None);
+        assert_eq!(r.owner_of(PhysAddr(0x2000)), Some(owners[2]));
+        assert_eq!(r.owner_of(PhysAddr(0x27ff)), Some(owners[2]));
+        assert_eq!(r.owner_of(PhysAddr(0x2800)), None);
+        assert_eq!(r.owner_of(PhysAddr(0x30ff)), Some(owners[0]));
+        assert_eq!(r.owner_of(PhysAddr(u64::MAX)), None);
+        assert_eq!(r.len(), 4);
     }
 
     #[test]

@@ -1,0 +1,274 @@
+//! `PhysMemory` against a flat reference model: random sequences of
+//! writes (all-zero chunks included), copies (across regions, and within
+//! one region overlapping in both directions), receive gathers out of a
+//! wrapped ring, and reads, each checked byte for byte. Driven by the
+//! in-repo deterministic [`Rng`] (the workspace builds offline, without a
+//! property-testing framework).
+
+use std::collections::{BTreeSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use dcs_pcie::{AddrRange, PhysAddr, PhysMemory, PortId};
+use dcs_sim::Rng;
+
+/// The backing-store page size `PhysMemory` materializes in.
+const PAGE: u64 = 4096;
+
+/// One region of the reference model: a flat byte vector, plus the pages
+/// that ever received a non-zero byte (exactly the pages `PhysMemory`
+/// may materialize).
+struct ModelRegion {
+    start: u64,
+    bytes: Vec<u8>,
+    dirty_pages: BTreeSet<u64>,
+}
+
+struct Model {
+    regions: Vec<ModelRegion>,
+}
+
+impl Model {
+    fn region(&mut self, addr: u64) -> &mut ModelRegion {
+        self.regions
+            .iter_mut()
+            .find(|r| addr >= r.start && addr < r.start + r.bytes.len() as u64)
+            .expect("model access inside a region")
+    }
+
+    fn write(&mut self, addr: u64, data: &[u8]) {
+        let r = self.region(addr);
+        let off = (addr - r.start) as usize;
+        r.bytes[off..off + data.len()].copy_from_slice(data);
+        for (i, &b) in data.iter().enumerate() {
+            if b != 0 {
+                r.dirty_pages.insert((off + i) as u64 / PAGE);
+            }
+        }
+    }
+
+    fn read(&mut self, addr: u64, len: usize) -> Vec<u8> {
+        let r = self.region(addr);
+        let off = (addr - r.start) as usize;
+        r.bytes[off..off + len].to_vec()
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.regions
+            .iter()
+            .map(|r| r.dirty_pages.len() * PAGE as usize)
+            .sum()
+    }
+}
+
+/// Four regions: two allocated, two placed out of address order with
+/// `add_region_at` (one below every allocation, one in the gap after the
+/// first). Sizes and bases are deliberately not page multiples.
+fn setup() -> (PhysMemory, Model) {
+    let mut mem = PhysMemory::new();
+    let a = mem.alloc_region("a", 64 * 1024, PortId::ROOT);
+    let b = mem.alloc_region("b", 40 * 1024 + 123, PortId(1));
+    let c = AddrRange::new(PhysAddr(0x10_0800), 24 * 1024 + 7);
+    mem.add_region_at("c", c, PortId(2));
+    let d = AddrRange::new(a.start + (1 << 20) + 0x321, 16 * 1024);
+    mem.add_region_at("d", d, PortId(3));
+    let regions = [a, b, c, d]
+        .iter()
+        .map(|r| ModelRegion {
+            start: r.start.as_u64(),
+            bytes: vec![0; r.len as usize],
+            dirty_pages: BTreeSet::new(),
+        })
+        .collect();
+    (mem, Model { regions })
+}
+
+/// A random payload: all zeros, dense random, or mostly zero with a few
+/// non-zero bytes.
+fn payload(rng: &mut Rng, len: usize) -> Vec<u8> {
+    let mut v = vec![0u8; len];
+    match rng.gen_range(0..3) {
+        0 => {}
+        1 => rng.fill_bytes(&mut v),
+        _ => {
+            for _ in 0..rng.gen_range(1..4) {
+                if len > 0 {
+                    let i = rng.gen_range(0..len as u64) as usize;
+                    v[i] = rng.gen_range(1..256) as u8;
+                }
+            }
+        }
+    }
+    v
+}
+
+/// A random span of at most `max` bytes inside region `r`: `(addr, len)`.
+fn span(rng: &mut Rng, model: &Model, r: usize, max: u64) -> (u64, usize) {
+    let region = &model.regions[r];
+    let size = region.bytes.len() as u64;
+    let len = rng.gen_range(0..max.min(size) + 1);
+    let off = rng.gen_range(0..size - len + 1);
+    (region.start + off, len as usize)
+}
+
+fn run_sequence(seed: u64, ops: usize) {
+    let (mut mem, mut model) = setup();
+    let mut rng = Rng::new(seed);
+    let n = model.regions.len();
+    let mut wrapped = 0;
+    for step in 0..ops {
+        let r = rng.gen_range(0..n as u64) as usize;
+        match rng.gen_range(0..6) {
+            // Write, possibly all zeros onto absent or present pages.
+            0 | 1 => {
+                let (addr, len) = span(&mut rng, &model, r, 3 * PAGE);
+                let data = payload(&mut rng, len);
+                let before = mem.resident_bytes();
+                mem.write(PhysAddr(addr), &data);
+                model.write(addr, &data);
+                if data.iter().all(|&b| b == 0) {
+                    assert_eq!(
+                        mem.resident_bytes(),
+                        before,
+                        "seed {seed} step {step}: a zero write materialized pages"
+                    );
+                }
+            }
+            // Copy across regions.
+            2 => {
+                let other = (r + 1 + rng.gen_range(0..n as u64 - 1) as usize) % n;
+                let (src, len) = span(&mut rng, &model, r, 3 * PAGE);
+                let dst_region = &model.regions[other];
+                let size = dst_region.bytes.len() as u64;
+                let len = len.min(size as usize);
+                let dst = dst_region.start + rng.gen_range(0..size - len as u64 + 1);
+                let data = model.read(src, len);
+                mem.copy(PhysAddr(src), PhysAddr(dst), len);
+                model.write(dst, &data);
+            }
+            // Overlapping copy inside one region, in either direction.
+            3 => {
+                let (src, len) = span(&mut rng, &model, r, 3 * PAGE);
+                let region = &model.regions[r];
+                let (lo, hi) = (region.start, region.start + region.bytes.len() as u64);
+                let shift = rng.gen_range(0..len as u64 + 1);
+                let dst = if rng.gen_bool(0.5) {
+                    (src + shift).min(hi - len as u64)
+                } else {
+                    src.saturating_sub(shift).max(lo)
+                };
+                let data = model.read(src, len);
+                mem.copy(PhysAddr(src), PhysAddr(dst), len);
+                model.write(dst, &data);
+            }
+            // Receive gather out of a ring that has wrapped.
+            4 => {
+                let (addr, len) = span(&mut rng, &model, r, 2 * PAGE);
+                // Park the ring's head near the end of its buffer so the
+                // payload wraps around into the two-slice shape.
+                let mut ring: VecDeque<u8> = VecDeque::with_capacity(len + 1);
+                let head = ring.capacity() - rng.gen_range(0..len as u64 + 1) as usize;
+                ring.extend(std::iter::repeat_n(0xEE, head));
+                while ring.pop_front().is_some() {}
+                let data = payload(&mut rng, len);
+                ring.extend(data.iter().copied());
+                ring.push_back(0x77);
+                wrapped += usize::from(!ring.as_slices().1.is_empty());
+                mem.write_front(PhysAddr(addr), &mut ring, len);
+                model.write(addr, &data);
+                assert_eq!(
+                    ring,
+                    [0x77],
+                    "seed {seed} step {step}: gather left the tail"
+                );
+            }
+            // Read.
+            _ => {
+                let (addr, len) = span(&mut rng, &model, r, 3 * PAGE);
+                assert_eq!(
+                    mem.read(PhysAddr(addr), len),
+                    model.read(addr, len),
+                    "seed {seed} step {step}: read [{addr:#x} +{len})"
+                );
+            }
+        }
+        assert_eq!(
+            mem.resident_bytes(),
+            model.resident_bytes(),
+            "seed {seed} step {step}: only pages holding a non-zero byte are resident"
+        );
+    }
+    assert!(wrapped > 0, "seed {seed}: no gather read a wrapped ring");
+    for r in &model.regions {
+        let mut out = vec![0xFFu8; r.bytes.len()];
+        mem.read_into(PhysAddr(r.start), &mut out);
+        assert!(out == r.bytes, "seed {seed}: final contents diverge");
+    }
+}
+
+#[test]
+fn random_sequences_match_the_flat_model() {
+    for seed in 1..=12 {
+        run_sequence(seed, 1500);
+    }
+}
+
+#[test]
+fn overlapping_copies_behave_like_memmove() {
+    let (mut mem, mut model) = setup();
+    let base = model.regions[0].start;
+    let data: Vec<u8> = (0..3 * PAGE as usize)
+        .map(|i| (i % 251) as u8 + 1)
+        .collect();
+    mem.write(PhysAddr(base + 100), &data);
+    model.write(base + 100, &data);
+    // Forward overlap (destination above source), then backward, each
+    // straddling several pages.
+    for (src, dst, len) in [(100, 2000, 9000), (2000, 5, 9000), (5, 4096 + 1, 4095)] {
+        let expect = model.read(base + src, len);
+        mem.copy(PhysAddr(base + src), PhysAddr(base + dst), len);
+        model.write(base + dst, &expect);
+        assert_eq!(mem.read(PhysAddr(base + dst), len), expect);
+    }
+    let whole = model.regions[0].bytes.clone();
+    assert_eq!(mem.read(PhysAddr(base), whole.len()), whole);
+}
+
+#[test]
+fn spans_outside_one_region_panic() {
+    let (mut mem, model) = setup();
+    let c = &model.regions[2];
+    let c_end = c.start + c.bytes.len() as u64;
+    let a = model.regions[0].start;
+    type Access = Box<dyn FnOnce(&mut PhysMemory)>;
+    let cases: Vec<(&str, Access)> = vec![
+        (
+            "read crossing the end of an out-of-order region",
+            Box::new(move |m: &mut PhysMemory| drop(m.read(PhysAddr(c_end - 4), 8))),
+        ),
+        (
+            "write landing in the gap below the first allocation",
+            Box::new(move |m: &mut PhysMemory| m.write(PhysAddr(c_end + 16), b"x")),
+        ),
+        (
+            "copy whose destination crosses a region start",
+            Box::new(move |m: &mut PhysMemory| m.copy(PhysAddr(a), PhysAddr(a - 2), 4)),
+        ),
+        (
+            "gather crossing a region end",
+            Box::new(move |m: &mut PhysMemory| {
+                let mut q: VecDeque<u8> = vec![1; 16].into();
+                m.write_front(PhysAddr(c_end - 8), &mut q, 16);
+            }),
+        ),
+        (
+            "read below every region",
+            Box::new(|m: &mut PhysMemory| drop(m.read(PhysAddr(0x10), 4))),
+        ),
+    ];
+    for (what, op) in cases {
+        let err = catch_unwind(AssertUnwindSafe(|| op(&mut mem)))
+            .expect_err(&format!("{what} must panic"));
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("no single region"), "{what}: {msg}");
+    }
+}

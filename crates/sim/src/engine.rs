@@ -12,6 +12,7 @@
 use crate::calendar::{Calendar, HeapCalendar, Scheduled, TimingWheel};
 use crate::component::{Component, ComponentId};
 use crate::event::{Msg, Payload};
+use crate::profile::{host_clock, HostProfile, ProfileRow};
 use crate::time::SimTime;
 use crate::world::World;
 
@@ -31,6 +32,9 @@ pub struct Simulator {
     /// `handle`, drained into the calendar, and kept (capacity intact)
     /// for the next step instead of allocating a fresh `Vec`.
     scratch_out: Vec<(SimTime, ComponentId, Msg)>,
+    /// Host-time profile, when [`Simulator::enable_host_profile`] asked
+    /// for one.
+    profile: Option<Box<HostProfile>>,
 }
 
 impl Simulator {
@@ -46,7 +50,24 @@ impl Simulator {
             delivered: 0,
             batched: 0,
             scratch_out: Vec::new(),
+            profile: None,
         }
+    }
+
+    /// Starts timing every handler call on the host clock, keyed by
+    /// component kind and payload type (see [`crate::profile`]). Off by
+    /// default; the readings never reach the [`World`], so a profiled
+    /// run delivers exactly the events an unprofiled one does.
+    pub fn enable_host_profile(&mut self) {
+        self.profile.get_or_insert_with(Box::default);
+    }
+
+    /// The host-time profile so far, heaviest row first; empty unless
+    /// [`Simulator::enable_host_profile`] was called.
+    pub fn host_profile(&self) -> Vec<ProfileRow> {
+        self.profile
+            .as_ref()
+            .map_or_else(Vec::new, |p| p.rows(&self.names))
     }
 
     /// Swaps the calendar for the `BinaryHeap` reference model,
@@ -216,11 +237,21 @@ impl Simulator {
                 out: &mut out,
                 world: &mut self.world,
             };
-            component.handle(&mut ctx, ev.msg);
+            deliver(
+                &mut *component,
+                &mut ctx,
+                ev.msg,
+                self.profile.as_deref_mut(),
+            );
             while let Some(next) = self.calendar.pop_if(ev.time, ev.dst) {
                 self.delivered += 1;
                 self.batched += 1;
-                component.handle(&mut ctx, next.msg);
+                deliver(
+                    &mut *component,
+                    &mut ctx,
+                    next.msg,
+                    self.profile.as_deref_mut(),
+                );
             }
         }
         self.components[ev.dst.index()] = Some(component);
@@ -280,6 +311,26 @@ impl Simulator {
     /// Whether any events remain pending.
     pub fn is_idle(&self) -> bool {
         self.calendar.is_empty()
+    }
+}
+
+/// Hands one message to its component, timing the call when the host
+/// profile is on.
+#[inline]
+fn deliver(
+    component: &mut dyn Component,
+    ctx: &mut Ctx<'_>,
+    msg: Msg,
+    profile: Option<&mut HostProfile>,
+) {
+    match profile {
+        None => component.handle(ctx, msg),
+        Some(profile) => {
+            let payload = msg.type_name();
+            let start = host_clock();
+            component.handle(ctx, msg);
+            profile.record(ctx.self_id, payload, start.elapsed());
+        }
     }
 }
 

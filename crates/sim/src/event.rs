@@ -20,6 +20,8 @@ pub trait Payload: Any + fmt::Debug {
     fn as_any(&self) -> &dyn Any;
     /// Convert into `Any` for by-value downcasting.
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
+    /// The concrete type's name, as [`std::any::type_name`] spells it.
+    fn type_name(&self) -> &'static str;
 }
 
 impl<T: Any + fmt::Debug> Payload for T {
@@ -28,6 +30,9 @@ impl<T: Any + fmt::Debug> Payload for T {
     }
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
+    }
+    fn type_name(&self) -> &'static str {
+        std::any::type_name::<T>()
     }
 }
 
@@ -80,6 +85,11 @@ impl Msg {
         }
     }
 
+    /// The payload's concrete type name (host-time profile key).
+    pub fn type_name(&self) -> &'static str {
+        (*self.payload).type_name()
+    }
+
     /// A short description of the payload type, for diagnostics.
     pub fn payload_debug(&self) -> String {
         format!("{:?}", self.payload)
@@ -129,5 +139,6 @@ mod tests {
         let dbg = format!("{msg:?}");
         assert!(dbg.contains("Foo(3)"), "{dbg}");
         assert!(msg.payload_debug().contains("Foo"));
+        assert!(msg.type_name().ends_with("::Foo"), "{}", msg.type_name());
     }
 }

@@ -53,6 +53,7 @@ pub mod fault;
 pub mod fuzz;
 pub mod integrity;
 pub mod obs;
+pub mod profile;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -71,6 +72,7 @@ pub use obs::{
     chrome_trace, Anatomy, Json, MetricEntry, MetricValue, MetricsRegistry, MetricsReport,
     Recorder, Span,
 };
+pub use profile::ProfileRow;
 pub use queue::{FifoServer, LineServer, ServerBank};
 pub use rng::Rng;
 pub use stats::{BusyTracker, Counter, Histogram};
