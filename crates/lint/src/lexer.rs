@@ -24,11 +24,8 @@ pub enum TokenKind {
     Ident(String),
     /// Single punctuation character (`{`, `:`, `=`, …).
     Punct(char),
-    /// String, byte-string, or char literal. String-like literals carry
-    /// their unquoted content (escapes left as written) so value-keyed
-    /// rules (`rng-stream-collision`) can read them; char/byte-char
-    /// literals carry `None`.
-    Literal(Option<String>),
+    /// String, byte-string, or char literal (contents discarded).
+    Literal,
     /// Numeric literal (contents discarded).
     Number,
 }
@@ -54,15 +51,7 @@ impl Token {
 
     /// True for any string/char literal token.
     pub fn is_literal(&self) -> bool {
-        matches!(self.kind, TokenKind::Literal(_))
-    }
-
-    /// The unquoted content of a string-like literal, if this is one.
-    pub fn str_text(&self) -> Option<&str> {
-        match &self.kind {
-            TokenKind::Literal(Some(s)) => Some(s),
-            _ => None,
-        }
+        self.kind == TokenKind::Literal
     }
 }
 
@@ -138,7 +127,7 @@ pub fn lex(src: &str) -> Lexed {
                 i = skip_string(bytes, i);
                 bump_lines!(start..i.min(bytes.len()));
                 out.tokens.push(Token {
-                    kind: TokenKind::Literal(Some(string_content(src, start + 1, i))),
+                    kind: TokenKind::Literal,
                     // Multi-line literals are reported at the line they
                     // open on, where the code (and any pragma) sits.
                     line: start_line,
@@ -147,11 +136,10 @@ pub fn lex(src: &str) -> Lexed {
             b'r' | b'b' if starts_raw_or_byte_string(bytes, i) => {
                 let start = i;
                 let start_line = line;
-                let (next, content) = skip_raw_or_byte_string(bytes, i);
-                i = next;
+                i = skip_raw_or_byte_string(bytes, i);
                 bump_lines!(start..i.min(bytes.len()));
                 out.tokens.push(Token {
-                    kind: TokenKind::Literal(content.map(|(a, b)| src[a..b].to_string())),
+                    kind: TokenKind::Literal,
                     line: start_line,
                 });
             }
@@ -174,9 +162,8 @@ pub fn lex(src: &str) -> Lexed {
                 if is_lifetime {
                     // Emit the lifetime as an apostrophe-prefixed ident
                     // (`'static`) — no rule pattern can collide with a
-                    // plain ident, and the parser's type model needs to
-                    // tell `&'static str` (immutable forever, safe to
-                    // hold in world state) from `&'a str`.
+                    // plain ident: `static-mut` must not read the
+                    // `'static` of `&'static str` as a `static` item.
                     let start = i;
                     i += 1;
                     while i < bytes.len() && is_ident_continue(bytes[i]) {
@@ -201,7 +188,7 @@ pub fn lex(src: &str) -> Lexed {
                         }
                     }
                     out.tokens.push(Token {
-                        kind: TokenKind::Literal(None),
+                        kind: TokenKind::Literal,
                         line,
                     });
                 }
@@ -280,19 +267,6 @@ fn skip_string(bytes: &[u8], start: usize) -> usize {
     i
 }
 
-/// The content of a plain string whose body starts at `body` and whose
-/// scan ended at `end` (just past the closing quote, or past EOF when
-/// unterminated).
-fn string_content(src: &str, body: usize, end: usize) -> String {
-    let end = end.min(src.len());
-    let close = if end > body && src.as_bytes()[end - 1] == b'"' {
-        end - 1
-    } else {
-        end
-    };
-    src[body..close].to_string()
-}
-
 /// True when position `i` starts `r"`, `r#"`, `b"`, `br"`, `br#"`, or `b'`.
 fn starts_raw_or_byte_string(bytes: &[u8], i: usize) -> bool {
     match bytes[i] {
@@ -318,9 +292,8 @@ fn starts_raw_or_byte_string(bytes: &[u8], i: usize) -> bool {
 }
 
 /// Skips a raw/byte string (or byte char) starting at its prefix;
-/// returns the index just past the literal plus the byte range of its
-/// content (`None` for byte chars, whose value no rule reads).
-fn skip_raw_or_byte_string(bytes: &[u8], start: usize) -> (usize, Option<(usize, usize)>) {
+/// returns the index just past the literal.
+fn skip_raw_or_byte_string(bytes: &[u8], start: usize) -> usize {
     let mut i = start;
     if bytes[i] == b'b' {
         i += 1;
@@ -330,20 +303,14 @@ fn skip_raw_or_byte_string(bytes: &[u8], start: usize) -> (usize, Option<(usize,
             while i < bytes.len() {
                 match bytes[i] {
                     b'\\' => i += 2,
-                    b'\'' => return (i + 1, None),
+                    b'\'' => return i + 1,
                     _ => i += 1,
                 }
             }
-            return (i, None);
+            return i;
         }
         if bytes.get(i) == Some(&b'"') {
-            let end = skip_string(bytes, i);
-            let close = if end > i + 1 && bytes.get(end - 1) == Some(&b'"') {
-                end - 1
-            } else {
-                end.min(bytes.len())
-            };
-            return (end, Some((i + 1, close)));
+            return skip_string(bytes, i);
         }
     }
     // r or br: count hashes, then scan for `"` + same hashes.
@@ -356,7 +323,6 @@ fn skip_raw_or_byte_string(bytes: &[u8], start: usize) -> (usize, Option<(usize,
     }
     debug_assert_eq!(bytes.get(i), Some(&b'"'));
     i += 1;
-    let body = i;
     while i < bytes.len() {
         if bytes[i] == b'"' {
             let mut j = i + 1;
@@ -366,12 +332,12 @@ fn skip_raw_or_byte_string(bytes: &[u8], start: usize) -> (usize, Option<(usize,
                 j += 1;
             }
             if seen == hashes {
-                return (j, Some((body, i)));
+                return j;
             }
         }
         i += 1;
     }
-    (i, Some((body, i.min(bytes.len()))))
+    i
 }
 
 #[cfg(test)]
@@ -417,15 +383,13 @@ mod tests {
     }
 
     #[test]
-    fn string_literals_carry_their_content() {
+    fn each_literal_is_one_token() {
         let lexed =
             lex(r###"let a = "plain"; let b = r#"raw "quoted" body"#; let c = b"bytes";"###);
-        let texts: Vec<&str> = lexed.tokens.iter().filter_map(|t| t.str_text()).collect();
-        assert_eq!(texts, vec!["plain", r#"raw "quoted" body"#, "bytes"]);
-        // Char and byte-char literals are literals without text.
+        assert_eq!(lexed.tokens.iter().filter(|t| t.is_literal()).count(), 3);
+        assert!(!lexed.tokens.iter().any(|t| t.is_ident("quoted")));
         let lexed = lex("let c = 'x'; let b = b'y';");
         assert_eq!(lexed.tokens.iter().filter(|t| t.is_literal()).count(), 2);
-        assert!(lexed.tokens.iter().all(|t| t.str_text().is_none()));
     }
 
     #[test]

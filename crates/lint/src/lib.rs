@@ -27,18 +27,13 @@
 
 pub mod baseline;
 pub mod lexer;
-pub mod model;
-pub mod parser;
-pub mod resolve;
 pub mod rules;
 
 use std::path::{Path, PathBuf};
 
 use baseline::Baseline;
-use model::{certificates_to_json, crate_of, CrateCertificate, Workspace};
 use rules::{
-    check_file, check_workspace, is_workspace_rule, rule_exists, Finding, Suppression,
-    ISOLATION_RULES,
+    check_file, check_workspace, is_workspace_rule, rule_exists, Finding, SourceFile, Suppression,
 };
 
 /// A parsed `// dcs-lint: allow(...)` pragma.
@@ -243,10 +238,6 @@ pub struct Report {
     pub stale_baseline: Vec<String>,
     /// Files scanned.
     pub files: usize,
-    /// Per sim-state-crate isolation certificates (world-isolation
-    /// prover coverage + violation counts), in `SIM_STATE_CRATES`
-    /// order. Empty when the workspace pass did not run.
-    pub certificates: Vec<CrateCertificate>,
 }
 
 impl Report {
@@ -268,22 +259,15 @@ impl Report {
     pub fn clean(&self) -> bool {
         self.active().next().is_none() && self.stale_baseline.is_empty()
     }
-
-    /// Renders the isolation-certificate document (see
-    /// [`model::certificates_to_json`]).
-    pub fn certificate_json(&self) -> String {
-        certificates_to_json(&self.certificates)
-    }
 }
 
 /// Lints `files` (absolute or root-relative paths), reporting paths
 /// relative to `root`, with optional baseline suppression.
 ///
-/// This is the full two-pass pipeline (DESIGN.md §15): build the
-/// workspace model once, run the per-file rules and the workspace
-/// rules (isolation prover, cross-file semantic rules), merge per
-/// file, apply pragmas exactly once over the merged set, then the
-/// baseline, and finally cut the per-crate isolation certificates.
+/// This is the full two-pass pipeline (DESIGN.md §15): lex every file
+/// once, run the per-file rules and the workspace rules (crate-scoped
+/// isolation, cross-file semantic), merge per file, then apply pragmas
+/// exactly once over the merged set, then the baseline.
 pub fn run(
     root: &Path,
     files: &[PathBuf],
@@ -297,27 +281,18 @@ pub fn run(
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        sources.push((rel, src));
+        sources.push(SourceFile::new(rel, src));
     }
-    let ws = Workspace::build(sources);
-    let analysis = check_workspace(&ws);
+    let ws_findings = check_workspace(&sources);
 
     let mut report = Report {
         files: files.len(),
         ..Default::default()
     };
-    let mut ws_findings = analysis.findings;
-    for file in &ws.files {
+    for file in &sources {
         let mut findings = check_file(&file.rel, &file.src);
         // Claim this file's share of the workspace findings.
-        let mut i = 0;
-        while i < ws_findings.len() {
-            if ws_findings[i].file == file.rel {
-                findings.push(ws_findings.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
+        findings.extend(ws_findings.iter().filter(|f| f.file == file.rel).cloned());
         apply_pragmas(&file.rel, &file.lexed, &mut findings, true);
         findings.sort_by_key(|f| f.line);
         if let Some(b) = baseline.as_mut() {
@@ -328,7 +303,6 @@ pub fn run(
         }
         report.findings.extend(findings);
     }
-    debug_assert!(ws_findings.is_empty(), "workspace findings left unclaimed");
     if let Some(b) = baseline {
         for e in b.stale() {
             report.stale_baseline.push(format!(
@@ -336,33 +310,6 @@ pub fn run(
                 e.decl_line, e.rule, e.file
             ));
         }
-    }
-
-    // Cut the isolation certificates: prover coverage per crate plus
-    // post-suppression violation counts for the parallel family.
-    for (crate_name, roots, structs_checked, opaque_edges) in analysis.per_crate {
-        let of_crate =
-            |f: &&Finding| ISOLATION_RULES.contains(&f.rule) && crate_of(&f.file) == crate_name;
-        let active = report
-            .findings
-            .iter()
-            .filter(of_crate)
-            .filter(|f| f.suppressed.is_none())
-            .count();
-        let waived = report
-            .findings
-            .iter()
-            .filter(of_crate)
-            .filter(|f| f.suppressed.is_some())
-            .count();
-        report.certificates.push(CrateCertificate {
-            crate_name,
-            roots,
-            structs_checked,
-            opaque_edges,
-            active_violations: active,
-            waived,
-        });
     }
     Ok(report)
 }

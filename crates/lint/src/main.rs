@@ -5,8 +5,7 @@
 //! cargo run -p dcs-lint -- --workspace --deny     # exit 1 on any active finding (CI)
 //! cargo run -p dcs-lint -- --list-rules           # rule table
 //! cargo run -p dcs-lint -- path/to/file.rs ...    # lint specific files
-//! cargo run -p dcs-lint -- --workspace --format json          # machine-readable findings
-//! cargo run -p dcs-lint -- --workspace --certificate FILE     # write isolation certificates
+//! cargo run -p dcs-lint -- --workspace --format json  # machine-readable findings
 //! ```
 //!
 //! Exit codes: 0 clean (or findings without `--deny`), 1 active
@@ -16,7 +15,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use dcs_lint::baseline::Baseline;
-use dcs_lint::model::json_escape;
 use dcs_lint::rules::{Suppression, RULES};
 use dcs_lint::{run, workspace_files, Report};
 
@@ -27,7 +25,7 @@ enum Format {
     /// the CI problem matcher (.github/problem-matchers/dcs-lint.json)
     /// parses into PR annotations.
     Text,
-    /// One JSON document with findings, certificates, and counts.
+    /// One JSON document with findings and counts.
     Json,
 }
 
@@ -40,12 +38,11 @@ struct Args {
     root: PathBuf,
     paths: Vec<PathBuf>,
     format: Format,
-    certificate: Option<PathBuf>,
 }
 
 fn usage() -> &'static str {
     "usage: dcs-lint [--workspace] [--deny] [--baseline FILE] [--no-baseline] \
-     [--root DIR] [--format text|json] [--certificate FILE] [--list-rules] [PATH...]"
+     [--root DIR] [--format text|json] [--list-rules] [PATH...]"
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -58,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
         root: PathBuf::from("."),
         paths: Vec::new(),
         format: Format::Text,
-        certificate: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -82,11 +78,6 @@ fn parse_args() -> Result<Args, String> {
                         ))
                     }
                 };
-            }
-            "--certificate" => {
-                args.certificate = Some(PathBuf::from(
-                    it.next().ok_or("--certificate needs a path")?,
-                ));
             }
             "--help" | "-h" => return Err(usage().to_string()),
             other if other.starts_with('-') => {
@@ -118,31 +109,25 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let files = if args.workspace {
-        match workspace_files(&args.root) {
-            Ok(f) => f,
+    let targets = if args.workspace {
+        std::slice::from_ref(&args.root)
+    } else {
+        &args.paths[..]
+    };
+    let mut files = Vec::new();
+    for p in targets {
+        if !p.is_dir() {
+            files.push(p.clone());
+            continue;
+        }
+        match workspace_files(p) {
+            Ok(f) => files.extend(f),
             Err(e) => {
-                eprintln!("dcs-lint: walking {}: {e}", args.root.display());
+                eprintln!("dcs-lint: walking {}: {e}", p.display());
                 return ExitCode::from(2);
             }
         }
-    } else {
-        let mut files = Vec::new();
-        for p in &args.paths {
-            if p.is_dir() {
-                match workspace_files(p) {
-                    Ok(f) => files.extend(f),
-                    Err(e) => {
-                        eprintln!("dcs-lint: walking {}: {e}", p.display());
-                        return ExitCode::from(2);
-                    }
-                }
-            } else {
-                files.push(p.clone());
-            }
-        }
-        files
-    };
+    }
 
     // Baseline: explicit path, or <root>/lint-baseline.toml when present.
     let baseline = if args.no_baseline {
@@ -178,13 +163,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(path) = &args.certificate {
-        if let Err(e) = std::fs::write(path, report.certificate_json()) {
-            eprintln!("dcs-lint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
     match args.format {
         Format::Text => print_report(&report),
         Format::Json => print_json(&report),
@@ -203,14 +181,6 @@ fn print_report(report: &Report) {
     for s in &report.stale_baseline {
         println!("{s}");
     }
-    for c in &report.certificates {
-        if !c.isolated() {
-            println!(
-                "isolation: crate `{}` NOT isolated — {} active violation(s)",
-                c.crate_name, c.active_violations
-            );
-        }
-    }
     let active = report.active().count();
     let pragma = report.suppressed_count(Suppression::Pragma);
     let grandfathered = report.suppressed_count(Suppression::Baseline);
@@ -225,8 +195,8 @@ fn print_report(report: &Report) {
 }
 
 /// One JSON document on stdout: active findings (file/line/rule/
-/// message), suppression counts, and the isolation certificates.
-/// Hand-rolled — the crate is deliberately dependency-free.
+/// message) and suppression counts. Hand-rolled — the crate is
+/// deliberately dependency-free.
 fn print_json(report: &Report) {
     let findings = report
         .active()
@@ -247,12 +217,6 @@ fn print_json(report: &Report) {
         .map(|s| format!("\"{}\"", json_escape(s)))
         .collect::<Vec<_>>()
         .join(",");
-    let certs = report
-        .certificates
-        .iter()
-        .map(|c| format!("    {}", c.to_json()))
-        .collect::<Vec<_>>()
-        .join(",\n");
     println!("{{");
     println!("  \"files\": {},", report.files);
     println!("  \"active\": {},", report.active().count());
@@ -265,7 +229,33 @@ fn print_json(report: &Report) {
         report.suppressed_count(Suppression::Baseline)
     );
     println!("  \"stale_baseline\": [{stale}],");
-    println!("  \"findings\": [\n{findings}\n  ],");
-    println!("  \"certificates\": [\n{certs}\n  ]");
+    println!("  \"findings\": [\n{findings}\n  ]");
     println!("}}");
+}
+
+/// Minimal JSON string escaping.
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json_escape;
+
+    #[test]
+    fn json_escaping() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    }
 }

@@ -14,21 +14,20 @@
 //! Every rule reports `Finding`s; suppression (pragmas, baseline) is
 //! layered on top by [`crate::analyze_source`] and [`crate::baseline`].
 //!
-//! Since lint v2 there are two *passes* (DESIGN.md §15):
+//! There are two *passes* (DESIGN.md §15):
 //!
 //! * **Per-file** ([`check_file`]) — token-pattern rules that need one
 //!   file at a time;
-//! * **Workspace** ([`check_workspace`]) — semantic rules over the
-//!   parsed item model ([`crate::model`]): the world-isolation prover's
-//!   parallel-readiness family (`static-mut`, `thread-local-state`,
-//!   `raw-pointer-field`, `shared-mut-state`, `borrowed-state`) and the
-//!   cross-file family (`report-field-never-written`,
-//!   `rng-stream-collision`).
+//! * **Workspace** ([`check_workspace`]) — the isolation family
+//!   (`static-mut`, `thread-local-state`, `shared-mut-state`), scoped to
+//!   the sim-state crates, and the cross-file
+//!   `report-field-never-written`.
+//!
+//! World isolation itself is proven by rustc: `Component`, `Payload`,
+//! and world resources are `Send` (crates/sim). The isolation family
+//! covers only what `Send` cannot see.
 
-use crate::lexer::{lex, Token, TokenKind};
-use crate::model::{is_sim_state_crate, Workspace};
-use crate::parser::ItemKind;
-use crate::resolve::{is_atomic, prove_isolation, Resolver};
+use crate::lexer::{lex, Lexed, Token, TokenKind};
 
 /// One rule violation at a specific source line.
 #[derive(Debug, Clone)]
@@ -115,38 +114,23 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "static-mut",
-        family: "parallel",
+        family: "isolation",
         summary: "`static mut` or interior-mutable static in a sim-state crate — process-global state is shared by every World; per-world state must live in the World",
     },
     RuleInfo {
         id: "thread-local-state",
-        family: "parallel",
-        summary: "`thread_local!` in a sim-state crate — state keyed by OS thread breaks world migration across the parallel runner's workers",
-    },
-    RuleInfo {
-        id: "raw-pointer-field",
-        family: "parallel",
-        summary: "raw-pointer field in a sim-state struct — the prover cannot show the pointee is uniquely owned per world",
+        family: "isolation",
+        summary: "`thread_local!` in a sim-state crate — state keyed by OS thread forks the replay of a world moved to another thread",
     },
     RuleInfo {
         id: "shared-mut-state",
-        family: "parallel",
-        summary: "Rc/Arc/RefCell/Cell/Mutex/RwLock/Atomic* reachable from an isolation root (World, Component impl, world resource) — worlds must not alias mutable state",
-    },
-    RuleInfo {
-        id: "borrowed-state",
-        family: "parallel",
-        summary: "reference field in a struct reachable from an isolation root — per-world state must own its data (share *Config/*Report by clone)",
+        family: "isolation",
+        summary: "Rc/Arc/Cell/RefCell/Mutex/RwLock/Atomic* in non-test code of a sim-state crate — worlds must not alias mutable state, and `Send` does not rule out Arc<Mutex<_>>",
     },
     RuleInfo {
         id: "report-field-never-written",
         family: "semantic",
         summary: "a *Report/*Perf field is declared but never written anywhere in the workspace — it renders as a permanent zero",
-    },
-    RuleInfo {
-        id: "rng-stream-collision",
-        family: "semantic",
-        summary: "two fault/RNG stream site constants share one dotted name — `stream_base ^ fnv1a64(site)` collides and the sites silently share an RNG sequence",
     },
     RuleInfo {
         id: "pragma-missing-reason",
@@ -166,27 +150,14 @@ pub const RULES: &[RuleInfo] = &[
 pub const WORKSPACE_RULES: &[&str] = &[
     "static-mut",
     "thread-local-state",
-    "raw-pointer-field",
     "shared-mut-state",
-    "borrowed-state",
     "report-field-never-written",
-    "rng-stream-collision",
 ];
 
 /// True if `id` is produced by the workspace pass.
 pub fn is_workspace_rule(id: &str) -> bool {
     WORKSPACE_RULES.contains(&id)
 }
-
-/// The parallel-readiness rules that feed the per-crate isolation
-/// certificate's violation counts.
-pub const ISOLATION_RULES: &[&str] = &[
-    "static-mut",
-    "thread-local-state",
-    "raw-pointer-field",
-    "shared-mut-state",
-    "borrowed-state",
-];
 
 /// True if `id` names a known rule.
 pub fn rule_exists(id: &str) -> bool {
@@ -203,7 +174,16 @@ struct FileCtx<'a> {
     fn_names: Vec<&'a str>,
 }
 
-impl FileCtx<'_> {
+impl<'a> FileCtx<'a> {
+    fn new(file: &'a str, tokens: &'a [Token]) -> Self {
+        FileCtx {
+            file,
+            tokens,
+            test_ranges: find_test_ranges(tokens),
+            fn_names: enclosing_fn_names(tokens),
+        }
+    }
+
     fn in_test(&self, idx: usize) -> bool {
         self.test_ranges.iter().any(|&(a, b)| idx >= a && idx < b)
     }
@@ -214,13 +194,7 @@ impl FileCtx<'_> {
 /// Suppressions are NOT applied here.
 pub fn check_file(file: &str, src: &str) -> Vec<Finding> {
     let lexed = lex(src);
-    let tokens = &lexed.tokens;
-    let ctx = FileCtx {
-        file,
-        tokens,
-        test_ranges: find_test_ranges(tokens),
-        fn_names: enclosing_fn_names(tokens),
-    };
+    let ctx = FileCtx::new(file, &lexed.tokens);
     let mut findings = Vec::new();
     rule_hash_collection(&ctx, &mut findings);
     rule_hash_iter(&ctx, &mut findings);
@@ -564,7 +538,7 @@ fn rule_thread_spawn(ctx: &FileCtx, findings: &mut Vec<Finding>) {
 /// Crates whose live simulation state `float-in-sim-state` polices:
 /// the layers whose structs evolve during the event loop and feed the
 /// bit-identical same-seed replay that tests/determinism.rs asserts.
-const SIM_STATE_CRATES: &[&str] = &["crates/cluster/", "crates/store/"];
+const FIXED_POINT_CRATES: &[&str] = &["crates/cluster/", "crates/store/"];
 
 /// Struct-name suffixes exempt from `float-in-sim-state`: `*Config`/
 /// `*Spec` are inputs frozen before the run starts, `*Perf`/`*Report`
@@ -572,51 +546,40 @@ const SIM_STATE_CRATES: &[&str] = &["crates/cluster/", "crates/store/"];
 /// the event loop, so float rounding there cannot fork a replay.
 const FLOAT_OK_SUFFIXES: &[&str] = &["Config", "Perf", "Report", "Spec"];
 
-/// The field name owning the type token at `k`: the closest preceding
-/// `name :` pair inside the struct body opened at `open`. A path
+/// True when the token at `k` names a field: a `name :` pair. A path
 /// segment (`std :: vec`) has a second colon, which rules it out.
+fn is_field_name(tokens: &[Token], k: usize) -> bool {
+    tokens[k].ident().is_some()
+        && tokens.get(k + 1).is_some_and(|t| t.is_punct(':'))
+        && !tokens.get(k + 2).is_some_and(|t| t.is_punct(':'))
+        && !(k >= 1 && tokens[k - 1].is_punct(':'))
+}
+
+/// The field name owning the type token at `k`: the closest preceding
+/// field name inside the struct body opened at `open`.
 fn field_name_before(tokens: &[Token], open: usize, k: usize) -> Option<&str> {
-    (open + 1..k).rev().find_map(|j| {
-        let name = tokens[j].ident()?;
-        let typed = tokens.get(j + 1).is_some_and(|t| t.is_punct(':'))
-            && !tokens.get(j + 2).is_some_and(|t| t.is_punct(':'));
-        let path_segment = j >= 1 && tokens[j - 1].is_punct(':');
-        (typed && !path_segment).then_some(name)
-    })
+    let j = (open + 1..k).rev().find(|&j| is_field_name(tokens, j))?;
+    tokens[j].ident()
 }
 
 fn rule_float_in_sim_state(ctx: &FileCtx, findings: &mut Vec<Finding>) {
     let normalized = ctx.file.replace('\\', "/");
-    if !SIM_STATE_CRATES.iter().any(|p| normalized.contains(p)) {
+    if !FIXED_POINT_CRATES.iter().any(|p| normalized.contains(p)) {
         return;
     }
-    let mut i = 0;
-    while i < ctx.tokens.len() {
-        if !ctx.tokens[i].is_ident("struct") || ctx.in_test(i) {
-            i += 1;
+    for (i, t) in ctx.tokens.iter().enumerate() {
+        if !t.is_ident("struct") || ctx.in_test(i) {
             continue;
         }
         let Some(name) = ctx.tokens.get(i + 1).and_then(|t| t.ident()) else {
-            i += 1;
             continue;
         };
-        // Locate the field block. Hitting `;` or `(` first means a unit
-        // or tuple struct — those carry config-like scalars (`Bandwidth`),
+        // Unit and tuple structs carry config-like scalars (`Bandwidth`),
         // not evolving state, and stay out of scope.
-        let Some(open_rel) = ctx.tokens[i + 2..]
-            .iter()
-            .position(|t| t.is_punct('{') || t.is_punct('(') || t.is_punct(';'))
-        else {
-            break;
-        };
-        let open = i + 2 + open_rel;
-        if !ctx.tokens[open].is_punct('{') {
-            i = open + 1;
+        let (close, Some(open)) = decl_span(ctx.tokens, i) else {
             continue;
-        }
-        let close = matching_brace(ctx.tokens, open).unwrap_or(ctx.tokens.len());
+        };
         if FLOAT_OK_SUFFIXES.iter().any(|s| name.ends_with(s)) {
-            i = close + 1;
             continue;
         }
         for k in open + 1..close {
@@ -640,7 +603,6 @@ fn rule_float_in_sim_state(ctx: &FileCtx, findings: &mut Vec<Finding>) {
                 ),
             );
         }
-        i = close + 1;
     }
 }
 
@@ -847,150 +809,191 @@ fn rule_lossy_cast(ctx: &FileCtx, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// Workspace pass: semantic rules over the parsed item model.
+// Workspace pass: crate-scoped isolation rules and cross-file rules.
 // ---------------------------------------------------------------------
 
-/// Output of the workspace pass: cross-file findings plus the prover's
-/// per-crate coverage stats (crate, roots, structs_checked,
-/// opaque_edges) that [`crate::run`] turns into isolation certificates.
-pub struct WorkspaceAnalysis {
-    pub findings: Vec<Finding>,
-    pub per_crate: Vec<(String, Vec<String>, usize, usize)>,
+/// One file of a lint run: its workspace-relative path, text, and token
+/// stream.
+pub struct SourceFile {
+    /// Workspace-relative path with `/` separators.
+    pub rel: String,
+    pub src: String,
+    pub lexed: Lexed,
 }
 
-/// Runs every workspace-level rule over the parsed model.
+impl SourceFile {
+    pub fn new(rel: String, src: String) -> SourceFile {
+        let lexed = lex(&src);
+        SourceFile { rel, src, lexed }
+    }
+}
+
+/// The crate a workspace-relative path belongs to (`crates/sim/…` →
+/// `sim`); `None` for the root package, tests, and examples.
+fn crate_of(rel: &str) -> Option<&str> {
+    Some(rel.strip_prefix("crates/")?.split_once('/')?.0)
+}
+
+/// Crates holding simulation state: every `Component`, payload, and
+/// world resource lives in one of these. `Send` bounds on those traits
+/// make rustc reject non-`Send` state; the isolation rules here cover
+/// what `Send` cannot see — process globals, thread-locals, and
+/// `Send` shared-mutable handles such as `Arc<Mutex<_>>`.
+const SIM_STATE_CRATES: &[&str] = &[
+    "sim",
+    "pcie",
+    "nvme",
+    "nic",
+    "gpu",
+    "core",
+    "cluster",
+    "store",
+    "workloads",
+];
+
+/// True when the file at `rel` belongs to a sim-state crate.
+fn in_sim_state_crate(rel: &str) -> bool {
+    crate_of(rel).is_some_and(|c| SIM_STATE_CRATES.contains(&c))
+}
+
+/// Runs every workspace-level rule over `files`.
 /// Suppressions are NOT applied here.
-pub fn check_workspace(ws: &Workspace) -> WorkspaceAnalysis {
-    let resolver = Resolver::new(ws);
-    let iso = prove_isolation(ws, &resolver);
-    let mut findings = iso.findings;
-    rule_static_mut(ws, &mut findings);
-    rule_thread_local(ws, &mut findings);
-    rule_raw_pointer_field(ws, &mut findings);
-    rule_report_field_liveness(ws, &mut findings);
-    rule_rng_stream_collision(ws, &mut findings);
+pub fn check_workspace(files: &[SourceFile]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for file in files {
+        if !in_sim_state_crate(&file.rel) {
+            continue;
+        }
+        let ctx = FileCtx::new(&file.rel, &file.lexed.tokens);
+        rule_process_globals(&ctx, &mut findings);
+        rule_shared_mut_state(&ctx, &mut findings);
+    }
+    rule_report_field_liveness(files, &mut findings);
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    WorkspaceAnalysis {
-        findings,
-        per_crate: iso.per_crate,
-    }
+    findings
 }
 
-fn push_ws(
-    findings: &mut Vec<Finding>,
-    rule: &'static str,
-    file: &str,
-    line: u32,
-    message: String,
-) {
-    findings.push(Finding {
-        rule,
-        file: file.to_string(),
-        line,
-        message,
-        suppressed: None,
-    });
+/// Interior-mutable types: they make even a non-`mut` static mutable
+/// in place.
+fn is_interior_mut_type(name: &str) -> bool {
+    matches!(name, "Cell" | "RefCell" | "UnsafeCell" | "Mutex" | "RwLock")
+        || (name.starts_with("Atomic") && name.len() > "Atomic".len())
 }
 
-/// Type heads that make even a non-`mut` static mutable in place.
-const INTERIOR_MUT_TYPES: &[&str] = &["Cell", "RefCell", "UnsafeCell", "Mutex", "RwLock"];
-
-fn rule_static_mut(ws: &Workspace, findings: &mut Vec<Finding>) {
-    for (r, item) in ws.items() {
-        let file = &ws.files[r.file];
-        if item.cfg_test || !is_sim_state_crate(&file.crate_name) {
-            continue;
-        }
-        let ItemKind::Static { mutable, ty } = &item.kind else {
-            continue;
-        };
-        if *mutable {
-            push_ws(
-                findings,
-                "static-mut",
-                &file.rel,
-                item.line,
-                format!(
-                    "`static mut {}` is process-global mutable state shared by every `World` in \
-                     the process; the parallel runner clones worlds across workers — move this \
-                     into the `World` (a resource or component field)",
-                    item.name
-                ),
-            );
-        } else if ty
-            .idents()
-            .any(|i| INTERIOR_MUT_TYPES.contains(&i) || is_atomic(i))
-        {
-            push_ws(
-                findings,
-                "static-mut",
-                &file.rel,
-                item.line,
-                format!(
-                    "static `{}` holds interior-mutable `{}` — a process-global that every \
-                     `World` can write through; move it into the `World`",
-                    item.name,
-                    ty.display()
-                ),
-            );
-        }
-    }
+/// Shared-mutable handle types, which alias mutable state between
+/// owners. rustc rejects `Rc` and `Arc<RefCell<_>>` in world state
+/// (`!Send`), but `Arc<Mutex<_>>` and `Arc<Atomic*>` are `Send`: only
+/// this rule catches those.
+fn is_shared_mut_type(name: &str) -> bool {
+    name == "Rc" || name == "Arc" || (name != "UnsafeCell" && is_interior_mut_type(name))
 }
 
-fn rule_thread_local(ws: &Workspace, findings: &mut Vec<Finding>) {
-    for (r, item) in ws.items() {
-        let file = &ws.files[r.file];
-        if item.cfg_test || !is_sim_state_crate(&file.crate_name) {
+/// `static-mut` and `thread-local-state`: process-global and
+/// thread-keyed state, which every `World` in the process shares.
+fn rule_process_globals(ctx: &FileCtx, findings: &mut Vec<Finding>) {
+    let toks = ctx.tokens;
+    let mut i = 0;
+    while i < toks.len() {
+        if ctx.in_test(i) {
+            i += 1;
             continue;
         }
-        if matches!(item.kind, ItemKind::MacroCall) && item.name == "thread_local" {
-            push_ws(
+        if toks[i].is_ident("thread_local") && matches_seq(toks, i + 1, &["!"]) {
+            push(
                 findings,
                 "thread-local-state",
-                &file.rel,
-                item.line,
-                "`thread_local!` keys state by OS thread; the parallel runner migrates worlds \
-                 between workers, so thread-local state silently forks a replay — store it in \
-                 the `World` instead"
+                ctx,
+                toks[i].line,
+                "`thread_local!` keys state by OS thread; a world moved to another thread \
+                 silently sees different state and forks its replay — store it in the `World` \
+                 instead"
                     .to_string(),
             );
-        }
-    }
-}
-
-fn rule_raw_pointer_field(ws: &Workspace, findings: &mut Vec<Finding>) {
-    for (r, item) in ws.items() {
-        let file = &ws.files[r.file];
-        if item.cfg_test || !is_sim_state_crate(&file.crate_name) {
+            // The statics it declares are covered by this finding.
+            i = match toks.get(i + 2) {
+                Some(t) if t.is_punct('{') => matching_brace(toks, i + 2).unwrap_or(toks.len()),
+                _ => i + 1,
+            };
             continue;
         }
-        let fields: Vec<&crate::parser::Field> = match &item.kind {
-            ItemKind::Struct { fields, .. } => fields.iter().collect(),
-            ItemKind::Enum { variants } => variants.iter().flat_map(|v| v.fields.iter()).collect(),
-            _ => continue,
-        };
-        for field in fields {
-            if field.ty.has_raw_pointer() {
-                let shown = if field.name.is_empty() {
-                    "<tuple field>"
-                } else {
-                    field.name.as_str()
-                };
-                push_ws(
+        if !toks[i].is_ident("static") {
+            i += 1;
+            continue;
+        }
+        let line = toks[i].line;
+        if toks.get(i + 1).is_some_and(|t| t.is_ident("mut")) {
+            let name = toks.get(i + 2).and_then(|t| t.ident()).unwrap_or("?");
+            push(
+                findings,
+                "static-mut",
+                ctx,
+                line,
+                format!(
+                    "`static mut {name}` is process-global mutable state shared by every `World` \
+                     in the process — move it into the `World` (a resource or component field)"
+                ),
+            );
+        } else if let Some(name) = toks.get(i + 1).and_then(|t| t.ident()) {
+            // The declared type runs from `:` to the initializer.
+            let ty_end = toks[i..]
+                .iter()
+                .position(|t| t.is_punct('=') || t.is_punct(';'))
+                .map_or(toks.len(), |p| i + p);
+            if let Some(ty) = toks[i + 2..ty_end]
+                .iter()
+                .filter_map(|t| t.ident())
+                .find(|t| is_interior_mut_type(t))
+            {
+                push(
                     findings,
-                    "raw-pointer-field",
-                    &file.rel,
-                    field.line,
+                    "static-mut",
+                    ctx,
+                    line,
                     format!(
-                        "field `{shown}` of `{}` is a raw pointer (`{}`); the isolation prover \
-                         cannot show the pointee is owned by one world — use an index or a \
-                         handle into world-owned storage",
-                        item.name,
-                        field.ty.display()
+                        "static `{name}` holds interior-mutable `{ty}` — a process-global that \
+                         every `World` can write through; move it into the `World`"
                     ),
                 );
             }
         }
+        i += 1;
+    }
+}
+
+fn rule_shared_mut_state(ctx: &FileCtx, findings: &mut Vec<Finding>) {
+    for (i, t) in ctx.tokens.iter().enumerate() {
+        let Some(name) = t.ident() else { continue };
+        if is_shared_mut_type(name) && !ctx.in_test(i) {
+            push(
+                findings,
+                "shared-mut-state",
+                ctx,
+                t.line,
+                format!(
+                    "`{name}` in a sim-state crate shares mutable state between owners; \
+                     per-world state must be owned by the `World` or a component, never \
+                     aliased (`Send` does not rule out `Arc<Mutex<_>>`)"
+                ),
+            );
+        }
+    }
+}
+
+/// Token range `[keyword, end]` of the `struct`/`enum` declaration at
+/// `i` (`end` is the field block's `}`, else the tuple `(` or unit `;`),
+/// with the index of its field block's `{` when it has one.
+fn decl_span(tokens: &[Token], i: usize) -> (usize, Option<usize>) {
+    // Hitting `;` or `(` first means a unit or tuple declaration.
+    let open = tokens[i..]
+        .iter()
+        .position(|t| t.is_punct('{') || t.is_punct('(') || t.is_punct(';'))
+        .map_or(tokens.len(), |p| i + p);
+    match tokens.get(open) {
+        Some(t) if t.is_punct('{') => (
+            matching_brace(tokens, open).unwrap_or(tokens.len()),
+            Some(open),
+        ),
+        _ => (open, None),
     }
 }
 
@@ -1003,58 +1006,53 @@ fn rule_raw_pointer_field(ws: &Workspace, findings: &mut Vec<Finding>) {
 /// false positive: `x.f = …`, compound assigns, `f: …` struct-literal
 /// inits outside type declarations, `&mut x.f`, and any method call on
 /// the field (`r.f.push(…)`) all count as writes.
-fn rule_report_field_liveness(ws: &Workspace, findings: &mut Vec<Finding>) {
-    // Candidate fields: named fields of non-test *Report/*Perf structs.
-    struct Candidate {
-        file: usize,
-        struct_name: String,
-        field: String,
-        line: u32,
-    }
-    let mut candidates: Vec<Candidate> = Vec::new();
-    for (r, item) in ws.items() {
-        if item.cfg_test || !(item.name.ends_with("Report") || item.name.ends_with("Perf")) {
-            continue;
-        }
-        let ItemKind::Struct {
-            fields,
-            tuple: false,
-        } = &item.kind
-        else {
-            continue;
-        };
-        for f in fields {
-            if !f.name.is_empty() {
-                candidates.push(Candidate {
-                    file: r.file,
-                    struct_name: item.name.clone(),
-                    field: f.name.clone(),
-                    line: f.line,
-                });
+fn rule_report_field_liveness(files: &[SourceFile], findings: &mut Vec<Finding>) {
+    // Candidate fields: named fields of non-test *Report/*Perf structs,
+    // as (file, struct name, field name, line).
+    let mut candidates: Vec<(&str, &str, &str, u32)> = Vec::new();
+    // Per file, the token ranges of struct/enum declarations: `f:`
+    // there is a field declaration, not a struct-literal write.
+    let mut decl_spans: Vec<Vec<(usize, usize)>> = Vec::with_capacity(files.len());
+    for file in files {
+        let toks = &file.lexed.tokens;
+        let test_ranges = find_test_ranges(toks);
+        let mut spans = Vec::new();
+        for (i, t) in toks.iter().enumerate() {
+            if !(t.is_ident("struct") || t.is_ident("enum")) {
+                continue;
+            }
+            let (end, open) = decl_span(toks, i);
+            spans.push((i, end + 1));
+            let Some(name) = toks.get(i + 1).and_then(|t| t.ident()) else {
+                continue;
+            };
+            let in_test = test_ranges.iter().any(|&(a, b)| i >= a && i < b);
+            let Some(open) = open else { continue };
+            if !t.is_ident("struct")
+                || in_test
+                || !(name.ends_with("Report") || name.ends_with("Perf"))
+            {
+                continue;
+            }
+            for k in (open + 1..end).filter(|&k| is_field_name(toks, k)) {
+                let field = toks[k].ident().expect("field names are idents");
+                candidates.push((&file.rel, name, field, toks[k].line));
             }
         }
+        decl_spans.push(spans);
     }
     if candidates.is_empty() {
         return;
     }
-    let mut names: Vec<&str> = candidates.iter().map(|c| c.field.as_str()).collect();
+    let mut names: Vec<&str> = candidates.iter().map(|c| c.2).collect();
     names.sort_unstable();
     names.dedup();
 
     let mut written: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
     const COMPOUND_OPS: &[char] = &['+', '-', '*', '/', '%', '&', '|', '^', '<', '>'];
-    for file in &ws.files {
+    for (file, spans) in files.iter().zip(&decl_spans) {
         let toks = &file.lexed.tokens;
-        // Token ranges of struct/enum declarations: `f:` there is a
-        // field declaration, not a struct-literal write.
-        let decl_spans: Vec<(usize, usize)> = file
-            .parsed
-            .items
-            .iter()
-            .filter(|it| matches!(it.kind, ItemKind::Struct { .. } | ItemKind::Enum { .. }))
-            .map(|it| it.span)
-            .collect();
-        let in_decl = |i: usize| decl_spans.iter().any(|&(a, b)| i >= a && i < b);
+        let in_decl = |i: usize| spans.iter().any(|&(a, b)| i >= a && i < b);
         for (i, t) in toks.iter().enumerate() {
             let Some(name) = t.ident() else { continue };
             if names.binary_search(&name).is_err() || written.contains(name) {
@@ -1101,81 +1099,18 @@ fn rule_report_field_liveness(ws: &Workspace, findings: &mut Vec<Finding>) {
         }
     }
 
-    for c in &candidates {
-        if !written.contains(c.field.as_str()) {
-            push_ws(
-                findings,
-                "report-field-never-written",
-                &ws.files[c.file].rel,
-                c.line,
-                format!(
-                    "field `{}` of `{}` is never written anywhere in the workspace — it renders \
-                     as a permanent default; wire it up or delete it",
-                    c.field, c.struct_name
-                ),
-            );
-        }
-    }
-}
-
-/// A fault/RNG stream site name: lowercase dotted words
-/// (`"wire.drop"`). The shape the `Rng::new(stream_base ^
-/// fnv1a64(site))` derivation in `crates/sim/src/fault.rs` keys on.
-fn is_stream_site(s: &str) -> bool {
-    s.contains('.')
-        && s.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-        && s.chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '.' || c == '_')
-        && s.split('.').all(|seg| !seg.is_empty())
-}
-
-fn rule_rng_stream_collision(ws: &Workspace, findings: &mut Vec<Finding>) {
-    // site value -> declaration sites (file rel, line, const name).
-    let mut sites: std::collections::BTreeMap<&str, Vec<(&str, u32, &str)>> =
-        std::collections::BTreeMap::new();
-    for (r, item) in ws.items() {
-        let file = &ws.files[r.file];
-        if item.cfg_test
-            || !is_sim_state_crate(&file.crate_name)
-            || !matches!(item.kind, ItemKind::Const)
-        {
-            continue;
-        }
-        let toks = &file.lexed.tokens;
-        let span = &toks[item.span.0..item.span.1.min(toks.len())];
-        // Only string-typed consts can declare stream sites.
-        if !span.iter().any(|t| t.is_ident("str")) {
-            continue;
-        }
-        for t in span {
-            if let Some(s) = t.str_text() {
-                if is_stream_site(s) {
-                    sites.entry(s).or_default().push((
-                        file.rel.as_str(),
-                        t.line,
-                        item.name.as_str(),
-                    ));
-                }
-            }
-        }
-    }
-    for (value, decls) in &sites {
-        if decls.len() < 2 {
-            continue;
-        }
-        let (f0, l0, n0) = decls[0];
-        for &(file, line, name) in &decls[1..] {
-            push_ws(
-                findings,
-                "rng-stream-collision",
-                file,
+    for &(file, struct_name, field, line) in &candidates {
+        if !written.contains(field) {
+            findings.push(Finding {
+                rule: "report-field-never-written",
+                file: file.to_string(),
                 line,
-                format!(
-                    "stream site `{value}` (const `{name}`) is already declared as `{n0}` at \
-                     {f0}:{l0}; `stream_base ^ fnv1a64(site)` collides, so the two sites \
-                     silently draw from one RNG sequence — pick a unique dotted name"
+                message: format!(
+                    "field `{field}` of `{struct_name}` is never written anywhere in the \
+                     workspace — it renders as a permanent default; wire it up or delete it"
                 ),
-            );
+                suppressed: None,
+            });
         }
     }
 }
@@ -1410,6 +1345,18 @@ mod tests {
             }
         "#;
         assert!(!rules_hit("crates/cluster/src/health.rs", src).contains(&"float-in-sim-state"));
+    }
+
+    #[test]
+    fn crate_attribution() {
+        assert_eq!(crate_of("crates/sim/src/world.rs"), Some("sim"));
+        assert_eq!(crate_of("crates/lint/src/lib.rs"), Some("lint"));
+        assert_eq!(crate_of("src/lib.rs"), None);
+        assert_eq!(crate_of("tests/cluster.rs"), None);
+        assert!(in_sim_state_crate("crates/store/src/cache.rs"));
+        assert!(in_sim_state_crate("crates/workloads/src/scenario.rs"));
+        assert!(!in_sim_state_crate("crates/bench/src/engine.rs"));
+        assert!(!in_sim_state_crate("examples/quickstart.rs"));
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Seeded parallel-readiness violations for the semantic-rule
-//! integration tests (crates/lint/tests/semantic_rules.rs). Fed to the
-//! analyzer under a sim-state crate path; every construct below must
-//! be caught. NOT compiled into the workspace — the `fixtures`
-//! directory is excluded from the lint walk and from cargo.
+//! Seeded isolation violations for the workspace-pass integration
+//! tests (crates/lint/tests/semantic_rules.rs). Fed to the analyzer
+//! under a sim-state crate path. The globals and shared handles below
+//! must be caught by the isolation rules; the raw-pointer and borrowed
+//! fields are rustc's to reject (`Component: Send + 'static`). NOT
+//! compiled into the workspace — the `fixtures` directory is excluded
+//! from the lint walk and from cargo.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -20,7 +22,7 @@ thread_local! {
     static SCRATCH: RefCell<Vec<u8>> = RefCell::new(Vec::new());
 }
 
-/// Reached from `FakeNic` below; both fields are `shared-mut-state`.
+/// Held by `FakeNic` below; both fields are `shared-mut-state`.
 pub struct PeerLink {
     /// `Rc` + `RefCell`: two shared-mut hits on one field.
     pub peer: Rc<RefCell<u64>>,
@@ -28,14 +30,14 @@ pub struct PeerLink {
     pub stats: Arc<Mutex<u64>>,
 }
 
-/// A fake component whose state seeds one of each violation kind.
+/// A fake component holding the shared `PeerLink`.
 pub struct FakeNic {
     link: PeerLink,
-    /// `raw-pointer-field`.
+    /// `!Send`: rustc rejects the `Component` impl.
     dma_window: *mut u8,
-    /// Exempt: `&'static str` is immutable forever.
+    /// Fine: `&'static str` is immutable forever.
     label: &'static str,
-    /// NOT exempt: `&'static mut` aliases mutable data across worlds.
+    /// Fine: `&'static mut` is unique, so only one world can hold it.
     scratch: &'static mut [u8; 64],
 }
 

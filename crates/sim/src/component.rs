@@ -54,7 +54,34 @@ impl fmt::Display for ComponentId {
 ///
 /// Implementations should treat an unexpected payload type as a logic bug
 /// and panic with a useful message (the test suites rely on this loudness).
-pub trait Component {
+///
+/// Components are `Send`: each one owns its state outright, so a whole
+/// simulation can move between threads. A component that aliases state
+/// through `Rc`/`RefCell` does not compile:
+///
+/// ```compile_fail
+/// use std::{cell::RefCell, rc::Rc};
+/// use dcs_sim::{Component, Ctx, Msg};
+///
+/// struct Aliased { shared: Rc<RefCell<u64>> }
+/// impl Component for Aliased {
+///     fn handle(&mut self, _ctx: &mut Ctx<'_>, _msg: Msg) {
+///         *self.shared.borrow_mut() += 1;
+///     }
+/// }
+/// ```
+///
+/// nor does one holding a raw pointer into memory it does not own:
+///
+/// ```compile_fail
+/// use dcs_sim::{Component, Ctx, Msg};
+///
+/// struct Window { base: *mut u8 }
+/// impl Component for Window {
+///     fn handle(&mut self, _ctx: &mut Ctx<'_>, _msg: Msg) {}
+/// }
+/// ```
+pub trait Component: Send {
     /// Reacts to one message at the current simulation time.
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg);
 }

@@ -13,9 +13,16 @@ use crate::component::ComponentId;
 
 /// A type-erased message payload.
 ///
-/// Blanket-implemented for every `'static` type that is `Debug`, so any
-/// plain struct can be sent through the simulator without ceremony.
-pub trait Payload: Any + fmt::Debug {
+/// Blanket-implemented for every `'static` type that is `Debug` and
+/// `Send`, so any plain struct can be sent through the simulator without
+/// ceremony. The `Send` bound keeps shared handles out of messages:
+///
+/// ```compile_fail
+/// use dcs_sim::{ComponentId, Msg};
+/// let shared = std::rc::Rc::new(0u64);
+/// let _ = Msg::new(ComponentId::INVALID, shared);
+/// ```
+pub trait Payload: Any + fmt::Debug + Send {
     /// Borrow as `Any` for by-reference downcasting.
     fn as_any(&self) -> &dyn Any;
     /// Convert into `Any` for by-value downcasting.
@@ -24,7 +31,7 @@ pub trait Payload: Any + fmt::Debug {
     fn type_name(&self) -> &'static str;
 }
 
-impl<T: Any + fmt::Debug> Payload for T {
+impl<T: Any + fmt::Debug + Send> Payload for T {
     fn as_any(&self) -> &dyn Any {
         self
     }

@@ -204,7 +204,9 @@ impl FaultPlan {
     /// instead of passing garbage to `Rng::gen_bool` mid-simulation.
     /// The site's RNG stream depends only on the plan seed and the site
     /// name, so neither enabling order nor event interleaving at other
-    /// sites changes the fault sequence a given site produces.
+    /// sites changes the fault sequence a given site produces. Two
+    /// differently named sites whose names hash to the same stream key
+    /// would silently share one fault sequence, so that is an error too.
     pub fn try_enable(&mut self, site: &'static str, spec: FaultSpec) -> Result<(), String> {
         if let FaultSpec::Probability(p) = spec {
             if !p.is_finite() || !(0.0..=1.0).contains(&p) {
@@ -213,7 +215,16 @@ impl FaultPlan {
                 ));
             }
         }
-        let key = self.stream_base ^ crate::integrity::fnv1a64(site.as_bytes());
+        let key = self.stream_key(site);
+        if let Some(other) = self
+            .sites
+            .keys()
+            .find(|&&other| other != site && self.stream_key(other) == key)
+        {
+            return Err(format!(
+                "fault site {site}: RNG stream key collides with enabled site {other}"
+            ));
+        }
         let site_state = Site {
             spec,
             rng: Rng::new(key),
@@ -223,6 +234,11 @@ impl FaultPlan {
         };
         self.sites.insert(site, site_state);
         Ok(())
+    }
+
+    /// The RNG stream key of `site`: `stream_base ^ fnv1a64(site)`.
+    fn stream_key(&self, site: &str) -> u64 {
+        self.stream_base ^ crate::integrity::fnv1a64(site.as_bytes())
     }
 
     /// Enables `site` with `spec`.
@@ -372,6 +388,21 @@ mod tests {
 
     fn drain(plan: &mut FaultPlan, site: &'static str, n: usize) -> Vec<Option<u64>> {
         (0..n).map(|_| plan.draw(site)).collect()
+    }
+
+    #[test]
+    fn every_site_has_a_distinct_name_and_stream_key() {
+        let mut names = FaultPlan::SITES.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FaultPlan::SITES.len(), "duplicate site name");
+        let mut keys: Vec<u64> = FaultPlan::SITES
+            .iter()
+            .map(|s| crate::integrity::fnv1a64(s.as_bytes()))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), FaultPlan::SITES.len(), "fnv1a64 collision");
     }
 
     #[test]

@@ -79,3 +79,11 @@ pub use stats::{BusyTracker, Counter, Histogram};
 pub use time::{Bandwidth, SimTime};
 pub use trace::{Breakdown, Category, PhaseTrace};
 pub use world::World;
+
+// Compile-time proof that a whole simulation can move to another
+// thread: every component, payload and world resource is `Send`.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<World>();
+    assert_send::<Simulator>();
+};

@@ -24,7 +24,7 @@ pub struct World {
     /// [`crate::obs`]). Recording is purely observational, so enabling
     /// it cannot change simulation behaviour.
     pub obs: Recorder,
-    resources: DetMap<TypeId, Box<dyn Any>>,
+    resources: DetMap<TypeId, Box<dyn Any + Send>>,
 }
 
 impl World {
@@ -40,7 +40,15 @@ impl World {
 
     /// Registers (or replaces) the singleton of type `T`, returning the
     /// previous value if one was present.
-    pub fn insert<T: Any>(&mut self, value: T) -> Option<T> {
+    ///
+    /// Resources are `Send`, so no two worlds can share one through a
+    /// reference-counted handle:
+    ///
+    /// ```compile_fail
+    /// let mut world = dcs_sim::World::new(1);
+    /// world.insert(std::rc::Rc::new(0u8));
+    /// ```
+    pub fn insert<T: Any + Send>(&mut self, value: T) -> Option<T> {
         self.resources
             .insert(TypeId::of::<T>(), Box::new(value))
             .map(|old| *old.downcast::<T>().expect("keyed by TypeId"))

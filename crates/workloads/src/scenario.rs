@@ -314,7 +314,7 @@ pub struct Request {
 
 /// Builds a request for connection slot `slot`; draws ids from
 /// `next_job_id`.
-pub type MakeRequest = Box<dyn FnMut(&mut Rng, usize, ComponentId, &mut u64) -> Request>;
+pub type MakeRequest = Box<dyn FnMut(&mut Rng, usize, ComponentId, &mut u64) -> Request + Send>;
 
 /// Scenario timing parameters.
 #[derive(Clone, Debug)]
