@@ -1,37 +1,40 @@
-//! The cluster front end: open-loop traffic generation, load balancing,
-//! admission control, failure tolerance, and end-to-end measurement.
+//! The front end: the one request lifecycle every workload runs through.
 //!
 //! One [`ClusterDriver`] component plays the role of the datacenter's
-//! front-end tier. It draws Poisson request arrivals scaled to the
-//! cluster's offered load, resolves each object through the consistent-
-//! hash [`HashRing`], lets the configured
-//! [`LbPolicy`] pick a replica, and pushes the request through the
-//! [`TorSwitch`] to the chosen node, where it runs as real simulated
-//! [`D2dJob`]s on that node's devices (SSD → MD5 → NIC for GETs, the
-//! reverse for PUTs — the same shapes as the Swift workload).
+//! front-end tier. Its [`Service`] draws open-loop arrivals (the rack's
+//! Swift mix, or the store's YCSB tenants); the driver resolves each
+//! object through the consistent-hash [`HashRing`], lets the service's
+//! cache affinity or else the configured [`LbPolicy`] pick a replica,
+//! and pushes the request through the [`TorSwitch`] to the chosen node,
+//! where it runs as real simulated [`D2dJob`]s on that node's devices
+//! (SSD → MD5 → NIC for reads, the reverse for writes, DRAM → NIC for a
+//! cache hit).
 //!
 //! Overload is handled at admission: each node serves at most
-//! `max_outstanding` requests with at most `queue_cap` more parked in a
-//! per-node FIFO; beyond that, requests are shed immediately. Shedding
-//! bounds every queue in the system, so p99 latency of *served* requests
-//! degrades gracefully instead of growing without bound as offered load
-//! passes saturation.
+//! `max_outstanding` requests with more parked in a per-node
+//! [`QosQueue`] (FIFO bounded by `queue_cap` for one stream, weighted-fair
+//! per tenant for several); beyond its bound a request is shed
+//! immediately. Shedding bounds every queue in the system, so p99 latency
+//! of *served* requests degrades gracefully instead of growing without
+//! bound as offered load passes saturation.
 //!
-//! Whole-node failures ([`NodeFault`]: a crash or a hang) are tolerated by
-//! the health layer (see [`crate::health`]):
+//! Whole-node failures ([`NodeFault`]) are tolerated by the health layer
+//! (see [`crate::health`]), whatever the service:
 //!
 //! - every node is heartbeat-probed over the switch's strict-priority
 //!   control lane; consecutive missed deadlines walk it Healthy → Suspect
 //!   → Dead, at which point routing skips it, its in-flight requests are
 //!   re-dispatched to surviving replicas (bounded retry budget), its
 //!   admission queue is re-routed, and re-replication starts;
-//! - GETs may be *hedged*: after a p99-derived delay a second copy goes to
-//!   another replica and the first completion wins;
-//! - PUTs whose primary is unroutable fall back to a surviving replica
+//! - reads may be *hedged*: after a p99-derived delay a second copy goes
+//!   to another replica and the first completion wins;
+//! - writes whose primary is unroutable fall back to a surviving replica
 //!   (write availability), counted as `put_fallbacks`;
 //! - re-replication copies the dead node's shard ranges to ring successors
 //!   as a bandwidth-capped chunk stream that contends with foreground
-//!   traffic on the switch ports.
+//!   traffic on the switch ports;
+//! - a crashed node that restarts comes back empty: whatever it still
+//!   held fails over, and it rejoins through anti-entropy repair.
 //!
 //! Availability is accounted at *resolution*: every generated request ends
 //! as served, denied (shed or unroutable), or lost (stranded on a failed
@@ -44,24 +47,28 @@ use dcs_host::cpu::{CpuJob, CpuJobDone, CpuStats};
 use dcs_host::job::{D2dDone, D2dJob, D2dOp};
 use dcs_ndp::NdpFunction;
 use dcs_nic::TcpFlow;
-use dcs_sim::{Bandwidth, Component, Ctx, Histogram, Msg, Rng, SimTime};
+use dcs_sim::{Bandwidth, Component, Ctx, Histogram, Msg, SimTime};
 use dcs_workloads::gen::SizeDistribution;
 use dcs_workloads::scenario::NodeRef;
 
 use crate::health::{HealthConfig, HealthMonitor, NodeState, SlowTransition, Transition};
 use crate::policy::{LbPolicy, NodeLoad};
-use crate::report::{ClusterReport, NodePerf, PhasePerf};
+use crate::qos::QosQueue;
+use crate::report::{ClusterReport, NodePerf, PhasePerf, TenantPerf};
+use crate::service::{CacheDecision, Request, Service};
 use crate::shard::HashRing;
 use crate::switch::{SwitchConfig, TorSwitch};
 
-/// Bytes of a GET request on the wire (headers only).
+/// Bytes of a read request on the wire (headers only).
 const GET_REQ_BYTES: usize = 512;
-/// Header overhead on a PUT request (the payload rides along).
+/// Header overhead on a write request (the payload rides along).
 const PUT_REQ_OVERHEAD: usize = 512;
-/// Response overhead on a GET (headers + integrity digest).
+/// Response overhead on a read (headers + integrity digest).
 const GET_RESP_OVERHEAD: usize = 256;
-/// Bytes of a PUT acknowledgement.
+/// Bytes of a write acknowledgement.
 const PUT_ACK_BYTES: usize = 128;
+/// Blocks in each of a node's two 4 GiB flash windows (reads, writes).
+const WINDOW_BLOCKS: u64 = (4u64 << 30) / 4096;
 
 /// A mid-run node degradation: at `at_ns`, `node`'s switch port drops to
 /// `factor` of its line rate (a flapping cable / half-dead transceiver).
@@ -200,7 +207,8 @@ pub struct ClusterConfig {
     pub warmup_ns: u64,
     /// Per-node concurrent request limit (admission control).
     pub max_outstanding: usize,
-    /// Per-node admission queue bound; beyond it requests are shed.
+    /// Per-node admission queue bound per arrival stream; beyond it
+    /// requests are shed.
     pub queue_cap: usize,
     /// Top-of-rack switch provisioning.
     pub switch: SwitchConfig,
@@ -272,8 +280,11 @@ pub struct ClusterNode {
 /// [`build_cluster`](crate::build_cluster)).
 #[derive(Debug)]
 pub struct Start;
+/// The next open-loop arrival of one stream.
 #[derive(Debug)]
-struct Arrival;
+struct Arrival {
+    stream: usize,
+}
 #[derive(Debug)]
 struct WarmupOver;
 #[derive(Debug)]
@@ -316,66 +327,77 @@ struct ProbeDeadline {
 struct NodeFaultAt {
     idx: usize,
 }
-/// A [`NodeFault::Hang`] elapsed: the node resumes where it froze.
+/// The window of the `idx`-th configured [`NodeFault`] (a hang,
+/// fail-slow or link degrade) elapsed.
 #[derive(Debug)]
-struct HangOver {
-    node: usize,
-}
-/// A [`NodeFault::FailSlow`] window elapsed: service latency normalizes.
-#[derive(Debug)]
-struct FailSlowOver {
-    node: usize,
-}
-/// A [`NodeFault::LinkDegrade`] window elapsed: the port recovers line
-/// rate.
-#[derive(Debug)]
-struct LinkRestore {
-    node: usize,
+struct NodeFaultOver {
+    idx: usize,
 }
 /// A crashed node's configured restart time: begin the rejoin lifecycle.
 #[derive(Debug)]
 struct RestartAt {
     node: usize,
 }
-/// Pacing tick of the rejoin anti-entropy stream: ship the next chunk.
-#[derive(Debug)]
-struct RejoinChunk;
-/// The last rejoin chunk was delivered: the node becomes routable.
-#[derive(Debug)]
-struct RejoinDone;
-/// The hedge delay for `req` elapsed: issue the second GET if the first
+/// The hedge delay for `req` elapsed: issue the second read if the first
 /// has not resolved.
 #[derive(Debug)]
 struct HedgeFire {
     req: u64,
 }
-/// Pacing tick of the re-replication stream: ship the next chunk.
+/// Pacing tick of a chunk stream: ship the next chunk.
 #[derive(Debug)]
-struct RepairChunk;
-/// The last repair chunk was delivered.
+struct StreamChunk(StreamKind);
+/// The last chunk of a stream was delivered.
 #[derive(Debug)]
-struct RepairDone;
+struct StreamDone(StreamKind);
+
+/// The two east-west chunk streams.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum StreamKind {
+    /// Re-replication: survivors copy a dead node's shards to ring
+    /// successors.
+    Repair,
+    /// Rejoin anti-entropy: survivors stream a restarted node's shards
+    /// back to it (re-replication run in reverse).
+    Rejoin,
+}
+
+/// A bandwidth-capped chunk stream between nodes over the switch ports,
+/// contending with foreground traffic.
+#[derive(Debug, Default)]
+struct ChunkStream {
+    /// Remaining `(src, dst, bytes)` transfers, drained front first.
+    queue: VecDeque<(usize, usize, u64)>,
+    bytes_sent: u64,
+    last_delivery: SimTime,
+    start_at: Option<SimTime>,
+    done_at: Option<SimTime>,
+    active: bool,
+}
+
+impl ChunkStream {
+    /// Start-to-finish time, once the stream has run to completion.
+    fn elapsed_ns(&self) -> Option<u64> {
+        Some(self.done_at? - self.start_at?)
+    }
+}
 
 /// A generated request not yet dispatched (parked at admission).
 #[derive(Debug)]
-struct Pending {
-    object: u64,
-    len: usize,
-    is_get: bool,
+struct Pending<Op> {
+    req: Request<Op>,
     arrival: SimTime,
     /// Remaining failover re-dispatches if the serving node dies.
     retries_left: u32,
 }
 
-/// A dispatched request leg (a hedged GET has two, linked by `partner`).
+/// A dispatched request leg (a hedged read has two, linked by `partner`).
 #[derive(Debug)]
-struct InFlight {
+struct InFlight<Op> {
+    req: Request<Op>,
     node: usize,
     slot: usize,
-    len: usize,
-    is_get: bool,
     arrival: SimTime,
-    object: u64,
     /// When this leg left the front end for its node. Per-leg latency is
     /// measured from here, not from `arrival`: a hedge leg fired after a
     /// long hedge delay must not charge that wait to the healthy node
@@ -387,6 +409,9 @@ struct InFlight {
     served_at: SimTime,
     pending_jobs: usize,
     failed: bool,
+    /// The node-cache decision taken at dispatch, if the request was
+    /// cacheable.
+    cache: Option<CacheDecision>,
     /// This leg is the hedged second copy.
     is_hedge: bool,
     /// The other leg of the same logical request, while both are live.
@@ -395,18 +420,6 @@ struct InFlight {
     /// The other leg already resolved the request: on completion just
     /// release resources, tally nothing.
     orphaned: bool,
-}
-
-/// Why a node is coming back: the distinction only matters for the
-/// counters (`cluster.node_revived` vs `cluster.node_rejoined`); the
-/// resume mechanics are one shared path (`ClusterDriver::resume_node`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ResumeKind {
-    /// A hang elapsed: the node resumes where it froze.
-    Revived,
-    /// A crash-restart finished its rejoin lifecycle (anti-entropy repair
-    /// complete): the node is routable again.
-    Rejoined,
 }
 
 /// One resolved request, kept (only when node faults are configured) for
@@ -419,22 +432,23 @@ struct Rec {
     latency_ns: u64,
 }
 
-/// The front-end component.
-pub struct ClusterDriver {
+/// The front-end component, running the workload `S` supplies.
+pub struct ClusterDriver<S: Service> {
     cfg: ClusterConfig,
     nodes: Vec<ClusterNode>,
     switch: TorSwitch,
     ring: HashRing,
-    rng: Rng,
-    // dcs-lint: allow(float-in-sim-state) — derived once from the offered load at build; read-only thereafter
-    mean_interarrival_ns: f64,
+    svc: S,
+    /// Flash blocks per object slot, sized by the service's largest
+    /// object.
+    slot_blocks: u64,
     // Admission state, indexed by node.
     outstanding: Vec<usize>,
-    queues: Vec<VecDeque<Pending>>,
+    queues: Vec<QosQueue<Pending<S::Op>>>,
     free_slots: Vec<Vec<usize>>,
     rr_cursor: usize,
     // Request tracking.
-    inflight: BTreeMap<u64, InFlight>,
+    inflight: BTreeMap<u64, InFlight<S::Op>>,
     job_to_req: BTreeMap<u64, u64>,
     next_req: u64,
     next_job_id: u64,
@@ -474,24 +488,12 @@ pub struct ClusterDriver {
     slow_readmissions: u64,
     // Re-replication state.
     repair_started: Vec<bool>,
-    repair_queue: VecDeque<(usize, usize, u64)>,
-    repair_bytes_sent: u64,
-    repair_last_delivery: SimTime,
-    repair_start_at: Option<SimTime>,
-    repair_done_at: Option<SimTime>,
-    repair_active: bool,
-    // Rejoin anti-entropy state (the reverse stream: survivors → the
-    // restarted node).
-    rejoin_queue: VecDeque<(usize, usize, u64)>,
-    rejoin_bytes_sent: u64,
-    rejoin_last_delivery: SimTime,
-    rejoin_start_at: Option<SimTime>,
-    rejoin_done_at: Option<SimTime>,
-    rejoin_active: bool,
+    repair: ChunkStream,
+    rejoin: ChunkStream,
     /// The node currently rejoining (at most one crash-restart per run is
     /// scheduled by the sweeps, but the queue tags (src, dst) anyway).
     rejoin_node: Option<usize>,
-    /// Report built at window close while repair was still streaming.
+    /// Report built at window close, held until no stream is running.
     report_pending: Option<ClusterReport>,
     // Measurement.
     measuring: bool,
@@ -512,33 +514,32 @@ pub struct ClusterDriver {
     lost: u64,
     put_fallbacks: u64,
     degraded_marks: u64,
+    cache_hits: u64,
+    cache_misses: u64,
     records: Vec<Rec>,
     per_node: Vec<NodePerf>,
+    per_tenant: Vec<TenantPerf>,
 }
 
-impl ClusterDriver {
-    /// Creates the front end over `nodes` (one entry per cluster node).
-    pub fn new(cfg: ClusterConfig, nodes: Vec<ClusterNode>, rng: Rng) -> ClusterDriver {
+impl<S: Service> ClusterDriver<S> {
+    /// Creates the front end over `nodes` (one entry per cluster node),
+    /// serving the workload `svc`.
+    pub fn new(cfg: ClusterConfig, nodes: Vec<ClusterNode>, svc: S) -> ClusterDriver<S> {
         assert_eq!(cfg.nodes, nodes.len(), "node list must match config");
         assert!(cfg.max_outstanding > 0, "admission needs at least one slot");
-        assert!(
-            cfg.sizes.max as u64 * 8 <= 4 << 30,
-            "object window sizing assumes objects of at most 512 MiB"
-        );
         let n = nodes.len();
         let switch = TorSwitch::new(n, cfg.switch.clone());
         let ring = HashRing::new(n, cfg.vnodes_per_node, cfg.replication);
-        let mean_size = cfg.sizes.mean_estimate();
-        let total_gbps = cfg.offered_gbps_per_node * n as f64;
-        let mean_interarrival_ns = mean_size * 8.0 / total_gbps;
         let health = HealthMonitor::new(&cfg.health, n);
+        let (qos, weights) = svc.queue();
         ClusterDriver {
             switch,
             ring,
-            rng,
-            mean_interarrival_ns,
+            slot_blocks: svc.max_object_bytes().div_ceil(4096) as u64,
             outstanding: vec![0; n],
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
+            queues: (0..n)
+                .map(|_| QosQueue::new(qos, &weights, cfg.queue_cap))
+                .collect(),
             free_slots: (0..n)
                 .map(|_| (0..cfg.max_outstanding).rev().collect())
                 .collect(),
@@ -568,18 +569,8 @@ impl ClusterDriver {
             slow_evictions: 0,
             slow_readmissions: 0,
             repair_started: vec![false; n],
-            repair_queue: VecDeque::new(),
-            repair_bytes_sent: 0,
-            repair_last_delivery: SimTime::ZERO,
-            repair_start_at: None,
-            repair_done_at: None,
-            repair_active: false,
-            rejoin_queue: VecDeque::new(),
-            rejoin_bytes_sent: 0,
-            rejoin_last_delivery: SimTime::ZERO,
-            rejoin_start_at: None,
-            rejoin_done_at: None,
-            rejoin_active: false,
+            repair: ChunkStream::default(),
+            rejoin: ChunkStream::default(),
             rejoin_node: None,
             report_pending: None,
             measuring: false,
@@ -600,21 +591,23 @@ impl ClusterDriver {
             lost: 0,
             put_fallbacks: 0,
             degraded_marks: 0,
+            cache_hits: 0,
+            cache_misses: 0,
             records: Vec::new(),
             per_node: vec![NodePerf::default(); n],
+            per_tenant: svc.tenants(),
+            svc,
             cfg,
             nodes,
         }
     }
 
-    /// Maps an object to its LBA inside a node's flash window. GETs and
-    /// PUTs use disjoint 4 GiB windows so reads never race writes.
-    fn lba_for(&self, object: u64, is_get: bool) -> u64 {
-        let blocks_per_object = (self.cfg.sizes.max.div_ceil(4096)) as u64;
-        let window_blocks = (4u64 << 30) / 4096;
-        let slots = (window_blocks / blocks_per_object).max(1);
-        let base = if is_get { 0 } else { window_blocks };
-        base + (object % slots) * blocks_per_object
+    /// Maps an object to its LBA inside a node's flash window. Reads and
+    /// writes use disjoint 4 GiB windows so reads never race writes.
+    fn lba_for(&self, object: u64, read: bool) -> u64 {
+        let slots = (WINDOW_BLOCKS / self.slot_blocks).max(1);
+        let base = if read { 0 } else { WINDOW_BLOCKS };
+        base + (object % slots) * self.slot_blocks
     }
 
     fn loads(&self) -> Vec<NodeLoad> {
@@ -657,17 +650,26 @@ impl ClusterDriver {
         });
     }
 
+    /// Tallies a request that arrived at `arrival` and was not served.
+    fn tally_denied(&mut self, req: &Request<S::Op>, arrival: SimTime) {
+        if req.write {
+            self.put_denied += 1;
+        } else {
+            self.get_denied += 1;
+        }
+        if let Some(t) = self.per_tenant.get_mut(req.stream) {
+            t.denied += 1;
+        }
+        self.push_record(arrival, false, 0);
+    }
+
     /// A request resolved without being served: shed/unroutable (`lost ==
     /// false`) or gone down with a failed node (`lost == true`).
-    fn note_denied(&mut self, is_get: bool, node: Option<usize>, arrival: SimTime, lost: bool) {
+    fn note_denied(&mut self, pend: &Pending<S::Op>, node: Option<usize>, lost: bool) {
         if !self.tally_active() {
             return;
         }
-        if is_get {
-            self.get_denied += 1;
-        } else {
-            self.put_denied += 1;
-        }
+        self.tally_denied(&pend.req, pend.arrival);
         if lost {
             self.lost += 1;
             if let Some(n) = node {
@@ -679,57 +681,69 @@ impl ClusterDriver {
                 self.per_node[n].rejected += 1;
             }
         }
-        self.push_record(arrival, false, 0);
     }
 
-    /// One open-loop arrival: draw the request and route it.
-    fn on_arrival(&mut self, ctx: &mut Ctx<'_>) {
-        let object = self.rng.gen_range(0..self.cfg.objects);
-        let len = self.cfg.sizes.sample(&mut self.rng);
-        let is_get = self.rng.gen_bool(self.cfg.get_fraction);
+    /// One open-loop arrival on `stream`: draw the request and route it.
+    fn on_arrival(&mut self, ctx: &mut Ctx<'_>, stream: usize) {
+        let mut req = self.svc.draw(stream);
+        if !req.write {
+            // A long read (a scan) must not run off the read window's
+            // edge.
+            let room = (WINDOW_BLOCKS - self.lba_for(req.object, true)) * 4096;
+            req.len = req.len.min(room as usize);
+        }
         let pend = Pending {
-            object,
-            len,
-            is_get,
+            req,
             arrival: ctx.now(),
-            retries_left: self.cfg.health.request_retries,
+            // Failover is part of the health layer: with it off, a
+            // request stranded on a failed node is simply lost.
+            retries_left: if self.cfg.health.enabled {
+                self.cfg.health.request_retries
+            } else {
+                0
+            },
         };
         self.route_and_admit(ctx, pend);
     }
 
-    /// Picks a replica for `pend` (skipping Dead / breaker-open nodes),
-    /// then admits, queues, or sheds it.
-    fn route_and_admit(&mut self, ctx: &mut Ctx<'_>, pend: Pending) {
+    /// Picks a replica for `pend` (skipping Dead / Joining / breaker-open
+    /// nodes), then admits, queues, or sheds it.
+    fn route_and_admit(&mut self, ctx: &mut Ctx<'_>, pend: Pending<S::Op>) {
         let mask = if self.cfg.health.enabled {
             self.health.unroutable_mask(ctx.now())
         } else {
             vec![false; self.nodes.len()]
         };
-        let node = if pend.is_get {
-            let candidates = self.ring.replicas_excluding(pend.object, &mask);
+        let node = if !pend.req.write {
+            let candidates = self.ring.replicas_excluding(pend.req.object, &mask);
             if candidates.is_empty() {
-                ctx.world().stats.counter("cluster.unroutable").add(1);
-                self.note_denied(true, None, pend.arrival, false);
+                ctx.world().stats.counter(S::UNROUTABLE).add(1);
+                self.note_denied(&pend, None, false);
                 return;
             }
-            let loads = self.loads();
-            self.cfg
-                .policy
-                .choose(&candidates, &loads, &mut self.rr_cursor)
+            match self.svc.affinity(&pend.req, &candidates) {
+                Some(n) => n,
+                None => {
+                    let loads = self.loads();
+                    self.cfg
+                        .policy
+                        .choose(&candidates, &loads, &mut self.rr_cursor)
+                }
+            }
         } else {
-            // PUTs pin to the primary; with the primary unroutable they
+            // Writes pin to the primary; with the primary unroutable they
             // fall back to the next surviving replica in ring order. A
             // Slow primary keeps its in-flight work but takes no *new*
-            // PUT leadership while a faster replica survives.
-            let replicas = self.ring.replicas(pend.object);
+            // write leadership while a faster replica survives.
+            let replicas = self.ring.replicas(pend.req.object);
             let not_slow = |n: usize| self.health.state(n) != NodeState::Slow;
             let Some(&node) = replicas
                 .iter()
                 .find(|&&n| !mask[n] && not_slow(n))
                 .or_else(|| replicas.iter().find(|&&n| !mask[n]))
             else {
-                ctx.world().stats.counter("cluster.unroutable").add(1);
-                self.note_denied(false, None, pend.arrival, false);
+                ctx.world().stats.counter(S::UNROUTABLE).add(1);
+                self.note_denied(&pend, None, false);
                 return;
             };
             if node != replicas[0] && self.tally_active() {
@@ -739,23 +753,30 @@ impl ClusterDriver {
         };
         if self.outstanding[node] < self.cfg.max_outstanding {
             self.dispatch(ctx, node, pend, None);
-        } else if self.queues[node].len() < self.cfg.queue_cap {
-            self.queues[node].push_back(pend);
-        } else {
-            // Shed at the front end: bounded queues, graceful overload.
-            ctx.world().stats.counter("cluster.shed").add(1);
-            self.note_denied(pend.is_get, Some(node), pend.arrival, false);
+            return;
+        }
+        let (stream, cost) = (pend.req.stream, pend.req.len as f64);
+        match self.queues[node].try_push(stream, cost, pend) {
+            Ok(()) => ctx.world().obs.count(S::LABEL, "queued", 1),
+            Err(pend) => {
+                // The stream's queue bound is full: shed at the front
+                // end, graceful overload.
+                ctx.world().stats.counter(S::SHED).add(1);
+                ctx.world().obs.count(S::LABEL, "shed", 1);
+                self.note_denied(&pend, Some(node), false);
+            }
         }
     }
 
-    /// Sends a request's bytes through the switch toward `node`; its jobs
-    /// are submitted when the transfer completes. `hedge_of` links a
-    /// hedged second leg back to its primary.
+    /// Takes the cache decision for `pend` on `node` and sends the
+    /// request's bytes through the switch; its jobs are submitted when
+    /// the transfer completes. `hedge_of` links a hedged second leg back
+    /// to its primary.
     fn dispatch(
         &mut self,
         ctx: &mut Ctx<'_>,
         node: usize,
-        pend: Pending,
+        pend: Pending<S::Op>,
         hedge_of: Option<u64>,
     ) -> u64 {
         let slot = self.free_slots[node]
@@ -768,47 +789,48 @@ impl ClusterDriver {
         }
         let req = self.next_req;
         self.next_req += 1;
+        let cache = self.svc.decide(ctx, node, &pend.req);
+        let write = pend.req.write;
+        let wire_bytes = if write {
+            pend.req.len + PUT_REQ_OVERHEAD
+        } else {
+            GET_REQ_BYTES
+        };
+        let lane = self.svc.lane(pend.req.stream);
         self.inflight.insert(
             req,
             InFlight {
+                req: pend.req,
                 node,
                 slot,
-                len: pend.len,
-                is_get: pend.is_get,
                 arrival: pend.arrival,
-                object: pend.object,
                 dispatched_at: ctx.now(),
                 served_at: pend.arrival,
                 pending_jobs: 0,
                 failed: false,
+                cache,
                 is_hedge: hedge_of.is_some(),
                 partner: hedge_of,
                 retries_left: pend.retries_left,
                 orphaned: false,
             },
         );
-        let wire_bytes = if pend.is_get {
-            GET_REQ_BYTES
-        } else {
-            pend.len + PUT_REQ_OVERHEAD
-        };
-        let deliver = self.switch.to_node(ctx.now(), node, wire_bytes);
+        let deliver = self.switch.to_node_lane(ctx.now(), node, wire_bytes, lane);
         {
             let now = ctx.now();
             let obs = &mut ctx.world().obs;
-            obs.span("cluster", "uplink", req, now, deliver);
-            obs.count("cluster", "dispatched", 1);
+            obs.span(S::LABEL, "uplink", req, now, deliver);
+            obs.count(S::LABEL, "dispatched", 1);
         }
         ctx.send_at(deliver, ctx.self_id(), Delivered { req });
         let h = &self.cfg.health;
-        if h.enabled && h.hedge && pend.is_get && hedge_of.is_none() && self.ring.replication() > 1
-        {
+        if h.enabled && h.hedge && !write && hedge_of.is_none() && self.ring.replication() > 1 {
             ctx.send_self_in(self.hedge_delay(node), HedgeFire { req });
         }
         req
     }
 
-    /// How long to wait before hedging a GET on `node`: the minimum
+    /// How long to wait before hedging a read on `node`: the minimum
     /// against a Suspect, Degraded, or Slow node, else the measured p99
     /// (clamped) once the histogram has signal, else the configured
     /// default.
@@ -834,14 +856,14 @@ impl ClusterDriver {
         if self.window_closed {
             return;
         }
-        let (node, object, len, arrival) = match self.inflight.get(&req) {
-            Some(r) if !r.orphaned && r.partner.is_none() => (r.node, r.object, r.len, r.arrival),
+        let (node, request, arrival) = match self.inflight.get(&req) {
+            Some(r) if !r.orphaned && r.partner.is_none() => (r.node, r.req, r.arrival),
             _ => return,
         };
         let mask = self.health.unroutable_mask(ctx.now());
         let candidates: Vec<usize> = self
             .ring
-            .replicas_excluding(object, &mask)
+            .replicas_excluding(request.object, &mask)
             .into_iter()
             .filter(|&n| n != node && self.outstanding[n] < self.cfg.max_outstanding)
             .collect();
@@ -854,9 +876,7 @@ impl ClusterDriver {
             .policy
             .choose(&candidates, &loads, &mut self.rr_cursor);
         let pend = Pending {
-            object,
-            len,
-            is_get: true,
+            req: request,
             arrival,
             retries_left: 0,
         };
@@ -895,14 +915,16 @@ impl ClusterDriver {
 
     /// Runs the request as real device jobs on its node.
     fn submit_jobs(&mut self, ctx: &mut Ctx<'_>, req: u64) {
-        let (node, slot, len, is_get, object) = {
+        let (node, slot, len, write, object, hit) = {
             let r = self
                 .inflight
                 .get(&req)
                 .expect("submitted request is in flight");
-            (r.node, r.slot, r.len, r.is_get, r.object)
+            let hit = r.cache.is_some_and(|c| c.hit);
+            (r.node, r.slot, r.req.len, r.req.write, r.req.object, hit)
         };
-        let lba = self.lba_for(object, is_get);
+        let lba = self.lba_for(object, !write);
+        let (job_tag, app_tag) = self.svc.tags(write, hit);
         let server = &self.nodes[node].server;
         let access = &self.nodes[node].access;
         let reply_to = ctx.self_id();
@@ -912,9 +934,23 @@ impl ClusterDriver {
             i
         };
         let slot16 = u16::try_from(slot).expect("slot fits a port");
-        let jobs: Vec<(dcs_sim::ComponentId, D2dJob)> = if is_get {
-            // Server: flash → integrity hash → downlink. Access: receive.
+        let jobs: Vec<(dcs_sim::ComponentId, D2dJob)> = if !write {
+            // Server: flash → integrity hash → downlink, or DRAM →
+            // downlink on a cache hit (hashed at admission). Access:
+            // receive.
             let flow = TcpFlow::example(1, 2, 20_000 + slot16, 8_000 + slot16);
+            let server_ops = if hit {
+                vec![D2dOp::MemRead { len }, D2dOp::NicSend { flow, seq: 0 }]
+            } else {
+                vec![
+                    D2dOp::SsdRead { ssd: 0, lba, len },
+                    D2dOp::Process {
+                        function: NdpFunction::Md5,
+                        aux: vec![],
+                    },
+                    D2dOp::NicSend { flow, seq: 0 },
+                ]
+            };
             vec![
                 (
                     access.submit_to,
@@ -932,16 +968,9 @@ impl ClusterDriver {
                     server.submit_to,
                     D2dJob {
                         id: id(),
-                        ops: vec![
-                            D2dOp::SsdRead { ssd: 0, lba, len },
-                            D2dOp::Process {
-                                function: NdpFunction::Md5,
-                                aux: vec![],
-                            },
-                            D2dOp::NicSend { flow, seq: 0 },
-                        ],
+                        ops: server_ops,
                         reply_to,
-                        tag: "kernel-get",
+                        tag: job_tag,
                     },
                 ),
             ]
@@ -966,7 +995,7 @@ impl ClusterDriver {
                             D2dOp::SsdWrite { ssd: 0, lba },
                         ],
                         reply_to,
-                        tag: "kernel-put",
+                        tag: job_tag,
                     },
                 ),
                 (
@@ -990,7 +1019,7 @@ impl ClusterDriver {
             CpuJob {
                 token: u64::MAX - req,
                 cost_ns: 80_000 + (len / 10) as u64,
-                tag: if is_get { "app-get" } else { "app-put" },
+                tag: app_tag,
                 reply_to,
             },
         );
@@ -999,9 +1028,7 @@ impl ClusterDriver {
         r.served_at = ctx.now();
         {
             let now = ctx.now();
-            ctx.world()
-                .obs
-                .span_begin("cluster", "node-serve", req, now);
+            ctx.world().obs.span_begin(S::LABEL, "node-serve", req, now);
         }
         for (target, job) in jobs {
             self.job_to_req.insert(job.id, req);
@@ -1045,16 +1072,19 @@ impl ClusterDriver {
     /// service span is stretched by the configured factor (while its
     /// probe acks, which never touch the data path, stay on time).
     fn ship_response(&mut self, ctx: &mut Ctx<'_>, req: u64) {
-        let (node, len, is_get, served_at) = {
+        let (node, req_shape, served_at) = {
             let r = &self.inflight[&req];
-            (r.node, r.len, r.is_get, r.served_at)
+            (r.node, r.req, r.served_at)
         };
-        let resp_bytes = if is_get {
-            len + GET_RESP_OVERHEAD
-        } else {
+        let resp_bytes = if req_shape.write {
             PUT_ACK_BYTES
+        } else {
+            req_shape.len + GET_RESP_OVERHEAD
         };
-        let arrive = self.switch.to_frontend(ctx.now(), node, resp_bytes);
+        let lane = self.svc.lane(req_shape.stream);
+        let arrive = self
+            .switch
+            .to_frontend_lane(ctx.now(), node, resp_bytes, lane);
         let arrive = match self.fail_slow[node] {
             // factor × span: the span already elapsed once, so the hold
             // adds the remaining (factor - 1) multiples. Pure integer
@@ -1065,8 +1095,8 @@ impl ClusterDriver {
         {
             let now = ctx.now();
             let obs = &mut ctx.world().obs;
-            obs.span_end("cluster", "node-serve", req, now);
-            obs.span("cluster", "downlink", req, now, arrive);
+            obs.span_end(S::LABEL, "node-serve", req, now);
+            obs.span(S::LABEL, "downlink", req, now, arrive);
         }
         ctx.send_at(arrive, ctx.self_id(), Response { req });
     }
@@ -1080,20 +1110,27 @@ impl ClusterDriver {
             );
             return;
         };
-        self.outstanding[r.node] -= 1;
-        self.free_slots[r.node].push(r.slot);
+        self.free_leg(&r);
         {
             let now = ctx.now();
             let e2e = now - r.arrival;
             let obs = &mut ctx.world().obs;
-            obs.count("cluster", "responses", 1);
-            obs.observe("cluster", "req.e2e_ns", e2e);
+            obs.count(S::LABEL, "responses", 1);
+            obs.observe(S::LABEL, "req.e2e_ns", e2e);
         }
-        // The freed slot can admit parked work.
+        // The freed slot admits the queue's next pick, before the served
+        // leg's effects land.
         if !self.window_closed {
-            if let Some(pend) = self.queues[r.node].pop_front() {
+            if let Some((_, pend)) = self.queues[r.node].pop() {
+                let waited = ctx.now() - pend.arrival;
+                ctx.world()
+                    .obs
+                    .observe(S::LABEL, "qos.queue_wait_ns", waited);
                 self.dispatch(ctx, r.node, pend, None);
             }
+        }
+        if !r.failed {
+            self.svc.commit(ctx, r.node, &r.req, r.cache);
         }
         // Every completed leg — orphaned hedges included — is a genuine
         // observation of its node's service speed; a fail-slow node's
@@ -1124,35 +1161,53 @@ impl ClusterDriver {
                 self.health.on_request_success(r.node);
             }
         }
-        if self.tally_active() {
-            let perf = &mut self.per_node[r.node];
-            if r.failed {
-                self.failures += 1;
-                perf.failures += 1;
-                if r.is_get {
-                    self.get_denied += 1;
-                } else {
-                    self.put_denied += 1;
-                }
-                self.push_record(r.arrival, false, 0);
+        if !self.tally_active() {
+            return;
+        }
+        if r.failed {
+            self.failures += 1;
+            self.per_node[r.node].failures += 1;
+            self.tally_denied(&r.req, r.arrival);
+            return;
+        }
+        let perf = &mut self.per_node[r.node];
+        let tenant = self.per_tenant.get_mut(r.req.stream);
+        let len = r.req.len as u64;
+        self.requests += 1;
+        self.bytes += len;
+        perf.requests += 1;
+        perf.bytes += len;
+        let lat = ctx.now() - r.arrival;
+        self.latency.record(lat);
+        if r.req.write {
+            self.put_ok += 1;
+        } else {
+            self.get_ok += 1;
+        }
+        if r.is_hedge {
+            self.hedge_wins += 1;
+        }
+        if let Some(c) = r.cache {
+            if c.hit {
+                self.cache_hits += 1;
             } else {
-                self.requests += 1;
-                self.bytes += r.len as u64;
-                perf.requests += 1;
-                perf.bytes += r.len as u64;
-                let lat = ctx.now() - r.arrival;
-                self.latency.record(lat);
-                if r.is_get {
-                    self.get_ok += 1;
-                } else {
-                    self.put_ok += 1;
-                }
-                if r.is_hedge {
-                    self.hedge_wins += 1;
-                }
-                self.push_record(r.arrival, true, lat);
+                self.cache_misses += 1;
             }
         }
+        if let Some(t) = tenant {
+            t.ok += 1;
+            t.bytes += len;
+            t.latency.record(lat);
+            if t.slo_ns == 0 || lat <= t.slo_ns {
+                t.slo_met += 1;
+            }
+            match r.cache {
+                Some(c) if c.hit => t.cache_hits += 1,
+                Some(_) => t.cache_misses += 1,
+                None => {}
+            }
+        }
+        self.push_record(r.arrival, true, lat);
     }
 
     // ------------------------------------------------------------------
@@ -1267,6 +1322,14 @@ impl ClusterDriver {
             self.detected_at = Some(ctx.now());
         }
         ctx.world().stats.counter("cluster.node_dead").add(1);
+        self.evacuate(ctx, node);
+        self.start_repair(ctx, node);
+    }
+
+    /// Fails over every leg still assigned to `node`, forgets whatever it
+    /// was holding, and re-routes its admission queue (to survivors, once
+    /// the routing mask excludes it).
+    fn evacuate(&mut self, ctx: &mut Ctx<'_>, node: usize) {
         let swept: Vec<u64> = self
             .inflight
             .iter()
@@ -1279,13 +1342,9 @@ impl ClusterDriver {
         self.held_jobs[node].clear();
         self.held_responses[node].clear();
         self.held_probes[node].clear();
-        // Its admission queue re-routes to survivors (the mask now
-        // excludes this node).
-        let parked: Vec<Pending> = self.queues[node].drain(..).collect();
-        for pend in parked {
+        for (_, pend) in self.queues[node].drain() {
             self.route_and_admit(ctx, pend);
         }
-        self.start_repair(ctx, node);
     }
 
     /// Releases one in-flight leg of a dead node and re-dispatches or
@@ -1294,8 +1353,7 @@ impl ClusterDriver {
         let Some(r) = self.inflight.remove(&req) else {
             return;
         };
-        self.outstanding[r.node] -= 1;
-        self.free_slots[r.node].push(r.slot);
+        self.free_leg(&r);
         self.job_to_req.retain(|_, v| *v != req);
         if r.orphaned {
             return;
@@ -1307,64 +1365,71 @@ impl ClusterDriver {
                 return;
             }
         }
+        let pend = Pending {
+            req: r.req,
+            arrival: r.arrival,
+            retries_left: r.retries_left.saturating_sub(1),
+        };
         if r.retries_left > 0 {
             if self.tally_active() {
                 self.retried += 1;
             }
-            ctx.world().stats.counter("cluster.retried").add(1);
-            let pend = Pending {
-                object: r.object,
-                len: r.len,
-                is_get: r.is_get,
-                arrival: r.arrival,
-                retries_left: r.retries_left - 1,
-            };
+            ctx.world().stats.counter(S::RETRIED).add(1);
             self.route_and_admit(ctx, pend);
         } else {
-            self.note_denied(r.is_get, Some(r.node), r.arrival, true);
+            self.note_denied(&pend, Some(r.node), true);
         }
     }
 
     fn on_node_fault(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        match self.cfg.node_faults[idx] {
+        let fault = self.cfg.node_faults[idx];
+        match fault {
             NodeFault::Crash { node, .. } => {
                 self.crashed[node] = true;
+                self.svc.on_crash(node);
                 ctx.world().stats.counter("cluster.node_crash").add(1);
             }
             NodeFault::Hang { node, for_ns, .. } => {
                 self.hung_until[node] = Some(ctx.now() + for_ns);
-                ctx.send_self_in(for_ns, HangOver { node });
                 ctx.world().stats.counter("cluster.node_hang").add(1);
             }
-            NodeFault::FailSlow {
-                node,
-                for_ns,
-                factor,
-                ..
-            } => {
+            NodeFault::FailSlow { node, factor, .. } => {
                 self.fail_slow[node] = Some(factor);
-                ctx.send_self_in(for_ns, FailSlowOver { node });
                 ctx.world().stats.counter("cluster.node_fail_slow").add(1);
             }
             NodeFault::LinkDegrade {
-                node,
-                for_ns,
-                speed_pct,
-                ..
+                node, speed_pct, ..
             } => {
                 self.switch
                     .set_node_speed_factor(node, speed_pct as f64 / 100.0);
-                ctx.send_self_in(for_ns, LinkRestore { node });
                 ctx.world().stats.counter("cluster.link_degraded").add(1);
             }
+        }
+        if let Some(end) = fault.end_ns() {
+            ctx.send_self_in(end - fault.at_ns(), NodeFaultOver { idx });
+        }
+    }
+
+    /// A bounded fault's window elapsed: a hung node resumes where it
+    /// froze, a slow node's service latency normalizes, a degraded port
+    /// recovers line rate.
+    fn on_node_fault_over(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
+        match self.cfg.node_faults[idx] {
+            NodeFault::Hang { node, .. } => self.resume_node(ctx, node, "cluster.node_revived"),
+            NodeFault::FailSlow { node, .. } => self.fail_slow[node] = None,
+            NodeFault::LinkDegrade { node, .. } => self.switch.set_node_speed_factor(node, 1.0),
+            // A crash has no window: it ends at its restart, if any.
+            NodeFault::Crash { .. } => {}
         }
     }
 
     /// The single path through which an unavailable node comes back:
     /// everything it swallowed resumes — parked requests run, finished
     /// responses ship, swallowed probes ack (which revives a node already
-    /// declared Dead) — and the matching lifecycle counter fires.
-    fn resume_node(&mut self, ctx: &mut Ctx<'_>, node: usize, kind: ResumeKind) {
+    /// declared Dead) — and the lifecycle's own `counter` fires
+    /// (`cluster.node_revived` after a hang, `cluster.node_rejoined` after
+    /// a crash-restart's rejoin).
+    fn resume_node(&mut self, ctx: &mut Ctx<'_>, node: usize, counter: &'static str) {
         self.hung_until[node] = None;
         let held = std::mem::take(&mut self.held_jobs[node]);
         for req in held {
@@ -1385,10 +1450,6 @@ impl ClusterDriver {
         for seq in probes {
             ctx.send_self_in(oneway, ProbeAck { node, seq });
         }
-        let counter = match kind {
-            ResumeKind::Revived => "cluster.node_revived",
-            ResumeKind::Rejoined => "cluster.node_rejoined",
-        };
         ctx.world().stats.counter(counter).add(1);
     }
 
@@ -1405,9 +1466,8 @@ impl ClusterDriver {
             return;
         }
         self.repair_started[node] = true;
-        let object_bytes = self.cfg.sizes.mean_estimate().ceil() as u64;
         let mut transfers: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-        for object in 0..self.cfg.objects {
+        for (object, object_bytes) in self.svc.objects() {
             let replicas = self.ring.replicas(object);
             if !replicas.contains(&node) {
                 continue;
@@ -1425,79 +1485,102 @@ impl ClusterDriver {
         if transfers.is_empty() {
             return;
         }
-        let was_active = self.repair_active;
-        for ((src, dst), bytes) in transfers {
-            self.repair_queue.push_back((src, dst, bytes));
-        }
-        self.repair_active = true;
-        if self.repair_start_at.is_none() {
-            self.repair_start_at = Some(ctx.now());
-        }
+        self.repair.start_at.get_or_insert(ctx.now());
+        let transfers = transfers.into_iter().map(|((src, dst), b)| (src, dst, b));
+        self.enqueue(ctx, StreamKind::Repair, transfers);
+    }
+
+    /// Queues `transfers` on the `kind` stream, starting it if idle.
+    fn enqueue(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        kind: StreamKind,
+        transfers: impl Iterator<Item = (usize, usize, u64)>,
+    ) {
+        let s = self.stream(kind);
+        let was_active = s.active;
+        s.queue.extend(transfers);
+        s.active = true;
         if !was_active {
-            ctx.send_now(ctx.self_id(), RepairChunk);
+            ctx.send_now(ctx.self_id(), StreamChunk(kind));
         }
     }
 
-    fn on_repair_chunk(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(&(src, dst, remaining)) = self.repair_queue.front() else {
+    fn stream(&mut self, kind: StreamKind) -> &mut ChunkStream {
+        match kind {
+            StreamKind::Repair => &mut self.repair,
+            StreamKind::Rejoin => &mut self.rejoin,
+        }
+    }
+
+    fn on_stream_chunk(&mut self, ctx: &mut Ctx<'_>, kind: StreamKind) {
+        let h = &self.cfg.health;
+        let cap = h.repair_chunk_bytes as u64;
+        let gbps = match kind {
+            StreamKind::Repair => h.repair_gbps,
+            StreamKind::Rejoin => h.rejoin_gbps,
+        };
+        let s = match kind {
+            StreamKind::Repair => &mut self.repair,
+            StreamKind::Rejoin => &mut self.rejoin,
+        };
+        let Some(&(src, dst, remaining)) = s.queue.front() else {
             return;
         };
-        let chunk = remaining.min(self.cfg.health.repair_chunk_bytes as u64);
+        let chunk = remaining.min(cap);
         let delivered = self
             .switch
             .node_to_node(ctx.now(), src, dst, chunk as usize);
-        self.repair_last_delivery = self.repair_last_delivery.max(delivered);
-        self.repair_bytes_sent += chunk;
+        s.last_delivery = s.last_delivery.max(delivered);
+        s.bytes_sent += chunk;
         if remaining > chunk {
-            self.repair_queue.front_mut().expect("front still queued").2 = remaining - chunk;
+            s.queue.front_mut().expect("front still queued").2 = remaining - chunk;
         } else {
-            self.repair_queue.pop_front();
+            s.queue.pop_front();
         }
-        if self.repair_queue.is_empty() {
-            ctx.send_at(self.repair_last_delivery, ctx.self_id(), RepairDone);
+        if s.queue.is_empty() {
+            ctx.send_at(s.last_delivery, ctx.self_id(), StreamDone(kind));
         } else {
             // The pacing cap: the ports may drain a chunk faster, but the
-            // stream never offers more than `repair_gbps` on average.
-            let pace = Bandwidth::gbps(self.cfg.health.repair_gbps)
-                .transfer_time(chunk as usize)
-                .max(1);
-            ctx.send_self_in(pace, RepairChunk);
+            // stream never offers more than its Gbps cap on average.
+            let pace = Bandwidth::gbps(gbps).transfer_time(chunk as usize).max(1);
+            ctx.send_self_in(pace, StreamChunk(kind));
         }
     }
 
-    fn on_repair_done(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.repair_queue.is_empty() {
+    fn on_stream_done(&mut self, ctx: &mut Ctx<'_>, kind: StreamKind) {
+        if !self.stream(kind).queue.is_empty() {
             // A second failure queued more transfers after the finish was
             // scheduled: keep streaming.
-            self.on_repair_chunk(ctx);
+            self.on_stream_chunk(ctx, kind);
             return;
         }
-        self.repair_active = false;
-        self.repair_done_at = Some(ctx.now());
-        self.maybe_emit_report(ctx);
+        match kind {
+            StreamKind::Repair => {
+                self.repair.active = false;
+                self.repair.done_at = Some(ctx.now());
+                self.maybe_emit_report(ctx);
+            }
+            StreamKind::Rejoin => self.finish_rejoin(ctx),
+        }
     }
 
-    fn stamp_repair(&self, report: &mut ClusterReport) {
-        report.repair_bytes = self.repair_bytes_sent;
-        report.repair_ns = match (self.repair_start_at, self.repair_done_at) {
-            (Some(s), Some(d)) => Some(d - s),
-            _ => None,
-        };
-        report.rejoin_bytes = self.rejoin_bytes_sent;
-        report.rejoin_ns = match (self.rejoin_start_at, self.rejoin_done_at) {
-            (Some(s), Some(d)) => Some(d - s),
-            _ => None,
-        };
-    }
-
+    /// Leaves the closed window's report in the world — once no repair
+    /// or rejoin stream is running, so it carries the true time-to-repair
+    /// — with the stream and service fields stamped.
     fn maybe_emit_report(&mut self, ctx: &mut Ctx<'_>) {
-        if self.repair_active || self.rejoin_active {
+        if self.repair.active || self.rejoin.active {
             return;
         }
-        if let Some(mut report) = self.report_pending.take() {
-            self.stamp_repair(&mut report);
-            ctx.world().insert(ClusterOutcome(report));
-        }
+        let Some(mut report) = self.report_pending.take() else {
+            return;
+        };
+        report.repair_bytes = self.repair.bytes_sent;
+        report.repair_ns = self.repair.elapsed_ns();
+        report.rejoin_bytes = self.rejoin.bytes_sent;
+        report.rejoin_ns = self.rejoin.elapsed_ns();
+        self.svc.stamp(&mut report);
+        ctx.world().insert(ClusterOutcome(report));
     }
 
     // ------------------------------------------------------------------
@@ -1506,10 +1589,12 @@ impl ClusterDriver {
     // ------------------------------------------------------------------
 
     /// The crashed node's configured restart time arrived: it comes back
-    /// *empty*. With the health layer on it enters `Joining` (alive to
-    /// probes, unroutable) and anti-entropy repair begins; with the layer
-    /// off — the ablation — it simply starts serving again, lifecycle
-    /// unmanaged.
+    /// *empty*, so every leg it swallowed (the probes may not have
+    /// declared it Dead yet) fails over now. With the health layer on it
+    /// enters `Joining` (alive to probes, unroutable), the service gathers
+    /// what survivors can hand it, and anti-entropy repair begins; with
+    /// the layer off — the ablation — it simply starts serving again,
+    /// lifecycle unmanaged.
     fn on_restart(&mut self, ctx: &mut Ctx<'_>, node: usize) {
         assert!(self.crashed[node], "restart of a node that never crashed");
         self.crashed[node] = false;
@@ -1517,10 +1602,22 @@ impl ClusterDriver {
         // again from scratch.
         self.repair_started[node] = false;
         ctx.world().stats.counter("cluster.node_restart").add(1);
-        if !self.cfg.health.enabled {
+        let managed = self.cfg.health.enabled;
+        if managed {
+            self.health.begin_join(node);
+        }
+        self.evacuate(ctx, node);
+        if !managed {
             return;
         }
-        self.health.begin_join(node);
+        let donors: Vec<bool> = (0..self.nodes.len())
+            .map(|d| {
+                d != node
+                    && !self.crashed[d]
+                    && !matches!(self.health.state(d), NodeState::Dead | NodeState::Joining)
+            })
+            .collect();
+        self.svc.on_restart(ctx, &self.ring, node, &donors);
         self.start_rejoin(ctx, node);
     }
 
@@ -1529,9 +1626,8 @@ impl ClusterDriver {
     /// source and drain as a bandwidth-capped chunk stream, exactly like
     /// re-replication but pointed at the rejoining node.
     fn start_rejoin(&mut self, ctx: &mut Ctx<'_>, node: usize) {
-        let object_bytes = self.cfg.sizes.mean_estimate().ceil() as u64;
         let mut transfers: BTreeMap<usize, u64> = BTreeMap::new();
-        for object in 0..self.cfg.objects {
+        for (object, object_bytes) in self.svc.objects() {
             let replicas = self.ring.replicas(object);
             if !replicas.contains(&node) {
                 continue;
@@ -1544,63 +1640,25 @@ impl ClusterDriver {
             *transfers.entry(src).or_insert(0) += object_bytes;
         }
         self.rejoin_node = Some(node);
-        self.rejoin_start_at = Some(ctx.now());
+        self.rejoin.start_at = Some(ctx.now());
         if transfers.is_empty() {
             // Nothing to copy (degenerate ring): the node joins at once.
             self.finish_rejoin(ctx);
             return;
         }
-        let was_active = self.rejoin_active;
-        for (src, bytes) in transfers {
-            self.rejoin_queue.push_back((src, node, bytes));
-        }
-        self.rejoin_active = true;
-        if !was_active {
-            ctx.send_now(ctx.self_id(), RejoinChunk);
-        }
-    }
-
-    fn on_rejoin_chunk(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(&(src, dst, remaining)) = self.rejoin_queue.front() else {
-            return;
-        };
-        let chunk = remaining.min(self.cfg.health.repair_chunk_bytes as u64);
-        let delivered = self
-            .switch
-            .node_to_node(ctx.now(), src, dst, chunk as usize);
-        self.rejoin_last_delivery = self.rejoin_last_delivery.max(delivered);
-        self.rejoin_bytes_sent += chunk;
-        if remaining > chunk {
-            self.rejoin_queue.front_mut().expect("front still queued").2 = remaining - chunk;
-        } else {
-            self.rejoin_queue.pop_front();
-        }
-        if self.rejoin_queue.is_empty() {
-            ctx.send_at(self.rejoin_last_delivery, ctx.self_id(), RejoinDone);
-        } else {
-            let pace = Bandwidth::gbps(self.cfg.health.rejoin_gbps)
-                .transfer_time(chunk as usize)
-                .max(1);
-            ctx.send_self_in(pace, RejoinChunk);
-        }
-    }
-
-    fn on_rejoin_done(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.rejoin_queue.is_empty() {
-            self.on_rejoin_chunk(ctx);
-            return;
-        }
-        self.finish_rejoin(ctx);
+        let transfers = transfers.into_iter().map(|(src, b)| (src, node, b));
+        self.enqueue(ctx, StreamKind::Rejoin, transfers);
     }
 
     /// Anti-entropy complete: the node leaves `Joining` through the
     /// unified resume path and becomes routable again.
     fn finish_rejoin(&mut self, ctx: &mut Ctx<'_>) {
         let node = self.rejoin_node.take().expect("a rejoin was running");
-        self.rejoin_active = false;
-        self.rejoin_done_at = Some(ctx.now());
+        self.rejoin.active = false;
+        self.rejoin.done_at = Some(ctx.now());
         self.health.complete_join(node);
-        self.resume_node(ctx, node, ResumeKind::Rejoined);
+        self.svc.on_rejoined(ctx, node);
+        self.resume_node(ctx, node, "cluster.node_rejoined");
         self.maybe_emit_report(ctx);
     }
 
@@ -1608,7 +1666,7 @@ impl ClusterDriver {
     // Window close and the report.
     // ------------------------------------------------------------------
 
-    fn free_leg(&mut self, r: &InFlight) {
+    fn free_leg(&mut self, r: &InFlight<S::Op>) {
         self.outstanding[r.node] -= 1;
         self.free_slots[r.node].push(r.slot);
     }
@@ -1682,14 +1740,18 @@ impl ClusterDriver {
             self.free_leg(&r);
             self.job_to_req.retain(|_, v| *v != req);
             if !partner_completes {
-                self.note_denied(r.is_get, Some(r.node), r.arrival, true);
+                let pend = Pending {
+                    req: r.req,
+                    arrival: r.arrival,
+                    retries_left: 0,
+                };
+                self.note_denied(&pend, Some(r.node), true);
             }
         }
         for node in 0..self.nodes.len() {
             if self.stuck(node) {
-                let parked: Vec<Pending> = self.queues[node].drain(..).collect();
-                for pend in parked {
-                    self.note_denied(pend.is_get, Some(node), pend.arrival, true);
+                for (_, pend) in self.queues[node].drain() {
+                    self.note_denied(&pend, Some(node), true);
                 }
             }
         }
@@ -1697,7 +1759,7 @@ impl ClusterDriver {
         // Parked requests on healthy nodes are abandoned: nothing was
         // submitted for them.
         for q in &mut self.queues {
-            q.clear();
+            q.drain();
         }
         let span = ctx.now() - self.measure_start;
         let stats = ctx.world_ref().get::<CpuStats>();
@@ -1730,30 +1792,29 @@ impl ClusterDriver {
                 .map(|t| t.as_nanos().saturating_sub(self.fault_at_abs)),
             slow_evictions: self.slow_evictions,
             slow_readmissions: self.slow_readmissions,
+            cache_hits: self.cache_hits,
+            cache_misses: self.cache_misses,
             latency: self.latency.clone(),
             per_node: self.per_node.clone(),
+            per_tenant: self.per_tenant.clone(),
             ..ClusterReport::default()
         };
         if !self.cfg.node_faults.is_empty() {
             report.phases = Some(self.phases(ctx.now().as_nanos()));
         }
-        if self.repair_active || self.rejoin_active {
-            // Repair or rejoin outlives the window: emit once the stream
-            // drains so the report can carry the true time-to-repair.
-            self.report_pending = Some(report);
-        } else {
-            self.stamp_repair(&mut report);
-            ctx.world().insert(ClusterOutcome(report));
-        }
+        self.report_pending = Some(report);
+        self.maybe_emit_report(ctx);
     }
 }
 
-impl Component for ClusterDriver {
+impl<S: Service> Component for ClusterDriver<S> {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         let msg = match msg.downcast::<Start>() {
             Ok(Start) => {
-                let gap = (self.rng.gen_exp(self.mean_interarrival_ns) as u64).max(1);
-                ctx.send_self_in(gap, Arrival);
+                for stream in 0..self.svc.streams() {
+                    let gap = self.svc.gap_ns(stream);
+                    ctx.send_self_in(gap, Arrival { stream });
+                }
                 ctx.send_self_in(self.cfg.warmup_ns, WarmupOver);
                 ctx.send_self_in(self.cfg.duration_ns, WindowOver);
                 if let Some(d) = self.cfg.degrade {
@@ -1803,11 +1864,11 @@ impl Component for ClusterDriver {
             Err(m) => m,
         };
         let msg = match msg.downcast::<Arrival>() {
-            Ok(Arrival) => {
+            Ok(Arrival { stream }) => {
                 if !self.window_closed {
-                    self.on_arrival(ctx);
-                    let gap = (self.rng.gen_exp(self.mean_interarrival_ns) as u64).max(1);
-                    ctx.send_self_in(gap, Arrival);
+                    self.on_arrival(ctx, stream);
+                    let gap = self.svc.gap_ns(stream);
+                    ctx.send_self_in(gap, Arrival { stream });
                 }
                 return;
             }
@@ -1892,23 +1953,9 @@ impl Component for ClusterDriver {
             }
             Err(m) => m,
         };
-        let msg = match msg.downcast::<HangOver>() {
-            Ok(HangOver { node }) => {
-                self.resume_node(ctx, node, ResumeKind::Revived);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<FailSlowOver>() {
-            Ok(FailSlowOver { node }) => {
-                self.fail_slow[node] = None;
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<LinkRestore>() {
-            Ok(LinkRestore { node }) => {
-                self.switch.set_node_speed_factor(node, 1.0);
+        let msg = match msg.downcast::<NodeFaultOver>() {
+            Ok(NodeFaultOver { idx }) => {
+                self.on_node_fault_over(ctx, idx);
                 return;
             }
             Err(m) => m,
@@ -1920,16 +1967,16 @@ impl Component for ClusterDriver {
             }
             Err(m) => m,
         };
-        let msg = match msg.downcast::<RejoinChunk>() {
-            Ok(RejoinChunk) => {
-                self.on_rejoin_chunk(ctx);
+        let msg = match msg.downcast::<StreamChunk>() {
+            Ok(StreamChunk(kind)) => {
+                self.on_stream_chunk(ctx, kind);
                 return;
             }
             Err(m) => m,
         };
-        let msg = match msg.downcast::<RejoinDone>() {
-            Ok(RejoinDone) => {
-                self.on_rejoin_done(ctx);
+        let msg = match msg.downcast::<StreamDone>() {
+            Ok(StreamDone(kind)) => {
+                self.on_stream_done(ctx, kind);
                 return;
             }
             Err(m) => m,
@@ -1937,20 +1984,6 @@ impl Component for ClusterDriver {
         let msg = match msg.downcast::<HedgeFire>() {
             Ok(HedgeFire { req }) => {
                 self.on_hedge_fire(ctx, req);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<RepairChunk>() {
-            Ok(RepairChunk) => {
-                self.on_repair_chunk(ctx);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<RepairDone>() {
-            Ok(RepairDone) => {
-                self.on_repair_done(ctx);
                 return;
             }
             Err(m) => m,

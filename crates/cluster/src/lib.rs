@@ -9,14 +9,16 @@
 //! top-of-rack switch ([`TorSwitch`]) with per-port serialization, fixed
 //! switching latency, and output queueing.
 //!
-//! In front of the rack sits a [`ClusterDriver`]: an open-loop traffic
-//! generator scaling the Swift-style GET/PUT mix to the cluster's offered
-//! load, a consistent-hash object shard map with R-way replication
-//! ([`HashRing`]), a pluggable load balancer ([`LbPolicy`]: round-robin,
-//! least-outstanding, join-shortest-queue over a GET's replica set), and
-//! per-node admission control (bounded outstanding + bounded queue, then
-//! shed) so overload degrades tail latency gracefully instead of
-//! collapsing.
+//! In front of the rack sits a [`ClusterDriver`], the one request
+//! lifecycle every workload runs through: a consistent-hash object shard
+//! map with R-way replication ([`HashRing`]), a pluggable load balancer
+//! ([`LbPolicy`]: round-robin, least-outstanding, join-shortest-queue
+//! over a read's replica set), and per-node admission control (bounded
+//! outstanding + a bounded [`QosQueue`], then shed) so overload degrades
+//! tail latency gracefully instead of collapsing. What the requests are
+//! comes from a [`Service`]: [`SwiftMix`] scales the Swift-style GET/PUT
+//! mix to the cluster's offered load, and `dcs-store` plugs in YCSB
+//! tenants with node read caches through the same trait.
 //!
 //! Everything composes with the fault layer from `dcs-sim`: a
 //! [`FaultPlan`] injects wire/flash/PCIe faults inside
@@ -24,13 +26,15 @@
 //! queue-aware policies observe the backlog and reroute, which is the
 //! cluster-level payoff the `repro cluster` sweep quantifies.
 //!
-//! Whole-node failures ([`NodeFault`]: crashes and hangs) are handled by
-//! the failure-tolerance layer in [`health`]: heartbeat probing over the
-//! switch's strict-priority control lane, a per-node circuit breaker,
-//! replica failover with bounded retries, hedged GETs, PUT fallback to
-//! surviving replicas, and bandwidth-capped re-replication of the dead
-//! node's shards — the `repro cluster-failover` sweep measures detection
-//! time, availability through the failure, and time-to-repair.
+//! Whole-node failures ([`NodeFault`]: crashes, hangs and gray failures)
+//! are handled by the failure-tolerance layer in [`health`], for every
+//! service alike: heartbeat probing over the switch's strict-priority
+//! control lane, a per-node circuit breaker, replica failover with
+//! bounded retries, hedged reads, write fallback to surviving replicas,
+//! differential slow-node detection, bandwidth-capped re-replication of
+//! the dead node's shards, and the crash-restart rejoin lifecycle — the
+//! `repro cluster-failover` sweep measures detection time, availability
+//! through the failure, and time-to-repair.
 //!
 //! ```
 //! use dcs_cluster::{run_cluster, ClusterConfig, LbPolicy};
@@ -48,7 +52,9 @@
 pub mod driver;
 pub mod health;
 pub mod policy;
+pub mod qos;
 pub mod report;
+pub mod service;
 pub mod shard;
 pub mod switch;
 
@@ -57,11 +63,13 @@ pub use health::{
     BreakerState, HealthConfig, HealthMonitor, NodeState, SlowTransition, Transition,
 };
 pub use policy::{LbPolicy, NodeLoad};
+pub use qos::{FairQueue, QosPolicy, QosQueue};
 pub use report::{ClusterReport, NodePerf, PhasePerf, TenantPerf};
+pub use service::{CacheDecision, Request, Service, SwiftMix};
 pub use shard::HashRing;
 pub use switch::{Lane, SwitchConfig, TorSwitch};
 
-use dcs_sim::{ComponentId, FaultPlan, Simulator};
+use dcs_sim::{ComponentId, FaultPlan, Rng, Simulator};
 use dcs_workloads::build_testbed_nodes;
 
 /// A built (but not yet run) cluster.
@@ -76,13 +84,30 @@ pub struct Cluster {
 
 /// Builds the cluster: N server/access node pairs (named `n{i}` /
 /// `n{i}-fe`, which keys their CPU-stats pools), the optional fault plan,
-/// and the started front end. Device bring-up is settled before traffic
-/// begins.
+/// and the started front end serving the Swift mix. Device bring-up is
+/// settled before traffic begins.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.nodes` is zero.
 pub fn build_cluster(cfg: &ClusterConfig) -> Cluster {
+    build_frontend(cfg, "n", "cluster-frontend", |rng| SwiftMix::new(cfg, rng))
+}
+
+/// The bring-up every front end shares: N server/access node pairs named
+/// `{prefix}{i}` / `{prefix}{i}-fe`, the optional fault plan, and a
+/// started [`ClusterDriver`] called `name` serving the service `make`
+/// builds from the front end's forked RNG.
+///
+/// # Panics
+///
+/// Panics if `cfg.nodes` is zero.
+pub fn build_frontend<S: Service>(
+    cfg: &ClusterConfig,
+    prefix: &str,
+    name: &str,
+    make: impl FnOnce(Rng) -> S,
+) -> Cluster {
     assert!(cfg.nodes > 0, "a cluster needs at least one node");
     let mut sim = Simulator::new(cfg.seed);
     let mut nodes = Vec::with_capacity(cfg.nodes);
@@ -91,8 +116,8 @@ pub fn build_cluster(cfg: &ClusterConfig) -> Cluster {
             &mut sim,
             cfg.design,
             &cfg.testbed,
-            &format!("n{i}"),
-            &format!("n{i}-fe"),
+            &format!("{prefix}{i}"),
+            &format!("{prefix}{i}-fe"),
         );
         nodes.push(ClusterNode { server, access });
     }
@@ -105,14 +130,33 @@ pub fn build_cluster(cfg: &ClusterConfig) -> Cluster {
     }
     let rng = sim.world_mut().rng.fork();
     let frontend = sim.add(
-        "cluster-frontend",
-        ClusterDriver::new(cfg.clone(), nodes.clone(), rng),
+        name,
+        ClusterDriver::new(cfg.clone(), nodes.clone(), make(rng)),
     );
     sim.kickoff(frontend, driver::Start);
     Cluster {
         sim,
         frontend,
         nodes,
+    }
+}
+
+impl Cluster {
+    /// Runs the built cluster to completion and returns the measured
+    /// report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation fails to drain (a stuck request) or no
+    /// report was produced.
+    pub fn run(mut self) -> ClusterReport {
+        self.sim.run();
+        assert!(self.sim.is_idle(), "cluster simulation must drain");
+        self.sim
+            .world_mut()
+            .remove::<ClusterOutcome>()
+            .expect("cluster run leaves a report in the world")
+            .0
     }
 }
 
@@ -124,13 +168,5 @@ pub fn build_cluster(cfg: &ClusterConfig) -> Cluster {
 /// Panics if the simulation fails to drain (a stuck request) or no report
 /// was produced.
 pub fn run_cluster(cfg: &ClusterConfig) -> ClusterReport {
-    let mut cluster = build_cluster(cfg);
-    cluster.sim.run();
-    assert!(cluster.sim.is_idle(), "cluster simulation must drain");
-    cluster
-        .sim
-        .world_mut()
-        .remove::<ClusterOutcome>()
-        .expect("cluster run leaves a report in the world")
-        .0
+    build_cluster(cfg).run()
 }

@@ -8,14 +8,11 @@
 //! so the cluster's consistent-hash ring, replication, and flash layout
 //! apply unchanged while namespaces stay disjoint by construction.
 
-use dcs_cluster::SwitchConfig;
+use dcs_cluster::{ClusterConfig, LbPolicy, NodeFault, QosPolicy, SwitchConfig};
 use dcs_workloads::ycsb::YcsbWorkload;
 use dcs_workloads::{DesignUnderTest, TestbedConfig};
 
 use crate::cache::CacheConfig;
-use crate::qos::QosPolicy;
-
-use dcs_cluster::LbPolicy;
 
 /// Bits of the global object id holding the per-tenant key.
 pub const KEY_BITS: u32 = 48;
@@ -109,26 +106,35 @@ pub struct StoreConfig {
     pub testbed: TestbedConfig,
     /// Simulation seed (drives every tenant's arrivals and key draws).
     pub seed: u64,
-    /// Optional fail-stop crash of one node mid-run.
-    pub crash: Option<Crash>,
+    /// Whole-node failures to inject. The store runs the rack's default
+    /// health layer: probes detect a crash, in-flight requests fail over,
+    /// and a restarted node rejoins through anti-entropy repair with its
+    /// cache warmed from the survivors' entries at committed versions.
+    pub node_faults: Vec<NodeFault>,
 }
 
-/// A fail-stop whole-node crash: at `at_ns` the node stops dead, its
-/// in-flight requests fail over to surviving replicas (one retry), and
-/// its read cache is discarded.
-#[derive(Clone, Copy, Debug)]
-pub struct Crash {
-    /// Node to crash.
-    pub node: usize,
-    /// When to crash it (ns after traffic start).
-    pub at_ns: u64,
-    /// When to restart it (ns after traffic start; must exceed `at_ns`).
-    /// The node comes back with a cold cache and spends a *joining*
-    /// window — excluded from routing — while survivors stream it a
-    /// cache warm-up (their resident entries for objects it replicates,
-    /// at committed versions); only then does it take traffic again.
-    /// `None` leaves the node down for good.
-    pub restart_at_ns: Option<u64>,
+impl StoreConfig {
+    /// The lifecycle half of the config: everything the cluster front
+    /// end runs with. The Swift-mix traffic fields keep their defaults
+    /// and go unused; the store's tenants draw the traffic.
+    pub(crate) fn cluster_config(&self) -> ClusterConfig {
+        ClusterConfig {
+            nodes: self.nodes,
+            design: self.design,
+            policy: self.policy,
+            replication: self.replication,
+            vnodes_per_node: self.vnodes_per_node,
+            duration_ns: self.duration_ns,
+            warmup_ns: self.warmup_ns,
+            max_outstanding: self.max_outstanding,
+            queue_cap: self.queue_cap,
+            switch: self.switch.clone(),
+            testbed: self.testbed.clone(),
+            seed: self.seed,
+            node_faults: self.node_faults.clone(),
+            ..ClusterConfig::default()
+        }
+    }
 }
 
 impl Default for StoreConfig {
@@ -149,7 +155,7 @@ impl Default for StoreConfig {
             switch: SwitchConfig::default(),
             testbed: TestbedConfig::default(),
             seed: 0x570E,
-            crash: None,
+            node_faults: vec![],
         }
     }
 }

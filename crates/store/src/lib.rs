@@ -19,12 +19,21 @@
 //!   report's `stale_served` tripwire counts any would-be violation.
 //! * **QoS** — when a node saturates, parked requests are ordered by
 //!   start-time weighted fair queueing with per-tenant bounds
-//!   ([`FairQueue`]), so a noisy neighbor cannot starve a compliant
+//!   ([`FairQueue`](qos::FairQueue)), so a noisy neighbor cannot starve a compliant
 //!   tenant of queue space or dispatch share; FIFO is the ablation arm.
 //!   Latency-critical tenants may additionally ride the ToR's
 //!   strict-priority lane ([`Lane::Priority`](dcs_cluster::Lane)). Each
 //!   tenant's p50/p99/p999 and SLO attainment land in the
 //!   [`ClusterReport`]'s per-tenant rows.
+//!
+//! The crate has no request lifecycle of its own. [`StoreService`] is a
+//! [`Service`](dcs_cluster::Service) run by the rack's
+//! [`ClusterDriver`](dcs_cluster::ClusterDriver), so the store gets the
+//! rack's health layer unchanged: [`StoreConfig::node_faults`] crashes
+//! are detected by heartbeat probes, in-flight requests fail over, reads
+//! are hedged, fail-slow nodes are caught by the differential detector,
+//! and a restarted node rejoins with its cache warmed from the
+//! survivors'.
 //!
 //! ```
 //! use dcs_store::{run_store, StoreConfig, TenantSpec};
@@ -44,62 +53,31 @@
 
 pub mod api;
 pub mod cache;
-pub mod driver;
-pub mod qos;
+pub mod service;
+/// Admission queueing, shared with the rack: it lives in `dcs-cluster`.
+pub use dcs_cluster::qos;
 
-pub use api::{object_id, Crash, StoreConfig, TenantSpec};
+pub use api::{object_id, StoreConfig, TenantSpec};
 pub use cache::{Admission, CacheConfig, ReadCache};
-pub use driver::{StoreDriver, StoreOutcome};
-pub use qos::{FairQueue, QosPolicy, QosQueue};
+pub use service::StoreService;
 
-use dcs_cluster::{ClusterNode, ClusterReport};
-use dcs_sim::{ComponentId, Simulator};
-use dcs_workloads::build_testbed_nodes;
+use dcs_cluster::{build_frontend, Cluster, ClusterOutcome, ClusterReport};
 
-/// A built (but not yet run) store.
-pub struct Store {
-    /// The simulator holding every node and the front end.
-    pub sim: Simulator,
-    /// The front-end driver component.
-    pub frontend: ComponentId,
-    /// The nodes, indexed consistently with the shard map and report.
-    pub nodes: Vec<ClusterNode>,
-}
+/// The finished store report, left in the world like the rack's.
+pub type StoreOutcome = ClusterOutcome;
 
 /// Builds the store: N server/access node pairs (named `s{i}` / `s{i}-fe`,
-/// which keys their CPU-stats pools) and the started front end. Device
-/// bring-up is settled before traffic begins.
+/// which keys their CPU-stats pools) and the started front end, through
+/// the cluster's bring-up. Device bring-up is settled before traffic
+/// begins.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.nodes` is zero or `cfg.tenants` is empty.
-pub fn build_store(cfg: &StoreConfig) -> Store {
-    assert!(cfg.nodes > 0, "a store needs at least one node");
-    let mut sim = Simulator::new(cfg.seed);
-    let mut nodes = Vec::with_capacity(cfg.nodes);
-    for i in 0..cfg.nodes {
-        let (server, access) = build_testbed_nodes(
-            &mut sim,
-            cfg.design,
-            &cfg.testbed,
-            &format!("s{i}"),
-            &format!("s{i}-fe"),
-        );
-        nodes.push(ClusterNode { server, access });
-    }
-    // Settle bring-up (queue attach, ring config) before traffic starts.
-    sim.run();
-    let rng = sim.world_mut().rng.fork();
-    let frontend = sim.add(
-        "store-frontend",
-        StoreDriver::new(cfg.clone(), nodes.clone(), rng),
-    );
-    sim.kickoff(frontend, driver::Start);
-    Store {
-        sim,
-        frontend,
-        nodes,
-    }
+pub fn build_store(cfg: &StoreConfig) -> Cluster {
+    build_frontend(&cfg.cluster_config(), "s", "store-frontend", |rng| {
+        StoreService::new(cfg, rng)
+    })
 }
 
 /// Builds the store, runs it to completion, and returns the measured
@@ -109,15 +87,7 @@ pub fn build_store(cfg: &StoreConfig) -> Store {
 ///
 /// Panics if the simulation fails to drain or no report was produced.
 pub fn run_store(cfg: &StoreConfig) -> ClusterReport {
-    let mut store = build_store(cfg);
-    store.sim.run();
-    assert!(store.sim.is_idle(), "store simulation must drain");
-    store
-        .sim
-        .world_mut()
-        .remove::<StoreOutcome>()
-        .expect("store run leaves a report in the world")
-        .0
+    build_store(cfg).run()
 }
 
 #[cfg(test)]

@@ -347,3 +347,69 @@ fn cluster_gray_fault_schedule_replays_byte_identically() {
         "a gray site must trip the differential detector"
     );
 }
+
+#[test]
+fn store_fault_schedule_replays_byte_identically() {
+    // The store runs the same probe-driven lifecycle as the rack: a
+    // fail-slow node the differential detector must catch, plus a crash
+    // whose node restarts and rejoins (failover, anti-entropy, cache
+    // warm set). With caches, version commits and per-tenant rows on
+    // top, the whole run must replay byte-identically from the seed.
+    use dcs_ctrl::cluster::NodeFault;
+    use dcs_ctrl::sim::time;
+    use dcs_ctrl::store::cache::{Admission, CacheConfig};
+    use dcs_ctrl::store::{run_store, StoreConfig, TenantSpec};
+    use dcs_ctrl::workloads::ycsb::YcsbWorkload;
+
+    let mut reads = TenantSpec::new("reads", YcsbWorkload::B);
+    reads.keys = 512;
+    reads.offered_gbps = 4.0;
+    let mut updates = TenantSpec::new("updates", YcsbWorkload::A);
+    updates.keys = 256;
+    updates.offered_gbps = 2.0;
+    let cfg = StoreConfig {
+        nodes: 4,
+        tenants: vec![reads, updates],
+        cache: CacheConfig {
+            capacity_bytes: 32 << 20,
+            admission: Admission::ScanResistant,
+        },
+        duration_ns: time::ms(24),
+        warmup_ns: time::ms(2),
+        seed: 0x5707,
+        node_faults: vec![
+            NodeFault::FailSlow {
+                node: 2,
+                at_ns: time::ms(3),
+                for_ns: time::ms(8),
+                factor: 10,
+            },
+            NodeFault::Crash {
+                node: 1,
+                at_ns: time::ms(5),
+                restart_at_ns: Some(time::ms(11)),
+            },
+        ],
+        ..StoreConfig::default()
+    };
+    let a = run_store(&cfg);
+    let b = run_store(&cfg);
+    assert_eq!(
+        a.render("store"),
+        b.render("store"),
+        "same seed, same report"
+    );
+    assert_eq!(format!("{a:?}"), format!("{b:?}"), "every field replays");
+    // The schedule did real damage and real work.
+    assert!(
+        a.requests > 100,
+        "the run must do real work: {}",
+        a.requests
+    );
+    assert!(
+        a.slow_detection_ns.is_some(),
+        "the slow node must be caught"
+    );
+    assert!(a.rejoin_ns.is_some(), "the crashed node must rejoin");
+    assert_eq!(a.stale_served, 0);
+}

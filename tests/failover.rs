@@ -1,9 +1,10 @@
 //! Node-failure tolerance, end to end: whole-node crashes and hangs
 //! against the health layer (probe detection, circuit breaker, replica
 //! failover, hedged GETs, PUT fallback, and re-replication), plus the
-//! store layer's correctness-under-crash acceptance: cached reads must
-//! never serve stale bytes across writes, crash or no crash, and the
-//! full YCSB sweep must be byte-identical across double runs.
+//! store layer's correctness-under-failure acceptance on the same
+//! probe-driven layer: cached reads must never serve stale bytes across
+//! writes, through a detected crash, a rejoin or a fail-slow node, and
+//! the full YCSB sweep must be byte-identical across double runs.
 //!
 //! Asserts the acceptance properties of the `repro cluster-failover`
 //! sweep: detection within the suspicion-timeout bound, high availability
@@ -16,7 +17,7 @@ use dcs_ctrl::cluster::{run_cluster, ClusterConfig, HealthConfig, LbPolicy, Node
 use dcs_ctrl::sim::time;
 use dcs_ctrl::store::cache::{Admission, CacheConfig};
 use dcs_ctrl::store::qos::QosPolicy;
-use dcs_ctrl::store::{run_store, Crash, StoreConfig, TenantSpec};
+use dcs_ctrl::store::{run_store, StoreConfig, TenantSpec};
 use dcs_ctrl::workloads::gen::SizeDistribution;
 use dcs_ctrl::workloads::ycsb::YcsbWorkload;
 
@@ -314,10 +315,37 @@ fn crashed_node_rejoins_repairs_and_serves_again() {
     );
 }
 
+#[test]
+fn restart_before_detection_fails_over_what_the_node_swallowed() {
+    // The node restarts 1 ms after crashing, well inside the probe
+    // detection bound, so it is never declared Dead and never swept by
+    // `on_node_dead`. It comes back empty: every leg it swallowed must
+    // fail over at the restart instead of staying in flight forever.
+    let r = run_cluster(&ClusterConfig {
+        nodes: 4,
+        offered_gbps_per_node: 4.0,
+        duration_ns: time::ms(16),
+        node_faults: vec![NodeFault::Crash {
+            node: 1,
+            at_ns: time::ms(5),
+            restart_at_ns: Some(time::ms(6)),
+        }],
+        ..ClusterConfig::default()
+    });
+    assert_eq!(r.detection_ns, None, "restarted before detection");
+    assert!(
+        r.retried + r.lost > 0,
+        "the swallowed legs must resolve (retried {} lost {})",
+        r.retried,
+        r.lost
+    );
+}
+
 /// An update-heavy cached store with a mid-run node crash. Every PUT
 /// commit bumps the object's version and invalidates every node's cache
-/// entry; a crash additionally discards the dead node's cache wholesale
-/// and fails its in-flight requests over to surviving replicas.
+/// entry; a crash additionally discards the dead node's cache wholesale,
+/// and once the probes declare the node Dead its in-flight requests fail
+/// over to surviving replicas.
 fn crashed_store_cfg() -> StoreConfig {
     let mut t = TenantSpec::new("ab", YcsbWorkload::A);
     t.keys = 256;
@@ -331,11 +359,11 @@ fn crashed_store_cfg() -> StoreConfig {
         },
         duration_ns: time::ms(12),
         warmup_ns: time::ms(2),
-        crash: Some(Crash {
+        node_faults: vec![NodeFault::Crash {
             node: 1,
             at_ns: time::ms(5),
             restart_at_ns: None,
-        }),
+        }],
         ..StoreConfig::default()
     }
 }
@@ -354,6 +382,10 @@ fn cached_store_never_serves_stale_bytes_through_a_crash() {
         r.retried,
         r.lost
     );
+    // The store has no oracle: the rack's probes find the crash.
+    let detect = r.detection_ns.expect("the probes must detect the crash");
+    let bound = HealthConfig::default().detection_bound_ns();
+    assert!(detect <= bound, "detected in {detect} ns, bound {bound} ns");
     // The acceptance property: version-checked lookups plus invalidation
     // at commit mean a cached GET can never return bytes older than the
     // last committed PUT — the tripwire counts any would-be violation,
@@ -368,32 +400,75 @@ fn cached_store_never_serves_stale_bytes_through_a_crash() {
 
 #[test]
 fn restarted_store_node_rejoins_warm_and_serves_no_stale_bytes() {
-    // Same crash, but the node comes back mid-window: it must re-enter
-    // empty, stream its shards *and* a cache warm-up set from survivors,
-    // and the staleness tripwire must stay at zero through all of it —
-    // a warm-up entry admitted at a stale version would trip it on the
-    // first version-checked GET.
-    // (Shard anti-entropy — `rejoin_bytes` — is the cluster layer's
-    // mechanism, covered above; the store layer's restart contribution
-    // is the versioned cache warm-up.)
-    let r = run_store(&StoreConfig {
-        crash: Some(Crash {
+    // Same crash, but the node comes back at 8 ms — before the probes
+    // could declare it Dead — so the restart itself fails over what it
+    // swallowed. It must re-enter empty, stream its shards back from
+    // survivors (anti-entropy), take a cache warm set at committed
+    // versions, and serve again; the staleness tripwire must stay at
+    // zero through all of it — a warm entry admitted at a stale version
+    // would trip it on the first version-checked GET. The window runs to
+    // 24 ms so the ~2 MiB anti-entropy stream lands with time to spare.
+    let long = |restart_at_ns| StoreConfig {
+        duration_ns: time::ms(24),
+        node_faults: vec![NodeFault::Crash {
             node: 1,
             at_ns: time::ms(5),
-            restart_at_ns: Some(time::ms(8)),
-        }),
+            restart_at_ns,
+        }],
         ..crashed_store_cfg()
-    });
-    assert!(r.warmup_bytes > 0, "the cache warm-up set must stream");
+    };
+    let r = run_store(&long(Some(time::ms(8))));
+    let stays_down = run_store(&long(None));
     assert!(
-        r.per_node[1].requests > 0,
-        "the rejoined node must serve requests again"
+        r.retried + r.lost > 0,
+        "the restart resolves swallowed legs"
+    );
+    assert!(r.rejoin_bytes > 0, "the shards must stream back");
+    assert!(r.rejoin_ns.is_some(), "the rejoin must complete");
+    assert!(r.warmup_bytes > 0, "the cache warm set must be admitted");
+    assert!(
+        r.per_node[1].requests > stays_down.per_node[1].requests,
+        "the rejoined node must serve requests again ({} vs {} staying down)",
+        r.per_node[1].requests,
+        stays_down.per_node[1].requests
     );
     assert_eq!(
         r.stale_served,
         0,
         "stale bytes served after rejoin: {}",
         r.render("rejoin")
+    );
+}
+
+#[test]
+fn fail_slow_store_node_is_marked_slow_and_serves_no_stale_bytes() {
+    // A gray failure under the store: node 1 serves 10× slower while
+    // still acking every probe. The rack's differential detector must
+    // mark it Slow (never Dead), and the version-checked cache must stay
+    // stale-free while traffic shifts away from it.
+    let r = run_store(&StoreConfig {
+        duration_ns: time::ms(20),
+        node_faults: vec![NodeFault::FailSlow {
+            node: 1,
+            at_ns: time::ms(3),
+            for_ns: time::ms(14),
+            factor: 10,
+        }],
+        ..crashed_store_cfg()
+    });
+    let detect = r
+        .slow_detection_ns
+        .expect("the differential detector must catch the slow node");
+    let bound = HealthConfig::default().slow_detection_bound_ns();
+    assert!(detect <= bound, "slow in {detect} ns, bound {bound} ns");
+    assert!(r.slow_evictions > 0);
+    assert_eq!(r.detection_ns, None, "a slow node is never declared dead");
+    assert!(r.put_ok > 0 && r.cache_hits > 0, "{}", r.render("slow"));
+    assert_eq!(
+        r.stale_served,
+        0,
+        "stale bytes served around a slow node: {}",
+        r.render("slow")
     );
 }
 
