@@ -10,7 +10,8 @@
 //! from the full runs). `--list` prints the experiment names, one per
 //! line, and exits. `--profile` adds a host-time profile of the
 //! cluster-64 run to the `engine` experiment: wall time inside
-//! `Component::handle` per component kind and payload type.
+//! `Component::handle` per component kind and payload type (the
+//! `engine` JSON report always carries it).
 //! `--trace-out FILE` additionally runs a traced request mix and writes
 //! Chrome trace-event JSON (open in Perfetto).
 //! `--json-out DIR` writes machine-readable `BENCH_<exp>.json` files for
@@ -114,7 +115,8 @@ fn main() {
                 let mut out = dcs_bench::engine::render(quick);
                 if profile {
                     out.push('\n');
-                    out.push_str(&dcs_bench::engine::render_profile(quick));
+                    let rows = dcs_bench::engine::profile(quick);
+                    out.push_str(&dcs_bench::engine::render_profile(&rows));
                 }
                 out
             }
@@ -160,8 +162,9 @@ fn main() {
         }
         if wanted.contains(&"engine") {
             let rows = dcs_bench::engine::collect(quick);
+            let profile = dcs_bench::engine::profile(quick);
             let path = format!("{dir}/BENCH_engine.json");
-            let body = dcs_bench::engine::json_report(&rows, quick).render();
+            let body = dcs_bench::engine::json_report(&rows, &profile, quick).render();
             if let Err(e) = fs::write(&path, body) {
                 eprintln!("cannot write {path}: {e}");
                 exit(1);

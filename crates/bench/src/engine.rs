@@ -17,7 +17,9 @@
 //!   GET/PUT traffic over the ToR switch) at the old sweep ceiling and
 //!   at the scale ROADMAP item 1 asks for.
 //!
-//! `repro engine --json-out .` writes `BENCH_engine.json`. Wall-clock
+//! `repro engine --json-out .` writes `BENCH_engine.json`, which also
+//! carries the cluster-64 host-time profile (`profile`: component,
+//! payload, calls and wall_ns per row, heaviest first). Wall-clock
 //! numbers vary across machines, so the committed file is *not*
 //! byte-compared; instead `crates/bench/tests/bench_engine_json.rs`
 //! checks the schema, regenerates the machine-independent fields
@@ -26,7 +28,7 @@
 //! fan-out speedup to the ≥5× acceptance floor.
 
 use dcs_cluster::{build_cluster, ClusterConfig, ClusterOutcome};
-use dcs_sim::{Component, ComponentId, Ctx, Json, Msg, SimTime, Simulator};
+use dcs_sim::{Component, ComponentId, Ctx, Json, Msg, ProfileRow, SimTime, Simulator};
 
 /// One scenario measured on one calendar.
 #[derive(Clone, Debug)]
@@ -255,14 +257,17 @@ pub fn run_cluster_n(nodes: usize, quick: bool, reference_heap: bool) -> Scenari
 
 /// Host-time profile of the cluster-64 scenario (timing wheel): where
 /// the dispatch loop's wall time goes, per component kind and payload
-/// type, heaviest first (`repro engine --profile`).
-pub fn render_profile(quick: bool) -> String {
-    const TOP: usize = 24;
-    let cfg = cluster_config(64, quick);
-    let mut cluster = build_cluster(&cfg);
+/// type, heaviest first.
+pub fn profile(quick: bool) -> Vec<ProfileRow> {
+    let mut cluster = build_cluster(&cluster_config(64, quick));
     cluster.sim.enable_host_profile();
     cluster.sim.run();
-    let rows = cluster.sim.host_profile();
+    cluster.sim.host_profile()
+}
+
+/// Renders [`profile`] rows as the `repro engine --profile` table.
+pub fn render_profile(rows: &[ProfileRow]) -> String {
+    const TOP: usize = 24;
     let total: u64 = rows.iter().map(|r| r.wall_ns).sum();
     let mut out = format!(
         "Host-time profile — cluster-64, wall time inside Component::handle ({:.3} s total)\n\n",
@@ -360,8 +365,18 @@ fn scenario_json(r: &ScenarioResult) -> Json {
     ])
 }
 
-/// The machine-readable report (`BENCH_engine.json`).
-pub fn json_report(rows: &[ScenarioPair], quick: bool) -> Json {
+fn profile_json(r: &ProfileRow) -> Json {
+    Json::Obj(vec![
+        ("component".into(), Json::Str(r.component.clone())),
+        ("payload".into(), Json::Str(r.payload.clone())),
+        ("calls".into(), Json::Int(r.calls as i128)),
+        ("wall_ns".into(), Json::Int(r.wall_ns as i128)),
+    ])
+}
+
+/// The machine-readable report (`BENCH_engine.json`): the scenario
+/// pairs and the cluster-64 host-time profile.
+pub fn json_report(rows: &[ScenarioPair], profile: &[ProfileRow], quick: bool) -> Json {
     Json::Obj(vec![
         ("experiment".into(), Json::Str("engine".into())),
         ("quick".into(), Json::Bool(quick)),
@@ -379,6 +394,10 @@ pub fn json_report(rows: &[ScenarioPair], quick: bool) -> Json {
                     })
                     .collect(),
             ),
+        ),
+        (
+            "profile".into(),
+            Json::Arr(profile.iter().map(profile_json).collect()),
         ),
     ])
 }

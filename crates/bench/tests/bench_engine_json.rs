@@ -7,7 +7,9 @@
 //! machine-independent fields (`events`, `sim_ns` — identical on every
 //! host by determinism, re-derived here for the cheap scenario), and
 //! the acceptance floor ROADMAP item 1 set: the wheel must beat the
-//! heap by ≥5× on fan-out. On an intentional change, regenerate with:
+//! heap by ≥5× on fan-out. The cluster-64 host-time profile rides along
+//! and is held to its schema and its heaviest-first order. On an
+//! intentional change, regenerate with:
 //!
 //! ```text
 //! cargo run --release -p dcs-bench --bin repro -- engine --quick --json-out .
@@ -80,6 +82,35 @@ fn committed_report_keeps_its_schema() {
             "{name} carries a speedup"
         );
     }
+}
+
+#[test]
+fn committed_profile_keeps_its_schema_heaviest_first() {
+    let report = committed();
+    let rows = report
+        .get("profile")
+        .and_then(Json::as_arr)
+        .expect("profile array");
+    assert!(!rows.is_empty(), "the cluster-64 profile has rows");
+    let mut walls = Vec::new();
+    for row in rows {
+        for field in ["component", "payload"] {
+            let name = row.get(field).and_then(Json::as_str);
+            assert!(name.is_some_and(|n| !n.is_empty()), "row {field}: {row:?}");
+        }
+        let calls = row.get("calls").and_then(Json::as_i128).expect("calls");
+        let wall_ns = row.get("wall_ns").and_then(Json::as_i128).expect("wall_ns");
+        assert!(calls > 0 && wall_ns >= 0, "row counts: {row:?}");
+        walls.push(wall_ns);
+    }
+    assert!(
+        walls.windows(2).all(|w| w[0] >= w[1]),
+        "profile rows must be heaviest first: {walls:?}"
+    );
+    // Node prefixes are folded into component kinds.
+    assert!(rows
+        .iter()
+        .any(|r| r.get("component").and_then(Json::as_str) == Some("hdc-engine")));
 }
 
 #[test]

@@ -11,22 +11,88 @@
 //! The API mirrors `HashMap`/`HashSet` closely enough that migrating a
 //! field is a type change plus an import. Differences worth knowing:
 //!
-//! * `remove` is O(n) in the number of live entries (it preserves the
-//!   order of the survivors). Device tables here hold tens of in-flight
-//!   entries, so this is irrelevant in practice.
+//! * Entries live in an insertion-ordered slot vector. `remove` and
+//!   `pop_first` leave a tombstone in the entry's slot instead of
+//!   shifting its successors, so both are amortized O(1) and the
+//!   survivors keep their order. Once tombstones outnumber live entries
+//!   the vector is compacted in one pass, so it never holds more than
+//!   twice the live entries (plus one) and iteration stays O(len).
 //! * Re-inserting an existing key replaces the value but keeps the
 //!   key's original position, exactly like `HashMap`.
 //! * Iteration order is part of the contract and is tested.
+//! * The key → slot index is hashed with a small fixed multiply-rotate
+//!   hasher, not SipHash: the index is never iterated, so its hash
+//!   affects only speed, never behaviour.
 //!
 //! `dcs-lint` enforces that simulation crates use these types instead
 //! of the std hash containers (rule `hash-collection`).
 
-// dcs-lint: allow-file(hash-collection) — this module wraps HashMap; the interior index is lookup-only and every iteration goes through the insertion-ordered Vec
+// dcs-lint: allow-file(hash-collection) — this module wraps HashMap; the interior index is lookup-only and every iteration goes through the insertion-ordered slot Vec
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// The index's hasher: one multiply-rotate round per machine word
+/// (the FxHash construction), with the final rotate moving the
+/// product's well-mixed high bits down to where the table takes its
+/// bucket index, so page-aligned addresses do not collide.
+#[derive(Clone, Copy, Default)]
+struct IndexHasher {
+    hash: u64,
+}
+
+impl IndexHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for IndexHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(tail));
+        }
+    }
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
+type Index<K> = HashMap<K, usize, BuildHasherDefault<IndexHasher>>;
 
 /// A hash map that iterates in insertion order.
 ///
@@ -34,17 +100,23 @@ use std::hash::Hash;
 /// used in this workspace; see the module docs for the differences.
 #[derive(Clone)]
 pub struct DetMap<K, V> {
-    /// key -> position in `entries`. Never iterated.
-    index: HashMap<K, usize>,
-    /// Live entries in insertion order.
-    entries: Vec<(K, V)>,
+    /// key -> slot in `slots`. Never iterated.
+    index: Index<K>,
+    /// Entries in insertion order; `None` is a removed entry's tombstone.
+    slots: Vec<Option<(K, V)>>,
+    /// Live (`Some`) slots.
+    live: usize,
+    /// Every slot before `head` is a tombstone.
+    head: usize,
 }
 
 impl<K, V> Default for DetMap<K, V> {
     fn default() -> Self {
         DetMap {
-            index: HashMap::new(),
-            entries: Vec::new(),
+            index: Index::default(),
+            slots: Vec::new(),
+            live: 0,
+            head: 0,
         }
     }
 }
@@ -58,35 +130,88 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
     /// Creates an empty map with room for `cap` entries.
     pub fn with_capacity(cap: usize) -> Self {
         DetMap {
-            index: HashMap::with_capacity(cap),
-            entries: Vec::with_capacity(cap),
+            index: Index::with_capacity_and_hasher(cap, Default::default()),
+            slots: Vec::with_capacity(cap),
+            live: 0,
+            head: 0,
         }
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// True when the map holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
     }
 
     /// Removes every entry.
     pub fn clear(&mut self) {
         self.index.clear();
-        self.entries.clear();
+        self.slots.clear();
+        self.live = 0;
+        self.head = 0;
+    }
+
+    /// The live entry in slot `i` (the index only points at live slots).
+    fn slot(&self, i: usize) -> &(K, V) {
+        self.slots[i].as_ref().expect("index points at a live slot")
+    }
+
+    fn slot_mut(&mut self, i: usize) -> &mut (K, V) {
+        self.slots[i].as_mut().expect("index points at a live slot")
+    }
+
+    /// Appends a new key (the caller checked it is absent); returns its
+    /// slot.
+    fn push(&mut self, key: K, value: V) -> usize {
+        let i = self.slots.len();
+        self.index.insert(key.clone(), i);
+        self.slots.push(Some((key, value)));
+        self.live += 1;
+        i
+    }
+
+    /// Tombstones slot `i` (already dropped from the index) and returns
+    /// its entry, compacting once tombstones outnumber live entries.
+    fn take(&mut self, i: usize) -> (K, V) {
+        let entry = self.slots[i].take().expect("index points at a live slot");
+        self.live -= 1;
+        if self.slots.len() - self.live > self.live {
+            self.compact();
+        }
+        entry
+    }
+
+    /// Drops every tombstone, keeping the survivors' order, and points
+    /// the index at their new slots.
+    fn compact(&mut self) {
+        self.slots.retain(Option::is_some);
+        self.head = 0;
+        for (i, slot) in self.slots.iter().enumerate() {
+            let (key, _) = slot.as_ref().expect("tombstones retained away");
+            *self.index.get_mut(key).expect("live key is indexed") = i;
+        }
+    }
+
+    /// The live slots, in insertion order.
+    fn entries(&self) -> impl Iterator<Item = &(K, V)> + '_ {
+        self.slots[self.head..].iter().flatten()
+    }
+
+    fn entries_mut(&mut self) -> impl Iterator<Item = &mut (K, V)> + '_ {
+        self.slots[self.head..].iter_mut().flatten()
     }
 
     /// Inserts `value` under `key`, returning the previous value if the
     /// key was present. An existing key keeps its insertion position.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         match self.index.get(&key) {
-            Some(&i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Some(&i) => Some(std::mem::replace(&mut self.slot_mut(i).1, value)),
             None => {
-                self.index.insert(key.clone(), self.entries.len());
-                self.entries.push((key, value));
+                self.push(key, value);
                 None
             }
         }
@@ -98,7 +223,7 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
         K: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        self.index.get(key).map(|&i| &self.entries[i].1)
+        self.index.get(key).map(|&i| &self.slot(i).1)
     }
 
     /// Mutably borrows the value for `key`, if present.
@@ -108,7 +233,7 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
         Q: Eq + Hash + ?Sized,
     {
         match self.index.get(key) {
-            Some(&i) => Some(&mut self.entries[i].1),
+            Some(&i) => Some(&mut self.slot_mut(i).1),
             None => None,
         }
     }
@@ -123,37 +248,30 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
     }
 
     /// Removes `key`, returning its value if it was present. The
-    /// relative order of the surviving entries is preserved (O(n)).
+    /// relative order of the surviving entries is preserved (amortized
+    /// O(1)).
     pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
     where
         K: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
         let i = self.index.remove(key)?;
-        let (_, value) = self.entries.remove(i);
-        // Positions after the hole shift left by one. Order-independent
-        // fix-up, so scanning the hash index here is benign.
-        // dcs-lint: allow(hash-iter) — order-independent position fix-up
-        for pos in self.index.values_mut() {
-            if *pos > i {
-                *pos -= 1;
-            }
-        }
-        Some(value)
+        Some(self.take(i).1)
     }
 
-    /// Removes and returns the oldest (first-inserted) entry.
+    /// Removes and returns the oldest (first-inserted) entry (amortized
+    /// O(1)).
     pub fn pop_first(&mut self) -> Option<(K, V)> {
-        if self.entries.is_empty() {
+        if self.live == 0 {
             return None;
         }
-        let (key, value) = self.entries.remove(0);
-        self.index.remove(&key);
-        // dcs-lint: allow(hash-iter) — order-independent position fix-up
-        for pos in self.index.values_mut() {
-            *pos -= 1;
+        while self.slots[self.head].is_none() {
+            self.head += 1;
         }
-        Some((key, value))
+        let i = self.head;
+        let (key, _) = self.slots[i].as_ref().expect("head is live");
+        self.index.remove(key);
+        Some(self.take(i))
     }
 
     /// The in-place entry API: `map.entry(k).or_insert(v)` etc.
@@ -163,43 +281,49 @@ impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
 
     /// Iterates `(key, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> + '_ {
-        self.entries.iter().map(|(k, v)| (k, v))
+        self.entries().map(|(k, v)| (k, v))
     }
 
     /// Iterates `(key, mut value)` pairs in insertion order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> + '_ {
-        self.entries.iter_mut().map(|(k, v)| (&*k, v))
+        self.entries_mut().map(|(k, v)| (&*k, v))
     }
 
     /// Iterates keys in insertion order.
     pub fn keys(&self) -> impl Iterator<Item = &K> + '_ {
-        self.entries.iter().map(|(k, _)| k)
+        self.entries().map(|(k, _)| k)
     }
 
     /// Iterates values in insertion order.
     pub fn values(&self) -> impl Iterator<Item = &V> + '_ {
-        self.entries.iter().map(|(_, v)| v)
+        self.entries().map(|(_, v)| v)
     }
 
     /// Iterates mutable values in insertion order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
-        self.entries.iter_mut().map(|(_, v)| v)
+        self.entries_mut().map(|(_, v)| v)
     }
 
     /// Keeps only the entries for which `keep` returns true, preserving
     /// the order of the survivors.
     pub fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
-        self.entries.retain_mut(|(k, v)| keep(k, v));
-        self.index.clear();
-        for (i, (k, _)) in self.entries.iter().enumerate() {
-            self.index.insert(k.clone(), i);
+        for slot in &mut self.slots[self.head..] {
+            if let Some((k, v)) = slot {
+                if !keep(k, v) {
+                    self.index.remove(k);
+                    *slot = None;
+                    self.live -= 1;
+                }
+            }
         }
+        self.compact();
     }
 
     /// Empties the map, yielding the entries in insertion order.
     pub fn drain(&mut self) -> impl Iterator<Item = (K, V)> {
-        self.index.clear();
-        std::mem::take(&mut self.entries).into_iter()
+        let slots = std::mem::take(&mut self.slots);
+        self.clear();
+        slots.into_iter().flatten()
     }
 }
 
@@ -221,17 +345,23 @@ impl<K: Eq + Hash + Clone, V> FromIterator<(K, V)> for DetMap<K, V> {
 
 impl<K: Eq + Hash + Clone, V> IntoIterator for DetMap<K, V> {
     type Item = (K, V);
-    type IntoIter = std::vec::IntoIter<(K, V)>;
+    type IntoIter = std::iter::Flatten<std::vec::IntoIter<Option<(K, V)>>>;
     fn into_iter(self) -> Self::IntoIter {
-        self.entries.into_iter()
+        self.slots.into_iter().flatten()
     }
 }
 
 impl<'a, K: Eq + Hash + Clone, V> IntoIterator for &'a DetMap<K, V> {
     type Item = (&'a K, &'a V);
-    type IntoIter = std::iter::Map<std::slice::Iter<'a, (K, V)>, fn(&'a (K, V)) -> (&'a K, &'a V)>;
+    type IntoIter = std::iter::Map<
+        std::iter::Flatten<std::slice::Iter<'a, Option<(K, V)>>>,
+        fn(&'a (K, V)) -> (&'a K, &'a V),
+    >;
     fn into_iter(self) -> Self::IntoIter {
-        self.entries.iter().map(|(k, v)| (k, v))
+        self.slots[self.head..]
+            .iter()
+            .flatten()
+            .map(|(k, v)| (k, v))
     }
 }
 
@@ -262,7 +392,7 @@ impl<K: Eq + Hash + Clone, V: Eq> Eq for DetMap<K, V> {}
 impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for DetMap<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map()
-            .entries(self.entries.iter().map(|(k, v)| (k, v)))
+            .entries(self.slots.iter().flatten().map(|(k, v)| (k, v)))
             .finish()
     }
 }
@@ -283,20 +413,15 @@ impl<'a, K: Eq + Hash + Clone, V> Entry<'a, K, V> {
     pub fn or_insert_with(self, make: impl FnOnce() -> V) -> &'a mut V {
         let i = match self.map.index.get(&self.key) {
             Some(&i) => i,
-            None => {
-                let i = self.map.entries.len();
-                self.map.index.insert(self.key.clone(), i);
-                self.map.entries.push((self.key, make()));
-                i
-            }
+            None => self.map.push(self.key, make()),
         };
-        &mut self.map.entries[i].1
+        &mut self.map.slot_mut(i).1
     }
 
     /// Mutates the value in place if the key is occupied.
     pub fn and_modify(self, f: impl FnOnce(&mut V)) -> Self {
         if let Some(&i) = self.map.index.get(&self.key) {
-            f(&mut self.map.entries[i].1);
+            f(&mut self.map.slot_mut(i).1);
         }
         self
     }
@@ -359,6 +484,11 @@ impl<T: Eq + Hash + Clone> DetSet<T> {
         self.map.remove(value).is_some()
     }
 
+    /// Removes and returns the oldest (first-inserted) element.
+    pub fn pop_first(&mut self) -> Option<T> {
+        self.map.pop_first().map(|(value, ())| value)
+    }
+
     /// Iterates elements in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
         self.map.keys()
@@ -388,7 +518,8 @@ impl<T: Eq + Hash + Clone> FromIterator<T> for DetSet<T> {
 
 impl<T: Eq + Hash + Clone> IntoIterator for DetSet<T> {
     type Item = T;
-    type IntoIter = std::iter::Map<std::vec::IntoIter<(T, ())>, fn((T, ())) -> T>;
+    type IntoIter =
+        std::iter::Map<std::iter::Flatten<std::vec::IntoIter<Option<(T, ())>>>, fn((T, ())) -> T>;
     fn into_iter(self) -> Self::IntoIter {
         self.map.into_iter().map(|(k, ())| k)
     }
@@ -403,7 +534,7 @@ impl<T: Eq + Hash + Clone + PartialEq> PartialEq for DetSet<T> {
 impl<T: fmt::Debug> fmt::Debug for DetSet<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set()
-            .entries(self.map.entries.iter().map(|(k, _)| k))
+            .entries(self.map.slots.iter().flatten().map(|(k, _)| k))
             .finish()
     }
 }
@@ -518,8 +649,83 @@ mod tests {
         assert!(s.remove(&9));
         assert!(!s.remove(&9));
         assert_eq!(s.len(), 1);
+        s.insert(6);
+        assert_eq!(s.pop_first(), Some(4));
+        assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![6]);
         s.retain(|_| false);
         assert!(s.is_empty());
+    }
+
+    /// Random operation sequences against a `Vec<(K, V)>` model: after
+    /// every operation the map iterates the model's entries in order,
+    /// agrees on `len` and on every lookup, and holds at most
+    /// `2·len + 1` slots.
+    #[test]
+    fn matches_a_vec_model_under_random_operations() {
+        for seed in 0..8u64 {
+            let mut rng = crate::Rng::new(0xD37 + seed);
+            let mut map: DetMap<u32, u64> = DetMap::new();
+            let mut model: Vec<(u32, u64)> = Vec::new();
+            let pos = |model: &[(u32, u64)], k: u32| model.iter().position(|&(mk, _)| mk == k);
+            for step in 0..4_000u64 {
+                // Keys from a small universe, so re-inserts and hits on
+                // remove are common.
+                let k = rng.gen_range(0..96) as u32;
+                match rng.gen_range(0..100) {
+                    0..=34 => {
+                        let old = pos(&model, k).map(|i| std::mem::replace(&mut model[i].1, step));
+                        if old.is_none() {
+                            model.push((k, step));
+                        }
+                        assert_eq!(map.insert(k, step), old);
+                    }
+                    35..=59 => {
+                        let old = pos(&model, k).map(|i| model.remove(i).1);
+                        assert_eq!(map.remove(&k), old);
+                    }
+                    60..=74 => {
+                        let first = (!model.is_empty()).then(|| model.remove(0));
+                        assert_eq!(map.pop_first(), first);
+                    }
+                    75..=89 => {
+                        match pos(&model, k) {
+                            Some(i) => model[i].1 += 1,
+                            None => model.push((k, step)),
+                        }
+                        map.entry(k).and_modify(|v| *v += 1).or_insert(step);
+                    }
+                    90..=97 => {
+                        let modulus = rng.gen_range(2..5);
+                        model.retain(|&(mk, _)| u64::from(mk) % modulus != 0);
+                        map.retain(|&mk, _| u64::from(mk) % modulus != 0);
+                    }
+                    98 => {
+                        let drained: Vec<(u32, u64)> = map.drain().collect();
+                        assert_eq!(drained, std::mem::take(&mut model));
+                    }
+                    _ => {
+                        map.clear();
+                        model.clear();
+                    }
+                }
+                let pairs: Vec<(u32, u64)> = map.iter().map(|(&k, &v)| (k, v)).collect();
+                assert_eq!(pairs, model, "seed {seed} step {step}");
+                assert_eq!(map.len(), model.len());
+                assert_eq!(map.is_empty(), model.is_empty());
+                for probe in 0..96u32 {
+                    let want = pos(&model, probe).map(|i| &model[i].1);
+                    assert_eq!(map.get(&probe), want, "seed {seed} step {step} key {probe}");
+                }
+                assert!(
+                    map.slots.len() <= 2 * map.len() + 1,
+                    "{} slots for {} entries",
+                    map.slots.len(),
+                    map.len()
+                );
+            }
+            let owned: Vec<(u32, u64)> = map.into_iter().collect();
+            assert_eq!(owned, model);
+        }
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //!
 //! Two properties matter more than raw hit rate:
 //!
-//! * **Determinism.** Recency is a monotonic stamp per entry over a
-//!   [`DetMap`], and eviction scans for the minimum stamp (ties broken by
-//!   insertion order). No wall clock, no hash-order iteration — the same
-//!   request stream always produces the same evictions.
+//! * **Determinism.** Recency is the insertion order of a [`DetSet`] of
+//!   the resident keys: every touch moves its key to the back, so the
+//!   front is the least recently used key and eviction pops it in O(1).
+//!   The ghost list is a second such set. No wall clock, no hash-order
+//!   iteration — the same request stream always produces the same
+//!   evictions.
 //! * **Scan resistance.** A YCSB-E scan touches a long run of keys
 //!   exactly once; admitting them would flush the hot head for bytes that
 //!   will never be re-read. Under [`Admission::ScanResistant`], scan
@@ -27,7 +29,7 @@
 //! `stale_served` tripwire in the cluster report counts any mismatch that
 //! would have been served.
 
-use dcs_sim::DetMap;
+use dcs_sim::{DetMap, DetSet};
 
 /// What gets admitted into the cache on a successful flash read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -64,7 +66,6 @@ impl Default for CacheConfig {
 struct Entry {
     len: u64,
     version: u64,
-    stamp: u64,
 }
 
 /// One node's read cache. See the module docs for the policy.
@@ -73,10 +74,11 @@ pub struct ReadCache {
     capacity: u64,
     admission: Admission,
     bytes: u64,
-    clock: u64,
     entries: DetMap<u64, Entry>,
-    /// Keys seen exactly once (no bytes held), stamped for LRU trimming.
-    ghost: DetMap<u64, u64>,
+    /// The keys of `entries`, least recently used first.
+    recency: DetSet<u64>,
+    /// Keys seen exactly once (no bytes held), oldest first.
+    ghost: DetSet<u64>,
     ghost_cap: usize,
     /// Entries dropped because their version no longer matched.
     pub stale_evicted: u64,
@@ -95,28 +97,28 @@ impl ReadCache {
             capacity: cfg.capacity_bytes,
             admission: cfg.admission,
             bytes: 0,
-            clock: 0,
             entries: DetMap::new(),
-            ghost: DetMap::new(),
+            recency: DetSet::new(),
+            ghost: DetSet::new(),
             ghost_cap,
             stale_evicted: 0,
             scan_rejected: 0,
         }
     }
 
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
+    /// Marks resident `key` as the most recently used.
+    fn touch(&mut self, key: u64) {
+        self.recency.remove(&key);
+        self.recency.insert(key);
     }
 
     /// Looks `key` up, bumping its recency. Returns the version the value
     /// was admitted at; the caller decides whether that version is still
     /// servable.
     pub fn lookup(&mut self, key: u64) -> Option<u64> {
-        let stamp = self.tick();
-        let e = self.entries.get_mut(&key)?;
-        e.stamp = stamp;
-        Some(e.version)
+        let version = self.entries.get(&key)?.version;
+        self.touch(key);
+        Some(version)
     }
 
     /// Non-mutating probe (no recency bump): the version `key` is cached
@@ -131,15 +133,7 @@ impl ReadCache {
         if self.capacity == 0 || len == 0 || len > self.capacity {
             return;
         }
-        let stamp = self.tick();
-        if let Some(e) = self.entries.get_mut(&key) {
-            // Already resident: refresh version and recency in place.
-            let old = e.len;
-            e.len = len;
-            e.version = version;
-            e.stamp = stamp;
-            self.bytes = self.bytes - old + len;
-            self.evict_to_fit(0);
+        if self.refresh(key, len, version) {
             return;
         }
         if self.admission == Admission::ScanResistant {
@@ -147,26 +141,15 @@ impl ReadCache {
                 self.scan_rejected += 1;
                 return;
             }
-            if self.ghost.remove(&key).is_none() {
+            if !self.ghost.remove(&key) {
                 // First touch: remember the key, hold no bytes.
-                let stamp = self.tick();
-                self.ghost.insert(key, stamp);
+                self.ghost.insert(key);
                 self.trim_ghost();
                 return;
             }
             // Second touch: fall through and admit.
         }
-        self.evict_to_fit(len);
-        let stamp = self.tick();
-        self.entries.insert(
-            key,
-            Entry {
-                len,
-                version,
-                stamp,
-            },
-        );
-        self.bytes += len;
+        self.insert_entry(key, len, version);
     }
 
     /// Snapshot of the resident set, insertion-ordered: `(key, len,
@@ -186,25 +169,29 @@ impl ReadCache {
         if self.capacity == 0 || len == 0 || len > self.capacity {
             return;
         }
-        let stamp = self.tick();
-        if let Some(e) = self.entries.get_mut(&key) {
-            let old = e.len;
-            e.len = len;
-            e.version = version;
-            e.stamp = stamp;
-            self.bytes = self.bytes - old + len;
-            self.evict_to_fit(0);
-            return;
+        if !self.refresh(key, len, version) {
+            self.insert_entry(key, len, version);
         }
+    }
+
+    /// Refreshes a resident `key`'s value, version and recency in place;
+    /// false when `key` is not resident.
+    fn refresh(&mut self, key: u64, len: u64, version: u64) -> bool {
+        let Some(e) = self.entries.get_mut(&key) else {
+            return false;
+        };
+        let old = std::mem::replace(e, Entry { len, version });
+        self.bytes = self.bytes - old.len + len;
+        self.touch(key);
+        self.evict_to_fit(0);
+        true
+    }
+
+    /// Makes room for, then inserts, a non-resident `key`.
+    fn insert_entry(&mut self, key: u64, len: u64, version: u64) {
         self.evict_to_fit(len);
-        self.entries.insert(
-            key,
-            Entry {
-                len,
-                version,
-                stamp,
-            },
-        );
+        self.entries.insert(key, Entry { len, version });
+        self.recency.insert(key);
         self.bytes += len;
     }
 
@@ -214,6 +201,7 @@ impl ReadCache {
         self.ghost.remove(&key);
         match self.entries.remove(&key) {
             Some(e) => {
+                self.recency.remove(&key);
                 self.bytes -= e.len;
                 true
             }
@@ -231,7 +219,8 @@ impl ReadCache {
     /// Empties the cache (the node crashed or was drained).
     pub fn clear(&mut self) {
         self.entries = DetMap::new();
-        self.ghost = DetMap::new();
+        self.recency = DetSet::new();
+        self.ghost = DetSet::new();
         self.bytes = 0;
     }
 
@@ -239,10 +228,8 @@ impl ReadCache {
     fn evict_to_fit(&mut self, incoming: u64) {
         while self.bytes + incoming > self.capacity {
             let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(&k, _)| k)
+                .recency
+                .pop_first()
                 .expect("over budget implies a resident entry");
             let e = self.entries.remove(&victim).expect("victim resident");
             self.bytes -= e.len;
@@ -251,13 +238,7 @@ impl ReadCache {
 
     fn trim_ghost(&mut self) {
         while self.ghost.len() > self.ghost_cap {
-            let victim = self
-                .ghost
-                .iter()
-                .min_by_key(|(_, &stamp)| stamp)
-                .map(|(&k, _)| k)
-                .expect("non-empty ghost");
-            self.ghost.remove(&victim);
+            self.ghost.pop_first();
         }
     }
 
@@ -384,6 +365,151 @@ mod tests {
         put(&mut c, 2, 8192); // bigger than the whole cache
         assert_eq!(c.lookup(1), Some(1), "resident set untouched");
         assert_eq!(c.lookup(2), None);
+    }
+
+    /// The policy as it was specified: a monotonic stamp per entry and
+    /// per ghost key, and a full scan for the minimum stamp whenever a
+    /// victim is needed.
+    struct MinStampScan {
+        capacity: u64,
+        admission: Admission,
+        ghost_cap: usize,
+        clock: u64,
+        bytes: u64,
+        /// `(key, len, version, stamp)` in insertion order.
+        entries: Vec<(u64, u64, u64, u64)>,
+        /// `(key, stamp)` in insertion order.
+        ghost: Vec<(u64, u64)>,
+    }
+
+    impl MinStampScan {
+        fn new(c: &ReadCache) -> Self {
+            MinStampScan {
+                capacity: c.capacity,
+                admission: c.admission,
+                ghost_cap: c.ghost_cap,
+                clock: 0,
+                bytes: 0,
+                entries: Vec::new(),
+                ghost: Vec::new(),
+            }
+        }
+
+        fn tick(&mut self) -> u64 {
+            self.clock += 1;
+            self.clock
+        }
+
+        fn lookup(&mut self, key: u64) -> Option<u64> {
+            let stamp = self.tick();
+            let e = self.entries.iter_mut().find(|e| e.0 == key)?;
+            e.3 = stamp;
+            Some(e.2)
+        }
+
+        fn admit(&mut self, key: u64, len: u64, version: u64, from_scan: bool, warm: bool) {
+            if self.capacity == 0 || len == 0 || len > self.capacity {
+                return;
+            }
+            let stamp = self.tick();
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == key) {
+                self.bytes = self.bytes - e.1 + len;
+                *e = (key, len, version, stamp);
+                self.evict_to_fit(0);
+                return;
+            }
+            if !warm && self.admission == Admission::ScanResistant {
+                if from_scan {
+                    return;
+                }
+                match self.ghost.iter().position(|g| g.0 == key) {
+                    Some(i) => {
+                        self.ghost.remove(i);
+                    }
+                    None => {
+                        let stamp = self.tick();
+                        self.ghost.push((key, stamp));
+                        while self.ghost.len() > self.ghost_cap {
+                            let oldest = (0..self.ghost.len()).min_by_key(|&i| self.ghost[i].1);
+                            self.ghost.remove(oldest.unwrap());
+                        }
+                        return;
+                    }
+                }
+            }
+            self.evict_to_fit(len);
+            let stamp = if warm { stamp } else { self.tick() };
+            self.entries.push((key, len, version, stamp));
+            self.bytes += len;
+        }
+
+        fn invalidate(&mut self, key: u64) {
+            self.ghost.retain(|g| g.0 != key);
+            if let Some(i) = self.entries.iter().position(|e| e.0 == key) {
+                self.bytes -= self.entries.remove(i).1;
+            }
+        }
+
+        fn evict_to_fit(&mut self, incoming: u64) {
+            while self.bytes + incoming > self.capacity {
+                let oldest = (0..self.entries.len()).min_by_key(|&i| self.entries[i].3);
+                self.bytes -= self.entries.remove(oldest.unwrap()).1;
+            }
+        }
+    }
+
+    /// Random admit/lookup/invalidate traffic against [`MinStampScan`]:
+    /// after every operation the resident set (in insertion order), the
+    /// ghost list and the byte count match, so every victim is the one
+    /// the minimum-stamp scan picks.
+    #[test]
+    fn victims_match_a_min_stamp_scan() {
+        for seed in 0..8u64 {
+            let mut rng = dcs_sim::Rng::new(0xCAC4E + seed);
+            let admission = if seed % 2 == 0 {
+                Admission::ScanResistant
+            } else {
+                Admission::AdmitAll
+            };
+            let mut c = cache(96 * 1024, admission);
+            let mut model = MinStampScan::new(&c);
+            let mut evictions = 0;
+            for step in 0..5_000 {
+                let key = rng.gen_range(0..300);
+                let before = c.warm_set();
+                match rng.gen_range(0..10) {
+                    0..=3 => {
+                        let (len, from_scan) = (rng.gen_range(512..16_384), rng.gen_bool(0.2));
+                        c.admit(key, len, 1, from_scan);
+                        model.admit(key, len, 1, from_scan, false);
+                    }
+                    4 => {
+                        let len = rng.gen_range(512..16_384);
+                        c.admit_warm(key, len, 2);
+                        model.admit(key, len, 2, false, true);
+                    }
+                    5..=8 => assert_eq!(c.lookup(key), model.lookup(key)),
+                    _ => {
+                        c.invalidate(key);
+                        model.invalidate(key);
+                    }
+                }
+                evictions += before
+                    .iter()
+                    .filter(|&&(k, _, _)| k != key && c.peek(k).is_none())
+                    .count();
+                let resident: Vec<(u64, u64, u64)> = model
+                    .entries
+                    .iter()
+                    .map(|&(k, l, v, _)| (k, l, v))
+                    .collect();
+                assert_eq!(c.warm_set(), resident, "seed {seed} step {step}");
+                let ghost: Vec<u64> = model.ghost.iter().map(|&(k, _)| k).collect();
+                assert_eq!(c.ghost.iter().copied().collect::<Vec<_>>(), ghost);
+                assert_eq!(c.bytes(), model.bytes);
+            }
+            assert!(evictions > 100, "seed {seed}: only {evictions} evictions");
+        }
     }
 
     #[test]
