@@ -109,10 +109,14 @@ fn main() {
 
     println!("DCS-ctrl reproduction harness (quick={quick})");
     println!("==============================================\n");
+    // The engine rows are costly (every arm runs several times), so the
+    // table and the JSON report share one collection.
+    let mut engine_rows = Vec::new();
     for w in &wanted {
         let out = match *w {
             "engine" => {
-                let mut out = dcs_bench::engine::render(quick);
+                engine_rows = dcs_bench::engine::collect(quick);
+                let mut out = dcs_bench::engine::render_rows(&engine_rows);
                 if profile {
                     out.push('\n');
                     let rows = dcs_bench::engine::profile(quick);
@@ -161,10 +165,9 @@ fn main() {
             exit(1);
         }
         if wanted.contains(&"engine") {
-            let rows = dcs_bench::engine::collect(quick);
             let profile = dcs_bench::engine::profile(quick);
             let path = format!("{dir}/BENCH_engine.json");
-            let body = dcs_bench::engine::json_report(&rows, &profile, quick).render();
+            let body = dcs_bench::engine::json_report(&engine_rows, &profile, quick).render();
             if let Err(e) = fs::write(&path, body) {
                 eprintln!("cannot write {path}: {e}");
                 exit(1);

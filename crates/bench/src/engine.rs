@@ -17,6 +17,12 @@
 //!   GET/PUT traffic over the ToR switch) at the old sweep ceiling and
 //!   at the scale ROADMAP item 1 asks for.
 //!
+//! [`collect`] runs every arm [`runs`] times (5 under `--quick`, 11
+//! otherwise), alternating which arm of a pair goes first, and reports
+//! each arm's median wall time with its quartiles; the speedup is the
+//! ratio of the medians. Single-shot arms were unreadable: host noise
+//! alone moved cluster-8 between 0.76× and 1.05×.
+//!
 //! `repro engine --json-out .` writes `BENCH_engine.json`, which also
 //! carries the cluster-64 host-time profile (`profile`: component,
 //! payload, calls and wall_ns per row, heaviest first). Wall-clock
@@ -43,11 +49,24 @@ pub struct ScenarioResult {
     pub batched: u64,
     /// Final simulated time of the run, ns (machine-independent).
     pub sim_ns: u64,
-    /// Wall-clock time of the measured window, ns.
+    /// Wall-clock time of the measured window, ns; the median when the
+    /// result folds several runs.
     pub wall_ns: u64,
+    /// Every run's wall time, ns, ascending.
+    pub walls: Vec<u64>,
 }
 
 impl ScenarioResult {
+    /// Quartile `q` of the runs' wall times, ns (`q = 2` is the
+    /// median), interpolating linearly between order statistics.
+    pub fn wall_quartile(&self, q: u64) -> u64 {
+        let w = &self.walls;
+        let quarters = (w.len() as u64 - 1) * q;
+        let lo = (quarters / 4) as usize;
+        let hi = (lo + 1).min(w.len() - 1);
+        w[lo] + (w[hi] - w[lo]) * (quarters % 4) / 4
+    }
+
     /// Delivered events per wall-clock second.
     pub fn events_per_sec(&self) -> f64 {
         self.events as f64 / (self.wall_ns.max(1) as f64 / 1e9)
@@ -56,6 +75,17 @@ impl ScenarioResult {
 
 /// A wheel/heap pair for one scenario.
 pub type ScenarioPair = (ScenarioResult, ScenarioResult);
+
+/// Host wall time `f` takes, in ns.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the benchmark measures host wall time of the kernel itself; nothing feeds back into simulation state"
+)]
+fn wall_ns_of(f: impl FnOnce()) -> u64 {
+    let start = std::time::Instant::now();
+    f();
+    start.elapsed().as_nanos() as u64
+}
 
 #[derive(Debug)]
 struct Ball;
@@ -100,10 +130,7 @@ pub fn run_ping_pong(quick: bool, reference_heap: bool) -> ScenarioResult {
         },
     );
     sim.kickoff(a, Ball);
-    // dcs-lint: allow(wall-clock) — the benchmark measures host wall time of the kernel itself; nothing feeds back into simulation state
-    let start = std::time::Instant::now();
-    sim.run();
-    let wall_ns = start.elapsed().as_nanos() as u64;
+    let wall_ns = wall_ns_of(|| sim.run());
     ScenarioResult {
         name: "ping-pong",
         scheduler: sim.scheduler_name(),
@@ -111,6 +138,7 @@ pub fn run_ping_pong(quick: bool, reference_heap: bool) -> ScenarioResult {
         batched: sim.batched_events(),
         sim_ns: sim.now().as_nanos(),
         wall_ns,
+        walls: vec![wall_ns],
     }
 }
 
@@ -190,13 +218,12 @@ pub fn run_fan_out(quick: bool, reference_heap: bool) -> ScenarioResult {
     }
     let delivered0 = sim.delivered_events();
     let batched0 = sim.batched_events();
-    // dcs-lint: allow(wall-clock) — the benchmark measures host wall time of the kernel itself; nothing feeds back into simulation state
-    let start = std::time::Instant::now();
-    for _ in 0..rounds {
-        round(&mut sim, t);
-        t += 512;
-    }
-    let wall_ns = start.elapsed().as_nanos() as u64;
+    let wall_ns = wall_ns_of(|| {
+        for _ in 0..rounds {
+            round(&mut sim, t);
+            t += 512;
+        }
+    });
     ScenarioResult {
         name: "fan-out",
         scheduler: sim.scheduler_name(),
@@ -204,6 +231,7 @@ pub fn run_fan_out(quick: bool, reference_heap: bool) -> ScenarioResult {
         batched: sim.batched_events() - batched0,
         sim_ns: sim.now().as_nanos(),
         wall_ns,
+        walls: vec![wall_ns],
     }
 }
 
@@ -229,10 +257,7 @@ pub fn run_cluster_n(nodes: usize, quick: bool, reference_heap: bool) -> Scenari
     }
     let bringup = cluster.sim.delivered_events();
     let batched0 = cluster.sim.batched_events();
-    // dcs-lint: allow(wall-clock) — the benchmark measures host wall time of the kernel itself; nothing feeds back into simulation state
-    let start = std::time::Instant::now();
-    cluster.sim.run();
-    let wall_ns = start.elapsed().as_nanos() as u64;
+    let wall_ns = wall_ns_of(|| cluster.sim.run());
     assert!(cluster.sim.is_idle(), "cluster benchmark must drain");
     let report = cluster
         .sim
@@ -252,6 +277,7 @@ pub fn run_cluster_n(nodes: usize, quick: bool, reference_heap: bool) -> Scenari
         batched: cluster.sim.batched_events() - batched0,
         sim_ns: cluster.sim.now().as_nanos(),
         wall_ns,
+        walls: vec![wall_ns],
     }
 }
 
@@ -299,31 +325,76 @@ pub fn render_profile(rows: &[ProfileRow]) -> String {
     out
 }
 
-/// Runs every scenario on both calendars: `(wheel, heap)` per entry.
+/// Runs of each arm [`collect`] folds into one result.
+pub fn runs(quick: bool) -> usize {
+    if quick {
+        5
+    } else {
+        11
+    }
+}
+
+/// Runs every scenario on both calendars, [`runs`] times per arm:
+/// `(wheel, heap)` per entry, each the median of its runs.
 pub fn collect(quick: bool) -> Vec<ScenarioPair> {
+    let n = runs(quick);
     vec![
-        (run_ping_pong(quick, false), run_ping_pong(quick, true)),
-        (run_fan_out(quick, false), run_fan_out(quick, true)),
-        (
-            run_cluster_n(8, quick, false),
-            run_cluster_n(8, quick, true),
-        ),
-        (
-            run_cluster_n(64, quick, false),
-            run_cluster_n(64, quick, true),
-        ),
+        median_pair(n, |heap| run_ping_pong(quick, heap)),
+        median_pair(n, |heap| run_fan_out(quick, heap)),
+        median_pair(n, |heap| run_cluster_n(8, quick, heap)),
+        median_pair(n, |heap| run_cluster_n(64, quick, heap)),
     ]
 }
 
-/// Wheel-over-heap wall-clock speedup for one scenario pair.
+/// Runs both arms of one scenario `n` times each, alternating which arm
+/// goes first so slow drift in host speed hits both alike.
+fn median_pair(n: usize, run: impl Fn(bool) -> ScenarioResult) -> ScenarioPair {
+    let (mut wheel, mut heap) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for i in 0..n {
+        if i % 2 == 0 {
+            wheel.push(run(false));
+            heap.push(run(true));
+        } else {
+            heap.push(run(true));
+            wheel.push(run(false));
+        }
+    }
+    (summarize(&wheel), summarize(&heap))
+}
+
+/// Folds one arm's runs into one result with their median wall time.
+/// The deterministic fields must agree run to run.
+fn summarize(runs: &[ScenarioResult]) -> ScenarioResult {
+    let first = &runs[0];
+    assert!(
+        runs.iter()
+            .all(|r| (r.events, r.batched, r.sim_ns) == (first.events, first.batched, first.sim_ns)),
+        "{} on {}: reruns must replay identically",
+        first.name,
+        first.scheduler
+    );
+    let mut walls: Vec<u64> = runs.iter().map(|r| r.wall_ns).collect();
+    walls.sort_unstable();
+    let mut folded = ScenarioResult {
+        walls,
+        ..first.clone()
+    };
+    folded.wall_ns = folded.wall_quartile(2);
+    folded
+}
+
+/// Wheel-over-heap wall-clock speedup for one scenario pair (a ratio
+/// of medians when the pair came from [`collect`]).
 pub fn speedup(pair: &ScenarioPair) -> f64 {
     pair.0.events_per_sec() / pair.1.events_per_sec().max(f64::MIN_POSITIVE)
 }
 
 /// Renders the engine table from collected rows.
 pub fn render_rows(rows: &[ScenarioPair]) -> String {
-    let mut out = String::from(
-        "Engine speed — simulation-kernel events/sec, timing wheel vs heap reference\n\n",
+    let mut out = format!(
+        "Engine speed — simulation-kernel events/sec, timing wheel vs heap reference \
+         (median of {} runs per arm)\n\n",
+        rows.first().map_or(0, |pair| pair.0.walls.len())
     );
     out.push_str(&format!(
         "  {:<12} {:>12} {:>14} {:>14} {:>9} {:>9}\n",
@@ -349,18 +420,16 @@ pub fn render_rows(rows: &[ScenarioPair]) -> String {
     out
 }
 
-/// Convenience wrapper: collect then render.
-pub fn render(quick: bool) -> String {
-    render_rows(&collect(quick))
-}
-
 fn scenario_json(r: &ScenarioResult) -> Json {
     Json::Obj(vec![
         ("scheduler".into(), Json::Str(r.scheduler.into())),
         ("events".into(), Json::Int(r.events as i128)),
         ("batched".into(), Json::Int(r.batched as i128)),
         ("sim_ns".into(), Json::Int(r.sim_ns as i128)),
+        ("runs".into(), Json::Int(r.walls.len() as i128)),
         ("wall_ns".into(), Json::Int(r.wall_ns as i128)),
+        ("wall_q1_ns".into(), Json::Int(r.wall_quartile(1) as i128)),
+        ("wall_q3_ns".into(), Json::Int(r.wall_quartile(3) as i128)),
         ("events_per_sec".into(), Json::Float(r.events_per_sec())),
     ])
 }
@@ -455,6 +524,25 @@ mod tests {
         assert!(calls > 0 && calls <= events, "{calls} of {events}");
         assert!(rows.iter().any(|r| r.component == "hdc-engine"));
         assert!(rows.iter().all(|r| !r.component.starts_with("n1-")));
+    }
+
+    #[test]
+    fn runs_fold_into_their_median_and_interpolated_quartiles() {
+        let base = run_ping_pong(true, false);
+        let runs: Vec<ScenarioResult> = [0, 100, 10, 90, 20, 80, 30, 70, 40, 60, 50]
+            .iter()
+            .map(|&wall_ns| ScenarioResult {
+                wall_ns,
+                ..base.clone()
+            })
+            .collect();
+        // Eleven runs: the quartiles fall halfway between order
+        // statistics 2|3 and 7|8.
+        let folded = summarize(&runs);
+        assert_eq!(folded.wall_ns, 50);
+        let quartiles = (folded.wall_quartile(1), folded.wall_quartile(3));
+        assert_eq!((quartiles, folded.walls.len()), ((25, 75), 11));
+        assert_eq!(summarize(&runs[..5]).wall_quartile(1), 10);
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! against a regeneration. Instead this suite holds the committed file
 //! to its contract: the schema downstream tooling keys on, the
 //! machine-independent fields (`events`, `sim_ns` — identical on every
-//! host by determinism, re-derived here for the cheap scenario), and
-//! the acceptance floor ROADMAP item 1 set: the wheel must beat the
-//! heap by ≥5× on fan-out. The cluster-64 host-time profile rides along
-//! and is held to its schema and its heaviest-first order. On an
-//! intentional change, regenerate with:
+//! host by determinism, re-derived here for the cheap scenario), the
+//! median-of-N wall times (each arm's median inside its quartiles, the
+//! speedup a ratio of medians), and the acceptance floor ROADMAP item 1
+//! set: the wheel must beat the heap by ≥5× on fan-out. The cluster-64
+//! host-time profile rides along and is held to its schema and its
+//! heaviest-first order. On an intentional change, regenerate with:
 //!
 //! ```text
 //! cargo run --release -p dcs-bench --bin repro -- engine --quick --json-out .
@@ -30,12 +31,15 @@ fn committed() -> Json {
 const SCENARIOS: [&str; 4] = ["ping-pong", "fan-out", "cluster-8", "cluster-64"];
 
 /// Per-arm fields every scenario entry must carry.
-const ARM_FIELDS: [&str; 6] = [
+const ARM_FIELDS: [&str; 9] = [
     "scheduler",
     "events",
     "batched",
     "sim_ns",
+    "runs",
     "wall_ns",
+    "wall_q1_ns",
+    "wall_q3_ns",
     "events_per_sec",
 ];
 
@@ -134,6 +138,47 @@ fn committed_arms_agree_on_machine_independent_fields() {
         }
         let events = wheel.get("events").and_then(Json::as_i128).unwrap();
         assert!(events > 0, "{name} delivered no events");
+    }
+}
+
+#[test]
+fn committed_wall_times_are_medians_of_alternating_runs() {
+    // Under --quick every arm runs 5 times; `wall_ns` is the median,
+    // bracketed by the quartiles, and the speedup is the ratio of the
+    // two arms' median event rates.
+    let report = committed();
+    for scenario in report.get("scenarios").and_then(Json::as_arr).unwrap() {
+        let name = scenario.get("name").and_then(Json::as_str).unwrap();
+        let mut rates = Vec::new();
+        for arm in ["wheel", "heap"] {
+            let arm_obj = scenario.get(arm).unwrap();
+            let field = |f: &str| arm_obj.get(f).and_then(Json::as_i128).unwrap();
+            assert_eq!(
+                field("runs"),
+                dcs_bench::engine::runs(true) as i128,
+                "{name}.{arm}"
+            );
+            let (q1, median, q3) = (field("wall_q1_ns"), field("wall_ns"), field("wall_q3_ns"));
+            assert!(
+                0 < q1 && q1 <= median && median <= q3,
+                "{name}.{arm}: quartiles {q1} <= {median} <= {q3}"
+            );
+            let rate = arm_obj
+                .get("events_per_sec")
+                .and_then(Json::as_f64)
+                .unwrap();
+            let expected = field("events") as f64 / (median as f64 / 1e9);
+            assert!(
+                (rate / expected - 1.0).abs() < 1e-9,
+                "{name}.{arm}: events_per_sec comes from the median wall time"
+            );
+            rates.push(rate);
+        }
+        let speedup = scenario.get("speedup").and_then(Json::as_f64).unwrap();
+        assert!(
+            (speedup / (rates[0] / rates[1]) - 1.0).abs() < 1e-9,
+            "{name}: speedup is the ratio of the median rates"
+        );
     }
 }
 

@@ -753,7 +753,10 @@ impl HdcEngine {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one device operation's full geometry, unpacked from its scoreboard entry"
+    )]
     fn issue_nvme(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -764,13 +767,13 @@ impl HdcEngine {
         buf: PhysAddr,
         is_write: bool,
     ) {
-        // Split at the drive's max transfer size (MDTS; the PRP-list page
-        // bounds one command at 2 MiB — we split at 1 MiB like Linux).
-        const MDTS: usize = 1 << 20;
+        // Split at the drive's advertised max transfer size (MDTS; the
+        // PRP-list page bounds one command at 2 MiB).
+        let mdts = self.nvme[ssd].handle.max_transfer;
         let padded = len.div_ceil(LBA_SIZE as usize).max(1) * LBA_SIZE as usize;
         let chunks: Vec<(u64, usize)> = (0..padded)
-            .step_by(MDTS)
-            .map(|off| (off as u64, MDTS.min(padded - off)))
+            .step_by(mdts)
+            .map(|off| (off as u64, mdts.min(padded - off)))
             .collect();
         self.nvme_subops.insert(at, (chunks.len(), false));
         let (doorbell, tail) = {
@@ -872,7 +875,10 @@ impl HdcEngine {
     /// absolute stream offset (the reliability protocol's per-segment
     /// cursor); fault-free sends keep the seed at zero, byte-identical to
     /// the non-recovering engine. Also the retransmission path.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one device operation's full geometry, unpacked from its scoreboard entry"
+    )]
     fn push_send_descs(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -887,13 +893,13 @@ impl HdcEngine {
         let (flow, _) = *self.connections.get(&conn).expect("validated at admit");
         // Split at the NIC's LSO limit; the entry completes with its last
         // descriptor.
-        const LSO_MAX: usize = 64 * 1024;
+        let lso_max = self.nic.handle.max_lso;
         let chunks: Vec<(u64, usize)> = if len == 0 {
             vec![(0, 0)]
         } else {
             (0..len)
-                .step_by(LSO_MAX)
-                .map(|off| (off as u64, LSO_MAX.min(len - off)))
+                .step_by(lso_max)
+                .map(|off| (off as u64, lso_max.min(len - off)))
                 .collect()
         };
         let n = chunks.len();

@@ -151,7 +151,10 @@ impl HdcLibrary {
     /// # Errors
     ///
     /// Returns [`ApiError`] on permission or range violations.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the paper's library call, which takes each argument separately"
+    )]
     pub fn sendfile_processed(
         &mut self,
         file: &FileDesc,
@@ -201,7 +204,10 @@ impl HdcLibrary {
     /// # Errors
     ///
     /// Returns [`ApiError`] on permission or range violations.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the paper's library call, which takes each argument separately"
+    )]
     pub fn recvfile_processed(
         &mut self,
         socket: &SocketDesc,

@@ -371,13 +371,14 @@ impl HostNicDriver {
         }
     }
 
-    /// Stages the send's descriptors (splitting at the LSO limit, as real
-    /// TSO does — one skb per 64 KiB) and rings the transmit doorbell.
+    /// Stages the send's descriptors (splitting at the NIC's LSO limit,
+    /// as real TSO does — one skb per 64 KiB by default) and rings the
+    /// transmit doorbell.
     /// Also the retransmission path: re-pushing the same descriptors
     /// replays the same frames, which the receiver deduplicates by
     /// stream offset.
     fn push_send_descs(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        const LSO_MAX: usize = 64 * 1024;
+        let lso_max = self.nic.max_lso;
         let (flow, seq0, ack0, payload_addr, len) = {
             let s = &self.sends[&id];
             (
@@ -392,8 +393,8 @@ impl HostNicDriver {
             vec![(0, 0)]
         } else {
             (0..len)
-                .step_by(LSO_MAX)
-                .map(|off| (off as u64, LSO_MAX.min(len - off)))
+                .step_by(lso_max)
+                .map(|off| (off as u64, lso_max.min(len - off)))
                 .collect()
         };
         self.sends.get_mut(&id).expect("live send").descs_remaining += chunks.len();

@@ -81,6 +81,10 @@ pub struct NicHandle {
     pub staging: AddrRange,
     /// PCIe port the NIC occupies.
     pub port: PortId,
+    /// Largest payload one send descriptor may carry, in bytes
+    /// ([`NicConfig::max_lso`]). Initiators split larger sends at this
+    /// size.
+    pub max_lso: usize,
 }
 
 impl NicHandle {
@@ -822,6 +826,7 @@ pub fn install_nic(
         let staging = mem.alloc_region(&format!("{name}-staging"), 32 << 20, port);
         (bar, staging)
     };
+    let max_lso = config.max_lso;
     sim.install(id, NicDevice::new(config, fabric, wire, bar, staging));
     sim.world_mut()
         .expect_mut::<dcs_pcie::MmioRouting>()
@@ -831,5 +836,6 @@ pub fn install_nic(
         bar,
         staging,
         port,
+        max_lso,
     }
 }

@@ -184,7 +184,7 @@ fn gather_payload(rig: &Rig, bufs: PhysAddr, buf_size: u32, frames: usize) -> Ve
                 RecvWriteback::SIZE,
             )
             .try_into()
-            .unwrap();
+            .expect("write-back entry is RecvWriteback::SIZE bytes");
         let wb = RecvWriteback::from_bytes(&wb_raw);
         assert!(wb.valid, "frame {i} writeback invalid");
         let frame = mem.read(bufs + (i as u64) * buf_size as u64, wb.frame_len as usize);

@@ -94,6 +94,10 @@ pub struct NvmeHandle {
     pub flash: AddrRange,
     /// The PCIe port the device occupies.
     pub port: PortId,
+    /// Largest transfer one command may carry, in bytes (the drive's
+    /// advertised MDTS, [`NvmeConfig::max_transfer`]). Initiators split
+    /// larger requests at this size.
+    pub max_transfer: usize,
 }
 
 impl NvmeHandle {
@@ -823,6 +827,7 @@ pub fn install_nvme(
     port: PortId,
 ) -> NvmeHandle {
     let capacity_bytes = config.capacity_lbas * LBA_SIZE;
+    let max_transfer = config.max_transfer;
     let (bar, flash) = {
         let mem = sim.world_mut().expect_mut::<PhysMemory>();
         let bar = mem.alloc_region(&format!("{name}-bar"), 1 << 20, port);
@@ -838,6 +843,7 @@ pub fn install_nvme(
         bar,
         flash,
         port,
+        max_transfer,
     }
 }
 

@@ -9,7 +9,7 @@
 //! hop while still creating back-pressure on busy links (documented in
 //! DESIGN.md). Data bytes move in [`PhysMemory`] at completion time.
 
-use dcs_sim::{fault, Component, ComponentId, Ctx, Msg, SimTime};
+use dcs_sim::{fault, Component, ComponentId, Ctx, Msg};
 
 use crate::addr::PhysAddr;
 use crate::aer::{self, AerKind};
@@ -435,17 +435,10 @@ impl Component for PcieFabric {
     }
 }
 
-/// Convenience: elapsed completion instant of the *last* scheduled event —
-/// only used by unit tests below.
-#[allow(dead_code)]
-fn _ts(ns: u64) -> SimTime {
-    SimTime::from_nanos(ns)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcs_sim::Simulator;
+    use dcs_sim::{SimTime, Simulator};
 
     /// Captures completions for inspection.
     struct Sink {

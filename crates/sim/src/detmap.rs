@@ -24,10 +24,13 @@
 //!   hasher, not SipHash: the index is never iterated, so its hash
 //!   affects only speed, never behaviour.
 //!
-//! `dcs-lint` enforces that simulation crates use these types instead
-//! of the std hash containers (rule `hash-collection`).
+//! Clippy's `disallowed_types` (root `clippy.toml`) keeps the std hash
+//! containers out of every other module.
 
-// dcs-lint: allow-file(hash-collection) — this module wraps HashMap; the interior index is lookup-only and every iteration goes through the insertion-ordered slot Vec
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module wraps HashMap; the interior index is lookup-only and every iteration goes through the insertion-ordered slot Vec"
+)]
 
 use std::borrow::Borrow;
 use std::collections::HashMap;

@@ -16,8 +16,11 @@ use crate::component::ComponentId;
 
 /// The profile's clock.
 #[inline]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "host-time profile only: readings are kept in the Simulator's HostProfile, never in World state or an event, so runs replay identically"
+)]
 pub(crate) fn host_clock() -> Instant {
-    // dcs-lint: allow(wall-clock) — host-time profile only: readings are kept in the Simulator's HostProfile, never in World state or an event, so runs replay identically
     Instant::now()
 }
 

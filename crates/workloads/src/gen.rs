@@ -141,7 +141,7 @@ impl Zipfian {
         }
         // Float rounding can leave the last entry a hair under 1; pin it
         // so every u in [0, 1) lands on a valid rank.
-        *cdf.last_mut().unwrap() = 1.0;
+        *cdf.last_mut().expect("items > 0, so the CDF has an entry") = 1.0;
         Zipfian {
             items,
             theta,

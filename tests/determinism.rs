@@ -3,9 +3,10 @@
 //! trace output — completions, per-category latency breakdowns, final
 //! simulated time, and every counter in the world stats.
 //!
-//! This is the property `dcs-lint` exists to protect (DESIGN.md §10):
-//! before the DetMap migration, any device table iterated in hash
-//! order could silently reorder same-timestamp events between runs.
+//! This is the property the workspace lints protect (DESIGN.md §10:
+//! `clippy.toml`, `[workspace.lints]` and `tests/dcs_lint.rs`): before
+//! the DetMap migration, any device table iterated in hash order could
+//! silently reorder same-timestamp events between runs.
 //! The serialized trace here deliberately includes every stats counter
 //! so even a divergence that cancels out in the end-to-end latency
 //! still fails the comparison.

@@ -6,7 +6,10 @@
 //! The std collections appear here *only* as the behavioral oracle;
 //! nothing in simulation code may use them (DESIGN.md §10).
 
-// dcs-lint: allow-file(hash-collection) — std HashMap/HashSet are the parity oracle this test exists to compare against; no simulation state lives here
+#![expect(
+    clippy::disallowed_types,
+    reason = "std HashMap/HashSet are the parity oracle this test exists to compare against; no simulation state lives here"
+)]
 
 use std::collections::{HashMap, HashSet};
 
@@ -56,7 +59,10 @@ fn detmap_matches_hashmap_under_randomized_ops() {
         // Identical final contents (checked key-by-key, never by the
         // oracle's iteration order).
         assert_eq!(det.len(), std_map.len(), "seed {seed}: lengths diverged");
-        // dcs-lint: allow(hash-iter) — membership check per key; the assertion is order-independent
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "membership check per key; the assertion is order-independent"
+        )]
         for (k, v) in std_map.iter() {
             assert_eq!(det.get(k), Some(v), "seed {seed}: key {k} diverged");
         }
@@ -114,7 +120,10 @@ fn detset_matches_hashset_under_randomized_ops() {
             }
         }
         assert_eq!(det.len(), std_set.len(), "seed {seed}: lengths diverged");
-        // dcs-lint: allow(hash-iter) — membership check per value; the assertion is order-independent
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "membership check per value; the assertion is order-independent"
+        )]
         for k in std_set.iter() {
             assert!(det.contains(k), "seed {seed}: value {k} missing");
         }

@@ -217,7 +217,10 @@ fn cluster_64_open_loop_completes_inside_ci_time() {
     };
     let mut cluster = build_cluster(&cfg);
     let bringup_events = cluster.sim.delivered_events();
-    // dcs-lint: allow(wall-clock) — measures host elapsed time of the gate itself; never feeds simulation state
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measures host elapsed time of the gate itself; never feeds simulation state"
+    )]
     let wall_start = std::time::Instant::now();
     cluster.sim.run();
     let wall = wall_start.elapsed();
