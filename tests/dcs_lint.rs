@@ -636,6 +636,21 @@ fn lines_of(found: &[Finding], rule: &str) -> Vec<u32> {
     found.iter().filter(|f| f.2 == rule).map(|f| f.1).collect()
 }
 
+/// The lines `rule` flags in `src` linted alone as `path`.
+fn hits(path: &str, src: &str, rule: &str) -> Vec<u32> {
+    lines_of(&lint(&[(path.into(), src.into())]), rule)
+}
+
+/// The messages of the findings on `line` of `src` linted as `path`.
+fn messages(path: &str, src: &str, line: u32) -> Vec<String> {
+    let found = lint(&[(path.into(), src.into())]);
+    found
+        .into_iter()
+        .filter(|f| f.1 == line)
+        .map(|f| f.3)
+        .collect()
+}
+
 /// Lints `case` with `pragma` inserted as a new line before line `at`
 /// of its first file, and checks which lines its rule still flags and
 /// which lines hold a misused pragma.
@@ -657,6 +672,16 @@ fn check(case: &Case, pragma: Option<(u32, &str)>, flagged: &[u32], misused: &[u
     assert_eq!(lines_of(&found, "pragma"), misused, "{rule}: {found:#?}");
 }
 
+/// A reasoned pragma for `case`'s rule; every fixture line at or after
+/// an inserted pragma moves down by one.
+fn reasoned(case: &Case) -> (String, Vec<u32>) {
+    let pragma = format!(
+        "    // dcs-lint: allow({}) — fixture: sanctioned here",
+        case.0
+    );
+    (pragma, case.2.iter().map(|l| l + 1).collect())
+}
+
 #[test]
 fn each_rule_flags_exactly_its_fixture_lines() {
     for case in &CASES {
@@ -665,46 +690,156 @@ fn each_rule_flags_exactly_its_fixture_lines() {
 }
 
 #[test]
-fn pragmas_need_a_reason_and_a_live_violation() {
-    for case in &CASES {
-        let Case(rule, _, hits) = case;
-        let first = hits[0];
-        // Every line at or after an inserted pragma moves down by one.
-        let shifted: Vec<u32> = hits.iter().map(|l| l + 1).collect();
-        // A reasoned pragma on the line above waives that line only.
-        let rest: Vec<u32> = shifted
-            .iter()
-            .copied()
-            .filter(|&l| l != first + 1)
-            .collect();
-        let reasoned = format!("    // dcs-lint: allow({rule}) — fixture: sanctioned here");
-        check(case, Some((first, &reasoned)), &rest, &[]);
-        // Without a reason it waives nothing, and is itself flagged.
-        for bare in [
-            format!("// dcs-lint: allow({rule})"),
-            format!("// dcs-lint: allow({rule}) —  "),
-        ] {
-            check(case, Some((first, &bare)), &shifted, &[first]);
-        }
-        // Line 1 is clean, so a pragma covering it is stale.
-        check(case, Some((1, &reasoned)), &shifted, &[1]);
+fn float_state_flags_only_structs_that_are_not_inputs_or_outputs() {
+    let (path, rule) = ("crates/cluster/src/driver.rs", "float-in-sim-state");
+    assert_eq!(hits(path, FLOAT, rule), [8, 9]);
+    let renamed = FLOAT
+        .replace("HealthConfig", "Health")
+        .replace("ClusterReport", "Totals");
+    assert_eq!(hits(path, &renamed, rule), [1, 3, 8, 9]);
+}
+
+#[test]
+fn float_state_exempts_test_structs() {
+    let (path, rule) = ("crates/cluster/src/driver.rs", "float-in-sim-state");
+    assert_eq!(hits(path, FLOAT, rule), [8, 9]);
+    let untested = FLOAT.replace("#[cfg(test)]", "");
+    assert_eq!(hits(path, &untested, rule), [8, 9, 13]);
+}
+
+#[test]
+fn lossy_cast_flags_narrowed_time_and_addr_names_only() {
+    let path = "crates/core/src/engine.rs";
+    assert!(messages(path, LOSSY, 3)[0].contains("`deadline_time as u32`"));
+    assert!(messages(path, LOSSY, 4)[0].contains("`dma_addr as u16`"));
+    // `count as u32` is not a wide name; `as u64` does not narrow.
+    assert!(messages(path, LOSSY, 5).is_empty() && messages(path, LOSSY, 6).is_empty());
+}
+
+#[test]
+fn lossy_cast_sees_through_tuple_fields_and_calls() {
+    let found = messages("crates/core/src/engine.rs", LOSSY, 10);
+    assert!(found[0].contains("`start_time as u32`"), "{found:?}");
+    assert!(found[1].contains("`now as u32`"), "{found:?}");
+}
+
+#[test]
+fn recovery_fns_reject_unwrap_and_expect() {
+    let (path, rule) = ("crates/host/src/recovery.rs", "unwrap-in-recovery-path");
+    assert!(messages(path, RECOVERY, 4)[0].contains("`.expect` in recovery fn `controller_reset`"));
+    // `helper` is no recovery fn; `w.expect::<T>()` is a World lookup.
+    assert_eq!(hits(path, RECOVERY, rule), [2, 3, 4]);
+    let renamed = RECOVERY.replace("controller_reset", "controller_tick");
+    assert_eq!(hits(path, &renamed, rule), [2, 3]);
+}
+
+#[test]
+fn wildcard_arm_with_a_body_passes() {
+    let (path, rule) = ("crates/nvme/src/device.rs", "wildcard-event-arm");
+    // Line 12's `_ => panic!(..)` arm is fine.
+    assert_eq!(hits(path, WILDCARD, rule), [5, 9]);
+    let handled = WILDCARD.replacen("_ => {}", "_ => drop(e),", 1);
+    assert_eq!(hits(path, &handled, rule), [9]);
+}
+
+#[test]
+fn report_fields_written_in_another_file_are_live() {
+    let (path, rule) = ("crates/cluster/src/report.rs", "report-field-never-written");
+    assert_eq!(hits(path, REPORT_DECL, rule), [2, 3, 4, 7, 8]);
+    check(&CASES[1], None, &[3, 8], &[]);
+}
+
+#[test]
+fn float_state_is_scoped_to_state_crates_and_skips_tuple_structs() {
+    let rule = "float-in-sim-state";
+    // Line 5 is the non-exempt tuple struct `Gbps(pub f64)`.
+    assert_eq!(hits("crates/store/src/x.rs", FLOAT, rule), [8, 9]);
+    assert!(hits("crates/workloads/src/x.rs", FLOAT, rule).is_empty());
+}
+
+#[test]
+fn wildcard_arm_is_flagged_in_every_protocol_crate() {
+    for krate in ["nvme", "nic", "pcie"] {
+        let path = format!("crates/{krate}/src/x.rs");
+        assert_eq!(
+            hits(&path, WILDCARD, "wildcard-event-arm"),
+            [5, 9],
+            "{krate}"
+        );
     }
 }
 
 #[test]
+fn crate_scoped_rules_stay_in_their_crates() {
+    for path in [
+        "crates/cluster/src/x.rs",
+        "crates/nvme-cli/src/x.rs",
+        "src/nic/x.rs",
+    ] {
+        assert!(
+            hits(path, WILDCARD, "wildcard-event-arm").is_empty(),
+            "{path}"
+        );
+        // The path-independent rules still fire there.
+        assert_eq!(
+            hits(path, RECOVERY, "unwrap-in-recovery-path"),
+            [2, 3, 4],
+            "{path}"
+        );
+    }
+}
+
+#[test]
+fn a_reasoned_pragma_waives_the_next_code_line_only() {
+    for case in &CASES {
+        let ((pragma, shifted), first) = (reasoned(case), case.2[0]);
+        let rest: Vec<u32> = shifted.into_iter().filter(|&l| l != first + 1).collect();
+        check(case, Some((first, &pragma)), &rest, &[]);
+    }
+}
+
+#[test]
+fn a_pragma_without_a_reason_waives_nothing_and_is_flagged() {
+    for case in &CASES {
+        let ((_, shifted), first) = (reasoned(case), case.2[0]);
+        for bare in ["", " —  ", " -"] {
+            let pragma = format!("// dcs-lint: allow({}){bare}", case.0);
+            check(case, Some((first, &pragma)), &shifted, &[first]);
+        }
+    }
+}
+
+#[test]
+fn a_reasonless_pragma_fails_in_the_allow_file_form_too() {
+    for form in ["allow", "allow-file"] {
+        let src =
+            format!("// dcs-lint: {form}(lossy-cast)\nfn f(addr: u64) -> u32 {{ addr as u32 }}\n");
+        let found = lint(&[("crates/core/src/x.rs".into(), src)]);
+        assert_eq!(lines_of(&found, "lossy-cast"), [2], "{found:#?}");
+        assert_eq!(lines_of(&found, "pragma"), [1], "{found:#?}");
+    }
+}
+
+#[test]
+fn a_stale_pragma_is_flagged_once_the_violation_is_gone() {
+    for case in &CASES {
+        // Line 1 is clean, so a pragma covering it is stale.
+        let (pragma, shifted) = reasoned(case);
+        check(case, Some((1, &pragma)), &shifted, &[1]);
+    }
+    let fixed = "fn f(addr: u64) -> u64 { addr } // dcs-lint: allow(lossy-cast) — was u32\n";
+    assert_eq!(hits("crates/core/src/x.rs", fixed, "pragma"), [1]);
+    let live = fixed.replace("u64 { addr }", "u32 { addr as u32 }");
+    assert!(lint(&[("crates/core/src/x.rs".into(), live)]).is_empty());
+}
+
+#[test]
 fn a_same_line_pragma_suppresses_too() {
-    let src = RECOVERY.replacen(
-        "x.unwrap() }",
-        "x.unwrap() } // dcs-lint: allow(unwrap-in-recovery-path) — fixture: reason",
-        1,
-    );
-    let found = lint(&[("crates/host/src/recovery.rs".into(), src)]);
-    assert_eq!(
-        lines_of(&found, "unwrap-in-recovery-path"),
-        [2, 4],
-        "{found:#?}"
-    );
-    assert!(lines_of(&found, "pragma").is_empty(), "{found:#?}");
+    let pragma = "x.unwrap() } // dcs-lint: allow(unwrap-in-recovery-path) — fixture: reason";
+    let src = RECOVERY.replacen("x.unwrap() }", pragma, 1);
+    let path = "crates/host/src/recovery.rs";
+    assert_eq!(hits(path, &src, "unwrap-in-recovery-path"), [2, 4]);
+    assert!(hits(path, &src, "pragma").is_empty());
 }
 
 #[test]
@@ -721,24 +856,9 @@ fn pragmas_for_clippy_rules_or_of_unknown_form_fail() {
     }
 }
 
-#[test]
-fn crate_scoped_rules_stay_in_their_crates() {
-    let (float, wild) = ("float-in-sim-state", "wildcard-event-arm");
-    let flags = |path: &str, rule, src: &str| {
-        !lines_of(&lint(&[(path.into(), src.into())]), rule).is_empty()
-    };
-    assert!(flags("crates/store/src/x.rs", float, FLOAT));
-    assert!(!flags("crates/workloads/src/x.rs", float, FLOAT));
-    assert!(flags("crates/nic/src/x.rs", wild, WILDCARD));
-    assert!(flags("crates/pcie/src/x.rs", wild, WILDCARD));
-    assert!(!flags("crates/cluster/src/x.rs", wild, WILDCARD));
-}
-
-#[test]
-fn comments_and_literals_hide_rule_triggers() {
-    // Every trigger below sits in a literal or a comment; only the
-    // last line is code, and it must still be found on line 11.
-    let src = r####"const RAW: &str = r#"x as u32; _ => {} "quoted" addr as u8"#;
+/// Every rule trigger sits in a literal or a comment; only the last
+/// line is code.
+const TORTURE: &str = r####"const RAW: &str = r#"x as u32; _ => {} "quoted" addr as u8"#;
 const NESTED: &str = r##"outer r#"now as u16"# still one literal"##;
 /* nested /* block */ comments hide `deadline_time as u32` */
 const MULTI: &str = "line one
@@ -750,26 +870,51 @@ const BYTES: &[u8] = b"start_time as u32";
 const BYTE: u8 = b'"'; // _ => {}
 fn f(lba: u64) -> u32 { lba as u32 }
 "####;
-    let found = lint(&[("crates/nvme/src/x.rs".into(), src.into())]);
+
+#[test]
+fn comments_and_literals_hide_rule_triggers() {
+    // The code cast must still be found, on line 11.
+    let found = lint(&[("crates/nvme/src/x.rs".into(), TORTURE.into())]);
     assert_eq!(found.len(), 1, "{found:#?}");
     assert_eq!((found[0].1, found[0].2), (11, "lossy-cast"));
 }
 
-/// The gate itself: the real workspace is clean, and the walk covers
-/// every tree the rules must see.
+#[test]
+fn literal_and_comment_words_never_become_tokens() {
+    let toks = lex("x.rs", TORTURE).toks;
+    let words = "quoted addr outer now still one nested block deadline_time three start_time";
+    for word in words.split(' ') {
+        assert!(!toks.iter().any(|t| t.is(word)), "`{word}` leaked");
+    }
+}
+
+#[test]
+fn lifetimes_do_not_open_char_literals() {
+    let src = "fn p<'a>(addr: &'a u64) -> u8 { *addr as u8 } const Q: char = '\\'';
+fn q(x: &'static str, now: u64) -> u16 { now as u16 }\n";
+    assert_eq!(hits("crates/nic/src/x.rs", src, "lossy-cast"), [1, 2]);
+    assert!(lex("x.rs", src).toks.iter().any(|t| t.is("static")));
+}
+
+/// The gate itself: the real workspace is clean.
 #[test]
 fn workspace_is_clean() {
+    let found: Vec<String> = lint(&workspace_sources())
+        .iter()
+        .map(|Finding(path, line, rule, msg)| format!("{path}:{line}: [{rule}] {msg}"))
+        .collect();
+    assert!(found.is_empty(), "lint failures:\n{}", found.join("\n"));
+}
+
+#[test]
+fn workspace_walk_covers_every_source_tree() {
     let files = workspace_sources();
-    for tree in ["crates/", "src/", "tests/", "examples/"] {
+    for tree in ["crates/", "crates/bench/", "src/", "tests/", "examples/"] {
         assert!(
             files.iter().any(|f| f.0.starts_with(tree)),
             "{tree} unscanned"
         );
     }
+    assert!(files.iter().all(|f| !f.0.contains("target/")));
     assert!(files.len() > 50, "walk found only {} files", files.len());
-    let found: Vec<String> = lint(&files)
-        .iter()
-        .map(|Finding(path, line, rule, msg)| format!("{path}:{line}: [{rule}] {msg}"))
-        .collect();
-    assert!(found.is_empty(), "lint failures:\n{}", found.join("\n"));
 }
