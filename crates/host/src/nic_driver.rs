@@ -24,12 +24,10 @@
 
 use std::collections::VecDeque;
 
-use dcs_nic::headers::{build_frame, build_template, parse_frame, ACK_MAGIC};
 use dcs_nic::{
-    ConfigureNic, ControlFrame, NicHandle, RecvDescriptor, RecvWriteback, RingWriter,
-    SendDescriptor, TcpFlow,
+    ConfigureNic, GoBackN, NicHandle, NicInitiator, RxEvent, RxFrame, RxOrder, TcpFlow, Transmit,
 };
-use dcs_pcie::{AddrRange, MmioWrite, MsiDelivery, PhysAddr, PhysMemory};
+use dcs_pcie::{AddrRange, MsiDelivery, PhysAddr, PhysMemory};
 use dcs_sim::{fault, Breakdown, Category, Component, ComponentId, Ctx, DetMap, Msg, SimTime};
 
 use crate::costs::{KernelCosts, KernelMode};
@@ -149,7 +147,7 @@ struct Expectation {
 enum CpuPhase {
     TxSubmit,
     RxBatch {
-        frames: Vec<(TcpFlow, u32, Vec<u8>)>,
+        frames: Vec<RxFrame>,
         copy_ns: u64,
         stack_ns: u64,
     },
@@ -174,18 +172,9 @@ struct RxCheck {
 pub struct HostNicDriver {
     cpu: ComponentId,
     fabric: ComponentId,
-    nic: NicHandle,
     costs: KernelCosts,
     config: NicDriverConfig,
-    send_ring: RingWriter,
-    recv_ring: RingWriter,
-    wb_base: PhysAddr,
-    /// Receive frame buffers (2 KiB each), reposted cyclically.
-    recv_bufs: PhysAddr,
-    /// Header template staging, one 64-byte slot per in-flight send.
-    hdr_area: PhysAddr,
-    /// Next write-back slot to scan.
-    wb_next: u16,
+    nic: NicInitiator,
     /// In-flight sends, completed in FIFO order by the NIC's tx MSIs.
     tx_queue: VecDeque<u64>,
     tx_submit_queue: VecDeque<u64>,
@@ -196,17 +185,9 @@ pub struct HostNicDriver {
     early: DetMap<(u16, u16), VecDeque<u8>>,
     cpu_phases: DetMap<u64, CpuPhase>,
     next_cpu_token: u64,
-    hdr_slot: u64,
-    /// Frames consumed since the last buffer repost.
-    consumed_since_repost: u16,
-    /// Fault mode: cumulative payload bytes submitted per transmit flow
-    /// key `(src_port, dst_port)`.
-    tx_offset: DetMap<(u16, u16), u64>,
-    /// Fault mode: highest cumulative ack received per transmit flow key.
-    snd_acked: DetMap<(u16, u16), u64>,
-    /// Fault mode: cumulative payload bytes accepted in order per
-    /// receive key (the peer's transmit direction).
-    rcv_count: DetMap<(u16, u16), u64>,
+    /// Fault mode: go-back-N streams keyed `(src_port, dst_port)` as the
+    /// frames carry them (receive keys are the peer's transmit direction).
+    gbn: GoBackN<(u16, u16)>,
     /// Fault mode: unacknowledged send ids per transmit flow key,
     /// oldest first.
     unacked: DetMap<(u16, u16), VecDeque<u64>>,
@@ -248,15 +229,9 @@ impl HostNicDriver {
         let driver = HostNicDriver {
             cpu,
             fabric,
-            nic,
             costs,
+            nic: NicInitiator::new(nic, configure, recv_bufs, hdr_area, config.mss),
             config,
-            send_ring: RingWriter::new(send_base, SendDescriptor::SIZE, Self::SEND_DEPTH),
-            recv_ring: RingWriter::new(recv_base, RecvDescriptor::SIZE, recv_depth),
-            wb_base,
-            recv_bufs,
-            hdr_area,
-            wb_next: 0,
             tx_queue: VecDeque::new(),
             tx_submit_queue: VecDeque::new(),
             sends: DetMap::new(),
@@ -264,41 +239,10 @@ impl HostNicDriver {
             early: DetMap::new(),
             cpu_phases: DetMap::new(),
             next_cpu_token: 1,
-            hdr_slot: 0,
-            consumed_since_repost: 0,
-            tx_offset: DetMap::new(),
-            snd_acked: DetMap::new(),
-            rcv_count: DetMap::new(),
+            gbn: GoBackN::default(),
             unacked: DetMap::new(),
         };
         (driver, configure)
-    }
-
-    /// Posts the initial receive buffers; call once after the NIC has been
-    /// configured (the driver does it lazily on first message otherwise).
-    fn post_recv_buffers(&mut self, ctx: &mut Ctx<'_>, count: u16) {
-        {
-            let mem = ctx.world().expect_mut::<PhysMemory>();
-            for _ in 0..count {
-                let idx = self.recv_ring.tail();
-                let buf = self.recv_bufs + idx as u64 * 2048;
-                let d = RecvDescriptor {
-                    buf_addr: buf,
-                    buf_len: 2048,
-                };
-                self.recv_ring.push(mem, &d.to_bytes());
-            }
-        }
-        let tail = self.recv_ring.tail();
-        let db = self.nic.rx_doorbell();
-        let fabric = self.fabric;
-        ctx.send_now(
-            fabric,
-            MmioWrite {
-                addr: db,
-                data: (tail as u32).to_le_bytes().to_vec(),
-            },
-        );
     }
 
     fn cpu_job(&mut self, ctx: &mut Ctx<'_>, cost: u64, tag: &'static str, phase: CpuPhase) {
@@ -327,10 +271,7 @@ impl HostNicDriver {
         let faulty = fault::active(ctx.world_ref());
         let key = (req.flow.src_port, req.flow.dst_port);
         let start_off = if faulty {
-            let off = self.tx_offset.entry(key).or_insert(0);
-            let s = *off;
-            *off += req.len as u64;
-            s
+            self.gbn.reserve(key, req.len)
         } else {
             0
         };
@@ -371,66 +312,26 @@ impl HostNicDriver {
         }
     }
 
-    /// Stages the send's descriptors (splitting at the NIC's LSO limit,
-    /// as real TSO does — one skb per 64 KiB by default) and rings the
-    /// transmit doorbell.
-    /// Also the retransmission path: re-pushing the same descriptors
-    /// replays the same frames, which the receiver deduplicates by
-    /// stream offset.
+    /// Stages the send's descriptors (split at the NIC's LSO limit, as
+    /// real TSO does) and rings the transmit doorbell. Also the
+    /// retransmission path: re-pushing the same descriptors replays the
+    /// same frames, which the receiver deduplicates by stream offset.
     fn push_send_descs(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        let lso_max = self.nic.max_lso;
-        let (flow, seq0, ack0, payload_addr, len) = {
-            let s = &self.sends[&id];
-            (
-                s.req.flow,
-                s.req.seq,
-                s.start_off as u32,
-                s.req.payload_addr,
-                s.req.len,
-            )
+        let s = &self.sends[&id];
+        let tx = Transmit {
+            flow: s.req.flow,
+            seq: s.req.seq,
+            stream_off: s.start_off,
+            payload: s.req.payload_addr,
+            len: s.req.len,
+            cookie: id as u32,
         };
-        let chunks: Vec<(u64, usize)> = if len == 0 {
-            vec![(0, 0)]
-        } else {
-            (0..len)
-                .step_by(lso_max)
-                .map(|off| (off as u64, lso_max.min(len - off)))
-                .collect()
-        };
-        self.sends.get_mut(&id).expect("live send").descs_remaining += chunks.len();
-        for (off, chunk_len) in chunks {
-            // The `ack` field carries the absolute stream offset; the NIC
-            // advances it per LSO segment alongside the sequence number.
-            let template = build_template(
-                &flow,
-                seq0.wrapping_add(off as u32),
-                ack0.wrapping_add(off as u32),
-            );
-            let hdr_addr = self.hdr_area + (self.hdr_slot % 2048) * 64;
-            self.hdr_slot += 1;
-            let desc = SendDescriptor {
-                header_addr: hdr_addr,
-                header_len: template.len() as u16,
-                payload_addr: payload_addr + off,
-                payload_len: chunk_len as u32,
-                mss: self.config.mss,
-                cookie: id as u32,
-            };
-            let mem = ctx.world().expect_mut::<PhysMemory>();
-            mem.write(hdr_addr, &template);
-            self.send_ring.push(mem, &desc.to_bytes());
-            self.tx_queue.push_back(id);
-        }
-        let tail = self.send_ring.tail();
-        let db = self.nic.tx_doorbell();
-        let fabric = self.fabric;
-        ctx.send_now(
-            fabric,
-            MmioWrite {
-                addr: db,
-                data: (tail as u32).to_le_bytes().to_vec(),
-            },
-        );
+        let (descs, doorbell) = self
+            .nic
+            .push_send(ctx.world().expect_mut::<PhysMemory>(), &tx);
+        self.sends.get_mut(&id).expect("live send").descs_remaining += descs;
+        self.tx_queue.extend(std::iter::repeat_n(id, descs));
+        ctx.send_now(self.fabric, doorbell);
     }
 
     fn on_tx_msi(&mut self, ctx: &mut Ctx<'_>) {
@@ -500,11 +401,7 @@ impl HostNicDriver {
     /// reversed ports arrived: complete newly covered sends in order.
     fn on_ack(&mut self, ctx: &mut Ctx<'_>, flow: &TcpFlow, ack: u32) {
         let key = (flow.dst_port, flow.src_port);
-        let acked = self.snd_acked.entry(key).or_insert(0);
-        // Stream offsets in this model stay far below 4 GiB per flow, so
-        // the 32-bit ack is treated as absolute.
-        *acked = (*acked).max(ack as u64);
-        let acked = *acked;
+        let acked = self.gbn.on_ack(key, ack);
         while let Some(&id) = self.unacked.get(&key).and_then(|q| q.front()) {
             match self.sends.get_mut(&id) {
                 None => {
@@ -597,91 +494,39 @@ impl HostNicDriver {
     fn on_rx_msi(&mut self, ctx: &mut Ctx<'_>) {
         // Scan write-backs for newly landed frames.
         let faulty = fault::active(ctx.world_ref());
-        let mut frames: Vec<(TcpFlow, u32, Vec<u8>)> = Vec::new();
-        let depth = self.recv_ring_depth();
-        loop {
-            let wb_addr = self.wb_base + self.wb_next as u64 * RecvWriteback::SIZE as u64;
-            let raw: [u8; RecvWriteback::SIZE] = {
-                let mem = ctx.world_ref().expect::<PhysMemory>();
-                mem.read(wb_addr, RecvWriteback::SIZE)
-                    .try_into()
-                    .expect("8 bytes")
-            };
-            let wb = RecvWriteback::from_bytes(&raw);
-            if !wb.valid {
-                break;
-            }
-            if !RecvWriteback::verify(&raw) {
-                // Corrupted completion entry: nothing in it can be
-                // trusted, so consume the slot and drop its frame
-                // (go-back-N retransmission recovers the payload).
-                // Detection here is the recovery for the write-back
-                // corruption site — the entry never reached software.
-                ctx.world()
-                    .expect_mut::<PhysMemory>()
-                    .write(wb_addr, &[0u8; 8]);
-                self.wb_next = (self.wb_next + 1) % depth;
-                self.consumed_since_repost += 1;
-                ctx.world().stats.counter("nic.drv_bad_writebacks").add(1);
-                fault::recovered(ctx.world(), fault::CPL_CORRUPT);
-                let now = ctx.now();
-                dcs_pcie::aer::record(
-                    ctx.world(),
-                    now.as_nanos(),
-                    self.wb_next as u64,
-                    fault::CPL_CORRUPT,
-                    dcs_pcie::AerKind::BadCompletionEntry,
-                );
-                continue;
-            }
-            let frame = {
-                let mem = ctx.world_ref().expect::<PhysMemory>();
-                let buf = self.recv_bufs + self.wb_next as u64 * 2048;
-                // The checksum guarantees frame_len is the device's value;
-                // the clamp is pure defense against future layout drift.
-                mem.read(buf, (wb.frame_len as usize).min(2048))
-            };
-            // Clear the write-back so the slot can be reused.
-            ctx.world()
-                .expect_mut::<PhysMemory>()
-                .write(wb_addr, &[0u8; 8]);
-            self.wb_next = (self.wb_next + 1) % depth;
-            self.consumed_since_repost += 1;
-            match parse_frame(&frame) {
-                Ok(parsed) => {
-                    if faulty && parsed.payload_len == 0 && parsed.seq == ACK_MAGIC {
-                        // Pure protocol ACK: cheap driver work, handled
-                        // outside the per-batch CPU charge.
-                        let flow = parsed.flow;
-                        let ack = parsed.ack;
-                        self.on_ack(ctx, &flow, ack);
-                        continue;
-                    }
-                    let payload = frame
-                        [parsed.payload_offset..parsed.payload_offset + parsed.payload_len]
-                        .to_vec();
-                    frames.push((parsed.flow, parsed.ack, payload));
+        let now = ctx.now();
+        let scan = self.nic.scan(ctx.world(), now);
+        let mut frames = Vec::new();
+        for event in scan.events {
+            match event {
+                // Detection is the recovery for the write-back corruption
+                // site: the frame is dropped and go-back-N retransmission
+                // recovers the payload.
+                RxEvent::BadWriteback { .. } => {
+                    ctx.world().stats.counter("nic.drv_bad_writebacks").add(1);
                 }
-                Err(_) => {
-                    // Checksum or framing failure (wire corruption): the
-                    // stack drops the frame; the sender's retransmission
-                    // timer recovers the data.
-                    ctx.world().stats.counter("nic.rx_bad_frames").add(1);
-                }
+                // Checksum or framing failure (wire corruption): the
+                // stack drops the frame; the sender's retransmission
+                // timer recovers the data.
+                RxEvent::BadFrame => ctx.world().stats.counter("nic.rx_bad_frames").add(1),
+                // Pure protocol ACK: cheap driver work, handled outside
+                // the per-batch CPU charge.
+                RxEvent::Frame(f) => match f.pure_ack() {
+                    Some(ack) if faulty => self.on_ack(ctx, &f.flow, ack),
+                    _ => frames.push(f),
+                },
             }
         }
-        // Repost consumed buffers in batches (ACK-only and corrupt
-        // frames consume posted buffers too).
-        if self.consumed_since_repost >= self.config.recv_buffers / 2 {
-            let n = self.consumed_since_repost;
-            self.consumed_since_repost = 0;
-            self.post_recv_buffers(ctx, n);
+        // Reposts cover ACK-only and corrupt frames too: they consume
+        // posted buffers as well.
+        if let Some(doorbell) = scan.repost {
+            ctx.send_now(self.fabric, doorbell);
         }
         if frames.is_empty() {
             return;
         }
         let packets = frames.len();
-        let payload_bytes: usize = frames.iter().map(|(_, _, p)| p.len()).sum();
+        let payload_bytes: usize = frames.iter().map(|f| f.payload.len()).sum();
         let stack_ns = self.costs.net_rx_cost(self.config.mode, packets);
         // Gather copy: payload bytes moved from frame buffers into the
         // consumer's contiguous buffer (and in vanilla mode, again to user
@@ -707,53 +552,37 @@ impl HostNicDriver {
         );
     }
 
-    fn recv_ring_depth(&self) -> u16 {
-        self.config.recv_buffers + 1
-    }
-
     fn deliver_frames(
         &mut self,
         ctx: &mut Ctx<'_>,
-        frames: Vec<(TcpFlow, u32, Vec<u8>)>,
+        frames: Vec<RxFrame>,
         copy_ns: u64,
         stack_ns: u64,
     ) {
         // Amortize the batch's CPU time across delivered bytes when
         // attributing to expectations.
         let faulty = fault::active(ctx.world_ref());
-        let total_bytes: usize = frames.iter().map(|(_, _, p)| p.len()).sum::<usize>().max(1);
-        // Flows that need a (coalesced) ack after this batch.
-        let mut ack_flows: DetMap<(u16, u16), TcpFlow> = DetMap::new();
-        for (flow, ack, payload) in frames {
-            let key = (flow.src_port, flow.dst_port);
+        let total_bytes: usize = frames.iter().map(|f| f.payload.len()).sum::<usize>().max(1);
+        for f in frames {
+            let key = (f.flow.src_port, f.flow.dst_port);
             if faulty {
-                ack_flows.insert(key, flow);
-                let count = self.rcv_count.entry(key).or_insert(0);
-                if ack as u64 != *count {
-                    // A duplicate (already accepted, the ack got lost) or
-                    // a gap (an earlier frame dropped): discard and
-                    // re-ack; the sender's go-back-N replay fills gaps.
-                    let c = if (ack as u64) < *count {
-                        "nic.rx_duplicate_frames"
-                    } else {
-                        "nic.rx_out_of_order"
-                    };
+                // A duplicate (already accepted, the ack got lost) or a
+                // gap (an earlier frame dropped) is discarded and re-acked;
+                // the sender's go-back-N replay fills gaps.
+                let c = match self.gbn.accept(key, &f) {
+                    RxOrder::InOrder => None,
+                    RxOrder::Duplicate => Some("nic.rx_duplicate_frames"),
+                    RxOrder::Gap => Some("nic.rx_out_of_order"),
+                };
+                if let Some(c) = c {
                     ctx.world().stats.counter(c).add(1);
                     continue;
                 }
-                *count += payload.len() as u64;
             }
-            self.early.entry(key).or_default().extend(payload);
+            self.early.entry(key).or_default().extend(f.payload);
         }
-        // Sorted: hash-map iteration order must never reach the event
-        // sequence (seed reproducibility).
-        let mut ack_flows: Vec<((u16, u16), TcpFlow)> = ack_flows.into_iter().collect();
-        ack_flows.sort_unstable_by_key(|(k, _)| *k);
-        for (key, flow) in ack_flows {
-            let count = self.rcv_count.get(&key).copied().unwrap_or(0);
-            let ack_frame = build_frame(&flow.reversed(), ACK_MAGIC, count as u32, &[]);
-            let nic = self.nic.device;
-            ctx.send_now(nic, ControlFrame { frame: ack_frame });
+        for ack in self.gbn.take_acks() {
+            ctx.send_now(self.nic.device(), ack);
         }
         // Satisfy expectations greedily, in registration order. An
         // expectation names the connection by the *local* flow (the
@@ -853,7 +682,10 @@ impl Component for HostNicDriver {
         let msg = match msg.downcast::<StartNicDriver>() {
             Ok(StartNicDriver) => {
                 let n = self.config.recv_buffers;
-                self.post_recv_buffers(ctx, n);
+                let doorbell = self
+                    .nic
+                    .post_recv_buffers(ctx.world().expect_mut::<PhysMemory>(), n);
+                ctx.send_now(self.fabric, doorbell);
                 return;
             }
             Err(m) => m,

@@ -12,6 +12,10 @@
 //!   validation (IP header checksum, TCP pseudo-header checksum).
 //! * [`ring`] — send/receive descriptor rings in initiator memory
 //!   (Broadcom-style producer/consumer indices, serialized descriptors).
+//! * [`initiator`] — the initiator side of the protocol, shared by the
+//!   host NIC driver and the HDC Engine's NIC controller: LSO descriptor
+//!   chains split at the adapter's limit, receive-buffer posting, the
+//!   write-back scan, and the go-back-N stream state used under faults.
 //! * [`wire`] — the cable between two nodes: line-rate serialization plus
 //!   propagation delay, in-order and lossless (a switched LAN segment).
 //! * [`device`] — the NIC component: TX doorbell → descriptor fetch →
@@ -24,6 +28,7 @@
 
 pub mod device;
 pub mod headers;
+pub mod initiator;
 pub mod ring;
 pub mod wire;
 
@@ -31,5 +36,6 @@ pub use device::{install_nic, ConfigureNic, ControlFrame, NicConfig, NicDevice, 
 pub use headers::{
     ParsedPacket, TcpFlow, ACK_MAGIC, ETH_HEADER_LEN, IPV4_HEADER_LEN, TCP_HEADER_LEN,
 };
+pub use initiator::{GoBackN, NicInitiator, RxEvent, RxFrame, RxOrder, RxScan, Transmit};
 pub use ring::{RecvDescriptor, RecvWriteback, RingWriter, SendDescriptor};
 pub use wire::{install_wire, FrameDelivery, TransmitDone, TransmitFrame, Wire, WireConfig};

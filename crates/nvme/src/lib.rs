@@ -13,8 +13,11 @@
 //!   component that builds a malformed command is caught the way real
 //!   hardware would catch it.
 //! * [`queue`] — producer/consumer helpers for submission and completion
-//!   rings shared by the host driver ([`dcs-host`](../dcs_host/index.html))
-//!   and the HDC Engine's NVMe controller.
+//!   rings.
+//! * [`initiator`] — the initiator side of the protocol, shared by the host
+//!   driver ([`dcs-host`](../dcs_host/index.html)) and the HDC Engine's
+//!   NVMe controller: MDTS splitting, CIDs and PRP-list pages, completion
+//!   draining, and per-request settling with bounded media-error retries.
 //! * [`device`] — the SSD component: doorbell MMIO, command fetch over DMA,
 //!   flash timing (Intel 750-like: 17.2 Gbps read / 7.2 Gbps write), PRP
 //!   resolution, data DMA, completion write-back, MSI.
@@ -22,9 +25,11 @@
 //! Timing parameters default to the paper's Intel SSD 750 (Table V).
 
 pub mod device;
+pub mod initiator;
 pub mod queue;
 pub mod spec;
 
 pub use device::{install_nvme, AttachQueuePair, NvmeConfig, NvmeDevice, NvmeHandle};
+pub use initiator::{NvmeInitiator, NvmeIo, Outcome};
 pub use queue::{CompletionQueueReader, SubmissionQueueWriter};
 pub use spec::{NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus, PrpList, LBA_SIZE};
