@@ -165,11 +165,6 @@ impl RingWriter {
         }
     }
 
-    /// Ring base address.
-    pub fn base(&self) -> PhysAddr {
-        self.base
-    }
-
     /// Producer index to write to the doorbell.
     pub fn tail(&self) -> u16 {
         self.tail

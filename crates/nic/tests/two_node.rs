@@ -128,13 +128,7 @@ fn post_recv(rig: &mut Rig, on_b: bool, n: usize, size: u32) -> PhysAddr {
     }
     let tail = node.recv_ring.tail();
     let db = node.nic.rx_doorbell();
-    rig.sim.kickoff(
-        rig.fabric,
-        MmioWrite {
-            addr: db,
-            data: (tail as u32).to_le_bytes().to_vec(),
-        },
-    );
+    rig.sim.kickoff(rig.fabric, MmioWrite::doorbell(db, tail));
     bufs
 }
 
@@ -163,13 +157,7 @@ fn send_payload(rig: &mut Rig, flow: &TcpFlow, seq: u32, payload: &[u8], mss: u1
     }
     let tail = node.send_ring.tail();
     let db = node.nic.tx_doorbell();
-    rig.sim.kickoff(
-        rig.fabric,
-        MmioWrite {
-            addr: db,
-            data: (tail as u32).to_le_bytes().to_vec(),
-        },
-    );
+    rig.sim.kickoff(rig.fabric, MmioWrite::doorbell(db, tail));
 }
 
 /// Reads back the delivered frames on node B using the write-back ring and
@@ -297,13 +285,7 @@ fn wire_bandwidth_bounds_transfer_time() {
     }
     let tail = rig.a.send_ring.tail();
     let db = rig.a.nic.tx_doorbell();
-    rig.sim.kickoff(
-        rig.fabric,
-        MmioWrite {
-            addr: db,
-            data: (tail as u32).to_le_bytes().to_vec(),
-        },
-    );
+    rig.sim.kickoff(rig.fabric, MmioWrite::doorbell(db, tail));
     rig.sim.run();
     // Time floor: payload + headers + framing at 10 Gbps. Each 64 KiB
     // descriptor segments independently (46 frames per chunk).

@@ -955,13 +955,8 @@ mod tests {
             sq.push(mem, &cmd);
             sq.tail()
         };
-        b.sim.kickoff(
-            b.fabric,
-            MmioWrite {
-                addr: b.handle.sq_doorbell(1),
-                data: (tail as u32).to_le_bytes().to_vec(),
-            },
-        );
+        b.sim
+            .kickoff(b.fabric, MmioWrite::doorbell(b.handle.sq_doorbell(1), tail));
     }
 
     #[test]
@@ -1183,13 +1178,8 @@ mod tests {
     #[should_panic(expected = "unattached queue")]
     fn doorbell_on_unattached_queue_panics() {
         let mut b = setup();
-        b.sim.kickoff(
-            b.fabric,
-            MmioWrite {
-                addr: b.handle.sq_doorbell(5),
-                data: 1u32.to_le_bytes().to_vec(),
-            },
-        );
+        b.sim
+            .kickoff(b.fabric, MmioWrite::doorbell(b.handle.sq_doorbell(5), 1));
         b.sim.run();
     }
 

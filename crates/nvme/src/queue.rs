@@ -36,11 +36,6 @@ impl SubmissionQueueWriter {
         }
     }
 
-    /// Ring base address.
-    pub fn base(&self) -> PhysAddr {
-        self.base
-    }
-
     /// Current tail index (the value to write to the tail doorbell).
     pub fn tail(&self) -> u16 {
         self.tail
@@ -105,11 +100,6 @@ impl CompletionQueueReader {
             head: 0,
             phase: true,
         }
-    }
-
-    /// Ring base address.
-    pub fn base(&self) -> PhysAddr {
-        self.base
     }
 
     /// Current head index (the value to write to the head doorbell after

@@ -97,6 +97,16 @@ pub struct MmioWrite {
     pub data: Vec<u8>,
 }
 
+impl MmioWrite {
+    /// A doorbell ring: `index` as a 32-bit little-endian register value.
+    pub fn doorbell(addr: PhysAddr, index: u16) -> MmioWrite {
+        MmioWrite {
+            addr,
+            data: (index as u32).to_le_bytes().to_vec(),
+        }
+    }
+}
+
 /// A message-signaled interrupt: a write to an interrupt target address.
 #[derive(Debug, Clone, Copy)]
 pub struct Msi {
