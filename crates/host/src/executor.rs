@@ -23,7 +23,7 @@ use dcs_sim::DetMap;
 use dcs_gpu::GpuHandle;
 use dcs_ndp::NdpFunction;
 use dcs_pcie::{DmaComplete, DmaRequest, PhysAddr, PhysMemory, TlpClass};
-use dcs_sim::{Breakdown, Category, Component, ComponentId, Ctx, Msg, SimTime};
+use dcs_sim::{Breakdown, Category, Component, ComponentId, Ctx, IntegrityAudit, Msg, SimTime};
 
 use crate::costs::{KernelCosts, KernelMode};
 use crate::cpu::{CpuJob, CpuJobDone};
@@ -493,8 +493,9 @@ impl SwExecutor {
         ctx.world().stats.counter("executor.jobs_done").add(1);
         // End-to-end integrity audit: record what this job is reporting
         // as its result so tests can cross-check "completed ok" against
-        // the actual payload bytes.
-        {
+        // the actual payload bytes. The payload is read only when an
+        // audit is installed.
+        if ctx.world_ref().get::<IntegrityAudit>().is_some() {
             let payload = ctx
                 .world_ref()
                 .expect::<PhysMemory>()

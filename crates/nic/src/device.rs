@@ -10,6 +10,11 @@
 //! frame DMA into the buffer → write-back record → interrupt-coalesced MSI.
 //! A frame arriving with no posted buffer is dropped and counted, as real
 //! adapters do.
+//!
+//! Staging: descriptor batches, send gathers and received frames pass
+//! through device-internal memory around their DMAs. Each span returns to
+//! the NIC's staging pool once the last DMA through it has completed, so
+//! the window's resident pages follow the data in flight.
 
 use std::collections::VecDeque;
 
@@ -20,6 +25,7 @@ use dcs_sim::{fault, time, Component, ComponentId, Ctx, DetMap, Msg, Simulator};
 
 use crate::headers::{build_frame, parse_template};
 use crate::ring::{RecvDescriptor, RecvWriteback, SendDescriptor};
+use crate::staging::{Span, StagingPool};
 use crate::wire::{FrameDelivery, TransmitDone, TransmitFrame};
 
 /// NIC timing and protocol parameters.
@@ -77,7 +83,8 @@ pub struct NicHandle {
     pub device: ComponentId,
     /// Register BAR (doorbells).
     pub bar: AddrRange,
-    /// Device-internal staging memory (tests may inspect it).
+    /// Device-internal staging window, recycled span by span as the DMAs
+    /// through it complete (tests may inspect it).
     pub staging: AddrRange,
     /// PCIe port the NIC occupies.
     pub port: PortId,
@@ -112,17 +119,13 @@ pub struct ControlFrame {
     pub frame: Vec<u8>,
 }
 
-/// Sentinel tx-op id for control frames: tokens start at 1, so 0 never
-/// collides with a descriptor-originated op.
-const CTRL_OP: u64 = 0;
-
 #[derive(Clone, Copy)]
 enum DmaPurpose {
     /// A batch of `count` send descriptors landing at `staging`.
     TxDescBatch {
         start_idx: u16,
         count: u16,
-        staging: PhysAddr,
+        staging: Span,
         refetched: bool,
     },
     /// Header/payload gather for a descriptor; both must land before
@@ -131,7 +134,7 @@ enum DmaPurpose {
     TxGather {
         op: u64,
         src: PhysAddr,
-        dst: PhysAddr,
+        dst: Span,
         len: usize,
         refetched: bool,
     },
@@ -139,38 +142,64 @@ enum DmaPurpose {
     RxDescBatch {
         start_idx: u16,
         count: u16,
-        staging: PhysAddr,
+        staging: Span,
         refetched: bool,
     },
-    /// A received frame being copied into a posted buffer.
-    RxDeliver { ring_idx: u16, frame_len: usize },
+    /// A received frame being copied from `staging` into a posted buffer.
+    RxDeliver {
+        ring_idx: u16,
+        frame_len: usize,
+        staging: Span,
+    },
 }
 
+impl DmaPurpose {
+    /// The staging span this DMA reads or writes.
+    fn span(&self) -> Span {
+        match *self {
+            DmaPurpose::TxDescBatch { staging, .. }
+            | DmaPurpose::RxDescBatch { staging, .. }
+            | DmaPurpose::RxDeliver { staging, .. } => staging,
+            DmaPurpose::TxGather { dst, .. } => dst,
+        }
+    }
+}
+
+/// A send op between its descriptor fetch and its segmentation.
 struct TxOp {
     desc: SendDescriptor,
-    hdr_staging: PhysAddr,
-    pay_staging: PhysAddr,
+    hdr_staging: Span,
+    pay_staging: Span,
+    /// Gathers still in flight (a re-fetch continues its gather).
     gathers_left: u8,
-    segments_left: usize,
+    /// A gather failed twice: the op is dropped once its sibling ends.
+    aborted: bool,
 }
 
 /// The NIC component.
+///
+/// Its staging pool hands a span out again only after the last DMA that
+/// reads or writes it has completed; a window too small for the data in
+/// flight panics, naming the NIC, instead of wrapping onto live bytes.
 pub struct NicDevice {
     config: NicConfig,
     fabric: ComponentId,
     wire: ComponentId,
     bar: AddrRange,
-    staging: AddrRange,
-    staging_off: u64,
+    staging: StagingPool,
     rings: Option<ConfigureNic>,
     /// Device-side consumer indices.
     tx_cons: u16,
     rx_cons: u16,
     /// In-flight DMA bookkeeping.
     dmas: DetMap<u64, DmaPurpose>,
+    /// Staging of DMAs a reset abandoned, held until their late
+    /// completion: the fabric may still copy through it until then.
+    abandoned: DetMap<u64, Span>,
     tx_ops: DetMap<u64, TxOp>,
-    /// Wire-transmit token → (tx op, last segment?).
-    frames: DetMap<u64, (u64, bool)>,
+    /// Wire-transmit token → whether it is its send op's last segment
+    /// (control frames never are).
+    frames: DetMap<u64, bool>,
     /// Posted receive buffers in ring order.
     posted: VecDeque<(u16, RecvDescriptor)>,
     /// Ring index of the next posted buffer / write-back slot.
@@ -180,25 +209,28 @@ pub struct NicDevice {
 }
 
 impl NicDevice {
-    /// Creates the NIC.
+    /// Creates the NIC called `name`, staging its DMAs in `staging`:
+    /// device-internal memory recycled span by span as each DMA through it
+    /// completes.
     pub fn new(
         config: NicConfig,
         fabric: ComponentId,
         wire: ComponentId,
         bar: AddrRange,
         staging: AddrRange,
+        name: &str,
     ) -> Self {
         NicDevice {
             config,
             fabric,
             wire,
             bar,
-            staging,
-            staging_off: 0,
+            staging: StagingPool::new(name, staging),
             rings: None,
             tx_cons: 0,
             rx_cons: 0,
             dmas: DetMap::new(),
+            abandoned: DetMap::new(),
             tx_ops: DetMap::new(),
             frames: DetMap::new(),
             posted: VecDeque::new(),
@@ -212,18 +244,6 @@ impl NicDevice {
         let t = self.next_token;
         self.next_token += 1;
         t
-    }
-
-    /// Bump-allocates `len` bytes of staging memory (recycled ring-style;
-    /// staging is large relative to in-flight data).
-    fn stage(&mut self, len: usize) -> PhysAddr {
-        let len = (len as u64).div_ceil(64) * 64;
-        if self.staging_off + len > self.staging.len {
-            self.staging_off = 0;
-        }
-        let addr = self.staging.start + self.staging_off;
-        self.staging_off += len;
-        addr
     }
 
     fn rings(&self) -> &ConfigureNic {
@@ -309,7 +329,7 @@ impl NicDevice {
         while idx != prod {
             let run_end = if prod > idx { prod } else { depth };
             let count = run_end - idx;
-            let staging = self.stage(count as usize * entry);
+            let staging = self.staging.alloc(count as usize * entry);
             let src = base + idx as u64 * entry as u64;
             let purpose = if is_tx {
                 DmaPurpose::TxDescBatch {
@@ -326,7 +346,7 @@ impl NicDevice {
                     refetched: false,
                 }
             };
-            self.dma(ctx, src, staging, count as usize * entry, purpose);
+            self.dma(ctx, src, staging.addr, count as usize * entry, purpose);
             idx = run_end % depth;
         }
         if is_tx {
@@ -336,14 +356,15 @@ impl NicDevice {
         }
     }
 
-    fn on_tx_descs(&mut self, ctx: &mut Ctx<'_>, start_idx: u16, count: u16, staging: PhysAddr) {
-        let _ = start_idx;
+    /// Parses a landed batch of send descriptors and starts each op's
+    /// header and payload gathers; the batch's staging is free afterwards.
+    fn on_tx_descs(&mut self, ctx: &mut Ctx<'_>, count: u16, staging: Span) {
         for i in 0..count {
             let raw: [u8; SendDescriptor::SIZE] = ctx
                 .world_ref()
                 .expect::<PhysMemory>()
                 .read(
-                    staging + i as u64 * SendDescriptor::SIZE as u64,
+                    staging.addr + i as u64 * SendDescriptor::SIZE as u64,
                     SendDescriptor::SIZE,
                 )
                 .try_into()
@@ -356,8 +377,10 @@ impl NicDevice {
                 self.config.max_lso
             );
             let op = self.token();
-            let hdr_staging = self.stage(desc.header_len as usize);
-            let pay_staging = self.stage(desc.payload_len as usize);
+            let hdr_len = desc.header_len as usize;
+            let pay_len = desc.payload_len as usize;
+            let hdr_staging = self.staging.alloc(hdr_len);
+            let pay_staging = self.staging.alloc(pay_len);
             self.tx_ops.insert(
                 op,
                 TxOp {
@@ -365,15 +388,13 @@ impl NicDevice {
                     hdr_staging,
                     pay_staging,
                     gathers_left: 2,
-                    segments_left: 0,
+                    aborted: false,
                 },
             );
-            let hdr_len = desc.header_len as usize;
-            let pay_len = desc.payload_len as usize;
             self.dma(
                 ctx,
                 desc.header_addr,
-                hdr_staging,
+                hdr_staging.addr,
                 hdr_len,
                 DmaPurpose::TxGather {
                     op,
@@ -386,7 +407,7 @@ impl NicDevice {
             self.dma(
                 ctx,
                 desc.payload_addr,
-                pay_staging,
+                pay_staging.addr,
                 pay_len,
                 DmaPurpose::TxGather {
                     op,
@@ -397,34 +418,57 @@ impl NicDevice {
                 },
             );
         }
+        self.staging.free(staging);
+    }
+
+    /// Counts one of `op`'s gathers as ended. Once none is in flight the
+    /// op leaves `tx_ops` and is returned; its staging is the caller's to
+    /// release.
+    fn end_gather(&mut self, op: u64) -> Option<TxOp> {
+        let txop = self
+            .tx_ops
+            .get_mut(&op)
+            .expect("gathers belong to live ops");
+        txop.gathers_left -= 1;
+        if txop.gathers_left > 0 {
+            return None;
+        }
+        self.tx_ops.remove(&op)
+    }
+
+    fn release_tx_staging(&mut self, txop: &TxOp) {
+        self.staging.free(txop.hdr_staging);
+        self.staging.free(txop.pay_staging);
     }
 
     fn on_tx_gather_done(&mut self, ctx: &mut Ctx<'_>, op: u64) {
-        let ready = {
-            let Some(txop) = self.tx_ops.get_mut(&op) else {
-                // The op was aborted (poisoned sibling gather or reset)
-                // while this gather was in flight.
-                ctx.world().stats.counter("nic.stale_gathers").add(1);
-                return;
-            };
-            txop.gathers_left -= 1;
-            txop.gathers_left == 0
+        if self.tx_ops[&op].aborted {
+            // The sibling gather failed for good while this one was in
+            // flight.
+            ctx.world().stats.counter("nic.stale_gathers").add(1);
+        }
+        let Some(txop) = self.end_gather(op) else {
+            return;
         };
-        if !ready {
+        if txop.aborted {
+            self.release_tx_staging(&txop);
             return;
         }
         // Both header template and payload are staged: segment and send.
-        let (template, payload, mss) = {
-            let txop = &self.tx_ops[&op];
+        // The frames carry their own bytes, so the staging is free once
+        // read.
+        let (template, payload) = {
             let mem = ctx.world_ref().expect::<PhysMemory>();
-            let template = mem.read(txop.hdr_staging, txop.desc.header_len as usize);
-            let payload = mem.read(txop.pay_staging, txop.desc.payload_len as usize);
-            let mss = if txop.desc.mss == 0 {
-                self.config.mss
-            } else {
-                txop.desc.mss as usize
-            };
-            (template, payload, mss)
+            (
+                mem.read(txop.hdr_staging.addr, txop.desc.header_len as usize),
+                mem.read(txop.pay_staging.addr, txop.desc.payload_len as usize),
+            )
+        };
+        self.release_tx_staging(&txop);
+        let mss = if txop.desc.mss == 0 {
+            self.config.mss
+        } else {
+            txop.desc.mss as usize
         };
         let (flow, seq0, ack) = parse_template(&template)
             .unwrap_or_else(|e| panic!("initiator staged a malformed header template: {e}"));
@@ -433,7 +477,6 @@ impl NicDevice {
         } else {
             payload.chunks(mss).collect()
         };
-        self.tx_ops.get_mut(&op).expect("live").segments_left = chunks.len();
         let mut offset = 0u32;
         let n = chunks.len();
         for (i, chunk) in chunks.into_iter().enumerate() {
@@ -445,7 +488,7 @@ impl NicDevice {
             );
             offset += chunk.len() as u32;
             let ftoken = self.token();
-            self.frames.insert(ftoken, (op, i == n - 1));
+            self.frames.insert(ftoken, i == n - 1);
             let wire = self.wire;
             let overhead = self.config.descriptor_overhead_ns;
             ctx.send_in(overhead, wire, TransmitFrame { id: ftoken, frame });
@@ -464,15 +507,13 @@ impl NicDevice {
             let now = ctx.now();
             ctx.world().obs.span_end("nic", "wire-tx", id, now);
         }
-        let Some((op, last)) = self.frames.remove(&id) else {
+        let Some(last) = self.frames.remove(&id) else {
             ctx.world().stats.counter("nic.stale_completions").add(1);
             return;
         };
         if !last {
             return;
         }
-        let txop = self.tx_ops.remove(&op);
-        let _ = txop;
         let rings = *self.rings();
         let fabric = self.fabric;
         ctx.send_now(
@@ -485,13 +526,15 @@ impl NicDevice {
         ctx.world().stats.counter("nic.tx_completions").add(1);
     }
 
-    fn on_rx_descs(&mut self, ctx: &mut Ctx<'_>, count: u16, staging: PhysAddr) {
+    /// Posts a landed batch of receive descriptors; the batch's staging is
+    /// free afterwards.
+    fn on_rx_descs(&mut self, ctx: &mut Ctx<'_>, count: u16, staging: Span) {
         for i in 0..count {
             let raw: [u8; RecvDescriptor::SIZE] = ctx
                 .world_ref()
                 .expect::<PhysMemory>()
                 .read(
-                    staging + i as u64 * RecvDescriptor::SIZE as u64,
+                    staging.addr + i as u64 * RecvDescriptor::SIZE as u64,
                     RecvDescriptor::SIZE,
                 )
                 .try_into()
@@ -500,6 +543,7 @@ impl NicDevice {
             let ring_idx = self.next_posted_idx();
             self.posted.push_back((ring_idx, desc));
         }
+        self.staging.free(staging);
     }
 
     /// Ring index of the next posted buffer (sequential in ring order).
@@ -520,18 +564,19 @@ impl NicDevice {
             ctx.world().stats.counter("nic.rx_dropped_too_large").add(1);
             return;
         }
-        let staging = self.stage(frame.len());
+        let staging = self.staging.alloc(frame.len());
         ctx.world()
             .expect_mut::<PhysMemory>()
-            .write(staging, &frame);
+            .write(staging.addr, &frame);
         self.dma(
             ctx,
-            staging,
+            staging.addr,
             desc.buf_addr,
             frame.len(),
             DmaPurpose::RxDeliver {
                 ring_idx,
                 frame_len: frame.len(),
+                staging,
             },
         );
     }
@@ -603,7 +648,7 @@ impl NicDevice {
                     self.dma(
                         ctx,
                         src,
-                        staging,
+                        staging.addr,
                         count as usize * SendDescriptor::SIZE,
                         DmaPurpose::TxDescBatch {
                             start_idx,
@@ -614,6 +659,7 @@ impl NicDevice {
                     );
                 } else {
                     ctx.world().stats.counter("nic.dropped_desc_batches").add(1);
+                    self.staging.free(staging);
                 }
             }
             DmaPurpose::RxDescBatch {
@@ -629,7 +675,7 @@ impl NicDevice {
                     self.dma(
                         ctx,
                         src,
-                        staging,
+                        staging.addr,
                         count as usize * RecvDescriptor::SIZE,
                         DmaPurpose::RxDescBatch {
                             start_idx,
@@ -640,6 +686,7 @@ impl NicDevice {
                     );
                 } else {
                     ctx.world().stats.counter("nic.dropped_desc_batches").add(1);
+                    self.staging.free(staging);
                 }
             }
             DmaPurpose::TxGather {
@@ -654,7 +701,7 @@ impl NicDevice {
                     self.dma(
                         ctx,
                         src,
-                        dst,
+                        dst.addr,
                         len,
                         DmaPurpose::TxGather {
                             op,
@@ -666,17 +713,26 @@ impl NicDevice {
                     );
                 } else {
                     // Abort the whole send op; its sibling gather (if
-                    // still in flight) lands stale.
-                    self.tx_ops.remove(&op);
+                    // still in flight) lands stale, and the op's staging
+                    // is released when it does.
                     ctx.world().stats.counter("nic.tx_aborted_gathers").add(1);
+                    self.tx_ops
+                        .get_mut(&op)
+                        .expect("gathers belong to live ops")
+                        .aborted = true;
+                    if let Some(txop) = self.end_gather(op) {
+                        self.release_tx_staging(&txop);
+                    }
                 }
             }
             DmaPurpose::RxDeliver {
                 ring_idx,
                 frame_len,
+                staging,
             } => {
                 // Deliver anyway: the frame checksum fails at the
                 // consumer and the frame is dropped there.
+                self.staging.free(staging);
                 self.on_rx_delivered(ctx, ring_idx, frame_len)
             }
         }
@@ -695,9 +751,21 @@ impl Component for NicDevice {
                 if self.rings.is_some() {
                     // Re-configuration is a device reset: abandon all
                     // in-flight work (late completions land stale) and
-                    // restart ring state from index zero.
-                    self.dmas = DetMap::new();
-                    self.tx_ops = DetMap::new();
+                    // restart ring state from index zero. An abandoned
+                    // DMA's staging waits for its late completion, since
+                    // the fabric may copy through it until then; the
+                    // dropped send ops' other staging is free now.
+                    let inflight = std::mem::take(&mut self.dmas);
+                    let busy: Vec<Span> = inflight.values().map(DmaPurpose::span).collect();
+                    for (_, txop) in std::mem::take(&mut self.tx_ops) {
+                        for span in [txop.hdr_staging, txop.pay_staging] {
+                            if !busy.contains(&span) {
+                                self.staging.free(span);
+                            }
+                        }
+                    }
+                    self.abandoned
+                        .extend(inflight.into_iter().map(|(id, p)| (id, p.span())));
                     self.frames = DetMap::new();
                     self.posted.clear();
                     self.tx_cons = 0;
@@ -723,7 +791,7 @@ impl Component for NicDevice {
         let msg = match msg.downcast::<ControlFrame>() {
             Ok(cf) => {
                 let ftoken = self.token();
-                self.frames.insert(ftoken, (CTRL_OP, false));
+                self.frames.insert(ftoken, false);
                 let wire = self.wire;
                 let overhead = self.config.descriptor_overhead_ns;
                 ctx.send_in(
@@ -772,7 +840,11 @@ impl Component for NicDevice {
         match msg.downcast::<DmaComplete>() {
             Ok(done) => {
                 let Some(purpose) = self.dmas.remove(&done.id) else {
-                    // Late completion for a transfer a reset abandoned.
+                    // Late completion for a transfer a reset abandoned:
+                    // nothing writes its staging any more.
+                    if let Some(span) = self.abandoned.remove(&done.id) {
+                        self.staging.free(span);
+                    }
                     ctx.world().stats.counter("nic.stale_completions").add(1);
                     return;
                 };
@@ -787,12 +859,9 @@ impl Component for NicDevice {
                     return;
                 }
                 match purpose {
-                    DmaPurpose::TxDescBatch {
-                        start_idx,
-                        count,
-                        staging,
-                        ..
-                    } => self.on_tx_descs(ctx, start_idx, count, staging),
+                    DmaPurpose::TxDescBatch { count, staging, .. } => {
+                        self.on_tx_descs(ctx, count, staging)
+                    }
                     DmaPurpose::TxGather { op, .. } => self.on_tx_gather_done(ctx, op),
                     DmaPurpose::RxDescBatch { count, staging, .. } => {
                         self.on_rx_descs(ctx, count, staging)
@@ -800,7 +869,11 @@ impl Component for NicDevice {
                     DmaPurpose::RxDeliver {
                         ring_idx,
                         frame_len,
-                    } => self.on_rx_delivered(ctx, ring_idx, frame_len),
+                        staging,
+                    } => {
+                        self.staging.free(staging);
+                        self.on_rx_delivered(ctx, ring_idx, frame_len)
+                    }
                 }
             }
             Err(other) => panic!("NicDevice received unexpected message: {other:?}"),
@@ -827,7 +900,7 @@ pub fn install_nic(
         (bar, staging)
     };
     let max_lso = config.max_lso;
-    sim.install(id, NicDevice::new(config, fabric, wire, bar, staging));
+    sim.install(id, NicDevice::new(config, fabric, wire, bar, staging, name));
     sim.world_mut()
         .expect_mut::<dcs_pcie::MmioRouting>()
         .claim(AddrRange::new(bar.start, 0x1000), id);

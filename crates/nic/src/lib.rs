@@ -30,6 +30,7 @@ pub mod device;
 pub mod headers;
 pub mod initiator;
 pub mod ring;
+mod staging;
 pub mod wire;
 
 pub use device::{install_nic, ConfigureNic, ControlFrame, NicConfig, NicDevice, NicHandle};
