@@ -7,9 +7,8 @@
 
 use std::collections::BTreeMap;
 
-use dcs_host::costs::KernelCosts;
 use dcs_host::cpu::CpuPool;
-use dcs_host::integration::{IntegratedExecutor, IntegrationConfig};
+use dcs_host::integration::IntegratedExecutor;
 use dcs_host::job::{D2dJob, D2dOp};
 use dcs_ndp::NdpFunction;
 use dcs_nic::TcpFlow;
@@ -79,15 +78,7 @@ fn integration_rig() -> (Simulator, ComponentId, ComponentId) {
             .expect_mut::<PhysMemory>()
             .alloc_region("fused-flash", 8 << 30, PortId(1));
     let cpu = sim.add("fused-cpu", CpuPool::new("fused", 6));
-    let exec = sim.add(
-        "fused-exec",
-        IntegratedExecutor::new(
-            IntegrationConfig::default(),
-            KernelCosts::default(),
-            cpu,
-            flash,
-        ),
-    );
+    let exec = sim.add("fused-exec", IntegratedExecutor::new(cpu, flash));
     let probe = sim.add("probe", Probe);
     (sim, exec, probe)
 }

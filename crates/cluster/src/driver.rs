@@ -51,7 +51,7 @@ use dcs_sim::{Bandwidth, Component, Ctx, Histogram, Msg, SimTime};
 use dcs_workloads::gen::SizeDistribution;
 use dcs_workloads::scenario::NodeRef;
 
-use crate::health::{HealthConfig, HealthMonitor, NodeState, SlowTransition, Transition};
+use crate::health::{self, HealthConfig, HealthMonitor, NodeState, SlowTransition, Transition};
 use crate::policy::{LbPolicy, NodeLoad};
 use crate::qos::QosQueue;
 use crate::report::{ClusterReport, NodePerf, PhasePerf, TenantPerf};
@@ -622,7 +622,7 @@ impl<S: Service> ClusterDriver<S> {
                 // it carrying phantom load, steering new work to faster
                 // replicas first.
                 penalty: if self.cfg.health.enabled && self.health.state(n) == NodeState::Slow {
-                    self.cfg.health.slow_load_penalty
+                    health::SLOW_LOAD_PENALTY
                 } else {
                     0
                 },
@@ -698,7 +698,7 @@ impl<S: Service> ClusterDriver<S> {
             // Failover is part of the health layer: with it off, a
             // request stranded on a failed node is simply lost.
             retries_left: if self.cfg.health.enabled {
-                self.cfg.health.request_retries
+                health::REQUEST_RETRIES
             } else {
                 0
             },
@@ -824,7 +824,7 @@ impl<S: Service> ClusterDriver<S> {
         }
         ctx.send_at(deliver, ctx.self_id(), Delivered { req });
         let h = &self.cfg.health;
-        if h.enabled && h.hedge && !write && hedge_of.is_none() && self.ring.replication() > 1 {
+        if h.enabled && !write && hedge_of.is_none() && self.ring.replication() > 1 {
             ctx.send_self_in(self.hedge_delay(node), HedgeFire { req });
         }
         req
@@ -840,11 +840,11 @@ impl<S: Service> ClusterDriver<S> {
             self.health.state(node),
             NodeState::Suspect | NodeState::Degraded | NodeState::Slow
         ) {
-            return h.hedge_min_ns;
+            return health::HEDGE_MIN_NS;
         }
         if self.latency.count() >= 64 {
             if let Some(p99) = self.latency.percentile(99.0) {
-                return p99.clamp(h.hedge_min_ns, h.hedge_max_ns);
+                return p99.clamp(health::HEDGE_MIN_NS, h.hedge_max_ns);
             }
         }
         h.hedge_default_ns
@@ -1222,7 +1222,7 @@ impl<S: Service> ClusterDriver<S> {
         // storm: nodes that failed requests since the last tick turn
         // Suspect immediately instead of waiting out probe deadlines.
         let cur = dcs_sim::fault::exhausted_total(ctx.world_ref());
-        if cur.saturating_sub(self.last_exhausted) >= self.cfg.health.exhausted_burst {
+        if cur.saturating_sub(self.last_exhausted) >= health::EXHAUSTED_BURST {
             for node in 0..self.nodes.len() {
                 if self.node_fail_marks[node] {
                     self.health.on_exhausted_burst(node, ctx.now());
@@ -1236,7 +1236,7 @@ impl<S: Service> ClusterDriver<S> {
         // device resets) marks the nodes that were serving Degraded — not
         // Suspect, and never Dead: every one of those errors was caught.
         let contained = dcs_sim::fault::contained_total(ctx.world_ref());
-        if contained.saturating_sub(self.last_contained) >= self.cfg.health.contained_burst {
+        if contained.saturating_sub(self.last_contained) >= health::CONTAINED_BURST {
             for node in 0..self.nodes.len() {
                 if self.node_serve_marks[node] {
                     if self.health.state(node) == NodeState::Healthy {
@@ -1269,16 +1269,14 @@ impl<S: Service> ClusterDriver<S> {
         for node in 0..self.nodes.len() {
             self.probe_seq += 1;
             let seq = self.probe_seq;
-            let oneway = self
-                .switch
-                .control_oneway_ns(node, self.cfg.health.probe_bytes);
+            let oneway = self.switch.control_oneway_ns(node, health::PROBE_BYTES);
             ctx.send_self_in(oneway, ProbeDelivered { node, seq });
             ctx.send_self_in(
                 self.cfg.health.probe_timeout_ns,
                 ProbeDeadline { node, seq },
             );
         }
-        ctx.send_self_in(self.cfg.health.probe_period_ns, ProbeTick);
+        ctx.send_self_in(health::PROBE_PERIOD_NS, ProbeTick);
     }
 
     fn on_probe_delivered(&mut self, ctx: &mut Ctx<'_>, node: usize, seq: u64) {
@@ -1289,9 +1287,7 @@ impl<S: Service> ClusterDriver<S> {
             self.held_probes[node].push(seq);
             return;
         }
-        let oneway = self
-            .switch
-            .control_oneway_ns(node, self.cfg.health.probe_bytes);
+        let oneway = self.switch.control_oneway_ns(node, health::PROBE_BYTES);
         ctx.send_self_in(oneway, ProbeAck { node, seq });
     }
 
@@ -1444,9 +1440,7 @@ impl<S: Service> ClusterDriver<S> {
             }
         }
         let probes = std::mem::take(&mut self.held_probes[node]);
-        let oneway = self
-            .switch
-            .control_oneway_ns(node, self.cfg.health.probe_bytes);
+        let oneway = self.switch.control_oneway_ns(node, health::PROBE_BYTES);
         for seq in probes {
             ctx.send_self_in(oneway, ProbeAck { node, seq });
         }
@@ -1515,9 +1509,9 @@ impl<S: Service> ClusterDriver<S> {
 
     fn on_stream_chunk(&mut self, ctx: &mut Ctx<'_>, kind: StreamKind) {
         let h = &self.cfg.health;
-        let cap = h.repair_chunk_bytes as u64;
+        let cap = health::REPAIR_CHUNK_BYTES as u64;
         let gbps = match kind {
-            StreamKind::Repair => h.repair_gbps,
+            StreamKind::Repair => health::REPAIR_GBPS,
             StreamKind::Rejoin => h.rejoin_gbps,
         };
         let s = match kind {
@@ -1857,7 +1851,7 @@ impl<S: Service> Component for ClusterDriver<S> {
                     self.fault_end_abs = first.end_ns().map(|e| ctx.now().as_nanos() + e);
                 }
                 if self.cfg.health.enabled {
-                    ctx.send_self_in(self.cfg.health.probe_period_ns, ProbeTick);
+                    ctx.send_self_in(health::PROBE_PERIOD_NS, ProbeTick);
                 }
                 return;
             }

@@ -10,8 +10,8 @@
 //! waking up) flips it straight back to `Healthy`.
 //!
 //! Independently, request outcomes drive a classic per-node **circuit
-//! breaker**: `breaker_failures` *consecutive* request failures open it
-//! (the node is excluded from routing), after `breaker_open_ns` it goes
+//! breaker**: `BREAKER_FAILURES` *consecutive* request failures open it
+//! (the node is excluded from routing), after `BREAKER_OPEN_NS` it goes
 //! half-open (one trial request is let through), and a success — a trial
 //! request completing, or a heartbeat ack — closes it again.
 //!
@@ -27,10 +27,10 @@
 //! (pure `u64` shift arithmetic — bit-identical across runs, which the
 //! `float-in-sim-state` lint rule enforces) and, on every probe tick,
 //! compares each node's EWMA against the cluster median. A node whose
-//! EWMA exceeds `median × slow_threshold_pct / 100` for `slow_after`
+//! EWMA exceeds `median × SLOW_THRESHOLD_PCT / 100` for `SLOW_AFTER`
 //! consecutive evaluations is marked [`NodeState::Slow`]: still
 //! routable, but deprioritized (load penalty under JSQ/LO, hedges at
-//! the minimum delay, no new PUT leadership). `readmit_after`
+//! the minimum delay, no new PUT leadership). `READMIT_AFTER`
 //! consecutive below-threshold evaluations readmit it — deterministic
 //! hysteresis in both directions. `differential: false` ablates the
 //! detector so the blind baseline stays measurable.
@@ -49,7 +49,7 @@ use dcs_sim::SimTime;
 pub enum NodeState {
     /// Acking probes; fully routable.
     Healthy,
-    /// Missed at least `suspect_after` consecutive probe deadlines (or
+    /// Missed at least `SUSPECT_AFTER` consecutive probe deadlines (or
     /// showed a retry-exhaustion burst); still routable, but hedges fire
     /// at the minimum delay against it.
     Suspect,
@@ -65,7 +65,7 @@ pub enum NodeState {
     /// ratio. Still routable, but deprioritized — JSQ/LO see a load
     /// penalty, hedges fire at the minimum delay, and PUTs skip it as
     /// primary when a faster replica survives. Readmitted to Healthy
-    /// after `readmit_after` consecutive below-threshold evaluations.
+    /// after `READMIT_AFTER` consecutive below-threshold evaluations.
     Slow,
     /// A restarted node running its rejoin lifecycle: it acks probes
     /// (alive) but is not yet routable — anti-entropy shard repair and
@@ -89,76 +89,74 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// Knobs for detection, failover, hedging, and repair. Lives inside
-/// [`ClusterConfig`](crate::ClusterConfig); `enabled: false` turns the
-/// entire tolerance layer off (the ablation the failover sweep measures).
+/// Heartbeat period per node.
+pub const PROBE_PERIOD_NS: u64 = 500_000;
+/// Control-frame size on the wire.
+pub const PROBE_BYTES: usize = 128;
+/// Consecutive misses before `Healthy → Suspect`.
+pub const SUSPECT_AFTER: u32 = 2;
+/// Consecutive request failures that open the breaker.
+pub const BREAKER_FAILURES: u32 = 3;
+/// How long the breaker stays open before going half-open.
+pub const BREAKER_OPEN_NS: u64 = 3_000_000;
+/// Per-request budget for re-dispatching a request whose node died with
+/// it in flight.
+pub const REQUEST_RETRIES: u32 = 2;
+/// Floor for the hedge delay (and the delay used against Suspect nodes).
+pub const HEDGE_MIN_NS: u64 = 2_000_000;
+/// Pacing rate of the re-replication stream, Gbps (the bandwidth cap;
+/// chunks still serialize — and contend — on the ToR ports).
+pub const REPAIR_GBPS: f64 = 2.0;
+/// Chunk size of the re-replication stream.
+pub const REPAIR_CHUNK_BYTES: usize = 256 * 1024;
+/// Jump in the cluster-wide `SiteStats::exhausted` tally within one probe
+/// period that counts as a fault storm: nodes failing requests during
+/// such a burst are marked Suspect immediately instead of waiting out
+/// probe deadlines.
+pub const EXHAUSTED_BURST: u64 = 3;
+/// Jump in the cluster-wide *contained*-fault tally (errors detected and
+/// recovered in place: ECRC replays, completion-entry rewrites, device
+/// resets) within one probe period that marks serving nodes Degraded
+/// instead of Suspect: the node is alive and correct, just riding a fault
+/// storm.
+pub const CONTAINED_BURST: u64 = 8;
+/// A node is slow when its latency EWMA exceeds
+/// `cluster median × SLOW_THRESHOLD_PCT / 100`.
+pub const SLOW_THRESHOLD_PCT: u64 = 250;
+/// Consecutive above-threshold evaluations (one per probe tick) before
+/// `Healthy → Slow`.
+pub const SLOW_AFTER: u32 = 3;
+/// Consecutive below-threshold evaluations before `Slow → Healthy`.
+pub const READMIT_AFTER: u32 = 6;
+/// Fixed-point EWMA smoothing: `ewma += (sample - ewma) >> EWMA_SHIFT`.
+pub const EWMA_SHIFT: u32 = 3;
+/// Outstanding-request penalty JSQ/LO charge a Slow node, steering new
+/// work toward faster replicas without unrouting it.
+pub const SLOW_LOAD_PENALTY: usize = 32;
+
+/// Knobs for detection, failover, hedging, and repair that the sweeps
+/// vary. Lives inside [`ClusterConfig`](crate::ClusterConfig);
+/// `enabled: false` turns the entire tolerance layer off (the ablation
+/// the failover sweep measures).
 #[derive(Clone, Debug)]
 pub struct HealthConfig {
     /// Master switch: probes, failover, retries, hedging, and repair all
     /// key off this.
     pub enabled: bool,
-    /// Heartbeat period per node.
-    pub probe_period_ns: u64,
     /// Probe deadline: an ack not seen this long after the probe was sent
     /// counts as a miss.
     pub probe_timeout_ns: u64,
-    /// Control-frame size on the wire.
-    pub probe_bytes: usize,
-    /// Consecutive misses before `Healthy → Suspect`.
-    pub suspect_after: u32,
     /// Consecutive misses before `Suspect → Dead`.
     pub dead_after: u32,
-    /// Consecutive request failures that open the breaker.
-    pub breaker_failures: u32,
-    /// How long the breaker stays open before going half-open.
-    pub breaker_open_ns: u64,
-    /// Per-request budget for re-dispatching a request whose node died
-    /// with it in flight (0 disables failover retries).
-    pub request_retries: u32,
-    /// Issue a hedged second GET to another replica when the first is
-    /// slow.
-    pub hedge: bool,
-    /// Floor for the hedge delay (and the delay used against Suspect
-    /// nodes).
-    pub hedge_min_ns: u64,
     /// Ceiling for the hedge delay.
     pub hedge_max_ns: u64,
     /// Hedge delay until the latency histogram has enough samples for a
     /// p99.
     pub hedge_default_ns: u64,
-    /// Pacing rate of the re-replication stream, Gbps (the bandwidth cap;
-    /// chunks still serialize — and contend — on the ToR ports).
-    pub repair_gbps: f64,
-    /// Chunk size of the re-replication stream.
-    pub repair_chunk_bytes: usize,
-    /// Jump in the cluster-wide `SiteStats::exhausted` tally within one
-    /// probe period that counts as a fault storm: nodes failing requests
-    /// during such a burst are marked Suspect immediately instead of
-    /// waiting out probe deadlines.
-    pub exhausted_burst: u64,
-    /// Jump in the cluster-wide *contained*-fault tally (errors detected
-    /// and recovered in place: ECRC replays, completion-entry rewrites,
-    /// device resets) within one probe period that marks serving nodes
-    /// Degraded instead of Suspect: the node is alive and correct, just
-    /// riding a fault storm.
-    pub contained_burst: u64,
     /// Differential (median-relative) slow-node detection. `false` is
     /// the gray-failure ablation arm: probes alone, provably blind to a
     /// fail-slow node that keeps acking them.
     pub differential: bool,
-    /// A node is slow when its latency EWMA exceeds
-    /// `cluster median × slow_threshold_pct / 100`.
-    pub slow_threshold_pct: u64,
-    /// Consecutive above-threshold evaluations (one per probe tick)
-    /// before `Healthy → Slow`.
-    pub slow_after: u32,
-    /// Consecutive below-threshold evaluations before `Slow → Healthy`.
-    pub readmit_after: u32,
-    /// Fixed-point EWMA smoothing: `ewma += (sample - ewma) >> shift`.
-    pub ewma_shift: u32,
-    /// Outstanding-request penalty JSQ/LO charge a Slow node, steering
-    /// new work toward faster replicas without unrouting it.
-    pub slow_load_penalty: usize,
     /// Pacing rate of the rejoin anti-entropy stream, Gbps (the reverse
     /// of re-replication: survivors stream the rejoining node's shards
     /// back to it).
@@ -169,28 +167,11 @@ impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
             enabled: true,
-            probe_period_ns: 500_000,
             probe_timeout_ns: 2_500_000,
-            probe_bytes: 128,
-            suspect_after: 2,
             dead_after: 4,
-            breaker_failures: 3,
-            breaker_open_ns: 3_000_000,
-            request_retries: 2,
-            hedge: true,
-            hedge_min_ns: 2_000_000,
             hedge_max_ns: 25_000_000,
             hedge_default_ns: 12_000_000,
-            repair_gbps: 2.0,
-            repair_chunk_bytes: 256 * 1024,
-            exhausted_burst: 3,
-            contained_burst: 8,
             differential: true,
-            slow_threshold_pct: 250,
-            slow_after: 3,
-            readmit_after: 6,
-            ewma_shift: 3,
-            slow_load_penalty: 32,
             rejoin_gbps: 2.0,
         }
     }
@@ -221,18 +202,18 @@ impl HealthConfig {
     /// periods accumulate the misses, and the last probe's deadline pays
     /// the timeout.
     pub fn detection_bound_ns(&self) -> u64 {
-        self.dead_after as u64 * self.probe_period_ns + self.probe_timeout_ns
+        self.dead_after as u64 * PROBE_PERIOD_NS + self.probe_timeout_ns
     }
 
     /// Upper bound on fail-slow detection latency: the EWMA needs at most
-    /// `slow_after` evaluations past the point where enough slow samples
+    /// `SLOW_AFTER` evaluations past the point where enough slow samples
     /// accumulated; evaluations run once per probe period. The constant
-    /// in front budgets EWMA convergence (`2^ewma_shift` samples) on top
+    /// in front budgets EWMA convergence (`2^EWMA_SHIFT` samples) on top
     /// of the hysteresis walk — generous but still tight enough to make
     /// "bounded, seed-reproducible detection" a real assertion.
     pub fn slow_detection_bound_ns(&self) -> u64 {
-        let convergence = 1u64 << self.ewma_shift;
-        (convergence + self.slow_after as u64 + 1) * self.probe_period_ns + self.probe_timeout_ns
+        let convergence = 1u64 << EWMA_SHIFT;
+        (convergence + SLOW_AFTER as u64 + 1) * PROBE_PERIOD_NS + self.probe_timeout_ns
     }
 }
 
@@ -253,9 +234,9 @@ pub enum Transition {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SlowTransition {
     /// `Healthy → Slow`: the node's EWMA sat above the median threshold
-    /// for `slow_after` consecutive evaluations.
+    /// for `SLOW_AFTER` consecutive evaluations.
     Slowed(usize),
-    /// `Slow → Healthy`: below threshold for `readmit_after` consecutive
+    /// `Slow → Healthy`: below threshold for `READMIT_AFTER` consecutive
     /// evaluations.
     Readmitted(usize),
 }
@@ -348,7 +329,7 @@ impl HealthMonitor {
             n.state = NodeState::Dead;
             return Some(Transition::Died);
         }
-        if n.misses >= self.cfg.suspect_after
+        if n.misses >= SUSPECT_AFTER
             && matches!(
                 n.state,
                 NodeState::Healthy | NodeState::Degraded | NodeState::Slow
@@ -406,7 +387,7 @@ impl HealthMonitor {
     /// fixed-point EWMA. Dead and Joining nodes are skipped (their
     /// "latencies" are failover artifacts, not service observations).
     pub fn record_latency(&mut self, node: usize, sample_ns: u64) {
-        let shift = self.cfg.ewma_shift;
+        let shift = EWMA_SHIFT;
         let n = &mut self.nodes[node];
         if matches!(n.state, NodeState::Dead | NodeState::Joining) {
             return;
@@ -450,7 +431,7 @@ impl HealthMonitor {
         } else {
             samples[mid]
         };
-        let threshold = median.saturating_mul(self.cfg.slow_threshold_pct) / 100;
+        let threshold = median.saturating_mul(SLOW_THRESHOLD_PCT) / 100;
         let mut out = Vec::new();
         for (i, n) in self.nodes.iter_mut().enumerate() {
             if n.ewma_ns == 0 {
@@ -460,7 +441,7 @@ impl HealthMonitor {
                 NodeState::Healthy if n.ewma_ns > threshold => {
                     n.slow_marks += 1;
                     n.fast_marks = 0;
-                    if n.slow_marks >= self.cfg.slow_after {
+                    if n.slow_marks >= SLOW_AFTER {
                         n.state = NodeState::Slow;
                         n.slow_marks = 0;
                         out.push(SlowTransition::Slowed(i));
@@ -471,7 +452,7 @@ impl HealthMonitor {
                 }
                 NodeState::Slow if n.ewma_ns <= threshold => {
                     n.fast_marks += 1;
-                    if n.fast_marks >= self.cfg.readmit_after {
+                    if n.fast_marks >= READMIT_AFTER {
                         n.state = NodeState::Healthy;
                         n.fast_marks = 0;
                         n.slow_marks = 0;
@@ -532,7 +513,7 @@ impl HealthMonitor {
                 n.opened_at = now;
                 n.trial_inflight = false;
             }
-            BreakerState::Closed if n.consecutive_failures >= self.cfg.breaker_failures => {
+            BreakerState::Closed if n.consecutive_failures >= BREAKER_FAILURES => {
                 n.breaker = BreakerState::Open;
                 n.opened_at = now;
             }
@@ -548,7 +529,7 @@ impl HealthMonitor {
             let n = &mut self.nodes[node];
             if n.state == NodeState::Healthy {
                 n.state = NodeState::Suspect;
-                n.misses = n.misses.max(self.cfg.suspect_after);
+                n.misses = n.misses.max(SUSPECT_AFTER);
             }
         }
         self.on_request_failure(node, now);
@@ -573,7 +554,7 @@ impl HealthMonitor {
     /// [`on_dispatch`](Self::on_dispatch)). Promotes Open → HalfOpen
     /// lazily once the open window elapses.
     pub fn routable(&mut self, node: usize, now: SimTime) -> bool {
-        let open_ns = self.cfg.breaker_open_ns;
+        let open_ns = BREAKER_OPEN_NS;
         let n = &mut self.nodes[node];
         if matches!(n.state, NodeState::Dead | NodeState::Joining) {
             return false;

@@ -15,7 +15,7 @@
 
 use dcs_sim::DetMap;
 
-use dcs_host::costs::KernelCosts;
+use dcs_host::costs;
 use dcs_host::cpu::{CpuJob, CpuJobDone};
 use dcs_host::job::{D2dDone, D2dJob, D2dOp};
 use dcs_nic::TcpFlow;
@@ -77,7 +77,6 @@ pub struct HdcDriver {
     cmd_queue: PhysAddr,
     engine_aux_base: PhysAddr,
     layout: DriverLayout,
-    costs: KernelCosts,
     jobs: DetMap<u64, JobCtx>,
     /// Registered connections (flow → engine conn id).
     conns: DetMap<TcpFlow, u16>,
@@ -103,7 +102,6 @@ impl HdcDriver {
         cmd_queue: PhysAddr,
         engine_aux_base: PhysAddr,
         layout: DriverLayout,
-        costs: KernelCosts,
     ) -> (Self, EngineInit) {
         let init = EngineInit {
             completion_ring: layout.completion_ring,
@@ -118,7 +116,6 @@ impl HdcDriver {
             cmd_queue,
             engine_aux_base,
             layout,
-            costs,
             jobs: DetMap::new(),
             conns: DetMap::new(),
             next_conn: 1,
@@ -227,7 +224,7 @@ impl HdcDriver {
         }
         let id = job.id;
         let cmd = D2dCommand { id, ops };
-        let cost = self.costs.hdc_ioctl_ns + self.costs.hdc_metadata_ns * metadata_lookups.max(1);
+        let cost = costs::HDC_IOCTL_NS + costs::HDC_METADATA_NS * metadata_lookups.max(1);
         {
             let now = ctx.now();
             let obs = &mut ctx.world().obs;
@@ -267,18 +264,18 @@ impl HdcDriver {
         if self.poll_armed {
             return;
         }
-        let Some(rc) = fault::recovery(ctx.world_ref()) else {
+        if !fault::active(ctx.world_ref()) {
             return;
-        };
+        }
         self.poll_armed = true;
-        ctx.send_self_in(rc.poll_period_ns, RingPoll);
+        ctx.send_self_in(fault::POLL_PERIOD_NS, RingPoll);
     }
 
     fn on_poll(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(rc) = fault::recovery(ctx.world_ref()) else {
+        if !fault::active(ctx.world_ref()) {
             self.poll_armed = false;
             return;
-        };
+        }
         ctx.world().stats.counter("hdc.drv_polls").add(1);
         self.drain_completions(ctx);
         // Fail jobs whose completion record was lost for good (e.g. a
@@ -289,7 +286,7 @@ impl HdcDriver {
         let stale: Vec<u64> = self
             .jobs
             .iter()
-            .filter(|(_, j)| now - j.submitted_at > rc.op_timeout_ns)
+            .filter(|(_, j)| now - j.submitted_at > fault::OP_TIMEOUT_NS)
             .map(|(&id, _)| id)
             .collect();
         for id in stale {
@@ -298,7 +295,7 @@ impl HdcDriver {
         if self.jobs.is_empty() {
             self.poll_armed = false;
         } else {
-            ctx.send_self_in(rc.poll_period_ns, RingPoll);
+            ctx.send_self_in(fault::POLL_PERIOD_NS, RingPoll);
         }
     }
 
@@ -471,7 +468,7 @@ impl HdcDriver {
             }
             let id = record.id;
             if let Some(j) = self.jobs.get_mut(&id) {
-                j.completion_ns = self.costs.hdc_completion_ns;
+                j.completion_ns = costs::HDC_COMPLETION_NS;
                 j.record = Some(record);
             }
             self.try_finish(ctx, id);
@@ -581,7 +578,7 @@ impl Component for HdcDriver {
             Ok(d) => {
                 assert_eq!(d.vector, 0x80, "driver handles only engine completions");
                 // Interrupt + completion handling on the CPU, then drain.
-                let cost = self.costs.irq_entry_ns + self.costs.hdc_completion_ns;
+                let cost = costs::IRQ_ENTRY_NS + costs::HDC_COMPLETION_NS;
                 // Tag under the oldest outstanding job's tag.
                 let tag = self
                     .jobs

@@ -50,52 +50,45 @@ use crate::command::{CompletionRecord, D2dCommand, DevOpCode};
 use crate::ndp_unit::NdpBank;
 use crate::scoreboard::{ControllerClass, DevCmd, Scoreboard, SlotRef};
 
-/// Engine hardware parameters.
+/// Host-interface command parse latency, ns.
+pub const CMD_PARSE_NS: u64 = 120;
+/// Scoreboard bookkeeping latency per issue/update, ns.
+pub const SCOREBOARD_STEP_NS: u64 = 60;
+/// Completion-record assembly latency, ns.
+pub const COMPLETION_WRITE_NS: u64 = 100;
+/// NDP functions instantiated (Table III banks).
+pub const NDP_FUNCTIONS: [NdpFunction; 6] = [
+    NdpFunction::Md5,
+    NdpFunction::Sha1,
+    NdpFunction::Sha256,
+    NdpFunction::Crc32,
+    NdpFunction::Aes256Encrypt,
+    NdpFunction::GzipCompress,
+];
+/// Issue limit for the NIC controller's transmit path.
+pub const NIC_OUTSTANDING: usize = 8;
+/// DDR3 packet-gather copy bandwidth.
+pub const GATHER_BANDWIDTH: Bandwidth = Bandwidth::gbps(51.2);
+/// Scoreboard command slots.
+pub const SCOREBOARD_SLOTS: usize = 64;
+/// Receive frame buffers posted to the NIC (2 KiB each, in DDR3).
+pub const RECV_BUFFERS: u16 = 1024;
+
+/// Engine parameters the ablation sweeps.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Host-interface command parse latency, ns.
-    pub cmd_parse_ns: u64,
-    /// Scoreboard bookkeeping latency per issue/update, ns.
-    pub scoreboard_step_ns: u64,
-    /// Completion-record assembly latency, ns.
-    pub completion_write_ns: u64,
-    /// NDP functions instantiated (Table III banks).
-    pub ndp_functions: Vec<NdpFunction>,
     /// Aggregate throughput target per NDP function (Table III sizes the
     /// banks for 10 Gbps; raise it to instantiate more units).
     pub ndp_target_gbps: f64,
     /// Issue limit per SSD controller.
     pub nvme_outstanding: usize,
-    /// Issue limit for the NIC controller's transmit path.
-    pub nic_outstanding: usize,
-    /// DDR3 packet-gather copy bandwidth.
-    pub gather_bandwidth: Bandwidth,
-    /// Scoreboard command slots.
-    pub scoreboard_slots: usize,
-    /// Receive frame buffers posted to the NIC (2 KiB each, in DDR3).
-    pub recv_buffers: u16,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            cmd_parse_ns: 120,
-            scoreboard_step_ns: 60,
-            completion_write_ns: 100,
-            ndp_functions: vec![
-                NdpFunction::Md5,
-                NdpFunction::Sha1,
-                NdpFunction::Sha256,
-                NdpFunction::Crc32,
-                NdpFunction::Aes256Encrypt,
-                NdpFunction::GzipCompress,
-            ],
             ndp_target_gbps: 10.0,
             nvme_outstanding: 16,
-            nic_outstanding: 8,
-            gather_bandwidth: Bandwidth::gbps(51.2),
-            scoreboard_slots: 64,
-            recv_buffers: 1024,
         }
     }
 }
@@ -301,9 +294,9 @@ impl HdcEngine {
         let send_base = bar.start + off;
         off += 2048 * SendDescriptor::SIZE as u64;
         let recv_base = bar.start + off;
-        off += (config.recv_buffers as u64 + 1) * RecvDescriptor::SIZE as u64;
+        off += (RECV_BUFFERS as u64 + 1) * RecvDescriptor::SIZE as u64;
         let wb_base = bar.start + off;
-        off += (config.recv_buffers as u64 + 1) * RecvWriteback::SIZE as u64;
+        off += (RECV_BUFFERS as u64 + 1) * RecvWriteback::SIZE as u64;
         let hdr_area = bar.start + off;
         off += 2048 * 64;
         assert!(off <= bar.len, "BRAM layout exceeds BAR window");
@@ -312,7 +305,7 @@ impl HdcEngine {
         // chunked intermediate-buffer pool.
         let aux_base = ddr.start;
         let recv_bufs = ddr.start + (1 << 20);
-        let pool_start = recv_bufs + config.recv_buffers as u64 * RECV_BUF_SIZE;
+        let pool_start = recv_bufs + RECV_BUFFERS as u64 * RECV_BUF_SIZE;
         let pool_start = PhysAddr(pool_start.as_u64().div_ceil(CHUNK_SIZE) * CHUNK_SIZE);
         let pool = AddrRange::new(pool_start, ddr.end() - pool_start);
 
@@ -320,7 +313,7 @@ impl HdcEngine {
             send_ring_base: send_base,
             send_ring_depth: 2048,
             recv_ring_base: recv_base,
-            recv_ring_depth: config.recv_buffers + 1,
+            recv_ring_depth: RECV_BUFFERS + 1,
             wb_ring_base: wb_base,
             tx_msi_addr: msi_addr + 8,
             tx_msi_vector: Self::MSI_NIC_TX,
@@ -330,11 +323,8 @@ impl HdcEngine {
 
         HdcEngine {
             allocator: ChunkAllocator::new(pool),
-            scoreboard: Scoreboard::new(config.scoreboard_slots),
-            ndp: NdpBank::with_target(
-                &config.ndp_functions,
-                Bandwidth::gbps(config.ndp_target_gbps),
-            ),
+            scoreboard: Scoreboard::new(SCOREBOARD_SLOTS),
+            ndp: NdpBank::with_target(&NDP_FUNCTIONS, Bandwidth::gbps(config.ndp_target_gbps)),
             config,
             fabric,
             bar,
@@ -345,7 +335,7 @@ impl HdcEngine {
             ndp_pending: DetMap::new(),
             hostread_pending: DetMap::new(),
             nvme,
-            nic: NicInitiator::new(nic, configure, recv_bufs, hdr_area, 1448),
+            nic: NicInitiator::new(nic, configure, recv_bufs, hdr_area),
             tx_fifo: VecDeque::new(),
             inflight_tx: 0,
             connections: DetMap::new(),
@@ -399,7 +389,7 @@ impl HdcEngine {
             ctx.send_now(ssd.device(), ssd.attach());
         }
         ctx.send_now(self.nic.device(), self.nic.configure());
-        let n = self.config.recv_buffers;
+        let n = RECV_BUFFERS;
         let doorbell = self
             .nic
             .post_recv_buffers(ctx.world().expect_mut::<PhysMemory>(), n);
@@ -414,7 +404,7 @@ impl HdcEngine {
         let bytes: [u8; D2dCommand::SIZE] = data.try_into().expect("command writes are 64 bytes");
         match D2dCommand::from_bytes(&bytes) {
             Ok(cmd) => {
-                let parse = self.config.cmd_parse_ns;
+                let parse = CMD_PARSE_NS;
                 {
                     let now = ctx.now();
                     let obs = &mut ctx.world().obs;
@@ -435,7 +425,7 @@ impl HdcEngine {
                         buffers: vec![],
                         digest: None,
                         breakdown: Breakdown::new(),
-                        scoreboard_ns: self.config.cmd_parse_ns,
+                        scoreboard_ns: CMD_PARSE_NS,
                     },
                 );
                 self.deliver_completion(ctx, id, false, 0);
@@ -546,7 +536,7 @@ impl HdcEngine {
             buffers: vec![buf],
             digest: None,
             breakdown: Breakdown::new(),
-            scoreboard_ns: self.config.cmd_parse_ns,
+            scoreboard_ns: CMD_PARSE_NS,
         };
         if !ok {
             ctx.world()
@@ -557,7 +547,7 @@ impl HdcEngine {
             self.deliver_completion(ctx, id, false, 0);
             return;
         }
-        context.scoreboard_ns += self.config.scoreboard_step_ns * dev_cmds.len() as u64;
+        context.scoreboard_ns += SCOREBOARD_STEP_NS * dev_cmds.len() as u64;
         self.contexts.insert(id, context);
         self.scoreboard
             .admit(id, dev_cmds)
@@ -583,7 +573,7 @@ impl HdcEngine {
                 .iter()
                 .map(|c| c.in_flight() < self.config.nvme_outstanding)
                 .collect();
-            let nic_room = self.inflight_tx < self.config.nic_outstanding;
+            let nic_room = self.inflight_tx < NIC_OUTSTANDING;
             let issued = self.scoreboard.issue_next(|class| match class {
                 ControllerClass::Nvme(i) => nvme_room[i],
                 ControllerClass::Nic => nic_room,
@@ -628,7 +618,7 @@ impl HdcEngine {
                     // The fetch crosses the fabric at the engine's DDR3
                     // copy bandwidth — the same mover the NIC gather path
                     // models.
-                    let delay = self.config.gather_bandwidth.transfer_time(len).max(1);
+                    let delay = GATHER_BANDWIDTH.transfer_time(len).max(1);
                     self.hostread_pending.insert(token, (at, ctx.now()));
                     {
                         let now = ctx.now();
@@ -687,7 +677,7 @@ impl HdcEngine {
         let doorbell = ctrl.submit(ctx.world().expect_mut::<PhysMemory>(), tag, io);
         // Hardware-speed doorbell: a posted PCIe P2P write, with the
         // scoreboard's bookkeeping as the only added latency.
-        ctx.send_in(self.config.scoreboard_step_ns, self.fabric, doorbell);
+        ctx.send_in(SCOREBOARD_STEP_NS, self.fabric, doorbell);
     }
 
     fn issue_nic_send(
@@ -742,7 +732,7 @@ impl HdcEngine {
             .push_send(ctx.world().expect_mut::<PhysMemory>(), tx);
         self.tx_fifo
             .extend((0..descs).map(|i| (at, now, i == descs - 1)));
-        ctx.send_in(self.config.scoreboard_step_ns, self.fabric, doorbell);
+        ctx.send_in(SCOREBOARD_STEP_NS, self.fabric, doorbell);
     }
 
     // ------------------------------------------------------------------
@@ -768,7 +758,7 @@ impl HdcEngine {
                 Outcome::Unknown => ctx.world().stats.counter("hdc.stale_cqe").add(1),
                 Outcome::Stale => ctx.world().stats.counter("hdc.stale_subop").add(1),
                 Outcome::Retried(doorbell) => {
-                    ctx.send_in(self.config.scoreboard_step_ns, self.fabric, doorbell)
+                    ctx.send_in(SCOREBOARD_STEP_NS, self.fabric, doorbell)
                 }
                 Outcome::Settled { io, done } => self.nvme_settled(ctx, io, done),
             }
@@ -791,7 +781,7 @@ impl HdcEngine {
         let dur = ctx.now() - io.issued_at;
         if let Some(c) = self.contexts.get_mut(&id) {
             c.breakdown.add(cat, dur);
-            c.scoreboard_ns += self.config.scoreboard_step_ns;
+            c.scoreboard_ns += SCOREBOARD_STEP_NS;
         }
         if ok {
             let len = self.scoreboard.op(io.req).len();
@@ -869,7 +859,7 @@ impl HdcEngine {
                 }
                 if let Some(c) = self.contexts.get_mut(&id) {
                     c.breakdown.add(Category::Hash, ctx.now() - issued_at);
-                    c.scoreboard_ns += self.config.scoreboard_step_ns;
+                    c.scoreboard_ns += SCOREBOARD_STEP_NS;
                 }
                 self.scoreboard.mark_done(at, out_len);
             }
@@ -896,7 +886,7 @@ impl HdcEngine {
         let id = self.scoreboard.id_of(at.slot);
         if let Some(c) = self.contexts.get_mut(&id) {
             c.breakdown.add(Category::DataCopy, ctx.now() - issued_at);
-            c.scoreboard_ns += self.config.scoreboard_step_ns;
+            c.scoreboard_ns += SCOREBOARD_STEP_NS;
         }
         self.scoreboard.mark_done(at, len);
         self.after_progress(ctx);
@@ -921,7 +911,7 @@ impl HdcEngine {
             let id = self.scoreboard.id_of(at.slot);
             if let Some(c) = self.contexts.get_mut(&id) {
                 c.breakdown.add(Category::Wire, ctx.now() - issued_at);
-                c.scoreboard_ns += self.config.scoreboard_step_ns;
+                c.scoreboard_ns += SCOREBOARD_STEP_NS;
             }
             self.try_complete_nic_send(ctx, at);
             self.after_progress(ctx);
@@ -937,7 +927,7 @@ impl HdcEngine {
         let id = self.scoreboard.id_of(at.slot);
         if let Some(c) = self.contexts.get_mut(&id) {
             c.breakdown.add(Category::Wire, ctx.now() - issued_at);
-            c.scoreboard_ns += self.config.scoreboard_step_ns;
+            c.scoreboard_ns += SCOREBOARD_STEP_NS;
         }
         let len = self.scoreboard.op(at).len();
         self.scoreboard.mark_done(at, len);
@@ -1075,7 +1065,7 @@ impl HdcEngine {
         }
         // The gather engine copies payloads into contiguous DDR3 at its
         // copy bandwidth.
-        let service = self.config.gather_bandwidth.transfer_time(bytes);
+        let service = GATHER_BANDWIDTH.transfer_time(bytes);
         let done = self.gather_unit.offer(ctx.now(), service);
         let delay = done - ctx.now();
         let _ = bytes;
@@ -1117,7 +1107,7 @@ impl HdcEngine {
             let id = self.scoreboard.id_of(e.at.slot);
             if let Some(c) = self.contexts.get_mut(&id) {
                 c.breakdown.add(Category::Wire, ctx.now() - e.issued_at);
-                c.scoreboard_ns += self.config.scoreboard_step_ns;
+                c.scoreboard_ns += SCOREBOARD_STEP_NS;
             }
             self.scoreboard.mark_done(e.at, e.len);
         }
@@ -1136,11 +1126,11 @@ impl HdcEngine {
         if self.watchdog_armed {
             return;
         }
-        let Some(rc) = fault::recovery(ctx.world_ref()) else {
+        if !fault::active(ctx.world_ref()) {
             return;
-        };
+        }
         self.watchdog_armed = true;
-        ctx.send_self_in(rc.watchdog_period_ns, WatchdogTick);
+        ctx.send_self_in(fault::WATCHDOG_PERIOD_NS, WatchdogTick);
     }
 
     fn on_watchdog(&mut self, ctx: &mut Ctx<'_>) {
@@ -1159,7 +1149,7 @@ impl HdcEngine {
         // Sweeps sort what they collect from hash maps: iteration order
         // must never leak into the event sequence (seed reproducibility).
         for ssd in 0..self.nvme.len() {
-            for cid in self.nvme[ssd].overdue(now, rc.op_timeout_ns) {
+            for cid in self.nvme[ssd].overdue(now, fault::OP_TIMEOUT_NS) {
                 let Outcome::Settled { io, done } = self.nvme[ssd].expire(cid) else {
                     continue;
                 };
@@ -1176,12 +1166,12 @@ impl HdcEngine {
         let mut fail = Vec::new();
         for (&at, s) in &self.nic_sends {
             if s.acked {
-                if !s.descs_done && now - s.last_attempt > rc.nic_rto_ns {
+                if !s.descs_done && now - s.last_attempt > fault::NIC_RTO_NS {
                     force.push(at);
                 }
                 continue;
             }
-            let rto = rc.nic_rto_ns << s.attempts.min(10);
+            let rto = fault::NIC_RTO_NS << s.attempts.min(10);
             if now - s.last_attempt <= rto {
                 continue;
             }
@@ -1223,7 +1213,7 @@ impl HdcEngine {
             .expectations
             .iter()
             .enumerate()
-            .filter(|(_, e)| now - e.last_progress.max(e.issued_at) > rc.op_timeout_ns)
+            .filter(|(_, e)| now - e.last_progress.max(e.issued_at) > fault::OP_TIMEOUT_NS)
             .map(|(i, _)| i)
             .collect();
         for i in stale.into_iter().rev() {
@@ -1235,7 +1225,7 @@ impl HdcEngine {
         // Transmit-FIFO entries whose interrupts were lost long ago would
         // otherwise skew attribution forever; drop them.
         while let Some(&(_, t, _)) = self.tx_fifo.front() {
-            if now - t > rc.op_timeout_ns {
+            if now - t > fault::OP_TIMEOUT_NS {
                 self.tx_fifo.pop_front();
                 ctx.world().stats.counter("hdc.stale_tx_entries").add(1);
             } else {
@@ -1244,7 +1234,7 @@ impl HdcEngine {
         }
         self.after_progress(ctx);
         if !self.contexts.is_empty() || !self.pending_admit.is_empty() {
-            ctx.send_self_in(rc.watchdog_period_ns, WatchdogTick);
+            ctx.send_self_in(fault::WATCHDOG_PERIOD_NS, WatchdogTick);
         } else {
             self.watchdog_armed = false;
         }
@@ -1280,7 +1270,7 @@ impl HdcEngine {
         let context = self.contexts.get_mut(&id).expect("live command context");
         context.breakdown.add(
             Category::Scoreboard,
-            context.scoreboard_ns + self.config.completion_write_ns,
+            context.scoreboard_ns + COMPLETION_WRITE_NS,
         );
         let record = CompletionRecord {
             id,
@@ -1322,7 +1312,7 @@ impl HdcEngine {
         );
         let fabric = self.fabric;
         ctx.send_in(
-            self.config.completion_write_ns,
+            COMPLETION_WRITE_NS,
             fabric,
             DmaRequest {
                 id: token,

@@ -6,7 +6,6 @@
 //! device queue pairs (qid 2 on the SSDs, the NIC's rings in BRAM), and
 //! the HDC Driver on the host submits [`D2dJob`](dcs_host::D2dJob)s.
 
-use dcs_host::costs::KernelCosts;
 use dcs_host::cpu::CpuPool;
 use dcs_nic::{install_nic, install_wire, NicConfig, NicHandle, WireConfig};
 use dcs_nvme::{install_nvme, NvmeConfig, NvmeHandle};
@@ -23,8 +22,6 @@ pub struct DcsNodeBuilder {
     pub name: String,
     /// Host CPU cores.
     pub cores: usize,
-    /// Kernel cost model for the HDC Driver's (small) software footprint.
-    pub costs: KernelCosts,
     /// One config per SSD.
     pub ssds: Vec<NvmeConfig>,
     /// NIC parameters.
@@ -40,7 +37,6 @@ impl DcsNodeBuilder {
         DcsNodeBuilder {
             name: name.to_string(),
             cores: 6,
-            costs: KernelCosts::default(),
             ssds: vec![NvmeConfig::default()],
             nic: NicConfig::default(),
             engine: EngineConfig::default(),
@@ -177,15 +173,7 @@ pub fn build_dcs_node(
         aux_staging,
     };
     let driver_id = sim.reserve(&format!("{name}-hdc-driver"));
-    let (driver, init) = HdcDriver::new(
-        cpu,
-        fabric,
-        engine_id,
-        cmd_queue,
-        aux_base,
-        layout,
-        builder.costs.clone(),
-    );
+    let (driver, init) = HdcDriver::new(cpu, fabric, engine_id, cmd_queue, aux_base, layout);
     sim.install(driver_id, driver);
     sim.world_mut()
         .expect_mut::<MmioRouting>()

@@ -10,15 +10,15 @@
 //!
 //! * BAR-exposed device memory (GPUDirect-style): other devices and the
 //!   host DMA straight into GPU memory through the normal PCIe fabric.
-//! * Kernel launch latency and a compute engine with a configurable
-//!   per-function throughput; the *actual* computation runs the same
-//!   [`dcs_ndp`] code the NDP units use, so results are comparable
-//!   byte-for-byte.
+//! * Kernel launch latency and a compute engine with a fixed
+//!   per-function throughput (Tesla K20m-era constants); the *actual*
+//!   computation runs the same [`dcs_ndp`] code the NDP units use, so
+//!   results are comparable byte-for-byte.
 //! * A completion message back to the launching component (the driver's
 //!   completion interrupt).
 //!
 //! ```no_run
-//! use dcs_gpu::{GpuConfig, LaunchKernel};
+//! use dcs_gpu::LaunchKernel;
 //! use dcs_ndp::NdpFunction;
 //! # let (input_addr, output_addr) = unimplemented!();
 //! let launch = LaunchKernel {
@@ -37,32 +37,16 @@ use dcs_ndp::NdpFunction;
 use dcs_pcie::{AddrRange, PhysAddr, PhysMemory, PortId};
 use dcs_sim::{time, Bandwidth, Component, ComponentId, Ctx, FifoServer, Msg, Simulator};
 
-/// GPU timing parameters (Tesla K20m-era defaults).
-#[derive(Clone, Debug)]
-pub struct GpuConfig {
-    /// Driver-to-execution kernel launch latency, in ns.
-    pub launch_latency_ns: u64,
-    /// Completion signaling latency back to the host, in ns.
-    pub completion_latency_ns: u64,
-    /// Compute throughput for digest kernels (MD5/SHA/CRC).
-    pub hash_throughput: Bandwidth,
-    /// Compute throughput for transform kernels (AES/GZIP).
-    pub transform_throughput: Bandwidth,
-    /// Device memory size in bytes.
-    pub memory_size: u64,
-}
-
-impl Default for GpuConfig {
-    fn default() -> Self {
-        GpuConfig {
-            launch_latency_ns: time::us(22),
-            completion_latency_ns: time::us(9),
-            hash_throughput: Bandwidth::gbps(30.0),
-            transform_throughput: Bandwidth::gbps(20.0),
-            memory_size: 5 << 30,
-        }
-    }
-}
+/// Driver-to-execution kernel launch latency, in ns.
+pub const LAUNCH_LATENCY_NS: u64 = time::us(22);
+/// Completion signaling latency back to the host, in ns.
+pub const COMPLETION_LATENCY_NS: u64 = time::us(9);
+/// Compute throughput for digest kernels (MD5/SHA/CRC).
+pub const HASH_THROUGHPUT: Bandwidth = Bandwidth::gbps(30.0);
+/// Compute throughput for transform kernels (AES/GZIP).
+pub const TRANSFORM_THROUGHPUT: Bandwidth = Bandwidth::gbps(20.0);
+/// Device memory size in bytes.
+pub const MEMORY_SIZE: u64 = 5 << 30;
 
 /// Asks the GPU to run `function` over `input_len` bytes at `input_addr`
 /// (which must already be in GPU memory), storing the digest or transformed
@@ -118,28 +102,26 @@ pub struct GpuHandle {
 
 /// The GPU component.
 pub struct GpuDevice {
-    config: GpuConfig,
     compute: FifoServer,
     pending: DetMap<u64, Pending>,
     next_token: u64,
 }
 
 impl GpuDevice {
-    /// Creates a GPU with the given configuration.
-    pub fn new(config: GpuConfig) -> Self {
+    /// Creates an idle GPU ([`install_gpu`] wires one up).
+    fn new() -> Self {
         GpuDevice {
-            config,
             compute: FifoServer::new(),
             pending: DetMap::new(),
             next_token: 1,
         }
     }
 
-    fn throughput_for(&self, f: NdpFunction) -> Bandwidth {
+    fn throughput_for(f: NdpFunction) -> Bandwidth {
         if f.is_digest() {
-            self.config.hash_throughput
+            HASH_THROUGHPUT
         } else {
-            self.config.transform_throughput
+            TRANSFORM_THROUGHPUT
         }
     }
 }
@@ -151,10 +133,8 @@ impl Component for GpuDevice {
             Ok(launch) => {
                 let token = self.next_token;
                 self.next_token += 1;
-                let service = self
-                    .throughput_for(launch.function)
-                    .transfer_time(launch.input_len);
-                let start_at = ctx.now() + self.config.launch_latency_ns;
+                let service = Self::throughput_for(launch.function).transfer_time(launch.input_len);
+                let start_at = ctx.now() + LAUNCH_LATENCY_NS;
                 let done = self.compute.offer(start_at, service);
                 ctx.world().stats.counter("gpu.kernels").add(1);
                 ctx.world()
@@ -199,7 +179,7 @@ impl Component for GpuDevice {
                     ok,
                     output_len: out_bytes.len(),
                 };
-                ctx.send_in(self.config.completion_latency_ns, reply_to, done);
+                ctx.send_in(COMPLETION_LATENCY_NS, reply_to, done);
             }
             Err(other) => panic!("GpuDevice received unexpected message: {other:?}"),
         }
@@ -207,12 +187,12 @@ impl Component for GpuDevice {
 }
 
 /// Allocates GPU memory and installs the device on `port`.
-pub fn install_gpu(sim: &mut Simulator, config: GpuConfig, name: &str, port: PortId) -> GpuHandle {
+pub fn install_gpu(sim: &mut Simulator, name: &str, port: PortId) -> GpuHandle {
     let memory = {
         let mem = sim.world_mut().expect_mut::<PhysMemory>();
-        mem.alloc_region(&format!("{name}-mem"), config.memory_size, port)
+        mem.alloc_region(&format!("{name}-mem"), MEMORY_SIZE, port)
     };
-    let device = sim.add(name, GpuDevice::new(config));
+    let device = sim.add(name, GpuDevice::new());
     GpuHandle {
         device,
         memory,
@@ -259,7 +239,7 @@ mod tests {
     fn setup() -> (Simulator, GpuHandle, ComponentId) {
         let mut sim = Simulator::new(3);
         sim.world_mut().insert(PhysMemory::new());
-        let gpu = install_gpu(&mut sim, GpuConfig::default(), "gpu0", PortId(3));
+        let gpu = install_gpu(&mut sim, "gpu0", PortId(3));
         let launcher = sim.add(
             "launcher",
             Launcher {
@@ -322,7 +302,7 @@ mod tests {
         }
         sim.run();
         assert_eq!(sim.world().stats.counter_value("launcher.ok"), 2);
-        let one = GpuConfig::default().hash_throughput.transfer_time(len);
+        let one = HASH_THROUGHPUT.transfer_time(len);
         let t = sim.now().as_nanos();
         assert!(t >= 2 * one, "{t} >= {}", 2 * one);
     }

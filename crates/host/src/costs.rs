@@ -1,13 +1,14 @@
 //! The kernel cost model.
 //!
-//! Each field is the CPU time one invocation of a software routine
-//! occupies, in nanoseconds on a 2.3 GHz Xeon E5-2630 core (Table V).
-//! Values are calibrated so the *shape* of the paper's Figures 2, 3, 8 and
-//! 11 holds: device control and boundary crossings dominate the software
-//! side of an optimized I/O path, vanilla-Linux paths pay page-cache and
-//! socket-buffer management on top, and per-byte costs (copies, TCP
-//! processing) scale with transfer size. EXPERIMENTS.md records the
-//! resulting paper-vs-measured comparison.
+//! Each constant is the CPU time one invocation of a software routine
+//! occupies (or its per-byte rate, where noted), in nanoseconds on a
+//! 2.3 GHz Xeon E5-2630 core (Table V). Values are calibrated so the
+//! *shape* of the paper's Figures 2, 3, 8 and 11 holds: device control
+//! and boundary crossings dominate the software side of an optimized I/O
+//! path, vanilla-Linux paths pay page-cache and socket-buffer management
+//! on top, and per-byte costs (copies, TCP processing) scale with
+//! transfer size. EXPERIMENTS.md records the resulting paper-vs-measured
+//! comparison.
 
 /// Whether a driver path models the stock kernel or the optimized stacks
 /// the paper builds on (§III-E: direct I/O, page-cache and socket-buffer
@@ -20,135 +21,83 @@ pub enum KernelMode {
     Optimized,
 }
 
-/// CPU costs of kernel software routines, in nanoseconds per invocation
-/// (or per byte where noted).
-#[derive(Clone, Debug)]
-pub struct KernelCosts {
-    /// User→kernel→user boundary crossing for one syscall/ioctl.
-    pub syscall_ns: u64,
-    /// File-descriptor → inode resolution and permission checks.
-    pub vfs_lookup_ns: u64,
-    /// File-system extent/block mapping for one request.
-    pub fs_block_map_ns: u64,
-    /// Page-cache lookup (vanilla mode only).
-    pub page_cache_lookup_ns: u64,
-    /// Page-cache insertion/bookkeeping per request (vanilla mode only).
-    pub page_cache_insert_ns: u64,
-    /// Block-layer request build + NVMe driver submit (bio, tagging,
-    /// doorbell write).
-    pub block_submit_ns: u64,
-    /// Block-layer per-page work (bio segments, mapping) per 4 KiB page.
-    pub block_per_page_ns: u64,
-    /// Interrupt entry/dispatch.
-    pub irq_entry_ns: u64,
-    /// Block/NIC completion path: CQ processing, request teardown, wakeup.
-    pub completion_path_ns: u64,
-    /// Context switch when a blocked task resumes.
-    pub context_switch_ns: u64,
-    /// Socket/TCP transmit setup per operation (locks, cb setup).
-    pub tcp_tx_setup_ns: u64,
-    /// TCP transmit work per packet (headers handled by LSO; this is
-    /// skb/queue management).
-    pub tcp_tx_per_packet_ns: u64,
-    /// TCP receive work per packet (protocol processing, reassembly).
-    pub tcp_rx_per_packet_ns: u64,
-    /// Socket-buffer management per operation (vanilla mode only).
-    pub socket_buffer_ns: u64,
-    /// memcpy throughput for kernel↔user and bounce-buffer copies,
-    /// in bytes per nanosecond (12 ≈ 12 GB/s).
-    pub copy_bytes_per_ns: f64,
-    /// CUDA-driver cost to set up one async memcpy (cudaMemcpy overhead).
-    pub gpu_copy_setup_ns: u64,
-    /// CPU hashing throughput when no accelerator is used, in bytes/ns.
-    pub cpu_hash_bytes_per_ns: f64,
-    /// CUDA-driver cost to launch a kernel (ioctl + driver work).
-    pub gpu_launch_ns: u64,
-    /// CUDA-driver cost to synchronize/complete a kernel.
-    pub gpu_sync_ns: u64,
-    /// HDC Driver: ioctl entry + command marshalling (DCS-ctrl path).
-    pub hdc_ioctl_ns: u64,
-    /// HDC Driver: metadata retrieval from VFS / TCP stack per command.
-    pub hdc_metadata_ns: u64,
-    /// HDC Driver: completion interrupt handling per command.
-    pub hdc_completion_ns: u64,
+/// User→kernel→user boundary crossing for one syscall/ioctl.
+pub const SYSCALL_NS: u64 = 700;
+/// File-descriptor → inode resolution and permission checks.
+pub const VFS_LOOKUP_NS: u64 = 900;
+/// File-system extent/block mapping for one request.
+pub const FS_BLOCK_MAP_NS: u64 = 2_200;
+/// Page-cache lookup (vanilla mode only).
+pub const PAGE_CACHE_LOOKUP_NS: u64 = 1_200;
+/// Page-cache insertion/bookkeeping per request (vanilla mode only).
+pub const PAGE_CACHE_INSERT_NS: u64 = 2_600;
+/// Block-layer request build + NVMe driver submit (bio, tagging,
+/// doorbell write).
+pub const BLOCK_SUBMIT_NS: u64 = 2_000;
+/// Block-layer per-page work (bio segments, mapping) per 4 KiB page.
+pub const BLOCK_PER_PAGE_NS: u64 = 300;
+/// Interrupt entry/dispatch.
+pub const IRQ_ENTRY_NS: u64 = 600;
+/// Block/NIC completion path: CQ processing, request teardown, wakeup.
+pub const COMPLETION_PATH_NS: u64 = 1_900;
+/// Context switch when a blocked task resumes.
+pub const CONTEXT_SWITCH_NS: u64 = 1_300;
+/// Socket/TCP transmit setup per operation (locks, cb setup).
+pub const TCP_TX_SETUP_NS: u64 = 1_600;
+/// TCP transmit work per packet (headers handled by LSO; this is
+/// skb/queue management).
+pub const TCP_TX_PER_PACKET_NS: u64 = 2_200;
+/// TCP receive work per packet (protocol processing, reassembly).
+pub const TCP_RX_PER_PACKET_NS: u64 = 3_000;
+/// Socket-buffer management per operation (vanilla mode only).
+pub const SOCKET_BUFFER_NS: u64 = 2_400;
+/// memcpy throughput for kernel↔user and bounce-buffer copies,
+/// in bytes per nanosecond (12 ≈ 12 GB/s).
+pub const COPY_BYTES_PER_NS: f64 = 7.0;
+/// CUDA-driver cost to set up one async memcpy (cudaMemcpy overhead).
+pub const GPU_COPY_SETUP_NS: u64 = 9_000;
+/// CPU hashing throughput when no accelerator is used, in bytes/ns.
+pub const CPU_HASH_BYTES_PER_NS: f64 = 1.2;
+/// CUDA-driver cost to launch a kernel (ioctl + driver work).
+pub const GPU_LAUNCH_NS: u64 = 16_000;
+/// CUDA-driver cost to synchronize/complete a kernel.
+pub const GPU_SYNC_NS: u64 = 13_000;
+/// HDC Driver: ioctl entry + command marshalling (DCS-ctrl path).
+pub const HDC_IOCTL_NS: u64 = 900;
+/// HDC Driver: metadata retrieval from VFS / TCP stack per command.
+pub const HDC_METADATA_NS: u64 = 1_400;
+/// HDC Driver: completion interrupt handling per command.
+pub const HDC_COMPLETION_NS: u64 = 1_100;
+
+/// Cost of copying `len` bytes with the CPU.
+pub fn copy_cost(len: usize) -> u64 {
+    (len as f64 / COPY_BYTES_PER_NS).ceil() as u64
 }
 
-impl Default for KernelCosts {
-    fn default() -> Self {
-        KernelCosts {
-            syscall_ns: 700,
-            vfs_lookup_ns: 900,
-            fs_block_map_ns: 2_200,
-            page_cache_lookup_ns: 1_200,
-            page_cache_insert_ns: 2_600,
-            block_submit_ns: 2_000,
-            block_per_page_ns: 300,
-            irq_entry_ns: 600,
-            completion_path_ns: 1_900,
-            context_switch_ns: 1_300,
-            tcp_tx_setup_ns: 1_600,
-            tcp_tx_per_packet_ns: 2_200,
-            tcp_rx_per_packet_ns: 3_000,
-            socket_buffer_ns: 2_400,
-            copy_bytes_per_ns: 7.0,
-            gpu_copy_setup_ns: 9_000,
-            cpu_hash_bytes_per_ns: 1.2,
-            gpu_launch_ns: 16_000,
-            gpu_sync_ns: 13_000,
-            hdc_ioctl_ns: 900,
-            hdc_metadata_ns: 1_400,
-            hdc_completion_ns: 1_100,
-        }
+/// Cost of hashing `len` bytes with the CPU.
+pub fn cpu_hash_cost(len: usize) -> u64 {
+    (len as f64 / CPU_HASH_BYTES_PER_NS).ceil() as u64
+}
+
+/// Completion-side storage cost (IRQ + completion + context switch).
+pub const STORAGE_COMPLETE_NS: u64 = IRQ_ENTRY_NS + COMPLETION_PATH_NS + CONTEXT_SWITCH_NS;
+
+/// Transmit-side network software cost for `packets` packets of an
+/// operation (socket setup + per-packet work + optional buffering).
+pub fn net_tx_cost(mode: KernelMode, packets: usize) -> u64 {
+    let base = SYSCALL_NS + TCP_TX_SETUP_NS + TCP_TX_PER_PACKET_NS * packets as u64;
+    match mode {
+        KernelMode::Vanilla => base + SOCKET_BUFFER_NS,
+        KernelMode::Optimized => base,
     }
 }
 
-impl KernelCosts {
-    /// Cost of copying `len` bytes with the CPU.
-    pub fn copy_cost(&self, len: usize) -> u64 {
-        (len as f64 / self.copy_bytes_per_ns).ceil() as u64
-    }
-
-    /// Full storage software cost on the submit side for one request of
-    /// `len` bytes (syscall + VFS + FS mapping + optional page cache +
-    /// driver submit + per-page block-layer work).
-    pub fn storage_submit_cost(&self, mode: KernelMode, len: usize) -> u64 {
-        let pages = len.div_ceil(4096) as u64;
-        let base = self.syscall_ns
-            + self.vfs_lookup_ns
-            + self.fs_block_map_ns
-            + self.block_submit_ns
-            + self.block_per_page_ns * pages;
-        match mode {
-            KernelMode::Vanilla => base + self.page_cache_lookup_ns + self.page_cache_insert_ns,
-            KernelMode::Optimized => base,
-        }
-    }
-
-    /// Completion-side storage cost (IRQ + completion + context switch).
-    pub fn storage_complete_cost(&self) -> u64 {
-        self.irq_entry_ns + self.completion_path_ns + self.context_switch_ns
-    }
-
-    /// Transmit-side network software cost for `packets` packets of an
-    /// operation (socket setup + per-packet work + optional buffering).
-    pub fn net_tx_cost(&self, mode: KernelMode, packets: usize) -> u64 {
-        let base =
-            self.syscall_ns + self.tcp_tx_setup_ns + self.tcp_tx_per_packet_ns * packets as u64;
-        match mode {
-            KernelMode::Vanilla => base + self.socket_buffer_ns,
-            KernelMode::Optimized => base,
-        }
-    }
-
-    /// Receive-side network software cost for `packets` packets.
-    pub fn net_rx_cost(&self, mode: KernelMode, packets: usize) -> u64 {
-        let base = self.irq_entry_ns
-            + self.tcp_rx_per_packet_ns * packets as u64
-            + self.completion_path_ns;
-        match mode {
-            KernelMode::Vanilla => base + self.socket_buffer_ns,
-            KernelMode::Optimized => base,
-        }
+/// Receive-side network software cost for `packets` packets.
+pub fn net_rx_cost(mode: KernelMode, packets: usize) -> u64 {
+    let base = IRQ_ENTRY_NS + TCP_RX_PER_PACKET_NS * packets as u64 + COMPLETION_PATH_NS;
+    match mode {
+        KernelMode::Vanilla => base + SOCKET_BUFFER_NS,
+        KernelMode::Optimized => base,
     }
 }
 
@@ -158,32 +107,21 @@ mod tests {
 
     #[test]
     fn copy_cost_scales_linearly() {
-        let c = KernelCosts::default();
-        assert_eq!(c.copy_cost(0), 0);
-        assert_eq!(c.copy_cost(7_000), 1_000);
-        assert!(c.copy_cost(1) >= 1);
+        assert_eq!(copy_cost(0), 0);
+        assert_eq!(copy_cost(7_000), 1_000);
+        assert!(copy_cost(1) >= 1);
     }
 
     #[test]
     fn vanilla_paths_cost_more_than_optimized() {
-        let c = KernelCosts::default();
-        assert!(
-            c.storage_submit_cost(KernelMode::Vanilla, 4096)
-                > c.storage_submit_cost(KernelMode::Optimized, 4096)
-        );
-        assert!(
-            c.storage_submit_cost(KernelMode::Optimized, 65536)
-                > c.storage_submit_cost(KernelMode::Optimized, 4096)
-        );
-        assert!(c.net_tx_cost(KernelMode::Vanilla, 4) > c.net_tx_cost(KernelMode::Optimized, 4));
-        assert!(c.net_rx_cost(KernelMode::Vanilla, 4) > c.net_rx_cost(KernelMode::Optimized, 4));
+        assert!(net_tx_cost(KernelMode::Vanilla, 4) > net_tx_cost(KernelMode::Optimized, 4));
+        assert!(net_rx_cost(KernelMode::Vanilla, 4) > net_rx_cost(KernelMode::Optimized, 4));
     }
 
     #[test]
     fn per_packet_costs_scale() {
-        let c = KernelCosts::default();
-        let one = c.net_tx_cost(KernelMode::Optimized, 1);
-        let ten = c.net_tx_cost(KernelMode::Optimized, 10);
-        assert_eq!(ten - one, 9 * c.tcp_tx_per_packet_ns);
+        let one = net_tx_cost(KernelMode::Optimized, 1);
+        let ten = net_tx_cost(KernelMode::Optimized, 10);
+        assert_eq!(ten - one, 9 * TCP_TX_PER_PACKET_NS);
     }
 }

@@ -25,7 +25,7 @@ use dcs_ndp::NdpFunction;
 use dcs_pcie::{DmaComplete, DmaRequest, PhysAddr, PhysMemory, TlpClass};
 use dcs_sim::{Breakdown, Category, Component, ComponentId, Ctx, IntegrityAudit, Msg, SimTime};
 
-use crate::costs::{KernelCosts, KernelMode};
+use crate::costs::{self, KernelMode};
 use crate::cpu::{CpuJob, CpuJobDone};
 use crate::gpu_driver::{GpuOpDone, GpuOpRequest};
 use crate::job::{D2dDone, D2dJob, D2dOp};
@@ -131,7 +131,6 @@ pub struct ExecutorWiring {
 pub struct SwExecutor {
     design: SwDesign,
     wiring: ExecutorWiring,
-    costs: KernelCosts,
     jobs: DetMap<u64, JobState>,
     /// Sub-request token → job id.
     tokens: DetMap<u64, u64>,
@@ -143,11 +142,10 @@ pub struct SwExecutor {
 
 impl SwExecutor {
     /// Creates an executor.
-    pub fn new(design: SwDesign, wiring: ExecutorWiring, costs: KernelCosts) -> Self {
+    pub fn new(design: SwDesign, wiring: ExecutorWiring) -> Self {
         SwExecutor {
             design,
             wiring,
-            costs,
             jobs: DetMap::new(),
             tokens: DetMap::new(),
             next_token: 1,
@@ -236,7 +234,7 @@ impl SwExecutor {
         let token = self.token_for(id);
         let state = self.jobs.get_mut(&id).expect("live job");
         state.waiting = Some(Waiting::MemFill { len });
-        let cost = self.costs.copy_cost(len).max(1);
+        let cost = costs::copy_cost(len).max(1);
         let tag = state.job.tag;
         let cpu = self.wiring.cpu;
         ctx.send_now(
@@ -322,7 +320,7 @@ impl SwExecutor {
             let token = self.token_for(id);
             let state = self.jobs.get_mut(&id).expect("live job");
             state.waiting = Some(Waiting::CpuHash { function, aux });
-            let cost = (state.payload.len as f64 / self.costs.cpu_hash_bytes_per_ns).ceil() as u64;
+            let cost = costs::cpu_hash_cost(state.payload.len);
             let tag = state.job.tag;
             let cpu = self.wiring.cpu;
             ctx.send_now(
@@ -398,7 +396,7 @@ impl SwExecutor {
             in_gpu: to_gpu,
         };
         // The CUDA driver charges setup CPU time; the copy itself is DMA.
-        let setup = self.costs.gpu_copy_setup_ns;
+        let setup = costs::GPU_COPY_SETUP_NS;
         let tag = "gpu-copy";
         let _ = state.job.tag;
         let cpu = self.wiring.cpu;
@@ -673,7 +671,7 @@ impl Component for SwExecutor {
                                 len,
                                 in_gpu: false,
                             };
-                            let cost = self.costs.copy_cost(len).max(1);
+                            let cost = costs::copy_cost(len).max(1);
                             state.breakdown.add(Category::DataCopy, cost);
                             self.step_done(ctx, id);
                             return;
@@ -701,7 +699,7 @@ impl Component for SwExecutor {
                                 .expect_mut::<PhysMemory>()
                                 .write(host_buf, &data);
                         }
-                        let cost = (len as f64 / self.costs.cpu_hash_bytes_per_ns).ceil() as u64;
+                        let cost = costs::cpu_hash_cost(len);
                         let state = self.jobs.get_mut(&id).expect("live job");
                         state.breakdown.add(Category::Hash, cost);
                     }

@@ -15,7 +15,7 @@ use dcs_ndp::NdpFunction;
 use dcs_pcie::PhysAddr;
 use dcs_sim::{Breakdown, Category, Component, ComponentId, Ctx, Msg, SimTime};
 
-use crate::costs::KernelCosts;
+use crate::costs;
 use crate::cpu::{CpuJob, CpuJobDone};
 
 /// Run `function` over data already resident in GPU memory.
@@ -69,7 +69,6 @@ enum CpuPhase {
 pub struct HostGpuDriver {
     cpu: ComponentId,
     gpu: GpuHandle,
-    costs: KernelCosts,
     pending: DetMap<u64, Pending>,
     cpu_phases: DetMap<u64, CpuPhase>,
     next_token: u64,
@@ -77,11 +76,10 @@ pub struct HostGpuDriver {
 
 impl HostGpuDriver {
     /// Creates the driver.
-    pub fn new(cpu: ComponentId, gpu: GpuHandle, costs: KernelCosts) -> Self {
+    pub fn new(cpu: ComponentId, gpu: GpuHandle) -> Self {
         HostGpuDriver {
             cpu,
             gpu,
-            costs,
             pending: DetMap::new(),
             cpu_phases: DetMap::new(),
             next_token: 1,
@@ -122,7 +120,7 @@ impl Component for HostGpuDriver {
                         output_len: 0,
                     },
                 );
-                let cost = self.costs.gpu_launch_ns;
+                let cost = costs::GPU_LAUNCH_NS;
                 self.cpu_job(ctx, cost, tag, CpuPhase::Launch { token });
                 return;
             }
@@ -152,7 +150,7 @@ impl Component for HostGpuDriver {
                         breakdown.add(Category::Hash, kdone - p.launched_at);
                         breakdown.add(
                             Category::GpuControl,
-                            self.costs.gpu_launch_ns + self.costs.gpu_sync_ns,
+                            costs::GPU_LAUNCH_NS + costs::GPU_SYNC_NS,
                         );
                         ctx.send_now(
                             p.req.reply_to,
@@ -178,7 +176,7 @@ impl Component for HostGpuDriver {
                     p.output_len = done.output_len;
                     p.req.tag
                 };
-                let cost = self.costs.gpu_sync_ns;
+                let cost = costs::GPU_SYNC_NS;
                 let token = done.id;
                 self.cpu_job(ctx, cost, tag, CpuPhase::Sync { token });
             }
@@ -191,7 +189,7 @@ impl Component for HostGpuDriver {
 mod tests {
     use super::*;
     use crate::cpu::CpuPool;
-    use dcs_gpu::{install_gpu, GpuConfig};
+    use dcs_gpu::install_gpu;
     use dcs_pcie::{PhysMemory, PortId};
     use dcs_sim::Simulator;
 
@@ -229,11 +227,8 @@ mod tests {
         let mut sim = Simulator::new(2);
         sim.world_mut().insert(PhysMemory::new());
         let cpu = sim.add("cpu", CpuPool::new("node0", 4));
-        let gpu = install_gpu(&mut sim, GpuConfig::default(), "gpu0", PortId(3));
-        let driver = sim.add(
-            "gpu-driver",
-            HostGpuDriver::new(cpu, gpu.clone(), KernelCosts::default()),
-        );
+        let gpu = install_gpu(&mut sim, "gpu0", PortId(3));
+        let driver = sim.add("gpu-driver", HostGpuDriver::new(cpu, gpu.clone()));
         let caller = sim.reserve("caller");
         sim.install(
             caller,
@@ -267,10 +262,9 @@ mod tests {
         assert_eq!(dcs_ndp::to_hex(&digest), "900150983cd24fb0d6963f7d28e17f72");
         // CPU accounting includes launch + sync.
         let stats = sim.world().expect::<crate::cpu::CpuStats>();
-        let costs = KernelCosts::default();
         assert_eq!(
             stats.pool("node0").unwrap().tracker.busy_for("gpu-control"),
-            costs.gpu_launch_ns + costs.gpu_sync_ns
+            costs::GPU_LAUNCH_NS + costs::GPU_SYNC_NS
         );
     }
 }

@@ -13,43 +13,27 @@
 
 use dcs_sim::DetMap;
 
-use dcs_nvme::{NvmeConfig, LBA_SIZE};
+use dcs_nic::wire::PROPAGATION_NS;
+use dcs_nvme::{device as nvme, LBA_SIZE};
 use dcs_pcie::{AddrRange, PhysMemory};
-use dcs_sim::{time, Bandwidth, Breakdown, Category, Component, ComponentId, Ctx, Msg};
+use dcs_sim::{Bandwidth, Breakdown, Category, Component, ComponentId, Ctx, Msg};
 
-use crate::costs::KernelCosts;
+use crate::costs;
 use crate::cpu::{CpuJob, CpuJobDone};
 use crate::job::{D2dDone, D2dJob, D2dOp};
 
-/// Timing parameters of the consolidated device.
-#[derive(Clone, Debug)]
-pub struct IntegrationConfig {
-    /// Flash timing (same silicon as the discrete SSD).
-    pub nvme: NvmeConfig,
-    /// Internal interconnect bandwidth between the fused engines.
-    pub internal_bandwidth: Bandwidth,
-    /// Hardware control overhead per device operation.
-    pub control_ns: u64,
-    /// Processing throughput of the integrated accelerator.
-    pub processing: Bandwidth,
-    /// Network line rate of the integrated NIC.
-    pub wire: Bandwidth,
-    /// One-way network propagation.
-    pub propagation_ns: u64,
-}
+// Timing of the consolidated device. Its flash is the discrete SSD's
+// silicon (`dcs_nvme::device`) and its wire the discrete link's
+// (`dcs_nic::wire`).
 
-impl Default for IntegrationConfig {
-    fn default() -> Self {
-        IntegrationConfig {
-            nvme: NvmeConfig::default(),
-            internal_bandwidth: Bandwidth::gbps(64.0),
-            control_ns: 300,
-            processing: Bandwidth::gbps(40.0),
-            wire: Bandwidth::gbps(10.0),
-            propagation_ns: time::us(2),
-        }
-    }
-}
+/// Internal interconnect bandwidth between the fused engines.
+pub const INTERNAL_BANDWIDTH: Bandwidth = Bandwidth::gbps(64.0);
+/// Hardware control overhead per device operation.
+pub const CONTROL_NS: u64 = 300;
+/// Processing throughput of the integrated accelerator.
+pub const PROCESSING: Bandwidth = Bandwidth::gbps(40.0);
+/// Network line rate of the integrated NIC.
+pub const WIRE: Bandwidth = Bandwidth::gbps(10.0);
 
 /// The idealized integrated-device executor.
 ///
@@ -57,8 +41,6 @@ impl Default for IntegrationConfig {
 /// take their data from the given flash region so end-to-end digests match
 /// the discrete designs.
 pub struct IntegratedExecutor {
-    config: IntegrationConfig,
-    costs: KernelCosts,
     cpu: ComponentId,
     /// Flash backing region (shared layout with the discrete SSD model).
     flash: AddrRange,
@@ -79,15 +61,8 @@ struct DeviceDone {
 
 impl IntegratedExecutor {
     /// Creates the executor over a flash region.
-    pub fn new(
-        config: IntegrationConfig,
-        costs: KernelCosts,
-        cpu: ComponentId,
-        flash: AddrRange,
-    ) -> Self {
+    pub fn new(cpu: ComponentId, flash: AddrRange) -> Self {
         IntegratedExecutor {
-            config,
-            costs,
             cpu,
             flash,
             pending: DetMap::new(),
@@ -103,12 +78,12 @@ impl IntegratedExecutor {
         let mut digest = None;
         let mut ok = true;
         for op in &job.ops {
-            breakdown.add(Category::DeviceControl, self.config.control_ns);
+            breakdown.add(Category::DeviceControl, CONTROL_NS);
             match op {
                 D2dOp::SsdRead { lba, len, .. } => {
-                    let t = self.config.nvme.read_latency_ns
-                        + self.config.nvme.read_bandwidth.transfer_time(*len)
-                        + self.config.internal_bandwidth.transfer_time(*len);
+                    let t = nvme::READ_LATENCY_NS
+                        + nvme::READ_BANDWIDTH.transfer_time(*len)
+                        + INTERNAL_BANDWIDTH.transfer_time(*len);
                     breakdown.add(Category::Read, t);
                     payload = ctx
                         .world_ref()
@@ -116,20 +91,16 @@ impl IntegratedExecutor {
                         .read(self.flash.start + *lba * LBA_SIZE, *len);
                 }
                 D2dOp::SsdWrite { lba, .. } => {
-                    let t = self.config.nvme.write_latency_ns
-                        + self
-                            .config
-                            .nvme
-                            .write_bandwidth
-                            .transfer_time(payload.len())
-                        + self.config.internal_bandwidth.transfer_time(payload.len());
+                    let t = nvme::WRITE_LATENCY_NS
+                        + nvme::WRITE_BANDWIDTH.transfer_time(payload.len())
+                        + INTERNAL_BANDWIDTH.transfer_time(payload.len());
                     breakdown.add(Category::Write, t);
                     ctx.world()
                         .expect_mut::<PhysMemory>()
                         .write(self.flash.start + *lba * LBA_SIZE, &payload);
                 }
                 D2dOp::Process { function, aux } => {
-                    let t = self.config.processing.transfer_time(payload.len());
+                    let t = PROCESSING.transfer_time(payload.len());
                     breakdown.add(Category::Hash, t);
                     match function.apply(&payload, aux) {
                         Ok(out) => {
@@ -144,12 +115,11 @@ impl IntegratedExecutor {
                     }
                 }
                 D2dOp::NicSend { .. } => {
-                    let t =
-                        self.config.wire.transfer_time(payload.len()) + self.config.propagation_ns;
+                    let t = WIRE.transfer_time(payload.len()) + PROPAGATION_NS;
                     breakdown.add(Category::Wire, t);
                 }
                 D2dOp::NicRecv { len, .. } => {
-                    let t = self.config.wire.transfer_time(*len) + self.config.propagation_ns;
+                    let t = WIRE.transfer_time(*len) + PROPAGATION_NS;
                     breakdown.add(Category::Wire, t);
                     // Integrated receive synthesizes the payload locally
                     // (the fused device has no discrete peer in this
@@ -159,7 +129,7 @@ impl IntegratedExecutor {
                 D2dOp::MemRead { len } => {
                     // Cache-hit fast path: the fused device pulls the
                     // bytes from host DRAM over its internal interconnect.
-                    let t = self.config.internal_bandwidth.transfer_time(*len);
+                    let t = INTERNAL_BANDWIDTH.transfer_time(*len);
                     breakdown.add(Category::DataCopy, t);
                     payload = vec![0u8; *len];
                 }
@@ -186,7 +156,7 @@ impl Component for IntegratedExecutor {
                 let cpu = self.cpu;
                 let tag = job.tag;
                 self.pending.insert(job.id, job);
-                let cost = self.costs.syscall_ns + self.costs.vfs_lookup_ns;
+                let cost = costs::SYSCALL_NS + costs::VFS_LOOKUP_NS;
                 ctx.send_now(
                     cpu,
                     CpuJob {
@@ -207,7 +177,7 @@ impl Component for IntegratedExecutor {
                 let mut result = self.execute(ctx, &job);
                 result.breakdown.add(
                     Category::DeviceControl,
-                    self.costs.syscall_ns + self.costs.vfs_lookup_ns,
+                    costs::SYSCALL_NS + costs::VFS_LOOKUP_NS,
                 );
                 let delay = result.breakdown.total();
                 ctx.send_self_in(delay, result);
@@ -240,7 +210,7 @@ mod tests {
     use crate::cpu::CpuPool;
     use dcs_ndp::NdpFunction;
     use dcs_pcie::PortId;
-    use dcs_sim::Simulator;
+    use dcs_sim::{time, Simulator};
 
     struct Sink;
     impl Component for Sink {
@@ -272,15 +242,7 @@ mod tests {
             .expect_mut::<PhysMemory>()
             .write(flash.start, &vec![0x11u8; 8192]);
         let cpu = sim.add("cpu", CpuPool::new("node0", 6));
-        let exec = sim.add(
-            "integrated",
-            IntegratedExecutor::new(
-                IntegrationConfig::default(),
-                KernelCosts::default(),
-                cpu,
-                flash,
-            ),
-        );
+        let exec = sim.add("integrated", IntegratedExecutor::new(cpu, flash));
         let sink = sim.add("sink", Sink);
         sim.kickoff(
             exec,

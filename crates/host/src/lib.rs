@@ -34,14 +34,12 @@ pub mod nic_driver;
 pub mod node;
 pub mod nvme_driver;
 
-pub use costs::{KernelCosts, KernelMode};
+pub use costs::KernelMode;
 pub use cpu::{CpuJob, CpuJobDone, CpuPool, CpuStats};
 pub use executor::{ExecutorWiring, SwDesign, SwExecutor};
 pub use gpu_driver::{GpuOpDone, GpuOpRequest, HostGpuDriver};
-pub use integration::{IntegratedExecutor, IntegrationConfig};
+pub use integration::IntegratedExecutor;
 pub use job::{D2dDone, D2dJob, D2dOp, Design};
-pub use nic_driver::{
-    HostNicDriver, NicDriverConfig, RecvDone, RecvExpect, SendDone, SendRequest, StartNicDriver,
-};
+pub use nic_driver::{HostNicDriver, RecvDone, RecvExpect, SendDone, SendRequest, StartNicDriver};
 pub use node::{build_node, build_pair, HostNode, HostNodeBuilder};
 pub use nvme_driver::{BlockDone, BlockOp, BlockRequest, HostNvmeDriver};

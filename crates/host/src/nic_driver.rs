@@ -26,33 +26,16 @@ use std::collections::VecDeque;
 
 use dcs_nic::{
     ConfigureNic, GoBackN, NicHandle, NicInitiator, RxEvent, RxFrame, RxOrder, TcpFlow, Transmit,
+    MSS,
 };
 use dcs_pcie::{AddrRange, MsiDelivery, PhysAddr, PhysMemory};
 use dcs_sim::{fault, Breakdown, Category, Component, ComponentId, Ctx, DetMap, Msg, SimTime};
 
-use crate::costs::{KernelCosts, KernelMode};
+use crate::costs::{self, KernelMode};
 use crate::cpu::{CpuJob, CpuJobDone};
 
-/// Driver-local layout and tuning.
-#[derive(Clone, Debug)]
-pub struct NicDriverConfig {
-    /// Kernel mode (vanilla pays socket-buffer and extra copy costs).
-    pub mode: KernelMode,
-    /// Number of 2 KiB receive buffers kept posted.
-    pub recv_buffers: u16,
-    /// MSS assumed for LSO descriptors.
-    pub mss: u16,
-}
-
-impl Default for NicDriverConfig {
-    fn default() -> Self {
-        NicDriverConfig {
-            mode: KernelMode::Optimized,
-            recv_buffers: 512,
-            mss: 1448,
-        }
-    }
-}
+/// Number of 2 KiB receive buffers kept posted.
+pub const RECV_BUFFERS: u16 = 512;
 
 /// Transmit `len` payload bytes at `payload_addr` on `flow`.
 #[derive(Debug, Clone)]
@@ -172,8 +155,8 @@ struct RxCheck {
 pub struct HostNicDriver {
     cpu: ComponentId,
     fabric: ComponentId,
-    costs: KernelCosts,
-    config: NicDriverConfig,
+    /// Kernel mode (vanilla pays socket-buffer and extra copy costs).
+    mode: KernelMode,
     nic: NicInitiator,
     /// In-flight sends, completed in FIFO order by the NIC's tx MSIs.
     tx_queue: VecDeque<u64>,
@@ -204,8 +187,7 @@ impl HostNicDriver {
         cpu: ComponentId,
         fabric: ComponentId,
         nic: NicHandle,
-        costs: KernelCosts,
-        config: NicDriverConfig,
+        mode: KernelMode,
         area: AddrRange,
         msi_addr: PhysAddr,
     ) -> (Self, ConfigureNic) {
@@ -214,7 +196,7 @@ impl HostNicDriver {
         let wb_base = area.start + 0x20000;
         let hdr_area = area.start + 0x30000;
         let recv_bufs = area.start + 0x100000;
-        let recv_depth = config.recv_buffers + 1;
+        let recv_depth = RECV_BUFFERS + 1;
         let configure = ConfigureNic {
             send_ring_base: send_base,
             send_ring_depth: Self::SEND_DEPTH,
@@ -229,9 +211,8 @@ impl HostNicDriver {
         let driver = HostNicDriver {
             cpu,
             fabric,
-            costs,
-            nic: NicInitiator::new(nic, configure, recv_bufs, hdr_area, config.mss),
-            config,
+            mode,
+            nic: NicInitiator::new(nic, configure, recv_bufs, hdr_area),
             tx_queue: VecDeque::new(),
             tx_submit_queue: VecDeque::new(),
             sends: DetMap::new(),
@@ -262,11 +243,11 @@ impl HostNicDriver {
     }
 
     fn on_send(&mut self, ctx: &mut Ctx<'_>, req: SendRequest) {
-        let packets = req.len.div_ceil(self.config.mss as usize).max(1);
-        let mut stack_ns = self.costs.net_tx_cost(self.config.mode, packets);
-        if self.config.mode == KernelMode::Vanilla {
+        let packets = req.len.div_ceil(usize::from(MSS)).max(1);
+        let mut stack_ns = costs::net_tx_cost(self.mode, packets);
+        if self.mode == KernelMode::Vanilla {
             // Stock kernel copies user data into socket buffers.
-            stack_ns += self.costs.copy_cost(req.len);
+            stack_ns += costs::copy_cost(req.len);
         }
         let faulty = fault::active(ctx.world_ref());
         let key = (req.flow.src_port, req.flow.dst_port);
@@ -307,8 +288,8 @@ impl HostNicDriver {
             .expect("a send awaited this CPU job");
         self.sends.get_mut(&id).expect("live send").submitted_at = ctx.now();
         self.push_send_descs(ctx, id);
-        if let Some(rc) = fault::recovery(ctx.world_ref()) {
-            ctx.send_self_in(rc.nic_rto_ns, TxCheck { id });
+        if fault::active(ctx.world_ref()) {
+            ctx.send_self_in(fault::NIC_RTO_NS, TxCheck { id });
         }
     }
 
@@ -342,7 +323,7 @@ impl HostNicDriver {
             return;
         };
         let tag = self.sends.get(&id).map(|s| s.req.tag).unwrap_or("net-rx");
-        let cost = self.costs.irq_entry_ns + self.costs.completion_path_ns;
+        let cost = costs::IRQ_ENTRY_NS + costs::COMPLETION_PATH_NS;
         self.cpu_job(ctx, cost, tag, CpuPhase::TxComplete);
     }
 
@@ -381,11 +362,11 @@ impl HostNicDriver {
         // Wire/device time: doorbell to MSI, minus the completion path we
         // just charged.
         let wire_time = (ctx.now() - s.submitted_at)
-            .saturating_sub(self.costs.irq_entry_ns + self.costs.completion_path_ns);
+            .saturating_sub(costs::IRQ_ENTRY_NS + costs::COMPLETION_PATH_NS);
         breakdown.add(Category::Wire, wire_time);
         breakdown.add(
             Category::RequestCompletion,
-            self.costs.irq_entry_ns + self.costs.completion_path_ns,
+            costs::IRQ_ENTRY_NS + costs::COMPLETION_PATH_NS,
         );
         ctx.send_now(
             s.req.reply_to,
@@ -459,7 +440,7 @@ impl HostNicDriver {
             ctx.world().stats.counter("nic.retransmits").add(1);
             self.push_send_descs(ctx, id);
             let attempts = self.sends[&id].attempts;
-            let backoff = rc.nic_rto_ns << attempts.min(10);
+            let backoff = fault::NIC_RTO_NS << attempts.min(10);
             ctx.send_self_in(backoff, TxCheck { id });
         } else {
             fault::exhausted(ctx.world(), fault::WIRE_DROP);
@@ -527,12 +508,12 @@ impl HostNicDriver {
         }
         let packets = frames.len();
         let payload_bytes: usize = frames.iter().map(|f| f.payload.len()).sum();
-        let stack_ns = self.costs.net_rx_cost(self.config.mode, packets);
+        let stack_ns = costs::net_rx_cost(self.mode, packets);
         // Gather copy: payload bytes moved from frame buffers into the
         // consumer's contiguous buffer (and in vanilla mode, again to user
         // space).
-        let mut copy_ns = self.costs.copy_cost(payload_bytes);
-        if self.config.mode == KernelMode::Vanilla {
+        let mut copy_ns = costs::copy_cost(payload_bytes);
+        if self.mode == KernelMode::Vanilla {
             copy_ns *= 2;
         }
         let tag = self
@@ -635,16 +616,16 @@ impl HostNicDriver {
     /// still arriving, abandons the expectation after a full timeout
     /// with no progress (the peer's retry budget ran out).
     fn on_rx_check(&mut self, ctx: &mut Ctx<'_>, id: u64, last_received: usize) {
-        let Some(rc) = fault::recovery(ctx.world_ref()) else {
+        if !fault::active(ctx.world_ref()) {
             return;
-        };
+        }
         let Some(pos) = self.expectations.iter().position(|e| e.req.id == id) else {
             return;
         };
         let received = self.expectations[pos].received;
         if received > last_received {
             ctx.send_self_in(
-                rc.op_timeout_ns,
+                fault::OP_TIMEOUT_NS,
                 RxCheck {
                     id,
                     last_received: received,
@@ -681,7 +662,7 @@ impl Component for HostNicDriver {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         let msg = match msg.downcast::<StartNicDriver>() {
             Ok(StartNicDriver) => {
-                let n = self.config.recv_buffers;
+                let n = RECV_BUFFERS;
                 let doorbell = self
                     .nic
                     .post_recv_buffers(ctx.world().expect_mut::<PhysMemory>(), n);
@@ -707,9 +688,9 @@ impl Component for HostNicDriver {
                     copy_ns: 0,
                     started_at: ctx.now(),
                 });
-                if let Some(rc) = fault::recovery(ctx.world_ref()) {
+                if fault::active(ctx.world_ref()) {
                     ctx.send_self_in(
-                        rc.op_timeout_ns,
+                        fault::OP_TIMEOUT_NS,
                         RxCheck {
                             id,
                             last_received: 0,

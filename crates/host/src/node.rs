@@ -5,18 +5,22 @@
 //! [`HostNodeBuilder`]; the returned [`HostNode`] carries every id and
 //! address a workload needs.
 
-use dcs_gpu::{install_gpu, GpuConfig, GpuHandle};
+use dcs_gpu::{install_gpu, GpuHandle};
 use dcs_nic::{install_nic, install_wire, NicConfig, NicHandle, WireConfig};
 use dcs_nvme::{install_nvme, NvmeConfig, NvmeHandle};
 use dcs_pcie::{AddrRange, MmioRouting, PcieConfig, PcieFabric, PhysAddr, PhysMemory, PortId};
 use dcs_sim::{ComponentId, Simulator};
 
-use crate::costs::KernelCosts;
 use crate::cpu::CpuPool;
 use crate::executor::{ExecutorWiring, SwDesign, SwExecutor};
 use crate::gpu_driver::HostGpuDriver;
-use crate::nic_driver::{HostNicDriver, NicDriverConfig, StartNicDriver};
+use crate::nic_driver::{HostNicDriver, StartNicDriver};
 use crate::nvme_driver::HostNvmeDriver;
+
+/// Per-job staging slot size (bounds the largest payload).
+pub const SLOT_LEN: u64 = 4 << 20;
+/// Number of staging slots (bounds in-flight jobs).
+pub const SLOTS: u64 = 64;
 
 /// Declarative description of a host node.
 #[derive(Clone, Debug)]
@@ -27,20 +31,12 @@ pub struct HostNodeBuilder {
     pub cores: usize,
     /// Baseline personality the node's executor runs.
     pub design: SwDesign,
-    /// Kernel cost model.
-    pub costs: KernelCosts,
     /// One config per SSD to mount.
     pub ssds: Vec<NvmeConfig>,
     /// Attach a GPU accelerator?
-    pub gpu: Option<GpuConfig>,
+    pub gpu: bool,
     /// NIC device parameters.
     pub nic: NicConfig,
-    /// NIC driver parameters.
-    pub nic_driver: NicDriverConfig,
-    /// Per-job staging slot size (bounds the largest payload).
-    pub slot_len: u64,
-    /// Number of staging slots (bounds in-flight jobs).
-    pub slots: u64,
 }
 
 impl HostNodeBuilder {
@@ -51,13 +47,9 @@ impl HostNodeBuilder {
             name: name.to_string(),
             cores: 6,
             design,
-            costs: KernelCosts::default(),
             ssds: vec![NvmeConfig::default()],
-            gpu: Some(GpuConfig::default()),
+            gpu: true,
             nic: NicConfig::default(),
-            nic_driver: NicDriverConfig::default(),
-            slot_len: 4 << 20,
-            slots: 64,
         }
     }
 }
@@ -124,7 +116,7 @@ pub fn build_node(
 ) -> HostNode {
     let name = &builder.name;
     // Per-node PCIe switch: the root port plus one port per device.
-    let ports = 2 + builder.ssds.len() + usize::from(builder.gpu.is_some()) + 1;
+    let ports = 2 + builder.ssds.len() + usize::from(builder.gpu) + 1;
     let fabric = sim.add(
         &format!("{name}-pcie"),
         PcieFabric::new(PcieConfig {
@@ -161,7 +153,6 @@ pub fn build_node(
             cpu,
             fabric,
             ssd.clone(),
-            builder.costs.clone(),
             builder.design.kernel_mode(),
             rings,
             msi_addr,
@@ -194,11 +185,7 @@ pub fn build_node(
         cpu,
         fabric,
         nic.clone(),
-        builder.costs.clone(),
-        NicDriverConfig {
-            mode: builder.design.kernel_mode(),
-            ..builder.nic_driver.clone()
-        },
+        builder.design.kernel_mode(),
         nic_area,
         nic_msi,
     );
@@ -210,20 +197,19 @@ pub fn build_node(
     sim.kickoff(nic_driver_id, StartNicDriver);
 
     // GPU + driver.
-    let (gpu, gpu_driver) = match &builder.gpu {
-        Some(cfg) => {
-            let handle = install_gpu(sim, cfg.clone(), &format!("{name}-gpu"), port());
-            let driver = sim.add(
-                &format!("{name}-gpu-driver"),
-                HostGpuDriver::new(cpu, handle.clone(), builder.costs.clone()),
-            );
-            (Some(handle), Some(driver))
-        }
-        None => (None, None),
+    let (gpu, gpu_driver) = if builder.gpu {
+        let handle = install_gpu(sim, &format!("{name}-gpu"), port());
+        let driver = sim.add(
+            &format!("{name}-gpu-driver"),
+            HostGpuDriver::new(cpu, handle.clone()),
+        );
+        (Some(handle), Some(driver))
+    } else {
+        (None, None)
     };
 
     // Executor + staging.
-    let staging_len = builder.slot_len * builder.slots;
+    let staging_len = SLOT_LEN * SLOTS;
     let staging = AddrRange::new(dram.start + dram_off, staging_len);
     dram_off += staging_len;
     let wiring = ExecutorWiring {
@@ -233,12 +219,12 @@ pub fn build_node(
         nic_driver: nic_driver_id,
         gpu: gpu_driver.and_then(|d| gpu.clone().map(|h| (d, h))),
         staging_base: staging.start,
-        slot_len: builder.slot_len,
-        slots: builder.slots,
+        slot_len: SLOT_LEN,
+        slots: SLOTS,
     };
     let executor = sim.add(
         &format!("{name}-executor"),
-        SwExecutor::new(builder.design, wiring, builder.costs.clone()),
+        SwExecutor::new(builder.design, wiring),
     );
 
     let free_base = dram.start + dram_off;
@@ -314,7 +300,7 @@ mod tests {
     fn node_without_gpu_builds() {
         let mut sim = Simulator::new(1);
         let mut builder = HostNodeBuilder::new("nogpu", SwDesign::Linux);
-        builder.gpu = None;
+        builder.gpu = false;
         let (node, _) = build_pair(
             &mut sim,
             &builder,

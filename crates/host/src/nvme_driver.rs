@@ -24,7 +24,7 @@ use dcs_nvme::{
 use dcs_pcie::{AddrRange, MsiDelivery, PhysAddr, PhysMemory};
 use dcs_sim::{fault, Breakdown, Category, Component, ComponentId, Ctx, Msg, SimTime};
 
-use crate::costs::{KernelCosts, KernelMode};
+use crate::costs::{self, KernelMode};
 use crate::cpu::{CpuJob, CpuJobDone};
 
 /// Read or write.
@@ -97,7 +97,6 @@ struct NvmeCheck {
 pub struct HostNvmeDriver {
     cpu: ComponentId,
     fabric: ComponentId,
-    costs: KernelCosts,
     mode: KernelMode,
     /// The queue pair; requests are keyed by their first command's CID
     /// (requests above the drive's MDTS split into several commands, as
@@ -122,7 +121,6 @@ impl HostNvmeDriver {
         cpu: ComponentId,
         fabric: ComponentId,
         ssd: NvmeHandle,
-        costs: KernelCosts,
         mode: KernelMode,
         rings: AddrRange,
         msi_addr: PhysAddr,
@@ -144,7 +142,6 @@ impl HostNvmeDriver {
         let driver = HostNvmeDriver {
             cpu,
             fabric,
-            costs,
             mode,
             nvme: NvmeInitiator::new(ssd, attach, prp_base),
             outstanding: DetMap::new(),
@@ -178,17 +175,15 @@ impl HostNvmeDriver {
         );
         assert!(!self.nvme.is_full(), "driver exceeded its queue depth");
         let cid = self.nvme.alloc_cid();
-        let fs_ns = self.costs.vfs_lookup_ns
-            + self.costs.fs_block_map_ns
+        let fs_ns = costs::VFS_LOOKUP_NS
+            + costs::FS_BLOCK_MAP_NS
             + match self.mode {
-                KernelMode::Vanilla => {
-                    self.costs.page_cache_lookup_ns + self.costs.page_cache_insert_ns
-                }
+                KernelMode::Vanilla => costs::PAGE_CACHE_LOOKUP_NS + costs::PAGE_CACHE_INSERT_NS,
                 KernelMode::Optimized => 0,
             };
-        let ctrl_ns = self.costs.syscall_ns
-            + self.costs.block_submit_ns
-            + self.costs.block_per_page_ns * (req.len.div_ceil(4096) as u64);
+        let ctrl_ns = costs::SYSCALL_NS
+            + costs::BLOCK_SUBMIT_NS
+            + costs::BLOCK_PER_PAGE_NS * (req.len.div_ceil(4096) as u64);
         let tag = req.tag;
         self.outstanding.insert(
             cid,
@@ -222,8 +217,8 @@ impl HostNvmeDriver {
             .nvme
             .submit(ctx.world().expect_mut::<PhysMemory>(), cid, io);
         ctx.send_now(self.fabric, doorbell);
-        if let Some(rc) = fault::recovery(ctx.world_ref()) {
-            ctx.send_self_in(rc.nvme_timeout_ns, NvmeCheck { cid });
+        if fault::active(ctx.world_ref()) {
+            ctx.send_self_in(fault::NVME_TIMEOUT_NS, NvmeCheck { cid });
         }
     }
 
@@ -270,7 +265,7 @@ impl HostNvmeDriver {
         let out = self.outstanding.get_mut(&cid).expect("live request");
         out.device_done_at = Some(ctx.now());
         out.ok = ok;
-        let cost = self.costs.storage_complete_cost();
+        let cost = costs::STORAGE_COMPLETE_NS;
         let tag = out.req.tag;
         self.cpu_job(ctx, cost, tag, CpuPhase::Complete { cid });
     }
@@ -290,8 +285,8 @@ impl HostNvmeDriver {
         let Some(rc) = fault::recovery(ctx.world_ref()) else {
             return;
         };
-        if ctx.now() - self.outstanding[&cid].submitted_at < rc.op_timeout_ns {
-            ctx.send_self_in(rc.nvme_timeout_ns, NvmeCheck { cid });
+        if ctx.now() - self.outstanding[&cid].submitted_at < fault::OP_TIMEOUT_NS {
+            ctx.send_self_in(fault::NVME_TIMEOUT_NS, NvmeCheck { cid });
             return;
         }
         // Patience exhausted. Next rung of the recovery ladder: a
@@ -458,15 +453,7 @@ mod tests {
         let rings = AddrRange::new(dram.start, 1 << 20);
         let msi_addr = dram.start + (2 << 20);
         let driver_id = sim.reserve("nvme-driver");
-        let (driver, attach) = HostNvmeDriver::new(
-            cpu,
-            fabric,
-            ssd.clone(),
-            KernelCosts::default(),
-            mode,
-            rings,
-            msi_addr,
-        );
+        let (driver, attach) = HostNvmeDriver::new(cpu, fabric, ssd.clone(), mode, rings, msi_addr);
         sim.install(driver_id, driver);
         sim.world_mut()
             .expect_mut::<MmioRouting>()

@@ -354,7 +354,7 @@ fn large_receive_on_two_concurrent_flows_lands_byte_identical() {
 fn cpu_hash_fallback_when_no_gpu() {
     let mut sim = Simulator::new(3);
     let mut builder = HostNodeBuilder::new("alpha", SwDesign::SwOpt);
-    builder.gpu = None;
+    builder.gpu = false;
     let (a, _b) = build_pair(
         &mut sim,
         &builder,

@@ -28,27 +28,24 @@ use crate::ring::{RecvDescriptor, RecvWriteback, SendDescriptor};
 use crate::staging::{Span, StagingPool};
 use crate::wire::{FrameDelivery, TransmitDone, TransmitFrame};
 
-/// NIC timing and protocol parameters.
+/// TCP maximum segment size used by LSO segmentation (a send
+/// descriptor with `mss` 0 gets this one).
+pub const MSS: u16 = 1448;
+/// Device-side handling cost folded into each descriptor fetch, in ns.
+pub const DESCRIPTOR_OVERHEAD_NS: u64 = 300;
+/// Receive interrupt coalescing window, in ns.
+pub const IRQ_COALESCE_NS: u64 = time::us(4);
+
+/// NIC protocol parameters.
 #[derive(Clone, Debug)]
 pub struct NicConfig {
-    /// TCP maximum segment size used by LSO segmentation.
-    pub mss: usize,
     /// Largest payload a single send descriptor may carry.
     pub max_lso: usize,
-    /// Device-side handling cost folded into each descriptor fetch, in ns.
-    pub descriptor_overhead_ns: u64,
-    /// Receive interrupt coalescing window, in ns.
-    pub irq_coalesce_ns: u64,
 }
 
 impl Default for NicConfig {
     fn default() -> Self {
-        NicConfig {
-            mss: 1448,
-            max_lso: 64 * 1024,
-            descriptor_overhead_ns: 300,
-            irq_coalesce_ns: time::us(4),
-        }
+        NicConfig { max_lso: 64 * 1024 }
     }
 }
 
@@ -466,7 +463,7 @@ impl NicDevice {
         };
         self.release_tx_staging(&txop);
         let mss = if txop.desc.mss == 0 {
-            self.config.mss
+            usize::from(MSS)
         } else {
             txop.desc.mss as usize
         };
@@ -490,7 +487,7 @@ impl NicDevice {
             let ftoken = self.token();
             self.frames.insert(ftoken, i == n - 1);
             let wire = self.wire;
-            let overhead = self.config.descriptor_overhead_ns;
+            let overhead = DESCRIPTOR_OVERHEAD_NS;
             ctx.send_in(overhead, wire, TransmitFrame { id: ftoken, frame });
             ctx.world().stats.counter("nic.tx_frames").add(1);
             {
@@ -612,7 +609,7 @@ impl NicDevice {
         }
         if !self.irq_pending {
             self.irq_pending = true;
-            let window = self.config.irq_coalesce_ns;
+            let window = IRQ_COALESCE_NS;
             {
                 let now = ctx.now();
                 ctx.world()
@@ -793,7 +790,7 @@ impl Component for NicDevice {
                 let ftoken = self.token();
                 self.frames.insert(ftoken, false);
                 let wire = self.wire;
-                let overhead = self.config.descriptor_overhead_ns;
+                let overhead = DESCRIPTOR_OVERHEAD_NS;
                 ctx.send_in(
                     overhead,
                     wire,

@@ -21,7 +21,7 @@
 use dcs_pcie::{aer, MmioWrite, PhysAddr, PhysMemory};
 use dcs_sim::{fault, ComponentId, DetMap, SimTime, World};
 
-use crate::device::{ConfigureNic, ControlFrame, NicHandle};
+use crate::device::{ConfigureNic, ControlFrame, NicHandle, MSS};
 use crate::headers::{build_frame, build_template, parse_frame, TcpFlow, ACK_MAGIC};
 use crate::ring::{RecvDescriptor, RecvWriteback, RingWriter, SendDescriptor};
 
@@ -106,7 +106,6 @@ pub struct NicInitiator {
     /// Header template staging, one slot per send-ring entry.
     hdr_area: PhysAddr,
     hdr_slot: u64,
-    mss: u16,
     /// Next write-back slot to scan.
     wb_next: u16,
     /// Slots consumed since the last repost.
@@ -117,13 +116,12 @@ impl NicInitiator {
     /// An initiator for the rings `configure` describes on `handle`'s
     /// adapter. `recv_bufs` holds one [`RECV_BUF_SIZE`] buffer per
     /// receive-ring slot, `hdr_area` one 64-byte template per send-ring
-    /// slot; LSO descriptors segment at `mss`.
+    /// slot; LSO descriptors segment at [`MSS`].
     pub fn new(
         handle: NicHandle,
         configure: ConfigureNic,
         recv_bufs: PhysAddr,
         hdr_area: PhysAddr,
-        mss: u16,
     ) -> Self {
         NicInitiator {
             send_ring: RingWriter::new(
@@ -141,7 +139,6 @@ impl NicInitiator {
             recv_bufs,
             hdr_area,
             hdr_slot: 0,
-            mss,
             wb_next: 0,
             consumed: 0,
         }
@@ -198,7 +195,7 @@ impl NicInitiator {
                 header_len: template.len() as u16,
                 payload_addr: tx.payload + off as u64,
                 payload_len: lso.min(tx.len - off) as u32,
-                mss: self.mss,
+                mss: MSS,
                 cookie: tx.cookie,
             };
             mem.write(header_addr, &template);
@@ -379,7 +376,7 @@ mod tests {
             rx_msi_addr: PhysAddr::ZERO,
             rx_msi_vector: 1,
         };
-        let nic = NicInitiator::new(handle, configure, r.start + 0x10000, r.start + 0x4000, 1448);
+        let nic = NicInitiator::new(handle, configure, r.start + 0x10000, r.start + 0x4000);
         (world, nic)
     }
 

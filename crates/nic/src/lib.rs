@@ -33,7 +33,7 @@ pub mod ring;
 mod staging;
 pub mod wire;
 
-pub use device::{install_nic, ConfigureNic, ControlFrame, NicConfig, NicDevice, NicHandle};
+pub use device::{install_nic, ConfigureNic, ControlFrame, NicConfig, NicDevice, NicHandle, MSS};
 pub use headers::{
     ParsedPacket, TcpFlow, ACK_MAGIC, ETH_HEADER_LEN, IPV4_HEADER_LEN, TCP_HEADER_LEN,
 };

@@ -15,25 +15,24 @@
 
 use dcs_sim::{fault, time, Bandwidth, Component, ComponentId, Ctx, FifoServer, Msg};
 
+/// Physical-layer overhead added to every frame: preamble (8) +
+/// inter-frame gap (12) + FCS (4) bytes.
+pub const FRAME_OVERHEAD: usize = 24;
+/// One-way propagation + switch latency.
+pub const PROPAGATION_NS: u64 = time::us(2);
+
 /// Wire timing parameters.
 #[derive(Clone, Debug)]
 pub struct WireConfig {
     /// Line rate of the link (10 Gbps for the BCM57711; Figure 13 projects
     /// 40 Gbps).
     pub rate: Bandwidth,
-    /// Physical-layer overhead added to every frame: preamble (8) +
-    /// inter-frame gap (12) + FCS (4) bytes.
-    pub frame_overhead: usize,
-    /// One-way propagation + switch latency.
-    pub propagation_ns: u64,
 }
 
 impl Default for WireConfig {
     fn default() -> Self {
         WireConfig {
             rate: Bandwidth::gbps(10.0),
-            frame_overhead: 24,
-            propagation_ns: time::us(2),
         }
     }
 }
@@ -112,7 +111,7 @@ impl Component for Wire {
                 let service = self
                     .config
                     .rate
-                    .transfer_time(tf.frame.len() + self.config.frame_overhead);
+                    .transfer_time(tf.frame.len() + FRAME_OVERHEAD);
                 let done = self.tx[dir].offer(ctx.now(), service);
                 let to = self.endpoints[1 - dir];
                 let notify = self.endpoints[dir];
@@ -153,7 +152,7 @@ impl Component for Wire {
                         ctx.world().stats.counter("wire.corrupted").add(1);
                     }
                 }
-                let prop = self.config.propagation_ns;
+                let prop = PROPAGATION_NS;
                 ctx.send_in(prop, s.to, FrameDelivery { frame });
             }
             Err(other) => panic!("Wire received unexpected message: {other:?}"),

@@ -13,7 +13,7 @@
 //! 4. The drive DMA-writes a 16-byte completion entry (phase tag managed
 //!    per queue) and raises an MSI at the queue's configured address.
 //!
-//! Timing defaults follow the Intel SSD 750 of Table V: 17.2 Gbps reads,
+//! Timing constants follow the Intel SSD 750 of Table V: 17.2 Gbps reads,
 //! 7.2 Gbps writes.
 
 use dcs_sim::DetMap;
@@ -27,19 +27,20 @@ use crate::spec::{
     NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus, PrpList, LBA_SIZE, PAGE_SIZE,
 };
 
-/// Timing and capacity parameters of the SSD model.
+/// Sequential read bandwidth out of flash.
+pub const READ_BANDWIDTH: Bandwidth = Bandwidth::gbps(17.2);
+/// Sequential write (program) bandwidth into flash.
+pub const WRITE_BANDWIDTH: Bandwidth = Bandwidth::gbps(7.2);
+/// Access latency before read data starts flowing, in ns.
+pub const READ_LATENCY_NS: u64 = time::us(14);
+/// Program latency charged after write data arrives, in ns.
+pub const WRITE_LATENCY_NS: u64 = time::us(18);
+/// Controller-side fixed overhead per command (fetch/parse/complete).
+pub const COMMAND_OVERHEAD_NS: u64 = 700;
+
+/// Capacity parameters of the SSD model.
 #[derive(Clone, Debug)]
 pub struct NvmeConfig {
-    /// Sequential read bandwidth out of flash.
-    pub read_bandwidth: Bandwidth,
-    /// Sequential write (program) bandwidth into flash.
-    pub write_bandwidth: Bandwidth,
-    /// Access latency before read data starts flowing, in ns.
-    pub read_latency_ns: u64,
-    /// Program latency charged after write data arrives, in ns.
-    pub write_latency_ns: u64,
-    /// Controller-side fixed overhead per command (fetch/parse/complete).
-    pub command_overhead_ns: u64,
     /// Namespace capacity in logical blocks.
     pub capacity_lbas: u64,
     /// Largest data transfer a single command may carry, in bytes (MDTS).
@@ -49,11 +50,6 @@ pub struct NvmeConfig {
 impl Default for NvmeConfig {
     fn default() -> Self {
         NvmeConfig {
-            read_bandwidth: Bandwidth::gbps(17.2),
-            write_bandwidth: Bandwidth::gbps(7.2),
-            read_latency_ns: time::us(14),
-            write_latency_ns: time::us(18),
-            command_overhead_ns: 700,
             // 400 GB at 4 KiB blocks.
             capacity_lbas: 400_000_000_000 / LBA_SIZE,
             max_transfer: 1 << 20,
@@ -293,7 +289,7 @@ impl NvmeDevice {
                 reply_to: ctx.self_id(),
             };
             let fabric = self.fabric;
-            ctx.send_in(self.config.command_overhead_ns / 2, fabric, req);
+            ctx.send_in(COMMAND_OVERHEAD_NS / 2, fabric, req);
         }
     }
 
@@ -345,7 +341,7 @@ impl NvmeDevice {
             reply_to: ctx.self_id(),
         };
         let fabric = self.fabric;
-        ctx.send_in(self.config.command_overhead_ns / 2, fabric, req);
+        ctx.send_in(COMMAND_OVERHEAD_NS / 2, fabric, req);
     }
 
     fn on_entry_fetched(&mut self, ctx: &mut Ctx<'_>, token: u64, qid: u16) {
@@ -431,9 +427,9 @@ impl NvmeDevice {
         match cmd.opcode {
             NvmeOpcode::Read => {
                 // Flash access: latency + bandwidth-serialized streaming.
-                let service = self.config.read_bandwidth.transfer_time(len);
+                let service = READ_BANDWIDTH.transfer_time(len);
                 let ser_done = self.flash_read_unit.offer(ctx.now(), service);
-                let done = ser_done.max(ctx.now() + self.config.read_latency_ns);
+                let done = ser_done.max(ctx.now() + READ_LATENCY_NS);
                 self.ops.insert(
                     token,
                     Op {
@@ -585,12 +581,9 @@ impl NvmeDevice {
                 self.complete(ctx, token, qid, cmd.cid, NvmeStatus::Success);
             }
             NvmeOpcode::Write => {
-                let service = self
-                    .config
-                    .write_bandwidth
-                    .transfer_time(cmd.transfer_len());
+                let service = WRITE_BANDWIDTH.transfer_time(cmd.transfer_len());
                 let ser_done = self.flash_write_unit.offer(ctx.now(), service);
-                let done = ser_done.max(ctx.now() + self.config.write_latency_ns);
+                let done = ser_done.max(ctx.now() + WRITE_LATENCY_NS);
                 self.ops.insert(
                     token,
                     Op {
@@ -1140,9 +1133,7 @@ mod tests {
         // Aggregate bandwidth bound: n * len bytes at 17.2 Gbps plus one
         // access latency, with some fabric slack.
         let total_bytes = (n as usize) * len;
-        let floor = NvmeConfig::default()
-            .read_bandwidth
-            .transfer_time(total_bytes);
+        let floor = READ_BANDWIDTH.transfer_time(total_bytes);
         let t = b.sim.now().as_nanos();
         assert!(t >= floor, "{t} >= {floor}");
         assert!(t < floor + time::us(120), "{t} < {floor} + slack");

@@ -22,7 +22,7 @@
 //!   flash timing (Intel 750-like: 17.2 Gbps read / 7.2 Gbps write), PRP
 //!   resolution, data DMA, completion write-back, MSI.
 //!
-//! Timing parameters default to the paper's Intel SSD 750 (Table V).
+//! Timing constants model the paper's Intel SSD 750 (Table V).
 
 pub mod device;
 pub mod initiator;

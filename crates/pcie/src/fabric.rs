@@ -13,7 +13,7 @@ use dcs_sim::{fault, Component, ComponentId, Ctx, Msg};
 
 use crate::addr::PhysAddr;
 use crate::aer::{self, AerKind};
-use crate::config::PcieConfig;
+use crate::config::{self, PcieConfig};
 use crate::mem::{PhysMemory, PortId};
 use crate::routing::MmioRouting;
 
@@ -180,8 +180,8 @@ impl PcieFabric {
             )
         };
         let now = ctx.now();
-        let service = self.config.link_time(req.len);
-        let hop = self.config.hop_latency_ns;
+        let service = config::link_time(req.len);
+        let hop = config::HOP_LATENCY_NS;
         let done = if src_port == dst_port {
             // Local copy inside one endpoint: occupies only that endpoint's
             // DMA engine (modeled as its egress link), no switch traversal.
@@ -191,7 +191,7 @@ impl PcieFabric {
                 .span("pcie", "tlp-local", req.id, now, egress);
             egress
         } else {
-            let xbar = self.crossbar.offer(now, self.config.switch_time(req.len));
+            let xbar = self.crossbar.offer(now, config::switch_time(req.len));
             let egress = self.link(src_port, 0).offer(now, service);
             let ingress = self.link(dst_port, 1).offer(now, service);
             // Per-hop TLP transit spans: each serialization stage as the
@@ -249,7 +249,7 @@ impl PcieFabric {
                         AerKind::CompletionTimeout,
                     );
                     status = DmaStatus::Timeout;
-                    delay = self.config.cpl_timeout_ns;
+                    delay = config::CPL_TIMEOUT_NS;
                 }
             }
             // Payload corruption, by class. While ECRC is on, each
@@ -262,11 +262,11 @@ impl PcieFabric {
                 TlpClass::Completion => fault::CPL_CORRUPT,
             };
             // ECRC is per TLP, so every packet of the transfer is an
-            // eligible corruption event: a 16 KiB DMA at max_payload 256
+            // eligible corruption event: a 16 KiB DMA at MAX_PAYLOAD 256
             // rolls the dice 64 times per attempt. The first corrupted
             // TLP decides the attempt's fate (a replay re-sends the
             // whole request in this model).
-            let tlps = req.len.div_ceil(self.config.max_payload);
+            let tlps = req.len.div_ceil(config::MAX_PAYLOAD);
             let mut attempt = 0;
             while status == DmaStatus::Ok {
                 let mut hit = None;
@@ -373,7 +373,7 @@ impl PcieFabric {
             .owner_of(addr)
             .unwrap_or_else(|| panic!("MMIO write to unclaimed address {addr}"));
         ctx.world().stats.counter("pcie.mmio_writes").add(1);
-        let delay = self.config.mmio_write_ns + 2 * self.config.hop_latency_ns;
+        let delay = config::MMIO_WRITE_NS + 2 * config::HOP_LATENCY_NS;
         {
             let now = ctx.now();
             let end = now + delay;
@@ -399,16 +399,12 @@ impl PcieFabric {
         }
         {
             let now = ctx.now();
-            let end = now + self.config.msi_ns;
+            let end = now + config::MSI_NS;
             let obs = &mut ctx.world().obs;
             obs.span("pcie", "msi", msi.vector as u64, now, end);
             obs.count("pcie", "msi.delivered", 1);
         }
-        ctx.send_in(
-            self.config.msi_ns,
-            owner,
-            MsiDelivery { vector: msi.vector },
-        );
+        ctx.send_in(config::MSI_NS, owner, MsiDelivery { vector: msi.vector });
     }
 
     /// Busy time accumulated on a port's egress (`dir = 0`) or ingress
@@ -565,8 +561,7 @@ mod tests {
             );
         }
         sim.run();
-        let cfg = PcieConfig::default();
-        let one = cfg.link_time(len);
+        let one = config::link_time(len);
         // Second transfer must wait for the first on the flash egress link:
         // total ≈ 2 * serialization + hops.
         let total = sim.now().as_nanos();
@@ -602,9 +597,8 @@ mod tests {
         sim.kickoff(fabric, dma(0, a.start, b.start));
         sim.kickoff(fabric, dma(1, c.start, d.start));
         sim.run();
-        let cfg = PcieConfig::default();
-        let one_link = cfg.link_time(len);
-        let both_xbar = 2 * cfg.switch_time(len);
+        let one_link = config::link_time(len);
+        let both_xbar = 2 * config::switch_time(len);
         // Parallel on links, serialized only on the crossbar.
         let expected_floor = one_link.max(both_xbar);
         let total = sim.now().as_nanos();
@@ -665,7 +659,7 @@ mod tests {
         );
         sim.run();
         assert_eq!(sim.world().stats.counter_value("sink.msi"), 1);
-        assert_eq!(sim.now().as_nanos(), PcieConfig::default().msi_ns);
+        assert_eq!(sim.now().as_nanos(), config::MSI_NS);
     }
 
     #[test]
@@ -867,7 +861,7 @@ mod tests {
         assert_eq!(sim.world().stats.counter_value("sink.dma_ok"), 0);
         assert_eq!(sim.world().stats.counter_value("aer.cpl_timeout"), 1);
         assert!(
-            sim.now().as_nanos() >= PcieConfig::default().cpl_timeout_ns,
+            sim.now().as_nanos() >= config::CPL_TIMEOUT_NS,
             "completion waits out the timeout: {}",
             sim.now()
         );
@@ -968,10 +962,9 @@ mod tests {
             },
         );
         sim.run();
-        let cfg = PcieConfig::default();
         assert_eq!(
             sim.now().as_nanos(),
-            cfg.link_time(len) + cfg.hop_latency_ns
+            config::link_time(len) + config::HOP_LATENCY_NS
         );
     }
 
@@ -991,11 +984,10 @@ mod tests {
             },
         );
         sim.run();
-        let cfg = PcieConfig::default();
         // One serialization + one hop, no crossbar time.
         assert_eq!(
             sim.now().as_nanos(),
-            cfg.link_time(len) + cfg.hop_latency_ns
+            config::link_time(len) + config::HOP_LATENCY_NS
         );
         assert_eq!(sim.world().stats.counter_value("pcie.dma_ops"), 1);
     }

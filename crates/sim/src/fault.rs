@@ -15,10 +15,11 @@
 //! resource lookup per eligible event.
 //!
 //! Recovery machinery (driver/engine timeouts, retries, watchdogs, poll
-//! fallbacks) keys off the plan's [`RecoveryConfig`] and is armed only
-//! while a plan is installed, so fault-free simulations schedule no extra
-//! events and reproduce the exact event streams they did before this
-//! module existed.
+//! fallbacks) keys off the plan's [`RecoveryConfig`] budgets and this
+//! module's timeout constants, and is armed only while a plan is
+//! installed, so fault-free simulations schedule no extra events and
+//! reproduce the exact event streams they did before this module
+//! existed.
 
 use std::collections::BTreeMap;
 
@@ -65,28 +66,29 @@ struct Site {
     fired: Vec<u64>,
 }
 
-/// Timeout/retry knobs the recovery machinery obeys while a plan is
-/// installed.
+/// NVMe command timeout before the driver polls the completion queue
+/// (MSI-loss fallback) and, on silence, resubmits.
+pub const NVME_TIMEOUT_NS: u64 = 5_000_000;
+/// Initial NIC retransmission timeout; doubles per attempt (exponential
+/// backoff).
+pub const NIC_RTO_NS: u64 = 1_000_000;
+/// Engine scoreboard watchdog sweep period.
+pub const WATCHDOG_PERIOD_NS: u64 = 1_000_000;
+/// Age at which the watchdog considers a sub-op hung.
+pub const OP_TIMEOUT_NS: u64 = 20_000_000;
+/// Completion-ring / receive-ring poll fallback period (recovers lost
+/// MSIs on paths without their own timers).
+pub const POLL_PERIOD_NS: u64 = 500_000;
+
+/// Retry budgets the recovery machinery obeys while a plan is
+/// installed. Its timeouts are the constants above.
 #[derive(Clone, Debug)]
 pub struct RecoveryConfig {
-    /// NVMe command timeout before the driver polls the completion queue
-    /// (MSI-loss fallback) and, on silence, resubmits.
-    pub nvme_timeout_ns: u64,
     /// Bounded NVMe retry budget (0 disables retries: a retryable status
     /// or timeout immediately surfaces as an error completion).
     pub nvme_retries: u32,
-    /// Initial NIC retransmission timeout; doubles per attempt
-    /// (exponential backoff).
-    pub nic_rto_ns: u64,
     /// Bounded NIC retransmission budget (0 disables retransmission).
     pub nic_retries: u32,
-    /// Engine scoreboard watchdog sweep period.
-    pub watchdog_period_ns: u64,
-    /// Age at which the watchdog considers a sub-op hung.
-    pub op_timeout_ns: u64,
-    /// Completion-ring / receive-ring poll fallback period (recovers lost
-    /// MSIs on paths without their own timers).
-    pub poll_period_ns: u64,
     /// Bounded PCIe link-replay budget per TLP: how many times the fabric
     /// re-transmits a TLP whose ECRC check failed before giving up (0
     /// disables replay: corruption immediately poisons or times out).
@@ -101,13 +103,8 @@ pub struct RecoveryConfig {
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
-            nvme_timeout_ns: 5_000_000,
             nvme_retries: 4,
-            nic_rto_ns: 1_000_000,
             nic_retries: 8,
-            watchdog_period_ns: 1_000_000,
-            op_timeout_ns: 20_000_000,
-            poll_period_ns: 500_000,
             pcie_retries: 2,
             nvme_resets: 1,
         }
@@ -124,7 +121,6 @@ impl RecoveryConfig {
             nic_retries: 0,
             pcie_retries: 0,
             nvme_resets: 0,
-            ..RecoveryConfig::default()
         }
     }
 }

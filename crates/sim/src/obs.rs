@@ -16,9 +16,8 @@
 //!   per request. Each mark closes the segment since the previous mark,
 //!   so the segments telescope: their sum equals the end-to-end latency
 //!   *exactly* (±0), by construction.
-//! * **Metrics** ([`Recorder::count`], [`Recorder::gauge_set`],
-//!   [`Recorder::observe`]) maintain named counters / gauges /
-//!   histograms per component, snapshotted into a serializable
+//! * **Metrics** ([`Recorder::count`], [`Recorder::observe`]) maintain
+//!   named counters / histograms per component, snapshotted into a
 //!   [`MetricsReport`].
 //! * **Export**: [`chrome_trace`] renders everything as Chrome
 //!   trace-event JSON loadable in Perfetto (`ui.perfetto.dev`).
@@ -90,7 +89,6 @@ impl Anatomy {
 #[derive(Clone, Debug)]
 enum Slot {
     Counter(u64),
-    Gauge(i64),
     Hist(Histogram),
 }
 
@@ -114,11 +112,6 @@ impl MetricsRegistry {
             Slot::Counter(v) => *v += n,
             other => *other = Slot::Counter(n),
         }
-    }
-
-    /// Sets the gauge `component/name` to `v`.
-    pub fn gauge_set(&mut self, component: &'static str, name: &'static str, v: i64) {
-        self.slots.insert((component, name), Slot::Gauge(v));
     }
 
     /// Records `sample` into the histogram `component/name`.
@@ -147,7 +140,7 @@ impl MetricsRegistry {
         self.slots.is_empty()
     }
 
-    /// Snapshots every metric into a serializable report, in
+    /// Snapshots every metric into a report, in
     /// `(component, name)` order.
     pub fn snapshot(&self) -> MetricsReport {
         MetricsReport {
@@ -159,7 +152,6 @@ impl MetricsRegistry {
                     name: name.to_string(),
                     value: match slot {
                         Slot::Counter(v) => MetricValue::Counter(*v),
-                        Slot::Gauge(v) => MetricValue::Gauge(*v),
                         Slot::Hist(h) => MetricValue::Histogram(HistogramSnapshot::of(h)),
                     },
                 })
@@ -168,7 +160,7 @@ impl MetricsRegistry {
     }
 }
 
-/// A point-in-time copy of the registry, serializable to JSON and back.
+/// A point-in-time copy of the registry.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricsReport {
     /// Snapshotted metrics in `(component, name)` order.
@@ -191,8 +183,6 @@ pub struct MetricEntry {
 pub enum MetricValue {
     /// Monotonic counter.
     Counter(u64),
-    /// Last-set gauge.
-    Gauge(i64),
     /// Latency/size distribution.
     Histogram(HistogramSnapshot),
 }
@@ -223,117 +213,6 @@ impl HistogramSnapshot {
             max: h.max().unwrap_or(0),
             buckets: h.nonzero_buckets().collect(),
         }
-    }
-}
-
-impl MetricsReport {
-    /// Serializes the report to JSON.
-    pub fn to_json(&self) -> String {
-        let entries: Vec<Json> = self
-            .entries
-            .iter()
-            .map(|e| {
-                let value = match &e.value {
-                    MetricValue::Counter(v) => {
-                        Json::Obj(vec![("counter".to_string(), Json::Int(*v as i128))])
-                    }
-                    MetricValue::Gauge(v) => {
-                        Json::Obj(vec![("gauge".to_string(), Json::Int(*v as i128))])
-                    }
-                    MetricValue::Histogram(h) => Json::Obj(vec![(
-                        "histogram".to_string(),
-                        Json::Obj(vec![
-                            ("count".to_string(), Json::Int(h.count as i128)),
-                            ("sum".to_string(), Json::Int(h.sum as i128)),
-                            ("min".to_string(), Json::Int(h.min as i128)),
-                            ("max".to_string(), Json::Int(h.max as i128)),
-                            (
-                                "buckets".to_string(),
-                                Json::Arr(
-                                    h.buckets
-                                        .iter()
-                                        .map(|&(i, n)| {
-                                            Json::Arr(vec![
-                                                Json::Int(i as i128),
-                                                Json::Int(n as i128),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ]),
-                    )]),
-                };
-                Json::Obj(vec![
-                    ("component".to_string(), Json::Str(e.component.clone())),
-                    ("name".to_string(), Json::Str(e.name.clone())),
-                    ("value".to_string(), value),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![("metrics".to_string(), Json::Arr(entries))]).render()
-    }
-
-    /// Parses a report back from [`MetricsReport::to_json`] output.
-    pub fn from_json(text: &str) -> Result<MetricsReport, String> {
-        let root = Json::parse(text)?;
-        let metrics = root
-            .get("metrics")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"metrics\" array")?;
-        let mut entries = Vec::with_capacity(metrics.len());
-        for m in metrics {
-            let component = m
-                .get("component")
-                .and_then(Json::as_str)
-                .ok_or("entry missing \"component\"")?
-                .to_string();
-            let name = m
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("entry missing \"name\"")?
-                .to_string();
-            let value = m.get("value").ok_or("entry missing \"value\"")?;
-            let value = if let Some(v) = value.get("counter").and_then(Json::as_i128) {
-                MetricValue::Counter(v as u64)
-            } else if let Some(v) = value.get("gauge").and_then(Json::as_i128) {
-                MetricValue::Gauge(v as i64)
-            } else if let Some(h) = value.get("histogram") {
-                let int = |k: &str| -> Result<i128, String> {
-                    h.get(k)
-                        .and_then(Json::as_i128)
-                        .ok_or_else(|| format!("histogram missing \"{k}\""))
-                };
-                let mut buckets = Vec::new();
-                for pair in h
-                    .get("buckets")
-                    .and_then(Json::as_arr)
-                    .ok_or("histogram missing \"buckets\"")?
-                {
-                    match pair.as_arr() {
-                        Some([Json::Int(i), Json::Int(n)]) => {
-                            buckets.push((*i as usize, *n as u64));
-                        }
-                        _ => return Err("malformed bucket pair".to_string()),
-                    }
-                }
-                MetricValue::Histogram(HistogramSnapshot {
-                    count: int("count")? as u64,
-                    sum: int("sum")? as u128,
-                    min: int("min")? as u64,
-                    max: int("max")? as u64,
-                    buckets,
-                })
-            } else {
-                return Err("unknown metric value kind".to_string());
-            };
-            entries.push(MetricEntry {
-                component,
-                name,
-                value,
-            });
-        }
-        Ok(MetricsReport { entries })
     }
 }
 
@@ -489,15 +368,6 @@ impl Recorder {
             return;
         }
         self.metrics.count(component, name, n);
-    }
-
-    /// Sets the gauge `component/name` (gated like spans).
-    #[inline]
-    pub fn gauge_set(&mut self, component: &'static str, name: &'static str, v: i64) {
-        if !self.enabled {
-            return;
-        }
-        self.metrics.gauge_set(component, name, v);
     }
 
     /// Records `sample` into the histogram `component/name` (gated like
@@ -741,22 +611,25 @@ mod tests {
     }
 
     #[test]
-    fn metrics_snapshot_roundtrips_through_json() {
+    fn metrics_snapshot_accumulates_counters_and_histograms() {
         let mut r = Recorder::new();
         r.enable();
         r.count("pcie", "dma.count", 2);
         r.count("pcie", "dma.count", 3);
-        r.gauge_set("cluster", "inflight", -4);
-        for v in [1u64, 1, 40, 5_000_000, u64::MAX / 2] {
+        let samples = [1u64, 1, 40, 5_000_000, u64::MAX / 2];
+        for v in samples {
             r.observe("nvme", "flash.ns", v);
         }
         let report = r.metrics().snapshot();
-        let json = report.to_json();
-        let back = MetricsReport::from_json(&json).expect("parses");
-        assert_eq!(report, back);
-        // Counter accumulated, gauge kept last value.
-        assert!(json.contains("\"counter\":5"), "{json}");
-        assert!(json.contains("\"gauge\":-4"), "{json}");
+        let values: Vec<_> = report.entries.iter().map(|e| &e.value).collect();
+        assert_eq!(values.len(), 2, "{report:?}");
+        // `(component, name)` order: nvme before pcie.
+        let MetricValue::Histogram(h) = values[0] else {
+            panic!("{report:?}");
+        };
+        assert_eq!((h.count, h.min, h.max), (5, 1, u64::MAX / 2));
+        assert_eq!(h.sum, samples.iter().map(|&v| u128::from(v)).sum());
+        assert_eq!(values[1], &MetricValue::Counter(5));
     }
 
     #[test]

@@ -183,7 +183,7 @@ pub struct Bandwidth {
 impl Bandwidth {
     /// A rate in gigabits per second (decimal: 1 Gbps = 1e9 bits/s).
     #[inline]
-    pub fn gbps(g: f64) -> Self {
+    pub const fn gbps(g: f64) -> Self {
         assert!(g > 0.0, "bandwidth must be positive");
         Bandwidth {
             bits_per_sec: g * 1e9,
@@ -192,7 +192,7 @@ impl Bandwidth {
 
     /// A rate in megabits per second.
     #[inline]
-    pub fn mbps(m: f64) -> Self {
+    pub const fn mbps(m: f64) -> Self {
         assert!(m > 0.0, "bandwidth must be positive");
         Bandwidth {
             bits_per_sec: m * 1e6,
@@ -201,7 +201,7 @@ impl Bandwidth {
 
     /// A rate in bytes per second.
     #[inline]
-    pub fn bytes_per_sec(b: f64) -> Self {
+    pub const fn bytes_per_sec(b: f64) -> Self {
         assert!(b > 0.0, "bandwidth must be positive");
         Bandwidth {
             bits_per_sec: b * 8.0,

@@ -18,7 +18,7 @@ use crate::stats::Stats;
 pub struct World {
     /// Deterministic random source for the whole simulation.
     pub rng: Rng,
-    /// Global named counters and gauges.
+    /// Global named counters.
     pub stats: Stats,
     /// Sim-time span/metric recorder (disabled by default; see
     /// [`crate::obs`]). Recording is purely observational, so enabling

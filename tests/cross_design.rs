@@ -186,10 +186,7 @@ fn limited_pair(
         max_transfer,
         ..NvmeConfig::default()
     }];
-    let nic = NicConfig {
-        max_lso,
-        ..NicConfig::default()
-    };
+    let nic = NicConfig { max_lso };
     if design == DesignUnderTest::DcsCtrl {
         let mut a = DcsNodeBuilder::new("server");
         (a.ssds, a.nic) = (ssds, nic);

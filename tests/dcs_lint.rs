@@ -1,4 +1,4 @@
-//! The five determinism and invariant rules clippy cannot express
+//! The six determinism and invariant rules clippy cannot express
 //! (DESIGN.md §10), as token rules over `crates/*`, `src`, `tests` and
 //! `examples` with comments and literals stripped. Clippy enforces the
 //! rest from the root `clippy.toml` and `[workspace.lints]`.
@@ -8,6 +8,10 @@
 //!   output. Evolving state must be fixed-point to replay bit for bit.
 //! * `report-field-never-written`: a `*Report`/`*Perf` field nothing in
 //!   the workspace writes; it renders as a permanent zero.
+//! * `config-field-never-set`: a `pub` field of a `*Config`/`*Costs`/
+//!   `*Builder` struct in `crates/*/src` that nothing writes outside an
+//!   `impl Default for …` block. A value no caller varies is a model
+//!   constant: declare it once, as a `pub const`.
 //! * `unwrap-in-recovery-path`: `.unwrap()`/`.expect(..)` in a
 //!   recovery-named fn (reset, abort, timeout, ...), which runs exactly
 //!   when state is already damaged.
@@ -27,9 +31,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The rules this file owns; a pragma may name only these.
-const RULES: [&str; 5] = [
+const RULES: [&str; 6] = [
     "float-in-sim-state",
     "report-field-never-written",
+    "config-field-never-set",
     "unwrap-in-recovery-path",
     "wildcard-event-arm",
     "lossy-cast",
@@ -206,6 +211,20 @@ fn test_ranges(toks: &[Tok]) -> Vec<(usize, usize)> {
     ranges
 }
 
+/// Index of the innermost bracket still open at `i`.
+fn opener(toks: &[Tok], i: usize) -> Option<usize> {
+    let mut depth = 0;
+    for k in (0..i).rev() {
+        match toks[k].0.as_str() {
+            ")" | "]" | "}" => depth += 1,
+            "(" | "[" | "{" if depth == 0 => return Some(k),
+            "(" | "[" | "{" => depth -= 1,
+            _ => {}
+        }
+    }
+    None
+}
+
 /// The innermost enclosing fn's name per token ("" at module scope).
 fn fn_names(toks: &[Tok]) -> Vec<&str> {
     let mut names = vec![""; toks.len()];
@@ -354,69 +373,153 @@ fn file_rules(s: &Source, out: &mut Vec<Finding>) {
     }
 }
 
-/// `report-field-never-written`, across every file. Any plausible
-/// write counts (`x.f = …`, `x.f += …`, `x.f.method(…)`, `&mut x.f`,
-/// `f: …` outside a type declaration), so the rule errs toward silence.
-fn report_liveness(sources: &[Source], out: &mut Vec<Finding>) {
-    let mut fields = Vec::new(); // (file, struct, field, line)
-    let mut decls: Vec<Vec<(usize, usize)>> = Vec::new();
-    for s in sources {
-        let toks = &s.toks;
-        let tests = test_ranges(toks);
-        let mut spans = Vec::new();
-        for (i, t) in toks.iter().enumerate() {
-            if !(t.is("struct") || t.is("enum")) {
-                continue;
-            }
-            let (end, open) = decl_span(toks, i);
-            spans.push((i, end + 1));
-            let name = toks.get(i + 1).and_then(Tok::ident).unwrap_or("");
-            let in_test = tests.iter().any(|&(a, b)| (a..b).contains(&i));
-            let output = name.ends_with("Report") || name.ends_with("Perf");
-            if let Some(open) = open.filter(|_| t.is("struct") && output && !in_test) {
-                for k in (open + 1..end).filter(|&k| is_field_name(toks, k)) {
-                    fields.push((&s.path, name, &toks[k].0, toks[k].1));
-                }
-            }
-        }
-        decls.push(spans);
-    }
-    let names: BTreeSet<&str> = fields.iter().map(|f| f.2.as_str()).collect();
+/// The names among `names` that a token in `sources` plausibly writes:
+/// `x.f = …`, `x.f += …`, `x.f.method(…)`, `&mut x.f`, or a literal's
+/// `f: …` or `Name { f, … }` outside a type declaration or fn
+/// signature. Tokens `skip(file, index)` marks do not count. Name-based,
+/// so it errs toward silence.
+fn written<'a>(
+    sources: &[Source],
+    names: &BTreeSet<&'a str>,
+    skip: impl Fn(usize, usize) -> bool,
+) -> BTreeSet<&'a str> {
     let mut written = BTreeSet::new();
-    for (s, spans) in sources.iter().zip(&decls) {
+    for (n, s) in sources.iter().enumerate() {
         let toks = &s.toks;
+        // Type declarations and fn parameter lists declare, not write.
+        let decls: Vec<(usize, usize)> = (0..toks.len())
+            .filter_map(|i| {
+                if toks[i].is("struct") || toks[i].is("enum") {
+                    Some((i, decl_span(toks, i).0 + 1))
+                } else if toks[i].is("fn") {
+                    let open = i + toks[i..].iter().position(|t| t.is("("))?;
+                    let close = (open..toks.len()).find(|&k| toks[k].is(")"))?;
+                    Some((open, close + 1))
+                } else {
+                    None
+                }
+            })
+            .collect();
         for (i, t) in toks.iter().enumerate() {
-            if !names.contains(t.0.as_str()) {
+            let Some(&name) = names.get(t.0.as_str()) else {
+                continue;
+            };
+            if skip(n, i) {
                 continue;
             }
             let at = |k: usize, p: &str| toks.get(k).is_some_and(|t| t.is(p));
             let prev_dot = i >= 1 && at(i - 1, ".");
-            let compound = toks
-                .get(i + 1)
-                .is_some_and(|t| t.0.len() == 1 && "+-*/%&|^<>".contains(&t.0));
-            let assign = (at(i + 1, "=") && !at(i + 2, "="))
-                || (compound && (at(i + 2, "=") || at(i + 3, "=")));
+            let op = |k: usize, ops: &str| toks.get(k).is_some_and(|t| ops.contains(&t.0));
+            // `f += …` or `f <<= …`, but not the comparisons `f <= …`.
+            let compound = (op(i + 1, "+-*/%&|^") && at(i + 2, "="))
+                || (op(i + 1, "<>") && at(i + 2, &toks[i + 1].0) && at(i + 3, "="));
+            // `f = …`, but not `f == …` or a `=>` match arm.
+            let assign = (at(i + 1, "=") && !op(i + 2, "=>")) || compound;
             let method =
                 at(i + 1, ".") && toks.get(i + 2).and_then(Tok::ident).is_some() && at(i + 3, "(");
-            let init = !spans.iter().any(|&(a, b)| (a..b).contains(&i))
+            let init = !decls.iter().any(|&(a, b)| (a..b).contains(&i))
                 && (i == 0 || !at(i - 1, ":"))
                 && at(i + 1, ":")
                 && !at(i + 2, ":");
+            // Shorthand `Name { f, … }`: the innermost open bracket is a
+            // `{` after a name.
+            let shorthand = i >= 1
+                && (at(i - 1, "{") || at(i - 1, ","))
+                && (at(i + 1, ",") || at(i + 1, "}"))
+                && opener(toks, i)
+                    .is_some_and(|o| o >= 1 && at(o, "{") && toks[o - 1].ident().is_some());
             // `&mut a.b.f`: walk back over the field path.
             let mut k = i;
             while k >= 2 && at(k - 1, ".") && toks[k - 2].ident().is_some() {
                 k -= 2;
             }
             let borrow = prev_dot && k >= 2 && at(k - 1, "mut") && at(k - 2, "&");
-            if (prev_dot && (assign || method)) || init || borrow {
-                written.insert(t.0.as_str());
+            if (prev_dot && (assign || method)) || init || shorthand || borrow {
+                written.insert(name);
             }
         }
     }
+    written
+}
+
+/// The fields of the non-test structs in `s` whose name ends in one of
+/// `suffixes`, as (struct, field, line); `pub` fields only if
+/// `only_pub`.
+fn fields_of<'a>(s: &'a Source, suffixes: &[&str], only_pub: bool) -> Vec<(&'a str, &'a str, u32)> {
+    let toks = &s.toks;
+    let tests = test_ranges(toks);
+    let mut fields = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        let name = toks.get(i + 1).and_then(Tok::ident).unwrap_or("");
+        if !t.is("struct")
+            || !suffixes.iter().any(|x| name.ends_with(x))
+            || tests.iter().any(|&(a, b)| (a..b).contains(&i))
+        {
+            continue;
+        }
+        if let (end, Some(open)) = decl_span(toks, i) {
+            for k in (open + 1..end).filter(|&k| is_field_name(toks, k)) {
+                if !only_pub || toks[k - 1].is("pub") {
+                    fields.push((name, toks[k].0.as_str(), toks[k].1));
+                }
+            }
+        }
+    }
+    fields
+}
+
+/// `report-field-never-written`, across every file.
+fn report_liveness(sources: &[Source], out: &mut Vec<Finding>) {
+    let fields: Vec<_> = sources
+        .iter()
+        .flat_map(|s| {
+            let found = fields_of(s, &["Report", "Perf"], false);
+            found.into_iter().map(move |f| (&s.path, f))
+        })
+        .collect();
+    let names = fields.iter().map(|(_, f)| f.1).collect();
+    let written = written(sources, &names, |_, _| false);
     let rule = "report-field-never-written";
-    for (path, name, field, line) in fields {
-        if !written.contains(field.as_str()) {
+    for (path, (name, field, line)) in fields {
+        if !written.contains(field) {
             let msg = format!("nothing writes `{name}.{field}`; wire it up or delete it");
+            out.push(Finding(path.clone(), line, rule, msg));
+        }
+    }
+}
+
+/// `config-field-never-set`, across every file: a `pub` field of a
+/// `*Config`/`*Costs`/`*Builder` struct in `crates/*/src` that nothing
+/// writes outside an `impl Default for …` block.
+fn config_liveness(sources: &[Source], out: &mut Vec<Finding>) {
+    let fields: Vec<_> = sources
+        .iter()
+        .filter(|s| s.path.starts_with("crates/") && s.path.contains("/src/"))
+        .flat_map(|s| {
+            let found = fields_of(s, &["Config", "Costs", "Builder"], true);
+            found.into_iter().map(move |f| (&s.path, f))
+        })
+        .collect();
+    let names = fields.iter().map(|(_, f)| f.1).collect();
+    let defaults: Vec<Vec<(usize, usize)>> = sources
+        .iter()
+        .map(|s| {
+            let toks = &s.toks;
+            (0..toks.len())
+                .filter(|&i| seq(toks, i, &["impl", "Default", "for"]))
+                .filter_map(|i| {
+                    let open = i + toks[i..].iter().position(|t| t.is("{"))?;
+                    Some((i, close_of(toks, open)))
+                })
+                .collect()
+        })
+        .collect();
+    let in_default = |n: usize, i: usize| defaults[n].iter().any(|&(a, b)| (a..b).contains(&i));
+    let written = written(sources, &names, in_default);
+    let rule = "config-field-never-set";
+    for (path, (name, field, line)) in fields {
+        if !written.contains(field) {
+            let msg = format!("only `Default` sets `{name}.{field}`; make it a `pub const`");
             out.push(Finding(path.clone(), line, rule, msg));
         }
     }
@@ -431,6 +534,7 @@ fn lint(files: &[(String, String)]) -> Vec<Finding> {
         file_rules(s, &mut found);
     }
     report_liveness(&sources, &mut found);
+    config_liveness(&sources, &mut found);
     let mut misuse = Vec::new();
     for s in &sources {
         let mut code_lines: Vec<u32> = s.toks.iter().map(|t| t.1).collect();
@@ -553,6 +657,38 @@ pub fn build() -> LatencyPerf {
 }
 "#;
 
+const CONFIG_DECL: &str = r#"pub struct LinkConfig {
+    pub lanes: u32,
+    pub replay_ns: u64,
+    pub ecrc: bool,
+    latency_ns: u64,
+}
+impl Default for LinkConfig {
+    fn default() -> Self {
+        LinkConfig { lanes: 16, replay_ns: 900, ecrc: false, latency_ns: 150 }
+    }
+}
+pub struct NodeBuilder {
+    pub cores: usize,
+    pub ports: usize,
+}
+pub struct LinkState {
+    pub replays: u64,
+}
+#[cfg(test)]
+mod tests {
+    pub struct FixtureConfig { pub knob: u64 }
+}
+"#;
+
+/// Sets in another file: a literal field, a shorthand, an assignment.
+const CONFIG_SETTER: &str = r#"pub fn wire(b: &mut NodeBuilder, ports: usize) -> LinkConfig {
+    b.cores = 4;
+    let _ = NodeBuilder { ports, ..b.clone() };
+    LinkConfig { lanes: 8, ..Default::default() }
+}
+"#;
+
 const RECOVERY: &str = r#"use dcs_sim::{FaultPlan, World};
 fn on_watchdog(x: Option<u32>) -> u32 { x.expect("live op") }
 fn fail_job(x: Option<u32>) -> u32 { x.unwrap() }
@@ -601,7 +737,7 @@ mod tests {
 }
 "#;
 
-const CASES: [Case; 5] = [
+const CASES: [Case; 6] = [
     Case(
         "float-in-sim-state",
         &[("crates/cluster/src/driver.rs", FLOAT)],
@@ -614,6 +750,14 @@ const CASES: [Case; 5] = [
             ("crates/cluster/src/render.rs", REPORT_WRITER),
         ],
         &[3, 8],
+    ),
+    Case(
+        "config-field-never-set",
+        &[
+            ("crates/pcie/src/config.rs", CONFIG_DECL),
+            ("crates/pcie/src/fabric.rs", CONFIG_SETTER),
+        ],
+        &[3, 4],
     ),
     Case(
         "unwrap-in-recovery-path",
@@ -747,6 +891,28 @@ fn report_fields_written_in_another_file_are_live() {
     let (path, rule) = ("crates/cluster/src/report.rs", "report-field-never-written");
     assert_eq!(hits(path, REPORT_DECL, rule), [2, 3, 4, 7, 8]);
     check(&CASES[1], None, &[3, 8], &[]);
+}
+
+#[test]
+fn config_fields_set_anywhere_but_their_default_are_live() {
+    let (path, rule) = ("crates/pcie/src/config.rs", "config-field-never-set");
+    // Alone, only `Default` sets the four pub fields.
+    assert_eq!(hits(path, CONFIG_DECL, rule), [2, 3, 4, 13, 14]);
+    // A literal field, a shorthand and `b.cores = …` elsewhere set
+    // `lanes`, `ports` and `cores`.
+    check(&CASES[2], None, &[3, 4], &[]);
+    // A comparison, a match guard or a fn parameter sets nothing.
+    let reads = "fn f(c: &LinkConfig, replay_ns: u64) -> bool {
+    match c.lanes { n if n >= c.replay_ns => c.ecrc, _ => c.lanes <= 1 }
+}
+";
+    let files = [
+        (path.into(), CONFIG_DECL.into()),
+        ("crates/pcie/src/x.rs".into(), reads.into()),
+    ];
+    assert_eq!(lines_of(&lint(&files), rule), [2, 3, 4, 13, 14]);
+    // Outside `crates/*/src` the same struct is no knob of the model.
+    assert!(hits("tests/config.rs", CONFIG_DECL, rule).is_empty());
 }
 
 #[test]
