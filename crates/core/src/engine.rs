@@ -1068,7 +1068,6 @@ impl HdcEngine {
         let service = GATHER_BANDWIDTH.transfer_time(bytes);
         let done = self.gather_unit.offer(ctx.now(), service);
         let delay = done - ctx.now();
-        let _ = bytes;
         ctx.send_self_in(delay, GatherDone { frames });
     }
 

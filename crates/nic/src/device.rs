@@ -727,8 +727,9 @@ impl NicDevice {
                 frame_len,
                 staging,
             } => {
-                // Deliver anyway: the frame checksum fails at the
-                // consumer and the frame is dropped there.
+                // Deliver anyway: the consumer took the slot's previous
+                // frame, so the slot reads as zero, fails the frame
+                // checksum at the consumer and is dropped there.
                 self.staging.free(staging);
                 self.on_rx_delivered(ctx, ring_idx, frame_len)
             }

@@ -207,10 +207,12 @@ impl NicInitiator {
     }
 
     /// Scans the write-back ring for landed frames: verifies, clears and
-    /// advances past each valid slot, and reposts the consumed buffers
-    /// once half the ring is used. A write-back that fails its checksum
-    /// is a corrupted completion entry: detecting it here is the
-    /// recovery for that fault site, tallied and logged to AER.
+    /// advances past each valid slot, takes its frame out of the receive
+    /// buffer (which then reads as zero until the NIC refills it), and
+    /// reposts the consumed buffers once half the ring is used. A
+    /// write-back that fails its checksum is a corrupted completion
+    /// entry: detecting it here is the recovery for that fault site,
+    /// tallied and logged to AER.
     pub fn scan(&mut self, world: &mut World, now: SimTime) -> RxScan {
         let mut events = Vec::new();
         let depth = self.configure.recv_ring_depth;
@@ -244,15 +246,21 @@ impl NicInitiator {
             }
             // The checksum guarantees frame_len is the device's value;
             // the clamp is pure defense against future layout drift.
+            // Taken, not read: nothing reads the buffer again before the
+            // NIC refills it, so its pages can be released.
             let buf = self.recv_bufs + slot as u64 * RECV_BUF_SIZE;
-            let frame = mem.read(buf, (wb.frame_len as usize).min(RECV_BUF_SIZE as usize));
+            let mut frame = mem.take(buf, (wb.frame_len as usize).min(RECV_BUF_SIZE as usize));
             events.push(match parse_frame(&frame) {
-                Ok(p) => RxEvent::Frame(RxFrame {
-                    flow: p.flow,
-                    seq: p.seq,
-                    ack: p.ack,
-                    payload: frame[p.payload_offset..p.payload_offset + p.payload_len].to_vec(),
-                }),
+                Ok(p) => {
+                    frame.truncate(p.payload_offset + p.payload_len);
+                    frame.drain(..p.payload_offset);
+                    RxEvent::Frame(RxFrame {
+                        flow: p.flow,
+                        seq: p.seq,
+                        ack: p.ack,
+                        payload: frame,
+                    })
+                }
                 Err(_) => RxEvent::BadFrame,
             });
         }
@@ -526,6 +534,31 @@ mod tests {
         let db = scan.repost.expect("half the ring consumed");
         assert_eq!((db.addr, index(&db)), (nic.handle.rx_doorbell(), 1));
         assert!(nic.scan(&mut world, SimTime::ZERO).events.is_empty());
+    }
+
+    #[test]
+    fn a_writeback_without_its_frame_never_replays_the_slots_last_frame() {
+        let (mut world, mut nic) = rig(4096, 2);
+        let depth = nic.configure.recv_ring_depth;
+        let frame = build_frame(&flow(), 1, 2, b"old frame");
+        for slot in 0..depth {
+            land(&mut world, &nic, slot, &frame);
+            assert!(matches!(
+                nic.scan(&mut world, SimTime::ZERO).events[..],
+                [RxEvent::Frame(_)]
+            ));
+        }
+        // Wrapped around: a delivery that timed out posts slot 0's
+        // write-back, but no frame bytes land.
+        let wb = RecvWriteback {
+            frame_len: frame.len() as u32,
+            valid: true,
+        };
+        world
+            .expect_mut::<PhysMemory>()
+            .write(nic.configure.wb_ring_base, &wb.to_bytes());
+        let scan = nic.scan(&mut world, SimTime::ZERO);
+        assert_eq!(scan.events, [RxEvent::BadFrame]);
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! Regions can be huge (the SSD flash region is hundreds of gigabytes) but
 //! only pages holding a non-zero byte are materialized, so scenarios stay
 //! cheap: an absent page reads as zero, so writing zeros onto one is a
-//! no-op. Regions are kept sorted by start address and found by binary
-//! search. Each region is tagged with the PCIe [`PortId`] it sits behind
-//! so the fabric can charge transfers to the right links.
+//! no-op. A consumer done with a buffer [`take`](PhysMemory::take)s its
+//! bytes instead of reading them: the span then reads as zero, and a page
+//! the take leaves all zero is released. Regions are kept sorted by start
+//! address and found by binary search. Each region is tagged with the
+//! PCIe [`PortId`] it sits behind so the fabric can charge transfers to
+//! the right links.
 
 use dcs_sim::DetMap;
 use std::collections::VecDeque;
@@ -80,6 +83,28 @@ impl SparseBytes {
                     let mut p = Box::new([0u8; PAGE_SIZE]);
                     p[in_page..in_page + n].copy_from_slice(chunk);
                     self.pages.insert(page, p);
+                }
+            }
+            off += n as u64;
+            done += n;
+        }
+    }
+
+    /// Moves `out.len()` bytes at `offset` into `out`, leaving the span
+    /// zero, and drops each page the move leaves all zero.
+    fn take_into(&mut self, offset: u64, out: &mut [u8]) {
+        let mut off = offset;
+        let mut done = 0;
+        while done < out.len() {
+            let page = off >> PAGE_SHIFT;
+            let in_page = (off as usize) & (PAGE_SIZE - 1);
+            let n = (PAGE_SIZE - in_page).min(out.len() - done);
+            if let Some(p) = self.pages.get_mut(&page) {
+                let span = &mut p[in_page..in_page + n];
+                out[done..done + n].copy_from_slice(span);
+                span.fill(0);
+                if is_zero(&p[..in_page]) && is_zero(&p[in_page + n..]) {
+                    self.pages.remove(&page);
                 }
             }
             off += n as u64;
@@ -245,6 +270,21 @@ impl PhysMemory {
         r.bytes.read_into(addr - r.info.range.start, out);
     }
 
+    /// Reads `len` bytes starting at `addr` and leaves the span reading
+    /// as zero: a consumer that is done with a buffer hands its pages
+    /// back. A page the take leaves all zero is released.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span is not fully contained in one region.
+    pub fn take(&mut self, addr: PhysAddr, len: usize) -> Vec<u8> {
+        let idx = self.region_index_of(addr, len);
+        let r = &mut self.regions[idx];
+        let mut out = vec![0u8; len];
+        r.bytes.take_into(addr - r.info.range.start, &mut out);
+        out
+    }
+
     /// Writes `data` starting at `addr`.
     ///
     /// # Panics
@@ -406,6 +446,39 @@ mod tests {
         let mut m = PhysMemory::new();
         m.add_region_at("x", AddrRange::new(PhysAddr(0x1000), 0x1000), PortId::ROOT);
         m.add_region_at("y", AddrRange::new(PhysAddr(0x1800), 0x1000), PortId::ROOT);
+    }
+
+    #[test]
+    fn take_across_a_page_boundary_releases_both_pages() {
+        let mut m = PhysMemory::new();
+        let r = m.alloc_region("ddr", 1 << 20, PortId::ROOT);
+        let addr = r.start + (PAGE_SIZE as u64 - 3);
+        m.write(addr, b"frame-bytes");
+        assert_eq!(m.resident_bytes(), 2 * PAGE_SIZE);
+        assert_eq!(m.take(addr, 11), b"frame-bytes");
+        assert_eq!(m.read(addr, 11), vec![0; 11]);
+        assert_eq!(m.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn take_keeps_a_page_that_still_holds_data() {
+        let mut m = PhysMemory::new();
+        let r = m.alloc_region("ddr", 1 << 20, PortId::ROOT);
+        m.write(r.start, b"slot0");
+        m.write(r.start + 2048, b"slot1");
+        assert_eq!(m.take(r.start, 5), b"slot0");
+        assert_eq!(m.resident_bytes(), PAGE_SIZE);
+        assert_eq!(m.read(r.start + 2048, 5), b"slot1");
+        assert_eq!(m.take(r.start + 2048, 5), b"slot1");
+        assert_eq!(m.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn take_of_absent_pages_reads_zero_and_allocates_nothing() {
+        let mut m = PhysMemory::new();
+        let r = m.alloc_region("ddr", 1 << 20, PortId::ROOT);
+        assert_eq!(m.take(r.start + 100, 3 * PAGE_SIZE), vec![0; 3 * PAGE_SIZE]);
+        assert_eq!(m.resident_bytes(), 0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! `PhysMemory` against a flat reference model: random sequences of
 //! writes (all-zero chunks included), copies (across regions, and within
 //! one region overlapping in both directions), receive gathers out of a
-//! wrapped ring, and reads, each checked byte for byte. Driven by the
-//! in-repo deterministic [`Rng`] (the workspace builds offline, without a
-//! property-testing framework).
+//! wrapped ring, takes, and reads, each checked byte for byte. Driven by
+//! the in-repo deterministic [`Rng`] (the workspace builds offline,
+//! without a property-testing framework).
 
 use std::collections::{BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -15,8 +15,8 @@ use dcs_sim::Rng;
 const PAGE: u64 = 4096;
 
 /// One region of the reference model: a flat byte vector, plus the pages
-/// that ever received a non-zero byte (exactly the pages `PhysMemory`
-/// may materialize).
+/// that received a non-zero byte and that no take has since left all
+/// zero (exactly the pages `PhysMemory` may materialize).
 struct ModelRegion {
     start: u64,
     bytes: Vec<u8>,
@@ -50,6 +50,25 @@ impl Model {
         let r = self.region(addr);
         let off = (addr - r.start) as usize;
         r.bytes[off..off + len].to_vec()
+    }
+
+    /// Returns the span's bytes and zeroes them; every page the take
+    /// leaves all zero is no longer dirty.
+    fn take(&mut self, addr: u64, len: usize) -> Vec<u8> {
+        let out = self.read(addr, len);
+        let r = self.region(addr);
+        let off = (addr - r.start) as usize;
+        r.bytes[off..off + len].fill(0);
+        if len > 0 {
+            for page in off as u64 / PAGE..=(off + len - 1) as u64 / PAGE {
+                let lo = (page * PAGE) as usize;
+                let hi = (lo + PAGE as usize).min(r.bytes.len());
+                if r.bytes[lo..hi].iter().all(|&b| b == 0) {
+                    r.dirty_pages.remove(&page);
+                }
+            }
+        }
+        out
     }
 
     fn resident_bytes(&self) -> usize {
@@ -117,7 +136,7 @@ fn run_sequence(seed: u64, ops: usize) {
     let mut wrapped = 0;
     for step in 0..ops {
         let r = rng.gen_range(0..n as u64) as usize;
-        match rng.gen_range(0..6) {
+        match rng.gen_range(0..7) {
             // Write, possibly all zeros onto absent or present pages.
             0 | 1 => {
                 let (addr, len) = span(&mut rng, &model, r, 3 * PAGE);
@@ -179,6 +198,15 @@ fn run_sequence(seed: u64, ops: usize) {
                     ring,
                     [0x77],
                     "seed {seed} step {step}: gather left the tail"
+                );
+            }
+            // Take: a consumer releasing a buffer it has read.
+            5 => {
+                let (addr, len) = span(&mut rng, &model, r, 3 * PAGE);
+                assert_eq!(
+                    mem.take(PhysAddr(addr), len),
+                    model.take(addr, len),
+                    "seed {seed} step {step}: take [{addr:#x} +{len})"
                 );
             }
             // Read.
