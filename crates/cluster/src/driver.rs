@@ -610,24 +610,31 @@ impl<S: Service> ClusterDriver<S> {
         base + (object % slots) * self.slot_blocks
     }
 
-    fn loads(&self) -> Vec<NodeLoad> {
-        self.outstanding
-            .iter()
-            .zip(&self.queues)
-            .enumerate()
-            .map(|(n, (&o, q))| NodeLoad {
-                outstanding: o,
-                queued: q.len(),
-                // A Slow node stays routable but queue-aware policies see
-                // it carrying phantom load, steering new work to faster
-                // replicas first.
-                penalty: if self.cfg.health.enabled && self.health.state(n) == NodeState::Slow {
-                    health::SLOW_LOAD_PENALTY
-                } else {
-                    0
-                },
-            })
-            .collect()
+    fn load(&self, n: usize) -> NodeLoad {
+        NodeLoad {
+            outstanding: self.outstanding[n],
+            queued: self.queues[n].len(),
+            // A Slow node stays routable but queue-aware policies see it
+            // carrying phantom load, steering new work to faster replicas
+            // first.
+            penalty: if self.cfg.health.enabled && self.health.state(n) == NodeState::Slow {
+                health::SLOW_LOAD_PENALTY
+            } else {
+                0
+            },
+        }
+    }
+
+    /// The configured policy's pick among `candidates`; only their loads
+    /// are read.
+    fn pick(&mut self, candidates: &[usize]) -> usize {
+        let mut cursor = self.rr_cursor;
+        let node = self
+            .cfg
+            .policy
+            .choose_by(candidates, |n| self.load(n), &mut cursor);
+        self.rr_cursor = cursor;
+        node
     }
 
     fn tally_active(&self) -> bool {
@@ -723,12 +730,7 @@ impl<S: Service> ClusterDriver<S> {
             }
             match self.svc.affinity(&pend.req, &candidates) {
                 Some(n) => n,
-                None => {
-                    let loads = self.loads();
-                    self.cfg
-                        .policy
-                        .choose(&candidates, &loads, &mut self.rr_cursor)
-                }
+                None => self.pick(&candidates),
             }
         } else {
             // Writes pin to the primary; with the primary unroutable they
@@ -870,11 +872,7 @@ impl<S: Service> ClusterDriver<S> {
         if candidates.is_empty() {
             return;
         }
-        let loads = self.loads();
-        let target = self
-            .cfg
-            .policy
-            .choose(&candidates, &loads, &mut self.rr_cursor);
+        let target = self.pick(&candidates);
         let pend = Pending {
             req: request,
             arrival,

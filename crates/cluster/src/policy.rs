@@ -61,6 +61,23 @@ impl LbPolicy {
     ///
     /// Panics if `candidates` is empty.
     pub fn choose(self, candidates: &[usize], loads: &[NodeLoad], cursor: &mut usize) -> usize {
+        self.choose_by(candidates, |n| loads[n], cursor)
+    }
+
+    /// [`choose`](Self::choose) with each candidate's load read through
+    /// `load(node)`, so a caller with many nodes builds no load table: a
+    /// queue-aware pick asks for the candidates' loads only, and
+    /// round-robin asks for none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `candidates` is empty.
+    pub fn choose_by(
+        self,
+        candidates: &[usize],
+        load: impl Fn(usize) -> NodeLoad,
+        cursor: &mut usize,
+    ) -> usize {
         assert!(
             !candidates.is_empty(),
             "policy needs at least one candidate"
@@ -73,11 +90,17 @@ impl LbPolicy {
             }
             LbPolicy::LeastOutstanding => *candidates
                 .iter()
-                .min_by_key(|&&n| loads[n].outstanding + loads[n].penalty)
+                .min_by_key(|&&n| {
+                    let l = load(n);
+                    l.outstanding + l.penalty
+                })
                 .expect("non-empty"),
             LbPolicy::JoinShortestQueue => *candidates
                 .iter()
-                .min_by_key(|&&n| loads[n].outstanding + loads[n].queued + loads[n].penalty)
+                .min_by_key(|&&n| {
+                    let l = load(n);
+                    l.outstanding + l.queued + l.penalty
+                })
                 .expect("non-empty"),
         }
     }
@@ -110,7 +133,7 @@ mod tests {
         let l = loads(&[9, 0, 0], &[0, 0, 0]);
         let mut cursor = 0;
         let picks: Vec<usize> = (0..4)
-            .map(|_| LbPolicy::RoundRobin.choose(&[0, 2], &l, &mut cursor))
+            .map(|_| LbPolicy::RoundRobin.choose_by(&[0, 2], |n| l[n], &mut cursor))
             .collect();
         // Oblivious: keeps picking the loaded node 0 in turn.
         assert_eq!(picks, vec![0, 2, 0, 2]);
@@ -121,7 +144,7 @@ mod tests {
         let l = loads(&[3, 5], &[100, 0]);
         let mut cursor = 0;
         assert_eq!(
-            LbPolicy::LeastOutstanding.choose(&[0, 1], &l, &mut cursor),
+            LbPolicy::LeastOutstanding.choose_by(&[0, 1], |n| l[n], &mut cursor),
             0
         );
     }
@@ -131,7 +154,7 @@ mod tests {
         let l = loads(&[3, 5], &[100, 0]);
         let mut cursor = 0;
         assert_eq!(
-            LbPolicy::JoinShortestQueue.choose(&[0, 1], &l, &mut cursor),
+            LbPolicy::JoinShortestQueue.choose_by(&[0, 1], |n| l[n], &mut cursor),
             1
         );
     }
@@ -143,16 +166,62 @@ mod tests {
         let mut cursor = 0;
         // Both queue-aware policies avoid the penalized node...
         assert_eq!(
-            LbPolicy::LeastOutstanding.choose(&[0, 1], &l, &mut cursor),
+            LbPolicy::LeastOutstanding.choose_by(&[0, 1], |n| l[n], &mut cursor),
             1
         );
         assert_eq!(
-            LbPolicy::JoinShortestQueue.choose(&[0, 1], &l, &mut cursor),
+            LbPolicy::JoinShortestQueue.choose_by(&[0, 1], |n| l[n], &mut cursor),
             1
         );
         // ...while round-robin stays oblivious.
         let mut cursor = 0;
-        assert_eq!(LbPolicy::RoundRobin.choose(&[0, 1], &l, &mut cursor), 0);
+        assert_eq!(
+            LbPolicy::RoundRobin.choose_by(&[0, 1], |n| l[n], &mut cursor),
+            0
+        );
+    }
+
+    #[test]
+    fn picks_read_only_the_candidates_loads() {
+        let l = loads(&[0, 7, 4, 0], &[0, 0, 1, 0]);
+        let candidates = [2, 1];
+        let only_candidates = |n: usize| {
+            assert!(
+                candidates.contains(&n),
+                "read the load of non-candidate {n}"
+            );
+            l[n]
+        };
+        let mut cursor = 0;
+        assert_eq!(
+            LbPolicy::LeastOutstanding.choose_by(&candidates, only_candidates, &mut cursor),
+            2
+        );
+        assert_eq!(
+            LbPolicy::JoinShortestQueue.choose_by(&candidates, only_candidates, &mut cursor),
+            2
+        );
+        let no_load = |n: usize| -> NodeLoad { panic!("round-robin read node {n}'s load") };
+        assert_eq!(
+            LbPolicy::RoundRobin.choose_by(&candidates, no_load, &mut cursor),
+            2
+        );
+    }
+
+    #[test]
+    fn choose_over_a_load_table_matches_choose_by() {
+        let l = loads(&[3, 1, 2, 1], &[0, 4, 0, 1]);
+        for policy in LbPolicy::ALL {
+            let (mut a, mut b) = (5, 5);
+            for cands in [&[0, 1, 2, 3][..], &[3, 1], &[2]] {
+                assert_eq!(
+                    policy.choose(cands, &l, &mut a),
+                    policy.choose_by(cands, |n| l[n], &mut b),
+                    "{policy} over {cands:?}"
+                );
+            }
+            assert_eq!(a, b);
+        }
     }
 
     #[test]
@@ -160,11 +229,11 @@ mod tests {
         let l = loads(&[2, 2, 2], &[0, 0, 0]);
         let mut cursor = 0;
         assert_eq!(
-            LbPolicy::LeastOutstanding.choose(&[1, 0, 2], &l, &mut cursor),
+            LbPolicy::LeastOutstanding.choose_by(&[1, 0, 2], |n| l[n], &mut cursor),
             1
         );
         assert_eq!(
-            LbPolicy::JoinShortestQueue.choose(&[2, 1], &l, &mut cursor),
+            LbPolicy::JoinShortestQueue.choose_by(&[2, 1], |n| l[n], &mut cursor),
             2
         );
     }

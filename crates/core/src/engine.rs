@@ -1402,6 +1402,33 @@ impl HdcEngine {
 
 impl Component for HdcEngine {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+        // Per-frame payloads first: every downcast that misses costs a
+        // type check.
+        let msg = match msg.downcast::<MsiDelivery>() {
+            Ok(d) => {
+                match d.vector {
+                    v if (Self::MSI_SSD_BASE..Self::MSI_SSD_BASE + 32).contains(&v) => {
+                        self.drain_ssd_cq(ctx, (v - Self::MSI_SSD_BASE) as usize)
+                    }
+                    Self::MSI_NIC_TX => self.on_nic_tx_msi(ctx),
+                    Self::MSI_NIC_RX => self.on_nic_rx_msi(ctx),
+                    _ => {
+                        // A misrouted interrupt is device misbehavior, not
+                        // an engine invariant; count it and move on.
+                        ctx.world().stats.counter("hdc.unexpected_msi").add(1);
+                    }
+                }
+                return;
+            }
+            Err(m) => m,
+        };
+        let msg = match msg.downcast::<GatherDone>() {
+            Ok(GatherDone { frames, .. }) => {
+                self.on_gather_done(ctx, frames);
+                return;
+            }
+            Err(m) => m,
+        };
         if let Some(write) = msg.get::<MmioWrite>() {
             let off = write.addr - self.bar.start;
             if off == Self::CMD_QUEUE_OFFSET {
@@ -1449,34 +1476,9 @@ impl Component for HdcEngine {
             }
             Err(m) => m,
         };
-        let msg = match msg.downcast::<GatherDone>() {
-            Ok(GatherDone { frames, .. }) => {
-                self.on_gather_done(ctx, frames);
-                return;
-            }
-            Err(m) => m,
-        };
         let msg = match msg.downcast::<WatchdogTick>() {
             Ok(WatchdogTick) => {
                 self.on_watchdog(ctx);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<MsiDelivery>() {
-            Ok(d) => {
-                match d.vector {
-                    v if (Self::MSI_SSD_BASE..Self::MSI_SSD_BASE + 32).contains(&v) => {
-                        self.drain_ssd_cq(ctx, (v - Self::MSI_SSD_BASE) as usize)
-                    }
-                    Self::MSI_NIC_TX => self.on_nic_tx_msi(ctx),
-                    Self::MSI_NIC_RX => self.on_nic_rx_msi(ctx),
-                    _ => {
-                        // A misrouted interrupt is device misbehavior, not
-                        // an engine invariant; count it and move on.
-                        ctx.world().stats.counter("hdc.unexpected_msi").add(1);
-                    }
-                }
                 return;
             }
             Err(m) => m,

@@ -23,7 +23,7 @@ use dcs_pcie::{
 };
 use dcs_sim::{fault, time, Component, ComponentId, Ctx, DetMap, Msg, Simulator};
 
-use crate::headers::{build_frame, parse_template};
+use crate::headers::{build_frame_in_place, parse_template};
 use crate::ring::{RecvDescriptor, RecvWriteback, SendDescriptor};
 use crate::staging::{Span, StagingPool};
 use crate::wire::{FrameDelivery, TransmitDone, TransmitFrame};
@@ -357,15 +357,11 @@ impl NicDevice {
     /// header and payload gathers; the batch's staging is free afterwards.
     fn on_tx_descs(&mut self, ctx: &mut Ctx<'_>, count: u16, staging: Span) {
         for i in 0..count {
-            let raw: [u8; SendDescriptor::SIZE] = ctx
-                .world_ref()
-                .expect::<PhysMemory>()
-                .read(
-                    staging.addr + i as u64 * SendDescriptor::SIZE as u64,
-                    SendDescriptor::SIZE,
-                )
-                .try_into()
-                .expect("descriptor bytes");
+            let mut raw = [0u8; SendDescriptor::SIZE];
+            ctx.world_ref().expect::<PhysMemory>().read_into(
+                staging.addr + i as u64 * SendDescriptor::SIZE as u64,
+                &mut raw,
+            );
             let desc = SendDescriptor::from_bytes(&raw);
             assert!(
                 desc.payload_len as usize <= self.config.max_lso,
@@ -452,16 +448,12 @@ impl NicDevice {
             return;
         }
         // Both header template and payload are staged: segment and send.
-        // The frames carry their own bytes, so the staging is free once
-        // read.
-        let (template, payload) = {
-            let mem = ctx.world_ref().expect::<PhysMemory>();
-            (
-                mem.read(txop.hdr_staging.addr, txop.desc.header_len as usize),
-                mem.read(txop.pay_staging.addr, txop.desc.payload_len as usize),
-            )
-        };
-        self.release_tx_staging(&txop);
+        // Each frame copies its payload straight out of the staging, which
+        // is free once the last frame is built.
+        let template = ctx
+            .world_ref()
+            .expect::<PhysMemory>()
+            .read(txop.hdr_staging.addr, txop.desc.header_len as usize);
         let mss = if txop.desc.mss == 0 {
             usize::from(MSS)
         } else {
@@ -469,21 +461,23 @@ impl NicDevice {
         };
         let (flow, seq0, ack) = parse_template(&template)
             .unwrap_or_else(|e| panic!("initiator staged a malformed header template: {e}"));
-        let chunks: Vec<&[u8]> = if payload.is_empty() {
-            vec![&[][..]]
-        } else {
-            payload.chunks(mss).collect()
-        };
-        let mut offset = 0u32;
-        let n = chunks.len();
-        for (i, chunk) in chunks.into_iter().enumerate() {
-            let frame = build_frame(
+        let payload_len = txop.desc.payload_len as usize;
+        // An empty send still leaves as one header-only frame.
+        let n = payload_len.div_ceil(mss).max(1);
+        for i in 0..n {
+            let offset = i * mss;
+            let len = mss.min(payload_len - offset);
+            let frame = build_frame_in_place(
                 &flow,
-                seq0.wrapping_add(offset),
-                ack.wrapping_add(offset),
-                chunk,
+                seq0.wrapping_add(offset as u32),
+                ack.wrapping_add(offset as u32),
+                len,
+                |p| {
+                    ctx.world_ref()
+                        .expect::<PhysMemory>()
+                        .read_into(txop.pay_staging.addr + offset as u64, p)
+                },
             );
-            offset += chunk.len() as u32;
             let ftoken = self.token();
             self.frames.insert(ftoken, i == n - 1);
             let wire = self.wire;
@@ -497,6 +491,7 @@ impl NicDevice {
                 obs.count("nic", "tx.frames", 1);
             }
         }
+        self.release_tx_staging(&txop);
     }
 
     fn on_transmit_done(&mut self, ctx: &mut Ctx<'_>, id: u64) {
@@ -527,15 +522,11 @@ impl NicDevice {
     /// free afterwards.
     fn on_rx_descs(&mut self, ctx: &mut Ctx<'_>, count: u16, staging: Span) {
         for i in 0..count {
-            let raw: [u8; RecvDescriptor::SIZE] = ctx
-                .world_ref()
-                .expect::<PhysMemory>()
-                .read(
-                    staging.addr + i as u64 * RecvDescriptor::SIZE as u64,
-                    RecvDescriptor::SIZE,
-                )
-                .try_into()
-                .expect("descriptor bytes");
+            let mut raw = [0u8; RecvDescriptor::SIZE];
+            ctx.world_ref().expect::<PhysMemory>().read_into(
+                staging.addr + i as u64 * RecvDescriptor::SIZE as u64,
+                &mut raw,
+            );
             let desc = RecvDescriptor::from_bytes(&raw);
             let ring_idx = self.next_posted_idx();
             self.posted.push_back((ring_idx, desc));
@@ -735,10 +726,68 @@ impl NicDevice {
             }
         }
     }
+
+    fn on_dma_complete(&mut self, ctx: &mut Ctx<'_>, done: DmaComplete) {
+        let Some(purpose) = self.dmas.remove(&done.id) else {
+            // Late completion for a transfer a reset abandoned:
+            // nothing writes its staging any more.
+            if let Some(span) = self.abandoned.remove(&done.id) {
+                self.staging.free(span);
+            }
+            ctx.world().stats.counter("nic.stale_completions").add(1);
+            return;
+        };
+        {
+            let now = ctx.now();
+            ctx.world()
+                .obs
+                .span_end("nic", Self::purpose_span(&purpose), done.id, now);
+        }
+        if !done.status.is_ok() {
+            self.on_bad_dma(ctx, purpose);
+            return;
+        }
+        match purpose {
+            DmaPurpose::TxDescBatch { count, staging, .. } => self.on_tx_descs(ctx, count, staging),
+            DmaPurpose::TxGather { op, .. } => self.on_tx_gather_done(ctx, op),
+            DmaPurpose::RxDescBatch { count, staging, .. } => self.on_rx_descs(ctx, count, staging),
+            DmaPurpose::RxDeliver {
+                ring_idx,
+                frame_len,
+                staging,
+            } => {
+                self.staging.free(staging);
+                self.on_rx_delivered(ctx, ring_idx, frame_len)
+            }
+        }
+    }
 }
 
 impl Component for NicDevice {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+        // Per-frame payloads first: every downcast that misses costs a
+        // type check.
+        let msg = match msg.downcast::<DmaComplete>() {
+            Ok(done) => {
+                self.on_dma_complete(ctx, done);
+                return;
+            }
+            Err(m) => m,
+        };
+        let msg = match msg.downcast::<FrameDelivery>() {
+            Ok(f) => {
+                self.on_frame(ctx, f.frame);
+                return;
+            }
+            Err(m) => m,
+        };
+        let msg = match msg.downcast::<TransmitDone>() {
+            Ok(t) => {
+                self.on_transmit_done(ctx, t.id);
+                return;
+            }
+            Err(m) => m,
+        };
         if let Some(write) = msg.get::<MmioWrite>() {
             let write = write.clone();
             self.on_doorbell(ctx, &write);
@@ -805,21 +854,7 @@ impl Component for NicDevice {
             }
             Err(m) => m,
         };
-        let msg = match msg.downcast::<FrameDelivery>() {
-            Ok(f) => {
-                self.on_frame(ctx, f.frame);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<TransmitDone>() {
-            Ok(t) => {
-                self.on_transmit_done(ctx, t.id);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<RaiseRxIrq>() {
+        match msg.downcast::<RaiseRxIrq>() {
             Ok(RaiseRxIrq) => {
                 self.irq_pending = false;
                 let rings = *self.rings();
@@ -831,48 +866,6 @@ impl Component for NicDevice {
                         vector: rings.rx_msi_vector,
                     },
                 );
-                return;
-            }
-            Err(m) => m,
-        };
-        match msg.downcast::<DmaComplete>() {
-            Ok(done) => {
-                let Some(purpose) = self.dmas.remove(&done.id) else {
-                    // Late completion for a transfer a reset abandoned:
-                    // nothing writes its staging any more.
-                    if let Some(span) = self.abandoned.remove(&done.id) {
-                        self.staging.free(span);
-                    }
-                    ctx.world().stats.counter("nic.stale_completions").add(1);
-                    return;
-                };
-                {
-                    let now = ctx.now();
-                    ctx.world()
-                        .obs
-                        .span_end("nic", Self::purpose_span(&purpose), done.id, now);
-                }
-                if !done.status.is_ok() {
-                    self.on_bad_dma(ctx, purpose);
-                    return;
-                }
-                match purpose {
-                    DmaPurpose::TxDescBatch { count, staging, .. } => {
-                        self.on_tx_descs(ctx, count, staging)
-                    }
-                    DmaPurpose::TxGather { op, .. } => self.on_tx_gather_done(ctx, op),
-                    DmaPurpose::RxDescBatch { count, staging, .. } => {
-                        self.on_rx_descs(ctx, count, staging)
-                    }
-                    DmaPurpose::RxDeliver {
-                        ring_idx,
-                        frame_len,
-                        staging,
-                    } => {
-                        self.staging.free(staging);
-                        self.on_rx_delivered(ctx, ring_idx, frame_len)
-                    }
-                }
             }
             Err(other) => panic!("NicDevice received unexpected message: {other:?}"),
         }

@@ -90,8 +90,24 @@ fn internet_checksum(data: &[u8], init: u32) -> u16 {
 /// acknowledgement number (the model's wire is lossless so acks carry no
 /// control significance, but the fields are filled for realism).
 pub fn build_frame(flow: &TcpFlow, seq: u32, ack: u32, payload: &[u8]) -> Vec<u8> {
-    let ip_total = (IPV4_HEADER_LEN + TCP_HEADER_LEN + payload.len()) as u16;
-    let mut f = Vec::with_capacity(HEADERS_LEN + payload.len());
+    build_frame_in_place(flow, seq, ack, payload.len(), |p| {
+        p.copy_from_slice(payload)
+    })
+}
+
+/// [`build_frame`] for a payload of `payload_len` bytes that `fill`
+/// writes straight into the frame, so a payload held elsewhere (the
+/// NIC's staged LSO gather) is copied once, not first into a `Vec` of
+/// its own. `fill` receives the zeroed payload slice.
+pub fn build_frame_in_place(
+    flow: &TcpFlow,
+    seq: u32,
+    ack: u32,
+    payload_len: usize,
+    fill: impl FnOnce(&mut [u8]),
+) -> Vec<u8> {
+    let ip_total = (IPV4_HEADER_LEN + TCP_HEADER_LEN + payload_len) as u16;
+    let mut f = Vec::with_capacity(HEADERS_LEN + payload_len);
 
     // Ethernet II.
     f.extend_from_slice(&flow.dst_mac);
@@ -124,10 +140,11 @@ pub fn build_frame(flow: &TcpFlow, seq: u32, ack: u32, payload: &[u8]) -> Vec<u8
     f.extend_from_slice(&0xFFFFu16.to_be_bytes()); // window
     f.extend_from_slice(&[0, 0]); // checksum placeholder
     f.extend_from_slice(&[0, 0]); // urgent pointer
-    f.extend_from_slice(payload);
+    f.resize(HEADERS_LEN + payload_len, 0);
+    fill(&mut f[HEADERS_LEN..]);
 
     // TCP checksum over pseudo-header + TCP header + payload.
-    let tcp_len = (TCP_HEADER_LEN + payload.len()) as u16;
+    let tcp_len = (TCP_HEADER_LEN + payload_len) as u16;
     let mut pseudo = 0u32;
     pseudo += u16::from_be_bytes([flow.src_ip[0], flow.src_ip[1]]) as u32;
     pseudo += u16::from_be_bytes([flow.src_ip[2], flow.src_ip[3]]) as u32;
@@ -329,6 +346,29 @@ mod tests {
         for len in [1usize, 3, 1447] {
             let payload: Vec<u8> = (0..len).map(|i| (i % 256) as u8).collect();
             let frame = build_frame(&flow, 7, 0, &payload);
+            parse_frame(&frame).unwrap_or_else(|e| panic!("len {len}: {e}"));
+        }
+    }
+
+    #[test]
+    fn in_place_frames_equal_build_frame() {
+        let flow = TcpFlow::example(5, 6, 33_000, 9000);
+        for len in [0usize, 1, 777, 1447, 1448] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 255) as u8 + 1).collect();
+            // Filled in two pieces, the way a payload spanning two staging
+            // pages is read.
+            let frame = build_frame_in_place(&flow, 0xFFFF_FF00, 9, len, |p| {
+                assert_eq!(p.len(), len);
+                assert!(p.iter().all(|&b| b == 0), "the payload slice starts zeroed");
+                let (a, b) = p.split_at_mut(len / 2);
+                a.copy_from_slice(&payload[..len / 2]);
+                b.copy_from_slice(&payload[len / 2..]);
+            });
+            assert_eq!(
+                frame,
+                build_frame(&flow, 0xFFFF_FF00, 9, &payload),
+                "len {len}"
+            );
             parse_frame(&frame).unwrap_or_else(|e| panic!("len {len}: {e}"));
         }
     }

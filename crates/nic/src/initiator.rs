@@ -220,10 +220,8 @@ impl NicInitiator {
             let slot = self.wb_next;
             let wb_addr = self.configure.wb_ring_base + slot as u64 * RecvWriteback::SIZE as u64;
             let mem = world.expect_mut::<PhysMemory>();
-            let raw: [u8; RecvWriteback::SIZE] = mem
-                .read(wb_addr, RecvWriteback::SIZE)
-                .try_into()
-                .expect("8 bytes");
+            let mut raw = [0u8; RecvWriteback::SIZE];
+            mem.read_into(wb_addr, &mut raw);
             let wb = RecvWriteback::from_bytes(&raw);
             if !wb.valid {
                 break;

@@ -416,17 +416,8 @@ impl PcieFabric {
 
 impl Component for PcieFabric {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        if msg.is::<MmioWrite>() {
-            self.route_mmio(ctx, msg);
-            return;
-        }
-        let msg = match msg.downcast::<DmaRequest>() {
-            Ok(req) => {
-                self.start_dma(ctx, req);
-                return;
-            }
-            Err(m) => m,
-        };
+        // Per-transfer payloads first: every downcast that misses costs a
+        // type check.
         let msg = match msg.downcast::<DmaDone>() {
             Ok(done) => {
                 self.finish_dma(ctx, done);
@@ -434,6 +425,17 @@ impl Component for PcieFabric {
             }
             Err(m) => m,
         };
+        let msg = match msg.downcast::<DmaRequest>() {
+            Ok(req) => {
+                self.start_dma(ctx, req);
+                return;
+            }
+            Err(m) => m,
+        };
+        if msg.is::<MmioWrite>() {
+            self.route_mmio(ctx, msg);
+            return;
+        }
         match msg.downcast::<Msi>() {
             Ok(msi) => self.route_msi(ctx, msi),
             Err(other) => panic!("PcieFabric received unexpected message: {other:?}"),

@@ -7,9 +7,9 @@
 //! no-op. A consumer done with a buffer [`take`](PhysMemory::take)s its
 //! bytes instead of reading them: the span then reads as zero, and a page
 //! the take leaves all zero is released. Regions are kept sorted by start
-//! address and found by binary search. Each region is tagged with the
-//! PCIe [`PortId`] it sits behind so the fabric can charge transfers to
-//! the right links.
+//! address and found by binary search over a dense vector of their
+//! starts. Each region is tagged with the PCIe [`PortId`] it sits behind
+//! so the fabric can charge transfers to the right links.
 
 use dcs_sim::DetMap;
 use std::collections::VecDeque;
@@ -112,6 +112,41 @@ impl SparseBytes {
         }
     }
 
+    /// Copies `len` bytes at `src_off` in `src` to `dst_off` here, page
+    /// to page in one pass: a present source page is copied onto a
+    /// present destination page or materializes an absent one if the
+    /// chunk holds a non-zero byte, and an absent source page zero-fills
+    /// a present destination page and leaves an absent one absent.
+    fn copy_from(&mut self, src: &SparseBytes, src_off: u64, dst_off: u64, len: usize) {
+        let mut done = 0;
+        while done < len {
+            let (s, d) = (src_off + done as u64, dst_off + done as u64);
+            let s_in = (s as usize) & (PAGE_SIZE - 1);
+            let d_in = (d as usize) & (PAGE_SIZE - 1);
+            let n = (PAGE_SIZE - s_in.max(d_in)).min(len - done);
+            let d_page = d >> PAGE_SHIFT;
+            match (
+                src.pages.get(&(s >> PAGE_SHIFT)),
+                self.pages.get_mut(&d_page),
+            ) {
+                (Some(from), Some(to)) => {
+                    to[d_in..d_in + n].copy_from_slice(&from[s_in..s_in + n]);
+                }
+                (None, Some(to)) => to[d_in..d_in + n].fill(0),
+                (Some(from), None) => {
+                    let chunk = &from[s_in..s_in + n];
+                    if !is_zero(chunk) {
+                        let mut p = Box::new([0u8; PAGE_SIZE]);
+                        p[d_in..d_in + n].copy_from_slice(chunk);
+                        self.pages.insert(d_page, p);
+                    }
+                }
+                (None, None) => {}
+            }
+            done += n;
+        }
+    }
+
     fn resident_bytes(&self) -> usize {
         self.pages.len() * PAGE_SIZE
     }
@@ -138,10 +173,18 @@ struct Region {
 /// Lives in the simulator [`World`](dcs_sim::World); components read and
 /// write it directly (memory accuracy is byte-level, timing is modeled by
 /// the fabric and device components).
-#[derive(Default)]
 pub struct PhysMemory {
     regions: Vec<Region>,
+    /// `regions[i].info.range.start`, kept beside `regions` so the lookup
+    /// binary-searches one dense vector of addresses.
+    starts: Vec<PhysAddr>,
     next_free: u64,
+}
+
+impl Default for PhysMemory {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Alignment for allocated regions: 4 GiB keeps region bases readable in
@@ -153,6 +196,7 @@ impl PhysMemory {
     pub fn new() -> Self {
         PhysMemory {
             regions: Vec::new(),
+            starts: Vec::new(),
             next_free: REGION_ALIGN,
         }
     }
@@ -201,6 +245,7 @@ impl PhysMemory {
         let pos = self
             .regions
             .partition_point(|r| (r.info.range.start, r.info.range.len) <= key);
+        self.starts.insert(pos, range.start);
         self.regions.insert(
             pos,
             Region {
@@ -218,8 +263,8 @@ impl PhysMemory {
         // Regions never overlap, so the only candidate is the last one
         // starting at or below `addr`.
         let candidate = self
-            .regions
-            .partition_point(|r| r.info.range.start <= addr)
+            .starts
+            .partition_point(|&s| s <= addr)
             .checked_sub(1)
             .filter(|&i| self.regions[i].info.range.contains_span(addr, len));
         candidate.unwrap_or_else(|| {
@@ -327,18 +372,31 @@ impl PhysMemory {
         let d = self.region_index_of(dst, len);
         let src_off = src - self.regions[s].info.range.start;
         let dst_off = dst - self.regions[d].info.range.start;
+        if s != d {
+            // Distinct regions never alias: move the bytes page to page.
+            let (from, to) = if s < d {
+                let (lo, hi) = self.regions.split_at_mut(d);
+                (&lo[s], &mut hi[0])
+            } else {
+                let (lo, hi) = self.regions.split_at_mut(s);
+                (&hi[0], &mut lo[d])
+            };
+            to.bytes.copy_from(&from.bytes, src_off, dst_off, len);
+            return;
+        }
         // Spans can only overlap inside one region. When the destination
         // starts inside the source, copy back to front so every chunk is
         // read before a later chunk's write lands on it.
-        let backward = s == d && dst_off > src_off && dst_off < src_off + len as u64;
+        let backward = dst_off > src_off && dst_off < src_off + len as u64;
+        let bytes = &mut self.regions[s].bytes;
         let mut buf = [0u8; PAGE_SIZE];
         let mut done = 0;
         while done < len {
             let n = PAGE_SIZE.min(len - done);
             let at = if backward { len - done - n } else { done } as u64;
             let chunk = &mut buf[..n];
-            self.regions[s].bytes.read_into(src_off + at, chunk);
-            self.regions[d].bytes.write_from(dst_off + at, chunk);
+            bytes.read_into(src_off + at, chunk);
+            bytes.write_from(dst_off + at, chunk);
             done += n;
         }
     }
@@ -479,6 +537,43 @@ mod tests {
         let r = m.alloc_region("ddr", 1 << 20, PortId::ROOT);
         assert_eq!(m.take(r.start + 100, 3 * PAGE_SIZE), vec![0; 3 * PAGE_SIZE]);
         assert_eq!(m.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn default_allocates_like_new_and_never_at_address_zero() {
+        let mut d = PhysMemory::default();
+        let mut n = PhysMemory::new();
+        let a = d.alloc_region("a", 64, PortId::ROOT);
+        assert_eq!(a, n.alloc_region("a", 64, PortId::ROOT));
+        assert_ne!(a.start, PhysAddr::ZERO, "address zero means \"no address\"");
+        assert_eq!(d.region_of(a.start, 64).name, "a");
+    }
+
+    #[test]
+    fn copy_between_regions_follows_both_page_grids() {
+        let mut m = PhysMemory::new();
+        let a = m.alloc_region("a", 1 << 16, PortId::ROOT);
+        let b = m.alloc_region("b", 1 << 16, PortId(1));
+        // Source: page 0 present from byte 100, page 1 absent, page 2
+        // holding 50 nines, page 3 absent.
+        let src = a.start + 100;
+        m.write(src, &[7u8; PAGE_SIZE - 100]);
+        m.write(a.start + 2 * PAGE_SIZE as u64, &[9u8; 50]);
+        // Destination page 1 is present with stale bytes.
+        m.write(b.start + PAGE_SIZE as u64, &[5u8; PAGE_SIZE]);
+        let before = m.resident_bytes();
+        let dst = b.start + 3000;
+        let len = 3 * PAGE_SIZE;
+        m.copy(src, dst, len);
+        let mut want = vec![7u8; PAGE_SIZE - 100];
+        want.resize(2 * PAGE_SIZE - 100, 0);
+        want.extend_from_slice(&[9u8; 50]);
+        want.resize(len, 0);
+        assert_eq!(m.read(dst, len), want);
+        // Destination pages 0 and 2 received non-zero bytes and
+        // materialized; page 1 was zero-filled where the source was
+        // absent; page 3 received only zeros and stays absent.
+        assert_eq!(m.resident_bytes(), before + 2 * PAGE_SIZE);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! `PhysMemory` against a flat reference model: random sequences of
 //! writes (all-zero chunks included), copies (across regions, and within
 //! one region overlapping in both directions), receive gathers out of a
-//! wrapped ring, takes, and reads, each checked byte for byte. Driven by
-//! the in-repo deterministic [`Rng`] (the workspace builds offline,
-//! without a property-testing framework).
+//! wrapped ring, takes, and reads, each checked byte for byte, over a
+//! four-region map and over a rack-scale map of several hundred regions
+//! whose region lookups are checked too. Driven by the in-repo
+//! deterministic [`Rng`] (the workspace builds offline, without a
+//! property-testing framework).
 
 use std::collections::{BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,6 +20,7 @@ const PAGE: u64 = 4096;
 /// that received a non-zero byte and that no take has since left all
 /// zero (exactly the pages `PhysMemory` may materialize).
 struct ModelRegion {
+    name: String,
     start: u64,
     bytes: Vec<u8>,
     dirty_pages: BTreeSet<u64>,
@@ -28,15 +31,35 @@ struct Model {
 }
 
 impl Model {
-    fn region(&mut self, addr: u64) -> &mut ModelRegion {
+    fn new(mem: &PhysMemory) -> Model {
+        let regions = mem
+            .regions()
+            .map(|r| ModelRegion {
+                name: r.name.clone(),
+                start: r.range.start.as_u64(),
+                bytes: vec![0; r.range.len as usize],
+                dirty_pages: BTreeSet::new(),
+            })
+            .collect();
+        Model { regions }
+    }
+
+    /// The region holding `[addr, addr + len)`: the non-empty one where an
+    /// empty region shares its start, found by a linear scan.
+    fn index_of(&self, addr: u64, len: usize) -> usize {
         self.regions
-            .iter_mut()
-            .find(|r| addr >= r.start && addr < r.start + r.bytes.len() as u64)
+            .iter()
+            .rposition(|r| addr >= r.start && addr + len as u64 <= r.start + r.bytes.len() as u64)
             .expect("model access inside a region")
     }
 
+    fn region(&mut self, addr: u64, len: usize) -> &mut ModelRegion {
+        let i = self.index_of(addr, len);
+        &mut self.regions[i]
+    }
+
     fn write(&mut self, addr: u64, data: &[u8]) {
-        let r = self.region(addr);
+        let r = self.region(addr, data.len());
         let off = (addr - r.start) as usize;
         r.bytes[off..off + data.len()].copy_from_slice(data);
         for (i, &b) in data.iter().enumerate() {
@@ -47,7 +70,7 @@ impl Model {
     }
 
     fn read(&mut self, addr: u64, len: usize) -> Vec<u8> {
-        let r = self.region(addr);
+        let r = self.region(addr, len);
         let off = (addr - r.start) as usize;
         r.bytes[off..off + len].to_vec()
     }
@@ -56,7 +79,7 @@ impl Model {
     /// leaves all zero is no longer dirty.
     fn take(&mut self, addr: u64, len: usize) -> Vec<u8> {
         let out = self.read(addr, len);
-        let r = self.region(addr);
+        let r = self.region(addr, len);
         let off = (addr - r.start) as usize;
         r.bytes[off..off + len].fill(0);
         if len > 0 {
@@ -85,20 +108,46 @@ impl Model {
 fn setup() -> (PhysMemory, Model) {
     let mut mem = PhysMemory::new();
     let a = mem.alloc_region("a", 64 * 1024, PortId::ROOT);
-    let b = mem.alloc_region("b", 40 * 1024 + 123, PortId(1));
+    mem.alloc_region("b", 40 * 1024 + 123, PortId(1));
     let c = AddrRange::new(PhysAddr(0x10_0800), 24 * 1024 + 7);
     mem.add_region_at("c", c, PortId(2));
     let d = AddrRange::new(a.start + (1 << 20) + 0x321, 16 * 1024);
     mem.add_region_at("d", d, PortId(3));
-    let regions = [a, b, c, d]
-        .iter()
-        .map(|r| ModelRegion {
-            start: r.start.as_u64(),
-            bytes: vec![0; r.len as usize],
-            dirty_pages: BTreeSet::new(),
-        })
-        .collect();
-    (mem, Model { regions })
+    let model = Model::new(&mem);
+    (mem, model)
+}
+
+/// Regions of each kind in [`rack_setup`].
+const RACK_GROUPS: u64 = 128;
+
+/// A rack-sized map of 4 × [`RACK_GROUPS`] regions, most of them a few
+/// pages or less like a node's rings and BARs:
+/// - one allocated region per group, on the 4 GiB grid;
+/// - one `add_region_at` region per group in the gap *below* that
+///   allocation, so placement runs against address order;
+/// - one region per group below 4 GiB, placed from the top down, each
+///   ending exactly where the one above it starts (adjacent regions);
+/// - one empty region per group sharing the start of that group's
+///   low region, so the lookup must pick the non-empty one.
+fn rack_setup() -> (PhysMemory, Model) {
+    let mut mem = PhysMemory::new();
+    let mut rng = Rng::new(0xACE);
+    let mut size = |max: u64| rng.gen_range(1..max + 1);
+    let low_len = 5000;
+    let mut low_top = RACK_GROUPS * low_len + 0x1000;
+    for g in 0..RACK_GROUPS {
+        let a = mem.alloc_region(&format!("alloc{g}"), size(3 * PAGE), PortId::ROOT);
+        let below = a.start.as_u64() - (1 << 30) - size(PAGE);
+        let gap = AddrRange::new(PhysAddr(below), size(2 * PAGE));
+        mem.add_region_at(&format!("gap{g}"), gap, PortId(1));
+        low_top -= low_len;
+        let low = AddrRange::new(PhysAddr(low_top), low_len);
+        mem.add_region_at(&format!("low{g}"), low, PortId(2));
+        let empty = AddrRange::new(low.start, 0);
+        mem.add_region_at(&format!("empty{g}"), empty, PortId(3));
+    }
+    let model = Model::new(&mem);
+    (mem, model)
 }
 
 /// A random payload: all zeros, dense random, or mostly zero with a few
@@ -129,7 +178,7 @@ fn span(rng: &mut Rng, model: &Model, r: usize, max: u64) -> (u64, usize) {
     (region.start + off, len as usize)
 }
 
-fn run_sequence(seed: u64, ops: usize) {
+fn run_sequence(setup: fn() -> (PhysMemory, Model), seed: u64, ops: usize) {
     let (mut mem, mut model) = setup();
     let mut rng = Rng::new(seed);
     let n = model.regions.len();
@@ -209,9 +258,15 @@ fn run_sequence(seed: u64, ops: usize) {
                     "seed {seed} step {step}: take [{addr:#x} +{len})"
                 );
             }
-            // Read.
+            // Read, and the region lookup behind it.
             _ => {
                 let (addr, len) = span(&mut rng, &model, r, 3 * PAGE);
+                let want = &model.regions[model.index_of(addr, len)].name;
+                assert_eq!(
+                    &mem.region_of(PhysAddr(addr), len).name,
+                    want,
+                    "seed {seed} step {step}: region of [{addr:#x} +{len})"
+                );
                 assert_eq!(
                     mem.read(PhysAddr(addr), len),
                     model.read(addr, len),
@@ -236,7 +291,60 @@ fn run_sequence(seed: u64, ops: usize) {
 #[test]
 fn random_sequences_match_the_flat_model() {
     for seed in 1..=12 {
-        run_sequence(seed, 1500);
+        run_sequence(setup, seed, 1500);
+    }
+}
+
+#[test]
+fn rack_scale_sequences_match_the_flat_model() {
+    for seed in 1..=4 {
+        run_sequence(rack_setup, seed, 3000);
+    }
+}
+
+#[test]
+fn rack_scale_lookups_find_every_region() {
+    let (mem, model) = rack_setup();
+    assert_eq!(model.regions.len() as u64, 4 * RACK_GROUPS);
+    // `regions()` iterates in address order, the non-empty region last
+    // among those sharing a start.
+    let starts: Vec<(u64, usize)> = model
+        .regions
+        .iter()
+        .map(|r| (r.start, r.bytes.len()))
+        .collect();
+    assert!(starts.windows(2).all(|w| w[0] <= w[1]));
+    for r in model.regions.iter().filter(|r| !r.bytes.is_empty()) {
+        let len = r.bytes.len();
+        for (addr, n) in [(r.start, 1), (r.start + len as u64 - 1, 1), (r.start, len)] {
+            assert_eq!(mem.region_of(PhysAddr(addr), n).name, r.name);
+        }
+    }
+}
+
+#[test]
+fn a_span_straddling_adjacent_regions_panics_and_lists_the_regions() {
+    let (mem, model) = rack_setup();
+    let low0 = model
+        .regions
+        .iter()
+        .find(|r| r.name == "low0")
+        .expect("low0");
+    let low1 = model
+        .regions
+        .iter()
+        .find(|r| r.name == "low1")
+        .expect("low1");
+    // `low1` ends exactly where `low0` starts.
+    assert_eq!(low1.start + low1.bytes.len() as u64, low0.start);
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        drop(mem.read(PhysAddr(low0.start - 4), 8));
+    }))
+    .expect_err("a span across two adjacent regions must panic");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("no single region"), "{msg}");
+    for name in ["\"low0\"", "\"low1\"", "\"empty0\"", "\"alloc127\""] {
+        assert!(msg.contains(name), "the panic lists {name}: {msg}");
     }
 }
 
