@@ -19,7 +19,9 @@ use dcs_host::costs;
 use dcs_host::cpu::{CpuJob, CpuJobDone};
 use dcs_host::job::{D2dDone, D2dJob, D2dOp};
 use dcs_nic::TcpFlow;
-use dcs_pcie::{DmaComplete, DmaRequest, MmioWrite, MsiDelivery, PhysAddr, PhysMemory, TlpClass};
+use dcs_pcie::{
+    DmaComplete, DmaOp, DmaRequest, MmioWrite, MsiDelivery, PhysAddr, PhysMemory, TlpClass,
+};
 use dcs_sim::{fault, Breakdown, Category, Component, ComponentId, Ctx, Msg, SimTime};
 
 use crate::command::{CompletionRecord, D2dCommand, DevOpCode};
@@ -389,9 +391,11 @@ impl HdcDriver {
             fabric,
             DmaRequest {
                 id: token,
-                src: staging,
-                dst: self.engine_aux_base + aux_off as u64,
-                len,
+                op: DmaOp::Copy {
+                    src: staging,
+                    dst: self.engine_aux_base + aux_off as u64,
+                    len,
+                },
                 class: TlpClass::Data,
                 reply_to: ctx.self_id(),
             },

@@ -38,7 +38,8 @@ use dcs_nvme::{
     AttachQueuePair, NvmeCommand, NvmeCompletion, NvmeHandle, NvmeInitiator, NvmeIo, Outcome,
 };
 use dcs_pcie::{
-    AddrRange, DmaComplete, DmaRequest, MmioWrite, Msi, MsiDelivery, PhysAddr, PhysMemory, TlpClass,
+    AddrRange, DmaComplete, DmaOp, DmaRequest, MmioWrite, Msi, MsiDelivery, PhysAddr, PhysMemory,
+    PortId, TlpClass,
 };
 use dcs_sim::{
     fault, Bandwidth, Breakdown, Category, Component, ComponentId, Ctx, DetMap, FifoServer, Msg,
@@ -151,12 +152,12 @@ struct GatherDone {
 struct WatchdogTick;
 
 /// An in-flight completion-record DMA, kept until the fabric confirms it
-/// landed clean (a poisoned record is rewritten once from BRAM staging).
+/// landed clean (a poisoned record is rewritten once from `record`).
 #[derive(Clone, Copy)]
 struct CompDma {
     id: u64,
-    src: PhysAddr,
     dst: PhysAddr,
+    record: [u8; CompletionRecord::SIZE],
     attempts: u8,
 }
 
@@ -206,6 +207,8 @@ pub struct HdcEngine {
     fabric: ComponentId,
     /// BAR: command queue + rings live here (BRAM window).
     bar: AddrRange,
+    /// The engine's PCIe port: the device end of its completion writes.
+    port: PortId,
     /// On-board DDR3.
     ddr: AddrRange,
     allocator: ChunkAllocator,
@@ -254,13 +257,15 @@ impl HdcEngine {
     const MSI_NIC_TX: u32 = 0x60;
     const MSI_NIC_RX: u32 = 0x61;
 
-    /// Creates the engine. The caller supplies the BAR and DDR3 regions
-    /// and the device handles (see [`build_dcs_node`](crate::node)).
+    /// Creates the engine. The caller supplies the BAR and DDR3 regions,
+    /// the port they sit behind, and the device handles (see
+    /// [`build_dcs_node`](crate::node)).
     pub fn new(
         config: EngineConfig,
         fabric: ComponentId,
         bar: AddrRange,
         ddr: AddrRange,
+        port: PortId,
         ssds: Vec<NvmeHandle>,
         nic: NicHandle,
     ) -> Self {
@@ -328,6 +333,7 @@ impl HdcEngine {
             config,
             fabric,
             bar,
+            port,
             ddr,
             aux_base,
             contexts: DetMap::new(),
@@ -1291,38 +1297,34 @@ impl HdcEngine {
             obs.mark(id, "hdc:data+compute", now);
             obs.span_begin("hdc", "completion-dma", id, now);
         }
-        // Stage the record in BRAM and DMA it to the host ring; the MSI
-        // follows the DMA completion. One staging slot per ring index:
-        // in-order delivery can release long bursts of completions at one
-        // instant, so shared staging would clobber in-flight records.
-        let staging = self.bar.start + (self.bar.len - 0x10000 + ring_idx * 64);
-        ctx.world()
-            .expect_mut::<PhysMemory>()
-            .write(staging, &record.to_bytes());
-        let token = self.token();
-        self.comp_dmas.insert(
-            token,
-            CompDma {
-                id,
-                src: staging,
-                dst: slot,
-                attempts: 0,
-            },
-        );
-        let fabric = self.fabric;
-        ctx.send_in(
-            COMPLETION_WRITE_NS,
-            fabric,
-            DmaRequest {
-                id: token,
-                src: staging,
-                dst: slot,
-                len: CompletionRecord::SIZE,
-                class: TlpClass::Completion,
-                reply_to: ctx.self_id(),
-            },
-        );
+        // Write the record to the host ring; the MSI follows the DMA
+        // completion.
+        let dma = CompDma {
+            id,
+            dst: slot,
+            record: record.to_bytes(),
+            attempts: 0,
+        };
+        self.write_record(ctx, COMPLETION_WRITE_NS, dma);
         ctx.world().stats.counter("hdc.completions").add(1);
+    }
+
+    /// Posts `dma`'s record to its host ring slot after `delay`.
+    fn write_record(&mut self, ctx: &mut Ctx<'_>, delay: u64, dma: CompDma) {
+        let token = self.token();
+        let req = DmaRequest {
+            id: token,
+            op: DmaOp::Write {
+                port: self.port,
+                dst: dma.dst,
+                data: dma.record.to_vec(),
+            },
+            class: TlpClass::Completion,
+            reply_to: ctx.self_id(),
+        };
+        self.comp_dmas.insert(token, dma);
+        let fabric = self.fabric;
+        ctx.send_in(delay, fabric, req);
     }
 
     fn on_completion_dma_done(&mut self, ctx: &mut Ctx<'_>, done: &DmaComplete) {
@@ -1336,23 +1338,10 @@ impl HdcEngine {
         let id = dma.id;
         if !done.status.is_ok() {
             if dma.attempts == 0 {
-                // The staged record in BRAM is intact: rewrite the host
-                // ring slot once before giving the record up for lost.
+                // The engine's copy of the record is intact: rewrite the
+                // host ring slot once before giving the record up for lost.
                 ctx.world().stats.counter("hdc.completion_rewrites").add(1);
-                let token = self.token();
-                self.comp_dmas.insert(token, CompDma { attempts: 1, ..dma });
-                let fabric = self.fabric;
-                ctx.send_now(
-                    fabric,
-                    DmaRequest {
-                        id: token,
-                        src: dma.src,
-                        dst: dma.dst,
-                        len: CompletionRecord::SIZE,
-                        class: TlpClass::Completion,
-                        reply_to: ctx.self_id(),
-                    },
-                );
+                self.write_record(ctx, 0, CompDma { attempts: 1, ..dma });
                 return;
             }
             // Rewrite budget spent. Fall through and release the command's

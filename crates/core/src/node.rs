@@ -148,6 +148,7 @@ pub fn build_dcs_node(
         fabric,
         engine_bar,
         engine_ddr,
+        engine_port,
         ssds.clone(),
         nic.clone(),
     );

@@ -22,7 +22,7 @@ use dcs_sim::DetMap;
 
 use dcs_gpu::GpuHandle;
 use dcs_ndp::NdpFunction;
-use dcs_pcie::{DmaComplete, DmaRequest, PhysAddr, PhysMemory, TlpClass};
+use dcs_pcie::{DmaComplete, DmaOp, DmaRequest, PhysAddr, PhysMemory, TlpClass};
 use dcs_sim::{Breakdown, Category, Component, ComponentId, Ctx, IntegrityAudit, Msg, SimTime};
 
 use crate::costs::{self, KernelMode};
@@ -420,9 +420,7 @@ impl SwExecutor {
             fabric,
             DmaRequest {
                 id: token,
-                src,
-                dst,
-                len,
+                op: DmaOp::Copy { src, dst, len },
                 class: TlpClass::Data,
                 reply_to: ctx.self_id(),
             },

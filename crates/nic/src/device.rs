@@ -11,21 +11,22 @@
 //! A frame arriving with no posted buffer is dropped and counted, as real
 //! adapters do.
 //!
-//! Staging: descriptor batches, send gathers and received frames pass
-//! through device-internal memory around their DMAs. Each span returns to
-//! the NIC's staging pool once the last DMA through it has completed, so
-//! the window's resident pages follow the data in flight.
+//! Device memory: descriptor batches, send gathers and received frames
+//! live in the adapter's own buffers, which have no host-visible address.
+//! Fetches and gathers are fabric reads whose completions carry the bytes,
+//! and a received frame is a posted write that carries them, so nothing
+//! the NIC holds occupies [`PhysMemory`].
 
 use std::collections::VecDeque;
 
 use dcs_pcie::{
-    aer, AddrRange, DmaComplete, DmaRequest, MmioWrite, Msi, PhysAddr, PhysMemory, PortId, TlpClass,
+    aer, AddrRange, DmaComplete, DmaOp, DmaRequest, MmioWrite, Msi, PhysAddr, PhysMemory, PortId,
+    TlpClass,
 };
 use dcs_sim::{fault, time, Component, ComponentId, Ctx, DetMap, Msg, Simulator};
 
 use crate::headers::{build_frame_in_place, parse_template};
 use crate::ring::{RecvDescriptor, RecvWriteback, SendDescriptor};
-use crate::staging::{Span, StagingPool};
 use crate::wire::{FrameDelivery, TransmitDone, TransmitFrame};
 
 /// TCP maximum segment size used by LSO segmentation (a send
@@ -80,9 +81,6 @@ pub struct NicHandle {
     pub device: ComponentId,
     /// Register BAR (doorbells).
     pub bar: AddrRange,
-    /// Device-internal staging window, recycled span by span as the DMAs
-    /// through it complete (tests may inspect it).
-    pub staging: AddrRange,
     /// PCIe port the NIC occupies.
     pub port: PortId,
     /// Largest payload one send descriptor may carry, in bytes
@@ -118,55 +116,36 @@ pub struct ControlFrame {
 
 #[derive(Clone, Copy)]
 enum DmaPurpose {
-    /// A batch of `count` send descriptors landing at `staging`.
+    /// A read of `count` send descriptors from ring index `start_idx`.
     TxDescBatch {
         start_idx: u16,
         count: u16,
-        staging: Span,
         refetched: bool,
     },
-    /// Header/payload gather for a descriptor; both must land before
-    /// segmentation. The source/length are kept so a poisoned gather can
-    /// be re-fetched once from initiator memory.
+    /// A send op's header (`header`) or payload gather; both must land
+    /// before segmentation. A poisoned gather is re-fetched once from the
+    /// op's descriptor.
     TxGather {
         op: u64,
-        src: PhysAddr,
-        dst: Span,
-        len: usize,
+        header: bool,
         refetched: bool,
     },
-    /// A batch of `count` receive descriptors landing at `staging`.
+    /// A read of `count` receive descriptors from ring index `start_idx`.
     RxDescBatch {
         start_idx: u16,
         count: u16,
-        staging: Span,
         refetched: bool,
     },
-    /// A received frame being copied from `staging` into a posted buffer.
-    RxDeliver {
-        ring_idx: u16,
-        frame_len: usize,
-        staging: Span,
-    },
-}
-
-impl DmaPurpose {
-    /// The staging span this DMA reads or writes.
-    fn span(&self) -> Span {
-        match *self {
-            DmaPurpose::TxDescBatch { staging, .. }
-            | DmaPurpose::RxDescBatch { staging, .. }
-            | DmaPurpose::RxDeliver { staging, .. } => staging,
-            DmaPurpose::TxGather { dst, .. } => dst,
-        }
-    }
+    /// A received frame being written into the posted buffer `ring_idx`.
+    RxDeliver { ring_idx: u16, frame_len: usize },
 }
 
 /// A send op between its descriptor fetch and its segmentation.
 struct TxOp {
     desc: SendDescriptor,
-    hdr_staging: Span,
-    pay_staging: Span,
+    /// The gathered header template and payload (empty until landed).
+    template: Vec<u8>,
+    payload: Vec<u8>,
     /// Gathers still in flight (a re-fetch continues its gather).
     gathers_left: u8,
     /// A gather failed twice: the op is dropped once its sibling ends.
@@ -174,25 +153,19 @@ struct TxOp {
 }
 
 /// The NIC component.
-///
-/// Its staging pool hands a span out again only after the last DMA that
-/// reads or writes it has completed; a window too small for the data in
-/// flight panics, naming the NIC, instead of wrapping onto live bytes.
 pub struct NicDevice {
     config: NicConfig,
     fabric: ComponentId,
     wire: ComponentId,
     bar: AddrRange,
-    staging: StagingPool,
+    /// The NIC's PCIe port: the device end of its DMAs.
+    port: PortId,
     rings: Option<ConfigureNic>,
     /// Device-side consumer indices.
     tx_cons: u16,
     rx_cons: u16,
     /// In-flight DMA bookkeeping.
     dmas: DetMap<u64, DmaPurpose>,
-    /// Staging of DMAs a reset abandoned, held until their late
-    /// completion: the fabric may still copy through it until then.
-    abandoned: DetMap<u64, Span>,
     tx_ops: DetMap<u64, TxOp>,
     /// Wire-transmit token → whether it is its send op's last segment
     /// (control frames never are).
@@ -206,28 +179,24 @@ pub struct NicDevice {
 }
 
 impl NicDevice {
-    /// Creates the NIC called `name`, staging its DMAs in `staging`:
-    /// device-internal memory recycled span by span as each DMA through it
-    /// completes.
+    /// Creates a NIC with register BAR `bar`, sitting behind `port`.
     pub fn new(
         config: NicConfig,
         fabric: ComponentId,
         wire: ComponentId,
         bar: AddrRange,
-        staging: AddrRange,
-        name: &str,
+        port: PortId,
     ) -> Self {
         NicDevice {
             config,
             fabric,
             wire,
             bar,
-            staging: StagingPool::new(name, staging),
+            port,
             rings: None,
             tx_cons: 0,
             rx_cons: 0,
             dmas: DetMap::new(),
-            abandoned: DetMap::new(),
             tx_ops: DetMap::new(),
             frames: DetMap::new(),
             posted: VecDeque::new(),
@@ -258,14 +227,7 @@ impl NicDevice {
         }
     }
 
-    fn dma(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        src: PhysAddr,
-        dst: PhysAddr,
-        len: usize,
-        purpose: DmaPurpose,
-    ) {
+    fn dma(&mut self, ctx: &mut Ctx<'_>, op: DmaOp, purpose: DmaPurpose) {
         let token = self.token();
         {
             let now = ctx.now();
@@ -276,14 +238,18 @@ impl NicDevice {
         self.dmas.insert(token, purpose);
         let req = DmaRequest {
             id: token,
-            src,
-            dst,
-            len,
+            op,
             class: TlpClass::Data,
             reply_to: ctx.self_id(),
         };
         let fabric = self.fabric;
         ctx.send_now(fabric, req);
+    }
+
+    /// Reads `len` bytes at `src` into the adapter.
+    fn read(&mut self, ctx: &mut Ctx<'_>, src: PhysAddr, len: usize, purpose: DmaPurpose) {
+        let port = self.port;
+        self.dma(ctx, DmaOp::Read { port, src, len }, purpose);
     }
 
     fn on_doorbell(&mut self, ctx: &mut Ctx<'_>, write: &MmioWrite) {
@@ -326,24 +292,21 @@ impl NicDevice {
         while idx != prod {
             let run_end = if prod > idx { prod } else { depth };
             let count = run_end - idx;
-            let staging = self.staging.alloc(count as usize * entry);
             let src = base + idx as u64 * entry as u64;
             let purpose = if is_tx {
                 DmaPurpose::TxDescBatch {
                     start_idx: idx,
                     count,
-                    staging,
                     refetched: false,
                 }
             } else {
                 DmaPurpose::RxDescBatch {
                     start_idx: idx,
                     count,
-                    staging,
                     refetched: false,
                 }
             };
-            self.dma(ctx, src, staging.addr, count as usize * entry, purpose);
+            self.read(ctx, src, count as usize * entry, purpose);
             idx = run_end % depth;
         }
         if is_tx {
@@ -354,15 +317,10 @@ impl NicDevice {
     }
 
     /// Parses a landed batch of send descriptors and starts each op's
-    /// header and payload gathers; the batch's staging is free afterwards.
-    fn on_tx_descs(&mut self, ctx: &mut Ctx<'_>, count: u16, staging: Span) {
-        for i in 0..count {
-            let mut raw = [0u8; SendDescriptor::SIZE];
-            ctx.world_ref().expect::<PhysMemory>().read_into(
-                staging.addr + i as u64 * SendDescriptor::SIZE as u64,
-                &mut raw,
-            );
-            let desc = SendDescriptor::from_bytes(&raw);
+    /// header and payload gathers.
+    fn on_tx_descs(&mut self, ctx: &mut Ctx<'_>, batch: &[u8]) {
+        for raw in batch.as_chunks::<{ SendDescriptor::SIZE }>().0 {
+            let desc = SendDescriptor::from_bytes(raw);
             assert!(
                 desc.payload_len as usize <= self.config.max_lso,
                 "send of {} bytes exceeds the {}-byte LSO limit",
@@ -370,53 +328,40 @@ impl NicDevice {
                 self.config.max_lso
             );
             let op = self.token();
-            let hdr_len = desc.header_len as usize;
-            let pay_len = desc.payload_len as usize;
-            let hdr_staging = self.staging.alloc(hdr_len);
-            let pay_staging = self.staging.alloc(pay_len);
             self.tx_ops.insert(
                 op,
                 TxOp {
                     desc,
-                    hdr_staging,
-                    pay_staging,
+                    template: Vec::new(),
+                    payload: Vec::new(),
                     gathers_left: 2,
                     aborted: false,
                 },
             );
-            self.dma(
-                ctx,
-                desc.header_addr,
-                hdr_staging.addr,
-                hdr_len,
-                DmaPurpose::TxGather {
-                    op,
-                    src: desc.header_addr,
-                    dst: hdr_staging,
-                    len: hdr_len,
-                    refetched: false,
-                },
-            );
-            self.dma(
-                ctx,
-                desc.payload_addr,
-                pay_staging.addr,
-                pay_len,
-                DmaPurpose::TxGather {
-                    op,
-                    src: desc.payload_addr,
-                    dst: pay_staging,
-                    len: pay_len,
-                    refetched: false,
-                },
-            );
+            for header in [true, false] {
+                self.gather(ctx, op, header, false);
+            }
         }
-        self.staging.free(staging);
+    }
+
+    /// Reads `op`'s header template (`header`) or payload into the adapter.
+    fn gather(&mut self, ctx: &mut Ctx<'_>, op: u64, header: bool, refetched: bool) {
+        let desc = self.tx_ops[&op].desc;
+        let (src, len) = if header {
+            (desc.header_addr, desc.header_len as usize)
+        } else {
+            (desc.payload_addr, desc.payload_len as usize)
+        };
+        let purpose = DmaPurpose::TxGather {
+            op,
+            header,
+            refetched,
+        };
+        self.read(ctx, src, len, purpose);
     }
 
     /// Counts one of `op`'s gathers as ended. Once none is in flight the
-    /// op leaves `tx_ops` and is returned; its staging is the caller's to
-    /// release.
+    /// op leaves `tx_ops` and is returned.
     fn end_gather(&mut self, op: u64) -> Option<TxOp> {
         let txop = self
             .tx_ops
@@ -429,39 +374,36 @@ impl NicDevice {
         self.tx_ops.remove(&op)
     }
 
-    fn release_tx_staging(&mut self, txop: &TxOp) {
-        self.staging.free(txop.hdr_staging);
-        self.staging.free(txop.pay_staging);
-    }
-
-    fn on_tx_gather_done(&mut self, ctx: &mut Ctx<'_>, op: u64) {
-        if self.tx_ops[&op].aborted {
+    fn on_tx_gather_done(&mut self, ctx: &mut Ctx<'_>, op: u64, header: bool, bytes: Vec<u8>) {
+        let txop = self
+            .tx_ops
+            .get_mut(&op)
+            .expect("gathers belong to live ops");
+        if txop.aborted {
             // The sibling gather failed for good while this one was in
             // flight.
             ctx.world().stats.counter("nic.stale_gathers").add(1);
+        } else if header {
+            txop.template = bytes;
+        } else {
+            txop.payload = bytes;
         }
         let Some(txop) = self.end_gather(op) else {
             return;
         };
         if txop.aborted {
-            self.release_tx_staging(&txop);
             return;
         }
-        // Both header template and payload are staged: segment and send.
-        // Each frame copies its payload straight out of the staging, which
-        // is free once the last frame is built.
-        let template = ctx
-            .world_ref()
-            .expect::<PhysMemory>()
-            .read(txop.hdr_staging.addr, txop.desc.header_len as usize);
+        // Both header template and payload are in: segment and send, each
+        // frame copying its payload straight out of the gathered bytes.
         let mss = if txop.desc.mss == 0 {
             usize::from(MSS)
         } else {
             txop.desc.mss as usize
         };
-        let (flow, seq0, ack) = parse_template(&template)
+        let (flow, seq0, ack) = parse_template(&txop.template)
             .unwrap_or_else(|e| panic!("initiator staged a malformed header template: {e}"));
-        let payload_len = txop.desc.payload_len as usize;
+        let payload_len = txop.payload.len();
         // An empty send still leaves as one header-only frame.
         let n = payload_len.div_ceil(mss).max(1);
         for i in 0..n {
@@ -472,11 +414,7 @@ impl NicDevice {
                 seq0.wrapping_add(offset as u32),
                 ack.wrapping_add(offset as u32),
                 len,
-                |p| {
-                    ctx.world_ref()
-                        .expect::<PhysMemory>()
-                        .read_into(txop.pay_staging.addr + offset as u64, p)
-                },
+                |p| p.copy_from_slice(&txop.payload[offset..offset + len]),
             );
             let ftoken = self.token();
             self.frames.insert(ftoken, i == n - 1);
@@ -491,7 +429,6 @@ impl NicDevice {
                 obs.count("nic", "tx.frames", 1);
             }
         }
-        self.release_tx_staging(&txop);
     }
 
     fn on_transmit_done(&mut self, ctx: &mut Ctx<'_>, id: u64) {
@@ -518,20 +455,13 @@ impl NicDevice {
         ctx.world().stats.counter("nic.tx_completions").add(1);
     }
 
-    /// Posts a landed batch of receive descriptors; the batch's staging is
-    /// free afterwards.
-    fn on_rx_descs(&mut self, ctx: &mut Ctx<'_>, count: u16, staging: Span) {
-        for i in 0..count {
-            let mut raw = [0u8; RecvDescriptor::SIZE];
-            ctx.world_ref().expect::<PhysMemory>().read_into(
-                staging.addr + i as u64 * RecvDescriptor::SIZE as u64,
-                &mut raw,
-            );
-            let desc = RecvDescriptor::from_bytes(&raw);
+    /// Posts a landed batch of receive descriptors.
+    fn on_rx_descs(&mut self, batch: &[u8]) {
+        for raw in batch.as_chunks::<{ RecvDescriptor::SIZE }>().0 {
+            let desc = RecvDescriptor::from_bytes(raw);
             let ring_idx = self.next_posted_idx();
             self.posted.push_back((ring_idx, desc));
         }
-        self.staging.free(staging);
     }
 
     /// Ring index of the next posted buffer (sequential in ring order).
@@ -552,19 +482,18 @@ impl NicDevice {
             ctx.world().stats.counter("nic.rx_dropped_too_large").add(1);
             return;
         }
-        let staging = self.staging.alloc(frame.len());
-        ctx.world()
-            .expect_mut::<PhysMemory>()
-            .write(staging.addr, &frame);
+        let frame_len = frame.len();
+        let op = DmaOp::Write {
+            port: self.port,
+            dst: desc.buf_addr,
+            data: frame,
+        };
         self.dma(
             ctx,
-            staging.addr,
-            desc.buf_addr,
-            frame.len(),
+            op,
             DmaPurpose::RxDeliver {
                 ring_idx,
-                frame_len: frame.len(),
-                staging,
+                frame_len,
             },
         );
     }
@@ -626,102 +555,67 @@ impl NicDevice {
             DmaPurpose::TxDescBatch {
                 start_idx,
                 count,
-                staging,
                 refetched,
             } => {
                 if !refetched {
                     ctx.world().stats.counter("nic.dma_refetches").add(1);
                     let rings = *self.rings();
                     let src = rings.send_ring_base + start_idx as u64 * SendDescriptor::SIZE as u64;
-                    self.dma(
-                        ctx,
-                        src,
-                        staging.addr,
-                        count as usize * SendDescriptor::SIZE,
-                        DmaPurpose::TxDescBatch {
-                            start_idx,
-                            count,
-                            staging,
-                            refetched: true,
-                        },
-                    );
+                    let purpose = DmaPurpose::TxDescBatch {
+                        start_idx,
+                        count,
+                        refetched: true,
+                    };
+                    self.read(ctx, src, count as usize * SendDescriptor::SIZE, purpose);
                 } else {
                     ctx.world().stats.counter("nic.dropped_desc_batches").add(1);
-                    self.staging.free(staging);
                 }
             }
             DmaPurpose::RxDescBatch {
                 start_idx,
                 count,
-                staging,
                 refetched,
             } => {
                 if !refetched {
                     ctx.world().stats.counter("nic.dma_refetches").add(1);
                     let rings = *self.rings();
                     let src = rings.recv_ring_base + start_idx as u64 * RecvDescriptor::SIZE as u64;
-                    self.dma(
-                        ctx,
-                        src,
-                        staging.addr,
-                        count as usize * RecvDescriptor::SIZE,
-                        DmaPurpose::RxDescBatch {
-                            start_idx,
-                            count,
-                            staging,
-                            refetched: true,
-                        },
-                    );
+                    let purpose = DmaPurpose::RxDescBatch {
+                        start_idx,
+                        count,
+                        refetched: true,
+                    };
+                    self.read(ctx, src, count as usize * RecvDescriptor::SIZE, purpose);
                 } else {
                     ctx.world().stats.counter("nic.dropped_desc_batches").add(1);
-                    self.staging.free(staging);
                 }
             }
             DmaPurpose::TxGather {
                 op,
-                src,
-                dst,
-                len,
+                header,
                 refetched,
             } => {
                 if !refetched {
                     ctx.world().stats.counter("nic.dma_refetches").add(1);
-                    self.dma(
-                        ctx,
-                        src,
-                        dst.addr,
-                        len,
-                        DmaPurpose::TxGather {
-                            op,
-                            src,
-                            dst,
-                            len,
-                            refetched: true,
-                        },
-                    );
+                    self.gather(ctx, op, header, true);
                 } else {
                     // Abort the whole send op; its sibling gather (if
-                    // still in flight) lands stale, and the op's staging
-                    // is released when it does.
+                    // still in flight) lands stale.
                     ctx.world().stats.counter("nic.tx_aborted_gathers").add(1);
                     self.tx_ops
                         .get_mut(&op)
                         .expect("gathers belong to live ops")
                         .aborted = true;
-                    if let Some(txop) = self.end_gather(op) {
-                        self.release_tx_staging(&txop);
-                    }
+                    self.end_gather(op);
                 }
             }
             DmaPurpose::RxDeliver {
                 ring_idx,
                 frame_len,
-                staging,
             } => {
                 // Deliver anyway: the consumer took the slot's previous
                 // frame, so the slot reads as zero, fails the frame
                 // checksum at the consumer and is dropped there.
-                self.staging.free(staging);
                 self.on_rx_delivered(ctx, ring_idx, frame_len)
             }
         }
@@ -729,11 +623,7 @@ impl NicDevice {
 
     fn on_dma_complete(&mut self, ctx: &mut Ctx<'_>, done: DmaComplete) {
         let Some(purpose) = self.dmas.remove(&done.id) else {
-            // Late completion for a transfer a reset abandoned:
-            // nothing writes its staging any more.
-            if let Some(span) = self.abandoned.remove(&done.id) {
-                self.staging.free(span);
-            }
+            // Late completion for a transfer a reset abandoned.
             ctx.world().stats.counter("nic.stale_completions").add(1);
             return;
         };
@@ -748,17 +638,15 @@ impl NicDevice {
             return;
         }
         match purpose {
-            DmaPurpose::TxDescBatch { count, staging, .. } => self.on_tx_descs(ctx, count, staging),
-            DmaPurpose::TxGather { op, .. } => self.on_tx_gather_done(ctx, op),
-            DmaPurpose::RxDescBatch { count, staging, .. } => self.on_rx_descs(ctx, count, staging),
+            DmaPurpose::TxDescBatch { .. } => self.on_tx_descs(ctx, &done.data),
+            DmaPurpose::TxGather { op, header, .. } => {
+                self.on_tx_gather_done(ctx, op, header, done.data)
+            }
+            DmaPurpose::RxDescBatch { .. } => self.on_rx_descs(&done.data),
             DmaPurpose::RxDeliver {
                 ring_idx,
                 frame_len,
-                staging,
-            } => {
-                self.staging.free(staging);
-                self.on_rx_delivered(ctx, ring_idx, frame_len)
-            }
+            } => self.on_rx_delivered(ctx, ring_idx, frame_len),
         }
     }
 }
@@ -798,21 +686,9 @@ impl Component for NicDevice {
                 if self.rings.is_some() {
                     // Re-configuration is a device reset: abandon all
                     // in-flight work (late completions land stale) and
-                    // restart ring state from index zero. An abandoned
-                    // DMA's staging waits for its late completion, since
-                    // the fabric may copy through it until then; the
-                    // dropped send ops' other staging is free now.
-                    let inflight = std::mem::take(&mut self.dmas);
-                    let busy: Vec<Span> = inflight.values().map(DmaPurpose::span).collect();
-                    for (_, txop) in std::mem::take(&mut self.tx_ops) {
-                        for span in [txop.hdr_staging, txop.pay_staging] {
-                            if !busy.contains(&span) {
-                                self.staging.free(span);
-                            }
-                        }
-                    }
-                    self.abandoned
-                        .extend(inflight.into_iter().map(|(id, p)| (id, p.span())));
+                    // restart ring state from index zero.
+                    self.dmas = DetMap::new();
+                    self.tx_ops = DetMap::new();
                     self.frames = DetMap::new();
                     self.posted.clear();
                     self.tx_cons = 0;
@@ -872,7 +748,7 @@ impl Component for NicDevice {
     }
 }
 
-/// Allocates regions, claims the BAR, and installs a NIC with a
+/// Allocates the NIC's BAR, claims it, and installs a NIC with a
 /// pre-reserved component id (NICs and the wire reference each other, so
 /// ids are reserved first).
 pub fn install_nic(
@@ -884,21 +760,19 @@ pub fn install_nic(
     name: &str,
     port: PortId,
 ) -> NicHandle {
-    let (bar, staging) = {
-        let mem = sim.world_mut().expect_mut::<PhysMemory>();
-        let bar = mem.alloc_region(&format!("{name}-bar"), 1 << 16, port);
-        let staging = mem.alloc_region(&format!("{name}-staging"), 32 << 20, port);
-        (bar, staging)
-    };
+    let bar = sim.world_mut().expect_mut::<PhysMemory>().alloc_region(
+        &format!("{name}-bar"),
+        1 << 16,
+        port,
+    );
     let max_lso = config.max_lso;
-    sim.install(id, NicDevice::new(config, fabric, wire, bar, staging, name));
+    sim.install(id, NicDevice::new(config, fabric, wire, bar, port));
     sim.world_mut()
         .expect_mut::<dcs_pcie::MmioRouting>()
         .claim(AddrRange::new(bar.start, 0x1000), id);
     NicHandle {
         device: id,
         bar,
-        staging,
         port,
         max_lso,
     }

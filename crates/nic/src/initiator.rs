@@ -367,7 +367,6 @@ mod tests {
         let handle = NicHandle {
             device: ComponentId::INVALID,
             bar: AddrRange::new(PhysAddr(0x3000_0000), 0x1000),
-            staging: AddrRange::new(PhysAddr(0x3100_0000), 0x1000),
             port: PortId(2),
             max_lso,
         };

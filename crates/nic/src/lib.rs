@@ -30,7 +30,6 @@ pub mod device;
 pub mod headers;
 pub mod initiator;
 pub mod ring;
-mod staging;
 pub mod wire;
 
 pub use device::{install_nic, ConfigureNic, ControlFrame, NicConfig, NicDevice, NicHandle, MSS};

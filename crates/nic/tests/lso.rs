@@ -1,16 +1,19 @@
-//! LSO segmentation builds each frame straight out of the staged payload:
+//! LSO segmentation builds each frame straight out of the gathered payload:
 //! the frames a NIC puts on the wire must equal, byte for byte, the
 //! frames `build_frame` makes from the payload cut into MSS chunks
 //! (headers, per-segment seq/ack and both checksums).
 //!
-//! An instant fabric completes every DMA at once, moving its bytes, and a
-//! recording wire keeps every frame handed to it.
+//! An instant fabric completes every DMA at once, moving its bytes (a
+//! read's come back in its completion), and a recording wire keeps every
+//! frame handed to it.
 
 use dcs_nic::headers::{build_frame, build_template};
 use dcs_nic::{
     ConfigureNic, NicConfig, NicDevice, RingWriter, SendDescriptor, TcpFlow, TransmitFrame, MSS,
 };
-use dcs_pcie::{AddrRange, DmaComplete, DmaRequest, DmaStatus, MmioWrite, Msi, PhysMemory, PortId};
+use dcs_pcie::{
+    AddrRange, DmaComplete, DmaOp, DmaRequest, DmaStatus, MmioWrite, Msi, PhysMemory, PortId,
+};
 use dcs_sim::{Component, ComponentId, Ctx, Msg, Simulator};
 
 /// Stands in for the PCIe fabric: completes each DMA at once, moving its
@@ -21,13 +24,20 @@ impl Component for InstantFabric {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         match msg.downcast::<DmaRequest>() {
             Ok(req) => {
-                ctx.world()
-                    .expect_mut::<PhysMemory>()
-                    .copy(req.src, req.dst, req.len);
+                let mem = ctx.world().expect_mut::<PhysMemory>();
+                let (len, data) = match req.op {
+                    DmaOp::Copy { .. } => panic!("the NIC's DMAs all have a device end"),
+                    DmaOp::Write { dst, data, .. } => {
+                        mem.write(dst, &data);
+                        (data.len(), Vec::new())
+                    }
+                    DmaOp::Read { src, len, .. } => (len, mem.read(src, len)),
+                };
                 let done = DmaComplete {
                     id: req.id,
-                    len: req.len,
+                    len,
                     status: DmaStatus::Ok,
+                    data,
                 };
                 ctx.send_now(req.reply_to, done);
             }
@@ -65,18 +75,17 @@ fn rig() -> (Simulator, ComponentId, AddrRange, AddrRange) {
     sim.world_mut().insert(Sent::default());
     let fabric = sim.add("fabric", InstantFabric);
     let wire = sim.add("wire", RecordingWire);
-    let (bar, staging, host) = {
+    let (bar, host) = {
         let mem = sim.world_mut().expect_mut::<PhysMemory>();
         (
             mem.alloc_region("nic-l-bar", 1 << 16, PortId(1)),
-            mem.alloc_region("nic-l-staging", 1 << 20, PortId(1)),
             mem.alloc_region("host", 1 << 21, PortId::ROOT),
         )
     };
     let config = NicConfig::default();
     let nic = sim.add(
         "nic-l",
-        NicDevice::new(config, fabric, wire, bar, staging, "nic-l"),
+        NicDevice::new(config, fabric, wire, bar, PortId(1)),
     );
     let rings = ConfigureNic {
         send_ring_base: host.start,

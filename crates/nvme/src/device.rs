@@ -19,7 +19,8 @@
 use dcs_sim::DetMap;
 
 use dcs_pcie::{
-    aer, AddrRange, DmaComplete, DmaRequest, MmioWrite, Msi, PhysAddr, PhysMemory, PortId, TlpClass,
+    aer, AddrRange, DmaComplete, DmaOp, DmaRequest, MmioWrite, Msi, PhysAddr, PhysMemory, PortId,
+    TlpClass,
 };
 use dcs_sim::{time, Bandwidth, Component, ComponentId, Ctx, FifoServer, Msg, Simulator};
 
@@ -282,9 +283,11 @@ impl NvmeDevice {
             }
             let req = DmaRequest {
                 id: token,
-                src: slot,
-                dst,
-                len: NvmeCommand::SIZE,
+                op: DmaOp::Copy {
+                    src: slot,
+                    dst,
+                    len: NvmeCommand::SIZE,
+                },
                 class: TlpClass::Data,
                 reply_to: ctx.self_id(),
             };
@@ -334,9 +337,11 @@ impl NvmeDevice {
         );
         let req = DmaRequest {
             id: token,
-            src: staging,
-            dst: slot,
-            len: NvmeCompletion::SIZE,
+            op: DmaOp::Copy {
+                src: staging,
+                dst: slot,
+                len: NvmeCompletion::SIZE,
+            },
             class: TlpClass::Completion,
             reply_to: ctx.self_id(),
         };
@@ -383,9 +388,11 @@ impl NvmeDevice {
             );
             let req = DmaRequest {
                 id: token,
-                src: cmd.prp2,
-                dst,
-                len: list_len,
+                op: DmaOp::Copy {
+                    src: cmd.prp2,
+                    dst,
+                    len: list_len,
+                },
                 class: TlpClass::Data,
                 reply_to: ctx.self_id(),
             };
@@ -474,9 +481,11 @@ impl NvmeDevice {
                 for (addr, run_len) in runs {
                     let req = DmaRequest {
                         id: token,
-                        src: addr,
-                        dst: flash_base + off,
-                        len: run_len,
+                        op: DmaOp::Copy {
+                            src: addr,
+                            dst: flash_base + off,
+                            len: run_len,
+                        },
                         class: TlpClass::Data,
                         reply_to: me,
                     };
@@ -524,9 +533,11 @@ impl NvmeDevice {
         for (addr, run_len) in runs {
             let req = DmaRequest {
                 id: token,
-                src: flash_base + off,
-                dst: addr,
-                len: run_len,
+                op: DmaOp::Copy {
+                    src: flash_base + off,
+                    dst: addr,
+                    len: run_len,
+                },
                 class: TlpClass::Data,
                 reply_to: me,
             };
@@ -766,9 +777,11 @@ impl Component for NvmeDevice {
                                 );
                                 let req = DmaRequest {
                                     id: token,
-                                    src: self.scratch_for(token) + 4096,
-                                    dst: slot,
-                                    len: NvmeCompletion::SIZE,
+                                    op: DmaOp::Copy {
+                                        src: self.scratch_for(token) + 4096,
+                                        dst: slot,
+                                        len: NvmeCompletion::SIZE,
+                                    },
                                     class: TlpClass::Completion,
                                     reply_to: ctx.self_id(),
                                 };

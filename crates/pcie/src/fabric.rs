@@ -7,7 +7,11 @@
 //! instant is the latest of the three serializations plus propagation —
 //! a cut-through approximation that avoids charging store-and-forward per
 //! hop while still creating back-pressure on busy links (documented in
-//! DESIGN.md). Data bytes move in [`PhysMemory`] at completion time.
+//! DESIGN.md). Data bytes move at completion time: a copy moves them
+//! between two [`PhysMemory`] spans; a device-end transfer moves them
+//! between one span and the requesting device's own memory, which has no
+//! host-visible address (a write carries its bytes in the request, a read
+//! returns them in the completion) and is charged to the requester's port.
 
 use dcs_sim::{fault, Component, ComponentId, Ctx, Msg};
 
@@ -23,7 +27,7 @@ use crate::routing::MmioRouting;
 /// so the corruption sites draw independently per class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TlpClass {
-    /// Bulk data movement (payloads, descriptors, staging buffers).
+    /// Bulk data movement (payloads, descriptors, frames).
     #[default]
     Data,
     /// A completion structure write (NVMe CQE, HDC completion record).
@@ -53,7 +57,54 @@ impl DmaStatus {
     }
 }
 
-/// Asks the fabric to move `len` bytes from `src` to `dst`.
+/// What a DMA moves. Memory inside a device (a NIC's packet buffers, the
+/// completion records an engine sends) needs no [`PhysMemory`] address:
+/// transfers to and from it carry their bytes in the request or the
+/// completion, as the TLPs do.
+#[derive(Debug, Clone)]
+pub enum DmaOp {
+    /// `len` bytes from `src` to `dst`, both in [`PhysMemory`].
+    Copy {
+        /// Source physical address.
+        src: PhysAddr,
+        /// Destination physical address.
+        dst: PhysAddr,
+        /// Transfer length in bytes.
+        len: usize,
+    },
+    /// A posted write of `data`, out of the memory of the device behind
+    /// `port`, to `dst`.
+    Write {
+        /// The requesting device's port (the transfer's source end).
+        port: PortId,
+        /// Destination physical address.
+        dst: PhysAddr,
+        /// The bytes written.
+        data: Vec<u8>,
+    },
+    /// A read of `len` bytes at `src` into the memory of the device behind
+    /// `port`; the bytes come back in [`DmaComplete::data`].
+    Read {
+        /// The requesting device's port (the transfer's destination end).
+        port: PortId,
+        /// Source physical address.
+        src: PhysAddr,
+        /// Transfer length in bytes.
+        len: usize,
+    },
+}
+
+impl DmaOp {
+    /// Transfer length in bytes.
+    fn byte_len(&self) -> usize {
+        match self {
+            DmaOp::Copy { len, .. } | DmaOp::Read { len, .. } => *len,
+            DmaOp::Write { data, .. } => data.len(),
+        }
+    }
+}
+
+/// Asks the fabric to perform `op`.
 ///
 /// `id` is an opaque token chosen by the requester, echoed back in the
 /// [`DmaComplete`] sent to `reply_to` when the bytes have landed.
@@ -61,12 +112,8 @@ impl DmaStatus {
 pub struct DmaRequest {
     /// Requester-chosen token echoed in the completion.
     pub id: u64,
-    /// Source physical address.
-    pub src: PhysAddr,
-    /// Destination physical address.
-    pub dst: PhysAddr,
-    /// Transfer length in bytes.
-    pub len: usize,
+    /// The transfer.
+    pub op: DmaOp,
     /// Payload class (selects the corruption fault site).
     pub class: TlpClass,
     /// Component to notify on completion.
@@ -75,7 +122,7 @@ pub struct DmaRequest {
 
 /// Notifies the requester that a [`DmaRequest`] finished and its bytes are
 /// visible at the destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DmaComplete {
     /// Token from the originating request.
     pub id: u64,
@@ -85,6 +132,8 @@ pub struct DmaComplete {
     /// destination bytes must not be trusted (and on
     /// [`DmaStatus::Timeout`] were never written).
     pub status: DmaStatus,
+    /// A [`DmaOp::Read`]'s bytes (empty on a timeout and for other ops).
+    pub data: Vec<u8>,
 }
 
 /// A posted MMIO write (doorbell ring, command enqueue). Routed by address
@@ -172,15 +221,19 @@ impl PcieFabric {
     }
 
     fn start_dma(&mut self, ctx: &mut Ctx<'_>, req: DmaRequest) {
+        let len = req.op.byte_len();
         let (src_port, dst_port) = {
             let mem = ctx.world_ref().expect::<PhysMemory>();
-            (
-                mem.region_of(req.src, req.len).port,
-                mem.region_of(req.dst, req.len).port,
-            )
+            match req.op {
+                DmaOp::Copy { src, dst, len } => {
+                    (mem.region_of(src, len).port, mem.region_of(dst, len).port)
+                }
+                DmaOp::Write { port, dst, .. } => (port, mem.region_of(dst, len).port),
+                DmaOp::Read { port, src, len } => (mem.region_of(src, len).port, port),
+            }
         };
         let now = ctx.now();
-        let service = config::link_time(req.len);
+        let service = config::link_time(len);
         let hop = config::HOP_LATENCY_NS;
         let done = if src_port == dst_port {
             // Local copy inside one endpoint: occupies only that endpoint's
@@ -191,7 +244,7 @@ impl PcieFabric {
                 .span("pcie", "tlp-local", req.id, now, egress);
             egress
         } else {
-            let xbar = self.crossbar.offer(now, config::switch_time(req.len));
+            let xbar = self.crossbar.offer(now, config::switch_time(len));
             let egress = self.link(src_port, 0).offer(now, service);
             let ingress = self.link(dst_port, 1).offer(now, service);
             // Per-hop TLP transit spans: each serialization stage as the
@@ -205,7 +258,7 @@ impl PcieFabric {
         {
             let stats = &mut ctx.world().stats;
             stats.counter("pcie.dma_ops").add(1);
-            stats.counter("pcie.dma_bytes").add(req.len as u64);
+            stats.counter("pcie.dma_bytes").add(len as u64);
         }
         let mut delay = done - now;
         if fault::inject(ctx.world(), fault::PCIE_REPLAY).is_some() {
@@ -266,7 +319,7 @@ impl PcieFabric {
             // rolls the dice 64 times per attempt. The first corrupted
             // TLP decides the attempt's fate (a replay re-sends the
             // whole request in this model).
-            let tlps = req.len.div_ceil(config::MAX_PAYLOAD);
+            let tlps = len.div_ceil(config::MAX_PAYLOAD);
             let mut attempt = 0;
             while status == DmaStatus::Ok {
                 let mut hit = None;
@@ -323,7 +376,7 @@ impl PcieFabric {
             let end = now + delay;
             obs.span("pcie", "dma", req.id, now, end);
             obs.count("pcie", "dma.ops", 1);
-            obs.count("pcie", "dma.bytes", req.len as u64);
+            obs.count("pcie", "dma.bytes", len as u64);
             obs.observe("pcie", "dma.ns", delay);
         }
         ctx.send_self_in(
@@ -343,26 +396,58 @@ impl PcieFabric {
             corrupt,
         } = done;
         let DmaRequest {
-            id,
-            src,
-            dst,
-            len,
-            reply_to,
-            ..
+            id, op, reply_to, ..
         } = req;
+        let len = op.byte_len();
+        // Poison follows the data: the corrupted TLP's payload is what
+        // lands, so one entropy-chosen bit of it is flipped.
+        let poison = corrupt.map(|entropy| {
+            (
+                (entropy % len as u64) as usize,
+                1u8 << ((entropy >> 32) % 8),
+            )
+        });
+        let mut data = Vec::new();
         if status != DmaStatus::Timeout {
-            ctx.world().expect_mut::<PhysMemory>().copy(src, dst, len);
-            if let Some(entropy) = corrupt {
-                // Poison follows the data: the corrupted TLP's payload is
-                // what landed, so flip one entropy-chosen bit in place.
-                let offset = entropy % len as u64;
-                let mem = ctx.world().expect_mut::<PhysMemory>();
-                let mut byte = mem.read(dst + offset, 1);
-                byte[0] ^= 1 << ((entropy >> 32) % 8);
-                mem.write(dst + offset, &byte);
+            let mem = ctx.world().expect_mut::<PhysMemory>();
+            match op {
+                DmaOp::Copy { src, dst, len } => {
+                    mem.copy(src, dst, len);
+                    if let Some((offset, bit)) = poison {
+                        let at = dst + offset as u64;
+                        let mut byte = [0u8];
+                        mem.read_into(at, &mut byte);
+                        byte[0] ^= bit;
+                        mem.write(at, &byte);
+                    }
+                }
+                DmaOp::Write {
+                    dst,
+                    data: mut bytes,
+                    ..
+                } => {
+                    if let Some((offset, bit)) = poison {
+                        bytes[offset] ^= bit;
+                    }
+                    mem.write(dst, &bytes);
+                }
+                DmaOp::Read { src, len, .. } => {
+                    data = mem.read(src, len);
+                    if let Some((offset, bit)) = poison {
+                        data[offset] ^= bit;
+                    }
+                }
             }
         }
-        ctx.send_now(reply_to, DmaComplete { id, len, status });
+        ctx.send_now(
+            reply_to,
+            DmaComplete {
+                id,
+                len,
+                status,
+                data,
+            },
+        );
     }
 
     fn route_mmio(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
@@ -466,10 +551,17 @@ mod tests {
         }
     }
 
+    /// Every completion the sink received, when a test inserts it.
+    #[derive(Default)]
+    struct Done(Vec<DmaComplete>);
+
     impl Component for Sink {
         fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
             let msg = match msg.downcast::<DmaComplete>() {
                 Ok(c) => {
+                    if let Some(done) = ctx.world().get_mut::<Done>() {
+                        done.0.push(c.clone());
+                    }
                     self.completions.push((c.id, ctx.now()));
                     self.statuses.push(c.status);
                     ctx.world().stats.counter("sink.dma").add(1);
@@ -526,9 +618,11 @@ mod tests {
             fabric,
             DmaRequest {
                 id: 7,
-                src: dram.start,
-                dst: flash.start + 64,
-                len: 8,
+                op: DmaOp::Copy {
+                    src: dram.start,
+                    dst: flash.start + 64,
+                    len: 8,
+                },
                 class: TlpClass::Data,
                 reply_to: sink,
             },
@@ -554,9 +648,11 @@ mod tests {
                 fabric,
                 DmaRequest {
                     id: i,
-                    src: flash.start,
-                    dst: dram.start + i * 128 * 1024,
-                    len,
+                    op: DmaOp::Copy {
+                        src: flash.start,
+                        dst: dram.start + i * 128 * 1024,
+                        len,
+                    },
                     class: TlpClass::Data,
                     reply_to: sink,
                 },
@@ -590,9 +686,7 @@ mod tests {
         let len = 256 * 1024;
         let dma = |id, src, dst| DmaRequest {
             id,
-            src,
-            dst,
-            len,
+            op: DmaOp::Copy { src, dst, len },
             class: TlpClass::Data,
             reply_to: sink,
         };
@@ -671,9 +765,11 @@ mod tests {
             fabric,
             DmaRequest {
                 id: 1,
-                src: dram.start,
-                dst: flash.start,
-                len: 0,
+                op: DmaOp::Copy {
+                    src: dram.start,
+                    dst: flash.start,
+                    len: 0,
+                },
                 class: TlpClass::Data,
                 reply_to: sink,
             },
@@ -713,9 +809,11 @@ mod tests {
             fabric,
             DmaRequest {
                 id: 1,
-                src: dram.start,
-                dst: flash.start,
-                len: 8,
+                op: DmaOp::Copy {
+                    src: dram.start,
+                    dst: flash.start,
+                    len: 8,
+                },
                 class: TlpClass::Data,
                 reply_to: sink,
             },
@@ -750,9 +848,11 @@ mod tests {
             fabric,
             DmaRequest {
                 id: 1,
-                src: dram.start,
-                dst: flash.start,
-                len: 8,
+                op: DmaOp::Copy {
+                    src: dram.start,
+                    dst: flash.start,
+                    len: 8,
+                },
                 class: TlpClass::Data,
                 reply_to: sink,
             },
@@ -806,9 +906,11 @@ mod tests {
             fabric,
             DmaRequest {
                 id: 1,
-                src: dram.start,
-                dst: flash.start,
-                len: 8,
+                op: DmaOp::Copy {
+                    src: dram.start,
+                    dst: flash.start,
+                    len: 8,
+                },
                 class: TlpClass::Data,
                 reply_to: sink,
             },
@@ -842,9 +944,11 @@ mod tests {
             fabric,
             DmaRequest {
                 id: 1,
-                src: dram.start,
-                dst: flash.start,
-                len: 8,
+                op: DmaOp::Copy {
+                    src: dram.start,
+                    dst: flash.start,
+                    len: 8,
+                },
                 class: TlpClass::Data,
                 reply_to: sink,
             },
@@ -885,9 +989,11 @@ mod tests {
             fabric,
             DmaRequest {
                 id: 1,
-                src: dram.start,
-                dst: flash.start,
-                len: 8,
+                op: DmaOp::Copy {
+                    src: dram.start,
+                    dst: flash.start,
+                    len: 8,
+                },
                 class: TlpClass::Data,
                 reply_to: sink,
             },
@@ -918,9 +1024,11 @@ mod tests {
             fabric,
             DmaRequest {
                 id: 1,
-                src: dram.start,
-                dst: flash.start,
-                len: 8,
+                op: DmaOp::Copy {
+                    src: dram.start,
+                    dst: flash.start,
+                    len: 8,
+                },
                 class: TlpClass::Completion,
                 reply_to: sink,
             },
@@ -956,9 +1064,11 @@ mod tests {
             fabric,
             DmaRequest {
                 id: 1,
-                src: dram.start,
-                dst: dram.start + 8192,
-                len,
+                op: DmaOp::Copy {
+                    src: dram.start,
+                    dst: dram.start + 8192,
+                    len,
+                },
                 class: TlpClass::Data,
                 reply_to: sink,
             },
@@ -978,9 +1088,11 @@ mod tests {
             fabric,
             DmaRequest {
                 id: 1,
-                src: dram.start,
-                dst: dram.start + 8192,
-                len,
+                op: DmaOp::Copy {
+                    src: dram.start,
+                    dst: dram.start + 8192,
+                    len,
+                },
                 class: TlpClass::Data,
                 reply_to: sink,
             },
@@ -992,5 +1104,221 @@ mod tests {
             config::link_time(len) + config::HOP_LATENCY_NS
         );
         assert_eq!(sim.world().stats.counter_value("pcie.dma_ops"), 1);
+    }
+
+    /// A data-class request for `op`, answered to `sink`.
+    fn device_dma(id: u64, op: DmaOp, sink: ComponentId) -> DmaRequest {
+        DmaRequest {
+            id,
+            op,
+            class: TlpClass::Data,
+            reply_to: sink,
+        }
+    }
+
+    fn completions(sim: &mut Simulator) -> Vec<DmaComplete> {
+        std::mem::take(&mut sim.world_mut().expect_mut::<Done>().0)
+    }
+
+    #[test]
+    fn a_device_write_lands_only_at_completion() {
+        let (mut sim, fabric, sink, dram, _flash) = setup();
+        sim.world_mut().insert(Done::default());
+        let op = DmaOp::Write {
+            port: PortId(2),
+            dst: dram.start + 8,
+            data: b"frame!!!".to_vec(),
+        };
+        sim.kickoff(fabric, device_dma(1, op, sink));
+        sim.step();
+        let mem = sim.world().expect::<PhysMemory>();
+        assert_eq!(
+            mem.read(dram.start + 8, 8),
+            [0; 8],
+            "in flight: nothing landed"
+        );
+        assert_eq!(mem.resident_bytes(), 0);
+        sim.run();
+        assert_eq!(
+            sim.world().expect::<PhysMemory>().read(dram.start + 8, 8),
+            b"frame!!!"
+        );
+        let done = completions(&mut sim);
+        assert_eq!(done.len(), 1);
+        assert_eq!((done[0].len, done[0].status), (8, DmaStatus::Ok));
+        assert!(done[0].data.is_empty(), "a write returns no bytes");
+        assert_eq!(sim.world().stats.counter_value("pcie.dma_bytes"), 8);
+    }
+
+    #[test]
+    fn a_device_read_returns_the_bytes_as_of_completion() {
+        let (mut sim, fabric, sink, dram, _flash) = setup();
+        sim.world_mut().insert(Done::default());
+        sim.world_mut()
+            .expect_mut::<PhysMemory>()
+            .write(dram.start, b"before!!");
+        let op = DmaOp::Read {
+            port: PortId(2),
+            src: dram.start,
+            len: 8,
+        };
+        sim.kickoff(fabric, device_dma(1, op, sink));
+        sim.step();
+        sim.world_mut()
+            .expect_mut::<PhysMemory>()
+            .write(dram.start, b"after!!!");
+        sim.run();
+        let done = completions(&mut sim);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].status, DmaStatus::Ok);
+        assert_eq!(done[0].data, b"after!!!");
+        assert_eq!(
+            sim.world().expect::<PhysMemory>().read(dram.start, 8),
+            b"after!!!",
+            "a read leaves its source in place"
+        );
+    }
+
+    #[test]
+    fn poisoned_device_transfers_flip_the_bit_a_poisoned_copy_does() {
+        // Three corrupted attempts exhaust the default replay budget. Each
+        // run draws the same entropy, so the flipped bit must land where
+        // it lands for a copy of the same bytes.
+        let payload = b"payload!payload!".to_vec();
+        let run = |op: &dyn Fn(crate::AddrRange, crate::AddrRange) -> DmaOp| {
+            let (mut sim, fabric, sink, dram, flash) = setup();
+            sim.world_mut().insert(Done::default());
+            install_plan(
+                &mut sim,
+                dcs_sim::fault::DMA_CORRUPT,
+                vec![0, 1, 2],
+                RecoveryConfig::default(),
+            );
+            sim.world_mut()
+                .expect_mut::<PhysMemory>()
+                .write(dram.start, &payload);
+            sim.kickoff(fabric, device_dma(1, op(dram, flash), sink));
+            sim.run();
+            let done = completions(&mut sim).remove(0);
+            assert_eq!(done.status, DmaStatus::Poisoned);
+            let landed = sim
+                .world()
+                .expect::<PhysMemory>()
+                .read(flash.start, payload.len());
+            (done.data, landed)
+        };
+        let len = payload.len();
+        let (_, copied) = run(&|dram, flash| DmaOp::Copy {
+            src: dram.start,
+            dst: flash.start,
+            len,
+        });
+        assert_eq!(bit_diff(&copied, &payload), 1);
+        let (read, _) = run(&|dram, _| DmaOp::Read {
+            port: PortId(1),
+            src: dram.start,
+            len,
+        });
+        assert_eq!(read, copied, "a poisoned read returns the copy's bytes");
+        let (_, written) = run(&|_, flash| DmaOp::Write {
+            port: PortId::ROOT,
+            dst: flash.start,
+            data: payload.clone(),
+        });
+        assert_eq!(written, copied, "a poisoned write lands the copy's bytes");
+    }
+
+    #[test]
+    fn timed_out_device_transfers_move_nothing() {
+        let (mut sim, fabric, sink, dram, _flash) = setup();
+        sim.world_mut().insert(Done::default());
+        install_plan(
+            &mut sim,
+            dcs_sim::fault::TLP_HEADER,
+            vec![0, 1],
+            RecoveryConfig::no_retries(),
+        );
+        sim.world_mut()
+            .expect_mut::<PhysMemory>()
+            .write(dram.start, b"source!!");
+        let write = DmaOp::Write {
+            port: PortId(2),
+            dst: dram.start + 64,
+            data: b"frame!!!".to_vec(),
+        };
+        let read = DmaOp::Read {
+            port: PortId(2),
+            src: dram.start,
+            len: 8,
+        };
+        sim.kickoff(fabric, device_dma(1, write, sink));
+        sim.kickoff(fabric, device_dma(2, read, sink));
+        sim.run();
+        let done = completions(&mut sim);
+        assert_eq!(done.len(), 2);
+        for c in &done {
+            assert_eq!(c.status, DmaStatus::Timeout);
+            assert!(c.data.is_empty(), "a timed-out read returns nothing");
+        }
+        assert_eq!(
+            sim.world().expect::<PhysMemory>().read(dram.start + 64, 8),
+            [0; 8],
+            "a timed-out write lands nothing"
+        );
+    }
+
+    #[test]
+    fn the_device_end_is_charged_to_the_requesters_port() {
+        let len = 64 * 1024;
+        let one = config::link_time(len);
+        // From the flash's own port, a write into flash is a local
+        // transfer: one serialization and one hop, like a same-port copy.
+        let (mut sim, fabric, sink, _dram, flash) = setup();
+        let local = DmaOp::Write {
+            port: PortId(1),
+            dst: flash.start,
+            data: vec![1; len],
+        };
+        sim.kickoff(fabric, device_dma(1, local, sink));
+        sim.run();
+        assert_eq!(sim.now().as_nanos(), one + config::HOP_LATENCY_NS);
+
+        // Two transfers whose memory ends sit behind different ports still
+        // serialize on their shared requester's link.
+        let (mut sim, fabric, sink, dram, flash) = setup();
+        let write = DmaOp::Write {
+            port: PortId(2),
+            dst: dram.start,
+            data: vec![1; len],
+        };
+        let read = DmaOp::Read {
+            port: PortId(2),
+            src: flash.start,
+            len,
+        };
+        sim.kickoff(fabric, device_dma(1, write, sink));
+        sim.kickoff(fabric, device_dma(2, read, sink));
+        sim.run();
+        // The write leaves on port 2's egress and the read enters on its
+        // ingress: they overlap, each one serialization long.
+        let overlapped = sim.now().as_nanos();
+        assert!(overlapped < 2 * one, "{overlapped} vs {}", 2 * one);
+
+        let (mut sim, fabric, sink, dram, flash) = setup();
+        for (id, dst) in [(1, dram.start), (2, flash.start)] {
+            let op = DmaOp::Write {
+                port: PortId(2),
+                dst,
+                data: vec![1; len],
+            };
+            sim.kickoff(fabric, device_dma(id, op, sink));
+        }
+        sim.run();
+        let total = sim.now().as_nanos();
+        assert!(
+            total >= 2 * one,
+            "two writes from one port share its egress: {total} vs {}",
+            2 * one
+        );
     }
 }

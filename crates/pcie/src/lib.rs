@@ -8,7 +8,8 @@
 //!
 //! * [`mem::PhysMemory`] — the global physical address map. Every memory in
 //!   the system (host DRAM, SSD flash, GPU BAR, HDC BRAM/DDR3) is a
-//!   sparsely-backed region; DMA moves real bytes between them.
+//!   sparsely-backed region; DMA moves real bytes between them (devices'
+//!   internal buffers stay off the map: their DMAs carry the bytes).
 //! * [`routing::MmioRouting`] — which component owns which MMIO range
 //!   (doorbell registers, command queues, MSI target addresses).
 //! * [`fabric::PcieFabric`] — the switch component: executes [`DmaRequest`]s
@@ -41,7 +42,7 @@ pub use addr::{AddrRange, PhysAddr};
 pub use aer::{AerEntry, AerKind, AerLog};
 pub use config::PcieConfig;
 pub use fabric::{
-    DmaComplete, DmaRequest, DmaStatus, MmioWrite, Msi, MsiDelivery, PcieFabric, TlpClass,
+    DmaComplete, DmaOp, DmaRequest, DmaStatus, MmioWrite, Msi, MsiDelivery, PcieFabric, TlpClass,
 };
 pub use mem::{PhysMemory, PortId, RegionInfo};
 pub use routing::MmioRouting;

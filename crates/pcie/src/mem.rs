@@ -7,9 +7,12 @@
 //! no-op. A consumer done with a buffer [`take`](PhysMemory::take)s its
 //! bytes instead of reading them: the span then reads as zero, and a page
 //! the take leaves all zero is released. Regions are kept sorted by start
-//! address and found by binary search over a dense vector of their
-//! starts. Each region is tagged with the PCIe [`PortId`] it sits behind
-//! so the fabric can charge transfers to the right links.
+//! address. Allocated regions each start a fresh 4 GiB slot, so a table
+//! indexed by `addr >> 32` finds the region holding an address in O(1);
+//! where fixed-address regions share a slot and the table's region misses,
+//! a binary search over a dense vector of region starts decides. Each region is
+//! tagged with the PCIe [`PortId`] it sits behind so the fabric can
+//! charge transfers to the right links.
 
 use dcs_sim::DetMap;
 use std::collections::VecDeque;
@@ -178,6 +181,9 @@ pub struct PhysMemory {
     /// `regions[i].info.range.start`, kept beside `regions` so the lookup
     /// binary-searches one dense vector of addresses.
     starts: Vec<PhysAddr>,
+    /// Per 4 GiB slot (`addr >> SLOT_SHIFT`): the index of the last region
+    /// touching it, or [`NO_REGION`].
+    slots: Vec<u32>,
     next_free: u64,
 }
 
@@ -187,9 +193,16 @@ impl Default for PhysMemory {
     }
 }
 
+/// Log2 of [`REGION_ALIGN`]: an address's slot is `addr >> SLOT_SHIFT`.
+const SLOT_SHIFT: u32 = 32;
 /// Alignment for allocated regions: 4 GiB keeps region bases readable in
-/// traces and leaves room to grow.
-const REGION_ALIGN: u64 = 1 << 32;
+/// traces, leaves room to grow, and gives each allocation its own slots.
+const REGION_ALIGN: u64 = 1 << SLOT_SHIFT;
+/// A slot no region touches.
+const NO_REGION: u32 = u32::MAX;
+/// Slots past this many are never tabled, so a fixed region far up the
+/// address space cannot size the table; lookups there search.
+const MAX_SLOTS: u64 = 1 << 20;
 
 impl PhysMemory {
     /// An empty memory map.
@@ -197,6 +210,7 @@ impl PhysMemory {
         PhysMemory {
             regions: Vec::new(),
             starts: Vec::new(),
+            slots: Vec::new(),
             next_free: REGION_ALIGN,
         }
     }
@@ -257,16 +271,49 @@ impl PhysMemory {
                 bytes: SparseBytes::default(),
             },
         );
+        if pos + 1 == self.regions.len() {
+            self.table_slots(pos);
+        } else {
+            // Every later region's index moved: table them all again.
+            self.slots.clear();
+            for i in 0..self.regions.len() {
+                self.table_slots(i);
+            }
+        }
+    }
+
+    /// Records `regions[i]` in each slot it touches (an empty region
+    /// touches the slot of its start), over any earlier region there.
+    fn table_slots(&mut self, i: usize) {
+        let range = self.regions[i].info.range;
+        let first = range.start.0 >> SLOT_SHIFT;
+        let last = ((range.start.0 + range.len.max(1) - 1) >> SLOT_SHIFT).min(MAX_SLOTS - 1);
+        if first > last {
+            return;
+        }
+        if self.slots.len() as u64 <= last {
+            self.slots.resize(last as usize + 1, NO_REGION);
+        }
+        self.slots[first as usize..=last as usize].fill(i as u32);
     }
 
     fn region_index_of(&self, addr: PhysAddr, len: usize) -> usize {
-        // Regions never overlap, so the only candidate is the last one
-        // starting at or below `addr`.
+        // Regions never overlap, so the answer is the last region starting
+        // at or below `addr`. When the last region touching `addr`'s slot
+        // holds the span, no later region can start at or below `addr`, so
+        // it is that one. Otherwise (an earlier region in a shared slot, or
+        // a zero-length access at the end of a region that ends on a slot
+        // boundary) the binary search decides.
+        let contains = |i: usize| self.regions[i].info.range.contains_span(addr, len);
+        let slot = self.slots.get((addr.0 >> SLOT_SHIFT) as usize).copied();
+        if let Some(i) = slot.filter(|&i| i != NO_REGION && contains(i as usize)) {
+            return i as usize;
+        }
         let candidate = self
             .starts
             .partition_point(|&s| s <= addr)
             .checked_sub(1)
-            .filter(|&i| self.regions[i].info.range.contains_span(addr, len));
+            .filter(|&i| contains(i));
         candidate.unwrap_or_else(|| {
             panic!(
                 "access [{addr} +{len}) hits no single region; registered: {:?}",

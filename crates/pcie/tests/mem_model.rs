@@ -3,7 +3,10 @@
 //! one region overlapping in both directions), receive gathers out of a
 //! wrapped ring, takes, and reads, each checked byte for byte, over a
 //! four-region map and over a rack-scale map of several hundred regions
-//! whose region lookups are checked too. Driven by the in-repo
+//! whose region lookups are checked too. Lookups through the 4 GiB slot
+//! table (a region spanning 94 slots, slots that fixed regions share,
+//! spans ending on a slot boundary) are checked against a linear scan.
+//! Driven by the in-repo
 //! deterministic [`Rng`] (the workspace builds offline, without a
 //! property-testing framework).
 
@@ -406,5 +409,184 @@ fn spans_outside_one_region_panic() {
             .expect_err(&format!("{what} must panic"));
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("no single region"), "{what}: {msg}");
+    }
+}
+
+/// One 4 GiB slot: allocated regions each start a fresh one.
+const SLOT: u64 = 1 << 32;
+
+/// The region a linear scan over `regions()` finds for `[addr, addr +
+/// len)`: the last one containing it, as the model's lookup does.
+fn scanned_region(mem: &PhysMemory, addr: u64, len: usize) -> Option<String> {
+    let end = addr.checked_add(len as u64)?;
+    mem.regions()
+        .filter(|r| addr >= r.range.start.as_u64() && end <= r.range.end().as_u64())
+        .last()
+        .map(|r| r.name.clone())
+}
+
+/// Checks `region_of` at every probe against the linear scan: the same
+/// region where the scan finds one, and otherwise a panic that lists the
+/// registered regions.
+fn assert_lookups_match_the_scan(mem: &PhysMemory, probes: &[(u64, usize)]) {
+    for &(addr, len) in probes {
+        let got = catch_unwind(AssertUnwindSafe(|| {
+            mem.region_of(PhysAddr(addr), len).name.clone()
+        }));
+        match (scanned_region(mem, addr, len), got) {
+            (Some(want), Ok(got)) => assert_eq!(got, want, "region of [{addr:#x} +{len})"),
+            (None, Err(err)) => {
+                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                assert!(msg.contains("no single region"), "{msg}");
+                for r in mem.regions() {
+                    let name = format!("{:?}", r.name);
+                    assert!(msg.contains(&name), "the panic lists {name}: {msg}");
+                }
+            }
+            (want, got) => panic!(
+                "[{addr:#x} +{len}): the scan finds {want:?}, the lookup {:?}",
+                got.map_err(|_| "a panic")
+            ),
+        }
+    }
+}
+
+/// Probes around every region's edges: the first and last byte, one byte
+/// past each end, the whole region, zero-length accesses at both ends,
+/// and spans straddling each end.
+fn edge_probes(mem: &PhysMemory) -> Vec<(u64, usize)> {
+    let mut probes = Vec::new();
+    for r in mem.regions() {
+        let (start, end) = (r.range.start.as_u64(), r.range.end().as_u64());
+        for at in [start, end] {
+            probes.extend([(at, 0), (at, 1), (at.saturating_sub(1), 1)]);
+            probes.extend([(at.saturating_sub(4), 8), (at.saturating_sub(1), 2)]);
+        }
+        probes.extend([(start, r.range.len as usize), (end.saturating_sub(8), 8)]);
+    }
+    probes
+}
+
+#[test]
+fn a_400_gib_region_is_found_from_every_slot_it_spans() {
+    let mut mem = PhysMemory::new();
+    mem.alloc_region("rings", 64 * 1024, PortId::ROOT);
+    let flash = mem.alloc_region("flash", 400_000_000_000, PortId(1));
+    mem.alloc_region("bar", 1 << 20, PortId(1));
+    let (first, last) = (
+        flash.start.as_u64() / SLOT,
+        (flash.end().as_u64() - 1) / SLOT,
+    );
+    assert_eq!(last - first + 1, 94, "400 GB spans 94 slots");
+    let mut probes = edge_probes(&mem);
+    for slot in first..=last + 1 {
+        let base = slot * SLOT;
+        probes.extend([
+            (base, 1),
+            (base - 1, 2),
+            (base + 12_345, 4096),
+            (base - 4096, 4096),
+        ]);
+    }
+    assert_lookups_match_the_scan(&mem, &probes);
+}
+
+#[test]
+fn fixed_regions_sharing_a_slot_are_found_by_the_search() {
+    let mut mem = PhysMemory::new();
+    mem.alloc_region("first", 8192, PortId::ROOT);
+    // Adjacent and empty regions placed against address order, so the
+    // earlier one is inserted below the later one: a zero-length access
+    // where they meet belongs to the later one.
+    let slot = 5 * SLOT;
+    for (name, off, len) in [
+        ("y-adjacent", 0x1100, 0x200),
+        ("y", 0x1000, 0x100),
+        ("x", 0x3000, 0x1000),
+        ("z", 0x8000, 0x40),
+        ("empty", 0x8000, 0),
+    ] {
+        mem.add_region_at(name, AddrRange::new(PhysAddr(slot + off), len), PortId(2));
+    }
+    // One region straddles the boundary into the next slot, which it then
+    // shares with another.
+    let straddle = AddrRange::new(PhysAddr(6 * SLOT - 0x800), 0x1000);
+    mem.add_region_at("straddle", straddle, PortId(3));
+    mem.add_region_at(
+        "w",
+        AddrRange::new(PhysAddr(6 * SLOT + 0x2000), 0x10),
+        PortId(3),
+    );
+    let after = mem.alloc_region("after", 4096, PortId::ROOT);
+    assert_eq!(after.start.as_u64(), 7 * SLOT);
+    // A slot holding only an adjacent pair, the later one placed first.
+    for (name, off) in [("q", 0x200), ("p", 0x100)] {
+        mem.add_region_at(
+            name,
+            AddrRange::new(PhysAddr(9 * SLOT + off), 0x100),
+            PortId(1),
+        );
+    }
+    assert_eq!(mem.region_of(PhysAddr(9 * SLOT + 0x200), 0).name, "q");
+    assert_eq!(mem.region_of(PhysAddr(slot + 0x1100), 0).name, "y-adjacent");
+    let mut probes = edge_probes(&mem);
+    probes.extend([
+        (slot, 1),
+        (slot + 0x2500, 4),
+        (6 * SLOT, 0x100),
+        (6 * SLOT + 0x900, 1),
+    ]);
+    assert_lookups_match_the_scan(&mem, &probes);
+}
+
+#[test]
+fn spans_ending_exactly_on_a_slot_boundary() {
+    let mut mem = PhysMemory::new();
+    // A whole-slot allocation ends on a boundary; the next one starts on
+    // it, adjacent.
+    let whole = mem.alloc_region("whole", SLOT, PortId::ROOT);
+    let next = mem.alloc_region("next", 4096, PortId(1));
+    assert_eq!(whole.end(), next.start);
+    // A fixed region ending on a boundary, then one starting past it in
+    // the same slot: a zero-length access at the first one's end belongs
+    // to it, not to the slot's region.
+    let early = AddrRange::new(PhysAddr(8 * SLOT - 0x1000), 0x1000);
+    mem.add_region_at("early", early, PortId(2));
+    mem.add_region_at(
+        "later",
+        AddrRange::new(PhysAddr(8 * SLOT + 0x5000), 0x100),
+        PortId(2),
+    );
+    // An allocation then lands on the boundary a fixed region ends on.
+    let fixed = AddrRange::new(PhysAddr(10 * SLOT - 64), 64);
+    mem.add_region_at("fixed", fixed, PortId(3));
+    let last = mem.alloc_region("last", SLOT, PortId(3));
+    assert_eq!(last.start.as_u64(), 10 * SLOT);
+    assert_eq!(mem.region_of(PhysAddr(8 * SLOT), 0).name, "early");
+    let mut probes = edge_probes(&mem);
+    probes.extend([(whole.end().as_u64() - 64, 128), (11 * SLOT, 0)]);
+    assert_lookups_match_the_scan(&mem, &probes);
+}
+
+#[test]
+fn an_access_past_a_regions_end_inside_its_last_slot_panics_and_lists_the_regions() {
+    let mut mem = PhysMemory::new();
+    let a = mem.alloc_region("a", 10_000, PortId::ROOT);
+    mem.alloc_region("b", 3 * SLOT + 5, PortId(1));
+    let b = mem.region_named("b").expect("b").range;
+    for (addr, len) in [
+        (a.start.as_u64() + 9_996, 8),
+        (a.start.as_u64() + 20_000, 4),
+        (b.end().as_u64(), 1),
+        (b.end().as_u64() + 4096, 16),
+    ] {
+        assert!(scanned_region(&mem, addr, len).is_none());
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            drop(mem.read(PhysAddr(addr), len));
+        }))
+        .expect_err("an access past the end must panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("no single region"), "{msg}");
+        assert!(msg.contains("\"a\"") && msg.contains("\"b\""), "{msg}");
     }
 }

@@ -138,9 +138,10 @@ fn sustained_stream_keeps_resident_memory_bounded() {
     tb.sim.run();
     let flow = TcpFlow::example(1, 2, 60_000, 9_600);
     // 200 x 64 KiB = 12.5 MiB through the engine, then as much again.
-    // Device staging is recycled as each DMA completes, and a receive
-    // buffer's pages are released once its frame is consumed, so
-    // resident memory follows the data in flight, not the bytes streamed.
+    // Device DMAs carry their own bytes, so nothing a device holds sits
+    // in the address map, and a receive buffer's pages are released once
+    // its frame is consumed: resident memory follows the data in flight,
+    // not the bytes streamed.
     stream_64k(&mut tb, app, flow, 0..200);
     let after_first = tb.sim.world().expect::<PhysMemory>().resident_bytes();
     stream_64k(&mut tb, app, flow, 200..400);
@@ -148,8 +149,8 @@ fn sustained_stream_keeps_resident_memory_bounded() {
     // The one allowed growth: the engine's 2048-entry send ring and
     // header slots are still on their first lap, so 200 more sends touch
     // 200 more of each (32 + 64 bytes apiece: under 8 pages, edges
-    // included). Staging that is not recycled adds megabytes per hundred
-    // sends, far past this allowance.
+    // included). Buffers that are never released add megabytes per
+    // hundred sends, far past this allowance.
     let first_lap = 8 * 4096;
     assert!(
         after_second <= after_first + first_lap,
