@@ -601,14 +601,6 @@ impl HealthMonitor {
             .count()
     }
 
-    /// Count of nodes currently marked Degraded (contained-error bursts).
-    pub fn degraded_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.state == NodeState::Degraded)
-            .count()
-    }
-
     /// Count of nodes currently marked Slow (gray-failure detection).
     pub fn slow_count(&self) -> usize {
         self.nodes

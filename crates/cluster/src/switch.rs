@@ -117,11 +117,6 @@ impl TorSwitch {
         }
     }
 
-    /// Number of node-facing ports.
-    pub fn node_ports(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Degrades (or restores) node `node`'s port to `factor` of its line
     /// rate.
     ///

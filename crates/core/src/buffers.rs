@@ -9,7 +9,7 @@
 //! with contiguous-run allocation (device DMA wants physically contiguous
 //! targets) and explicit free.
 
-use dcs_pcie::{AddrRange, PhysAddr};
+use dcs_pcie::AddrRange;
 
 /// Chunk size, per the paper.
 pub const CHUNK_SIZE: u64 = 64 * 1024;
@@ -124,14 +124,10 @@ impl ChunkAllocator {
     }
 }
 
-/// Convenience: address of a chunk-aligned sub-buffer for tests.
-pub fn chunk_at(region: AddrRange, index: u64) -> PhysAddr {
-    region.start + index * CHUNK_SIZE
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcs_pcie::PhysAddr;
 
     fn region() -> AddrRange {
         AddrRange::new(PhysAddr(0x1000_0000), 16 * CHUNK_SIZE)

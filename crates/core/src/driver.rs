@@ -20,7 +20,7 @@ use dcs_host::cpu::{CpuJob, CpuJobDone};
 use dcs_host::job::{D2dDone, D2dJob, D2dOp};
 use dcs_nic::TcpFlow;
 use dcs_pcie::{
-    DmaComplete, DmaOp, DmaRequest, MmioWrite, MsiDelivery, PhysAddr, PhysMemory, TlpClass,
+    DmaComplete, DmaOp, DmaRequest, MmioWrite, MsiDelivery, PhysAddr, PhysMemory, PortId, TlpClass,
 };
 use dcs_sim::{fault, Breakdown, Category, Component, ComponentId, Ctx, Msg, SimTime};
 
@@ -36,8 +36,6 @@ pub struct DriverLayout {
     pub completion_depth: u16,
     /// The driver's MSI target (claimed for the driver component).
     pub msi_addr: PhysAddr,
-    /// Host-side staging for aux data before the DMA to the engine.
-    pub aux_staging: PhysAddr,
 }
 
 struct JobCtx {
@@ -51,12 +49,14 @@ struct JobCtx {
     /// Completion-path CPU time, added when the interrupt is handled.
     completion_ns: u64,
     submitted_at: SimTime,
-    /// Poisoned aux-staging DMAs retried for this job.
+    /// Poisoned aux DMAs retried for this job.
     aux_attempts: u8,
 }
 
 enum CpuPhase {
-    /// Ioctl + metadata done: stage aux / write the command.
+    /// Ioctl + metadata done: DMA the aux block, if any, then write the
+    /// command. Also the aux DMA's continuation, which keeps the block
+    /// for one retry.
     Submit {
         id: u64,
         cmd: D2dCommand,
@@ -340,90 +340,74 @@ impl HdcDriver {
             obs.mark(id, "host:ioctl+metadata", now);
         }
         match aux {
-            Some(blob) => {
-                // Stage aux in host DRAM, DMA it into the engine's aux
-                // buffer, and write the command once the DMA lands.
-                let aux_off = match cmd.ops.iter().find_map(|o| match o {
-                    DevOpCode::Process {
-                        aux_off, aux_len, ..
-                    } if *aux_len > 0 => Some(*aux_off),
-                    _ => None,
-                }) {
-                    Some(off) => off,
-                    None => unreachable!("aux blob without a Process op"),
-                };
-                let staging = self.layout.aux_staging + (id % 64) * 64;
-                ctx.world().expect_mut::<PhysMemory>().write(staging, &blob);
-                self.send_aux_dma(ctx, id, cmd, aux_off, blob.len());
-            }
-            None => {
-                let fabric = self.fabric;
-                ctx.send_now(
-                    fabric,
-                    MmioWrite {
-                        addr: self.cmd_queue,
-                        data: cmd.to_bytes().to_vec(),
-                    },
-                );
-            }
+            Some(blob) => self.send_aux_dma(ctx, id, cmd, blob),
+            None => self.write_command(ctx, &cmd),
         }
     }
 
-    /// DMAs the staged aux block into the engine's aux buffer, parking the
-    /// command as the continuation. The CpuPhase slot doubles as the DMA
-    /// continuation: the token comes back via [`DmaComplete`] instead of
-    /// [`CpuJobDone`].
-    fn send_aux_dma(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        id: u64,
-        cmd: D2dCommand,
-        aux_off: u32,
-        len: usize,
-    ) {
-        let staging = self.layout.aux_staging + (id % 64) * 64;
-        let token = self.next_token;
-        self.next_token += 1;
-        self.cpu_phases
-            .insert(token, CpuPhase::Submit { id, cmd, aux: None });
+    /// Writes `cmd` into the engine's command queue.
+    fn write_command(&mut self, ctx: &mut Ctx<'_>, cmd: &D2dCommand) {
         let fabric = self.fabric;
         ctx.send_now(
             fabric,
-            DmaRequest {
-                id: token,
-                op: DmaOp::Copy {
-                    src: staging,
-                    dst: self.engine_aux_base + aux_off as u64,
-                    len,
-                },
-                class: TlpClass::Data,
-                reply_to: ctx.self_id(),
+            MmioWrite {
+                addr: self.cmd_queue,
+                data: cmd.to_bytes().to_vec(),
             },
         );
     }
 
-    /// A poisoned/timed-out aux-staging DMA. The staging bytes in host
-    /// DRAM are intact, so one clean re-DMA usually recovers; a second
-    /// failure fails the job rather than submitting a command whose aux
-    /// block is suspect.
-    fn on_bad_aux_dma(&mut self, ctx: &mut Ctx<'_>, id: u64, cmd: D2dCommand) {
-        ctx.world().stats.counter("hdc.drv_bad_aux_dmas").add(1);
-        let attempts = match self.jobs.get_mut(&id) {
-            Some(j) => {
-                j.aux_attempts += 1;
-                j.aux_attempts
-            }
-            None => return,
+    /// Posts the aux block into the engine's aux buffer as a write from
+    /// the root port, parking the command and the block as the
+    /// continuation: the token comes back via [`DmaComplete`] instead of
+    /// [`CpuJobDone`], and the command is written once the DMA lands.
+    fn send_aux_dma(&mut self, ctx: &mut Ctx<'_>, id: u64, cmd: D2dCommand, aux: Vec<u8>) {
+        let aux_off = cmd
+            .ops
+            .iter()
+            .find_map(|o| match o {
+                DevOpCode::Process {
+                    aux_off, aux_len, ..
+                } if *aux_len > 0 => Some(*aux_off),
+                _ => None,
+            })
+            .expect("an aux block rides with a Process op");
+        let req = DmaRequest {
+            id: self.next_token,
+            op: DmaOp::Write {
+                port: PortId::ROOT,
+                dst: self.engine_aux_base + aux_off as u64,
+                data: aux.clone(),
+            },
+            class: TlpClass::Data,
+            reply_to: ctx.self_id(),
         };
-        let aux = cmd.ops.iter().find_map(|o| match o {
-            DevOpCode::Process {
-                aux_off, aux_len, ..
-            } if *aux_len > 0 => Some((*aux_off, *aux_len as usize)),
-            _ => None,
-        });
-        match aux {
-            Some((aux_off, len)) if attempts <= 1 => self.send_aux_dma(ctx, id, cmd, aux_off, len),
-            _ => self.fail_job(ctx, id, "hdc.drv_aux_failures"),
+        self.next_token += 1;
+        self.cpu_phases.insert(
+            req.id,
+            CpuPhase::Submit {
+                id,
+                cmd,
+                aux: Some(aux),
+            },
+        );
+        let fabric = self.fabric;
+        ctx.send_now(fabric, req);
+    }
+
+    /// A poisoned/timed-out aux DMA. The driver still holds the block, so
+    /// one clean re-DMA usually recovers; a second failure fails the job
+    /// rather than submitting a command whose aux block is suspect.
+    fn on_bad_aux_dma(&mut self, ctx: &mut Ctx<'_>, id: u64, cmd: D2dCommand, aux: Vec<u8>) {
+        ctx.world().stats.counter("hdc.drv_bad_aux_dmas").add(1);
+        let Some(j) = self.jobs.get_mut(&id) else {
+            return;
+        };
+        j.aux_attempts += 1;
+        if j.aux_attempts <= 1 {
+            self.send_aux_dma(ctx, id, cmd, aux);
+        } else {
+            self.fail_job(ctx, id, "hdc.drv_aux_failures");
         }
     }
 
@@ -535,26 +519,24 @@ impl Component for HdcDriver {
         };
         let msg = match msg.downcast::<DmaComplete>() {
             Ok(done) => {
-                // Aux staging DMA finished: now write the command.
+                // Aux DMA finished: now write the command.
                 let Some(phase) = self.cpu_phases.remove(&done.id) else {
                     ctx.world().stats.counter("hdc.drv_stale_dmas").add(1);
                     return;
                 };
-                let CpuPhase::Submit { id, cmd, aux: None } = phase else {
+                let CpuPhase::Submit {
+                    id,
+                    cmd,
+                    aux: Some(aux),
+                } = phase
+                else {
                     panic!("unexpected continuation for aux DMA")
                 };
                 if !done.status.is_ok() {
-                    self.on_bad_aux_dma(ctx, id, cmd);
+                    self.on_bad_aux_dma(ctx, id, cmd, aux);
                     return;
                 }
-                let fabric = self.fabric;
-                ctx.send_now(
-                    fabric,
-                    MmioWrite {
-                        addr: self.cmd_queue,
-                        data: cmd.to_bytes().to_vec(),
-                    },
-                );
+                self.write_command(ctx, &cmd);
                 return;
             }
             Err(m) => m,

@@ -421,6 +421,40 @@ mod tests {
     }
 
     #[test]
+    fn recv_digest_builds_recv_then_digest() {
+        let mut lib = HdcLibrary::new();
+        let job = lib
+            .recv_digest(
+                &socket(Permissions::RO),
+                4096,
+                NdpFunction::Sha256,
+                ComponentId::INVALID,
+                "t",
+            )
+            .unwrap();
+        assert_eq!(job.ops.len(), 2);
+        assert!(matches!(job.ops[0], D2dOp::NicRecv { len: 4096, .. }));
+        assert!(matches!(
+            &job.ops[1],
+            D2dOp::Process {
+                function: NdpFunction::Sha256,
+                aux,
+            } if aux.is_empty()
+        ));
+        assert_eq!(
+            lib.recv_digest(
+                &socket(Permissions::WO),
+                4096,
+                NdpFunction::Md5,
+                ComponentId::INVALID,
+                "t"
+            )
+            .unwrap_err(),
+            ApiError::SocketPermission
+        );
+    }
+
+    #[test]
     fn job_ids_are_unique() {
         let mut lib = HdcLibrary::new();
         let a = lib

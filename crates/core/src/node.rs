@@ -159,19 +159,17 @@ pub fn build_dcs_node(
         .expect_mut::<MmioRouting>()
         .claim(engine_bar, engine_id);
 
-    // HDC Driver: completion ring + MSI + aux staging in host DRAM.
+    // HDC Driver: completion ring + MSI in host DRAM. Aux blocks need no
+    // room here: the driver posts them to the engine as DMA writes.
     let mut dram_off = 0u64;
     let completion_ring = dram.start;
     dram_off += 256 * 64;
     let msi_addr = dram.start + dram_off;
     dram_off += 4096;
-    let aux_staging = dram.start + dram_off;
-    dram_off += 64 * 64;
     let layout = DriverLayout {
         completion_ring,
         completion_depth: 256,
         msi_addr,
-        aux_staging,
     };
     let driver_id = sim.reserve(&format!("{name}-hdc-driver"));
     let (driver, init) = HdcDriver::new(cpu, fabric, engine_id, cmd_queue, aux_base, layout);

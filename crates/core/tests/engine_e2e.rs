@@ -7,7 +7,10 @@ use dcs_host::job::{D2dDone, D2dJob, D2dOp};
 use dcs_ndp::{md5::md5, NdpFunction};
 use dcs_nic::{TcpFlow, WireConfig};
 use dcs_pcie::PhysMemory;
-use dcs_sim::{time, Category, Component, ComponentId, Ctx, Msg, SimTime, Simulator};
+use dcs_sim::{
+    fault, time, Category, Component, ComponentId, Ctx, FaultPlan, FaultSpec, Msg, RecoveryConfig,
+    Rng, SimTime, Simulator,
+};
 
 /// World-resident mailbox the tests read results from.
 #[derive(Default, Debug)]
@@ -631,4 +634,86 @@ fn engine_reports_scoreboard_overhead_in_breakdowns() {
         bd.get(Category::DeviceControl) < time::us(10),
         "driver software is thin"
     );
+}
+
+/// Runs one SSD → AES → SSD job on node alpha with the first Data-class
+/// DMAs after setup, the driver's aux-block writes, poisoned at `poisoned`
+/// (no replay budget, so each hit lands poisoned). Returns the rig and the
+/// job's completion.
+fn aes_job_with_bad_aux_writes(poisoned: Vec<u64>) -> (Rig, D2dDone, Vec<u8>) {
+    let mut rig = setup();
+    let len = 8 * 1024;
+    let payload: Vec<u8> = (0..len).map(|i| (i * 29 % 251) as u8).collect();
+    rig.sim
+        .world_mut()
+        .expect_mut::<PhysMemory>()
+        .write(rig.a.ssds[0].lba_addr(40), &payload);
+    {
+        let mut plan = FaultPlan::new(Rng::new(0xA0A0));
+        plan.enable(fault::DMA_CORRUPT, FaultSpec::Nth(poisoned));
+        plan.recovery = RecoveryConfig {
+            pcie_retries: 0,
+            ..RecoveryConfig::default()
+        };
+        rig.sim.world_mut().insert(plan);
+    }
+    let mut aux = vec![0x5Au8; 32];
+    aux.extend([0xC3u8; 16]);
+    let encrypt = D2dJob {
+        id: 31,
+        ops: vec![
+            D2dOp::SsdRead {
+                ssd: 0,
+                lba: 40,
+                len,
+            },
+            D2dOp::Process {
+                function: NdpFunction::Aes256Encrypt,
+                aux: aux.clone(),
+            },
+            D2dOp::SsdWrite { ssd: 0, lba: 800 },
+        ],
+        reply_to: rig.app,
+        tag: "aux-poison",
+    };
+    rig.sim.kickoff(
+        rig.app,
+        Submit {
+            to: rig.a.driver,
+            job: encrypt,
+        },
+    );
+    rig.sim.run();
+    let done = rig.sim.world_mut().expect_mut::<Inbox>().0.remove(0);
+    let want = NdpFunction::Aes256Encrypt
+        .apply(&payload, &aux)
+        .expect("valid key material")
+        .data
+        .expect("a transform returns data");
+    (rig, done, want)
+}
+
+#[test]
+fn a_poisoned_aux_write_is_retried_from_the_kept_block() {
+    let (rig, done, want) = aes_job_with_bad_aux_writes(vec![0]);
+    let stats = &rig.sim.world().stats;
+    assert_eq!(stats.counter_value("hdc.drv_bad_aux_dmas"), 1);
+    assert_eq!(stats.counter_value("hdc.drv_aux_failures"), 0);
+    assert!(done.ok, "the retried aux block carries the intact key");
+    let on_flash = rig
+        .sim
+        .world()
+        .expect::<PhysMemory>()
+        .read(rig.a.ssds[0].lba_addr(800), want.len());
+    assert_eq!(on_flash, want, "encrypted under the key as submitted");
+}
+
+#[test]
+fn a_second_poisoned_aux_write_fails_the_job() {
+    let (rig, done, _) = aes_job_with_bad_aux_writes(vec![0, 1]);
+    let stats = &rig.sim.world().stats;
+    assert_eq!(stats.counter_value("hdc.drv_bad_aux_dmas"), 2);
+    assert_eq!(stats.counter_value("hdc.drv_aux_failures"), 1);
+    assert!(!done.ok, "a job whose aux block is suspect never runs");
+    assert_eq!(stats.counter_value("hdc.jobs_done"), 0);
 }

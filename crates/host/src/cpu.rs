@@ -124,11 +124,6 @@ impl CpuPool {
             cores: ServerBank::new(cores),
         }
     }
-
-    /// Number of cores.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
 }
 
 impl Component for CpuPool {

@@ -110,8 +110,6 @@ impl std::fmt::Debug for Aes256 {
 impl Aes256 {
     /// Block size in bytes.
     pub const BLOCK: usize = 16;
-    /// Key size in bytes.
-    pub const KEY_LEN: usize = 32;
 
     /// Expands a 32-byte key.
     pub fn new(key: &[u8; 32]) -> Self {

@@ -53,9 +53,6 @@ impl Default for Md5 {
 }
 
 impl Md5 {
-    /// Digest length in bytes.
-    pub const DIGEST_LEN: usize = 16;
-
     /// A fresh hasher.
     pub fn new() -> Self {
         Md5 {

@@ -24,9 +24,6 @@ impl Default for Sha1 {
 }
 
 impl Sha1 {
-    /// Digest length in bytes.
-    pub const DIGEST_LEN: usize = 20;
-
     /// A fresh hasher.
     pub fn new() -> Self {
         Sha1 {

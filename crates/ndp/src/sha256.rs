@@ -37,9 +37,6 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Digest length in bytes.
-    pub const DIGEST_LEN: usize = 32;
-
     /// A fresh hasher.
     pub fn new() -> Self {
         Sha256 {

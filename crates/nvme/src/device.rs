@@ -38,6 +38,8 @@ pub const READ_LATENCY_NS: u64 = time::us(14);
 pub const WRITE_LATENCY_NS: u64 = time::us(18);
 /// Controller-side fixed overhead per command (fetch/parse/complete).
 pub const COMMAND_OVERHEAD_NS: u64 = 700;
+/// Size of the register BAR; the doorbells start at offset `0x1000`.
+const BAR_LEN: u64 = 0x2000;
 
 /// Capacity parameters of the SSD model.
 #[derive(Clone, Debug)]
@@ -159,14 +161,18 @@ enum OpPhase {
     },
     /// Waiting for flash program time (writes).
     FlashWrite { cmd: NvmeCommand },
-    /// Waiting for the completion-entry DMA; MSI follows. `slot` is the
-    /// initiator-CQ destination (kept for one rewrite if the entry DMA
-    /// lands poisoned), `attempts` how many rewrites happened already.
-    WriteCompletion {
-        qid: u16,
-        slot: PhysAddr,
-        attempts: u8,
-    },
+    /// Waiting for the completion-entry DMA; MSI follows.
+    WriteCompletion(CqeWrite),
+}
+
+/// A completion entry on its way to the initiator's CQ. The slot and the
+/// entry's bytes are kept for one rewrite if the DMA lands poisoned.
+struct CqeWrite {
+    /// Initiator-CQ destination.
+    slot: PhysAddr,
+    entry: [u8; NvmeCompletion::SIZE],
+    /// Rewrites already made.
+    attempts: u8,
 }
 
 struct Op {
@@ -184,11 +190,12 @@ struct FlashDone {
 pub struct NvmeDevice {
     config: NvmeConfig,
     fabric: ComponentId,
+    /// The device's PCIe port. Fetched SQ entries and PRP lists land in
+    /// device-internal SRAM, and completion entries leave from it, as
+    /// device-end DMAs charged to this port: none of them has an address.
+    port: PortId,
     bar: AddrRange,
     flash: AddrRange,
-    /// Scratch area inside the BAR region used to land SQ-entry and
-    /// PRP-list fetches (device-internal SRAM).
-    scratch: PhysAddr,
     queues: DetMap<u16, QueuePair>,
     ops: DetMap<u64, Op>,
     next_token: u64,
@@ -199,17 +206,21 @@ pub struct NvmeDevice {
 impl NvmeDevice {
     /// Creates the device.
     ///
-    /// The caller supplies pre-allocated `bar` and `flash` regions (see
-    /// [`install_nvme`] for the standard wiring).
-    pub fn new(config: NvmeConfig, fabric: ComponentId, bar: AddrRange, flash: AddrRange) -> Self {
-        // Scratch: upper half of the BAR page space, far from doorbells.
-        let scratch = bar.start + bar.len / 2;
+    /// The caller supplies pre-allocated `bar` and `flash` regions behind
+    /// `port` (see [`install_nvme`] for the standard wiring).
+    pub fn new(
+        config: NvmeConfig,
+        fabric: ComponentId,
+        port: PortId,
+        bar: AddrRange,
+        flash: AddrRange,
+    ) -> Self {
         NvmeDevice {
             config,
             fabric,
+            port,
             bar,
             flash,
-            scratch,
             queues: DetMap::new(),
             ops: DetMap::new(),
             next_token: 1,
@@ -222,11 +233,6 @@ impl NvmeDevice {
         let t = self.next_token;
         self.next_token += 1;
         t
-    }
-
-    fn scratch_for(&self, token: u64) -> PhysAddr {
-        // 8 KiB of scratch per outstanding op, recycled modulo 64 ops.
-        self.scratch + (token % 64) * 8192
     }
 
     fn on_doorbell(&mut self, ctx: &mut Ctx<'_>, write: &MmioWrite) {
@@ -267,7 +273,6 @@ impl NvmeDevice {
                 slot
             };
             let token = self.token();
-            let dst = self.scratch_for(token);
             self.ops.insert(
                 token,
                 Op {
@@ -283,9 +288,9 @@ impl NvmeDevice {
             }
             let req = DmaRequest {
                 id: token,
-                op: DmaOp::Copy {
+                op: DmaOp::Read {
+                    port: self.port,
                     src: slot,
-                    dst,
                     len: NvmeCommand::SIZE,
                 },
                 class: TlpClass::Data,
@@ -319,44 +324,47 @@ impl NvmeDevice {
             let now = ctx.now();
             ctx.world().obs.span_begin("nvme", "cq-write", token, now);
         }
-        // Stage the entry in scratch, then DMA it to the initiator's CQ.
-        let staging = self.scratch_for(token) + 4096;
-        ctx.world()
-            .expect_mut::<PhysMemory>()
-            .write(staging, &entry.to_bytes());
-        self.ops.insert(
-            token,
-            Op {
-                qid,
-                phase: OpPhase::WriteCompletion {
-                    qid,
-                    slot,
-                    attempts: 0,
-                },
-            },
-        );
+        let cqe = CqeWrite {
+            slot,
+            entry: entry.to_bytes(),
+            attempts: 0,
+        };
+        self.write_completion(ctx, COMMAND_OVERHEAD_NS / 2, token, qid, cqe);
+    }
+
+    /// Posts `cqe` to the initiator's CQ after `delay`.
+    fn write_completion(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        delay: u64,
+        token: u64,
+        qid: u16,
+        cqe: CqeWrite,
+    ) {
         let req = DmaRequest {
             id: token,
-            op: DmaOp::Copy {
-                src: staging,
-                dst: slot,
-                len: NvmeCompletion::SIZE,
+            op: DmaOp::Write {
+                port: self.port,
+                dst: cqe.slot,
+                data: cqe.entry.to_vec(),
             },
             class: TlpClass::Completion,
             reply_to: ctx.self_id(),
         };
+        self.ops.insert(
+            token,
+            Op {
+                qid,
+                phase: OpPhase::WriteCompletion(cqe),
+            },
+        );
         let fabric = self.fabric;
-        ctx.send_in(COMMAND_OVERHEAD_NS / 2, fabric, req);
+        ctx.send_in(delay, fabric, req);
     }
 
-    fn on_entry_fetched(&mut self, ctx: &mut Ctx<'_>, token: u64, qid: u16) {
-        let raw: [u8; NvmeCommand::SIZE] = ctx
-            .world_ref()
-            .expect::<PhysMemory>()
-            .read(self.scratch_for(token), NvmeCommand::SIZE)
-            .try_into()
-            .expect("64 bytes");
-        let Some(cmd) = NvmeCommand::from_bytes(&raw) else {
+    fn on_entry_fetched(&mut self, ctx: &mut Ctx<'_>, token: u64, qid: u16, raw: &[u8]) {
+        let raw: &[u8; NvmeCommand::SIZE] = raw.try_into().expect("64 bytes");
+        let Some(cmd) = NvmeCommand::from_bytes(raw) else {
             // cid sits at a fixed offset even in unknown commands.
             let cid = u16::from_le_bytes([raw[2], raw[3]]);
             self.complete(ctx, token, qid, cid, NvmeStatus::InvalidOpcode);
@@ -378,7 +386,6 @@ impl NvmeDevice {
         if pages > 2 {
             // External PRP list: fetch it first.
             let list_len = (pages as usize - 1) * 8;
-            let dst = self.scratch_for(token) + 2048;
             self.ops.insert(
                 token,
                 Op {
@@ -388,9 +395,9 @@ impl NvmeDevice {
             );
             let req = DmaRequest {
                 id: token,
-                op: DmaOp::Copy {
+                op: DmaOp::Read {
+                    port: self.port,
                     src: cmd.prp2,
-                    dst,
                     len: list_len,
                 },
                 class: TlpClass::Data,
@@ -401,16 +408,6 @@ impl NvmeDevice {
         } else {
             self.start_data_phase(ctx, token, qid, cmd, vec![]);
         }
-    }
-
-    fn on_prp_list_fetched(&mut self, ctx: &mut Ctx<'_>, token: u64, qid: u16, cmd: NvmeCommand) {
-        let pages = (cmd.transfer_len() as u64).div_ceil(PAGE_SIZE);
-        let raw = ctx
-            .world_ref()
-            .expect::<PhysMemory>()
-            .read(self.scratch_for(token) + 2048, (pages as usize - 1) * 8);
-        let list = PrpList::parse_list(&raw, pages as usize - 1);
-        self.start_data_phase(ctx, token, qid, cmd, list);
     }
 
     fn start_data_phase(
@@ -725,7 +722,7 @@ impl Component for NvmeDevice {
                             ctx.world().stats.counter("nvme.poisoned_fetches").add(1);
                             return;
                         }
-                        self.on_entry_fetched(ctx, token, op.qid)
+                        self.on_entry_fetched(ctx, token, op.qid, &done.data)
                     }
                     OpPhase::FetchPrpList { cmd } => {
                         if !done.status.is_ok() {
@@ -742,7 +739,8 @@ impl Component for NvmeDevice {
                             );
                             return;
                         }
-                        self.on_prp_list_fetched(ctx, token, op.qid, cmd)
+                        let list = PrpList::parse_list(&done.data, done.data.len() / 8);
+                        self.start_data_phase(ctx, token, op.qid, cmd, list)
                     }
                     OpPhase::DataTransfer {
                         cmd,
@@ -752,41 +750,15 @@ impl Component for NvmeDevice {
                         let tainted = tainted || !done.status.is_ok();
                         self.on_data_segment_done(ctx, token, op.qid, cmd, remaining - 1, tainted)
                     }
-                    OpPhase::WriteCompletion {
-                        qid,
-                        slot,
-                        attempts,
-                    } => {
+                    OpPhase::WriteCompletion(cqe) => {
                         if !done.status.is_ok() {
-                            if attempts == 0 {
+                            if cqe.attempts == 0 {
                                 // The CQE itself was poisoned or timed out.
-                                // Rewrite it once from the staged copy —
-                                // the staging buffer still holds the good
-                                // entry — before giving up.
+                                // Rewrite it once from the kept entry bytes
+                                // before giving up.
                                 ctx.world().stats.counter("nvme.cqe_rewrites").add(1);
-                                self.ops.insert(
-                                    token,
-                                    Op {
-                                        qid,
-                                        phase: OpPhase::WriteCompletion {
-                                            qid,
-                                            slot,
-                                            attempts: 1,
-                                        },
-                                    },
-                                );
-                                let req = DmaRequest {
-                                    id: token,
-                                    op: DmaOp::Copy {
-                                        src: self.scratch_for(token) + 4096,
-                                        dst: slot,
-                                        len: NvmeCompletion::SIZE,
-                                    },
-                                    class: TlpClass::Completion,
-                                    reply_to: ctx.self_id(),
-                                };
-                                let fabric = self.fabric;
-                                ctx.send_now(fabric, req);
+                                let again = CqeWrite { attempts: 1, ..cqe };
+                                self.write_completion(ctx, 0, token, op.qid, again);
                                 return;
                             }
                             // Rewrite failed too: the CQE is lost. No MSI —
@@ -796,7 +768,7 @@ impl Component for NvmeDevice {
                             return;
                         }
                         // Entry landed in the initiator's CQ: raise the MSI.
-                        let qp = &self.queues[&qid];
+                        let qp = &self.queues[&op.qid];
                         let msi = Msi {
                             addr: qp.msi_addr,
                             vector: qp.msi_vector,
@@ -836,14 +808,14 @@ pub fn install_nvme(
     let max_transfer = config.max_transfer;
     let (bar, flash) = {
         let mem = sim.world_mut().expect_mut::<PhysMemory>();
-        let bar = mem.alloc_region(&format!("{name}-bar"), 1 << 20, port);
+        let bar = mem.alloc_region(&format!("{name}-bar"), BAR_LEN, port);
         let flash = mem.alloc_region(&format!("{name}-flash"), capacity_bytes, port);
         (bar, flash)
     };
-    let id = sim.add(name, NvmeDevice::new(config, fabric, bar, flash));
+    let id = sim.add(name, NvmeDevice::new(config, fabric, port, bar, flash));
     sim.world_mut()
         .expect_mut::<dcs_pcie::MmioRouting>()
-        .claim(AddrRange::new(bar.start, 0x2000), id);
+        .claim(bar, id);
     NvmeHandle {
         device: id,
         bar,
@@ -899,20 +871,25 @@ mod tests {
     }
 
     fn setup() -> Bench {
+        setup_with(1 << 20)
+    }
+
+    /// A bench whose drive takes commands of up to `max_transfer` bytes.
+    fn setup_with(max_transfer: usize) -> Bench {
         let mut sim = Simulator::new(1);
         sim.world_mut().insert(PhysMemory::new());
         sim.world_mut().insert(MmioRouting::new());
         let fabric = sim.add("pcie", PcieFabric::new(PcieConfig::default()));
         let cfg = NvmeConfig {
             capacity_lbas: 1 << 20,
-            ..NvmeConfig::default()
+            max_transfer,
         };
         let handle = install_nvme(&mut sim, fabric, cfg, "ssd0", PortId(1));
         // Rings + data buffers live in a "host" region on the root port.
         let rings =
             sim.world_mut()
                 .expect_mut::<PhysMemory>()
-                .alloc_region("host", 1 << 22, PortId::ROOT);
+                .alloc_region("host", 1 << 24, PortId::ROOT);
         let sq_base = rings.start;
         let cq_base = rings.start + 64 * 64;
         let msi_addr = rings.start + 0x10000;
@@ -1267,12 +1244,12 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_cqe_is_rewritten_from_staging() {
+    fn poisoned_cqe_is_rewritten_from_the_kept_entry() {
         let mut b = setup();
         // Default recovery gives the fabric 2 ECRC replays; scheduling the
         // completion-class site at draws 0,1,2 burns the budget and poisons
-        // the first CQE write. The device then rewrites the entry from its
-        // staging copy (draw 3 is clean) and the command still succeeds.
+        // the first CQE write. The device then rewrites the entry from the
+        // bytes it kept (draw 3 is clean) and the command still succeeds.
         {
             let mut plan = FaultPlan::new(Rng::new(0xFA11));
             plan.enable(dcs_sim::fault::CPL_CORRUPT, FaultSpec::Nth(vec![0, 1, 2]));
@@ -1314,5 +1291,80 @@ mod tests {
             b.sim.world().expect::<FaultPlan>().tallies().collect();
         let t = tallies[dcs_sim::fault::CPL_CORRUPT];
         assert_eq!((t.injected, t.recovered, t.exhausted), (3, 2, 1));
+    }
+
+    #[test]
+    fn queue_entries_leave_nothing_resident_in_the_device() {
+        let mut b = setup();
+        // 100 reads of unwritten LBAs in batches of 10: the data stays
+        // all-zero, so the only pages that ever hold bytes are the host's
+        // SQ and CQ rings. Fetched entries and outgoing CQEs live in the
+        // DMAs that carry them.
+        let dst = buf_addr(&b);
+        for batch in 0..10u16 {
+            let consumed = b.sq.tail();
+            b.sq.update_head(consumed);
+            for i in 0..10u16 {
+                let n = batch * 10 + i;
+                submit(
+                    &mut b,
+                    NvmeCommand {
+                        opcode: NvmeOpcode::Read,
+                        cid: n,
+                        nsid: 1,
+                        prp1: dst + u64::from(i) * PAGE_SIZE,
+                        prp2: PhysAddr::ZERO,
+                        slba: u64::from(n),
+                        nlb: 0,
+                    },
+                );
+            }
+            b.sim.run();
+            let head = (batch + 1) * 10 % 64;
+            b.sim
+                .kickoff(b.fabric, MmioWrite::doorbell(b.handle.cq_doorbell(1), head));
+            b.sim.run();
+        }
+        assert_eq!(b.sim.world().stats.counter_value("init.ok"), 100);
+        let resident = b.sim.world().expect::<PhysMemory>().resident_bytes();
+        assert_eq!(resident as u64, 2 * PAGE_SIZE, "SQ and CQ pages only");
+    }
+
+    #[test]
+    fn four_mib_read_walks_a_two_page_prp_list() {
+        let len = 4 << 20;
+        let mut b = setup_with(len);
+        let payload: Vec<u8> = (0..len).map(|i| (i * 13 % 251) as u8).collect();
+        b.sim
+            .world_mut()
+            .expect_mut::<PhysMemory>()
+            .write(b.handle.lba_addr(0), &payload);
+        // 1,024 pages: PRP1 names the first, and a contiguous list of
+        // 1,023 entries (8,184 bytes) at PRP2 names the rest.
+        let dst = buf_addr(&b);
+        let list = b.rings.start + 0x80_0000;
+        let entries: Vec<u8> = (1..1024u64)
+            .flat_map(|i| (dst + i * PAGE_SIZE).as_u64().to_le_bytes())
+            .collect();
+        assert_eq!(entries.len(), 8184);
+        b.sim
+            .world_mut()
+            .expect_mut::<PhysMemory>()
+            .write(list, &entries);
+        submit(
+            &mut b,
+            NvmeCommand {
+                opcode: NvmeOpcode::Read,
+                cid: 31,
+                nsid: 1,
+                prp1: dst,
+                prp2: list,
+                slba: 0,
+                nlb: 1023,
+            },
+        );
+        b.sim.run();
+        assert_eq!(b.sim.world().stats.counter_value("init.ok"), 1);
+        assert_eq!(b.sim.world().expect::<PhysMemory>().read(dst, len), payload);
     }
 }

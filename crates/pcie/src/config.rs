@@ -20,8 +20,6 @@ pub const MAX_PAYLOAD: usize = 256;
 pub const TLP_OVERHEAD: usize = 26;
 /// Latency of a posted MMIO write reaching the target device.
 pub const MMIO_WRITE_NS: u64 = 300;
-/// Round-trip latency of a non-posted MMIO read.
-pub const MMIO_READ_NS: u64 = 900;
 /// Latency of an MSI write reaching its target.
 pub const MSI_NS: u64 = 300;
 /// Completion timeout for non-posted requests: how long the requester

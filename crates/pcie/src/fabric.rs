@@ -491,12 +491,6 @@ impl PcieFabric {
         }
         ctx.send_in(config::MSI_NS, owner, MsiDelivery { vector: msi.vector });
     }
-
-    /// Busy time accumulated on a port's egress (`dir = 0`) or ingress
-    /// (`dir = 1`) link — exposed for utilization assertions in tests.
-    pub fn link_busy_time(&self, port: PortId, dir: usize) -> u64 {
-        self.links[port.0 as usize][dir].busy_time()
-    }
 }
 
 impl Component for PcieFabric {

@@ -165,11 +165,6 @@ impl Simulator {
         *slot = Some(Box::new(component));
     }
 
-    /// The diagnostic name a component was registered under.
-    pub fn name_of(&self, id: ComponentId) -> &str {
-        &self.names[id.index()]
-    }
-
     /// Number of registered (or reserved) components.
     pub fn component_count(&self) -> usize {
         self.components.len()
@@ -296,16 +291,6 @@ impl Simulator {
             self.now = deadline;
         }
         self.delivered - before
-    }
-
-    /// Runs at most `limit` further events (a guard for tests that must not
-    /// loop forever). Returns the number delivered.
-    pub fn run_steps(&mut self, limit: u64) -> u64 {
-        let mut n = 0;
-        while n < limit && self.step() {
-            n += 1;
-        }
-        n
     }
 
     /// Whether any events remain pending.

@@ -243,16 +243,6 @@ impl Recorder {
         self.enabled = true;
     }
 
-    /// Turns recording off (already-recorded data is kept).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
-    /// True when recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Discards everything recorded so far.
     pub fn clear(&mut self) {
         self.spans.clear();

@@ -10,9 +10,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-/// One nanosecond expressed as a duration in simulator units.
-pub const NANOSECOND: u64 = 1;
-
 /// Builds a duration of `n` nanoseconds.
 #[inline]
 pub const fn ns(n: u64) -> u64 {
