@@ -53,14 +53,19 @@ struct JobCtx {
     aux_attempts: u8,
 }
 
+/// An aux block and the offset of its 64-byte slot in the engine's aux
+/// buffer.
+type AuxBlock = (u32, Vec<u8>);
+
 enum CpuPhase {
-    /// Ioctl + metadata done: DMA the aux block, if any, then write the
-    /// command. Also the aux DMA's continuation, which keeps the block
-    /// for one retry.
+    /// Ioctl + metadata done: DMA the aux blocks, one per aux-bearing
+    /// `Process` op, then write the command. Also each aux DMA's
+    /// continuation: it keeps the blocks not yet landed, the one in
+    /// flight first, for one retry.
     Submit {
         id: u64,
         cmd: D2dCommand,
-        aux: Option<Vec<u8>>,
+        aux: Vec<AuxBlock>,
     },
     /// Interrupt handled: drain the completion ring.
     Complete,
@@ -168,8 +173,7 @@ impl HdcDriver {
             D2dCommand::MAX_OPS
         );
         // Translate the design-independent job into the wire command.
-        let mut aux_blob: Option<Vec<u8>> = None;
-        let aux_off = (self.aux_slot % 16_384) * 64;
+        let mut aux_blocks = Vec::new();
         let mut ops = Vec::with_capacity(job.ops.len());
         let mut metadata_lookups = 0u64;
         for op in &job.ops {
@@ -194,9 +198,10 @@ impl HdcDriver {
                         0
                     } else {
                         assert!(aux.len() <= 64, "aux block exceeds one slot");
-                        aux_blob = Some(aux.clone());
+                        let off = ((self.aux_slot % 16_384) * 64) as u32;
                         self.aux_slot += 1;
-                        aux_off as u32
+                        aux_blocks.push((off, aux.clone()));
+                        off
                     };
                     DevOpCode::Process {
                         function: *function,
@@ -254,7 +259,7 @@ impl HdcDriver {
             CpuPhase::Submit {
                 id,
                 cmd,
-                aux: aux_blob,
+                aux: aux_blocks,
             },
         );
         self.arm_poll(ctx);
@@ -328,7 +333,7 @@ impl HdcDriver {
         );
     }
 
-    fn submit(&mut self, ctx: &mut Ctx<'_>, id: u64, cmd: D2dCommand, aux: Option<Vec<u8>>) {
+    fn submit(&mut self, ctx: &mut Ctx<'_>, id: u64, cmd: D2dCommand, aux: Vec<AuxBlock>) {
         let Some(job) = self.jobs.get_mut(&id) else {
             return;
         };
@@ -339,9 +344,22 @@ impl HdcDriver {
             obs.span_end("host", "submit-cpu", id, now);
             obs.mark(id, "host:ioctl+metadata", now);
         }
-        match aux {
-            Some(blob) => self.send_aux_dma(ctx, id, cmd, blob),
-            None => self.write_command(ctx, &cmd),
+        self.send_aux_or_command(ctx, id, cmd, aux);
+    }
+
+    /// Posts the first of the aux blocks still to land, or writes the
+    /// command once none is left.
+    fn send_aux_or_command(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: u64,
+        cmd: D2dCommand,
+        aux: Vec<AuxBlock>,
+    ) {
+        if aux.is_empty() {
+            self.write_command(ctx, &cmd);
+        } else {
+            self.send_aux_dma(ctx, id, cmd, aux);
         }
     }
 
@@ -357,48 +375,35 @@ impl HdcDriver {
         );
     }
 
-    /// Posts the aux block into the engine's aux buffer as a write from
-    /// the root port, parking the command and the block as the
-    /// continuation: the token comes back via [`DmaComplete`] instead of
-    /// [`CpuJobDone`], and the command is written once the DMA lands.
-    fn send_aux_dma(&mut self, ctx: &mut Ctx<'_>, id: u64, cmd: D2dCommand, aux: Vec<u8>) {
-        let aux_off = cmd
-            .ops
-            .iter()
-            .find_map(|o| match o {
-                DevOpCode::Process {
-                    aux_off, aux_len, ..
-                } if *aux_len > 0 => Some(*aux_off),
-                _ => None,
-            })
-            .expect("an aux block rides with a Process op");
+    /// Posts the first aux block into its slot of the engine's aux buffer
+    /// as a write from the root port, parking the command and the blocks
+    /// as the continuation: the token comes back via [`DmaComplete`]
+    /// instead of [`CpuJobDone`], and the next block is posted, or the
+    /// command written, once the DMA lands.
+    fn send_aux_dma(&mut self, ctx: &mut Ctx<'_>, id: u64, cmd: D2dCommand, aux: Vec<AuxBlock>) {
+        let (aux_off, block) = &aux[0];
         let req = DmaRequest {
             id: self.next_token,
             op: DmaOp::Write {
                 port: PortId::ROOT,
-                dst: self.engine_aux_base + aux_off as u64,
-                data: aux.clone(),
+                dst: self.engine_aux_base + *aux_off as u64,
+                data: block.clone(),
             },
             class: TlpClass::Data,
             reply_to: ctx.self_id(),
         };
         self.next_token += 1;
-        self.cpu_phases.insert(
-            req.id,
-            CpuPhase::Submit {
-                id,
-                cmd,
-                aux: Some(aux),
-            },
-        );
+        self.cpu_phases
+            .insert(req.id, CpuPhase::Submit { id, cmd, aux });
         let fabric = self.fabric;
         ctx.send_now(fabric, req);
     }
 
-    /// A poisoned/timed-out aux DMA. The driver still holds the block, so
-    /// one clean re-DMA usually recovers; a second failure fails the job
-    /// rather than submitting a command whose aux block is suspect.
-    fn on_bad_aux_dma(&mut self, ctx: &mut Ctx<'_>, id: u64, cmd: D2dCommand, aux: Vec<u8>) {
+    /// A poisoned/timed-out aux DMA. The driver still holds the blocks,
+    /// so one clean re-DMA per job usually recovers; a second failure
+    /// fails the job rather than submitting a command whose aux block is
+    /// suspect.
+    fn on_bad_aux_dma(&mut self, ctx: &mut Ctx<'_>, id: u64, cmd: D2dCommand, aux: Vec<AuxBlock>) {
         ctx.world().stats.counter("hdc.drv_bad_aux_dmas").add(1);
         let Some(j) = self.jobs.get_mut(&id) else {
             return;
@@ -519,24 +524,21 @@ impl Component for HdcDriver {
         };
         let msg = match msg.downcast::<DmaComplete>() {
             Ok(done) => {
-                // Aux DMA finished: now write the command.
+                // An aux DMA finished: post the next block or write the
+                // command.
                 let Some(phase) = self.cpu_phases.remove(&done.id) else {
                     ctx.world().stats.counter("hdc.drv_stale_dmas").add(1);
                     return;
                 };
-                let CpuPhase::Submit {
-                    id,
-                    cmd,
-                    aux: Some(aux),
-                } = phase
-                else {
+                let CpuPhase::Submit { id, cmd, mut aux } = phase else {
                     panic!("unexpected continuation for aux DMA")
                 };
                 if !done.status.is_ok() {
                     self.on_bad_aux_dma(ctx, id, cmd, aux);
                     return;
                 }
-                self.write_command(ctx, &cmd);
+                aux.remove(0);
+                self.send_aux_or_command(ctx, id, cmd, aux);
                 return;
             }
             Err(m) => m,

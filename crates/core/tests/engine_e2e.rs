@@ -717,3 +717,94 @@ fn a_second_poisoned_aux_write_fails_the_job() {
     assert!(!done.ok, "a job whose aux block is suspect never runs");
     assert_eq!(stats.counter_value("hdc.jobs_done"), 0);
 }
+
+/// Runs SSD read → AES-256 encrypt under `enc_aux` → AES-256 decrypt
+/// under `dec_aux` → SSD write as one job on node alpha. Returns the
+/// plaintext, what landed on flash, and the job's completion.
+fn encrypt_then_decrypt(enc_aux: &[u8], dec_aux: &[u8]) -> (Vec<u8>, Vec<u8>, D2dDone) {
+    let mut rig = setup();
+    let len = 8 * 1024;
+    let payload: Vec<u8> = (0..len).map(|i| (i * 37 % 251) as u8).collect();
+    rig.sim
+        .world_mut()
+        .expect_mut::<PhysMemory>()
+        .write(rig.a.ssds[0].lba_addr(60), &payload);
+    let two_keys = D2dJob {
+        id: 41,
+        ops: vec![
+            D2dOp::SsdRead {
+                ssd: 0,
+                lba: 60,
+                len,
+            },
+            D2dOp::Process {
+                function: NdpFunction::Aes256Encrypt,
+                aux: enc_aux.to_vec(),
+            },
+            D2dOp::Process {
+                function: NdpFunction::Aes256Decrypt,
+                aux: dec_aux.to_vec(),
+            },
+            D2dOp::SsdWrite { ssd: 0, lba: 900 },
+        ],
+        reply_to: rig.app,
+        tag: "two-aux",
+    };
+    rig.sim.kickoff(
+        rig.app,
+        Submit {
+            to: rig.a.driver,
+            job: two_keys,
+        },
+    );
+    rig.sim.run();
+    let done = rig.sim.world_mut().expect_mut::<Inbox>().0.remove(0);
+    let on_flash = rig
+        .sim
+        .world()
+        .expect::<PhysMemory>()
+        .read(rig.a.ssds[0].lba_addr(900), len);
+    (payload, on_flash, done)
+}
+
+/// AES-256 key material: a 32-byte key and a 16-byte IV.
+fn aes_aux(key: u8, iv: u8) -> Vec<u8> {
+    let mut aux = vec![key; 32];
+    aux.extend([iv; 16]);
+    aux
+}
+
+#[test]
+fn each_process_op_runs_with_its_own_aux_block() {
+    let (key1, key2) = (aes_aux(0x11, 0x21), aes_aux(0x12, 0x22));
+    let (payload, on_flash, done) = encrypt_then_decrypt(&key1, &key2);
+    assert!(done.ok);
+    let apply = |f: NdpFunction, data: &[u8], aux: &[u8]| {
+        f.apply(data, aux)
+            .expect("valid key material")
+            .data
+            .expect("a transform returns data")
+    };
+    let want = apply(
+        NdpFunction::Aes256Decrypt,
+        &apply(NdpFunction::Aes256Encrypt, &payload, &key1),
+        &key2,
+    );
+    assert!(want != payload);
+    assert!(
+        on_flash != payload,
+        "both ops ran under one aux block and restored the plaintext"
+    );
+    assert!(on_flash == want, "flash must hold dec(key 2) of enc(key 1)");
+}
+
+#[test]
+fn an_encrypt_decrypt_round_trip_under_one_key_restores_the_plaintext() {
+    let key1 = aes_aux(0x11, 0x21);
+    let (payload, on_flash, done) = encrypt_then_decrypt(&key1, &key1);
+    assert!(done.ok);
+    assert!(
+        on_flash == payload,
+        "dec(key 1) of enc(key 1) is the plaintext"
+    );
+}

@@ -67,20 +67,39 @@ impl TcpFlow {
     }
 }
 
-/// RFC 1071 internet checksum over `data` (with `init` folded in).
+/// RFC 1071 internet checksum over `data` (with `init`, a sum of
+/// big-endian 16-bit words, folded in).
+///
+/// The one's-complement sum is byte-order independent and may be taken
+/// over wider words (RFC 1071 §2(B), §2(C)): the 32-bit halves of each
+/// 8-byte word are added, in native byte order, into a `u64` that cannot
+/// overflow below 16 GiB of data. Folded to 16 bits, that is the sum of
+/// the native-order 16-bit words, and one byte swap on a little-endian
+/// host turns it into the big-endian sum.
 fn internet_checksum(data: &[u8], init: u32) -> u16 {
-    let mut sum = init;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u16::from_be_bytes([c[0], c[1]]) as u32;
+    let mut sum = 0u64;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let w = u64::from_ne_bytes(w.try_into().expect("8-byte chunk"));
+        sum += (w & 0xFFFF_FFFF) + (w >> 32);
     }
-    if let [last] = chunks.remainder() {
-        sum += (*last as u32) << 8;
-    }
+    let mut tail = [0u8; 8];
+    let rest = words.remainder();
+    // Zero padding: an odd last byte is the high byte of a big-endian
+    // word, as RFC 1071 pads it.
+    tail[..rest.len()].copy_from_slice(rest);
+    let w = u64::from_ne_bytes(tail);
+    sum += (w & 0xFFFF_FFFF) + (w >> 32);
+    let native = fold(sum);
+    !fold(u64::from(u16::from_be(native)) + u64::from(init))
+}
+
+/// Folds a one's-complement sum to 16 bits.
+fn fold(mut sum: u64) -> u16 {
     while sum > 0xFFFF {
         sum = (sum & 0xFFFF) + (sum >> 16);
     }
-    !(sum as u16)
+    sum as u16
 }
 
 /// Builds a complete frame: Ethernet + IPv4 + TCP headers followed by
@@ -405,6 +424,65 @@ mod tests {
         assert_eq!(rev.src_ip, flow.dst_ip);
         assert_eq!(rev.dst_port, flow.src_port);
         assert_eq!(rev.reversed(), flow);
+    }
+
+    /// The RFC 1071 reference: big-endian 16-bit words summed into a
+    /// `u32`, an odd last byte padded with zero.
+    fn reference_checksum(data: &[u8], init: u32) -> u16 {
+        let mut sum = init;
+        let mut chunks = data.chunks_exact(2);
+        for c in &mut chunks {
+            sum += u16::from_be_bytes([c[0], c[1]]) as u32;
+        }
+        if let [last] = chunks.remainder() {
+            sum += (*last as u32) << 8;
+        }
+        while sum > 0xFFFF {
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    #[test]
+    fn wide_word_checksum_matches_the_16_bit_reference() {
+        // Pseudo-random bytes from a fixed LCG, with 7 spare bytes so a
+        // slice can start at offsets 1-7 (unaligned words).
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let random: Vec<u8> = (0..9_018 + 7)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 56) as u8
+            })
+            .collect();
+        let ones = vec![0xFFu8; 9_018 + 7];
+        // Pseudo-header sums as `build_frame` forms them, plus the
+        // extremes of what a u32 `init` can carry into the fold.
+        let inits = [0u32, 6 + 20, 0x1_4E2C, 0xFFFF, 0x3_FFFC, 0x7FFF_0000];
+        for data in [&random, &ones] {
+            for len in 0..=9_018 {
+                // Every length from offset 0; odd lengths, short slices
+                // and a spread of even ones from every unaligned start
+                // too.
+                let offsets: &[usize] = if len < 128 || len % 2 == 1 || len % 61 == 0 {
+                    &[0, 1, 2, 3, 4, 5, 6, 7]
+                } else {
+                    &[0]
+                };
+                for &off in offsets {
+                    let slice = &data[off..off + len];
+                    for &init in &inits {
+                        assert_eq!(
+                            internet_checksum(slice, init),
+                            reference_checksum(slice, init),
+                            "len {len} offset {off} init {init:#x} first byte {:#x?}",
+                            slice.first()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,13 +6,18 @@
 //! cheap: an absent page reads as zero, so writing zeros onto one is a
 //! no-op. A consumer done with a buffer [`take`](PhysMemory::take)s its
 //! bytes instead of reading them: the span then reads as zero, and a page
-//! the take leaves all zero is released. Regions are kept sorted by start
-//! address. Allocated regions each start a fresh 4 GiB slot, so a table
-//! indexed by `addr >> 32` finds the region holding an address in O(1);
-//! where fixed-address regions share a slot and the table's region misses,
-//! a binary search over a dense vector of region starts decides. Each region is
-//! tagged with the PCIe [`PortId`] it sits behind so the fabric can
-//! charge transfers to the right links.
+//! the take leaves all zero is released into one pool shared by every
+//! region. A released page is all zero, so the next page to materialize
+//! anywhere in the map is popped from the pool instead of allocated and
+//! zero-filled; pooled pages are not resident. [`PhysMemory::read`]
+//! zero-fills its buffer once and copies only the present pages into it.
+//!
+//! Regions are kept sorted by start address. Allocated regions each start
+//! a fresh 4 GiB slot, so a table indexed by `addr >> 32` finds the region
+//! holding an address in O(1); where fixed-address regions share a slot
+//! and the table's region misses, a binary search over a dense vector of
+//! region starts decides. Each region is tagged with the PCIe [`PortId`]
+//! it sits behind so the fabric can charge transfers to the right links.
 
 use dcs_sim::DetMap;
 use std::collections::VecDeque;
@@ -47,14 +52,35 @@ fn is_zero(data: &[u8]) -> bool {
         .all(|c| c.iter().fold(0u8, |acc, &b| acc | b) == 0)
 }
 
+type Page = Box<[u8; PAGE_SIZE]>;
+
+/// All-zero pages released by takes, shared by every region of a
+/// [`PhysMemory`].
+#[derive(Default)]
+struct PagePool(Vec<Page>);
+
+impl PagePool {
+    /// An all-zero page: a released one if any, else a fresh one.
+    fn zeroed(&mut self) -> Page {
+        self.0.pop().unwrap_or_else(|| Box::new([0u8; PAGE_SIZE]))
+    }
+
+    /// Keeps `page`, which the caller has checked is all zero.
+    fn release(&mut self, page: Page) {
+        self.0.push(page);
+    }
+}
+
 /// Byte storage materialized page-by-page on the first non-zero write.
 #[derive(Default)]
 struct SparseBytes {
-    pages: DetMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: DetMap<u64, Page>,
 }
 
 impl SparseBytes {
-    fn read_into(&self, offset: u64, out: &mut [u8]) {
+    /// Reads `out.len()` bytes at `offset` into `out`. Absent pages read
+    /// as zero; when `out` is already zeroed they are skipped.
+    fn read_into(&self, offset: u64, out: &mut [u8], out_zeroed: bool) {
         let mut off = offset;
         let mut done = 0;
         while done < out.len() {
@@ -63,6 +89,7 @@ impl SparseBytes {
             let n = (PAGE_SIZE - in_page).min(out.len() - done);
             match self.pages.get(&page) {
                 Some(p) => out[done..done + n].copy_from_slice(&p[in_page..in_page + n]),
+                None if out_zeroed => {}
                 None => out[done..done + n].fill(0),
             }
             off += n as u64;
@@ -70,7 +97,7 @@ impl SparseBytes {
         }
     }
 
-    fn write_from(&mut self, offset: u64, data: &[u8]) {
+    fn write_from(&mut self, offset: u64, data: &[u8], pool: &mut PagePool) {
         let mut off = offset;
         let mut done = 0;
         while done < data.len() {
@@ -83,7 +110,7 @@ impl SparseBytes {
                 // An absent page already reads as zero.
                 None if is_zero(chunk) => {}
                 None => {
-                    let mut p = Box::new([0u8; PAGE_SIZE]);
+                    let mut p = pool.zeroed();
                     p[in_page..in_page + n].copy_from_slice(chunk);
                     self.pages.insert(page, p);
                 }
@@ -94,8 +121,8 @@ impl SparseBytes {
     }
 
     /// Moves `out.len()` bytes at `offset` into `out`, leaving the span
-    /// zero, and drops each page the move leaves all zero.
-    fn take_into(&mut self, offset: u64, out: &mut [u8]) {
+    /// zero, and releases each page the move leaves all zero into `pool`.
+    fn take_into(&mut self, offset: u64, out: &mut [u8], pool: &mut PagePool) {
         let mut off = offset;
         let mut done = 0;
         while done < out.len() {
@@ -107,7 +134,8 @@ impl SparseBytes {
                 out[done..done + n].copy_from_slice(span);
                 span.fill(0);
                 if is_zero(&p[..in_page]) && is_zero(&p[in_page + n..]) {
-                    self.pages.remove(&page);
+                    let p = self.pages.remove(&page).expect("present page");
+                    pool.release(p);
                 }
             }
             off += n as u64;
@@ -120,7 +148,14 @@ impl SparseBytes {
     /// present destination page or materializes an absent one if the
     /// chunk holds a non-zero byte, and an absent source page zero-fills
     /// a present destination page and leaves an absent one absent.
-    fn copy_from(&mut self, src: &SparseBytes, src_off: u64, dst_off: u64, len: usize) {
+    fn copy_from(
+        &mut self,
+        src: &SparseBytes,
+        src_off: u64,
+        dst_off: u64,
+        len: usize,
+        pool: &mut PagePool,
+    ) {
         let mut done = 0;
         while done < len {
             let (s, d) = (src_off + done as u64, dst_off + done as u64);
@@ -139,7 +174,7 @@ impl SparseBytes {
                 (Some(from), None) => {
                     let chunk = &from[s_in..s_in + n];
                     if !is_zero(chunk) {
-                        let mut p = Box::new([0u8; PAGE_SIZE]);
+                        let mut p = pool.zeroed();
                         p[d_in..d_in + n].copy_from_slice(chunk);
                         self.pages.insert(d_page, p);
                     }
@@ -185,6 +220,8 @@ pub struct PhysMemory {
     /// touching it, or [`NO_REGION`].
     slots: Vec<u32>,
     next_free: u64,
+    /// Pages released by takes, reused by every region's writes.
+    pool: PagePool,
 }
 
 impl Default for PhysMemory {
@@ -212,6 +249,7 @@ impl PhysMemory {
             starts: Vec::new(),
             slots: Vec::new(),
             next_free: REGION_ALIGN,
+            pool: PagePool::default(),
         }
     }
 
@@ -351,7 +389,7 @@ impl PhysMemory {
         let idx = self.region_index_of(addr, len);
         let r = &self.regions[idx];
         let mut out = vec![0u8; len];
-        r.bytes.read_into(addr - r.info.range.start, &mut out);
+        r.bytes.read_into(addr - r.info.range.start, &mut out, true);
         out
     }
 
@@ -359,12 +397,12 @@ impl PhysMemory {
     pub fn read_into(&self, addr: PhysAddr, out: &mut [u8]) {
         let idx = self.region_index_of(addr, out.len());
         let r = &self.regions[idx];
-        r.bytes.read_into(addr - r.info.range.start, out);
+        r.bytes.read_into(addr - r.info.range.start, out, false);
     }
 
     /// Reads `len` bytes starting at `addr` and leaves the span reading
     /// as zero: a consumer that is done with a buffer hands its pages
-    /// back. A page the take leaves all zero is released.
+    /// back. A page the take leaves all zero is released for reuse.
     ///
     /// # Panics
     ///
@@ -373,7 +411,8 @@ impl PhysMemory {
         let idx = self.region_index_of(addr, len);
         let r = &mut self.regions[idx];
         let mut out = vec![0u8; len];
-        r.bytes.take_into(addr - r.info.range.start, &mut out);
+        r.bytes
+            .take_into(addr - r.info.range.start, &mut out, &mut self.pool);
         out
     }
 
@@ -386,7 +425,7 @@ impl PhysMemory {
         let idx = self.region_index_of(addr, data.len());
         let r = &mut self.regions[idx];
         let off = addr - r.info.range.start;
-        r.bytes.write_from(off, data);
+        r.bytes.write_from(off, data, &mut self.pool);
     }
 
     /// Writes the first `len` bytes of `queue` starting at `addr` and
@@ -403,8 +442,9 @@ impl PhysMemory {
         let off = addr - r.info.range.start;
         let (head, tail) = queue.as_slices();
         let first = len.min(head.len());
-        r.bytes.write_from(off, &head[..first]);
-        r.bytes.write_from(off + first as u64, &tail[..len - first]);
+        r.bytes.write_from(off, &head[..first], &mut self.pool);
+        r.bytes
+            .write_from(off + first as u64, &tail[..len - first], &mut self.pool);
         queue.drain(..len);
     }
 
@@ -428,7 +468,8 @@ impl PhysMemory {
                 let (lo, hi) = self.regions.split_at_mut(s);
                 (&hi[0], &mut lo[d])
             };
-            to.bytes.copy_from(&from.bytes, src_off, dst_off, len);
+            to.bytes
+                .copy_from(&from.bytes, src_off, dst_off, len, &mut self.pool);
             return;
         }
         // Spans can only overlap inside one region. When the destination
@@ -442,14 +483,14 @@ impl PhysMemory {
             let n = PAGE_SIZE.min(len - done);
             let at = if backward { len - done - n } else { done } as u64;
             let chunk = &mut buf[..n];
-            bytes.read_into(src_off + at, chunk);
-            bytes.write_from(dst_off + at, chunk);
+            bytes.read_into(src_off + at, chunk, false);
+            bytes.write_from(dst_off + at, chunk, &mut self.pool);
             done += n;
         }
     }
 
     /// Total bytes of materialized backing store (for memory-pressure
-    /// assertions in tests).
+    /// assertions in tests). Pooled pages map no address and do not count.
     pub fn resident_bytes(&self) -> usize {
         self.regions.iter().map(|r| r.bytes.resident_bytes()).sum()
     }
@@ -584,6 +625,50 @@ mod tests {
         let r = m.alloc_region("ddr", 1 << 20, PortId::ROOT);
         assert_eq!(m.take(r.start + 100, 3 * PAGE_SIZE), vec![0; 3 * PAGE_SIZE]);
         assert_eq!(m.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn a_released_page_is_reused_zeroed_at_another_address() {
+        let mut m = PhysMemory::new();
+        let a = m.alloc_region("a", 1 << 20, PortId::ROOT);
+        let b = m.alloc_region("b", 1 << 20, PortId(1));
+        m.write(a.start, &[0xAB; PAGE_SIZE]);
+        assert_eq!(m.take(a.start, PAGE_SIZE), vec![0xAB; PAGE_SIZE]);
+        assert_eq!(m.pool.0.len(), 1, "the take released its page");
+        assert_eq!(m.resident_bytes(), 0, "a pooled page is not resident");
+        // Another region, another page, another offset in the page.
+        let page = b.start + 3 * PAGE_SIZE as u64;
+        m.write(page + 100, b"xyz");
+        assert!(m.pool.0.is_empty(), "the write reused the released page");
+        assert_eq!(m.resident_bytes(), PAGE_SIZE);
+        let got = m.read(page, PAGE_SIZE);
+        assert_eq!(&got[100..103], b"xyz");
+        assert!(
+            got[..100].iter().chain(&got[103..]).all(|&x| x == 0),
+            "outside the written span the reused page reads zero"
+        );
+        // A cross-region copy that materializes a page reuses one too.
+        m.write(a.start + 64, &[0xCD; 512]);
+        assert_eq!(m.take(page + 100, 3), b"xyz");
+        assert_eq!(m.pool.0.len(), 1);
+        let dst = b.start + 7 * PAGE_SIZE as u64;
+        m.copy(a.start + 64, dst + 1000, 512);
+        assert!(m.pool.0.is_empty(), "the copy reused the released page");
+        let got = m.read(dst, PAGE_SIZE);
+        assert!(got[1000..1512].iter().all(|&x| x == 0xCD));
+        assert!(got[..1000].iter().chain(&got[1512..]).all(|&x| x == 0));
+        assert_eq!(m.resident_bytes(), 2 * PAGE_SIZE);
+    }
+
+    #[test]
+    fn a_page_still_holding_data_is_not_released() {
+        let mut m = PhysMemory::new();
+        let r = m.alloc_region("ddr", 1 << 20, PortId::ROOT);
+        m.write(r.start, b"kept");
+        m.write(r.start + 8, b"taken");
+        assert_eq!(m.take(r.start + 8, 5), b"taken");
+        assert!(m.pool.0.is_empty());
+        assert_eq!(m.read(r.start, 13), b"kept\0\0\0\0\0\0\0\0\0");
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! one region overlapping in both directions), receive gathers out of a
 //! wrapped ring, takes, and reads, each checked byte for byte, over a
 //! four-region map and over a rack-scale map of several hundred regions
-//! whose region lookups are checked too. Lookups through the 4 GiB slot
-//! table (a region spanning 94 slots, slots that fixed regions share,
-//! spans ending on a slot boundary) are checked against a linear scan.
-//! Driven by the in-repo
+//! whose region lookups are checked too, and under a churn of takes that
+//! release pages and writes and copies that reuse them at other
+//! addresses. Lookups through the 4 GiB slot table (a region spanning 94
+//! slots, slots that fixed regions share, spans ending on a slot
+//! boundary) are checked against a linear scan. Driven by the in-repo
 //! deterministic [`Rng`] (the workspace builds offline, without a
 //! property-testing framework).
 
@@ -302,6 +303,68 @@ fn random_sequences_match_the_flat_model() {
 fn rack_scale_sequences_match_the_flat_model() {
     for seed in 1..=4 {
         run_sequence(rack_setup, seed, 3000);
+    }
+}
+
+/// Takes release whole pages, and the next write or copy anywhere in the
+/// map may land on one of them: dense pages are written and taken in
+/// one region while sparse bytes land at other page offsets of other
+/// regions, every write and copy read back page-wide against the model
+/// and `resident_bytes` checked after each step (released pages are not
+/// resident).
+#[test]
+fn released_pages_reused_across_regions_match_the_flat_model() {
+    let (mut mem, mut model) = setup();
+    let mut rng = Rng::new(0x9001);
+    let n = model.regions.len();
+    let page_start = |addr: u64| addr - addr % PAGE;
+    for step in 0..2000 {
+        let r = rng.gen_range(0..n as u64) as usize;
+        let (addr, len) = span(&mut rng, &model, r, 2 * PAGE);
+        let mut data = vec![0u8; len];
+        rng.fill_bytes(&mut data);
+        match rng.gen_range(0..3) {
+            // Fill, then hand the span back at once.
+            0 => {
+                mem.write(PhysAddr(addr), &data);
+                model.write(addr, &data);
+                assert_eq!(
+                    mem.take(PhysAddr(addr), len),
+                    model.take(addr, len),
+                    "step {step}: take"
+                );
+            }
+            // A few non-zero bytes, likely on a released page.
+            1 => {
+                let few = &mut data[..len.min(3)];
+                few.iter_mut().for_each(|b| *b |= 1);
+                mem.write(PhysAddr(addr), few);
+                model.write(addr, few);
+            }
+            // A copy from another region, likely onto a released page.
+            _ => {
+                let other = (r + 1 + rng.gen_range(0..n as u64 - 1) as usize) % n;
+                let (src, len) = span(&mut rng, &model, other, len as u64);
+                let bytes = model.read(src, len);
+                mem.copy(PhysAddr(src), PhysAddr(addr), len);
+                model.write(addr, &bytes);
+            }
+        }
+        // The whole pages around the span: bytes nobody wrote read zero.
+        let region = &model.regions[model.index_of(addr, len)];
+        let end = region.start + region.bytes.len() as u64;
+        let lo = page_start(addr).max(region.start);
+        let hi = (page_start(addr + len as u64) + PAGE).min(end);
+        let wide = (hi - lo) as usize;
+        assert!(
+            mem.read(PhysAddr(lo), wide) == model.read(lo, wide),
+            "step {step}: pages around [{addr:#x} +{len})"
+        );
+        assert_eq!(
+            mem.resident_bytes(),
+            model.resident_bytes(),
+            "step {step}: released pages are not resident"
+        );
     }
 }
 

@@ -64,9 +64,10 @@ impl Hasher for IndexHasher {
         }
         let rest = words.remainder();
         if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(tail));
+            // The zero-padded little-endian tail word, packed byte by
+            // byte: a copy into a padded buffer would call `memcpy` for
+            // every short key (a counter name, say).
+            self.add(rest.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)));
         }
     }
     #[inline]

@@ -5,8 +5,13 @@
 //! does not need to know about any of them: a [`Msg`] carries a
 //! `Box<dyn Payload>` that the receiving component downcasts back to the
 //! concrete type it expects.
+//!
+//! A component tests a message against its payload types one after
+//! another, so most tests miss. The [`TypeId`] of the payload is stored
+//! beside the box when the message is built: [`Msg::is`] and a missed
+//! [`Msg::downcast`] compare it and make no virtual call.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::fmt;
 
 use crate::component::ComponentId;
@@ -51,6 +56,8 @@ impl<T: Any + fmt::Debug + Send> Payload for T {
 pub struct Msg {
     /// The component that scheduled this message.
     pub src: ComponentId,
+    /// `TypeId::of` the payload's concrete type.
+    tag: TypeId,
     payload: Box<dyn Payload>,
 }
 
@@ -59,18 +66,23 @@ impl Msg {
     pub fn new<P: Payload>(src: ComponentId, payload: P) -> Self {
         Msg {
             src,
+            tag: TypeId::of::<P>(),
             payload: Box::new(payload),
         }
     }
 
     /// Whether the payload is a `P`.
     pub fn is<P: Payload>(&self) -> bool {
-        (*self.payload).as_any().is::<P>()
+        self.tag == TypeId::of::<P>()
     }
 
     /// Borrows the payload as a `P`, if it is one.
     pub fn get<P: Payload>(&self) -> Option<&P> {
-        (*self.payload).as_any().downcast_ref::<P>()
+        if self.is::<P>() {
+            (*self.payload).as_any().downcast_ref::<P>()
+        } else {
+            None
+        }
     }
 
     /// Consumes the message, returning the payload if it is a `P`; otherwise
@@ -138,6 +150,103 @@ mod tests {
         assert!(!msg.is::<Foo>());
         assert_eq!(msg.get::<Bar>(), Some(&Bar("hi")));
         assert_eq!(msg.get::<Foo>(), None);
+    }
+
+    /// Two payload types that share the name `Tick`.
+    mod left {
+        #[derive(Debug, PartialEq)]
+        pub struct Tick(pub u32);
+    }
+    mod right {
+        #[derive(Debug, PartialEq)]
+        pub struct Tick(pub u32);
+    }
+
+    #[test]
+    fn same_named_payloads_never_downcast_into_each_other() {
+        let msg = Msg::new(ComponentId::INVALID, left::Tick(1));
+        assert!(msg.is::<left::Tick>());
+        assert!(!msg.is::<right::Tick>());
+        assert_eq!(msg.get::<left::Tick>(), Some(&left::Tick(1)));
+        assert_eq!(msg.get::<right::Tick>(), None);
+        let msg = msg
+            .downcast::<right::Tick>()
+            .expect_err("a left Tick is not a right Tick");
+        assert_eq!(msg.downcast::<left::Tick>().ok(), Some(left::Tick(1)));
+        let msg = Msg::new(ComponentId::INVALID, right::Tick(2));
+        assert!(!msg.is::<left::Tick>());
+        assert_eq!(msg.downcast::<right::Tick>().ok(), Some(right::Tick(2)));
+    }
+
+    #[test]
+    fn is_get_and_downcast_agree() {
+        /// Message `i` of six, each with a payload of a different type.
+        fn make(i: usize) -> Msg {
+            let src = ComponentId::INVALID;
+            match i {
+                0 => Msg::new(src, Foo(1)),
+                1 => Msg::new(src, Bar("b")),
+                2 => Msg::new(src, left::Tick(3)),
+                3 => Msg::new(src, right::Tick(4)),
+                4 => Msg::new(src, 5u32),
+                _ => Msg::new(src, Box::new(Foo(6))),
+            }
+        }
+        /// Whether `msg` holds a `P`, after checking that `is`, `get` and
+        /// `downcast` all give the same answer.
+        fn holds<P: Payload>(msg: Msg) -> bool {
+            let is = msg.is::<P>();
+            assert_eq!(msg.get::<P>().is_some(), is, "{msg:?}");
+            assert_eq!(msg.downcast::<P>().is_ok(), is);
+            is
+        }
+        for i in 0..6 {
+            let hits = [
+                holds::<Foo>(make(i)),
+                holds::<Bar>(make(i)),
+                holds::<left::Tick>(make(i)),
+                holds::<right::Tick>(make(i)),
+                holds::<u32>(make(i)),
+                holds::<Box<Foo>>(make(i)),
+            ];
+            let want: Vec<bool> = (0..6).map(|j| j == i).collect();
+            assert_eq!(hits.to_vec(), want, "message {i}");
+        }
+    }
+
+    #[test]
+    fn forwarded_messages_keep_their_type() {
+        use crate::{Component, Ctx, Simulator};
+
+        /// Forwards every message to `to` unopened.
+        struct Hop {
+            to: ComponentId,
+        }
+        impl Component for Hop {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+                ctx.forward_in(7, self.to, msg);
+            }
+        }
+        /// Counts `left::Tick`s and fails on anything else.
+        struct Sink;
+        impl Component for Sink {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+                assert!(!msg.is::<right::Tick>());
+                let tick = msg.downcast::<left::Tick>().expect("a forwarded left Tick");
+                ctx.world()
+                    .stats
+                    .counter("left.ticks")
+                    .add(u64::from(tick.0));
+            }
+        }
+
+        let mut sim = Simulator::new(0);
+        let sink = sim.add("sink", Sink);
+        let hop = sim.add("hop", Hop { to: sink });
+        sim.kickoff(hop, left::Tick(40));
+        sim.kickoff(hop, left::Tick(2));
+        sim.run();
+        assert_eq!(sim.world().stats.counter_value("left.ticks"), 42);
     }
 
     #[test]

@@ -4,8 +4,13 @@
 //! The paper's evaluation reports two kinds of numbers — latency breakdowns
 //! (Figures 3a, 11) and CPU-utilization breakdowns (Figures 3b, 8, 12, 13).
 //! [`Histogram`] and [`BusyTracker`] are the primitives behind both.
+//!
+//! Components bump counters on every event, so [`Stats`] finds a counter
+//! by hashing its name; only [`Stats::iter`], which reports, sorts.
 
 use std::collections::BTreeMap;
+
+use crate::DetMap;
 
 /// A monotonically increasing named counter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -35,7 +40,7 @@ impl Counter {
 /// Global named statistics kept in the [`World`](crate::World).
 #[derive(Debug, Default)]
 pub struct Stats {
-    counters: BTreeMap<&'static str, Counter>,
+    counters: DetMap<&'static str, Counter>,
 }
 
 impl Stats {
@@ -55,8 +60,10 @@ impl Stats {
     }
 
     /// Iterates over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, v.value()))
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        let mut all: Vec<_> = self.counters.iter().map(|(k, v)| (*k, v.value())).collect();
+        all.sort_unstable_by_key(|&(name, _)| name);
+        all.into_iter()
     }
 }
 
@@ -345,6 +352,22 @@ mod tests {
         assert_eq!(s.counter_value("absent"), 0);
         let all: Vec<_> = s.iter().collect();
         assert_eq!(all, vec![("x", 5)]);
+    }
+
+    #[test]
+    fn counters_report_in_name_order_whatever_the_first_use() {
+        let mut s = Stats::new();
+        for name in ["nic.tx", "a.z", "nic.rx", "a", "hdc.jobs_done", "a.b"] {
+            s.counter(name).add(name.len() as u64);
+        }
+        // A name built at run time finds the counter a literal made.
+        let key = format!("nic.{}", "rx");
+        assert_eq!(s.counter_value(&key), 6);
+        let names: Vec<_> = s.iter().map(|(name, _)| name).collect();
+        assert_eq!(
+            names,
+            ["a", "a.b", "a.z", "hdc.jobs_done", "nic.rx", "nic.tx"]
+        );
     }
 
     #[test]
