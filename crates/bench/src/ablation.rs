@@ -21,6 +21,7 @@ use dcs_workloads::scenario::DesignUnderTest;
 
 use crate::fig11::measure;
 use crate::probe::{Inbox, Submit};
+use crate::{row, Report};
 
 /// One point of the size sweep.
 #[derive(Clone, Debug)]
@@ -203,52 +204,55 @@ pub fn outstanding_sweep(limits: &[usize]) -> Vec<OutstandingPoint> {
         .collect()
 }
 
-/// Renders all three ablations.
-pub fn render(quick: bool) -> String {
-    let mut out = String::from("Ablations — design-choice sweeps beyond the paper\n");
+/// All three ablations.
+pub fn report(quick: bool) -> Report {
+    let mut r = Report::new(
+        "ablation",
+        quick,
+        "Ablations — design-choice sweeps beyond the paper",
+    );
 
-    out.push_str("\n(1) single-op SSD->MD5->NIC latency vs size (us)\n");
-    out.push_str("     size      SW opt   SW-ctrl P2P  DCS-ctrl\n");
-    let sizes = [4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20];
-    let points = size_sweep(&sizes);
+    let s = r.section("(1) single-op SSD->MD5->NIC latency vs size (us)");
+    let t = s.table(
+        "size_sweep",
+        "size:KiB sw_opt:us.1 sw_p2p:us.1 dcs_ctrl:us.1",
+    );
+    let points = size_sweep(&[4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20]);
     for p in &points {
-        out.push_str(&format!(
-            "  {:>7} KiB {:>9.1} {:>12.1} {:>9.1}\n",
-            p.len / 1024,
-            p.totals[0] as f64 / 1000.0,
-            p.totals[1] as f64 / 1000.0,
-            p.totals[2] as f64 / 1000.0
-        ));
+        let us = |i: usize| p.totals[i] as f64 / 1000.0;
+        row!(t, p.len / 1024, us(0), us(1), us(2));
     }
     match latency_crossover(&points) {
-        Some(len) => out.push_str(&format!(
-            "  crossover: above {} KiB the GPU's 30 Gbps hash beats the single\n  0.97 Gbps MD5 NDP unit on latency (throughput/CPU still favor DCS)\n",
-            len / 1024
-        )),
-        None => out.push_str("  no crossover in the swept range\n"),
-    }
+        Some(len) => s
+            .note(format!(
+                "crossover: above {} KiB the GPU's 30 Gbps hash beats the single",
+                len / 1024
+            ))
+            .note("0.97 Gbps MD5 NDP unit on latency (throughput/CPU still favor DCS)"),
+        None => s.note("no crossover in the swept range"),
+    };
 
-    out.push_str("\n(2) engine NVMe issue limit vs pipelined read throughput\n");
+    let s = r.section("(2) engine NVMe issue limit vs pipelined read throughput");
+    let t = s.table("issue_limit", "limit throughput:Gbps.2");
     for p in outstanding_sweep(&[1, 2, 4, 8, 16]) {
-        out.push_str(&format!("  limit {:>2}: {:>6.2} Gbps\n", p.limit, p.gbps));
+        row!(t, p.limit, p.gbps);
     }
-    out.push_str(&format!(
-        "  (flash ceiling: {:.1} Gbps read bandwidth)\n",
+    s.note(format!(
+        "(flash ceiling: {:.1} Gbps read bandwidth)",
         Bandwidth::gbps(17.2).as_gbps()
     ));
 
-    out.push_str("\n(3) GET throughput vs NDP bank size (MD5 units = ceil(target/0.97))\n");
+    let t = r
+        .section("(3) GET throughput vs NDP bank size (MD5 units = ceil(target/0.97))")
+        .table(
+            "ndp_bank",
+            "bank_target:Gbps md5_units throughput:Gbps.2 cpu:%.1",
+        );
     for target in [2.0, 5.0, 10.0, 20.0] {
         let (gbps, cpu) = ndp_scaling(target, quick);
-        out.push_str(&format!(
-            "  {:>4.0} Gbps bank target ({:>2} MD5 units): {:>5.2} Gbps at {:>4.1}% CPU\n",
-            target,
-            (target / 0.97).ceil() as u32,
-            gbps,
-            cpu * 100.0
-        ));
+        row!(t, target, (target / 0.97).ceil() as u32, gbps, cpu);
     }
-    out
+    r
 }
 
 #[cfg(test)]

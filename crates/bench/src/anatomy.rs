@@ -9,19 +9,18 @@
 use dcs_host::job::D2dOp;
 use dcs_ndp::NdpFunction;
 use dcs_nic::TcpFlow;
-use dcs_sim::{chrome_trace, Json};
+use dcs_sim::{chrome_trace, Anatomy, Json};
 use dcs_workloads::scenario::DesignUnderTest;
 
 use crate::probe::ProbedTestbed;
+use crate::{row, Report};
 
 /// Everything one traced run yields.
 pub struct TraceCapture {
     /// Chrome trace-event JSON (object form, `traceEvents` + metadata).
     pub trace_json: String,
-    /// Human-readable per-request anatomy tables.
-    pub table: String,
-    /// `(request id, end-to-end ns)` for each completed request.
-    pub requests: Vec<(u64, u64)>,
+    /// `(request id, anatomy)` for each completed request.
+    pub anatomies: Vec<(u64, Anatomy)>,
 }
 
 /// Runs the representative request mix on `design` with the recorder
@@ -69,27 +68,25 @@ pub fn capture(design: DesignUnderTest) -> TraceCapture {
     ));
 
     let rec = &ptb.tb.sim.world().obs;
-    let mut table = String::new();
-    let mut requests = Vec::new();
-    for d in &done {
-        if let Some(t) = rec.render_anatomy(d.id) {
-            table.push_str(&t);
-            table.push('\n');
-        }
-        if let Some(total) = rec.anatomy(d.id).and_then(|a| a.total_ns()) {
-            requests.push((d.id, total));
-        }
-    }
+    let anatomies = done
+        .iter()
+        .filter_map(|d| {
+            Some((
+                d.id,
+                rec.anatomy(d.id).filter(|a| a.end_ns.is_some())?.clone(),
+            ))
+        })
+        .collect();
     TraceCapture {
         trace_json: chrome_trace(rec),
-        table,
-        requests,
+        anatomies,
     }
 }
 
-/// Renders the anatomy experiment: the table plus a one-line summary of
-/// the trace that `--trace-out` would write.
-pub fn render() -> String {
+/// The anatomy experiment: one segment table per traced request, plus
+/// a one-line summary of the trace `--trace-out` would write (`quick`
+/// changes nothing: three requests are already short).
+pub fn report(quick: bool) -> Report {
     let cap = capture(DesignUnderTest::DcsCtrl);
     let events = Json::parse(&cap.trace_json)
         .ok()
@@ -98,16 +95,29 @@ pub fn render() -> String {
                 .and_then(|e| e.as_arr().map(|a| a.len()))
         })
         .unwrap_or(0);
-    let mut out = String::from(
-        "Latency anatomy — DCS-ctrl, per-request sim-time segments (sum == end-to-end)\n",
+    let mut r = Report::new(
+        "anatomy",
+        quick,
+        "Latency anatomy — DCS-ctrl, per-request sim-time segments (sum == end-to-end)",
     );
-    out.push_str(&cap.table);
-    out.push_str(&format!(
-        "  ({} trace events over {} requests; write the trace with --trace-out)\n",
+    for (id, a) in &cap.anatomies {
+        let total = a.total_ns().expect("a completed request");
+        let t = r
+            .section(format!(
+                "request {id} — latency anatomy ({total} ns end-to-end)"
+            ))
+            .table(&format!("request-{id}"), "segment time:ns share:%.1");
+        for &(label, ns) in &a.segments {
+            row!(t, label, ns, ns as f64 / total.max(1) as f64);
+        }
+        row!(t, "total", a.segment_sum_ns(), 1.0);
+    }
+    r.section("").note(format!(
+        "({} trace events over {} requests; write the trace with --trace-out)",
         events,
-        cap.requests.len()
+        cap.anatomies.len()
     ));
-    out
+    r
 }
 
 #[cfg(test)]
@@ -117,16 +127,15 @@ mod tests {
     #[test]
     fn capture_yields_anatomy_for_every_request() {
         let cap = capture(DesignUnderTest::DcsCtrl);
-        assert_eq!(cap.requests.len(), 3, "all three requests complete traced");
-        assert!(cap.table.contains("latency anatomy"));
+        assert_eq!(cap.anatomies.len(), 3, "all three requests complete traced");
     }
 
     #[test]
     fn software_designs_capture_coarse_anatomy_too() {
         let cap = capture(DesignUnderTest::SwOpt);
-        assert_eq!(cap.requests.len(), 3);
-        for (_, e2e) in &cap.requests {
-            assert!(*e2e > 0);
+        assert_eq!(cap.anatomies.len(), 3);
+        for (_, a) in &cap.anatomies {
+            assert!(a.total_ns() > Some(0));
         }
     }
 }

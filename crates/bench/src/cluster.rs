@@ -14,19 +14,21 @@
 //!    mid-run; JSQ reroutes around the backlog while oblivious
 //!    round-robin keeps feeding it.
 //!
-//! A second sweep, `cluster-failover` ([`render_failover`]), measures the
+//! A second sweep, `cluster-failover` ([`failover_report`]), measures the
 //! node-failure tolerance layer: a whole-node crash mid-window under each
 //! policy (detection time, availability through the failure, failover
 //! retries, hedges, re-replication), the ablation with the health layer
 //! disabled, and a hang long enough to be declared dead and revived.
 //!
-//! A third sweep, `cluster-gray` ([`render_gray`]), measures the
+//! A third sweep, `cluster-gray` ([`gray_report`]), measures the
 //! gray-failure layer: fail-slow nodes that keep acking probes (factor
 //! sweep × differential-detection ablation), a degraded ToR link, and the
 //! crash-restart-rejoin lifecycle with bandwidth-capped anti-entropy.
 
 use dcs_cluster::{ClusterConfig, ClusterReport, Degrade, HealthConfig, LbPolicy, NodeFault};
 use dcs_workloads::gen::SizeDistribution;
+
+use crate::{row, Cell, Report, Section, Table};
 
 /// Offered load per node for the scaling and degrade panels, Gbps.
 const BASE_GBPS: f64 = 6.0;
@@ -232,163 +234,288 @@ pub fn run_rejoin(quick: bool) -> ClusterReport {
     })
 }
 
-/// Renders the `cluster-gray` sweep.
-pub fn render_gray(quick: bool) -> String {
-    let mut out = String::from(
-        "Cluster gray-failure tolerance — fail-slow, degraded link, crash + rejoin\n\n",
+/// The `cluster-gray` sweep.
+pub fn gray_report(quick: bool) -> Report {
+    let mut r = Report::new(
+        "cluster-gray",
+        quick,
+        "Cluster gray-failure tolerance — fail-slow, degraded link, crash + rejoin",
     );
-
-    out.push_str(
-        "  Node 1 serves slow mid-window, probes still ack (factor × detection ablation):\n",
-    );
-    for factor in [4u64, 10] {
-        let arms = [
+    let arms = || {
+        [
             ("differential", HealthConfig::default()),
-            ("blind       ", HealthConfig::blind()),
-        ];
-        for (name, health) in arms {
-            let r = run_fail_slow(factor, health, quick);
+            ("blind", HealthConfig::blind()),
+        ]
+    };
+    let t = r
+        .section("Node 1 serves slow mid-window, probes still ack (factor × detection ablation):")
+        .table(
+            "fail_slow",
+            "factor:x detector slow_detected:us slow_evicted readmitted p99:us availability:%.2",
+        );
+    for factor in [4u64, 10] {
+        for (name, health) in arms() {
             // Whole-window p99, not the per-phase one: the "during" phase
             // ends at detection, so slicing by phase would compare
             // different time windows across the two arms.
-            out.push_str(&format!(
-                "    {factor:>2}x {name}  detect {:>6.0} us  evicted {:>2} readmitted {:>2}  p99 {:>8.0} us  avail {:>6.2}%\n",
-                r.slow_detection_ns
-                    .map(|d| d as f64 / 1000.0)
-                    .unwrap_or(f64::NAN),
-                r.slow_evictions,
-                r.slow_readmissions,
-                r.latency_us(99.0),
-                r.availability() * 100.0,
-            ));
+            let run = run_fail_slow(factor, health, quick);
+            run_row(t, [factor.into(), name.into()], &run);
         }
     }
-
-    out.push_str("\n  Node 2's ToR port at 5% of line rate mid-window:\n");
-    let arms = [
-        ("differential", HealthConfig::default()),
-        ("blind       ", HealthConfig::blind()),
-    ];
-    for (name, health) in arms {
-        let r = run_link_degrade(5, health, quick);
-        out.push_str(&format!(
-            "    {name}  detect {:>6.0} us  evicted {:>2} readmitted {:>2}  p99 {:>8.0} us\n",
-            r.slow_detection_ns
-                .map(|d| d as f64 / 1000.0)
-                .unwrap_or(f64::NAN),
-            r.slow_evictions,
-            r.slow_readmissions,
-            r.latency_us(99.0),
-        ));
+    let t = r
+        .section("Node 2's ToR port at 5% of line rate mid-window:")
+        .table(
+            "link_degrade",
+            "detector slow_detected:us slow_evicted readmitted p99:us",
+        );
+    for (name, health) in arms() {
+        run_row(t, [name.into()], &run_link_degrade(5, health, quick));
     }
-
-    out.push_str("\n  Node 1 crashes, restarts empty, and rejoins via anti-entropy:\n");
-    out.push_str(&run_rejoin(quick).render("    jsq"));
-    out
+    let s = r.section("Node 1 crashes, restarts empty, and rejoins via anti-entropy:");
+    run_tables(s, "rejoin", "jsq", &run_rejoin(quick));
+    r
 }
 
-/// Renders the `cluster-failover` sweep.
-pub fn render_failover(quick: bool) -> String {
-    let mut out = String::from(
-        "Cluster node-failure tolerance — 4 nodes at 5 Gbps/node offered (N-1 survivable)\n\n",
+/// The `cluster-failover` sweep.
+pub fn failover_report(quick: bool) -> Report {
+    let mut r = Report::new(
+        "cluster-failover",
+        quick,
+        "Cluster node-failure tolerance — 4 nodes at 5 Gbps/node offered (N-1 survivable)",
     );
-
-    out.push_str("  Node 1 crashes a quarter into the window; health layer on:\n");
+    let t = r
+        .section("Node 1 crashes a quarter into the window; health layer on:")
+        .table(
+            "crash",
+            "policy get_availability:%.2 put_availability:%.2 detected:us hedged hedge_wins \
+             retried lost repaired:MiB.1 repair:ms.1",
+        );
     for policy in LbPolicy::ALL {
-        let r = run_failover(policy, HealthConfig::default(), quick);
-        out.push_str(&format!(
-            "    {:<12} GET avail {:>6.2}%  PUT avail {:>6.2}%  detect {:>5.0} us  hedged {:>3} (wins {:>3})  retried {:>3}  lost {:>3}  repaired {:>6.1} MiB in {:>6.1} ms\n",
-            policy.label(),
-            r.get_availability() * 100.0,
-            r.put_availability() * 100.0,
-            r.detection_ns.map(|d| d as f64 / 1000.0).unwrap_or(f64::NAN),
-            r.hedged,
-            r.hedge_wins,
-            r.retried,
-            r.lost,
-            r.repair_bytes as f64 / (1 << 20) as f64,
-            r.repair_ns.map(|d| d as f64 / 1e6).unwrap_or(f64::NAN),
-        ));
+        let run = run_failover(policy, HealthConfig::default(), quick);
+        run_row(t, [policy.label().into()], &run);
     }
-
-    out.push_str("\n  Ablation under JSQ — the same crash with the health layer off:\n");
-    let arms = [
-        ("health on ", HealthConfig::default()),
-        ("health off", HealthConfig::disabled()),
-    ];
-    for (name, health) in arms {
-        let r = run_failover(LbPolicy::JoinShortestQueue, health, quick);
-        out.push_str(&format!(
-            "    {name}  avail {:>6.2}%  (GET {:>6.2}%, PUT {:>6.2}%)  lost {:>4}  shed {:>4}\n",
-            r.availability() * 100.0,
-            r.get_availability() * 100.0,
-            r.put_availability() * 100.0,
-            r.lost,
-            r.rejected,
-        ));
+    let t = r
+        .section("Ablation under JSQ — the same crash with the health layer off:")
+        .table(
+            "health_ablation",
+            "health availability:%.2 get_availability:%.2 put_availability:%.2 lost rejected",
+        );
+    for (name, health) in [
+        ("on", HealthConfig::default()),
+        ("off", HealthConfig::disabled()),
+    ] {
+        let run = run_failover(LbPolicy::JoinShortestQueue, health, quick);
+        run_row(t, [name.into()], &run);
     }
-
-    out.push_str("\n  Hang: node 2 frozen mid-window, sluggish detector (hedges cover the gap):\n");
-    out.push_str(&run_hang(quick).render("    jsq"));
-    out
+    let s = r.section("Hang: node 2 frozen mid-window, sluggish detector (hedges cover the gap):");
+    run_tables(s, "hang", "jsq", &run_hang(quick));
+    r
 }
 
-/// Renders all three panels.
-pub fn render(quick: bool) -> String {
-    let mut out = String::from(
-        "Cluster sweep — N DCS-ctrl nodes behind a ToR switch, Swift-style GET/PUT mix\n\n",
+/// All three panels of the `cluster` sweep.
+pub fn report(quick: bool) -> Report {
+    let mut r = Report::new(
+        "cluster",
+        quick,
+        "Cluster sweep — N DCS-ctrl nodes behind a ToR switch, Swift-style GET/PUT mix",
     );
-
-    out.push_str(&format!(
-        "  Scaling at {BASE_GBPS} Gbps/node offered, JSQ:\n"
-    ));
+    let s = r.section(format!("Scaling at {BASE_GBPS} Gbps/node offered, JSQ:"));
     for nodes in [1usize, 2, 4, 8] {
-        let r = run_scale(nodes, quick);
-        out.push_str(&format!(
-            "    {nodes} node{} {}",
-            if nodes == 1 { " " } else { "s" },
-            r.render(""),
-        ));
+        let label = format!("{nodes} node{}", if nodes == 1 { "" } else { "s" });
+        run_tables(
+            s,
+            &format!("scale-{nodes}"),
+            &label,
+            &run_scale(nodes, quick),
+        );
     }
 
     // A node saturates near 7.5 Gbps served (the SSD→hash→NIC pipeline,
     // not the 10G port, is the binding resource): ~50%, ~80%, and ~95%
     // of that.
-    let loads = [3.5, 6.0, 7.0];
-    out.push_str("\n  Policy comparison, 4 nodes (offered Gbps/node → p50/p99/p999 us):\n");
-    for offered in loads {
+    let t = r
+        .section("Policy comparison, 4 nodes (offered Gbps/node):")
+        .table(
+            "policy",
+            "offered:Gbps.1 policy goodput:Gbps.2 shed:%.1 p50:us p99:us p999:us imbalance:.2",
+        );
+    for offered in [3.5, 6.0, 7.0] {
         for policy in LbPolicy::ALL {
-            let r = run_policy(policy, offered, quick);
-            out.push_str(&format!(
-                "    {offered:>4.1} {:<12} {:>6.2} Gbps  shed {:>4.1}%  {:>7.0}/{:>7.0}/{:>7.0} us  imb {:.2}\n",
-                policy.label(),
-                r.goodput_gbps(),
-                r.rejection_rate() * 100.0,
-                r.latency_us(50.0),
-                r.latency_us(99.0),
-                r.latency_us(99.9),
-                r.imbalance(),
-            ));
+            let run = run_policy(policy, offered, quick);
+            run_row(t, [offered.into(), policy.label().into()], &run);
         }
     }
 
-    out.push_str(&format!(
-        "\n  Degraded node (node 0 at 10% port speed after warm-up), {BASE_GBPS} Gbps/node:\n"
-    ));
+    let t = r
+        .section(format!(
+            "Degraded node (node 0 at 10% port speed after warm-up), {BASE_GBPS} Gbps/node:"
+        ))
+        .table(
+            "degraded",
+            "policy goodput:Gbps.2 shed:%.1 p99:us node0_requests healthy_mean_requests",
+        );
     for policy in [LbPolicy::RoundRobin, LbPolicy::JoinShortestQueue] {
-        let r = run_degrade(policy, quick);
-        let degraded = &r.per_node[0];
-        let healthy: u64 =
-            r.per_node[1..].iter().map(|n| n.requests).sum::<u64>() / (r.per_node.len() - 1) as u64;
-        out.push_str(&format!(
-            "    {:<12} {:>6.2} Gbps  shed {:>4.1}%  p99 {:>7.0} us  node0 {:>4} reqs vs {:>4} avg healthy\n",
-            policy.label(),
-            r.goodput_gbps(),
-            r.rejection_rate() * 100.0,
-            r.latency_us(99.0),
-            degraded.requests,
-            healthy,
-        ));
+        run_row(t, [policy.label().into()], &run_degrade(policy, quick));
     }
-    out
+    r
+}
+
+/// The value of column `name` for run `r`: one place names, and
+/// converts, every run-level field the cluster and store tables print.
+fn field(r: &ClusterReport, name: &str) -> Cell {
+    let us = |ns: Option<u64>| ns.map(|ns| ns as f64 / 1000.0);
+    let ms = |ns: Option<u64>| ns.map(|ns| ns as f64 / 1e6);
+    let mib = |b: u64| b as f64 / (1 << 20) as f64;
+    match name {
+        "goodput" => r.goodput_gbps().into(),
+        "requests" => r.requests.into(),
+        "shed" => r.rejection_rate().into(),
+        "p50" => r.latency_us(50.0).into(),
+        "p99" => r.latency_us(99.0).into(),
+        "p999" => r.latency_us(99.9).into(),
+        "imbalance" => r.imbalance().into(),
+        "availability" => r.availability().into(),
+        "get_availability" => r.get_availability().into(),
+        "put_availability" => r.put_availability().into(),
+        "cache_hit_rate" => r.cache_hit_rate().into(),
+        "cache_hits" => r.cache_hits.into(),
+        "cache_misses" => r.cache_misses.into(),
+        "stale_served" => r.stale_served.into(),
+        "rejected" => r.rejected.into(),
+        "hedged" => r.hedged.into(),
+        "hedge_wins" => r.hedge_wins.into(),
+        "retried" => r.retried.into(),
+        "lost" => r.lost.into(),
+        "put_fallbacks" => r.put_fallbacks.into(),
+        "degraded" => r.degraded_marks.into(),
+        "detected" => us(r.detection_ns).into(),
+        "repaired" => r.repair_ns.map(|_| mib(r.repair_bytes)).into(),
+        "repair" => ms(r.repair_ns).into(),
+        "slow_detected" => us(r.slow_detection_ns).into(),
+        "slow_evicted" => r.slow_evictions.into(),
+        "readmitted" => r.slow_readmissions.into(),
+        "anti_entropy" => mib(r.rejoin_bytes).into(),
+        // Cluster runs have no node cache; only a store run that
+        // transferred a cache warm-up shows one.
+        "cache_warmup" => (r.warmup_bytes > 0).then(|| mib(r.warmup_bytes)).into(),
+        "rejoin" => ms(r.rejoin_ns).into(),
+        "node0_requests" => r.per_node[0].requests.into(),
+        "healthy_mean_requests" => {
+            let healthy = r.per_node[1..].iter().map(|n| n.requests).sum::<u64>();
+            (healthy / (r.per_node.len() - 1) as u64).into()
+        }
+        other => unreachable!("no run-level field {other}"),
+    }
+}
+
+/// Appends the cells `lead`, then run `r`'s value of every further
+/// column of `t`.
+pub(crate) fn run_row<const N: usize>(t: &mut Table, lead: [Cell; N], r: &ClusterReport) {
+    let mut cells = lead.to_vec();
+    cells.extend(t.columns[N..].iter().map(|c| field(r, &c.name)));
+    t.row(cells);
+}
+
+/// Appends one cluster run's tables to `s`, named `<name>` and
+/// `<name>.<part>`: the summary row under `label`, then only the parts
+/// the run exercised (health, failure, gray, rejoin, phases, cache,
+/// tenants), then one row per node.
+pub(crate) fn run_tables(s: &mut Section, name: &str, label: &str, r: &ClusterReport) {
+    const SUMMARY: &str = "run goodput:Gbps.2 requests shed:%.1 p50:us p99:us p999:us imbalance:.2";
+    run_row(s.table(name, SUMMARY), [label.into()], r);
+    let parts = [
+        (
+            "health",
+            r.hedged + r.retried + r.lost + r.put_fallbacks + r.degraded_marks > 0
+                || r.detection_ns.is_some(),
+            "get_availability:%.2 put_availability:%.2 rejected hedged hedge_wins retried lost \
+             put_fallbacks degraded",
+        ),
+        (
+            "failure",
+            r.detection_ns.is_some(),
+            "detected:us repaired:MiB.1 repair:ms.2",
+        ),
+        (
+            "gray",
+            r.slow_detection_ns.is_some() || r.slow_evictions + r.slow_readmissions > 0,
+            "slow_detected:us slow_evicted readmitted",
+        ),
+        (
+            "rejoin",
+            r.rejoin_ns.is_some() || r.rejoin_bytes + r.warmup_bytes > 0,
+            "anti_entropy:MiB.1 cache_warmup:MiB.1 rejoin:ms.2",
+        ),
+    ];
+    for (part, shown, spec) in parts {
+        if shown {
+            run_row(s.table(&format!("{name}.{part}"), spec), [], r);
+        }
+    }
+    if let Some(phases) = &r.phases {
+        let t = s.table(
+            &format!("{name}.phases"),
+            "phase requests availability:%.2 p99:us",
+        );
+        for (phase, p) in ["before", "during", "after"].iter().zip(phases) {
+            row!(
+                t,
+                *phase,
+                p.requests,
+                p.availability(),
+                p.p99_ns as f64 / 1000.0
+            );
+        }
+    }
+    if r.cache_hits + r.cache_misses > 0 {
+        let spec = "cache_hit_rate:%.1 cache_hits cache_misses stale_served";
+        run_row(s.table(&format!("{name}.cache"), spec), [], r);
+    }
+    if !r.per_tenant.is_empty() {
+        tenant_table(s, &format!("{name}.tenants"), &[(label, r)]);
+    }
+    let t = s.table(
+        &format!("{name}.nodes"),
+        "node requests goodput:Gbps.2 rejected failed lost cpu:%.1",
+    );
+    for (i, n) in r.per_node.iter().enumerate() {
+        let gbps = n.bytes as f64 * 8.0 / r.span_ns.max(1) as f64;
+        row!(
+            t,
+            format!("node{i}"),
+            n.requests,
+            gbps,
+            n.rejected,
+            n.failures,
+            n.lost,
+            n.cpu_utilization
+        );
+    }
+}
+
+/// One row per tenant of each run: served and denied requests, tails,
+/// SLO attainment and cache hit rate.
+pub(crate) fn tenant_table(s: &mut Section, name: &str, runs: &[(&str, &ClusterReport)]) {
+    let t = s.table(
+        name,
+        "run tenant ok denied p50:us p99:us p999:us slo_attainment:%.2 cache_hit_rate:%.1",
+    );
+    for (run, r) in runs {
+        for x in &r.per_tenant {
+            let p = |q: f64| x.latency_us(q);
+            let (slo, cache) = (x.slo_attainment(), x.cache_hit_rate());
+            row!(
+                t,
+                *run,
+                x.name.as_str(),
+                x.ok,
+                x.denied,
+                p(50.0),
+                p(99.0),
+                p(99.9),
+                slo,
+                cache
+            );
+        }
+    }
 }

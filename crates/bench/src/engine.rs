@@ -23,18 +23,21 @@
 //! ratio of the medians. Single-shot arms were unreadable: host noise
 //! alone moved cluster-8 between 0.76× and 1.05×.
 //!
-//! `repro engine --json-out .` writes `BENCH_engine.json`, which also
-//! carries the cluster-64 host-time profile (`profile`: component,
-//! payload, calls and wall_ns per row, heaviest first). Wall-clock
-//! numbers vary across machines, so the committed file is *not*
-//! byte-compared; instead `crates/bench/tests/bench_engine_json.rs`
-//! checks the schema, regenerates the machine-independent fields
-//! (`events`, `sim_ns` — identical on every host by determinism),
-//! asserts wheel and heap arms agree on them, and holds the committed
-//! fan-out speedup to the ≥5× acceptance floor.
+//! The report also carries the cluster-64 host-time profile (table
+//! `profile`: component, payload, calls and wall time per row, heaviest
+//! first). `repro engine --quick --json-out .` regenerates
+//! `BENCH_engine.json`. Wall-clock numbers vary across machines, so the
+//! committed file is *not* byte-compared; instead
+//! `crates/bench/tests/bench_engine_json.rs` checks the schema,
+//! regenerates the machine-independent fields (`events`, `sim` —
+//! identical on every host by determinism), asserts wheel and heap arms
+//! agree on them, and holds the committed fan-out speedup to the ≥5×
+//! acceptance floor.
 
 use dcs_cluster::{build_cluster, ClusterConfig, ClusterOutcome};
-use dcs_sim::{Component, ComponentId, Ctx, Json, Msg, ProfileRow, SimTime, Simulator};
+use dcs_sim::{Component, ComponentId, Ctx, Msg, ProfileRow, SimTime, Simulator};
+
+use crate::{row, Report};
 
 /// One scenario measured on one calendar.
 #[derive(Clone, Debug)]
@@ -291,40 +294,6 @@ pub fn profile(quick: bool) -> Vec<ProfileRow> {
     cluster.sim.host_profile()
 }
 
-/// Renders [`profile`] rows as the `repro engine --profile` table.
-pub fn render_profile(rows: &[ProfileRow]) -> String {
-    const TOP: usize = 24;
-    let total: u64 = rows.iter().map(|r| r.wall_ns).sum();
-    let mut out = format!(
-        "Host-time profile — cluster-64, wall time inside Component::handle ({:.3} s total)\n\n",
-        total as f64 / 1e9
-    );
-    out.push_str(&format!(
-        "  {:<20} {:<24} {:>10} {:>10} {:>9} {:>7}\n",
-        "component", "payload", "calls", "total ms", "ns/call", "share"
-    ));
-    for r in rows.iter().take(TOP) {
-        out.push_str(&format!(
-            "  {:<20} {:<24} {:>10} {:>10.1} {:>9.0} {:>6.1}%\n",
-            r.component,
-            r.payload,
-            r.calls,
-            r.wall_ns as f64 / 1e6,
-            r.wall_ns as f64 / r.calls.max(1) as f64,
-            r.wall_ns as f64 / total.max(1) as f64 * 100.0,
-        ));
-    }
-    if rows.len() > TOP {
-        let rest: u64 = rows[TOP..].iter().map(|r| r.wall_ns).sum();
-        out.push_str(&format!(
-            "  ({} more rows, {:.1}%)\n",
-            rows.len() - TOP,
-            rest as f64 / total.max(1) as f64 * 100.0
-        ));
-    }
-    out
-}
-
 /// Runs of each arm [`collect`] folds into one result.
 pub fn runs(quick: bool) -> usize {
     if quick {
@@ -389,86 +358,85 @@ pub fn speedup(pair: &ScenarioPair) -> f64 {
     pair.0.events_per_sec() / pair.1.events_per_sec().max(f64::MIN_POSITIVE)
 }
 
-/// Renders the engine table from collected rows.
-pub fn render_rows(rows: &[ScenarioPair]) -> String {
-    let mut out = format!(
-        "Engine speed — simulation-kernel events/sec, timing wheel vs heap reference \
-         (median of {} runs per arm)\n\n",
-        rows.first().map_or(0, |pair| pair.0.walls.len())
+/// The engine experiment: the four scenarios on both calendars, one
+/// row per arm with its deterministic counts and its wall-time median
+/// and quartiles, and the host-time profile of the cluster-64 run.
+pub fn report(quick: bool) -> Report {
+    let pairs = collect(quick);
+    let mut r = Report::new(
+        "engine",
+        quick,
+        format!(
+            "Engine speed — simulation-kernel events/sec, timing wheel vs heap reference \
+             (median of {} runs per arm)",
+            runs(quick)
+        ),
     );
-    out.push_str(&format!(
-        "  {:<12} {:>12} {:>14} {:>14} {:>9} {:>9}\n",
-        "scenario", "events", "wheel ev/s", "heap ev/s", "speedup", "batched%"
-    ));
-    for pair in rows {
+    let s = r.section("");
+    let t = s.table(
+        "scenarios",
+        "scenario events wheel_events_per_sec:ev/s! heap_events_per_sec:ev/s! speedup:x.2! batched:%.1",
+    );
+    for pair in &pairs {
         let (wheel, heap) = pair;
         debug_assert_eq!(wheel.events, heap.events, "arms must deliver identically");
-        out.push_str(&format!(
-            "  {:<12} {:>12} {:>14.0} {:>14.0} {:>8.2}x {:>8.1}%\n",
+        row!(
+            t,
             wheel.name,
             wheel.events,
             wheel.events_per_sec(),
             heap.events_per_sec(),
             speedup(pair),
-            wheel.batched as f64 / wheel.events.max(1) as f64 * 100.0,
-        ));
+            wheel.batched as f64 / wheel.events.max(1) as f64,
+        );
     }
-    out.push_str(
-        "  (standing far-future timers deepen the fan-out calendar; the wheel keeps\n   \
-         burst pushes O(1) and drains same-time/same-dst runs in one component borrow)\n",
+    let t = s.table(
+        "arms",
+        "scenario scheduler events batched sim:ns runs wall:ns! wall_q1:ns! wall_q3:ns! events_per_sec:ev/s!",
     );
-    out
-}
+    for arm in pairs.iter().flat_map(|(wheel, heap)| [wheel, heap]) {
+        row!(
+            t,
+            arm.name,
+            arm.scheduler,
+            arm.events,
+            arm.batched,
+            arm.sim_ns,
+            arm.walls.len(),
+            arm.wall_ns,
+            arm.wall_quartile(1),
+            arm.wall_quartile(3),
+            arm.events_per_sec(),
+        );
+    }
+    s.note(
+        "(standing far-future timers deepen the fan-out calendar; the wheel keeps burst \
+         pushes O(1) and drains same-time/same-dst runs in one component borrow)",
+    );
 
-fn scenario_json(r: &ScenarioResult) -> Json {
-    Json::Obj(vec![
-        ("scheduler".into(), Json::Str(r.scheduler.into())),
-        ("events".into(), Json::Int(r.events as i128)),
-        ("batched".into(), Json::Int(r.batched as i128)),
-        ("sim_ns".into(), Json::Int(r.sim_ns as i128)),
-        ("runs".into(), Json::Int(r.walls.len() as i128)),
-        ("wall_ns".into(), Json::Int(r.wall_ns as i128)),
-        ("wall_q1_ns".into(), Json::Int(r.wall_quartile(1) as i128)),
-        ("wall_q3_ns".into(), Json::Int(r.wall_quartile(3) as i128)),
-        ("events_per_sec".into(), Json::Float(r.events_per_sec())),
-    ])
-}
-
-fn profile_json(r: &ProfileRow) -> Json {
-    Json::Obj(vec![
-        ("component".into(), Json::Str(r.component.clone())),
-        ("payload".into(), Json::Str(r.payload.clone())),
-        ("calls".into(), Json::Int(r.calls as i128)),
-        ("wall_ns".into(), Json::Int(r.wall_ns as i128)),
-    ])
-}
-
-/// The machine-readable report (`BENCH_engine.json`): the scenario
-/// pairs and the cluster-64 host-time profile.
-pub fn json_report(rows: &[ScenarioPair], profile: &[ProfileRow], quick: bool) -> Json {
-    Json::Obj(vec![
-        ("experiment".into(), Json::Str("engine".into())),
-        ("quick".into(), Json::Bool(quick)),
-        (
-            "scenarios".into(),
-            Json::Arr(
-                rows.iter()
-                    .map(|pair| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::Str(pair.0.name.into())),
-                            ("wheel".into(), scenario_json(&pair.0)),
-                            ("heap".into(), scenario_json(&pair.1)),
-                            ("speedup".into(), Json::Float(speedup(pair))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "profile".into(),
-            Json::Arr(profile.iter().map(profile_json).collect()),
-        ),
-    ])
+    let rows = profile(quick);
+    let total: u64 = rows.iter().map(|r| r.wall_ns).sum();
+    let t = r
+        .section(format!(
+            "Host-time profile — cluster-64, wall time inside Component::handle ({:.3} s total)",
+            total as f64 / 1e9
+        ))
+        .table(
+            "profile",
+            "component payload calls wall:ns! per_call:ns! share:%.1!",
+        );
+    for row in &rows {
+        row!(
+            t,
+            row.component.as_str(),
+            row.payload.as_str(),
+            row.calls,
+            row.wall_ns,
+            row.wall_ns as f64 / row.calls.max(1) as f64,
+            row.wall_ns as f64 / total.max(1) as f64,
+        );
+    }
+    r
 }
 
 #[cfg(test)]

@@ -12,10 +12,12 @@ use dcs_host::job::D2dOp;
 use dcs_ndp::NdpFunction;
 use dcs_nic::TcpFlow;
 use dcs_pcie::PhysMemory;
+use dcs_sim::fault::SiteStats;
 use dcs_sim::{FaultPlan, Histogram};
 use dcs_workloads::scenario::{DesignUnderTest, Testbed, TestbedConfig};
 
 use crate::probe::FaultReport;
+use crate::{row, Report, Section};
 
 /// Transfer size per round; small enough that whole-send retransmission
 /// stays effective at percent-level frame-drop rates.
@@ -122,9 +124,9 @@ pub fn run(design: DesignUnderTest, rate: f64, rounds: usize) -> FaultRow {
     }
 }
 
-/// Renders the sweep: goodput and recovery tallies per design and rate,
-/// plus a per-site breakdown for DCS-ctrl at the highest rate.
-pub fn render(quick: bool) -> String {
+/// The sweep: goodput and recovery tallies per design and rate, plus a
+/// per-site breakdown for DCS-ctrl at the highest rate.
+pub fn report(quick: bool) -> Report {
     let rounds = if quick { 4 } else { 12 };
     let rates = [0.0, 0.001, 0.005, 0.01];
     let designs = [
@@ -132,29 +134,25 @@ pub fn render(quick: bool) -> String {
         DesignUnderTest::SwP2p,
         DesignUnderTest::DcsCtrl,
     ];
-    let mut out = format!(
-        "Fault sweep — paired {} KiB SSD→NIC→NIC→MD5 transfers, all sites firing\n",
-        LEN / 1024
+    let mut r = Report::new(
+        "faults",
+        quick,
+        format!(
+            "Fault sweep — paired {} KiB SSD→NIC→NIC→MD5 transfers, all sites firing",
+            LEN / 1024
+        ),
     );
-    out.push_str(&format!(
-        "  {:<12} {:>6} {:>7} {:>10} {:>10} {:>9} {:>10} {:>10} {:>8}\n",
-        "design",
-        "rate",
-        "ok",
-        "mean us",
-        "p99 us",
-        "injected",
-        "recovered",
-        "exhausted",
-        "retries"
-    ));
+    let t = r.section("").table(
+        "sweep",
+        "design rate:%.1 ok rounds mean:us.1 p99:us.1 injected recovered exhausted retries",
+    );
     for design in designs {
         for rate in rates {
             let row = run(design, rate, rounds);
-            out.push_str(&format!(
-                "  {:<12} {:>5.1}% {:>4}/{:<2} {:>10.1} {:>10.1} {:>9} {:>10} {:>10} {:>8}\n",
+            row!(
+                t,
                 row.design.to_string(),
-                rate * 100.0,
+                rate,
                 row.ok_rounds,
                 row.rounds,
                 row.mean_us(),
@@ -163,10 +161,9 @@ pub fn render(quick: bool) -> String {
                 row.report.recovered,
                 row.report.exhausted,
                 row.report.retries,
-            ));
+            );
         }
     }
-    out.push_str("\n  Per-site tallies, dcs-ctrl @ 1.0% (injected/recovered/exhausted):\n");
     let mut tb = Testbed::new(
         DesignUnderTest::DcsCtrl,
         &TestbedConfig {
@@ -211,11 +208,22 @@ pub fn render(quick: bool) -> String {
     }
     let mut sites: Vec<_> = tb.sim.world().expect::<FaultPlan>().tallies().collect();
     sites.sort_unstable_by_key(|(site, _)| *site);
-    for (site, s) in sites {
-        out.push_str(&format!(
-            "      {:<14} {:>4} / {:>4} / {:>4}\n",
-            site, s.injected, s.recovered, s.exhausted
-        ));
+    site_table(
+        r.section("Per-site tallies, dcs-ctrl @ 1.0%:"),
+        "sites",
+        sites.into_iter(),
+    );
+    r
+}
+
+/// A site / injected / recovered / exhausted table.
+pub(crate) fn site_table(
+    s: &mut Section,
+    name: &str,
+    sites: impl Iterator<Item = (&'static str, SiteStats)>,
+) {
+    let t = s.table(name, "site injected recovered exhausted");
+    for (site, tally) in sites {
+        row!(t, site, tally.injected, tally.recovered, tally.exhausted);
     }
-    out
 }

@@ -14,7 +14,7 @@ use dcs_sim::Breakdown;
 use dcs_workloads::scenario::DesignUnderTest;
 
 use crate::probe::ProbedTestbed;
-use crate::render_breakdown;
+use crate::{breakdown_rows, row, Report, BREAKDOWN};
 
 /// One bar of the figure.
 #[derive(Clone, Debug)]
@@ -106,32 +106,39 @@ pub fn software_latency(b: &Breakdown) -> u64 {
     b.total() - b.get(C::Read) - b.get(C::Write) - b.get(C::Wire) - b.get(C::Hash)
 }
 
-/// Renders both sub-figures with the headline reductions.
-pub fn render(len: usize) -> String {
+/// Both sub-figures at 4 KiB with the headline changes (`quick`
+/// changes nothing: single operations are already short). The `change`
+/// tables hold DCS-ctrl's latency change vs SW-ctrl P2P, negative for a
+/// reduction; `BENCH_paper.json` pins them.
+pub fn report(quick: bool) -> Report {
+    let len = 4096;
     let (a, b) = run(len);
-    let mut out = format!(
-        "Figure 11 — inter-device communication latency ({} KiB)\n",
-        len / 1024
+    let mut r = Report::new(
+        "fig11",
+        quick,
+        format!(
+            "Figure 11 — inter-device communication latency ({} KiB)",
+            len / 1024
+        ),
     );
-    out.push_str("\n(a) SSD -> NIC\n");
-    for row in &a {
-        out.push_str(&render_breakdown(row.design.label(), &row.breakdown));
+    for (sub, heading, rows, paper) in [
+        ("a", "(a) SSD -> NIC", &a, 42),
+        ("b", "(b) SSD -> Processing (MD5) -> NIC", &b, 72),
+    ] {
+        let s = r.section(heading);
+        let t = s.table(&format!("latency_{sub}"), BREAKDOWN);
+        for row in rows {
+            breakdown_rows(t, row.design.label(), &row.breakdown);
+        }
+        row!(
+            s.table(&format!("change_{sub}"), "pair total:% software:%"),
+            "DCS-ctrl vs SW-ctrl P2P",
+            -total_reduction(rows),
+            -software_reduction(rows),
+        );
+        s.note(format!("(paper: {paper}% software latency reduction)"));
     }
-    out.push_str(&format!(
-        "  DCS-ctrl vs SW-ctrl P2P: total latency -{:.0}%, software latency -{:.0}%  (paper: 42%)\n",
-        total_reduction(&a) * 100.0,
-        software_reduction(&a) * 100.0
-    ));
-    out.push_str("\n(b) SSD -> Processing (MD5) -> NIC\n");
-    for row in &b {
-        out.push_str(&render_breakdown(row.design.label(), &row.breakdown));
-    }
-    out.push_str(&format!(
-        "  DCS-ctrl vs SW-ctrl P2P: total latency -{:.0}%, software latency -{:.0}%  (paper: 72%)\n",
-        total_reduction(&b) * 100.0,
-        software_reduction(&b) * 100.0
-    ));
-    out
+    r
 }
 
 #[cfg(test)]

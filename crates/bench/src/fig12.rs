@@ -10,6 +10,8 @@ use dcs_workloads::{
     run_hdfs, run_swift, DesignUnderTest, HdfsConfig, SwiftConfig, WorkloadReport,
 };
 
+use crate::{cpu_table, row, Report, Section};
+
 /// Swift configuration used by the figure (shortened in quick mode).
 pub fn swift_cfg(quick: bool) -> SwiftConfig {
     SwiftConfig {
@@ -61,24 +63,60 @@ pub fn cpu_reduction(rows: &[(DesignUnderTest, WorkloadReport)]) -> f64 {
     1.0 - norm(DesignUnderTest::DcsCtrl) / norm(DesignUnderTest::SwP2p)
 }
 
-/// Renders both sub-figures with the headline reduction.
-pub fn render(quick: bool) -> String {
-    let mut out = String::from("Figure 12 — CPU utilization of scale-out storage applications\n");
-    out.push_str("\n(a) OpenStack Swift (PUT/GET, MD5 integrity)\n");
+/// Both sub-figures with the headline reduction, which
+/// `BENCH_paper.json` pins.
+pub fn report(quick: bool) -> Report {
+    let mut r = Report::new(
+        "fig12",
+        quick,
+        "Figure 12 — CPU utilization of scale-out storage applications",
+    );
     let swift = run_swift_rows(quick);
-    for (d, r) in &swift {
-        out.push_str(&r.render(d.label()));
-    }
-    out.push_str(&format!(
-        "  CPU reduction (per Gbps), DCS-ctrl vs SW-ctrl P2P: {:.0}%  (paper headline: 52%)\n",
-        cpu_reduction(&swift) * 100.0
-    ));
-    out.push_str("\n(b) HDFS balancer (CRC32 on receive)\n");
-    for (d, snd, rcv) in &run_hdfs_rows(quick) {
-        out.push_str(&snd.render(&format!("{} sender", d.label())));
-        out.push_str(&rcv.render(&format!("{} receiver", d.label())));
-    }
-    out
+    let s = r.section("(a) OpenStack Swift (PUT/GET, MD5 integrity)");
+    workload_table(
+        s,
+        "swift",
+        swift.iter().map(|(d, w)| (d.label().to_string(), w)),
+    );
+    row!(
+        s.table("reduction", "pair cpu_per_gbps:%"),
+        "DCS-ctrl vs SW-ctrl P2P",
+        cpu_reduction(&swift),
+    );
+    s.note("(paper headline: 52%)");
+    let hdfs = run_hdfs_rows(quick);
+    let s = r.section("(b) HDFS balancer (CRC32 on receive)");
+    workload_table(
+        s,
+        "hdfs",
+        hdfs.iter().flat_map(|(d, snd, rcv)| {
+            [
+                (format!("{} sender", d.label()), snd),
+                (format!("{} receiver", d.label()), rcv),
+            ]
+        }),
+    );
+    r
+}
+
+/// One row per node report: throughput, requests, CPU, and CPU by tag.
+fn workload_table<'a>(
+    s: &mut Section,
+    name: &str,
+    rows: impl Iterator<Item = (String, &'a WorkloadReport)>,
+) {
+    let rows = rows
+        .map(|(label, w)| {
+            let lead = vec![
+                label.into(),
+                w.throughput_gbps().into(),
+                w.requests.into(),
+                w.cpu_utilization().into(),
+            ];
+            (lead, &w.cpu_breakdown)
+        })
+        .collect();
+    cpu_table(s, name, "node throughput:Gbps.2 requests cpu:%.1", rows);
 }
 
 #[cfg(test)]

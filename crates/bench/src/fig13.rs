@@ -9,6 +9,7 @@
 use dcs_workloads::{project, DesignUnderTest, ProjectionInput, ProjectionResult};
 
 use crate::fig12::{run_hdfs_rows, run_swift_rows};
+use crate::{row, Report};
 
 /// Target hardware of the projection.
 pub const TARGET_GBPS: f64 = 40.0;
@@ -73,33 +74,42 @@ pub fn throughput_ratio(rows: &[Fig13Row]) -> f64 {
     cap(DesignUnderTest::DcsCtrl) / cap(DesignUnderTest::SwP2p)
 }
 
-fn render_rows(rows: &[Fig13Row], paper_ratio: f64) -> String {
-    let mut out = String::new();
-    for r in rows {
-        out.push_str(&format!(
-            "  {:<12} cores @ 40 Gbps: {:>5.2}   max Gbps within {CORE_BUDGET} cores: {:>5.1}\n",
-            r.design.label(),
-            r.result.cores_at_target,
-            r.result.max_gbps_within_budget
-        ));
-    }
-    out.push_str(&format!(
-        "  throughput ratio DCS-ctrl / SW-ctrl P2P: {:.2}x  (paper: {paper_ratio:.2}x)\n",
-        throughput_ratio(rows)
-    ));
-    out
-}
-
-/// Renders both sub-figures.
-pub fn render(quick: bool) -> String {
-    let mut out = String::from(
-        "Figure 13 — projected CPU needs with a 40 Gbps NIC, 6 SSDs, one 6-core CPU\n",
+/// Both sub-figures: each design's projected cores at the target and
+/// its throughput within the core budget, plus the headline ratios
+/// `BENCH_paper.json` pins.
+pub fn report(quick: bool) -> Report {
+    let mut r = Report::new(
+        "fig13",
+        quick,
+        "Figure 13 — projected CPU needs with a 40 Gbps NIC, 6 SSDs, one 6-core CPU",
     );
-    out.push_str("\n(a) Swift\n");
-    out.push_str(&render_rows(&run_swift_projection(quick), 1.95));
-    out.push_str("\n(b) HDFS\n");
-    out.push_str(&render_rows(&run_hdfs_projection(quick), 2.06));
-    out
+    for (app, heading, rows, paper) in [
+        ("swift", "(a) Swift", run_swift_projection(quick), 1.95),
+        ("hdfs", "(b) HDFS", run_hdfs_projection(quick), 2.06),
+    ] {
+        let s = r.section(heading);
+        let t = s.table(
+            app,
+            "design target:Gbps cores_at_target:cores.2 budget:cores gbps_within_budget:Gbps.1",
+        );
+        for row in &rows {
+            row!(
+                t,
+                row.design.label(),
+                TARGET_GBPS,
+                row.result.cores_at_target,
+                CORE_BUDGET,
+                row.result.max_gbps_within_budget,
+            );
+        }
+        row!(
+            s.table(&format!("{app}_ratio"), "pair throughput_ratio:x.2"),
+            "DCS-ctrl vs SW-ctrl P2P",
+            throughput_ratio(&rows),
+        );
+        s.note(format!("(paper: {paper:.2}x)"));
+    }
+    r
 }
 
 #[cfg(test)]

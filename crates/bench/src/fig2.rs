@@ -10,6 +10,7 @@ use dcs_sim::{Breakdown, Category};
 use dcs_workloads::scenario::DesignUnderTest;
 
 use crate::fig11::measure;
+use crate::{row, Report};
 
 /// The categories in the order the operation traverses them.
 const ORDER: [Category; 9] = [
@@ -39,29 +40,30 @@ pub fn timeline(b: &Breakdown) -> Vec<(Category, f64, f64)> {
     out
 }
 
-/// Renders the figure for one measured SW-ctrl-P2P operation.
-pub fn render(len: usize) -> String {
-    let b = measure(DesignUnderTest::SwP2p, len, true);
-    let spans = timeline(&b);
+/// The figure for one measured 4 KiB SW-ctrl-P2P operation (`quick`
+/// changes nothing: one operation is already short).
+pub fn report(quick: bool) -> Report {
+    let len = 4096;
+    let spans = timeline(&measure(DesignUnderTest::SwP2p, len, true));
     let total = spans.last().map(|s| s.2).unwrap_or(0.0);
-    let mut out = format!(
-        "Figure 2 — software device-control timeline (SW-ctrl P2P, SSD->MD5->NIC, {} KiB)\n",
-        len / 1024
+    let mut r = Report::new(
+        "fig2",
+        quick,
+        format!(
+            "Figure 2 — software device-control timeline (SW-ctrl P2P, SSD->MD5->NIC, {} KiB)",
+            len / 1024
+        ),
     );
+    let s = r.section("");
+    let t = s.table("timeline", "phase start:us.1 end:us.1 span");
     for (cat, start, end) in &spans {
         let width = (((end - start) / total) * 40.0).ceil() as usize;
-        out.push_str(&format!(
-            "  {:>8.1}us..{:<8.1}us  {:<18} {}\n",
-            start,
-            end,
-            cat.label(),
-            "#".repeat(width.max(1))
-        ));
+        row!(t, cat.label(), *start, *end, "#".repeat(width.max(1)));
     }
-    out.push_str(&format!(
-        "  total: {total:.1} us; every gap between device phases is host software\n"
+    s.note(format!(
+        "total: {total:.1} us; every gap between device phases is host software"
     ));
-    out
+    r
 }
 
 #[cfg(test)]

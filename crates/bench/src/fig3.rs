@@ -20,7 +20,7 @@ use dcs_workloads::scenario::{
 };
 
 use crate::probe::{Inbox, Probe, ProbedTestbed, Submit};
-use crate::render_breakdown;
+use crate::{breakdown_rows, cpu_table, Report, BREAKDOWN};
 
 /// The three bars of Figure 3.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -116,97 +116,80 @@ pub fn cpu_utilization(
     offered_gbps: f64,
     duration_ns: u64,
 ) -> BTreeMap<String, f64> {
-    let mean_interarrival_ns = len as f64 * 8.0 / offered_gbps;
     let scenario = ScenarioConfig {
         duration_ns,
         warmup_ns: duration_ns / 5,
-        mean_interarrival_ns,
+        mean_interarrival_ns: len as f64 * 8.0 / offered_gbps,
         slots: 16,
     };
-    match design {
+    // The software designs give each slot its own flow, which keeps
+    // their streams separated; the consolidated device has no NIC queues.
+    let (mut sim, target, key, cores, flow_per_slot) = match design {
         Fig3Design::DeviceIntegration => {
-            let (mut sim, exec, _probe) = integration_rig();
-            let make = Box::new(
-                move |_rng: &mut dcs_sim::Rng, _slot: usize, reply_to, next_id: &mut u64| {
-                    let id = *next_id;
-                    *next_id += 1;
-                    Request {
-                        jobs: vec![(
-                            exec,
-                            D2dJob {
-                                id,
-                                ops: micro_ops(len),
-                                reply_to,
-                                tag: "kernel",
-                            },
-                        )],
-                        bytes: len,
-                        app_cost_ns: 0,
-                        app_tag: "app",
-                    }
-                },
-            );
-            start_scenario(&mut sim, scenario, make, vec![("fused".to_string(), 6)]);
-            sim.run();
-            let outcome = sim.world().expect::<ScenarioOutcome>();
-            outcome.reports["fused"].cpu_breakdown.clone()
+            let (sim, exec, _probe) = integration_rig();
+            (sim, exec, "fused".to_string(), 6, false)
         }
-        other => {
-            let dut = match other {
-                Fig3Design::SwOpt => DesignUnderTest::SwOpt,
-                Fig3Design::SwP2p => DesignUnderTest::SwP2p,
-                Fig3Design::DeviceIntegration => unreachable!(),
+        Fig3Design::SwOpt | Fig3Design::SwP2p => {
+            let dut = if design == Fig3Design::SwOpt {
+                DesignUnderTest::SwOpt
+            } else {
+                DesignUnderTest::SwP2p
             };
-            let mut tb = Testbed::new(dut, &TestbedConfig::default());
-            tb.sim.run();
-            let target = tb.server.submit_to;
-            let key = tb.server.cpu_key.clone();
-            let cores = tb.server.cores;
-            let make = Box::new(
-                move |_rng: &mut dcs_sim::Rng, slot: usize, reply_to, next_id: &mut u64| {
-                    let id = *next_id;
-                    *next_id += 1;
-                    let mut ops = micro_ops(len);
-                    // Distinct flow per slot keeps streams separated.
-                    if let Some(D2dOp::NicSend { flow, .. }) = ops.last_mut() {
-                        *flow = TcpFlow::example(1, 2, 41_000 + slot as u16, 9_010 + slot as u16);
-                    }
-                    Request {
-                        jobs: vec![(
-                            target,
-                            D2dJob {
-                                id,
-                                ops,
-                                reply_to,
-                                tag: "kernel",
-                            },
-                        )],
-                        bytes: len,
-                        app_cost_ns: 0,
-                        app_tag: "app",
-                    }
-                },
-            );
-            start_scenario(&mut tb.sim, scenario, make, vec![(key.clone(), cores)]);
-            tb.sim.run();
-            let outcome = tb.sim.world().expect::<ScenarioOutcome>();
-            outcome.reports[&key].cpu_breakdown.clone()
+            let Testbed {
+                mut sim, server, ..
+            } = Testbed::new(dut, &TestbedConfig::default());
+            sim.run();
+            (sim, server.submit_to, server.cpu_key, server.cores, true)
         }
-    }
+    };
+    let make = Box::new(
+        move |_rng: &mut dcs_sim::Rng, slot: usize, reply_to, next_id: &mut u64| {
+            let id = *next_id;
+            *next_id += 1;
+            let mut ops = micro_ops(len);
+            if let (true, Some(D2dOp::NicSend { flow, .. })) = (flow_per_slot, ops.last_mut()) {
+                *flow = TcpFlow::example(1, 2, 41_000 + slot as u16, 9_010 + slot as u16);
+            }
+            Request {
+                jobs: vec![(
+                    target,
+                    D2dJob {
+                        id,
+                        ops,
+                        reply_to,
+                        tag: "kernel",
+                    },
+                )],
+                bytes: len,
+                app_cost_ns: 0,
+                app_tag: "app",
+            }
+        },
+    );
+    start_scenario(&mut sim, scenario, make, vec![(key.clone(), cores)]);
+    sim.run();
+    sim.world().expect::<ScenarioOutcome>().reports[&key]
+        .cpu_breakdown
+        .clone()
 }
 
-/// Renders both sub-figures.
-pub fn render(len: usize, quick: bool) -> String {
-    let mut out = format!(
-        "Figure 3 — software overheads of multi-device communication (SSD->GPU hash->NIC, {} KiB)\n",
-        len / 1024
+/// Both sub-figures at 16 KiB.
+pub fn report(quick: bool) -> Report {
+    let len = 16 * 1024;
+    let mut r = Report::new(
+        "fig3",
+        quick,
+        format!(
+            "Figure 3 — software overheads of multi-device communication (SSD->GPU hash->NIC, {} KiB)",
+            len / 1024
+        ),
     );
-    out.push_str("\n(a) latency breakdown\n");
+    let t = r
+        .section("(a) latency breakdown")
+        .table("latency", BREAKDOWN);
     for d in Fig3Design::ALL {
-        let b = latency(d, len);
-        out.push_str(&render_breakdown(d.label(), &b));
+        breakdown_rows(t, d.label(), &latency(d, len));
     }
-    out.push_str("\n(b) normalized CPU utilization of a sustained stream\n");
     let duration = if quick { time::ms(10) } else { time::ms(40) };
     let utils: Vec<(Fig3Design, BTreeMap<String, f64>)> = Fig3Design::ALL
         .iter()
@@ -217,18 +200,18 @@ pub fn render(len: usize, quick: bool) -> String {
         .map(|(_, m)| m.values().sum::<f64>())
         .unwrap_or(1.0)
         .max(1e-9);
-    for (d, m) in &utils {
-        let total: f64 = m.values().sum();
-        out.push_str(&format!(
-            "  {:<20} {:>6.2} (normalized to SW opt)\n",
-            d.label(),
-            total / norm
-        ));
-        for (tag, u) in m {
-            out.push_str(&format!("      {tag:<16} {:>5.1}% of cores\n", u * 100.0));
-        }
-    }
-    out
+    let s = r.section("(b) normalized CPU utilization of a sustained stream (% of cores by tag)");
+    let rows = utils
+        .iter()
+        .map(|(d, m)| {
+            (
+                vec![d.label().into(), (m.values().sum::<f64>() / norm).into()],
+                m,
+            )
+        })
+        .collect();
+    cpu_table(s, "cpu", "design normalized_to_sw_opt:x.2", rows);
+    r
 }
 
 #[cfg(test)]

@@ -16,6 +16,8 @@ use dcs_workloads::scenario::{
     TestbedConfig,
 };
 
+use crate::{cpu_table, Report};
+
 /// The designs Figure 8 compares.
 pub const DESIGNS: [DesignUnderTest; 3] = [
     DesignUnderTest::Linux,
@@ -85,57 +87,31 @@ pub fn collect(quick: bool) -> Vec<(DesignUnderTest, BTreeMap<String, f64>)> {
         .collect()
 }
 
-/// The figure's data as machine-readable JSON (`BENCH_fig8.json`).
-pub fn json_report(rows: &[(DesignUnderTest, BTreeMap<String, f64>)]) -> dcs_sim::Json {
-    use dcs_sim::Json;
-    let designs = rows
+/// The figure: each design's kernel-side CPU, total and by tag.
+pub fn report(quick: bool) -> Report {
+    let rows = collect(quick);
+    let mut r = Report::new(
+        "fig8",
+        quick,
+        "Figure 8 — kernel-side CPU utilization, SSD->NIC streaming (64 KiB ops, 4 Gbps)",
+    );
+    let linux_total: f64 = rows[0].1.values().sum();
+    let rows_by_tag = rows
         .iter()
         .map(|(d, m)| {
-            let breakdown: Vec<(String, Json)> = m
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Float(*v)))
-                .collect();
             let total: f64 = m.values().sum();
-            (
-                d.label().to_string(),
-                Json::Obj(vec![
-                    ("total_fraction_of_cores".into(), Json::Float(total)),
-                    ("breakdown".into(), Json::Obj(breakdown)),
-                ]),
-            )
+            let lead = vec![
+                d.label().into(),
+                total.into(),
+                (total / linux_total.max(1e-9)).into(),
+            ];
+            (lead, m)
         })
         .collect();
-    Json::Obj(vec![
-        ("experiment".into(), Json::Str("fig8".into())),
-        (
-            "workload".into(),
-            Json::Str("ssd-to-nic 64KiB @ 4Gbps".into()),
-        ),
-        ("unit".into(), Json::Str("fraction_of_cores".into())),
-        ("designs".into(), Json::Obj(designs)),
-    ])
-}
-
-/// Renders the figure.
-pub fn render(quick: bool) -> String {
-    let mut out = String::from(
-        "Figure 8 — kernel-side CPU utilization, SSD->NIC streaming (64 KiB ops, 4 Gbps)\n",
-    );
-    let rows = collect(quick);
-    let linux_total: f64 = rows[0].1.values().sum();
-    for (d, m) in &rows {
-        let total: f64 = m.values().sum();
-        out.push_str(&format!(
-            "  {:<12} {:>5.1}% of cores   ({:.2}x of Linux)\n",
-            d.label(),
-            total * 100.0,
-            total / linux_total.max(1e-9)
-        ));
-    }
-    out.push_str(
-        "  (paper: DCS-ctrl reduces kernel-side CPU as much as the published SW optimizations)\n",
-    );
-    out
+    let s = r.section("");
+    cpu_table(s, "cores", "design cores:%.1 of_linux:x.2", rows_by_tag);
+    s.note("(paper: DCS-ctrl reduces kernel-side CPU as much as the published SW optimizations)");
+    r
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!    AER detections == injections).
 //! 2. **Fuzz smoke** — a bounded run of the shrinking chaos fuzzer
 //!    ([`dcs_sim::fuzz`]) over the same workload. A clean budget is the
-//!    expected outcome; on a violation, [`fuzz_smoke`] writes the
+//!    expected outcome; on a violation, [`report`] writes the
 //!    shrunk [`FaultSpec::Nth`] schedule and a Perfetto trace of the
 //!    minimal replay into a repro directory for CI to upload.
 
@@ -24,9 +24,12 @@ use dcs_ndp::md5::md5;
 use dcs_ndp::NdpFunction;
 use dcs_nic::TcpFlow;
 use dcs_pcie::PhysMemory;
-use dcs_sim::fault::{self, FaultPlan, FaultSpec};
+use dcs_sim::fault::{FaultPlan, FaultSpec, SiteStats};
 use dcs_sim::{fnv1a64, fuzz, FuzzCase, FuzzConfig, IntegrityAudit, RunOutcome, Violation};
 use dcs_workloads::scenario::{DesignUnderTest, Testbed, TestbedConfig};
+
+use crate::faults::site_table;
+use crate::{row, Report};
 
 /// Transfer size per round — enough TLPs that 1e-3 per-TLP corruption
 /// fires every few rounds.
@@ -61,6 +64,8 @@ pub struct IntegrityRow {
     pub aer_detected: u64,
     /// Whether injected == recovered + exhausted held at the end.
     pub conserved: bool,
+    /// Tallies per corruption site, in site order.
+    pub sites: Vec<(&'static str, SiteStats)>,
 }
 
 /// Builds a settled testbed with the pattern on flash and an
@@ -160,13 +165,19 @@ pub fn run(design: DesignUnderTest, rate: f64, rounds: usize) -> IntegrityRow {
         .expect::<IntegrityAudit>()
         .escapes(expected_fnv)
         .len();
+    let mut sites: Vec<_> = tb
+        .sim
+        .world()
+        .expect::<FaultPlan>()
+        .tallies()
+        .filter(|(site, _)| FaultPlan::CORRUPTION_SITES.contains(site))
+        .collect();
+    sites.sort_unstable_by_key(|(site, _)| *site);
     let (mut injected, mut recovered, mut exhausted) = (0, 0, 0);
-    for (site, s) in tb.sim.world().expect::<FaultPlan>().tallies() {
-        if FaultPlan::CORRUPTION_SITES.contains(&site) {
-            injected += s.injected;
-            recovered += s.recovered;
-            exhausted += s.exhausted;
-        }
+    for (_, s) in &sites {
+        injected += s.injected;
+        recovered += s.recovered;
+        exhausted += s.exhausted;
     }
     IntegrityRow {
         design,
@@ -179,6 +190,7 @@ pub fn run(design: DesignUnderTest, rate: f64, rounds: usize) -> IntegrityRow {
         exhausted,
         aer_detected: tb.sim.world().stats.counter_value("aer.detected"),
         conserved: injected == recovered + exhausted,
+        sites,
     }
 }
 
@@ -276,19 +288,13 @@ pub fn smoke_config(quick: bool) -> FuzzConfig {
     }
 }
 
-/// Runs the chaos fuzzer in bounded smoke mode. `Ok` carries the clean
-/// summary; `Err` means a violation was found — the shrunk schedule
-/// (`repro.txt`) and a Perfetto trace of the minimal replay
-/// (`trace.json`) have been written under `repro_dir` for CI to upload.
-pub fn fuzz_smoke(quick: bool, repro_dir: &Path) -> Result<String, String> {
-    let cfg = smoke_config(quick);
-    let report = fuzz::fuzz(&cfg, fuzz_target);
-    let Some(cx) = &report.counterexample else {
-        return Ok(format!(
-            "Chaos fuzz smoke: clean — {} cases, {} target runs, no violation\n",
-            report.cases_run, report.runs
-        ));
-    };
+/// The message for a fuzz counterexample, after writing its repro
+/// artifacts under `repro_dir` for CI to upload.
+fn violation(
+    report: &dcs_sim::FuzzReport,
+    cx: &dcs_sim::Counterexample,
+    repro_dir: &Path,
+) -> String {
     let mut msg = format!(
         "Chaos fuzz smoke: VIOLATION after {} cases ({} runs)\n{}",
         report.cases_run,
@@ -302,7 +308,7 @@ pub fn fuzz_smoke(quick: bool, repro_dir: &Path) -> Result<String, String> {
         )),
         Err(e) => msg.push_str(&format!("FAILED writing repro artifacts: {e}\n")),
     }
-    Err(msg)
+    msg
 }
 
 /// Writes `repro.txt` (the shrunk schedule) and `trace.json` (a
@@ -332,8 +338,11 @@ pub fn write_repro(cx: &dcs_sim::Counterexample, dir: &Path) -> std::io::Result<
     std::fs::write(dir.join("trace.json"), trace)
 }
 
-/// Renders the corruption sweep plus a per-site conservation block.
-pub fn render(quick: bool) -> String {
+/// The corruption sweep, a per-site conservation block, and the chaos
+/// fuzzer in bounded smoke mode. A fuzz violation writes the shrunk
+/// schedule (`repro.txt`) and a Perfetto trace of the minimal replay
+/// (`trace.json`) under `fuzz-repro/` and sets [`Report::failure`].
+pub fn report(quick: bool) -> Report {
     let rounds = if quick { 4 } else { 12 };
     let rates = [0.001, 0.005, 0.01];
     let designs = [
@@ -341,29 +350,26 @@ pub fn render(quick: bool) -> String {
         DesignUnderTest::SwP2p,
         DesignUnderTest::DcsCtrl,
     ];
-    let mut out = format!(
-        "Integrity sweep — paired {} KiB transfers, corruption sites only, ECRC on\n",
-        LEN / 1024
+    let mut r = Report::new(
+        "integrity",
+        quick,
+        format!(
+            "Integrity sweep — paired {} KiB transfers, corruption sites only, ECRC on",
+            LEN / 1024
+        ),
     );
-    out.push_str(&format!(
-        "  {:<12} {:>6} {:>7} {:>8} {:>9} {:>10} {:>10} {:>9} {:>10}\n",
-        "design",
-        "rate",
-        "ok",
-        "escapes",
-        "injected",
-        "recovered",
-        "exhausted",
-        "aer-det",
-        "conserved"
-    ));
+    let t = r.section("").table(
+        "sweep",
+        "design rate:%.1 ok rounds escapes injected recovered exhausted aer_detected conserved",
+    );
+    let mut dcs_at_lowest = None;
     for design in designs {
         for rate in rates {
             let row = run(design, rate, rounds);
-            out.push_str(&format!(
-                "  {:<12} {:>5.1}% {:>4}/{:<2} {:>8} {:>9} {:>10} {:>10} {:>9} {:>10}\n",
+            row!(
+                t,
                 row.design.to_string(),
-                rate * 100.0,
+                rate,
                 row.ok_rounds,
                 row.rounds,
                 row.escapes,
@@ -371,45 +377,36 @@ pub fn render(quick: bool) -> String {
                 row.recovered,
                 row.exhausted,
                 row.aer_detected,
-                if row.conserved { "yes" } else { "NO" },
-            ));
+                row.conserved,
+            );
+            if design == DesignUnderTest::DcsCtrl && rate == rates[0] {
+                dcs_at_lowest = Some(row);
+            }
         }
     }
-    out.push_str(
-        "\n  Per-site corruption tallies, dcs-ctrl @ 0.1% (injected/recovered/exhausted):\n",
+    let s = r.section("Per-site corruption tallies, dcs-ctrl @ 0.1%:");
+    let dcs = dcs_at_lowest.expect("the sweep covers DCS-ctrl");
+    site_table(s, "sites", dcs.sites.into_iter());
+    let t = s.table("containment", "contained aer_detected");
+    // Contained = recovered + exhausted (`fault::contained_total`).
+    row!(t, dcs.recovered + dcs.exhausted, dcs.aer_detected);
+
+    let smoke = fuzz::fuzz(&smoke_config(quick), fuzz_target);
+    row!(
+        r.section("Chaos fuzz smoke:")
+            .table("fuzz_smoke", "verdict cases target_runs"),
+        if smoke.counterexample.is_some() {
+            "VIOLATION"
+        } else {
+            "clean"
+        },
+        smoke.cases_run,
+        smoke.runs,
     );
-    let pat = pattern();
-    let mut tb = audit_testbed(DesignUnderTest::DcsCtrl, 0x17E9, &pat);
-    tb.install_faults(|rng| {
-        let mut plan = FaultPlan::new(rng);
-        for site in FaultPlan::CORRUPTION_SITES {
-            plan.enable(site, FaultSpec::Probability(0.001));
-        }
-        plan
-    });
-    for round in 0..rounds {
-        let _ = transfer_round(&mut tb, round as u16);
+    if let Some(cx) = &smoke.counterexample {
+        r.failure = Some(violation(&smoke, cx, Path::new("fuzz-repro")));
     }
-    let mut sites: Vec<_> = tb
-        .sim
-        .world()
-        .expect::<FaultPlan>()
-        .tallies()
-        .filter(|(site, _)| FaultPlan::CORRUPTION_SITES.contains(site))
-        .collect();
-    sites.sort_unstable_by_key(|(site, _)| *site);
-    for (site, s) in sites {
-        out.push_str(&format!(
-            "      {:<16} {:>4} / {:>4} / {:>4}\n",
-            site, s.injected, s.recovered, s.exhausted
-        ));
-    }
-    let contained = fault::contained_total(tb.sim.world());
-    out.push_str(&format!(
-        "      contained total {contained} (aer.detected {})\n",
-        tb.sim.world().stats.counter_value("aer.detected")
-    ));
-    out
+    r
 }
 
 #[cfg(test)]

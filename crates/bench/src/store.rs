@@ -17,17 +17,18 @@
 //!    the no-noisy baseline: WFQ holds the compliant tenant's SLO
 //!    attainment at its baseline while FIFO lets the flood starve it.
 //!
-//! `repro store --json-out DIR` writes the machine-readable
-//! `BENCH_cluster.json`; the committed copy at the repo root is
-//! regenerated with `--quick` and byte-compared by the CI schema smoke
-//! (see `tests/failover.rs`).
+//! `repro store --quick --json-out .` regenerates the committed
+//! `BENCH_store.json`, which `crates/bench/tests/bench_json.rs`
+//! byte-compares.
 
 use dcs_cluster::ClusterReport;
-use dcs_sim::Json;
 use dcs_store::cache::{Admission, CacheConfig};
 use dcs_store::qos::QosPolicy;
 use dcs_store::{run_store, StoreConfig, TenantSpec};
 use dcs_workloads::ycsb::YcsbWorkload;
+
+use crate::cluster::{run_row, tenant_table};
+use crate::{row, Report};
 
 /// Shared experiment shape; panels override tenants/cache/QoS.
 fn base_cfg(quick: bool) -> StoreConfig {
@@ -134,157 +135,114 @@ pub fn run_noisy(noisy: bool, qos: QosPolicy, quick: bool) -> ClusterReport {
     })
 }
 
-/// Renders all four panels.
-pub fn render(quick: bool) -> String {
-    let mut out = String::from(
-        "Store sweep — multi-tenant object store over the DCS rack (YCSB, caching, QoS)\n\n",
+/// All four panels, then every run's run-level fields and one row per
+/// tenant of every run.
+pub fn report(quick: bool) -> Report {
+    let mut r = Report::new(
+        "store",
+        quick,
+        "Store sweep — multi-tenant object store over the DCS rack (YCSB, caching, QoS)",
     );
+    let mut runs: Vec<(String, ClusterReport)> = Vec::new();
 
-    out.push_str("  YCSB A-F, 4 nodes, 64 MiB/node scan-resistant cache, 8 Gbps offered:\n");
+    let t = r
+        .section("YCSB A-F, 4 nodes, 64 MiB/node scan-resistant cache, 8 Gbps offered:")
+        .table(
+            "ycsb",
+            "workload goodput:Gbps.2 requests p50:us p99:us cache_hit_rate:%.1 slo_attainment:%.2",
+        );
     for w in YcsbWorkload::ALL {
-        let r = run_ycsb(w, quick);
-        out.push_str(&format!(
-            "    {:<22} {:>6.2} Gbps  {:>6} ok  p50/p99 {:>6.0}/{:>7.0} us  cache {:>5.1}%  SLO {:>6.2}%\n",
+        let run = run_ycsb(w, quick);
+        row!(
+            t,
             w.label(),
-            r.goodput_gbps(),
-            r.requests,
-            r.latency_us(50.0),
-            r.latency_us(99.0),
-            r.cache_hit_rate() * 100.0,
-            r.per_tenant[0].slo_attainment() * 100.0,
-        ));
+            run.goodput_gbps(),
+            run.requests,
+            run.latency_us(50.0),
+            run.latency_us(99.0),
+            run.cache_hit_rate(),
+            run.per_tenant[0].slo_attainment(),
+        );
+        runs.push((format!("ycsb {}", w.letter()), run));
     }
 
-    out.push_str("\n  Cache size, workload C (per-node budget -> hit rate, p50):\n");
+    let t = r
+        .section("Cache size, workload C (per-node budget -> hit rate, p50):")
+        .table(
+            "cache_size",
+            "capacity:MiB cache_hit_rate:%.1 p50:us p99:us goodput:Gbps.2",
+        );
     for cap in [0u64, 4 << 20, 16 << 20, 64 << 20] {
-        let r = run_cache_size(cap, quick);
-        out.push_str(&format!(
-            "    {:>4} MiB  hit {:>5.1}%  p50 {:>6.0} us  p99 {:>7.0} us  {:>6.2} Gbps\n",
+        let run = run_cache_size(cap, quick);
+        row!(
+            t,
             cap >> 20,
-            r.cache_hit_rate() * 100.0,
-            r.latency_us(50.0),
-            r.latency_us(99.0),
-            r.goodput_gbps(),
-        ));
+            run.cache_hit_rate(),
+            run.latency_us(50.0),
+            run.latency_us(99.0),
+            run.goodput_gbps(),
+        );
+        runs.push((format!("cache_size {} MiB", cap >> 20), run));
     }
 
-    out.push_str("\n  Scan resistance, point tenant + YCSB-E scanner, 512 KiB/node cache:\n");
+    let t = r
+        .section("Scan resistance, point tenant + YCSB-E scanner, 512 KiB/node cache:")
+        .table(
+            "admission",
+            "admission point_cache_hit_rate:%.1 point_p99:us scans_ok",
+        );
     for (name, adm) in [
         ("admit-all", Admission::AdmitAll),
         ("scan-resistant", Admission::ScanResistant),
     ] {
-        let r = run_admission(adm, quick);
-        let point = &r.per_tenant[0];
-        out.push_str(&format!(
-            "    {name:<15} point-tenant cache {:>5.1}%  p99 {:>7.0} us  scans {:>5} ok\n",
-            point.cache_hit_rate() * 100.0,
+        let run = run_admission(adm, quick);
+        let point = &run.per_tenant[0];
+        row!(
+            t,
+            name,
+            point.cache_hit_rate(),
             point.latency_us(99.0),
-            r.per_tenant[1].ok,
-        ));
+            run.per_tenant[1].ok,
+        );
+        runs.push((format!("admission {name}"), run));
     }
 
-    out.push_str(
-        "\n  Noisy neighbor, 2 nodes: compliant B tenant (12 ms SLO) vs a 24 Gbps flood:\n",
+    let s =
+        r.section("Noisy neighbor, 2 nodes: compliant B tenant (12 ms SLO) vs a 24 Gbps flood:");
+    let t = s.table(
+        "noisy_neighbor",
+        "run compliant_slo_attainment:%.2 compliant_p99:us compliant_denied noisy_ok",
     );
-    let base = run_noisy(false, QosPolicy::Wfq, quick);
-    out.push_str(&format!(
-        "    {:<18} SLO {:>6.2}%  p99 {:>7.0} us  (no noisy tenant)\n",
-        "baseline",
-        base.per_tenant[0].slo_attainment() * 100.0,
-        base.per_tenant[0].latency_us(99.0),
-    ));
-    for qos in [QosPolicy::Fifo, QosPolicy::Wfq] {
-        let r = run_noisy(true, qos, quick);
-        let c = &r.per_tenant[0];
-        out.push_str(&format!(
-            "    {:<18} SLO {:>6.2}%  p99 {:>7.0} us  denied {:>4}  noisy ok {:>6}\n",
-            format!("noisy + {}", qos.label()),
-            c.slo_attainment() * 100.0,
-            c.latency_us(99.0),
-            c.denied,
-            r.per_tenant[1].ok,
-        ));
-    }
-    out.push_str(
-        "  (wfq holds the compliant tenant at its baseline; fifo hands the queue to the flood)\n",
-    );
-    out
-}
-
-fn tenant_json(r: &ClusterReport, idx: usize) -> Json {
-    let t = &r.per_tenant[idx];
-    Json::Obj(vec![
-        ("name".into(), Json::Str(t.name.clone())),
-        ("ok".into(), Json::Int(t.ok as i128)),
-        ("denied".into(), Json::Int(t.denied as i128)),
-        ("p50_us".into(), Json::Float(t.latency_us(50.0))),
-        ("p99_us".into(), Json::Float(t.latency_us(99.0))),
-        ("p999_us".into(), Json::Float(t.latency_us(99.9))),
-        ("slo_attainment".into(), Json::Float(t.slo_attainment())),
-        ("cache_hit_rate".into(), Json::Float(t.cache_hit_rate())),
-    ])
-}
-
-fn run_json(r: &ClusterReport) -> Vec<(String, Json)> {
-    vec![
-        ("goodput_gbps".into(), Json::Float(r.goodput_gbps())),
-        ("requests".into(), Json::Int(r.requests as i128)),
-        ("p50_us".into(), Json::Float(r.latency_us(50.0))),
-        ("p99_us".into(), Json::Float(r.latency_us(99.0))),
-        ("cache_hit_rate".into(), Json::Float(r.cache_hit_rate())),
-        ("stale_served".into(), Json::Int(r.stale_served as i128)),
-        (
-            "tenants".into(),
-            Json::Arr((0..r.per_tenant.len()).map(|i| tenant_json(r, i)).collect()),
-        ),
-    ]
-}
-
-/// The sweep's data as machine-readable JSON (`BENCH_cluster.json`).
-pub fn json_report(quick: bool) -> Json {
-    let ycsb = YcsbWorkload::ALL
-        .iter()
-        .map(|&w| {
-            let r = run_ycsb(w, quick);
-            (w.letter().to_string(), Json::Obj(run_json(&r)))
-        })
-        .collect();
-    let cache = [0u64, 4 << 20, 16 << 20, 64 << 20]
-        .iter()
-        .map(|&cap| {
-            let r = run_cache_size(cap, quick);
-            (format!("{}MiB", cap >> 20), Json::Obj(run_json(&r)))
-        })
-        .collect();
-    let admission = [
-        ("admit_all", Admission::AdmitAll),
-        ("scan_resistant", Admission::ScanResistant),
-    ]
-    .iter()
-    .map(|&(name, adm)| {
-        let r = run_admission(adm, quick);
-        (name.to_string(), Json::Obj(run_json(&r)))
-    })
-    .collect();
-    let noisy = [
+    for (name, noisy, qos) in [
         ("baseline", false, QosPolicy::Wfq),
-        ("fifo", true, QosPolicy::Fifo),
-        ("wfq", true, QosPolicy::Wfq),
-    ]
-    .iter()
-    .map(|&(name, noisy, qos)| {
-        let r = run_noisy(noisy, qos, quick);
-        (name.to_string(), Json::Obj(run_json(&r)))
-    })
-    .collect();
-    Json::Obj(vec![
-        ("experiment".into(), Json::Str("store".into())),
-        ("quick".into(), Json::Bool(quick)),
-        ("ycsb".into(), Json::Obj(ycsb)),
-        ("cache_size".into(), Json::Obj(cache)),
-        ("admission".into(), Json::Obj(admission)),
-        ("noisy_neighbor".into(), Json::Obj(noisy)),
-    ])
+        ("noisy + fifo", true, QosPolicy::Fifo),
+        ("noisy + wfq", true, QosPolicy::Wfq),
+    ] {
+        let run = run_noisy(noisy, qos, quick);
+        let compliant = &run.per_tenant[0];
+        // The baseline has no flood: nothing to deny, no noisy tenant.
+        let flood = run.per_tenant.get(1);
+        row!(
+            t,
+            name,
+            compliant.slo_attainment(),
+            compliant.latency_us(99.0),
+            flood.map(|_| compliant.denied),
+            flood.map(|t| t.ok),
+        );
+        runs.push((format!("noisy_neighbor {name}"), run));
+    }
+    s.note("(wfq holds the compliant tenant at its baseline; fifo hands the queue to the flood)");
+
+    let s = r.section("Every run above:");
+    let spec = "run goodput:Gbps.2 requests p50:us p99:us cache_hit_rate:%.1 stale_served";
+    let t = s.table("runs", spec);
+    for (name, run) in &runs {
+        run_row(t, [name.as_str().into()], run);
+    }
+    let runs: Vec<(&str, &ClusterReport)> = runs.iter().map(|(n, r)| (n.as_str(), r)).collect();
+    tenant_table(s, "tenants", &runs);
+    r
 }
 
 #[cfg(test)]

@@ -12,15 +12,17 @@ use dcs_core::resources::{table3_cores, VIRTEX7_VC707};
 use dcs_ndp::NdpFunction;
 use dcs_sim::Bandwidth;
 
+use crate::{row, Report};
+
 /// One rendered row.
 #[derive(Clone, Debug)]
 pub struct Table3Row {
     /// The function.
     pub function: NdpFunction,
-    /// LUT share of the Virtex-7, percent.
-    pub lut_pct: f64,
-    /// Register share, percent.
-    pub reg_pct: f64,
+    /// LUT share of the Virtex-7, a fraction.
+    pub lut_share: f64,
+    /// Register share, a fraction.
+    pub reg_share: f64,
     /// Max clock, MHz.
     pub clock_mhz: u32,
     /// Modeled per-unit throughput.
@@ -68,8 +70,8 @@ pub fn run(measure_len: usize) -> Vec<Table3Row> {
         .iter()
         .map(|core| Table3Row {
             function: core.function,
-            lut_pct: core.luts as f64 * 100.0 / VIRTEX7_VC707.luts as f64,
-            reg_pct: core.registers as f64 * 100.0 / VIRTEX7_VC707.registers as f64,
+            lut_share: core.luts as f64 / VIRTEX7_VC707.luts as f64,
+            reg_share: core.registers as f64 / VIRTEX7_VC707.registers as f64,
             clock_mhz: core.max_clock_mhz,
             per_unit: core.throughput_per_unit,
             units_for_10g: core.units_for(Bandwidth::gbps(10.0)),
@@ -78,34 +80,42 @@ pub fn run(measure_len: usize) -> Vec<Table3Row> {
         .collect()
 }
 
-/// Renders the table.
-pub fn render(measure_len: usize) -> String {
-    let rows = run(measure_len);
-    let mut out = String::from(
-        "Table III — NDP processing units (modeled FPGA columns; measured SW column)\n",
+/// The table, with the software column measured over 512 KiB
+/// (`quick`) or 4 MiB per function, and the 10 Gbps averages
+/// `BENCH_paper.json` pins.
+pub fn report(quick: bool) -> Report {
+    let rows = run(if quick { 1 << 19 } else { 4 << 20 });
+    let mut r = Report::new(
+        "table3",
+        quick,
+        "Table III — NDP processing units (modeled FPGA columns; measured SW column)",
     );
-    out.push_str(&format!(
-        "  {:<16} {:>7} {:>7} {:>9} {:>12} {:>10} {:>12}\n",
-        "unit", "LUT%", "Reg%", "fclk MHz", "Gbps/unit", "units@10G", "SW Gbps"
-    ));
-    for r in &rows {
-        out.push_str(&format!(
-            "  {:<16} {:>6.2}% {:>6.2}% {:>9} {:>12.2} {:>10} {:>12.2}\n",
-            r.function.name(),
-            r.lut_pct,
-            r.reg_pct,
-            r.clock_mhz,
-            r.per_unit.as_gbps(),
-            r.units_for_10g,
-            r.sw_gbps
-        ));
+    let s = r.section("");
+    let t = s.table(
+        "units",
+        "unit luts:%.2 registers:%.2 fclk:MHz per_unit:Gbps.2 units_for_10g software:Gbps.2!",
+    );
+    for row in &rows {
+        row!(
+            t,
+            row.function.name(),
+            row.lut_share,
+            row.reg_share,
+            row.clock_mhz,
+            row.per_unit.as_gbps(),
+            row.units_for_10g,
+            row.sw_gbps,
+        );
     }
-    let lut_avg: f64 = rows.iter().map(|r| r.lut_pct).sum::<f64>() / rows.len() as f64;
-    let reg_avg: f64 = rows.iter().map(|r| r.reg_pct).sum::<f64>() / rows.len() as f64;
-    out.push_str(&format!(
-        "  average for 10 Gbps: {lut_avg:.2}% LUTs, {reg_avg:.2}% registers  (paper: 3.28% / 1.02%)\n"
-    ));
-    out
+    let mean = |f: fn(&Table3Row) -> f64| rows.iter().map(f).sum::<f64>() / rows.len() as f64;
+    row!(
+        s.table("average", "target luts:%.2 registers:%.2"),
+        "for 10 Gbps",
+        mean(|r| r.lut_share),
+        mean(|r| r.reg_share),
+    );
+    s.note("(paper: 3.28% / 1.02%)");
+    r
 }
 
 #[cfg(test)]

@@ -6,6 +6,8 @@ use dcs_core::resources::{ResourceReport, TABLE4_ENGINE, VIRTEX7_VC707};
 use dcs_ndp::NdpFunction;
 use dcs_sim::Bandwidth;
 
+use crate::{row, Report};
+
 /// Builds the engine+NDP resource report at a target per-function rate.
 pub fn run(target: Bandwidth) -> ResourceReport {
     ResourceReport::for_functions(
@@ -21,39 +23,41 @@ pub fn run(target: Bandwidth) -> ResourceReport {
     )
 }
 
-/// Renders the table and the headroom derivation.
-pub fn render() -> String {
-    let mut out = String::from("Table IV — HDC Engine Virtex-7 resource utilization (modeled)\n");
-    out.push_str(&format!(
-        "  LUTs      {:>7} / {:>7} ({:.0}%)\n",
-        TABLE4_ENGINE.luts,
-        VIRTEX7_VC707.luts,
-        TABLE4_ENGINE.luts as f64 * 100.0 / VIRTEX7_VC707.luts as f64
-    ));
-    out.push_str(&format!(
-        "  Registers {:>7} / {:>7} ({:.0}%)\n",
-        TABLE4_ENGINE.registers,
-        VIRTEX7_VC707.registers,
-        TABLE4_ENGINE.registers as f64 * 100.0 / VIRTEX7_VC707.registers as f64
-    ));
-    out.push_str(&format!(
-        "  BRAMs     {:>7} / {:>7} ({:.0}%)\n",
-        TABLE4_ENGINE.brams,
-        VIRTEX7_VC707.brams,
-        TABLE4_ENGINE.brams as f64 * 100.0 / VIRTEX7_VC707.brams as f64
-    ));
-    out.push_str(&format!(
-        "  Power     {:>7.2} W\n",
-        TABLE4_ENGINE.power_watts
-    ));
-    let report = run(Bandwidth::gbps(10.0));
-    out.push_str(&format!(
-        "  + full NDP bank at 10 Gbps/function: {} LUTs total ({:.0}% of device) — fits: {}\n",
-        report.total_luts(),
-        report.lut_utilization() * 100.0,
-        report.fits()
-    ));
-    out
+/// The table and the headroom derivation (`quick` changes nothing:
+/// the resource model is static).
+pub fn report(quick: bool) -> Report {
+    let mut r = Report::new(
+        "table4",
+        quick,
+        "Table IV — HDC Engine Virtex-7 resource utilization (modeled)",
+    );
+    let s = r.section("");
+    let t = s.table("engine", "resource used available share:%");
+    for (name, used, available) in [
+        ("LUTs", TABLE4_ENGINE.luts, VIRTEX7_VC707.luts),
+        (
+            "Registers",
+            TABLE4_ENGINE.registers,
+            VIRTEX7_VC707.registers,
+        ),
+        ("BRAMs", TABLE4_ENGINE.brams, VIRTEX7_VC707.brams),
+    ] {
+        row!(t, name, used, available, used as f64 / available as f64);
+    }
+    row!(
+        s.table("power", "item power:W.2"),
+        "Power",
+        TABLE4_ENGINE.power_watts,
+    );
+    let bank = run(Bandwidth::gbps(10.0));
+    row!(
+        s.table("with_ndp_bank", "configuration luts share:% fits"),
+        "+ full NDP bank at 10 Gbps/function",
+        bank.total_luts(),
+        bank.lut_utilization(),
+        bank.fits(),
+    );
+    r
 }
 
 #[cfg(test)]

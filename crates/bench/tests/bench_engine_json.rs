@@ -1,10 +1,10 @@
 //! Contract tests for the committed `BENCH_engine.json`.
 //!
 //! Wall-clock numbers vary across machines, so unlike
-//! `BENCH_cluster.json` the engine report is *not* byte-compared
+//! `BENCH_store.json` the engine report is *not* byte-compared
 //! against a regeneration. Instead this suite holds the committed file
 //! to its contract: the schema downstream tooling keys on, the
-//! machine-independent fields (`events`, `sim_ns` — identical on every
+//! machine-independent fields (`events`, `sim` — identical on every
 //! host by determinism, re-derived here for the cheap scenario), the
 //! median-of-N wall times (each arm's median inside its quartiles, the
 //! speedup a ratio of medians), and the acceptance floor ROADMAP item 1
@@ -27,19 +27,52 @@ fn committed() -> Json {
     Json::parse(&text).expect("committed BENCH_engine.json parses")
 }
 
+/// The rows of table `name` in a report's JSON.
+fn rows<'a>(report: &'a Json, name: &str) -> &'a [Json] {
+    report
+        .get("sections")
+        .and_then(Json::as_arr)
+        .expect("sections array")
+        .iter()
+        .flat_map(|s| {
+            s.get("tables")
+                .and_then(Json::as_arr)
+                .expect("tables array")
+        })
+        .find(|t| t.get("name").and_then(Json::as_str) == Some(name))
+        .and_then(|t| t.get("rows"))
+        .and_then(Json::as_arr)
+        .unwrap_or_else(|| panic!("table {name} with rows"))
+}
+
+/// The `arms` row of `scenario` on `scheduler`.
+fn arm<'a>(report: &'a Json, scenario: &str, scheduler: &str) -> &'a Json {
+    rows(report, "arms")
+        .iter()
+        .find(|r| {
+            r.get("scenario").and_then(Json::as_str) == Some(scenario)
+                && r.get("scheduler").and_then(Json::as_str) == Some(scheduler)
+        })
+        .unwrap_or_else(|| panic!("{scenario} has a {scheduler} arm"))
+}
+
 /// The four scenarios the benchmark must cover, in report order.
 const SCENARIOS: [&str; 4] = ["ping-pong", "fan-out", "cluster-8", "cluster-64"];
 
+/// The two calendars every scenario runs on.
+const SCHEDULERS: [&str; 2] = ["timing-wheel", "reference-heap"];
+
 /// Per-arm fields every scenario entry must carry.
-const ARM_FIELDS: [&str; 9] = [
+const ARM_FIELDS: [&str; 10] = [
+    "scenario",
     "scheduler",
     "events",
     "batched",
-    "sim_ns",
+    "sim",
     "runs",
-    "wall_ns",
-    "wall_q1_ns",
-    "wall_q3_ns",
+    "wall",
+    "wall_q1",
+    "wall_q3",
     "events_per_sec",
 ];
 
@@ -54,33 +87,26 @@ fn committed_report_keeps_its_schema() {
         matches!(report.get("quick"), Some(Json::Bool(_))),
         "quick flag present"
     );
-    let scenarios = report
-        .get("scenarios")
-        .and_then(Json::as_arr)
-        .expect("scenarios array");
-    let names: Vec<&str> = scenarios
+    let names: Vec<&str> = rows(&report, "scenarios")
         .iter()
-        .map(|s| s.get("name").and_then(Json::as_str).expect("scenario name"))
+        .map(|s| {
+            s.get("scenario")
+                .and_then(Json::as_str)
+                .expect("scenario name")
+        })
         .collect();
     assert_eq!(names, SCENARIOS, "all four scenarios, in order");
-    for scenario in scenarios {
-        let name = scenario.get("name").and_then(Json::as_str).unwrap();
-        for arm in ["wheel", "heap"] {
-            let arm_obj = scenario
-                .get(arm)
-                .unwrap_or_else(|| panic!("{name} has a {arm} arm"));
+    for scenario in rows(&report, "scenarios") {
+        let name = scenario.get("scenario").and_then(Json::as_str).unwrap();
+        for scheduler in SCHEDULERS {
+            let arm_obj = arm(&report, name, scheduler);
             for field in ARM_FIELDS {
-                assert!(arm_obj.get(field).is_some(), "{name}.{arm} missing {field}");
+                assert!(
+                    arm_obj.get(field).is_some(),
+                    "{name}.{scheduler} missing {field}"
+                );
             }
         }
-        assert_eq!(
-            scenario.get("wheel").unwrap().get("scheduler"),
-            Some(&Json::Str("timing-wheel".into()))
-        );
-        assert_eq!(
-            scenario.get("heap").unwrap().get("scheduler"),
-            Some(&Json::Str("reference-heap".into()))
-        );
         assert!(
             scenario.get("speedup").and_then(Json::as_f64).is_some(),
             "{name} carries a speedup"
@@ -91,10 +117,7 @@ fn committed_report_keeps_its_schema() {
 #[test]
 fn committed_profile_keeps_its_schema_heaviest_first() {
     let report = committed();
-    let rows = report
-        .get("profile")
-        .and_then(Json::as_arr)
-        .expect("profile array");
+    let rows = rows(&report, "profile");
     assert!(!rows.is_empty(), "the cluster-64 profile has rows");
     let mut walls = Vec::new();
     for row in rows {
@@ -103,7 +126,7 @@ fn committed_profile_keeps_its_schema_heaviest_first() {
             assert!(name.is_some_and(|n| !n.is_empty()), "row {field}: {row:?}");
         }
         let calls = row.get("calls").and_then(Json::as_i128).expect("calls");
-        let wall_ns = row.get("wall_ns").and_then(Json::as_i128).expect("wall_ns");
+        let wall_ns = row.get("wall").and_then(Json::as_i128).expect("wall");
         assert!(calls > 0 && wall_ns >= 0, "row counts: {row:?}");
         walls.push(wall_ns);
     }
@@ -120,16 +143,15 @@ fn committed_profile_keeps_its_schema_heaviest_first() {
 #[test]
 fn committed_arms_agree_on_machine_independent_fields() {
     // Both calendars replay the identical schedule, so `events` and
-    // `sim_ns` must match arm-to-arm in the committed file — a mismatch
+    // `sim` must match arm-to-arm in the committed file — a mismatch
     // means the report was generated from a broken build.
     let report = committed();
-    for scenario in report.get("scenarios").and_then(Json::as_arr).unwrap() {
-        let name = scenario.get("name").and_then(Json::as_str).unwrap();
+    for name in SCENARIOS {
         let (wheel, heap) = (
-            scenario.get("wheel").unwrap(),
-            scenario.get("heap").unwrap(),
+            arm(&report, name, "timing-wheel"),
+            arm(&report, name, "reference-heap"),
         );
-        for field in ["events", "sim_ns"] {
+        for field in ["events", "sim"] {
             assert_eq!(
                 wheel.get(field).and_then(Json::as_i128),
                 heap.get(field).and_then(Json::as_i128),
@@ -143,25 +165,25 @@ fn committed_arms_agree_on_machine_independent_fields() {
 
 #[test]
 fn committed_wall_times_are_medians_of_alternating_runs() {
-    // Under --quick every arm runs 5 times; `wall_ns` is the median,
+    // Under --quick every arm runs 5 times; `wall` is the median,
     // bracketed by the quartiles, and the speedup is the ratio of the
     // two arms' median event rates.
     let report = committed();
-    for scenario in report.get("scenarios").and_then(Json::as_arr).unwrap() {
-        let name = scenario.get("name").and_then(Json::as_str).unwrap();
+    for scenario in rows(&report, "scenarios") {
+        let name = scenario.get("scenario").and_then(Json::as_str).unwrap();
         let mut rates = Vec::new();
-        for arm in ["wheel", "heap"] {
-            let arm_obj = scenario.get(arm).unwrap();
+        for scheduler in SCHEDULERS {
+            let arm_obj = arm(&report, name, scheduler);
             let field = |f: &str| arm_obj.get(f).and_then(Json::as_i128).unwrap();
             assert_eq!(
                 field("runs"),
                 dcs_bench::engine::runs(true) as i128,
-                "{name}.{arm}"
+                "{name}.{scheduler}"
             );
-            let (q1, median, q3) = (field("wall_q1_ns"), field("wall_ns"), field("wall_q3_ns"));
+            let (q1, median, q3) = (field("wall_q1"), field("wall"), field("wall_q3"));
             assert!(
                 0 < q1 && q1 <= median && median <= q3,
-                "{name}.{arm}: quartiles {q1} <= {median} <= {q3}"
+                "{name}.{scheduler}: quartiles {q1} <= {median} <= {q3}"
             );
             let rate = arm_obj
                 .get("events_per_sec")
@@ -170,7 +192,7 @@ fn committed_wall_times_are_medians_of_alternating_runs() {
             let expected = field("events") as f64 / (median as f64 / 1e9);
             assert!(
                 (rate / expected - 1.0).abs() < 1e-9,
-                "{name}.{arm}: events_per_sec comes from the median wall time"
+                "{name}.{scheduler}: events_per_sec comes from the median wall time"
             );
             rates.push(rate);
         }
@@ -185,12 +207,9 @@ fn committed_wall_times_are_medians_of_alternating_runs() {
 #[test]
 fn committed_fan_out_speedup_holds_the_acceptance_floor() {
     let report = committed();
-    let fan_out = report
-        .get("scenarios")
-        .and_then(Json::as_arr)
-        .unwrap()
+    let fan_out = rows(&report, "scenarios")
         .iter()
-        .find(|s| s.get("name").and_then(Json::as_str) == Some("fan-out"))
+        .find(|s| s.get("scenario").and_then(Json::as_str) == Some("fan-out"))
         .expect("fan-out scenario present");
     let speedup = fan_out.get("speedup").and_then(Json::as_f64).unwrap();
     assert!(
@@ -210,27 +229,19 @@ fn committed_ping_pong_fields_match_regeneration() {
     let report = committed();
     let quick = matches!(report.get("quick"), Some(Json::Bool(true)));
     assert!(quick, "the committed report is the --quick profile");
-    let committed_pp = report
-        .get("scenarios")
-        .and_then(Json::as_arr)
-        .unwrap()
-        .iter()
-        .find(|s| s.get("name").and_then(Json::as_str) == Some("ping-pong"))
-        .expect("ping-pong scenario present")
-        .clone();
     let wheel = dcs_bench::engine::run_ping_pong(true, false);
     let heap = dcs_bench::engine::run_ping_pong(true, true);
-    for (arm, fresh) in [("wheel", wheel), ("heap", heap)] {
-        let arm_obj = committed_pp.get(arm).unwrap();
+    for (scheduler, fresh) in [("timing-wheel", wheel), ("reference-heap", heap)] {
+        let arm_obj = arm(&report, "ping-pong", scheduler);
         assert_eq!(
             arm_obj.get("events").and_then(Json::as_i128),
             Some(fresh.events as i128),
-            "{arm} events drifted from the committed report; regenerate it"
+            "{scheduler} events drifted from the committed report; regenerate it"
         );
         assert_eq!(
-            arm_obj.get("sim_ns").and_then(Json::as_i128),
+            arm_obj.get("sim").and_then(Json::as_i128),
             Some(fresh.sim_ns as i128),
-            "{arm} sim_ns drifted from the committed report; regenerate it"
+            "{scheduler} sim drifted from the committed report; regenerate it"
         );
     }
 }

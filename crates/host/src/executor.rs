@@ -345,6 +345,7 @@ impl SwExecutor {
 
     fn launch_gpu(&mut self, ctx: &mut Ctx<'_>, id: u64, function: NdpFunction, aux: Vec<u8>) {
         let token = self.token_for(id);
+        let out_addr = self.gpu_out_addr(id);
         let state = self.jobs.get_mut(&id).expect("live job");
         let is_digest = function.is_digest();
         state.waiting = Some(Waiting::Gpu {
@@ -356,9 +357,6 @@ impl SwExecutor {
         let tag = "gpu-control";
         let _ = state.job.tag;
         let (driver, handle) = self.wiring.gpu.as_ref().expect("gpu attached");
-        // Output goes next to the input in GPU memory (digests) or into the
-        // second half of the job's GPU slot (transforms).
-        let out_addr = state.gpu_buf.expect("gpu staged") + self.wiring.slot_len / 2;
         let input_addr = state.payload.addr;
         let input_len = state.payload.len;
         let _ = handle;
@@ -376,6 +374,21 @@ impl SwExecutor {
                 reply_to: ctx.self_id(),
             },
         );
+    }
+
+    /// Where a GPU op of job `id` writes its output: the half of the
+    /// job's GPU slot its input does not occupy. A staged payload sits in
+    /// the first half and a transform's output in the second, so a digest
+    /// after a transform goes to the first half instead of over the data.
+    fn gpu_out_addr(&self, id: u64) -> PhysAddr {
+        let state = &self.jobs[&id];
+        let base = state.gpu_buf.expect("gpu staged");
+        let upper = base + self.wiring.slot_len / 2;
+        if state.payload.addr == upper {
+            base
+        } else {
+            upper
+        }
     }
 
     /// Starts a host↔GPU staging copy (`to_gpu` chooses direction).
@@ -583,8 +596,7 @@ impl Component for SwExecutor {
                         }
                     }
                 };
-                let out_addr =
-                    self.jobs[&id].gpu_buf.expect("gpu staged") + self.wiring.slot_len / 2;
+                let out_addr = self.gpu_out_addr(id);
                 if is_digest {
                     let dlen = function.digest_len().expect("digest function");
                     let digest = ctx.world_ref().expect::<PhysMemory>().read(out_addr, dlen);

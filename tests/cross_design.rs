@@ -315,3 +315,88 @@ fn facade_reexports_are_usable() {
     let _ = dcs_ctrl::core::resources::TABLE4_ENGINE;
     assert_eq!(dcs_ctrl::nvme::LBA_SIZE, 4096);
 }
+
+/// Runs `SSD read -> AES-256 encrypt -> MD5 -> SSD write` on `design` and
+/// checks the completion and the written flash bytes against a pure fold
+/// of [`NdpFunction::apply`]: the encrypted payload lands on flash intact
+/// and the digest is the MD5 of the ciphertext.
+fn transform_then_digest_matches_the_oracle(design: DesignUnderTest) {
+    let len = 16 * 1024;
+    let payload: Vec<u8> = (0..len).map(|i| (i * 131 % 251) as u8).collect();
+    let aux: Vec<u8> = (0..48u8).collect();
+    let cipher = NdpFunction::Aes256Encrypt
+        .apply(&payload, &aux)
+        .expect("valid aux")
+        .data
+        .expect("a transform yields data");
+    let digest = NdpFunction::Md5
+        .apply(&cipher, &[])
+        .expect("md5")
+        .digest
+        .expect("a digest yields a digest");
+
+    let mut tb = Testbed::new(design, &TestbedConfig::default());
+    tb.sim.run();
+    let (read_at, write_at) = (
+        tb.server.ssds[0].lba_addr(0),
+        tb.server.ssds[0].lba_addr(1024),
+    );
+    tb.sim
+        .world_mut()
+        .expect_mut::<PhysMemory>()
+        .write(read_at, &payload);
+    let server = tb.server.submit_to;
+    let done = tb.run_job_batch(vec![(
+        server,
+        vec![
+            D2dOp::SsdRead {
+                ssd: 0,
+                lba: 0,
+                len,
+            },
+            D2dOp::Process {
+                function: NdpFunction::Aes256Encrypt,
+                aux,
+            },
+            D2dOp::Process {
+                function: NdpFunction::Md5,
+                aux: vec![],
+            },
+            D2dOp::SsdWrite { ssd: 0, lba: 1024 },
+        ],
+        "aes-md5",
+    )]);
+    assert!(done[0].ok, "{design}: {:?}", done[0]);
+    assert_eq!(done[0].payload_len, len, "{design}");
+    assert_eq!(
+        done[0].digest.as_deref(),
+        Some(digest.as_slice()),
+        "{design}"
+    );
+    let flash = tb.sim.world().expect::<PhysMemory>().read(write_at, len);
+    assert!(
+        flash == cipher,
+        "{design}: the ciphertext on flash differs from the oracle's \
+         (first {} bytes match)",
+        flash
+            .iter()
+            .zip(&cipher)
+            .take_while(|(a, b)| a == b)
+            .count()
+    );
+}
+
+#[test]
+fn linux_transform_then_digest_keeps_the_payload() {
+    transform_then_digest_matches_the_oracle(DesignUnderTest::Linux);
+}
+
+#[test]
+fn sw_opt_transform_then_digest_keeps_the_payload() {
+    transform_then_digest_matches_the_oracle(DesignUnderTest::SwOpt);
+}
+
+#[test]
+fn sw_p2p_transform_then_digest_keeps_the_payload() {
+    transform_then_digest_matches_the_oracle(DesignUnderTest::SwP2p);
+}

@@ -66,13 +66,13 @@ fn trace_export_covers_at_least_four_component_categories() {
 #[test]
 fn anatomy_segments_sum_to_end_to_end_latency_exactly() {
     let (cap, json) = traced_capture();
-    assert!(!cap.requests.is_empty(), "capture must trace requests");
+    assert!(!cap.anatomies.is_empty(), "capture must trace requests");
     let reqs = json
         .get("metadata")
         .and_then(|m| m.get("requests"))
         .and_then(|r| r.as_arr())
         .expect("metadata.requests present");
-    assert_eq!(reqs.len(), cap.requests.len());
+    assert_eq!(reqs.len(), cap.anatomies.len());
     for r in reqs {
         let e2e = r.get("e2e_ns").and_then(|v| v.as_i128()).expect("e2e_ns");
         let segs = r.get("anatomy").and_then(|a| a.as_arr()).expect("anatomy");
@@ -88,27 +88,43 @@ fn anatomy_segments_sum_to_end_to_end_latency_exactly() {
 
 #[test]
 fn bench_fig8_json_parses_and_contains_expected_keys() {
-    let rows = fig8::collect(true);
-    let body = fig8::json_report(&rows).render();
+    let body = fig8::report(true).json().render();
     let json = Json::parse(&body).expect("BENCH_fig8.json must parse");
     assert_eq!(
         json.get("experiment").and_then(|e| e.as_str()),
         Some("fig8"),
         "experiment key"
     );
-    assert!(json.get("unit").and_then(|u| u.as_str()).is_some());
-    let designs = json.get("designs").expect("designs key");
+    let cores = json
+        .get("sections")
+        .and_then(|s| s.as_arr())
+        .expect("sections")
+        .iter()
+        .flat_map(|s| s.get("tables").and_then(|t| t.as_arr()).expect("tables"))
+        .find(|t| t.get("name").and_then(|n| n.as_str()) == Some("cores"))
+        .expect("the cores table");
+    let columns = cores.get("columns").and_then(|c| c.as_arr()).unwrap();
+    let unit = columns[1].get("unit").and_then(|u| u.as_str());
+    assert_eq!(unit, Some("fraction"), "cores are a fraction of all cores");
+    // Past design, cores and of_linux: one column per CPU tag.
+    let tags: Vec<&str> = columns[3..]
+        .iter()
+        .map(|c| c.get("name").and_then(|n| n.as_str()).expect("tag"))
+        .collect();
+    let rows = cores.get("rows").and_then(|r| r.as_arr()).unwrap();
     for label in ["Linux", "SW opt", "DCS-ctrl"] {
-        let d = designs
-            .get(label)
+        let d = rows
+            .iter()
+            .find(|r| r.get("design").and_then(|d| d.as_str()) == Some(label))
             .unwrap_or_else(|| panic!("missing design {label}"));
         let total = d
-            .get("total_fraction_of_cores")
+            .get("cores")
             .and_then(|t| t.as_f64())
             .expect("total is a number");
         assert!(total.is_finite() && total >= 0.0);
         assert!(
-            d.get("breakdown").is_some(),
+            tags.iter()
+                .any(|t| d.get(t).and_then(|v| v.as_f64()).is_some()),
             "per-category breakdown present"
         );
     }
