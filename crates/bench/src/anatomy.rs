@@ -84,8 +84,9 @@ pub fn capture(design: DesignUnderTest) -> TraceCapture {
 }
 
 /// The anatomy experiment: one segment table per traced request, plus
-/// a one-line summary of the trace `--trace-out` would write (`quick`
-/// changes nothing: three requests are already short).
+/// a one-line summary of the trace, which the report carries for
+/// `--trace-out` to write (`quick` changes nothing: three requests are
+/// already short).
 pub fn report(quick: bool) -> Report {
     let cap = capture(DesignUnderTest::DcsCtrl);
     let events = Json::parse(&cap.trace_json)
@@ -117,6 +118,7 @@ pub fn report(quick: bool) -> Report {
         events,
         cap.anatomies.len()
     ));
+    r.trace = Some(cap.trace_json);
     r
 }
 

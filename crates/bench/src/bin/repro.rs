@@ -10,12 +10,13 @@
 //! prints its text and, with `--json-out DIR`, writes the same report as
 //! `DIR/BENCH_<experiment>.json`. `--quick` shortens the workload
 //! windows (useful for smoke runs; EXPERIMENTS.md numbers come from the
-//! full runs). `--trace-out FILE` additionally runs a traced request mix
-//! and writes Chrome trace-event JSON (open in Perfetto). Unknown
-//! experiment names are rejected up front — before anything runs — with
-//! the list of valid ones. A report that carries a failed self-check
-//! (the integrity experiment's chaos fuzzer finding a counterexample)
-//! exits 1 after printing it.
+//! full runs). `--trace-out FILE` writes the Chrome trace-event JSON of
+//! the anatomy experiment's traced request mix (open in Perfetto),
+//! running that mix once more only when `anatomy` was not among the
+//! experiments. Unknown experiment names are rejected up front — before
+//! anything runs — with the list of valid ones. A report that carries a
+//! failed self-check (the integrity experiment's chaos fuzzer finding a
+//! counterexample) exits 1 after printing it.
 
 use std::env;
 use std::fs;
@@ -92,9 +93,11 @@ fn main() {
 
     println!("DCS-ctrl reproduction harness (quick={quick})");
     println!("==============================================\n");
+    let mut trace: Option<String> = None;
     for name in wanted {
         let e = experiment(name).expect("validated above");
-        let report = (e.run)(quick);
+        let mut report = (e.run)(quick);
+        trace = report.trace.take().or(trace);
         println!("{}", report.text());
         println!("----------------------------------------------\n");
         if let Some(dir) = &json_out {
@@ -112,14 +115,14 @@ fn main() {
     }
 
     if let Some(path) = &trace_out {
-        let cap = dcs_bench::anatomy::capture(dcs_workloads::scenario::DesignUnderTest::DcsCtrl);
-        if let Err(e) = fs::write(path, &cap.trace_json) {
+        let trace = trace.unwrap_or_else(|| {
+            dcs_bench::anatomy::capture(dcs_workloads::scenario::DesignUnderTest::DcsCtrl)
+                .trace_json
+        });
+        if let Err(e) = fs::write(path, trace) {
             eprintln!("cannot write {path}: {e}");
             exit(1);
         }
-        println!(
-            "wrote {path} ({} requests traced; open in Perfetto)",
-            cap.anatomies.len()
-        );
+        println!("wrote {path} (open in Perfetto)");
     }
 }

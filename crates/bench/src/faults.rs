@@ -37,6 +37,8 @@ pub struct FaultRow {
     pub ok_lat: Histogram,
     /// Global fault/recovery tallies at the end of the run.
     pub report: FaultReport,
+    /// The plan's per-site tallies, in site order (empty without one).
+    pub sites: Vec<(&'static str, SiteStats)>,
 }
 
 impl FaultRow {
@@ -114,18 +116,23 @@ pub fn run(design: DesignUnderTest, rate: f64, rounds: usize) -> FaultRow {
             ok_lat.record(done.iter().map(|d| d.breakdown.total()).max().unwrap_or(0));
         }
     }
+    let world = tb.sim.world();
     FaultRow {
         design,
         rate,
         rounds,
         ok_rounds,
         ok_lat,
-        report: FaultReport::capture(tb.sim.world()),
+        report: FaultReport::capture(world),
+        sites: world
+            .get::<FaultPlan>()
+            .map(|plan| plan.tallies().collect())
+            .unwrap_or_default(),
     }
 }
 
-/// The sweep: goodput and recovery tallies per design and rate, plus a
-/// per-site breakdown for DCS-ctrl at the highest rate.
+/// The sweep: goodput and recovery tallies per design and rate, plus the
+/// per-site breakdown of the sweep's DCS-ctrl row at the highest rate.
 pub fn report(quick: bool) -> Report {
     let rounds = if quick { 4 } else { 12 };
     let rates = [0.0, 0.001, 0.005, 0.01];
@@ -146,6 +153,7 @@ pub fn report(quick: bool) -> Report {
         "sweep",
         "design rate:%.1 ok rounds mean:us.1 p99:us.1 injected recovered exhausted retries",
     );
+    let mut sites = Vec::new();
     for design in designs {
         for rate in rates {
             let row = run(design, rate, rounds);
@@ -162,52 +170,11 @@ pub fn report(quick: bool) -> Report {
                 row.report.exhausted,
                 row.report.retries,
             );
+            if design == DesignUnderTest::DcsCtrl && Some(&rate) == rates.last() {
+                sites = row.sites;
+            }
         }
     }
-    let mut tb = Testbed::new(
-        DesignUnderTest::DcsCtrl,
-        &TestbedConfig {
-            seed: 0xFA17,
-            ..Default::default()
-        },
-    );
-    tb.sim.run();
-    let pat: Vec<u8> = (0..LEN).map(|i| (i * 31 % 251) as u8).collect();
-    let addr = tb.server.ssds[0].lba_addr(0);
-    tb.sim
-        .world_mut()
-        .expect_mut::<PhysMemory>()
-        .write(addr, &pat);
-    tb.install_faults(|rng| FaultPlan::uniform(0.01, rng));
-    for round in 0..rounds {
-        let flow = TcpFlow::example(1, 2, 45_000 + round as u16, 6_000 + round as u16);
-        let server = tb.server.submit_to;
-        let client = tb.client.submit_to;
-        let _ = tb.run_job_batch(vec![
-            (
-                server,
-                vec![
-                    D2dOp::SsdRead {
-                        ssd: 0,
-                        lba: 0,
-                        len: LEN,
-                    },
-                    D2dOp::NicSend { flow, seq: 0 },
-                ],
-                "site-send",
-            ),
-            (
-                client,
-                vec![D2dOp::NicRecv {
-                    flow: flow.reversed(),
-                    len: LEN,
-                }],
-                "site-recv",
-            ),
-        ]);
-    }
-    let mut sites: Vec<_> = tb.sim.world().expect::<FaultPlan>().tallies().collect();
-    sites.sort_unstable_by_key(|(site, _)| *site);
     site_table(
         r.section("Per-site tallies, dcs-ctrl @ 1.0%:"),
         "sites",

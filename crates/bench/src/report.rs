@@ -250,6 +250,10 @@ pub struct Report {
     /// A failed self-check (the chaos fuzzer's counterexample): `repro`
     /// prints it and exits non-zero.
     pub failure: Option<String>,
+    /// The Chrome trace-event JSON the experiment captured (the anatomy
+    /// experiment's), which `repro --trace-out` writes. Not in
+    /// [`Report::json`].
+    pub trace: Option<String>,
 }
 
 impl Report {
@@ -261,6 +265,7 @@ impl Report {
             quick,
             sections: Vec::new(),
             failure: None,
+            trace: None,
         }
     }
 

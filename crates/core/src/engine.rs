@@ -31,11 +31,11 @@ use std::collections::VecDeque;
 use dcs_ndp::NdpFunction;
 use dcs_nic::initiator::RECV_BUF_SIZE;
 use dcs_nic::{
-    ConfigureNic, GoBackN, NicHandle, NicInitiator, RecvDescriptor, RecvWriteback, RxEvent,
-    RxOrder, SendDescriptor, TcpFlow, Transmit,
+    stalled, ConfigureNic, GoBackN, NicHandle, NicInitiator, RecvDescriptor, RecvWriteback,
+    RxEvent, RxOrder, SendDescriptor, SendLadder, SendRung, TcpFlow, Transmit,
 };
 use dcs_nvme::{
-    AttachQueuePair, NvmeCommand, NvmeCompletion, NvmeHandle, NvmeInitiator, NvmeIo, Outcome,
+    AttachQueuePair, NvmeCommand, NvmeCompletion, NvmeHandle, NvmeInitiator, NvmeIo, Outcome, Rung,
 };
 use dcs_pcie::{
     AddrRange, DmaComplete, DmaOp, DmaRequest, MmioWrite, Msi, MsiDelivery, PhysAddr, PhysMemory,
@@ -181,7 +181,8 @@ struct RecvExpectation {
     buf: PhysAddr,
     received: usize,
     issued_at: SimTime,
-    /// Last time bytes landed (fault watchdog abandons stalled receives).
+    /// Last time bytes landed, from `issued_at` on (the fault watchdog
+    /// abandons stalled receives).
     last_progress: SimTime,
 }
 
@@ -193,12 +194,8 @@ struct EngineSend {
     conn: u16,
     /// The descriptor chain, replayed on retransmission.
     tx: Transmit,
-    attempts: u32,
-    last_attempt: SimTime,
-    /// All transmit descriptors completed (last-descriptor tx interrupt).
-    descs_done: bool,
-    /// The peer's cumulative ack covers this send.
-    acked: bool,
+    /// Retransmissions, the last-descriptor tx interrupt and the ack.
+    ladder: SendLadder,
 }
 
 /// The HDC Engine component.
@@ -717,10 +714,7 @@ impl HdcEngine {
                 EngineSend {
                     conn,
                     tx,
-                    attempts: 0,
-                    last_attempt: ctx.now(),
-                    descs_done: false,
-                    acked: len == 0,
+                    ladder: SendLadder::new(ctx.now(), len == 0),
                 },
             );
         }
@@ -749,19 +743,18 @@ impl HdcEngine {
     /// and from the fault watchdog (which thereby recovers completions
     /// whose interrupt was lost).
     fn drain_ssd_cq(&mut self, ctx: &mut Ctx<'_>, ssd: usize) {
-        let ctrl = &mut self.nvme[ssd];
-        let Some((entries, doorbell)) = ctrl.drain(ctx.world_ref().expect::<PhysMemory>()) else {
+        let Some((entries, doorbell)) =
+            self.nvme[ssd].drain(ctx.world_ref().expect::<PhysMemory>())
+        else {
             return;
         };
-        for entry in &entries {
-            ctrl.update_sq_head(entry.sq_head);
-        }
         ctx.send_now(self.fabric, doorbell);
         for entry in entries {
             match self.nvme[ssd].complete(ctx.world(), &entry) {
-                // Straggler for a sub-command the watchdog already timed
-                // out — its scoreboard entry is long settled.
+                // A poisoned entry, or a straggler a controller reset
+                // retired: dropped without touching the SQ head.
                 Outcome::Unknown => ctx.world().stats.counter("hdc.stale_cqe").add(1),
+                // A straggler for a request the watchdog already failed.
                 Outcome::Stale => ctx.world().stats.counter("hdc.stale_subop").add(1),
                 Outcome::Retried(doorbell) => {
                     ctx.send_in(SCOREBOARD_STEP_NS, self.fabric, doorbell)
@@ -910,10 +903,10 @@ impl HdcEngine {
         }
         if let Some(send) = self.nic_sends.get_mut(&at) {
             // Fault mode: completion additionally requires the peer's ack.
-            if send.descs_done {
+            if send.ladder.descs_done {
                 return; // duplicate last-descriptor interrupt (retransmit)
             }
-            send.descs_done = true;
+            send.ladder.descs_done = true;
             let id = self.scoreboard.id_of(at.slot);
             if let Some(c) = self.contexts.get_mut(&id) {
                 c.breakdown.add(Category::Wire, ctx.now() - issued_at);
@@ -946,29 +939,18 @@ impl HdcEngine {
         let ready = self
             .nic_sends
             .get(&at)
-            .is_some_and(|s| s.descs_done && s.acked);
+            .is_some_and(|s| s.ladder.descs_done && s.ladder.acked);
         if !ready {
             return;
         }
         let send = self.nic_sends.remove(&at).expect("checked above");
-        if send.attempts > 0 {
+        if send.ladder.attempts > 0 {
             fault::recovered(ctx.world(), fault::WIRE_DROP);
         }
         self.inflight_tx -= 1;
         self.tx_fifo.retain(|e| e.0 != at);
         let len = self.scoreboard.op(at).len();
         self.scoreboard.mark_done(at, len);
-    }
-
-    /// Abandons a tracked send after its retransmission budget ran out.
-    fn fail_nic_send(&mut self, ctx: &mut Ctx<'_>, at: SlotRef) {
-        if self.nic_sends.remove(&at).is_none() {
-            return;
-        }
-        ctx.world().stats.counter("hdc.send_failures").add(1);
-        self.inflight_tx -= 1;
-        self.tx_fifo.retain(|e| e.0 != at);
-        self.scoreboard.mark_failed(at);
     }
 
     /// Applies a peer's cumulative ack for one connection, completing every
@@ -979,10 +961,10 @@ impl HdcEngine {
             .nic_sends
             .iter_mut()
             .filter(|(_, s)| {
-                s.conn == conn && !s.acked && s.tx.stream_off + s.tx.len as u64 <= acked
+                s.conn == conn && !s.ladder.acked && s.tx.stream_off + s.tx.len as u64 <= acked
             })
             .map(|(at, s)| {
-                s.acked = true;
+                s.ladder.acked = true;
                 *at
             })
             .collect();
@@ -1150,75 +1132,69 @@ impl HdcEngine {
             self.drain_ssd_cq(ctx, i);
         }
         self.on_nic_rx_msi(ctx);
-        // NVMe sub-commands silent past the op deadline become errors.
-        // Sweeps sort what they collect from hash maps: iteration order
-        // must never leak into the event sequence (seed reproducibility).
+        // Silent NVMe requests climb each SSD's ladder: one controller
+        // reset while the budget lasts, then clean errors. Sweeps walk
+        // maps in insertion order, never hash order (seed
+        // reproducibility).
         for ssd in 0..self.nvme.len() {
-            for cid in self.nvme[ssd].overdue(now, fault::OP_TIMEOUT_NS) {
-                let Outcome::Settled { io, done } = self.nvme[ssd].expire(cid) else {
-                    continue;
-                };
+            let ladder = self.nvme[ssd].ladder(now, &rc);
+            if ladder.iter().any(|&(_, step)| step == Rung::Reset) {
+                ctx.world().stats.counter("hdc.nvme_resets").add(1);
+                let ctrl = &mut self.nvme[ssd];
+                let (attach, doorbell) = ctrl.reset(ctx.world().expect_mut::<PhysMemory>(), now);
+                ctx.send_now(ctrl.device(), attach);
+                ctx.send_in(SCOREBOARD_STEP_NS, self.fabric, doorbell);
+            }
+            for (at, _) in ladder.into_iter().filter(|&(_, step)| step == Rung::Fail) {
+                self.nvme[ssd].abandon(&at);
                 fault::exhausted(ctx.world(), fault::MSI_LOSS);
                 ctx.world().stats.counter("hdc.nvme_timeouts").add(1);
-                self.nvme_settled(ctx, io, done);
+                self.scoreboard.mark_failed(at);
             }
         }
-        // Tracked sends: force-complete acked sends whose last transmit
-        // interrupt vanished; retransmit unacked sends past their RTO;
-        // fail them once the budget runs out.
-        let mut force = Vec::new();
-        let mut retry = Vec::new();
-        let mut fail = Vec::new();
-        for (&at, s) in &self.nic_sends {
-            if s.acked {
-                if !s.descs_done && now - s.last_attempt > fault::NIC_RTO_NS {
-                    force.push(at);
-                }
-                continue;
-            }
-            let rto = fault::NIC_RTO_NS << s.attempts.min(10);
-            if now - s.last_attempt <= rto {
-                continue;
-            }
-            if s.attempts < rc.nic_retries {
-                retry.push(at);
-            } else {
-                fail.push(at);
-            }
-        }
-        force.sort_unstable_by_key(|at| (at.slot, at.op));
-        retry.sort_unstable_by_key(|at| (at.slot, at.op));
-        fail.sort_unstable_by_key(|at| (at.slot, at.op));
-        for at in force {
-            let Some(send) = self.nic_sends.get_mut(&at) else {
-                continue;
-            };
-            send.descs_done = true;
-            fault::recovered(ctx.world(), fault::MSI_LOSS);
-            self.try_complete_nic_send(ctx, at);
-        }
-        for at in retry {
+        // Tracked sends take the send ladder's next rung: force-complete,
+        // retransmit or fail, each group in slot order.
+        let mut steps: Vec<(SendRung, SlotRef)> = self
+            .nic_sends
+            .iter()
+            .map(|(&at, s)| (s.ladder.rung(now, &rc), at))
+            .collect();
+        steps.sort_unstable_by_key(|&(step, at)| (step, at.slot, at.op));
+        for (step, at) in steps {
             let Some(s) = self.nic_sends.get_mut(&at) else {
                 continue;
             };
-            s.attempts += 1;
-            s.last_attempt = now;
-            let tx = s.tx;
-            fault::retried(ctx.world(), fault::WIRE_DROP);
-            ctx.world().stats.counter("hdc.retransmits").add(1);
-            self.push_send_descs(ctx, at, &tx);
+            match step {
+                SendRung::Wait => {}
+                SendRung::Complete => {
+                    s.ladder.descs_done = true;
+                    fault::recovered(ctx.world(), fault::MSI_LOSS);
+                    self.try_complete_nic_send(ctx, at);
+                }
+                SendRung::Retransmit => {
+                    s.ladder.retransmit(now);
+                    let tx = s.tx;
+                    fault::retried(ctx.world(), fault::WIRE_DROP);
+                    ctx.world().stats.counter("hdc.retransmits").add(1);
+                    self.push_send_descs(ctx, at, &tx);
+                }
+                SendRung::Fail => {
+                    self.nic_sends.remove(&at);
+                    fault::exhausted(ctx.world(), fault::WIRE_DROP);
+                    ctx.world().stats.counter("hdc.send_failures").add(1);
+                    self.inflight_tx -= 1;
+                    self.tx_fifo.retain(|e| e.0 != at);
+                    self.scoreboard.mark_failed(at);
+                }
+            }
         }
-        for at in fail {
-            fault::exhausted(ctx.world(), fault::WIRE_DROP);
-            self.fail_nic_send(ctx, at);
-        }
-        // Receive expectations with no progress for a full deadline: the
+        // Receive expectations the receive ladder finds stalled: the
         // sender gave up (or never existed); fail them cleanly.
         let stale: Vec<usize> = self
             .expectations
             .iter()
             .enumerate()
-            .filter(|(_, e)| now - e.last_progress.max(e.issued_at) > fault::OP_TIMEOUT_NS)
+            .filter(|(_, e)| stalled(now - e.last_progress))
             .map(|(i, _)| i)
             .collect();
         for i in stale.into_iter().rev() {
@@ -1229,13 +1205,13 @@ impl HdcEngine {
         }
         // Transmit-FIFO entries whose interrupts were lost long ago would
         // otherwise skew attribution forever; drop them.
-        while let Some(&(_, t, _)) = self.tx_fifo.front() {
-            if now - t > fault::OP_TIMEOUT_NS {
-                self.tx_fifo.pop_front();
-                ctx.world().stats.counter("hdc.stale_tx_entries").add(1);
-            } else {
-                break;
-            }
+        while self
+            .tx_fifo
+            .front()
+            .is_some_and(|&(_, t, _)| stalled(now - t))
+        {
+            self.tx_fifo.pop_front();
+            ctx.world().stats.counter("hdc.stale_tx_entries").add(1);
         }
         self.after_progress(ctx);
         if !self.contexts.is_empty() || !self.pending_admit.is_empty() {

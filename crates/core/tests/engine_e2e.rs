@@ -496,6 +496,75 @@ fn invalid_lba_fails_cleanly_through_the_whole_stack() {
     assert_eq!(rig.sim.world().stats.counter_value("app.ok"), 0);
 }
 
+/// Copies one block from lba 4 to lba 900 on node alpha with TLP-header
+/// corruption at the `lost` draws after setup and no replay budget (each
+/// hit is a completion timeout). Returns the rig, the job's completion
+/// and the block.
+fn copy_with_lost_tlps(lost: Vec<u64>) -> (Rig, D2dDone, Vec<u8>) {
+    let mut rig = setup();
+    let payload = vec![0x3Cu8; 4096];
+    rig.sim
+        .world_mut()
+        .expect_mut::<PhysMemory>()
+        .write(rig.a.ssds[0].lba_addr(4), &payload);
+    let mut plan = FaultPlan::new(Rng::new(0xC0E));
+    plan.enable(fault::TLP_HEADER, FaultSpec::Nth(lost));
+    plan.recovery = RecoveryConfig {
+        pcie_retries: 0,
+        ..RecoveryConfig::default()
+    };
+    rig.sim.world_mut().insert(plan);
+    let copy = D2dJob {
+        id: 41,
+        ops: vec![
+            D2dOp::SsdRead {
+                ssd: 0,
+                lba: 4,
+                len: 4096,
+            },
+            D2dOp::SsdWrite { ssd: 0, lba: 900 },
+        ],
+        reply_to: rig.app,
+        tag: "lost-cqe",
+    };
+    rig.sim.kickoff(
+        rig.app,
+        Submit {
+            to: rig.a.driver,
+            job: copy,
+        },
+    );
+    rig.sim.run();
+    let done = rig.sim.world_mut().expect_mut::<Inbox>().0.remove(0);
+    (rig, done, payload)
+}
+
+#[test]
+fn lost_cqe_climbs_the_reset_ladder_and_recovers() {
+    // Draws after setup: 0 = the read's SQ-entry fetch, 1 = its
+    // data-out, 2 = its CQE write, 3 = the drive's CQE rewrite. Killing
+    // 2 and 3 loses the completion entirely; the engine's watchdog must
+    // then reset the controller and resubmit, as the host driver does
+    // (`nvme_driver.rs`, the test of the same name).
+    let (rig, done, payload) = copy_with_lost_tlps(vec![2, 3]);
+    let stats = &rig.sim.world().stats;
+    assert_eq!(stats.counter_value("nvme.cqe_lost"), 1);
+    assert_eq!(stats.counter_value("hdc.nvme_resets"), 1);
+    assert_eq!(
+        stats.counter_value("nvme.resets"),
+        1,
+        "device saw the re-attach"
+    );
+    assert_eq!(stats.counter_value("aer.device_reset"), 1);
+    assert!(done.ok, "the job completed after the reset");
+    let on_flash = rig
+        .sim
+        .world()
+        .expect::<PhysMemory>()
+        .read(rig.a.ssds[0].lba_addr(900), payload.len());
+    assert_eq!(on_flash, payload, "the copy landed intact");
+}
+
 #[test]
 fn dcs_latency_beats_typical_software_budget() {
     // A 4 KiB SSD->NIC op completes within tens of microseconds: flash

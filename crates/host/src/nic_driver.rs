@@ -18,15 +18,17 @@
 //! in-order frame and answer with coalesced pure-ACK frames (zero
 //! payload, `seq == ACK_MAGIC`), and senders hold completions until
 //! acknowledged, retransmitting on an exponential-backoff timeout within
-//! a bounded budget. Frames that fail checksum validation are dropped
-//! and counted rather than panicking. Without a plan none of this runs
-//! and the event stream is identical to the fault-free simulator.
+//! a bounded budget (the shared ladder, [`dcs_nic::SendLadder`] and
+//! [`dcs_nic::stalled`]). Frames that fail checksum validation are
+//! dropped and counted rather than panicking. Without a plan none of
+//! this runs and the event stream is identical to the fault-free
+//! simulator.
 
 use std::collections::VecDeque;
 
 use dcs_nic::{
-    ConfigureNic, GoBackN, NicHandle, NicInitiator, RxEvent, RxFrame, RxOrder, TcpFlow, Transmit,
-    MSS,
+    stalled, ConfigureNic, GoBackN, NicHandle, NicInitiator, RxEvent, RxFrame, RxOrder, SendLadder,
+    SendRung, TcpFlow, Transmit, MSS,
 };
 use dcs_pcie::{AddrRange, MsiDelivery, PhysAddr, PhysMemory};
 use dcs_sim::{fault, Breakdown, Category, Component, ComponentId, Ctx, DetMap, Msg, SimTime};
@@ -110,13 +112,9 @@ struct PendingSend {
     /// Absolute per-flow stream offset of this send's first byte
     /// (fault mode; zero otherwise).
     start_off: u64,
-    /// Retransmission attempts so far.
-    attempts: u32,
-    /// All transmit-completion MSIs observed.
-    descs_done: bool,
-    /// Peer acknowledged the full payload (initialized true outside
-    /// fault mode and for zero-length sends).
-    acked: bool,
+    /// Retransmissions, transmit MSIs and the peer's ack (acked from the
+    /// start outside fault mode and for zero-length sends).
+    ladder: SendLadder,
 }
 
 struct Expectation {
@@ -125,6 +123,8 @@ struct Expectation {
     stack_ns: u64,
     copy_ns: u64,
     started_at: SimTime,
+    /// Last time bytes landed (fault mode abandons stalled receives).
+    last_progress: SimTime,
 }
 
 enum CpuPhase {
@@ -148,7 +148,6 @@ struct TxCheck {
 #[derive(Debug)]
 struct RxCheck {
     id: u64,
-    last_received: usize,
 }
 
 /// The driver component. One instance drives one NIC.
@@ -272,9 +271,7 @@ impl HostNicDriver {
                 submitted_at: ctx.now(),
                 descs_remaining: 0,
                 start_off,
-                attempts: 0,
-                descs_done: false,
-                acked,
+                ladder: SendLadder::new(ctx.now(), acked),
             },
         );
         self.tx_submit_queue.push_back(id);
@@ -286,10 +283,13 @@ impl HostNicDriver {
             .tx_submit_queue
             .pop_front()
             .expect("a send awaited this CPU job");
-        self.sends.get_mut(&id).expect("live send").submitted_at = ctx.now();
+        let s = self.sends.get_mut(&id).expect("live send");
+        s.submitted_at = ctx.now();
+        s.ladder.last_attempt = ctx.now();
+        let rto = s.ladder.rto_ns();
         self.push_send_descs(ctx, id);
         if fault::active(ctx.world_ref()) {
-            ctx.send_self_in(fault::NIC_RTO_NS, TxCheck { id });
+            ctx.send_self_in(rto, TxCheck { id });
         }
     }
 
@@ -338,18 +338,17 @@ impl HostNicDriver {
         if s.descs_remaining > 0 {
             return;
         }
-        s.descs_done = true;
+        s.ladder.descs_done = true;
         self.try_complete_send(ctx, id);
     }
 
     /// Completes a send once both its descriptors have left the adapter
     /// and (in fault mode) the peer has acknowledged the payload.
     fn try_complete_send(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        let ready = {
-            let s = &self.sends[&id];
-            s.descs_done && s.acked
-        };
-        if !ready {
+        let SendLadder {
+            descs_done, acked, ..
+        } = self.sends[&id].ladder;
+        if !(descs_done && acked) {
             return;
         }
         let s = self.sends.remove(&id).expect("live send");
@@ -392,10 +391,10 @@ impl HostNicDriver {
                         .pop_front();
                 }
                 Some(s) if s.start_off + s.req.len as u64 <= acked => {
-                    if s.attempts > 0 {
+                    if s.ladder.attempts > 0 {
                         fault::recovered(ctx.world(), fault::WIRE_DROP);
                     }
-                    s.acked = true;
+                    s.ladder.acked = true;
                     self.unacked
                         .get_mut(&key)
                         .expect("queue exists")
@@ -407,44 +406,40 @@ impl HostNicDriver {
         }
     }
 
-    /// Retransmission-timeout check: retransmit the send's descriptors
-    /// with exponential backoff until acknowledged or the budget runs
-    /// out; also force-completes an acknowledged send whose transmit
-    /// MSI was lost.
+    /// Retransmission-timeout check: takes the send ladder's next rung —
+    /// force-complete an acknowledged send whose transmit MSI was lost,
+    /// retransmit with exponential backoff, or fail once the budget runs
+    /// out.
     fn on_tx_check(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        let Some(rc) = fault::recovery(ctx.world_ref()) else {
-            return;
+        let (Some(rc), Some(s)) = (fault::recovery(ctx.world_ref()), self.sends.get_mut(&id))
+        else {
+            return; // fault-free, or the send completed or failed
         };
-        let retry = match self.sends.get_mut(&id) {
-            None => return, // completed or failed
-            Some(s) if s.acked => {
-                if !s.descs_done {
-                    // Data acknowledged but a transmit-completion MSI
-                    // never arrived: resynchronize and complete.
-                    s.descs_done = true;
-                    s.descs_remaining = 0;
-                    self.tx_queue.retain(|&q| q != id);
-                    fault::recovered(ctx.world(), fault::MSI_LOSS);
-                    self.try_complete_send(ctx, id);
-                }
-                return;
+        match s.ladder.rung(ctx.now(), &rc) {
+            SendRung::Wait => {
+                let rto = s.ladder.rto_ns();
+                ctx.send_self_in(rto, TxCheck { id });
             }
-            Some(s) if s.attempts < rc.nic_retries => {
-                s.attempts += 1;
-                true
+            SendRung::Complete => {
+                // Data acknowledged but a transmit-completion MSI never
+                // arrived: resynchronize and complete.
+                s.ladder.descs_done = true;
+                s.descs_remaining = 0;
+                self.tx_queue.retain(|&q| q != id);
+                fault::recovered(ctx.world(), fault::MSI_LOSS);
+                self.try_complete_send(ctx, id);
             }
-            Some(_) => false,
-        };
-        if retry {
-            fault::retried(ctx.world(), fault::WIRE_DROP);
-            ctx.world().stats.counter("nic.retransmits").add(1);
-            self.push_send_descs(ctx, id);
-            let attempts = self.sends[&id].attempts;
-            let backoff = fault::NIC_RTO_NS << attempts.min(10);
-            ctx.send_self_in(backoff, TxCheck { id });
-        } else {
-            fault::exhausted(ctx.world(), fault::WIRE_DROP);
-            self.fail_send(ctx, id);
+            SendRung::Retransmit => {
+                let backoff = s.ladder.retransmit(ctx.now());
+                fault::retried(ctx.world(), fault::WIRE_DROP);
+                ctx.world().stats.counter("nic.retransmits").add(1);
+                self.push_send_descs(ctx, id);
+                ctx.send_self_in(backoff, TxCheck { id });
+            }
+            SendRung::Fail => {
+                fault::exhausted(ctx.world(), fault::WIRE_DROP);
+                self.fail_send(ctx, id);
+            }
         }
     }
 
@@ -586,6 +581,7 @@ impl HostNicDriver {
                 take,
             );
             e.received += take;
+            e.last_progress = ctx.now();
             e.stack_ns += stack_ns * take as u64 / total_bytes as u64;
             e.copy_ns += copy_ns * take as u64 / total_bytes as u64;
             if e.received == e.req.len {
@@ -613,24 +609,14 @@ impl HostNicDriver {
     }
 
     /// Progress check for a receive expectation: re-arms while bytes are
-    /// still arriving, abandons the expectation after a full timeout
-    /// with no progress (the peer's retry budget ran out).
-    fn on_rx_check(&mut self, ctx: &mut Ctx<'_>, id: u64, last_received: usize) {
-        if !fault::active(ctx.world_ref()) {
-            return;
-        }
+    /// still arriving, abandons the expectation once the receive ladder
+    /// finds it stalled (the peer's retry budget ran out).
+    fn on_rx_check(&mut self, ctx: &mut Ctx<'_>, id: u64) {
         let Some(pos) = self.expectations.iter().position(|e| e.req.id == id) else {
             return;
         };
-        let received = self.expectations[pos].received;
-        if received > last_received {
-            ctx.send_self_in(
-                fault::OP_TIMEOUT_NS,
-                RxCheck {
-                    id,
-                    last_received: received,
-                },
-            );
+        if !stalled(ctx.now() - self.expectations[pos].last_progress) {
+            ctx.send_self_in(fault::OP_TIMEOUT_NS, RxCheck { id });
             return;
         }
         let e = self.expectations.remove(pos);
@@ -687,15 +673,10 @@ impl Component for HostNicDriver {
                     stack_ns: 0,
                     copy_ns: 0,
                     started_at: ctx.now(),
+                    last_progress: ctx.now(),
                 });
                 if fault::active(ctx.world_ref()) {
-                    ctx.send_self_in(
-                        fault::OP_TIMEOUT_NS,
-                        RxCheck {
-                            id,
-                            last_received: 0,
-                        },
-                    );
+                    ctx.send_self_in(fault::OP_TIMEOUT_NS, RxCheck { id });
                 }
                 // Data may already be waiting.
                 self.deliver_frames(ctx, vec![], 0, 0);
@@ -727,7 +708,7 @@ impl Component for HostNicDriver {
         };
         let msg = match msg.downcast::<RxCheck>() {
             Ok(check) => {
-                self.on_rx_check(ctx, check.id, check.last_received);
+                self.on_rx_check(ctx, check.id);
                 return;
             }
             Err(m) => m,

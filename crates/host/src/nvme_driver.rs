@@ -10,15 +10,17 @@
 //! While a [`dcs_sim::FaultPlan`] is installed the driver also runs the
 //! kernel's error path: a retryable completion status (media error)
 //! resubmits just that MDTS chunk under a fresh CID within a bounded
-//! budget, and a per-request timeout polls the completion queue directly
-//! — recovering lost MSIs — before surfacing a clean error completion.
-//! Without a plan none of these timers are armed and the event stream is
-//! identical to the fault-free simulator.
+//! budget, and a per-request check polls the completion queue directly
+//! — recovering lost MSIs — and climbs the shared recovery ladder
+//! ([`dcs_nvme::rung`]): wait, reset the controller, and only then
+//! surface a clean error completion. Without a plan none of these timers
+//! are armed and the event stream is identical to the fault-free
+//! simulator.
 
 use dcs_sim::DetMap;
 
 use dcs_nvme::{
-    AttachQueuePair, NvmeCommand, NvmeCompletion, NvmeHandle, NvmeInitiator, NvmeIo, Outcome,
+    AttachQueuePair, NvmeCommand, NvmeCompletion, NvmeHandle, NvmeInitiator, NvmeIo, Outcome, Rung,
     LBA_SIZE,
 };
 use dcs_pcie::{AddrRange, MsiDelivery, PhysAddr, PhysMemory};
@@ -105,9 +107,6 @@ pub struct HostNvmeDriver {
     outstanding: DetMap<u16, Outstanding>,
     cpu_phases: DetMap<u64, CpuPhase>,
     next_cpu_token: u64,
-    /// Controller resets performed (bounded by
-    /// `RecoveryConfig::nvme_resets`).
-    resets_used: u32,
 }
 
 impl HostNvmeDriver {
@@ -147,7 +146,6 @@ impl HostNvmeDriver {
             outstanding: DetMap::new(),
             cpu_phases: DetMap::new(),
             next_cpu_token: 1,
-            resets_used: 0,
         };
         (driver, attach)
     }
@@ -235,23 +233,12 @@ impl HostNvmeDriver {
         // Ring the CQ head doorbell once for the batch.
         ctx.send_now(self.fabric, doorbell);
         for entry in entries {
-            // Validate before trusting: a poisoned CQE can land with a
-            // plausible phase bit but garbage fields (the device rewrites
-            // the slot, but a poll may race the rewrite). An entry whose
-            // CID matches nothing we submitted must not steer SQ-head
-            // accounting or complete anything.
-            let known = self.nvme.owner(entry.cid).is_some_and(|r| r != entry.cid)
-                || self.outstanding.contains_key(&entry.cid);
-            if !known {
-                ctx.world().stats.counter("nvme.drv_bad_cqe").add(1);
-                continue;
-            }
-            self.nvme.update_sq_head(entry.sq_head);
             match self.nvme.complete(ctx.world(), &entry) {
+                // A poisoned entry (the device rewrites the slot, but a
+                // poll may race the rewrite) or one a reset retired.
+                Outcome::Unknown => ctx.world().stats.counter("nvme.drv_bad_cqe").add(1),
                 // A straggler for a request a timeout already failed.
-                Outcome::Unknown | Outcome::Stale => {
-                    ctx.world().stats.counter("nvme.drv_stale_cqe").add(1);
-                }
+                Outcome::Stale => ctx.world().stats.counter("nvme.drv_stale_cqe").add(1),
                 Outcome::Retried(doorbell) => ctx.send_now(self.fabric, doorbell),
                 Outcome::Settled { done: None, .. } => {}
                 Outcome::Settled { io, done: Some(ok) } => self.device_done(ctx, io.req, ok),
@@ -271,68 +258,39 @@ impl HostNvmeDriver {
     }
 
     /// Command-timeout check: polls the CQ directly (the MSI may have
-    /// been lost), re-arms while the request is within its overall
-    /// deadline, and otherwise surfaces a clean error completion.
+    /// been lost), then takes the ladder's next rung for the request:
+    /// wait, reset the controller (which resubmits every outstanding
+    /// command), or surface a clean error completion.
     fn on_check(&mut self, ctx: &mut Ctx<'_>, cid: u16) {
         if !self.nvme.is_in_flight(&cid) {
             return; // completed (or already timed out); timer expires silently
         }
         ctx.world().stats.counter("nvme.drv_polls").add(1);
         self.drain_cq(ctx);
-        if !self.nvme.is_in_flight(&cid) {
-            return; // the poll recovered it
-        }
         let Some(rc) = fault::recovery(ctx.world_ref()) else {
             return;
         };
-        if ctx.now() - self.outstanding[&cid].submitted_at < fault::OP_TIMEOUT_NS {
-            ctx.send_self_in(fault::NVME_TIMEOUT_NS, NvmeCheck { cid });
-            return;
+        let now = ctx.now();
+        let ladder = self.nvme.ladder(now, &rc);
+        match ladder.into_iter().find(|&(req, _)| req == cid) {
+            None => return, // the poll recovered it
+            Some((_, Rung::Wait)) => {}
+            Some((_, Rung::Reset)) => {
+                ctx.world().stats.counter("nvme.drv_resets").add(1);
+                let (attach, doorbell) =
+                    self.nvme.reset(ctx.world().expect_mut::<PhysMemory>(), now);
+                ctx.send_now(self.nvme.device(), attach);
+                ctx.send_now(self.fabric, doorbell);
+            }
+            Some((_, Rung::Fail)) => {
+                ctx.world().stats.counter("nvme.drv_timeouts").add(1);
+                fault::exhausted(ctx.world(), fault::MSI_LOSS);
+                self.nvme.abandon(&cid);
+                self.device_done(ctx, cid, false);
+                return;
+            }
         }
-        // Patience exhausted. Next rung of the recovery ladder: a
-        // controller reset — re-attach the queue pair (aborting whatever
-        // the device still holds), start fresh rings, and resubmit every
-        // outstanding request. Only after the reset budget is spent does
-        // the request fail.
-        if self.resets_used < rc.nvme_resets {
-            self.resets_used += 1;
-            self.reset_controller(ctx);
-            return;
-        }
-        ctx.world().stats.counter("nvme.drv_timeouts").add(1);
-        fault::exhausted(ctx.world(), fault::MSI_LOSS);
-        self.nvme.abandon(&cid);
-        self.device_done(ctx, cid, false);
-    }
-
-    /// NVMe controller reset: re-attach the queue pair (the device drops
-    /// its in-flight ops), reinitialize both rings, and resubmit every
-    /// request that has not completed.
-    fn reset_controller(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.world().stats.counter("nvme.drv_resets").add(1);
-        // Resubmit in CID order for determinism, each request under a
-        // FRESH primary CID: any pre-reset completion entry still in
-        // flight then matches nothing and is dropped by the drain-side
-        // validation, instead of double-completing resubmitted chunks.
-        // `submit_to_device` rebuilds chunks and re-arms the timeout.
-        let mut pending: Vec<u16> = self
-            .outstanding
-            .keys()
-            .copied()
-            .filter(|cid| self.nvme.is_in_flight(cid))
-            .collect();
-        pending.sort_unstable();
-        let device = self.nvme.device();
-        let attach = self.nvme.reset(ctx.world().expect_mut::<PhysMemory>());
-        ctx.send_now(device, attach);
-        for old_cid in pending {
-            let Some(out) = self.outstanding.remove(&old_cid) else {
-                continue;
-            };
-            let cid = self.nvme.alloc_cid();
-            self.outstanding.insert(cid, out);
-            self.submit_to_device(ctx, cid);
-        }
+        ctx.send_self_in(fault::NVME_TIMEOUT_NS, NvmeCheck { cid });
     }
 
     fn finish(&mut self, ctx: &mut Ctx<'_>, cid: u16) {

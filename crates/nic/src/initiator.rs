@@ -15,11 +15,12 @@
 //! of its first byte, a receiver accepts only the next in-order frame and
 //! answers with coalesced cumulative acks (`seq == ACK_MAGIC`, no
 //! payload), and a sender retransmits a whole send until the peer's
-//! cumulative ack covers it. Callers keep their own timing and cost
-//! accounting, flow keys, counters and retransmission timers.
+//! cumulative ack covers it. The recovery ladder is shared too:
+//! [`SendLadder`] and [`stalled`]. Callers keep their own timing and cost
+//! accounting, flow keys, counters and timer shapes.
 
 use dcs_pcie::{aer, MmioWrite, PhysAddr, PhysMemory};
-use dcs_sim::{fault, ComponentId, DetMap, SimTime, World};
+use dcs_sim::{fault, ComponentId, DetMap, RecoveryConfig, SimTime, World};
 
 use crate::device::{ConfigureNic, ControlFrame, NicHandle, MSS};
 use crate::headers::{build_frame, build_template, parse_frame, TcpFlow, ACK_MAGIC};
@@ -268,6 +269,81 @@ impl NicInitiator {
         });
         RxScan { events, repost }
     }
+}
+
+/// The next step of the NIC send ladder for one tracked send.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum SendRung {
+    /// Within its timeout: keep waiting.
+    Wait,
+    /// Acked, but the last transmit interrupt never came: complete it.
+    Complete,
+    /// Unacked past its timeout with budget left: replay it.
+    Retransmit,
+    /// Unacked past its timeout with the budget spent: fail it.
+    Fail,
+}
+
+/// One tracked send's place on the NIC recovery ladder; the host driver
+/// and the HDC Engine keep one per send.
+#[derive(Clone, Copy, Debug)]
+pub struct SendLadder {
+    /// Retransmissions so far.
+    pub attempts: u32,
+    /// When the send was last (re)transmitted.
+    pub last_attempt: SimTime,
+    /// Every transmit descriptor raised its interrupt.
+    pub descs_done: bool,
+    /// The peer's cumulative ack covers the send.
+    pub acked: bool,
+}
+
+impl SendLadder {
+    /// A send transmitted at `now`; `acked` when it has no bytes to ack.
+    pub fn new(now: SimTime, acked: bool) -> SendLadder {
+        SendLadder {
+            attempts: 0,
+            last_attempt: now,
+            descs_done: false,
+            acked,
+        }
+    }
+
+    /// The retransmission timeout: `fault::NIC_RTO_NS`, doubling per
+    /// retransmission up to 2^10 times.
+    pub fn rto_ns(&self) -> u64 {
+        fault::NIC_RTO_NS << self.attempts.min(10)
+    }
+
+    /// The ladder's next step at `now`, for the host driver and the HDC
+    /// Engine alike: an acked send whose transmit interrupts are still
+    /// missing `fault::NIC_RTO_NS` after its last transmission completes;
+    /// an unacked one waits out [`rto_ns`](Self::rto_ns), then
+    /// retransmits while `attempts` is below `rc.nic_retries`, then fails.
+    pub fn rung(&self, now: SimTime, rc: &RecoveryConfig) -> SendRung {
+        let age = now - self.last_attempt;
+        match (self.acked, self.descs_done) {
+            (true, false) if age >= fault::NIC_RTO_NS => SendRung::Complete,
+            (true, _) => SendRung::Wait,
+            _ if age < self.rto_ns() => SendRung::Wait,
+            _ if self.attempts < rc.nic_retries => SendRung::Retransmit,
+            _ => SendRung::Fail,
+        }
+    }
+
+    /// Records a retransmission at `now`; returns the next timeout.
+    pub fn retransmit(&mut self, now: SimTime) -> u64 {
+        self.attempts += 1;
+        self.last_attempt = now;
+        self.rto_ns()
+    }
+}
+
+/// The NIC stall test: a receive that landed no bytes for `idle_ns` (at
+/// least `fault::OP_TIMEOUT_NS`) lost its sender and fails; a transmit
+/// interrupt that late was lost.
+pub fn stalled(idle_ns: u64) -> bool {
+    idle_ns >= fault::OP_TIMEOUT_NS
 }
 
 /// How a received data frame relates to its stream's in-order count.
@@ -585,6 +661,35 @@ mod tests {
         };
         assert_eq!(ack.pure_ack(), Some(200));
         assert_eq!(data(200, 1).pure_ack(), None);
+    }
+
+    #[test]
+    fn send_ladder_completes_retransmits_with_backoff_then_fails() {
+        let rc = RecoveryConfig::default();
+        let rto = fault::NIC_RTO_NS;
+        let t0 = SimTime::ZERO;
+        let mut send = SendLadder::new(t0, false);
+        assert_eq!(send.rung(t0 + (rto - 1), &rc), SendRung::Wait);
+        assert_eq!(send.rung(t0 + rto, &rc), SendRung::Retransmit);
+        assert_eq!(send.retransmit(t0 + rto), 2 * rto, "the backoff doubles");
+        assert_eq!(send.rung(t0 + (3 * rto - 1), &rc), SendRung::Wait);
+        while send.attempts < rc.nic_retries {
+            send.retransmit(t0);
+        }
+        assert_eq!(send.rto_ns(), rto << rc.nic_retries.min(10));
+        assert_eq!(send.rung(t0 + send.rto_ns(), &rc), SendRung::Fail);
+        send.attempts = 40;
+        assert_eq!(send.rto_ns(), rto << 10, "the backoff is capped");
+        send.acked = true;
+        assert_eq!(send.rung(t0 + rto, &rc), SendRung::Complete);
+        assert_eq!(send.rung(t0 + (rto - 1), &rc), SendRung::Wait);
+        send.descs_done = true;
+        assert_eq!(send.rung(t0 + 10 * rto, &rc), SendRung::Wait);
+        let none = RecoveryConfig::no_retries();
+        let fresh = SendLadder::new(t0, false);
+        assert_eq!(fresh.rung(t0 + rto, &none), SendRung::Fail);
+        assert!(!stalled(fault::OP_TIMEOUT_NS - 1));
+        assert!(stalled(fault::OP_TIMEOUT_NS));
     }
 
     #[test]

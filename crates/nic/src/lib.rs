@@ -36,6 +36,9 @@ pub use device::{install_nic, ConfigureNic, ControlFrame, NicConfig, NicDevice, 
 pub use headers::{
     ParsedPacket, TcpFlow, ACK_MAGIC, ETH_HEADER_LEN, IPV4_HEADER_LEN, TCP_HEADER_LEN,
 };
-pub use initiator::{GoBackN, NicInitiator, RxEvent, RxFrame, RxOrder, RxScan, Transmit};
+pub use initiator::{
+    stalled, GoBackN, NicInitiator, RxEvent, RxFrame, RxOrder, RxScan, SendLadder, SendRung,
+    Transmit,
+};
 pub use ring::{RecvDescriptor, RecvWriteback, RingWriter, SendDescriptor};
 pub use wire::{install_wire, FrameDelivery, TransmitDone, TransmitFrame, Wire, WireConfig};

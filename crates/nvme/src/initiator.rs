@@ -8,11 +8,15 @@
 //! and settle each command — resubmitting a retryable failure within
 //! `RecoveryConfig::nvme_retries`. [`NvmeInitiator`] does that ring and
 //! memory work and returns what happened: the doorbell writes to send,
-//! and which commands and requests settled. Callers keep their own
-//! timing and cost accounting, queue id and depth, and recovery ladder.
+//! and which commands and requests settled.
+//!
+//! The recovery ladder is shared too: [`rung`] decides when a silent
+//! request stops waiting, resets the controller
+//! ([`NvmeInitiator::reset`]) or fails. Callers keep their own timers,
+//! cost accounting, queue id and depth, and counter names.
 
 use dcs_pcie::{MmioWrite, PhysAddr, PhysMemory};
-use dcs_sim::{fault, ComponentId, DetMap, SimTime, World};
+use dcs_sim::{fault, ComponentId, DetMap, RecoveryConfig, SimTime, World};
 
 use crate::device::{AttachQueuePair, NvmeHandle};
 use crate::queue::{CompletionQueueReader, SubmissionQueueWriter};
@@ -36,10 +40,11 @@ pub struct NvmeIo<R> {
     pub issued_at: SimTime,
 }
 
-/// What settling one completion (or one expired command) did.
+/// What settling one completion did.
 #[derive(Debug)]
 pub enum Outcome<R> {
-    /// No outstanding command carries this CID.
+    /// No outstanding command carries this CID (a poisoned entry, or one
+    /// a reset retired): dropped without moving the SQ head.
     Unknown,
     /// The command's request was already settled or abandoned.
     Stale,
@@ -65,6 +70,32 @@ struct Command<R> {
 struct Progress {
     remaining: usize,
     failed: bool,
+    /// Start of the ladder clock: the request's issue or the last
+    /// controller reset.
+    since: SimTime,
+}
+
+/// The next step of the NVMe recovery ladder for one request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rung {
+    /// Within its deadline: keep polling the completion queue.
+    Wait,
+    /// Overdue with a controller reset left in the budget.
+    Reset,
+    /// Overdue with the reset budget spent: fail the request.
+    Fail,
+}
+
+/// The NVMe recovery ladder, for the host driver and the HDC Engine
+/// alike: a request silent for `age_ns` since its issue or the last
+/// controller reset waits for `fault::OP_TIMEOUT_NS`, then resets the
+/// controller while `resets_used` is below `rc.nvme_resets`, then fails.
+pub fn rung(age_ns: u64, resets_used: u32, rc: &RecoveryConfig) -> Rung {
+    match (age_ns >= fault::OP_TIMEOUT_NS, resets_used < rc.nvme_resets) {
+        (false, _) => Rung::Wait,
+        (true, true) => Rung::Reset,
+        (true, false) => Rung::Fail,
+    }
 }
 
 /// One initiator's queue pair on one drive, with its outstanding
@@ -79,6 +110,8 @@ pub struct NvmeInitiator<R> {
     next_cid: u16,
     commands: DetMap<u16, Command<R>>,
     requests: DetMap<R, Progress>,
+    /// Controller resets performed (the ladder's budget).
+    resets: u32,
 }
 
 impl<R: Copy + Eq + std::hash::Hash> NvmeInitiator<R> {
@@ -95,6 +128,7 @@ impl<R: Copy + Eq + std::hash::Hash> NvmeInitiator<R> {
             next_cid: 0,
             commands: DetMap::new(),
             requests: DetMap::new(),
+            resets: 0,
         }
     }
 
@@ -123,9 +157,14 @@ impl<R: Copy + Eq + std::hash::Hash> NvmeInitiator<R> {
         self.requests.contains_key(req)
     }
 
-    /// The request an outstanding CID belongs to.
-    pub fn owner(&self, cid: u16) -> Option<R> {
-        self.commands.get(&cid).map(|c| c.io.req)
+    /// The ladder's next step at `now` for every request in flight, in
+    /// issue order, under this queue pair's resets so far.
+    pub fn ladder(&self, now: SimTime, rc: &RecoveryConfig) -> Vec<(R, Rung)> {
+        let step = |p: &Progress| rung(now - p.since, self.resets, rc);
+        self.requests
+            .iter()
+            .map(|(&req, p)| (req, step(p)))
+            .collect()
     }
 
     /// Reserves the next CID (wrapping at `u16::MAX`). A request's first
@@ -160,8 +199,13 @@ impl<R: Copy + Eq + std::hash::Hash> NvmeInitiator<R> {
             Progress {
                 remaining: chunks,
                 failed: false,
+                since: io.issued_at,
             },
         );
+        self.sq_doorbell()
+    }
+
+    fn sq_doorbell(&self) -> MmioWrite {
         MmioWrite::doorbell(self.handle.sq_doorbell(self.attach.qid), self.sq.tail())
     }
 
@@ -201,19 +245,17 @@ impl<R: Copy + Eq + std::hash::Hash> NvmeInitiator<R> {
         Some((entries, head))
     }
 
-    /// Records the drive's SQ head from a completion entry.
-    pub fn update_sq_head(&mut self, head: u16) {
-        self.sq.update_head(head);
-    }
-
-    /// Settles the command `entry` completes. A retryable status is
-    /// resubmitted while the installed fault plan's `nvme_retries` budget
-    /// lasts, and otherwise settles as a failure; retries, exhausted
-    /// budgets and recoveries are tallied against the NVMe media site.
+    /// Settles the command `entry` completes. Only an entry whose CID
+    /// this initiator issued moves the SQ head; any other is
+    /// [`Outcome::Unknown`]. A retryable status is resubmitted while the
+    /// installed fault plan's `nvme_retries` budget lasts, and otherwise
+    /// settles as a failure; retries, exhausted budgets and recoveries
+    /// are tallied against the NVMe media site.
     pub fn complete(&mut self, world: &mut World, entry: &NvmeCompletion) -> Outcome<R> {
         let Some(cmd) = self.commands.remove(&entry.cid) else {
             return Outcome::Unknown;
         };
+        self.sq.update_head(entry.sq_head);
         if !self.requests.contains_key(&cmd.io.req) {
             return Outcome::Stale;
         }
@@ -227,36 +269,13 @@ impl<R: Copy + Eq + std::hash::Hash> NvmeInitiator<R> {
                     cmd.io,
                     cmd.attempts + 1,
                 );
-                let tail = self.sq.tail();
-                let db = MmioWrite::doorbell(self.handle.sq_doorbell(self.attach.qid), tail);
-                return Outcome::Retried(db);
+                return Outcome::Retried(self.sq_doorbell());
             }
             fault::exhausted(world, fault::NVME_MEDIA);
         } else if entry.status.is_ok() && cmd.attempts > 0 {
             fault::recovered(world, fault::NVME_MEDIA);
         }
         self.settle(cmd.io, entry.status.is_ok())
-    }
-
-    /// CIDs of commands issued more than `limit_ns` before `now`, in
-    /// CID order.
-    pub fn overdue(&self, now: SimTime, limit_ns: u64) -> Vec<u16> {
-        let mut cids: Vec<u16> = self
-            .commands
-            .iter()
-            .filter(|(_, c)| now - c.io.issued_at > limit_ns)
-            .map(|(&cid, _)| cid)
-            .collect();
-        cids.sort_unstable();
-        cids
-    }
-
-    /// Gives up on one command: it settles as a failure.
-    pub fn expire(&mut self, cid: u16) -> Outcome<R> {
-        match self.commands.remove(&cid) {
-            Some(cmd) => self.settle(cmd.io, false),
-            None => Outcome::Unknown,
-        }
     }
 
     fn settle(&mut self, io: NvmeIo<R>, ok: bool) -> Outcome<R> {
@@ -278,23 +297,33 @@ impl<R: Copy + Eq + std::hash::Hash> NvmeInitiator<R> {
         self.requests.remove(req);
     }
 
-    /// Controller reset: starts fresh rings, scrubs the CQ (stale phase
-    /// bits must not read as new completions) and forgets every
-    /// outstanding command and request. Returns the queue-pair
-    /// configuration to re-attach, which makes the drive drop whatever
-    /// it still holds.
-    pub fn reset(&mut self, mem: &mut PhysMemory) -> AttachQueuePair {
+    /// Controller reset, the ladder's [`Rung::Reset`]: starts fresh
+    /// rings, scrubs the CQ (stale phase bits must not read as new
+    /// completions), drops the commands of abandoned requests and
+    /// resubmits the others, in issue order, under fresh CIDs, so a
+    /// pre-reset completion settles nothing. Every request's ladder
+    /// clock restarts at `now`. Returns the queue-pair configuration to
+    /// re-attach, which makes the drive drop whatever it still holds,
+    /// and the SQ tail doorbell to ring after it.
+    pub fn reset(&mut self, mem: &mut PhysMemory, now: SimTime) -> (AttachQueuePair, MmioWrite) {
+        self.resets += 1;
         let a = self.attach;
-        let fresh = Self::new(self.handle.clone(), a, self.prp_scratch);
-        *self = NvmeInitiator {
-            next_cid: self.next_cid,
-            ..fresh
-        };
+        self.sq = SubmissionQueueWriter::new(a.sq_base, a.depth);
+        self.cq = CompletionQueueReader::new(a.cq_base, a.depth);
         mem.write(
             a.cq_base,
             &vec![0u8; a.depth as usize * NvmeCompletion::SIZE],
         );
-        a
+        let pending: Vec<Command<R>> = self.commands.drain().map(|(_, cmd)| cmd).collect();
+        for cmd in pending {
+            let Some(p) = self.requests.get_mut(&cmd.io.req) else {
+                continue;
+            };
+            p.since = now;
+            let cid = self.alloc_cid();
+            self.push(mem, cid, cmd.io, cmd.attempts);
+        }
+        (a, self.sq_doorbell())
     }
 }
 
@@ -303,7 +332,7 @@ mod tests {
     use super::*;
     use crate::spec::NvmeStatus;
     use dcs_pcie::{AddrRange, PortId};
-    use dcs_sim::{FaultPlan, RecoveryConfig};
+    use dcs_sim::FaultPlan;
 
     const DEPTH: u16 = 64;
 
@@ -365,15 +394,26 @@ mod tests {
 
     /// Posts completions for `cids` (first CQ pass, phase 1).
     fn post(world: &mut World, init: &NvmeInitiator<u32>, cqes: &[(u16, NvmeStatus)]) {
+        let entries: Vec<_> = cqes
+            .iter()
+            .map(|&(cid, status)| cqe(cid, 0, status))
+            .collect();
+        post_entries(world, init, &entries);
+    }
+
+    fn cqe(cid: u16, sq_head: u16, status: NvmeStatus) -> NvmeCompletion {
+        NvmeCompletion {
+            sq_head,
+            sq_id: 1,
+            cid,
+            phase: true,
+            status,
+        }
+    }
+
+    fn post_entries(world: &mut World, init: &NvmeInitiator<u32>, entries: &[NvmeCompletion]) {
         let mem = world.expect_mut::<PhysMemory>();
-        for (i, &(cid, status)) in cqes.iter().enumerate() {
-            let entry = NvmeCompletion {
-                sq_head: 0,
-                sq_id: 1,
-                cid,
-                phase: true,
-                status,
-            };
+        for (i, entry) in entries.iter().enumerate() {
             let at = init.attach.cq_base + (init.cq.head() as u64 + i as u64) * 16;
             mem.write(at, &entry.to_bytes());
         }
@@ -406,7 +446,7 @@ mod tests {
             ]
         );
         assert!(init.is_in_flight(&9));
-        assert_eq!(init.owner(2), Some(9));
+        assert_eq!(init.commands.get(&2).map(|c| c.io.req), Some(9));
     }
 
     #[test]
@@ -416,7 +456,7 @@ mod tests {
         init.submit(world.expect_mut::<PhysMemory>(), tag, io(1, 0, 5000));
         let cmds = sq(&world, &init, 1);
         assert_eq!(cmds[0].nlb, 1, "5000 bytes take two blocks");
-        assert_eq!(init.owner(1), None, "one command only");
+        assert!(!init.commands.contains_key(&1), "one command only");
     }
 
     #[test]
@@ -498,20 +538,18 @@ mod tests {
     }
 
     #[test]
-    fn abandoned_and_expired_commands() {
+    fn abandoned_requests_settle_late_completions_as_stale() {
         let (mut world, mut init) = rig(4096, None);
         let tag = init.alloc_cid();
         init.submit(world.expect_mut::<PhysMemory>(), tag, io(6, 0, 8192));
-        let later = SimTime::ZERO + 1_000;
-        assert_eq!(init.overdue(later, 999), [0, 1]);
-        assert!(init.overdue(later, 1_000).is_empty());
-        assert!(matches!(
-            init.expire(1),
-            Outcome::Settled { done: None, .. }
-        ));
-        assert_eq!(init.in_flight(), 1);
+        let rc = RecoveryConfig::default();
+        let later = SimTime::ZERO + fault::OP_TIMEOUT_NS;
+        let just_before = SimTime::ZERO + (fault::OP_TIMEOUT_NS - 1);
+        assert_eq!(init.ladder(just_before, &rc), [(6, Rung::Wait)]);
+        assert_eq!(init.ladder(later, &rc), [(6, Rung::Reset)]);
         init.abandon(&6);
         assert_eq!(init.in_flight(), 0);
+        assert!(init.ladder(later, &rc).is_empty());
         post(&mut world, &init, &[(0, NvmeStatus::Success)]);
         let (entries, _) = init.drain(world.expect::<PhysMemory>()).expect("one");
         assert!(matches!(
@@ -519,5 +557,102 @@ mod tests {
             Outcome::Stale
         ));
         assert!(init.drain(world.expect::<PhysMemory>()).is_none());
+    }
+
+    #[test]
+    fn an_unknown_cid_neither_moves_the_sq_head_nor_settles_anything() {
+        let (mut world, mut init) = rig(4096, None);
+        let tag = init.alloc_cid();
+        init.submit(world.expect_mut::<PhysMemory>(), tag, io(8, 0, 8192));
+        let free = init.sq.free_slots();
+        assert_eq!(free, DEPTH - 3, "two commands queued");
+        // A poisoned entry: a plausible phase bit over a CID nothing
+        // issued and a garbage SQ head, then a valid entry.
+        post_entries(
+            &mut world,
+            &init,
+            &[
+                cqe(999, 50, NvmeStatus::Success),
+                cqe(0, 1, NvmeStatus::Success),
+            ],
+        );
+        let (entries, _) = init.drain(world.expect::<PhysMemory>()).expect("two");
+        assert!(matches!(
+            init.complete(&mut world, &entries[0]),
+            Outcome::Unknown
+        ));
+        assert_eq!(init.sq.free_slots(), free, "the SQ head did not move");
+        assert_eq!(init.commands.len(), 2, "nothing settled");
+        assert!(matches!(
+            init.complete(&mut world, &entries[1]),
+            Outcome::Settled {
+                io: NvmeIo { req: 8, lba: 0, .. },
+                done: None,
+            }
+        ));
+        assert_eq!(init.sq.free_slots(), free + 1, "the valid entry's head");
+        assert!(!init.commands.contains_key(&0));
+        assert!(init.is_in_flight(&8));
+    }
+
+    #[test]
+    fn the_ladder_waits_then_resets_then_fails() {
+        let rc = RecoveryConfig::default();
+        let limit = fault::OP_TIMEOUT_NS;
+        assert_eq!(rung(limit - 1, 0, &rc), Rung::Wait);
+        assert_eq!(rung(limit, 0, &rc), Rung::Reset);
+        assert_eq!(rung(limit, rc.nvme_resets, &rc), Rung::Fail);
+        assert_eq!(rung(limit, 0, &RecoveryConfig::no_retries()), Rung::Fail);
+    }
+
+    #[test]
+    fn reset_resubmits_unsettled_commands_under_fresh_cids() {
+        let (mut world, mut init) = rig(4096, None);
+        let a = init.alloc_cid();
+        init.submit(world.expect_mut::<PhysMemory>(), a, io(1, 0, 8192));
+        let b = init.alloc_cid();
+        init.submit(world.expect_mut::<PhysMemory>(), b, io(2, 8, 4096));
+        init.abandon(&2);
+        // The request's first command settles; its second goes silent.
+        post(&mut world, &init, &[(0, NvmeStatus::Success)]);
+        let (entries, _) = init.drain(world.expect::<PhysMemory>()).expect("one");
+        init.complete(&mut world, &entries[0]);
+        let rc = RecoveryConfig::default();
+        let now = SimTime::ZERO + fault::OP_TIMEOUT_NS;
+        assert_eq!(init.ladder(now, &rc), [(1, Rung::Reset)]);
+        let (attach, db) = init.reset(world.expect_mut::<PhysMemory>(), now);
+        assert_eq!(attach.sq_base, init.attach.sq_base);
+        assert_eq!(tail(&db), 1, "only the live request's silent command");
+        let cmd = sq(&world, &init, 1)[0];
+        assert_eq!((cmd.cid, cmd.slba), (3, 1), "a fresh CID, the same chunk");
+        let cids: Vec<u16> = init.commands.keys().copied().collect();
+        assert_eq!(cids, [3], "old CIDs retired, the abandoned request dropped");
+        let later = now + fault::OP_TIMEOUT_NS;
+        let just_before = now + (fault::OP_TIMEOUT_NS - 1);
+        assert_eq!(
+            init.ladder(just_before, &rc),
+            [(1, Rung::Wait)],
+            "restarted"
+        );
+        assert_eq!(init.ladder(later, &rc), [(1, Rung::Fail)], "budget spent");
+        assert!(
+            init.drain(world.expect::<PhysMemory>()).is_none(),
+            "the CQ was scrubbed"
+        );
+        post(&mut world, &init, &[(1, NvmeStatus::Success)]);
+        let (entries, _) = init.drain(world.expect::<PhysMemory>()).expect("one");
+        assert!(matches!(
+            init.complete(&mut world, &entries[0]),
+            Outcome::Unknown
+        ));
+        post(&mut world, &init, &[(3, NvmeStatus::Success)]);
+        let (entries, _) = init.drain(world.expect::<PhysMemory>()).expect("one");
+        assert!(matches!(
+            init.complete(&mut world, &entries[0]),
+            Outcome::Settled {
+                io: NvmeIo { req: 1, lba: 1, .. },
+                done: Some(true),
+            }
+        ));
     }
 }

@@ -66,15 +66,17 @@ struct Site {
     fired: Vec<u64>,
 }
 
-/// NVMe command timeout before the driver polls the completion queue
-/// (MSI-loss fallback) and, on silence, resubmits.
+/// Period of the host NVMe driver's per-request check, which polls the
+/// completion queue (MSI-loss fallback) and climbs the recovery ladder.
 pub const NVME_TIMEOUT_NS: u64 = 5_000_000;
 /// Initial NIC retransmission timeout; doubles per attempt (exponential
 /// backoff).
 pub const NIC_RTO_NS: u64 = 1_000_000;
 /// Engine scoreboard watchdog sweep period.
 pub const WATCHDOG_PERIOD_NS: u64 = 1_000_000;
-/// Age at which the watchdog considers a sub-op hung.
+/// Age at which a silent NVMe request stops waiting on the recovery
+/// ladder (`dcs_nvme::rung`) and a NIC receive without progress counts
+/// as stalled (`dcs_nic::stalled`).
 pub const OP_TIMEOUT_NS: u64 = 20_000_000;
 /// Completion-ring / receive-ring poll fallback period (recovers lost
 /// MSIs on paths without their own timers).
@@ -93,10 +95,11 @@ pub struct RecoveryConfig {
     /// re-transmits a TLP whose ECRC check failed before giving up (0
     /// disables replay: corruption immediately poisons or times out).
     pub pcie_retries: u32,
-    /// Bounded NVMe controller-reset budget per command: after command
-    /// retries are exhausted *and* the completion path itself is broken,
-    /// the host driver may reset the controller and resubmit this many
-    /// times (0 disables the reset ladder).
+    /// Bounded NVMe controller-reset budget per queue pair: once a
+    /// request has been silent for `OP_TIMEOUT_NS`, its initiator (the
+    /// host driver or the HDC Engine) may reset the controller and
+    /// resubmit this many times before failing requests (0 disables the
+    /// reset rung).
     pub nvme_resets: u32,
 }
 

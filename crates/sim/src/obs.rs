@@ -389,28 +389,6 @@ impl Recorder {
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
-
-    /// Renders the per-request latency-anatomy table; the segment
-    /// column sums to the end-to-end total exactly.
-    pub fn render_anatomy(&self, req: u64) -> Option<String> {
-        let a = self.requests.get(&req)?;
-        let total = a.total_ns()?;
-        let mut out = format!("request {req} — latency anatomy ({total} ns end-to-end)\n");
-        for (label, ns) in &a.segments {
-            let pct = if total == 0 {
-                0.0
-            } else {
-                *ns as f64 * 100.0 / total as f64
-            };
-            out.push_str(&format!("  {label:<28} {ns:>12} ns  {pct:>5.1}%\n"));
-        }
-        out.push_str(&format!(
-            "  {:<28} {:>12} ns  100.0%\n",
-            "total",
-            a.segment_sum_ns()
-        ));
-        Some(out)
-    }
 }
 
 /// Renders the recorder's spans and anatomies as Chrome trace-event
@@ -566,8 +544,6 @@ mod tests {
             a.segments,
             vec![("parse", 37), ("data", 840), ("completion", 26)]
         );
-        let table = r.render_anatomy(7).expect("ended");
-        assert!(table.contains("903 ns end-to-end"), "{table}");
     }
 
     #[test]
