@@ -3,14 +3,14 @@
 //! DESIGN.md calls out the load-bearing design choices of the HDC Engine;
 //! these sweeps quantify each one:
 //!
-//! * [`size_sweep`] — single-operation latency vs transfer size per
+//! * `size_sweep` — single-operation latency vs transfer size per
 //!   design. Exposes the honest crossover the paper does not plot: an MD5
 //!   NDP unit processes one stream at 0.97 Gbps (Table III), so for large
 //!   single objects the GPU's 30 Gbps hash eventually wins on *latency*
 //!   even though DCS-ctrl always wins on CPU efficiency and throughput.
-//! * [`ndp_scaling`] — Swift throughput vs the NDP bank's per-function
+//! * `ndp_scaling` — Swift throughput vs the NDP bank's per-function
 //!   target rate (how many MD5 units the engine instantiates).
-//! * [`outstanding_sweep`] — the effect of the engine's per-SSD issue
+//! * `outstanding_sweep` — the effect of the engine's per-SSD issue
 //!   limit on pipelined read throughput.
 
 use dcs_host::job::{D2dJob, D2dOp};
@@ -33,7 +33,7 @@ pub struct SizePoint {
 }
 
 /// Sweeps single-op `SSD→MD5→NIC` latency across sizes.
-pub fn size_sweep(sizes: &[usize]) -> Vec<SizePoint> {
+pub(crate) fn size_sweep(sizes: &[usize]) -> Vec<SizePoint> {
     sizes
         .iter()
         .map(|&len| {
@@ -49,7 +49,7 @@ pub fn size_sweep(sizes: &[usize]) -> Vec<SizePoint> {
 
 /// The size at which SW-ctrl P2P's single-op latency first beats
 /// DCS-ctrl's (`None` if DCS wins everywhere in the swept range).
-pub fn latency_crossover(points: &[SizePoint]) -> Option<usize> {
+pub(crate) fn latency_crossover(points: &[SizePoint]) -> Option<usize> {
     points
         .iter()
         .find(|p| p.totals[2] > p.totals[1])
@@ -62,7 +62,7 @@ pub fn latency_crossover(points: &[SizePoint]) -> Option<usize> {
 ///
 /// The MD5 bank is the contended resource: halving its target visibly
 /// queues requests, doubling it buys headroom.
-pub fn ndp_scaling(ndp_target_gbps: f64, quick: bool) -> (f64, f64) {
+pub(crate) fn ndp_scaling(ndp_target_gbps: f64, quick: bool) -> (f64, f64) {
     use dcs_core::{build_dcs_pair, DcsNodeBuilder};
     use dcs_host::job::{D2dJob as Job, D2dOp as Op};
     use dcs_nic::WireConfig;
@@ -155,7 +155,7 @@ pub struct OutstandingPoint {
 /// Sweeps the engine's NVMe issue limit with a stream of small (16 KiB)
 /// reads — small enough that per-command latency, not flash bandwidth,
 /// bounds a shallow pipeline.
-pub fn outstanding_sweep(limits: &[usize]) -> Vec<OutstandingPoint> {
+pub(crate) fn outstanding_sweep(limits: &[usize]) -> Vec<OutstandingPoint> {
     use dcs_core::{build_dcs_pair, DcsNodeBuilder};
     use dcs_nic::WireConfig;
     use dcs_pcie::PhysMemory;

@@ -14,13 +14,13 @@
 //!    mid-run; JSQ reroutes around the backlog while oblivious
 //!    round-robin keeps feeding it.
 //!
-//! A second sweep, `cluster-failover` ([`failover_report`]), measures the
+//! A second sweep, `cluster-failover` (`failover_report`), measures the
 //! node-failure tolerance layer: a whole-node crash mid-window under each
 //! policy (detection time, availability through the failure, failover
 //! retries, hedges, re-replication), the ablation with the health layer
 //! disabled, and a hang long enough to be declared dead and revived.
 //!
-//! A third sweep, `cluster-gray` ([`gray_report`]), measures the
+//! A third sweep, `cluster-gray` (`gray_report`), measures the
 //! gray-failure layer: fail-slow nodes that keep acking probes (factor
 //! sweep × differential-detection ablation), a degraded ToR link, and the
 //! crash-restart-rejoin lifecycle with bandwidth-capped anti-entropy.
@@ -52,7 +52,7 @@ fn base_cfg(quick: bool) -> ClusterConfig {
 
 /// One scaling-panel run: `nodes` nodes under JSQ at the base per-node
 /// load.
-pub fn run_scale(nodes: usize, quick: bool) -> ClusterReport {
+pub(crate) fn run_scale(nodes: usize, quick: bool) -> ClusterReport {
     dcs_cluster::run_cluster(&ClusterConfig {
         nodes,
         policy: LbPolicy::JoinShortestQueue,
@@ -62,7 +62,7 @@ pub fn run_scale(nodes: usize, quick: bool) -> ClusterReport {
 }
 
 /// One policy-panel run: 4 nodes under `policy` at `offered` Gbps/node.
-pub fn run_policy(policy: LbPolicy, offered: f64, quick: bool) -> ClusterReport {
+pub(crate) fn run_policy(policy: LbPolicy, offered: f64, quick: bool) -> ClusterReport {
     dcs_cluster::run_cluster(&ClusterConfig {
         nodes: 4,
         policy,
@@ -73,7 +73,7 @@ pub fn run_policy(policy: LbPolicy, offered: f64, quick: bool) -> ClusterReport 
 
 /// One degrade-panel run: 4 nodes at the base load; node 0's port drops
 /// to 10% of line rate once warm-up ends.
-pub fn run_degrade(policy: LbPolicy, quick: bool) -> ClusterReport {
+pub(crate) fn run_degrade(policy: LbPolicy, quick: bool) -> ClusterReport {
     let cfg = base_cfg(quick);
     dcs_cluster::run_cluster(&ClusterConfig {
         nodes: 4,
@@ -90,7 +90,7 @@ pub fn run_degrade(policy: LbPolicy, quick: bool) -> ClusterReport {
 
 /// One failover-panel run: 4 nodes at N-1-survivable load; node 1
 /// crashes a quarter of the way into the measured window.
-pub fn run_failover(policy: LbPolicy, health: HealthConfig, quick: bool) -> ClusterReport {
+pub(crate) fn run_failover(policy: LbPolicy, health: HealthConfig, quick: bool) -> ClusterReport {
     let cfg = base_cfg(quick);
     let crash_at = cfg.warmup_ns + (cfg.duration_ns - cfg.warmup_ns) / 4;
     dcs_cluster::run_cluster(&ClusterConfig {
@@ -109,7 +109,7 @@ pub fn run_failover(policy: LbPolicy, health: HealthConfig, quick: bool) -> Clus
 
 /// One hang-panel run: node 2 freezes mid-window against a detector slow
 /// enough (bound ~7 ms) that hedged GETs beat failover to the rescue.
-pub fn run_hang(quick: bool) -> ClusterReport {
+pub(crate) fn run_hang(quick: bool) -> ClusterReport {
     let cfg = base_cfg(quick);
     let at = cfg.warmup_ns + (cfg.duration_ns - cfg.warmup_ns) / 4;
     // Quick windows are too short for an 8 ms freeze to resolve before the
@@ -235,7 +235,7 @@ pub fn run_rejoin(quick: bool) -> ClusterReport {
 }
 
 /// The `cluster-gray` sweep.
-pub fn gray_report(quick: bool) -> Report {
+pub(crate) fn gray_report(quick: bool) -> Report {
     let mut r = Report::new(
         "cluster-gray",
         quick,
@@ -277,7 +277,7 @@ pub fn gray_report(quick: bool) -> Report {
 }
 
 /// The `cluster-failover` sweep.
-pub fn failover_report(quick: bool) -> Report {
+pub(crate) fn failover_report(quick: bool) -> Report {
     let mut r = Report::new(
         "cluster-failover",
         quick,
@@ -420,7 +420,7 @@ pub(crate) fn run_row<const N: usize>(t: &mut Table, lead: [Cell; N], r: &Cluste
 /// `<name>.<part>`: the summary row under `label`, then only the parts
 /// the run exercised (health, failure, gray, rejoin, phases, cache,
 /// tenants), then one row per node.
-pub(crate) fn run_tables(s: &mut Section, name: &str, label: &str, r: &ClusterReport) {
+pub fn run_tables(s: &mut Section, name: &str, label: &str, r: &ClusterReport) {
     const SUMMARY: &str = "run goodput:Gbps.2 requests shed:%.1 p50:us p99:us p999:us imbalance:.2";
     run_row(s.table(name, SUMMARY), [label.into()], r);
     let parts = [
@@ -517,5 +517,163 @@ pub(crate) fn tenant_table(s: &mut Section, name: &str, runs: &[(&str, &ClusterR
                 cache
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use dcs_cluster::{NodePerf, PhasePerf, TenantPerf};
+    use dcs_sim::Histogram;
+
+    use super::*;
+
+    /// `r`'s tables as `run_tables` appends them under `name`.
+    fn tables(name: &str, r: &ClusterReport) -> Vec<Table> {
+        let mut s = Section::default();
+        run_tables(&mut s, name, "run", r);
+        s.tables
+    }
+
+    fn names(tables: &[Table]) -> Vec<&str> {
+        tables.iter().map(|t| t.name.as_str()).collect()
+    }
+
+    /// The cell of `table` in row `row` under column `column`.
+    fn cell<'a>(tables: &'a [Table], table: &str, row: usize, column: &str) -> &'a Cell {
+        let t = tables.iter().find(|t| t.name == table).expect("the table");
+        let j = t
+            .columns
+            .iter()
+            .position(|c| c.name == column)
+            .expect("the column");
+        &t.rows[row][j]
+    }
+
+    fn plain() -> ClusterReport {
+        let mut latency = Histogram::new();
+        for v in [100_000u64, 200_000, 300_000, 4_000_000] {
+            latency.record(v);
+        }
+        let node = |requests, bytes| NodePerf {
+            requests,
+            bytes,
+            ..Default::default()
+        };
+        ClusterReport {
+            span_ns: 1_000_000_000,
+            requests: 4,
+            bytes: 500_000_000,
+            rejected: 1,
+            latency,
+            per_node: vec![node(3, 400_000_000), node(1, 100_000_000)],
+            ..ClusterReport::default()
+        }
+    }
+
+    #[test]
+    fn plain_run_shows_only_summary_and_nodes() {
+        let t = tables("plain", &plain());
+        // With no failover, gray, rejoin or store activity those parts
+        // stay out of the way.
+        assert_eq!(names(&t), ["plain", "plain.nodes"]);
+        assert_eq!(cell(&t, "plain", 0, "goodput"), &Cell::Num(4.0));
+        assert_eq!(t[1].rows.len(), 2);
+        assert_eq!(cell(&t, "plain.nodes", 0, "node"), &Cell::from("node0"));
+    }
+
+    #[test]
+    fn failover_lines_render() {
+        let phase = |requests, ok, p99_ns| PhasePerf {
+            requests,
+            ok,
+            p99_ns,
+        };
+        let r = ClusterReport {
+            span_ns: 1_000_000,
+            get_ok: 10,
+            get_denied: 1,
+            put_ok: 5,
+            hedged: 4,
+            hedge_wins: 2,
+            retried: 3,
+            lost: 1,
+            put_fallbacks: 2,
+            detection_ns: Some(2_250_000),
+            repair_bytes: 4 << 20,
+            repair_ns: Some(9_000_000),
+            phases: Some([
+                phase(100, 100, 500_000),
+                phase(50, 45, 2_000_000),
+                phase(100, 100, 600_000),
+            ]),
+            ..ClusterReport::default()
+        };
+        let t = tables("f", &r);
+        assert_eq!(
+            names(&t),
+            ["f", "f.health", "f.failure", "f.phases", "f.nodes"]
+        );
+        assert_eq!(cell(&t, "f.health", 0, "hedged"), &Cell::Int(4));
+        assert_eq!(cell(&t, "f.health", 0, "hedge_wins"), &Cell::Int(2));
+        assert_eq!(cell(&t, "f.health", 0, "retried"), &Cell::Int(3));
+        assert_eq!(cell(&t, "f.health", 0, "lost"), &Cell::Int(1));
+        assert_eq!(cell(&t, "f.failure", 0, "detected"), &Cell::Num(2250.0));
+        assert_eq!(cell(&t, "f.failure", 0, "repaired"), &Cell::Num(4.0));
+        assert_eq!(cell(&t, "f.phases", 1, "phase"), &Cell::from("during"));
+        assert_eq!(cell(&t, "f.phases", 1, "availability"), &Cell::Num(0.9));
+    }
+
+    #[test]
+    fn gray_and_rejoin_lines_render() {
+        let r = ClusterReport {
+            span_ns: 1_000_000,
+            slow_detection_ns: Some(3_000_000),
+            slow_evictions: 1,
+            slow_readmissions: 1,
+            rejoin_bytes: 8 << 20,
+            rejoin_ns: Some(12_000_000),
+            warmup_bytes: 2 << 20,
+            ..ClusterReport::default()
+        };
+        let t = tables("g", &r);
+        assert_eq!(names(&t), ["g", "g.gray", "g.rejoin", "g.nodes"]);
+        assert_eq!(cell(&t, "g.gray", 0, "slow_detected"), &Cell::Num(3000.0));
+        assert_eq!(cell(&t, "g.gray", 0, "slow_evicted"), &Cell::Int(1));
+        assert_eq!(cell(&t, "g.gray", 0, "readmitted"), &Cell::Int(1));
+        assert_eq!(cell(&t, "g.rejoin", 0, "anti_entropy"), &Cell::Num(8.0));
+        assert_eq!(cell(&t, "g.rejoin", 0, "cache_warmup"), &Cell::Num(2.0));
+        assert_eq!(cell(&t, "g.rejoin", 0, "rejoin"), &Cell::Num(12.0));
+        // A rejoin without a cache warm-up leaves that cell empty.
+        let cold = ClusterReport {
+            warmup_bytes: 0,
+            ..r
+        };
+        let t = tables("c", &cold);
+        assert_eq!(cell(&t, "c.rejoin", 0, "cache_warmup"), &Cell::Empty);
+    }
+
+    #[test]
+    fn store_lines_render_per_tenant_and_cache() {
+        let tenant = |name: &str, ok, denied| TenantPerf {
+            name: name.into(),
+            ok,
+            denied,
+            slo_met: ok,
+            ..Default::default()
+        };
+        let r = ClusterReport {
+            span_ns: 1_000_000,
+            cache_hits: 30,
+            cache_misses: 70,
+            per_tenant: vec![tenant("gold", 9, 0), tenant("scan", 4, 4)],
+            ..ClusterReport::default()
+        };
+        let t = tables("s", &r);
+        assert_eq!(names(&t), ["s", "s.cache", "s.tenants", "s.nodes"]);
+        assert_eq!(cell(&t, "s.cache", 0, "cache_hit_rate"), &Cell::Num(0.3));
+        assert_eq!(cell(&t, "s.cache", 0, "stale_served"), &Cell::Int(0));
+        assert_eq!(cell(&t, "s.tenants", 0, "tenant"), &Cell::from("gold"));
+        assert_eq!(cell(&t, "s.tenants", 1, "tenant"), &Cell::from("scan"));
+        assert_eq!(cell(&t, "s.tenants", 1, "slo_attainment"), &Cell::Num(0.5));
     }
 }

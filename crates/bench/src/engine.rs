@@ -62,7 +62,7 @@ pub struct ScenarioResult {
 impl ScenarioResult {
     /// Quartile `q` of the runs' wall times, ns (`q = 2` is the
     /// median), interpolating linearly between order statistics.
-    pub fn wall_quartile(&self, q: u64) -> u64 {
+    pub(crate) fn wall_quartile(&self, q: u64) -> u64 {
         let w = &self.walls;
         let quarters = (w.len() as u64 - 1) * q;
         let lo = (quarters / 4) as usize;
@@ -157,7 +157,7 @@ impl Component for Sink {
 }
 
 /// Same-time bursts against a deep calendar of standing timers.
-pub fn run_fan_out(quick: bool, reference_heap: bool) -> ScenarioResult {
+pub(crate) fn run_fan_out(quick: bool, reference_heap: bool) -> ScenarioResult {
     // Deep enough that the heap's sift paths fall out of cache even on
     // big-L3 server parts (8M entries ≈ 400 MB): pending timeouts, one
     // per outstanding request, are exactly the population a rack at
@@ -253,7 +253,7 @@ fn cluster_config(nodes: usize, quick: bool) -> ClusterConfig {
 /// the ToR switch. Bring-up runs outside the measured window (and, for
 /// the heap arm, before the calendar swap — equivalence makes the
 /// starting state identical either way).
-pub fn run_cluster_n(nodes: usize, quick: bool, reference_heap: bool) -> ScenarioResult {
+pub(crate) fn run_cluster_n(nodes: usize, quick: bool, reference_heap: bool) -> ScenarioResult {
     let mut cluster = build_cluster(&cluster_config(nodes, quick));
     if reference_heap {
         cluster.sim.set_reference_heap();

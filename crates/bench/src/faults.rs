@@ -43,7 +43,7 @@ pub struct FaultRow {
 
 impl FaultRow {
     /// Mean latency of successful rounds, µs.
-    pub fn mean_us(&self) -> f64 {
+    pub(crate) fn mean_us(&self) -> f64 {
         self.ok_lat.mean().unwrap_or(0.0) / 1000.0
     }
 

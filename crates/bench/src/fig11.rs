@@ -76,7 +76,7 @@ pub fn run(len: usize) -> (Vec<Fig11Row>, Vec<Fig11Row>) {
 
 /// Software-latency reduction of DCS-ctrl relative to SW-ctrl P2P
 /// (the paper's 42% / 72% headline metric).
-pub fn software_reduction(rows: &[Fig11Row]) -> f64 {
+pub(crate) fn software_reduction(rows: &[Fig11Row]) -> f64 {
     let sw = |d: DesignUnderTest| {
         rows.iter()
             .find(|r| r.design == d)
@@ -89,7 +89,7 @@ pub fn software_reduction(rows: &[Fig11Row]) -> f64 {
 }
 
 /// Total end-to-end latency reduction of DCS-ctrl vs SW-ctrl P2P.
-pub fn total_reduction(rows: &[Fig11Row]) -> f64 {
+pub(crate) fn total_reduction(rows: &[Fig11Row]) -> f64 {
     let total = |d: DesignUnderTest| {
         rows.iter()
             .find(|r| r.design == d)

@@ -3,17 +3,19 @@
 //!
 //! (a) OpenStack Swift (PUT/GET with MD5 integrity); (b) the HDFS
 //! balancer (sender / receiver, CRC32 on receive). Headline: DCS-ctrl
-//! cuts server CPU utilization by ≈52% vs software-controlled P2P.
+//! cuts server CPU utilization by ≈52% vs software-controlled P2P. The
+//! same report carries Figure 13, projected from these rows
+//! ([`crate::fig13`]), so each workload runs once per design.
 
 use dcs_sim::time;
 use dcs_workloads::{
     run_hdfs, run_swift, DesignUnderTest, HdfsConfig, SwiftConfig, WorkloadReport,
 };
 
-use crate::{cpu_table, row, Report, Section};
+use crate::{cpu_table, fig13, row, Report, Section};
 
 /// Swift configuration used by the figure (shortened in quick mode).
-pub fn swift_cfg(quick: bool) -> SwiftConfig {
+pub(crate) fn swift_cfg(quick: bool) -> SwiftConfig {
     SwiftConfig {
         duration_ns: if quick { time::ms(60) } else { time::ms(160) },
         warmup_ns: if quick { time::ms(15) } else { time::ms(40) },
@@ -22,7 +24,7 @@ pub fn swift_cfg(quick: bool) -> SwiftConfig {
 }
 
 /// HDFS configuration used by the figure.
-pub fn hdfs_cfg(quick: bool) -> HdfsConfig {
+pub(crate) fn hdfs_cfg(quick: bool) -> HdfsConfig {
     HdfsConfig {
         duration_ns: if quick { time::ms(40) } else { time::ms(120) },
         warmup_ns: if quick { time::ms(10) } else { time::ms(30) },
@@ -31,7 +33,7 @@ pub fn hdfs_cfg(quick: bool) -> HdfsConfig {
 }
 
 /// Runs sub-figure (a): Swift server reports per design.
-pub fn run_swift_rows(quick: bool) -> Vec<(DesignUnderTest, WorkloadReport)> {
+pub(crate) fn run_swift_rows(quick: bool) -> Vec<(DesignUnderTest, WorkloadReport)> {
     DesignUnderTest::FIG12
         .iter()
         .map(|&d| (d, run_swift(d, &swift_cfg(quick))))
@@ -39,7 +41,7 @@ pub fn run_swift_rows(quick: bool) -> Vec<(DesignUnderTest, WorkloadReport)> {
 }
 
 /// Runs sub-figure (b): HDFS `(sender, receiver)` reports per design.
-pub fn run_hdfs_rows(quick: bool) -> Vec<(DesignUnderTest, WorkloadReport, WorkloadReport)> {
+pub(crate) fn run_hdfs_rows(quick: bool) -> Vec<(DesignUnderTest, WorkloadReport, WorkloadReport)> {
     DesignUnderTest::FIG12
         .iter()
         .map(|&d| {
@@ -63,13 +65,15 @@ pub fn cpu_reduction(rows: &[(DesignUnderTest, WorkloadReport)]) -> f64 {
     1.0 - norm(DesignUnderTest::DcsCtrl) / norm(DesignUnderTest::SwP2p)
 }
 
-/// Both sub-figures with the headline reduction, which
-/// `BENCH_paper.json` pins.
+/// Both sub-figures with the headline reduction, then Figure 13's
+/// projection of the same rows; `BENCH_paper.json` pins the headlines of
+/// both.
 pub fn report(quick: bool) -> Report {
     let mut r = Report::new(
         "fig12",
         quick,
-        "Figure 12 — CPU utilization of scale-out storage applications",
+        "Figure 12 — CPU utilization of scale-out storage applications, \
+         and Figure 13 — its projection onto a 40 Gbps NIC, 6 SSDs and one 6-core CPU",
     );
     let swift = run_swift_rows(quick);
     let s = r.section("(a) OpenStack Swift (PUT/GET, MD5 integrity)");
@@ -96,11 +100,13 @@ pub fn report(quick: bool) -> Report {
             ]
         }),
     );
+    fig13::sections(&mut r, &swift, &hdfs);
     r
 }
 
-/// One row per node report: throughput, requests, CPU, and CPU by tag.
-fn workload_table<'a>(
+/// Appends table `name` to `s`: one row per labelled node report, with
+/// its throughput, requests, CPU, and CPU by tag.
+pub fn workload_table<'a>(
     s: &mut Section,
     name: &str,
     rows: impl Iterator<Item = (String, &'a WorkloadReport)>,

@@ -5,10 +5,13 @@
 //! the budget-capped maximum throughputs. Headlines: DCS-ctrl needs ≤3
 //! cores at 40 Gbps and delivers ≈1.95× (Swift) / ≈2.06× (HDFS) the
 //! throughput of software-controlled P2P under the 6-core budget.
+//!
+//! The projection is an estimate from the measured rows, so it runs
+//! nothing: `sections` appends it to the `fig12` report, from the same
+//! run of each workload.
 
-use dcs_workloads::{project, DesignUnderTest, ProjectionInput, ProjectionResult};
+use dcs_workloads::{project, DesignUnderTest, ProjectionInput, ProjectionResult, WorkloadReport};
 
-use crate::fig12::{run_hdfs_rows, run_swift_rows};
 use crate::{row, Report};
 
 /// Target hardware of the projection.
@@ -25,46 +28,40 @@ pub struct Fig13Row {
     pub result: ProjectionResult,
 }
 
-/// Projects one application's measured rows.
-fn project_rows(
-    rows: Vec<(DesignUnderTest, f64, f64, usize)>, // (design, gbps, util, cores)
+/// Projects each design's measured operating point.
+fn project_rows<'a>(
+    rows: impl Iterator<Item = (DesignUnderTest, &'a WorkloadReport)>,
 ) -> Vec<Fig13Row> {
-    rows.into_iter()
-        .map(|(design, gbps, util, cores)| Fig13Row {
-            design,
-            result: project(
-                ProjectionInput {
-                    measured_gbps: gbps,
-                    measured_util: util,
-                    cores,
-                },
-                TARGET_GBPS,
-                CORE_BUDGET,
-            ),
-        })
-        .collect()
+    rows.map(|(design, w)| Fig13Row {
+        design,
+        result: project(
+            ProjectionInput {
+                measured_gbps: w.throughput_gbps(),
+                measured_util: w.cpu_utilization(),
+                cores: 6,
+            },
+            TARGET_GBPS,
+            CORE_BUDGET,
+        ),
+    })
+    .collect()
 }
 
-/// Sub-figure (a): Swift projections.
-pub fn run_swift_projection(quick: bool) -> Vec<Fig13Row> {
-    let rows = run_swift_rows(quick)
-        .into_iter()
-        .map(|(d, r)| (d, r.throughput_gbps(), r.cpu_utilization(), 6))
-        .collect();
-    project_rows(rows)
+/// Sub-figure (a): Swift projections of the measured server rows.
+pub(crate) fn swift_projection(rows: &[(DesignUnderTest, WorkloadReport)]) -> Vec<Fig13Row> {
+    project_rows(rows.iter().map(|(d, w)| (*d, w)))
 }
 
-/// Sub-figure (b): HDFS projections (receiver node, the bottleneck).
-pub fn run_hdfs_projection(quick: bool) -> Vec<Fig13Row> {
-    let rows = run_hdfs_rows(quick)
-        .into_iter()
-        .map(|(d, _snd, rcv)| (d, rcv.throughput_gbps(), rcv.cpu_utilization(), 6))
-        .collect();
-    project_rows(rows)
+/// Sub-figure (b): HDFS projections of the measured receiver rows (the
+/// bottleneck node).
+pub(crate) fn hdfs_projection(
+    rows: &[(DesignUnderTest, WorkloadReport, WorkloadReport)],
+) -> Vec<Fig13Row> {
+    project_rows(rows.iter().map(|(d, _, rcv)| (*d, rcv)))
 }
 
 /// Throughput advantage of DCS-ctrl over SW-ctrl P2P under the budget.
-pub fn throughput_ratio(rows: &[Fig13Row]) -> f64 {
+pub(crate) fn throughput_ratio(rows: &[Fig13Row]) -> f64 {
     let cap = |d: DesignUnderTest| {
         rows.iter()
             .find(|r| r.design == d)
@@ -74,22 +71,23 @@ pub fn throughput_ratio(rows: &[Fig13Row]) -> f64 {
     cap(DesignUnderTest::DcsCtrl) / cap(DesignUnderTest::SwP2p)
 }
 
-/// Both sub-figures: each design's projected cores at the target and
-/// its throughput within the core budget, plus the headline ratios
-/// `BENCH_paper.json` pins.
-pub fn report(quick: bool) -> Report {
-    let mut r = Report::new(
-        "fig13",
-        quick,
-        "Figure 13 — projected CPU needs with a 40 Gbps NIC, 6 SSDs, one 6-core CPU",
-    );
+/// Appends both sub-figures to `r`: each design's projected cores at
+/// the target and its throughput within the core budget, plus the
+/// headline ratios `BENCH_paper.json` pins.
+pub(crate) fn sections(
+    r: &mut Report,
+    swift: &[(DesignUnderTest, WorkloadReport)],
+    hdfs: &[(DesignUnderTest, WorkloadReport, WorkloadReport)],
+) {
     for (app, heading, rows, paper) in [
-        ("swift", "(a) Swift", run_swift_projection(quick), 1.95),
-        ("hdfs", "(b) HDFS", run_hdfs_projection(quick), 2.06),
+        ("swift", "(a) Swift", swift_projection(swift), 1.95),
+        ("hdfs", "(b) HDFS", hdfs_projection(hdfs), 2.06),
     ] {
-        let s = r.section(heading);
+        let s = r.section(format!(
+            "Figure 13 {heading} — projected onto {TARGET_GBPS} Gbps"
+        ));
         let t = s.table(
-            app,
+            &format!("{app}_projection"),
             "design target:Gbps cores_at_target:cores.2 budget:cores gbps_within_budget:Gbps.1",
         );
         for row in &rows {
@@ -109,16 +107,16 @@ pub fn report(quick: bool) -> Report {
         );
         s.note(format!("(paper: {paper:.2}x)"));
     }
-    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fig12::run_swift_rows;
 
     #[test]
     fn dcs_needs_few_cores_and_roughly_doubles_throughput() {
-        let rows = run_swift_projection(true);
+        let rows = swift_projection(&run_swift_rows(true));
         let dcs = rows
             .iter()
             .find(|r| r.design == DesignUnderTest::DcsCtrl)

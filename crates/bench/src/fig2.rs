@@ -10,10 +10,11 @@ use dcs_sim::{Breakdown, Category};
 use dcs_workloads::scenario::DesignUnderTest;
 
 use crate::fig11::measure;
-use crate::{row, Report};
+use crate::{row, Report, Section};
 
-/// The categories in the order the operation traverses them.
-const ORDER: [Category; 9] = [
+/// The categories in the order the operation traverses them. Only the
+/// HDC Engine has a Scoreboard segment.
+const ORDER: [Category; 10] = [
     Category::FileSystem,
     Category::DeviceControl,
     Category::Read,
@@ -22,6 +23,7 @@ const ORDER: [Category; 9] = [
     Category::GpuControl,
     Category::Hash,
     Category::NetworkStack,
+    Category::Scoreboard,
     Category::Wire,
 ];
 
@@ -40,12 +42,23 @@ pub fn timeline(b: &Breakdown) -> Vec<(Category, f64, f64)> {
     out
 }
 
+/// Appends `b`'s [`timeline`] to `s` as table `name`, each span with a
+/// bar of its share of the whole, and returns the whole in µs.
+pub fn timeline_table(s: &mut Section, name: &str, b: &Breakdown) -> f64 {
+    let spans = timeline(b);
+    let total = spans.last().map(|s| s.2).unwrap_or(0.0);
+    let t = s.table(name, "phase start:us.1 end:us.1 span");
+    for (cat, start, end) in &spans {
+        let width = (((end - start) / total) * 40.0).ceil() as usize;
+        row!(t, cat.label(), *start, *end, "#".repeat(width.max(1)));
+    }
+    total
+}
+
 /// The figure for one measured 4 KiB SW-ctrl-P2P operation (`quick`
 /// changes nothing: one operation is already short).
 pub fn report(quick: bool) -> Report {
     let len = 4096;
-    let spans = timeline(&measure(DesignUnderTest::SwP2p, len, true));
-    let total = spans.last().map(|s| s.2).unwrap_or(0.0);
     let mut r = Report::new(
         "fig2",
         quick,
@@ -55,11 +68,7 @@ pub fn report(quick: bool) -> Report {
         ),
     );
     let s = r.section("");
-    let t = s.table("timeline", "phase start:us.1 end:us.1 span");
-    for (cat, start, end) in &spans {
-        let width = (((end - start) / total) * 40.0).ceil() as usize;
-        row!(t, cat.label(), *start, *end, "#".repeat(width.max(1)));
-    }
+    let total = timeline_table(s, "timeline", &measure(DesignUnderTest::SwP2p, len, true));
     s.note(format!(
         "total: {total:.1} us; every gap between device phases is host software"
     ));

@@ -26,7 +26,7 @@ pub const DESIGNS: [DesignUnderTest; 3] = [
 ];
 
 /// Streams SSD→NIC ops and returns the server's CPU breakdown.
-pub fn kernel_utilization(
+pub(crate) fn kernel_utilization(
     design: DesignUnderTest,
     len: usize,
     offered_gbps: f64,

@@ -314,7 +314,7 @@ fn violation(
 /// Writes `repro.txt` (the shrunk schedule) and `trace.json` (a
 /// Perfetto/Chrome trace of the minimal case replayed with recording
 /// on) into `dir`.
-pub fn write_repro(cx: &dcs_sim::Counterexample, dir: &Path) -> std::io::Result<()> {
+pub(crate) fn write_repro(cx: &dcs_sim::Counterexample, dir: &Path) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     std::fs::write(dir.join("repro.txt"), cx.repro())?;
     let case = cx.case.clone();

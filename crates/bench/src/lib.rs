@@ -18,8 +18,8 @@
 //! | [`fig3`] | Figure 3 — microbenchmark latency + CPU breakdowns |
 //! | [`fig8`] | Figure 8 — kernel-side CPU utilization, Linux vs DCS-ctrl |
 //! | [`fig11`] | Figure 11 — inter-device communication latency |
-//! | [`fig12`] | Figure 12 — Swift / HDFS CPU-utilization breakdowns |
-//! | [`fig13`] | Figure 13 — scalability projection |
+//! | [`fig12`] | Figure 12 — Swift / HDFS CPU-utilization breakdowns, with Figure 13 projected from the same run |
+//! | [`fig13`] | Figure 13 — scalability projection of the Figure 12 rows |
 //! | [`table3`] | Table III — NDP unit resources and throughput |
 //! | [`table4`] | Table IV — HDC Engine resource utilization |
 //! | [`ablation`] | Extension: design-choice sweeps beyond the paper |
@@ -70,7 +70,7 @@ impl Experiment {
 }
 
 /// Every experiment, in presentation order.
-pub static EXPERIMENTS: [Experiment; 17] = [
+pub static EXPERIMENTS: [Experiment; 16] = [
     Experiment::new("engine", engine::report, false),
     Experiment::new("table3", table3::report, true),
     Experiment::new("table4", table4::report, true),
@@ -79,7 +79,6 @@ pub static EXPERIMENTS: [Experiment; 17] = [
     Experiment::new("fig8", fig8::report, true),
     Experiment::new("fig11", fig11::report, true),
     Experiment::new("fig12", fig12::report, true),
-    Experiment::new("fig13", fig13::report, true),
     Experiment::new("ablation", ablation::report, true),
     Experiment::new("faults", faults::report, true),
     Experiment::new("integrity", integrity::report, true),
@@ -96,11 +95,11 @@ pub fn experiment(name: &str) -> Option<&'static Experiment> {
 }
 
 /// The columns [`breakdown_rows`] fills.
-pub(crate) const BREAKDOWN: &str = "design segment latency:us.2";
+pub const BREAKDOWN: &str = "design segment latency:us.2";
 
 /// Appends a latency breakdown to a `design` / `segment` / `latency`
 /// table: a `total` row, then one row per nonzero category.
-pub(crate) fn breakdown_rows(table: &mut Table, label: &str, b: &dcs_sim::Breakdown) {
+pub fn breakdown_rows(table: &mut Table, label: &str, b: &dcs_sim::Breakdown) {
     row!(table, label, "total", b.total() as f64 / 1000.0);
     for (cat, ns) in b.entries() {
         row!(table, label, cat.label(), ns as f64 / 1000.0);

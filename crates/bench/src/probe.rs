@@ -90,7 +90,7 @@ impl ProbedTestbed {
     }
 
     /// Pre-populates the server SSD's flash at `lba` with `data`.
-    pub fn seed_flash(&mut self, lba: u64, data: &[u8]) {
+    pub(crate) fn seed_flash(&mut self, lba: u64, data: &[u8]) {
         let addr = self.tb.server.ssds[0].lba_addr(lba);
         self.tb
             .sim
@@ -105,7 +105,7 @@ impl ProbedTestbed {
     /// # Panics
     ///
     /// Panics if the job fails or never completes.
-    pub fn run_server_job(&mut self, ops: Vec<D2dOp>, tag: &'static str) -> D2dDone {
+    pub(crate) fn run_server_job(&mut self, ops: Vec<D2dOp>, tag: &'static str) -> D2dDone {
         let before = self
             .tb
             .sim
@@ -132,7 +132,7 @@ impl ProbedTestbed {
 
     /// Runs a pair of jobs (receiver side first) and returns both results
     /// in completion order.
-    pub fn run_pair(
+    pub(crate) fn run_pair(
         &mut self,
         server_ops: Vec<D2dOp>,
         client_ops: Vec<D2dOp>,

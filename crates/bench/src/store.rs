@@ -63,7 +63,7 @@ pub fn run_ycsb(w: YcsbWorkload, quick: bool) -> ClusterReport {
 
 /// One cache-size-panel run: workload C against `capacity_bytes` of
 /// per-node cache.
-pub fn run_cache_size(capacity_bytes: u64, quick: bool) -> ClusterReport {
+pub(crate) fn run_cache_size(capacity_bytes: u64, quick: bool) -> ClusterReport {
     let mut t = TenantSpec::new("C", YcsbWorkload::C);
     t.keys = 4096;
     t.offered_gbps = 8.0;
@@ -80,7 +80,7 @@ pub fn run_cache_size(capacity_bytes: u64, quick: bool) -> ClusterReport {
 /// One scan-resistance-panel run: a point-read tenant plus a YCSB-E
 /// scanner under the given admission policy. The point tenant is
 /// `per_tenant[0]`.
-pub fn run_admission(admission: Admission, quick: bool) -> ClusterReport {
+pub(crate) fn run_admission(admission: Admission, quick: bool) -> ClusterReport {
     // A small hot set (4 KiB values so the window holds many touches per
     // key) against a cache sized below the combined churn: admit-all lets
     // the scanner's sequential keys flush the hot set between touches,

@@ -34,7 +34,7 @@ pub struct Table3Row {
 }
 
 /// Measures the wall-clock throughput of one function over `len` bytes.
-pub fn software_throughput(function: NdpFunction, len: usize) -> f64 {
+pub(crate) fn software_throughput(function: NdpFunction, len: usize) -> f64 {
     let data: Vec<u8> = (0..len)
         .map(|i| (i * 2654435761usize % 256) as u8)
         .collect();

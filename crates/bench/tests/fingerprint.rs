@@ -287,7 +287,6 @@ pin! {
     fig8 => "fig8",
     fig11 => "fig11",
     fig12 => "fig12",
-    fig13 => "fig13",
     ablation => "ablation",
     faults => "faults",
     integrity => "integrity",

@@ -817,7 +817,9 @@ impl<S: Service> ClusterDriver<S> {
                 orphaned: false,
             },
         );
-        let deliver = self.switch.to_node_lane(ctx.now(), node, wire_bytes, lane);
+        let deliver = self
+            .switch
+            .send_to_node_lane(ctx.now(), node, wire_bytes, lane);
         {
             let now = ctx.now();
             let obs = &mut ctx.world().obs;
@@ -1082,7 +1084,7 @@ impl<S: Service> ClusterDriver<S> {
         let lane = self.svc.lane(req_shape.stream);
         let arrive = self
             .switch
-            .to_frontend_lane(ctx.now(), node, resp_bytes, lane);
+            .send_to_frontend_lane(ctx.now(), node, resp_bytes, lane);
         let arrive = match self.fail_slow[node] {
             // factor × span: the span already elapsed once, so the hold
             // adds the remaining (factor - 1) multiples. Pure integer

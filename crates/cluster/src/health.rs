@@ -1,7 +1,7 @@
 //! Node-level failure detection and the per-node circuit breaker.
 //!
 //! The front end probes every node over the ToR switch's strict-priority
-//! control lane (see [`TorSwitch::control_oneway_ns`]). Each probe gets a
+//! control lane (see `TorSwitch::control_oneway_ns`). Each probe gets a
 //! deadline; a node that misses consecutive deadlines accumulates a
 //! *suspicion score* — a timeout-based simplification of the phi-accrual
 //! detector: the score is the fraction of the kill threshold reached, it
@@ -16,9 +16,9 @@
 //! request completing, or a heartbeat ack — closes it again.
 //!
 //! Both signals are consumed by the routing mask:
-//! [`HealthMonitor::unroutable_mask`] marks a node unroutable while it is
+//! `HealthMonitor::unroutable_mask` marks a node unroutable while it is
 //! `Dead`, `Joining`, or its breaker is open, which is what
-//! [`HashRing::replicas_excluding`] consumes.
+//! `HashRing::replicas_excluding` consumes.
 //!
 //! **Differential slow-node detection.** Timeout-based probing is blind
 //! to *gray* failures: a node that acks every probe while serving data
@@ -38,9 +38,6 @@
 //! Everything here is plain deterministic state driven by simulator
 //! events; the module owns no RNG, so detection times are reproducible
 //! bit-for-bit from the probe schedule alone.
-//!
-//! [`TorSwitch::control_oneway_ns`]: crate::TorSwitch::control_oneway_ns
-//! [`HashRing::replicas_excluding`]: crate::HashRing::replicas_excluding
 
 use dcs_sim::SimTime;
 
@@ -316,7 +313,7 @@ impl HealthMonitor {
     }
 
     /// A probe deadline passed without an ack.
-    pub fn on_probe_miss(&mut self, node: usize, _now: SimTime) -> Option<Transition> {
+    pub(crate) fn on_probe_miss(&mut self, node: usize, _now: SimTime) -> Option<Transition> {
         let n = &mut self.nodes[node];
         n.misses = n.misses.saturating_add(1);
         n.clean_acks = 0;
@@ -343,7 +340,7 @@ impl HealthMonitor {
 
     /// A probe ack arrived (possibly after its deadline — late acks from
     /// a waking node still count as life).
-    pub fn on_probe_ack(&mut self, node: usize, _now: SimTime) -> Option<Transition> {
+    pub(crate) fn on_probe_ack(&mut self, node: usize, _now: SimTime) -> Option<Transition> {
         let n = &mut self.nodes[node];
         n.misses = 0;
         // A heartbeat is the half-open "probe": it closes the breaker.
@@ -472,7 +469,7 @@ impl HealthMonitor {
     /// alive to probes but unroutable until anti-entropy repair and cache
     /// warm-up complete ([`complete_join`](Self::complete_join)). Its
     /// EWMA and hysteresis restart from scratch.
-    pub fn begin_join(&mut self, node: usize) {
+    pub(crate) fn begin_join(&mut self, node: usize) {
         let n = &mut self.nodes[node];
         n.state = NodeState::Joining;
         n.misses = 0;
@@ -486,14 +483,14 @@ impl HealthMonitor {
     }
 
     /// The rejoin lifecycle finished: the node is routable again.
-    pub fn complete_join(&mut self, node: usize) {
+    pub(crate) fn complete_join(&mut self, node: usize) {
         let n = &mut self.nodes[node];
         assert_eq!(n.state, NodeState::Joining, "complete_join without join");
         n.state = NodeState::Healthy;
     }
 
     /// A request to `node` completed successfully.
-    pub fn on_request_success(&mut self, node: usize) {
+    pub(crate) fn on_request_success(&mut self, node: usize) {
         let n = &mut self.nodes[node];
         n.consecutive_failures = 0;
         if n.breaker == BreakerState::HalfOpen {
@@ -503,7 +500,7 @@ impl HealthMonitor {
     }
 
     /// A request to `node` completed with an error.
-    pub fn on_request_failure(&mut self, node: usize, now: SimTime) {
+    pub(crate) fn on_request_failure(&mut self, node: usize, now: SimTime) {
         let n = &mut self.nodes[node];
         n.consecutive_failures = n.consecutive_failures.saturating_add(1);
         match n.breaker {
@@ -524,7 +521,7 @@ impl HealthMonitor {
     /// The cluster-wide retry-exhaustion tally jumped this probe period
     /// and `node` failed requests during it: treat the node as Suspect
     /// right away and push its breaker toward opening.
-    pub fn on_exhausted_burst(&mut self, node: usize, now: SimTime) {
+    pub(crate) fn on_exhausted_burst(&mut self, node: usize, now: SimTime) {
         {
             let n = &mut self.nodes[node];
             if n.state == NodeState::Healthy {
@@ -540,7 +537,7 @@ impl HealthMonitor {
     /// [`on_exhausted_burst`](Self::on_exhausted_burst) this neither feeds
     /// the breaker nor touches the miss count — the node detected and
     /// recovered every one of those errors, so it stays fully routable.
-    pub fn on_contained_burst(&mut self, node: usize) {
+    pub(crate) fn on_contained_burst(&mut self, node: usize) {
         let n = &mut self.nodes[node];
         if n.state == NodeState::Healthy {
             n.state = NodeState::Degraded;
@@ -550,9 +547,8 @@ impl HealthMonitor {
 
     /// May traffic be routed to `node` right now? False while Dead,
     /// Joining, or breaker-open; a half-open breaker admits exactly one
-    /// trial (the driver reports the dispatch via
-    /// [`on_dispatch`](Self::on_dispatch)). Promotes Open → HalfOpen
-    /// lazily once the open window elapses.
+    /// trial (the driver reports the dispatch via `on_dispatch`).
+    /// Promotes Open → HalfOpen lazily once the open window elapses.
     pub fn routable(&mut self, node: usize, now: SimTime) -> bool {
         let open_ns = BREAKER_OPEN_NS;
         let n = &mut self.nodes[node];
@@ -578,7 +574,7 @@ impl HealthMonitor {
     /// shape [`HashRing::replicas_excluding`] consumes.
     ///
     /// [`HashRing::replicas_excluding`]: crate::HashRing::replicas_excluding
-    pub fn unroutable_mask(&mut self, now: SimTime) -> Vec<bool> {
+    pub(crate) fn unroutable_mask(&mut self, now: SimTime) -> Vec<bool> {
         (0..self.nodes.len())
             .map(|n| !self.routable(n, now))
             .collect()
@@ -586,7 +582,7 @@ impl HealthMonitor {
 
     /// The driver dispatched a request to `node`; a half-open breaker
     /// spends its single trial on it.
-    pub fn on_dispatch(&mut self, node: usize) {
+    pub(crate) fn on_dispatch(&mut self, node: usize) {
         let n = &mut self.nodes[node];
         if n.breaker == BreakerState::HalfOpen {
             n.trial_inflight = true;
@@ -594,7 +590,8 @@ impl HealthMonitor {
     }
 
     /// Count of nodes currently believed Dead.
-    pub fn dead_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn dead_count(&self) -> usize {
         self.nodes
             .iter()
             .filter(|n| n.state == NodeState::Dead)
@@ -602,7 +599,8 @@ impl HealthMonitor {
     }
 
     /// Count of nodes currently marked Slow (gray-failure detection).
-    pub fn slow_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn slow_count(&self) -> usize {
         self.nodes
             .iter()
             .filter(|n| n.state == NodeState::Slow)

@@ -72,7 +72,7 @@ impl LbPolicy {
     /// # Panics
     ///
     /// Panics if `candidates` is empty.
-    pub fn choose_by(
+    pub(crate) fn choose_by(
         self,
         candidates: &[usize],
         load: impl Fn(usize) -> NodeLoad,

@@ -101,7 +101,7 @@ impl<T> FairQueue<T> {
     }
 
     /// Parked items for one tenant.
-    pub fn tenant_len(&self, tenant: usize) -> usize {
+    pub(crate) fn tenant_len(&self, tenant: usize) -> usize {
         self.queues[tenant].len()
     }
 

@@ -3,7 +3,7 @@
 use dcs_sim::Histogram;
 
 /// What one node contributed within the measurement window.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct NodePerf {
     /// Requests completed by the node.
     pub requests: u64,
@@ -26,7 +26,7 @@ pub struct NodePerf {
 /// that were both served *and* under its latency objective — a denied or
 /// shed request counts against the SLO just like a slow one, so shedding
 /// a tenant cannot flatter its numbers.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TenantPerf {
     /// Tenant name (namespace).
     pub name: String,
@@ -73,7 +73,7 @@ impl TenantPerf {
 
 /// Availability and tail latency over one slice of the window (the slices
 /// are before / during / after the injected node failure).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhasePerf {
     /// Requests that arrived in the phase and were resolved (ok or not).
     pub requests: u64,
@@ -94,7 +94,7 @@ impl PhasePerf {
 }
 
 /// Cluster-wide measurements over the (warm-up-trimmed) window.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClusterReport {
     /// Measured span, ns.
     pub span_ns: u64,
@@ -269,125 +269,6 @@ impl ClusterReport {
         }
         self.cache_hits as f64 / gets as f64
     }
-
-    /// Renders the report as an aligned block for the repro harness.
-    pub fn render(&self, label: &str) -> String {
-        let mut out = format!(
-            "{label}: {:.2} Gbps goodput, {} reqs, shed {:.1}%, p50/p99/p999 {:.0}/{:.0}/{:.0} us, imbalance {:.2}\n",
-            self.goodput_gbps(),
-            self.requests,
-            self.rejection_rate() * 100.0,
-            self.latency_us(50.0),
-            self.latency_us(99.0),
-            self.latency_us(99.9),
-            self.imbalance(),
-        );
-        if self.hedged + self.retried + self.lost + self.put_fallbacks + self.degraded_marks > 0
-            || self.detection_ns.is_some()
-        {
-            out.push_str(&format!(
-                "    health: GET avail {:.2}%, PUT avail {:.2}%, shed {}, hedged {} (wins {}), retried {}, lost {}, put-fallbacks {}, degraded {}\n",
-                self.get_availability() * 100.0,
-                self.put_availability() * 100.0,
-                self.rejected,
-                self.hedged,
-                self.hedge_wins,
-                self.retried,
-                self.lost,
-                self.put_fallbacks,
-                self.degraded_marks,
-            ));
-        }
-        if let Some(detect) = self.detection_ns {
-            let repair = match self.repair_ns {
-                Some(ns) => format!(
-                    "repaired {:.1} MiB in {:.2} ms",
-                    self.repair_bytes as f64 / (1 << 20) as f64,
-                    ns as f64 / 1e6
-                ),
-                None => "no repair".to_string(),
-            };
-            out.push_str(&format!(
-                "    failure: detected in {:.0} us, {repair}\n",
-                detect as f64 / 1000.0
-            ));
-        }
-        if self.slow_detection_ns.is_some() || self.slow_evictions + self.slow_readmissions > 0 {
-            let detect = match self.slow_detection_ns {
-                Some(ns) => format!("detected in {:.0} us", ns as f64 / 1000.0),
-                None => "not detected on the faulted node".to_string(),
-            };
-            out.push_str(&format!(
-                "    gray: {detect}, slow-evicted {}, readmitted {}\n",
-                self.slow_evictions, self.slow_readmissions,
-            ));
-        }
-        if self.rejoin_ns.is_some() || self.rejoin_bytes + self.warmup_bytes > 0 {
-            let span = match self.rejoin_ns {
-                Some(ns) => format!("in {:.2} ms", ns as f64 / 1e6),
-                None => "still in flight".to_string(),
-            };
-            // Cluster runs have no node cache; only mention warm-up when
-            // a store run actually transferred one.
-            let warm = if self.warmup_bytes > 0 {
-                format!(
-                    " + {:.1} MiB cache warm-up",
-                    self.warmup_bytes as f64 / (1 << 20) as f64
-                )
-            } else {
-                String::new()
-            };
-            out.push_str(&format!(
-                "    rejoin: {:.1} MiB anti-entropy{warm} {span}\n",
-                self.rejoin_bytes as f64 / (1 << 20) as f64,
-            ));
-        }
-        if let Some(phases) = &self.phases {
-            let names = ["before", "during", "after "];
-            for (name, p) in names.iter().zip(phases) {
-                out.push_str(&format!(
-                    "    phase {name}: {:>6} reqs, avail {:>6.2}%, p99 {:>7.0} us\n",
-                    p.requests,
-                    p.availability() * 100.0,
-                    p.p99_ns as f64 / 1000.0,
-                ));
-            }
-        }
-        if self.cache_hits + self.cache_misses > 0 {
-            out.push_str(&format!(
-                "    cache: {:.1}% hit ({} hits / {} misses), stale served {}\n",
-                self.cache_hit_rate() * 100.0,
-                self.cache_hits,
-                self.cache_misses,
-                self.stale_served,
-            ));
-        }
-        for t in &self.per_tenant {
-            out.push_str(&format!(
-                "    tenant {:<10} {:>6} ok {:>4} denied, p50/p99/p999 {:>6.0}/{:>6.0}/{:>6.0} us, SLO {:>6.2}%, cache {:>5.1}%\n",
-                t.name,
-                t.ok,
-                t.denied,
-                t.latency_us(50.0),
-                t.latency_us(99.0),
-                t.latency_us(99.9),
-                t.slo_attainment() * 100.0,
-                t.cache_hit_rate() * 100.0,
-            ));
-        }
-        for (i, n) in self.per_node.iter().enumerate() {
-            out.push_str(&format!(
-                "    node{i:<2} {:>6} reqs {:>8.2} Gbps {:>5} shed {:>3} fail {:>3} lost  cpu {:>5.1}%\n",
-                n.requests,
-                n.bytes as f64 * 8.0 / self.span_ns.max(1) as f64,
-                n.rejected,
-                n.failures,
-                n.lost,
-                n.cpu_utilization * 100.0,
-            ));
-        }
-        out
-    }
 }
 
 fn ratio(num: u64, denom: u64) -> f64 {
@@ -437,12 +318,6 @@ mod tests {
         // max 400MB over mean 250MB.
         assert!((r.imbalance() - 1.6).abs() < 1e-9);
         assert!(r.latency_us(50.0) >= 200.0);
-        let text = r.render("test");
-        assert!(text.contains("4.00 Gbps"), "{text}");
-        assert!(text.contains("node0"), "{text}");
-        // With no failover activity the health lines stay out of the way.
-        assert!(!text.contains("health:"), "{text}");
-        assert!(!text.contains("failure:"), "{text}");
     }
 
     #[test]
@@ -470,81 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn failover_lines_render() {
-        let r = ClusterReport {
-            span_ns: 1_000_000,
-            get_ok: 10,
-            get_denied: 1,
-            put_ok: 5,
-            put_denied: 0,
-            hedged: 4,
-            hedge_wins: 2,
-            retried: 3,
-            lost: 1,
-            put_fallbacks: 2,
-            detection_ns: Some(2_250_000),
-            repair_bytes: 4 << 20,
-            repair_ns: Some(9_000_000),
-            phases: Some([
-                PhasePerf {
-                    requests: 100,
-                    ok: 100,
-                    p99_ns: 500_000,
-                },
-                PhasePerf {
-                    requests: 50,
-                    ok: 45,
-                    p99_ns: 2_000_000,
-                },
-                PhasePerf {
-                    requests: 100,
-                    ok: 100,
-                    p99_ns: 600_000,
-                },
-            ]),
-            ..ClusterReport::default()
-        };
-        let text = r.render("failover");
-        assert!(text.contains("hedged 4 (wins 2)"), "{text}");
-        assert!(text.contains("retried 3"), "{text}");
-        assert!(text.contains("lost 1"), "{text}");
-        assert!(text.contains("detected in 2250 us"), "{text}");
-        assert!(text.contains("repaired 4.0 MiB"), "{text}");
-        assert!(text.contains("phase during"), "{text}");
-        assert!(text.contains("90.00%"), "{text}");
-    }
-
-    #[test]
-    fn gray_and_rejoin_lines_render() {
-        let r = ClusterReport {
-            span_ns: 1_000_000,
-            slow_detection_ns: Some(3_000_000),
-            slow_evictions: 1,
-            slow_readmissions: 1,
-            rejoin_bytes: 8 << 20,
-            rejoin_ns: Some(12_000_000),
-            warmup_bytes: 2 << 20,
-            ..ClusterReport::default()
-        };
-        let text = r.render("gray");
-        assert!(text.contains("gray: detected in 3000 us"), "{text}");
-        assert!(text.contains("slow-evicted 1, readmitted 1"), "{text}");
-        assert!(
-            text.contains("rejoin: 8.0 MiB anti-entropy + 2.0 MiB cache warm-up in 12.00 ms"),
-            "{text}"
-        );
-        // The blind ablation still reports its (absent) detection.
-        let blind = ClusterReport {
-            slow_evictions: 0,
-            slow_readmissions: 0,
-            ..ClusterReport::default()
-        };
-        let text = blind.render("blind");
-        assert!(!text.contains("gray:"), "{text}");
-        assert!(!text.contains("rejoin:"), "{text}");
-    }
-
-    #[test]
     fn tenant_slo_and_cache_accounting() {
         let mut latency = Histogram::new();
         for v in [100_000u64, 150_000, 900_000] {
@@ -568,40 +368,6 @@ mod tests {
         // Vacuous cases.
         assert_eq!(TenantPerf::default().slo_attainment(), 1.0);
         assert_eq!(TenantPerf::default().cache_hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn store_lines_render_per_tenant_and_cache() {
-        let r = ClusterReport {
-            span_ns: 1_000_000,
-            cache_hits: 30,
-            cache_misses: 70,
-            per_tenant: vec![
-                TenantPerf {
-                    name: "gold".into(),
-                    ok: 9,
-                    slo_met: 9,
-                    ..Default::default()
-                },
-                TenantPerf {
-                    name: "scan".into(),
-                    ok: 4,
-                    denied: 4,
-                    ..Default::default()
-                },
-            ],
-            ..ClusterReport::default()
-        };
-        assert!((r.cache_hit_rate() - 0.3).abs() < 1e-9);
-        let text = r.render("store");
-        assert!(text.contains("cache: 30.0% hit"), "{text}");
-        assert!(text.contains("stale served 0"), "{text}");
-        assert!(text.contains("tenant gold"), "{text}");
-        assert!(text.contains("tenant scan"), "{text}");
-        // The Swift-mix report stays unchanged: no store lines.
-        let plain = report().render("plain");
-        assert!(!plain.contains("cache:"), "{plain}");
-        assert!(!plain.contains("tenant"), "{plain}");
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl HashRing {
     /// set; the nodes after them are the successors that take over the
     /// object's data when a replica is re-replicated away from a dead
     /// node.
-    pub fn preference_list(&self, object: u64, n: usize) -> Vec<usize> {
+    pub(crate) fn preference_list(&self, object: u64, n: usize) -> Vec<usize> {
         let h = mix(object);
         let start = self.vnodes.partition_point(|&(vh, _)| vh < h);
         let mut out = Vec::with_capacity(n.min(self.nodes));
@@ -105,7 +105,7 @@ impl HashRing {
     /// (dead, or behind an open circuit breaker) removed. May return
     /// fewer than `replication()` entries — even none, when every replica
     /// is excluded — so callers must not assume a full set.
-    pub fn replicas_excluding(&self, object: u64, excluded: &[bool]) -> Vec<usize> {
+    pub(crate) fn replicas_excluding(&self, object: u64, excluded: &[bool]) -> Vec<usize> {
         self.replicas(object)
             .into_iter()
             .filter(|&n| !excluded.get(n).copied().unwrap_or(false))

@@ -36,7 +36,7 @@ use dcs_sim::{Bandwidth, LineServer, SimTime};
 /// QoS class of a data-plane transfer through the switch.
 ///
 /// The health layer's heartbeat probes already ride a strict-priority
-/// control class ([`TorSwitch::control_oneway_ns`]); `Lane` extends the
+/// control class (`TorSwitch::control_oneway_ns`); `Lane` extends the
 /// same machinery to *data* frames so the store layer can give an SLO
 /// tenant's small requests a lane that large bulk transfers cannot block.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -123,7 +123,7 @@ impl TorSwitch {
     /// # Panics
     ///
     /// Panics if `factor` is not positive or `node` is out of range.
-    pub fn set_node_speed_factor(&mut self, node: usize, factor: f64) {
+    pub(crate) fn set_node_speed_factor(&mut self, node: usize, factor: f64) {
         assert!(factor > 0.0, "speed factor must be positive");
         self.speed_factor[node] = factor;
     }
@@ -145,7 +145,7 @@ impl TorSwitch {
     /// Offers a `bytes`-long transfer from the front end toward node
     /// `node` at `now`; returns the instant it is fully delivered at the
     /// node port.
-    pub fn to_node(&mut self, now: SimTime, node: usize, bytes: usize) -> SimTime {
+    pub(crate) fn send_to_node(&mut self, now: SimTime, node: usize, bytes: usize) -> SimTime {
         let up = self.uplink_tx_time(bytes);
         let switched = self.uplink.ingress.offer(now, now, up) + self.cfg.latency_ns;
         let down = self.node_tx_time(node, bytes);
@@ -155,7 +155,7 @@ impl TorSwitch {
     /// Offers a `bytes`-long transfer from node `node` toward the front
     /// end at `now`; returns the instant it is fully delivered at the
     /// front-end port.
-    pub fn to_frontend(&mut self, now: SimTime, node: usize, bytes: usize) -> SimTime {
+    pub(crate) fn send_to_frontend(&mut self, now: SimTime, node: usize, bytes: usize) -> SimTime {
         let up = self.node_tx_time(node, bytes);
         let switched = self.nodes[node].ingress.offer(now, now, up) + self.cfg.latency_ns;
         let down = self.uplink_tx_time(bytes);
@@ -172,7 +172,13 @@ impl TorSwitch {
     /// # Panics
     ///
     /// Panics if `from == to`.
-    pub fn node_to_node(&mut self, now: SimTime, from: usize, to: usize, bytes: usize) -> SimTime {
+    pub(crate) fn node_to_node(
+        &mut self,
+        now: SimTime,
+        from: usize,
+        to: usize,
+        bytes: usize,
+    ) -> SimTime {
         assert_ne!(from, to, "east-west transfer needs two distinct ports");
         let up = self.node_tx_time(from, bytes);
         let switched = self.nodes[from].ingress.offer(now, now, up) + self.cfg.latency_ns;
@@ -181,11 +187,17 @@ impl TorSwitch {
     }
 
     /// Offers a transfer from the front end toward node `node` on the
-    /// given QoS [`Lane`]. [`Lane::Bulk`] is exactly [`Self::to_node`];
+    /// given QoS [`Lane`]. [`Lane::Bulk`] is exactly [`Self::send_to_node`];
     /// [`Lane::Priority`] bypasses the output queues.
-    pub fn to_node_lane(&mut self, now: SimTime, node: usize, bytes: usize, lane: Lane) -> SimTime {
+    pub(crate) fn send_to_node_lane(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        bytes: usize,
+        lane: Lane,
+    ) -> SimTime {
         match lane {
-            Lane::Bulk => self.to_node(now, node, bytes),
+            Lane::Bulk => self.send_to_node(now, node, bytes),
             Lane::Priority => {
                 now + self.uplink_tx_time(bytes)
                     + self.cfg.latency_ns
@@ -196,9 +208,9 @@ impl TorSwitch {
 
     /// Offers a transfer from node `node` toward the front end on the
     /// given QoS [`Lane`]. [`Lane::Bulk`] is exactly
-    /// [`Self::to_frontend`]; [`Lane::Priority`] bypasses the output
+    /// [`Self::send_to_frontend`]; [`Lane::Priority`] bypasses the output
     /// queues.
-    pub fn to_frontend_lane(
+    pub(crate) fn send_to_frontend_lane(
         &mut self,
         now: SimTime,
         node: usize,
@@ -206,7 +218,7 @@ impl TorSwitch {
         lane: Lane,
     ) -> SimTime {
         match lane {
-            Lane::Bulk => self.to_frontend(now, node, bytes),
+            Lane::Bulk => self.send_to_frontend(now, node, bytes),
             Lane::Priority => {
                 now + self.node_tx_time(node, bytes)
                     + self.cfg.latency_ns
@@ -222,17 +234,19 @@ impl TorSwitch {
     /// never queue behind bulk data, so health probing stays responsive —
     /// and deterministic — under any data-plane load. A degraded port
     /// (`set_node_speed_factor`) still slows them.
-    pub fn control_oneway_ns(&self, node: usize, bytes: usize) -> u64 {
+    pub(crate) fn control_oneway_ns(&self, node: usize, bytes: usize) -> u64 {
         self.node_tx_time(node, bytes) + self.cfg.latency_ns + self.uplink_tx_time(bytes)
     }
 
     /// Busy time accumulated by node `node`'s port (both directions), ns.
-    pub fn node_busy_ns(&self, node: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn node_busy_ns(&self, node: usize) -> u64 {
         self.nodes[node].ingress.busy_time() + self.nodes[node].egress.busy_time()
     }
 
     /// Busy time accumulated by the uplink (both directions), ns.
-    pub fn uplink_busy_ns(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn uplink_busy_ns(&self) -> u64 {
         self.uplink.ingress.busy_time() + self.uplink.egress.busy_time()
     }
 }
@@ -254,7 +268,7 @@ mod tests {
     fn single_transfer_pays_both_ports_plus_latency() {
         let mut sw = TorSwitch::new(2, cfg());
         // 1250 bytes: 100ns at 100G ingress, 1000ns at 10G egress.
-        let done = sw.to_node(SimTime::ZERO, 0, 1250);
+        let done = sw.send_to_node(SimTime::ZERO, 0, 1250);
         assert_eq!(done.as_nanos(), 100 + 1_000 + 1_000);
     }
 
@@ -263,8 +277,8 @@ mod tests {
         let mut sw = TorSwitch::new(2, cfg());
         // Two responses from different nodes contend only at the uplink
         // egress: each serializes on its own node port in parallel.
-        let a = sw.to_frontend(SimTime::ZERO, 0, 12_500); // 10us up, 1us down
-        let b = sw.to_frontend(SimTime::ZERO, 1, 12_500);
+        let a = sw.send_to_frontend(SimTime::ZERO, 0, 12_500); // 10us up, 1us down
+        let b = sw.send_to_frontend(SimTime::ZERO, 1, 12_500);
         assert_eq!(a.as_nanos(), 10_000 + 1_000 + 1_000);
         // b's node serialization overlaps a's; only the uplink is shared.
         assert_eq!(b.as_nanos(), 10_000 + 1_000 + 2 * 1_000);
@@ -274,8 +288,8 @@ mod tests {
     fn directions_are_independent() {
         let mut sw = TorSwitch::new(1, cfg());
         let big = 125_000; // 100us on the node port
-        let down = sw.to_node(SimTime::ZERO, 0, big);
-        let up = sw.to_frontend(SimTime::ZERO, 0, 1250);
+        let down = sw.send_to_node(SimTime::ZERO, 0, big);
+        let up = sw.send_to_frontend(SimTime::ZERO, 0, 1250);
         // The response direction is unaffected by the loaded downlink.
         assert!(up < down, "full duplex: {up:?} vs {down:?}");
     }
@@ -284,23 +298,23 @@ mod tests {
     fn degraded_port_slows_only_that_node() {
         let mut sw = TorSwitch::new(2, cfg());
         sw.set_node_speed_factor(0, 0.1);
-        let slow = sw.to_node(SimTime::ZERO, 0, 1250);
-        let fast = sw.to_node(SimTime::ZERO, 1, 1250);
+        let slow = sw.send_to_node(SimTime::ZERO, 0, 1250);
+        let fast = sw.send_to_node(SimTime::ZERO, 1, 1250);
         assert!(
             slow.as_nanos() > fast.as_nanos() * 5,
             "{slow:?} vs {fast:?}"
         );
         // Restoring brings it back.
         sw.set_node_speed_factor(0, 1.0);
-        let healed = sw.to_node(slow, 0, 1250);
+        let healed = sw.send_to_node(slow, 0, 1250);
         assert_eq!(healed - slow, 100 + 1_000 + 1_000);
     }
 
     #[test]
     fn busy_accounting_accumulates() {
         let mut sw = TorSwitch::new(1, cfg());
-        sw.to_node(SimTime::ZERO, 0, 1250);
-        sw.to_frontend(SimTime::ZERO, 0, 1250);
+        sw.send_to_node(SimTime::ZERO, 0, 1250);
+        sw.send_to_frontend(SimTime::ZERO, 0, 1250);
         assert_eq!(sw.node_busy_ns(0), 2_000);
         assert_eq!(sw.uplink_busy_ns(), 200);
     }
@@ -339,29 +353,29 @@ mod tests {
         let mut sw = TorSwitch::new(2, cfg());
         // Unloaded, both lanes see the same end-to-end delay.
         let mut quiet_sw = sw.clone();
-        let bulk_quiet = quiet_sw.to_node(SimTime::ZERO, 0, 1250);
-        let prio_quiet = sw.to_node_lane(SimTime::ZERO, 0, 1250, Lane::Priority);
+        let bulk_quiet = quiet_sw.send_to_node(SimTime::ZERO, 0, 1250);
+        let prio_quiet = sw.send_to_node_lane(SimTime::ZERO, 0, 1250, Lane::Priority);
         assert_eq!(prio_quiet, bulk_quiet);
         // Saturate node 0's port in both directions.
         for _ in 0..64 {
-            sw.to_node(SimTime::ZERO, 0, 125_000);
-            sw.to_frontend(SimTime::ZERO, 0, 125_000);
+            sw.send_to_node(SimTime::ZERO, 0, 125_000);
+            sw.send_to_frontend(SimTime::ZERO, 0, 125_000);
         }
         // Priority frames still see the quiet-network delay; bulk queues.
         assert_eq!(
-            sw.to_node_lane(SimTime::ZERO, 0, 1250, Lane::Priority),
+            sw.send_to_node_lane(SimTime::ZERO, 0, 1250, Lane::Priority),
             prio_quiet
         );
         assert_eq!(
-            sw.to_frontend_lane(SimTime::ZERO, 0, 1250, Lane::Priority)
+            sw.send_to_frontend_lane(SimTime::ZERO, 0, 1250, Lane::Priority)
                 .as_nanos(),
             1_000 + 1_000 + 100,
         );
-        assert!(sw.to_node_lane(SimTime::ZERO, 0, 1250, Lane::Bulk) > prio_quiet);
+        assert!(sw.send_to_node_lane(SimTime::ZERO, 0, 1250, Lane::Bulk) > prio_quiet);
         // A degraded port slows priority frames too (it is the wire, not
         // the queue, that degraded).
         sw.set_node_speed_factor(0, 0.1);
-        assert!(sw.to_node_lane(SimTime::ZERO, 0, 1250, Lane::Priority) > prio_quiet);
+        assert!(sw.send_to_node_lane(SimTime::ZERO, 0, 1250, Lane::Priority) > prio_quiet);
     }
 
     #[test]
@@ -370,12 +384,12 @@ mod tests {
         let mut b = TorSwitch::new(1, cfg());
         assert_eq!(Lane::default(), Lane::Bulk);
         assert_eq!(
-            a.to_node(SimTime::ZERO, 0, 9_999),
-            b.to_node_lane(SimTime::ZERO, 0, 9_999, Lane::Bulk),
+            a.send_to_node(SimTime::ZERO, 0, 9_999),
+            b.send_to_node_lane(SimTime::ZERO, 0, 9_999, Lane::Bulk),
         );
         assert_eq!(
-            a.to_frontend(SimTime::ZERO, 0, 9_999),
-            b.to_frontend_lane(SimTime::ZERO, 0, 9_999, Lane::Bulk),
+            a.send_to_frontend(SimTime::ZERO, 0, 9_999),
+            b.send_to_frontend_lane(SimTime::ZERO, 0, 9_999, Lane::Bulk),
         );
     }
 
@@ -385,8 +399,8 @@ mod tests {
         let quiet = sw.control_oneway_ns(0, 128);
         // Saturate node 0's data path; the control lane is unaffected.
         for _ in 0..64 {
-            sw.to_node(SimTime::ZERO, 0, 125_000);
-            sw.to_frontend(SimTime::ZERO, 0, 125_000);
+            sw.send_to_node(SimTime::ZERO, 0, 125_000);
+            sw.send_to_frontend(SimTime::ZERO, 0, 125_000);
         }
         assert_eq!(sw.control_oneway_ns(0, 128), quiet);
         // A degraded port does slow the control frame's serialization.

@@ -363,12 +363,12 @@ impl HdcEngine {
     }
 
     /// Address the driver writes 64-byte D2D commands to.
-    pub fn cmd_queue_addr(&self) -> PhysAddr {
+    pub(crate) fn cmd_queue_addr(&self) -> PhysAddr {
         self.bar.start + Self::CMD_QUEUE_OFFSET
     }
 
     /// Aux-buffer base (the driver DMA-stages aux data here).
-    pub fn aux_base(&self) -> PhysAddr {
+    pub(crate) fn aux_base(&self) -> PhysAddr {
         self.aux_base
     }
 

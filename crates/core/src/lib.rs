@@ -46,6 +46,6 @@ pub use driver::HdcDriver;
 pub use engine::{EngineConfig, HdcEngine, RegisterConnection};
 pub use lib_api::{FileDesc, HdcLibrary, SocketDesc};
 pub use ndp_unit::{NdpBank, NdpUnitSpec};
-pub use node::{build_dcs_node, build_dcs_pair, DcsNode, DcsNodeBuilder};
+pub use node::{build_dcs_pair, DcsNode, DcsNodeBuilder};
 pub use resources::{table3_cores, FpgaBudget, IpCore, ResourceReport, TABLE4_ENGINE};
 pub use scoreboard::{CmdState, DevCmd, Scoreboard, SlotRef};

@@ -61,7 +61,7 @@ impl FileDesc {
     /// # Panics
     ///
     /// Panics if `offset` is not block-aligned (direct I/O requires it).
-    pub fn lba_at(&self, offset: u64) -> u64 {
+    pub(crate) fn lba_at(&self, offset: u64) -> u64 {
         assert!(
             offset.is_multiple_of(LBA_SIZE),
             "direct I/O offsets must be 4 KiB-aligned"

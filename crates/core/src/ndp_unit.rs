@@ -58,7 +58,7 @@ impl NdpBank {
     }
 
     /// Builds banks at a custom aggregate target.
-    pub fn with_target(functions: &[NdpFunction], target: Bandwidth) -> NdpBank {
+    pub(crate) fn with_target(functions: &[NdpFunction], target: Bandwidth) -> NdpBank {
         let banks = functions
             .iter()
             .filter_map(|f| {

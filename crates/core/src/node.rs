@@ -88,7 +88,7 @@ impl DcsNode {
 }
 
 /// Builds a DCS node against an already-reserved NIC id / wire.
-pub fn build_dcs_node(
+pub(crate) fn build_dcs_node(
     sim: &mut Simulator,
     builder: &DcsNodeBuilder,
     nic_id: ComponentId,

@@ -57,14 +57,14 @@ impl IpCore {
     /// fully pipelined) configuration that reaches 10 Gbps (footnote 2),
     /// so the 10 Gbps configuration costs exactly the table's numbers; we
     /// scale linearly for other unit counts.
-    pub fn luts_for_units(&self, n: u32) -> u32 {
+    pub(crate) fn luts_for_units(&self, n: u32) -> u32 {
         let base_units = self.units_for(Bandwidth::gbps(10.0)).max(1);
         (self.luts as u64 * n as u64 / base_units as u64) as u32
     }
 
     /// Registers consumed by `n` units (same scaling as
     /// [`IpCore::luts_for_units`]).
-    pub fn registers_for_units(&self, n: u32) -> u32 {
+    pub(crate) fn registers_for_units(&self, n: u32) -> u32 {
         let base_units = self.units_for(Bandwidth::gbps(10.0)).max(1);
         (self.registers as u64 * n as u64 / base_units as u64) as u32
     }
@@ -182,7 +182,7 @@ impl ResourceReport {
     }
 
     /// Total registers of engine + NDP configuration.
-    pub fn total_registers(&self) -> u32 {
+    pub(crate) fn total_registers(&self) -> u32 {
         self.engine.registers + self.rows.iter().map(|(_, _, _, r)| r).sum::<u32>()
     }
 

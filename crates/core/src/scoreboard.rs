@@ -124,7 +124,7 @@ impl DevCmd {
     }
 
     /// Sets the data length (payload propagation between pipeline stages).
-    pub fn set_len(&mut self, new_len: usize) {
+    pub(crate) fn set_len(&mut self, new_len: usize) {
         match self {
             DevCmd::NvmeRead { len, .. }
             | DevCmd::NvmeWrite { len, .. }
@@ -233,7 +233,7 @@ impl Scoreboard {
     }
 
     /// Whether another command can be admitted.
-    pub fn has_room(&self) -> bool {
+    pub(crate) fn has_room(&self) -> bool {
         self.occupancy() < self.capacity
     }
 
@@ -317,7 +317,7 @@ impl Scoreboard {
 
     /// Marks an issued entry failed; remaining waiting ops of the command
     /// fail immediately (the pipeline is poisoned).
-    pub fn mark_failed(&mut self, at: SlotRef) {
+    pub(crate) fn mark_failed(&mut self, at: SlotRef) {
         let entry = self.slots[at.slot].as_mut().expect("live slot");
         assert_eq!(
             entry.ops[at.op].state,
@@ -332,7 +332,7 @@ impl Scoreboard {
 
     /// Points this entry's op and every later op of the same command at a
     /// new buffer (used when a transform outgrows the original allocation).
-    pub fn rebase_buffers(&mut self, at: SlotRef, new_buf: PhysAddr) {
+    pub(crate) fn rebase_buffers(&mut self, at: SlotRef, new_buf: PhysAddr) {
         let entry = self.slots[at.slot].as_mut().expect("live slot");
         for op in &mut entry.ops[at.op..] {
             match &mut op.cmd {
@@ -350,7 +350,7 @@ impl Scoreboard {
     /// references — a straggler completion for an op the fault watchdog
     /// already failed, or a duplicate device interrupt — return `false`
     /// instead of panicking downstream.
-    pub fn is_issued(&self, at: SlotRef) -> bool {
+    pub(crate) fn is_issued(&self, at: SlotRef) -> bool {
         self.slots[at.slot].as_ref().is_some_and(|e| {
             e.ops
                 .get(at.op)
@@ -364,7 +364,7 @@ impl Scoreboard {
     }
 
     /// The D2D command id occupying a slot.
-    pub fn id_of(&self, slot: usize) -> u64 {
+    pub(crate) fn id_of(&self, slot: usize) -> u64 {
         self.slots[slot].as_ref().expect("live slot").id
     }
 

@@ -70,12 +70,12 @@ pub const HDC_METADATA_NS: u64 = 1_400;
 pub const HDC_COMPLETION_NS: u64 = 1_100;
 
 /// Cost of copying `len` bytes with the CPU.
-pub fn copy_cost(len: usize) -> u64 {
+pub(crate) fn copy_cost(len: usize) -> u64 {
     (len as f64 / COPY_BYTES_PER_NS).ceil() as u64
 }
 
 /// Cost of hashing `len` bytes with the CPU.
-pub fn cpu_hash_cost(len: usize) -> u64 {
+pub(crate) fn cpu_hash_cost(len: usize) -> u64 {
     (len as f64 / CPU_HASH_BYTES_PER_NS).ceil() as u64
 }
 
@@ -84,7 +84,7 @@ pub const STORAGE_COMPLETE_NS: u64 = IRQ_ENTRY_NS + COMPLETION_PATH_NS + CONTEXT
 
 /// Transmit-side network software cost for `packets` packets of an
 /// operation (socket setup + per-packet work + optional buffering).
-pub fn net_tx_cost(mode: KernelMode, packets: usize) -> u64 {
+pub(crate) fn net_tx_cost(mode: KernelMode, packets: usize) -> u64 {
     let base = SYSCALL_NS + TCP_TX_SETUP_NS + TCP_TX_PER_PACKET_NS * packets as u64;
     match mode {
         KernelMode::Vanilla => base + SOCKET_BUFFER_NS,
@@ -93,7 +93,7 @@ pub fn net_tx_cost(mode: KernelMode, packets: usize) -> u64 {
 }
 
 /// Receive-side network software cost for `packets` packets.
-pub fn net_rx_cost(mode: KernelMode, packets: usize) -> u64 {
+pub(crate) fn net_rx_cost(mode: KernelMode, packets: usize) -> u64 {
     let base = IRQ_ENTRY_NS + TCP_RX_PER_PACKET_NS * packets as u64 + COMPLETION_PATH_NS;
     match mode {
         KernelMode::Vanilla => base + SOCKET_BUFFER_NS,

@@ -45,7 +45,7 @@ pub enum SwDesign {
 
 impl SwDesign {
     /// The kernel mode drivers should run in under this design.
-    pub fn kernel_mode(self) -> KernelMode {
+    pub(crate) fn kernel_mode(self) -> KernelMode {
         match self {
             SwDesign::Linux => KernelMode::Vanilla,
             SwDesign::SwOpt | SwDesign::SwP2p => KernelMode::Optimized,
@@ -208,11 +208,13 @@ impl SwExecutor {
     }
 
     fn advance(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        let (step, total) = {
+        let (step, total, ok) = {
             let s = &self.jobs[&id];
-            (s.step, s.job.ops.len())
+            (s.step, s.job.ops.len(), s.ok)
         };
-        if step >= total {
+        // A failed op ends the job, as on the HDC Engine: no later op
+        // digests an unfilled buffer or sends one.
+        if step >= total || !ok {
             self.finish(ctx, id);
             return;
         }

@@ -41,5 +41,5 @@ pub use gpu_driver::{GpuOpDone, GpuOpRequest, HostGpuDriver};
 pub use integration::IntegratedExecutor;
 pub use job::{D2dDone, D2dJob, D2dOp, Design};
 pub use nic_driver::{HostNicDriver, RecvDone, RecvExpect, SendDone, SendRequest, StartNicDriver};
-pub use node::{build_node, build_pair, HostNode, HostNodeBuilder};
+pub use node::{build_pair, HostNode, HostNodeBuilder};
 pub use nvme_driver::{BlockDone, BlockOp, BlockRequest, HostNvmeDriver};

@@ -108,7 +108,7 @@ impl HostNode {
 ///
 /// `nic_id` must be a reserved component id that the wire was created
 /// with; this function installs the NIC into it.
-pub fn build_node(
+pub(crate) fn build_node(
     sim: &mut Simulator,
     builder: &HostNodeBuilder,
     nic_id: ComponentId,

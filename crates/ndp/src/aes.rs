@@ -243,7 +243,8 @@ impl Aes256 {
     /// # Panics
     ///
     /// Panics if `data` is not a multiple of 16 bytes.
-    pub fn ecb_encrypt(&self, data: &[u8]) -> Vec<u8> {
+    #[cfg(test)]
+    pub(crate) fn ecb_encrypt(&self, data: &[u8]) -> Vec<u8> {
         assert!(
             data.len().is_multiple_of(Self::BLOCK),
             "ECB requires whole blocks"
@@ -261,7 +262,8 @@ impl Aes256 {
     /// # Panics
     ///
     /// Panics if `data` is not a multiple of 16 bytes.
-    pub fn ecb_decrypt(&self, data: &[u8]) -> Vec<u8> {
+    #[cfg(test)]
+    pub(crate) fn ecb_decrypt(&self, data: &[u8]) -> Vec<u8> {
         assert!(
             data.len().is_multiple_of(Self::BLOCK),
             "ECB requires whole blocks"

@@ -477,7 +477,7 @@ pub fn deflate_compress(data: &[u8]) -> Vec<u8> {
 
 /// Emits `data` as uncompressed stored blocks (the escape hatch for
 /// incompressible input).
-pub fn deflate_store(data: &[u8]) -> Vec<u8> {
+pub(crate) fn deflate_store(data: &[u8]) -> Vec<u8> {
     let mut w = BitWriter::new();
     let chunks: Vec<&[u8]> = if data.is_empty() {
         vec![&[][..]]

@@ -155,7 +155,8 @@ impl NdpOutput {
 
     /// The bytes that flow onward: the transformed data, or `input` itself
     /// for digest functions.
-    pub fn forward_data<'a>(&'a self, input: &'a [u8]) -> &'a [u8] {
+    #[cfg(test)]
+    pub(crate) fn forward_data<'a>(&'a self, input: &'a [u8]) -> &'a [u8] {
         self.data.as_deref().unwrap_or(input)
     }
 }

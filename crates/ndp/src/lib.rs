@@ -56,7 +56,8 @@ pub fn to_hex(bytes: &[u8]) -> String {
 ///
 /// Panics on odd length or non-hex characters (test helper, not a parser
 /// for untrusted input).
-pub fn from_hex(s: &str) -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn from_hex(s: &str) -> Vec<u8> {
     assert!(
         s.len().is_multiple_of(2),
         "hex string must have even length"

@@ -118,7 +118,7 @@ pub fn build_frame(flow: &TcpFlow, seq: u32, ack: u32, payload: &[u8]) -> Vec<u8
 /// writes straight into the frame, so a payload held elsewhere (the
 /// NIC's staged LSO gather) is copied once, not first into a `Vec` of
 /// its own. `fill` receives the zeroed payload slice.
-pub fn build_frame_in_place(
+pub(crate) fn build_frame_in_place(
     flow: &TcpFlow,
     seq: u32,
     ack: u32,

@@ -101,12 +101,12 @@ pub struct NvmeHandle {
 
 impl NvmeHandle {
     /// Address of the SQ tail doorbell for queue `qid`.
-    pub fn sq_doorbell(&self, qid: u16) -> PhysAddr {
+    pub(crate) fn sq_doorbell(&self, qid: u16) -> PhysAddr {
         self.bar.start + 0x1000 + (qid as u64) * 8
     }
 
     /// Address of the CQ head doorbell for queue `qid`.
-    pub fn cq_doorbell(&self, qid: u16) -> PhysAddr {
+    pub(crate) fn cq_doorbell(&self, qid: u16) -> PhysAddr {
         self.bar.start + 0x1000 + (qid as u64) * 8 + 4
     }
 

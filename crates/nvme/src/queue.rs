@@ -54,7 +54,7 @@ impl SubmissionQueueWriter {
 
     /// Records the device's reported SQ head (from a completion entry),
     /// freeing consumed slots.
-    pub fn update_head(&mut self, head: u16) {
+    pub(crate) fn update_head(&mut self, head: u16) {
         self.head = head % self.depth;
     }
 

@@ -30,7 +30,7 @@ pub enum NvmeOpcode {
 
 impl NvmeOpcode {
     /// Parses an opcode byte.
-    pub fn from_u8(v: u8) -> Option<NvmeOpcode> {
+    pub(crate) fn from_u8(v: u8) -> Option<NvmeOpcode> {
         match v {
             0x00 => Some(NvmeOpcode::Flush),
             0x01 => Some(NvmeOpcode::Write),
@@ -66,7 +66,7 @@ pub enum NvmeStatus {
 
 impl NvmeStatus {
     /// Status-field encoding (SCT in bits 10:8, low bits = status code).
-    pub fn to_code(self) -> u16 {
+    pub(crate) fn to_code(self) -> u16 {
         match self {
             NvmeStatus::Success => 0x0000,
             NvmeStatus::InvalidOpcode => 0x0001,
@@ -78,7 +78,7 @@ impl NvmeStatus {
     }
 
     /// Decodes a status field.
-    pub fn from_code(code: u16) -> NvmeStatus {
+    pub(crate) fn from_code(code: u16) -> NvmeStatus {
         match code & 0x7FF {
             0x0000 => NvmeStatus::Success,
             0x0004 => NvmeStatus::DataTransferError,
@@ -95,7 +95,7 @@ impl NvmeStatus {
     }
 
     /// Whether resubmitting the command may succeed (transient faults).
-    pub fn is_retryable(self) -> bool {
+    pub(crate) fn is_retryable(self) -> bool {
         matches!(self, NvmeStatus::MediaError | NvmeStatus::DataTransferError)
     }
 }
@@ -127,7 +127,7 @@ impl NvmeCommand {
     pub const SIZE: usize = 64;
 
     /// Transfer length in bytes implied by `nlb` (zero-based field).
-    pub fn transfer_len(&self) -> usize {
+    pub(crate) fn transfer_len(&self) -> usize {
         (self.nlb as usize + 1) * LBA_SIZE as usize
     }
 
@@ -237,7 +237,7 @@ impl PrpList {
     /// Panics if `base` is not page-aligned, `len` is zero, or the list
     /// would exceed one page (512 entries ⇒ 2 MiB max, beyond the model's
     /// 1 MiB max transfer).
-    pub fn for_contiguous(base: PhysAddr, len: usize, list_page: PhysAddr) -> PrpList {
+    pub(crate) fn for_contiguous(base: PhysAddr, len: usize, list_page: PhysAddr) -> PrpList {
         assert!(len > 0, "empty data buffer");
         assert!(
             base.as_u64().is_multiple_of(PAGE_SIZE),
@@ -268,7 +268,7 @@ impl PrpList {
     }
 
     /// Serializes the external list entries (empty when none are needed).
-    pub fn list_bytes(&self) -> Vec<u8> {
+    pub(crate) fn list_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.list_entries.len() * 8);
         for e in &self.list_entries {
             out.extend_from_slice(&e.as_u64().to_le_bytes());
@@ -277,7 +277,7 @@ impl PrpList {
     }
 
     /// Parses `n` entries of an external PRP list page.
-    pub fn parse_list(bytes: &[u8], n: usize) -> Vec<PhysAddr> {
+    pub(crate) fn parse_list(bytes: &[u8], n: usize) -> Vec<PhysAddr> {
         assert!(bytes.len() >= n * 8, "PRP list page too short");
         (0..n)
             .map(|i| {
@@ -294,7 +294,7 @@ impl PrpList {
     /// `resolved_list` must be the parsed external list when one is in use.
     /// Returns `None` if any pointer beyond the first is not page-aligned
     /// (the device fails such commands with [`NvmeStatus::InvalidPrp`]).
-    pub fn data_pages(
+    pub(crate) fn data_pages(
         prp1: PhysAddr,
         prp2: PhysAddr,
         resolved_list: &[PhysAddr],

@@ -23,7 +23,7 @@ impl PhysAddr {
     ///
     /// Panics if `self < base`.
     #[inline]
-    pub fn offset_from(self, base: PhysAddr) -> u64 {
+    pub(crate) fn offset_from(self, base: PhysAddr) -> u64 {
         self.0
             .checked_sub(base.0)
             .expect("address below region base")
@@ -31,7 +31,8 @@ impl PhysAddr {
 
     /// Rounds down to a multiple of `align` (a power of two).
     #[inline]
-    pub fn align_down(self, align: u64) -> PhysAddr {
+    #[cfg(test)]
+    pub(crate) fn align_down(self, align: u64) -> PhysAddr {
         debug_assert!(align.is_power_of_two());
         PhysAddr(self.0 & !(align - 1))
     }
@@ -111,7 +112,7 @@ impl AddrRange {
 
     /// Whether `[addr, addr+len)` lies entirely within the range.
     #[inline]
-    pub fn contains_span(self, addr: PhysAddr, len: usize) -> bool {
+    pub(crate) fn contains_span(self, addr: PhysAddr, len: usize) -> bool {
         addr >= self.start && addr.0 + len as u64 <= self.end().0
     }
 

@@ -103,7 +103,8 @@ impl AerLog {
     }
 
     /// Retained entries of one kind.
-    pub fn of_kind(&self, kind: AerKind) -> impl Iterator<Item = &AerEntry> + '_ {
+    #[cfg(test)]
+    pub(crate) fn of_kind(&self, kind: AerKind) -> impl Iterator<Item = &AerEntry> + '_ {
         self.entries.iter().filter(move |e| e.kind == kind)
     }
 

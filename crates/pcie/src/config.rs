@@ -60,12 +60,12 @@ pub fn wire_bytes(len: usize) -> usize {
 }
 
 /// Serialization time of a `len`-byte transfer on one link.
-pub fn link_time(len: usize) -> u64 {
+pub(crate) fn link_time(len: usize) -> u64 {
     LINK_BANDWIDTH.transfer_time(wire_bytes(len))
 }
 
 /// Serialization time of a `len`-byte transfer through the crossbar.
-pub fn switch_time(len: usize) -> u64 {
+pub(crate) fn switch_time(len: usize) -> u64 {
     SWITCH_BANDWIDTH.transfer_time(wire_bytes(len))
 }
 

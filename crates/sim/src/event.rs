@@ -105,12 +105,13 @@ impl Msg {
     }
 
     /// The payload's concrete type name (host-time profile key).
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         (*self.payload).type_name()
     }
 
     /// A short description of the payload type, for diagnostics.
-    pub fn payload_debug(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn payload_debug(&self) -> String {
         format!("{:?}", self.payload)
     }
 }

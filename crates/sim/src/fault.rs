@@ -206,7 +206,7 @@ impl FaultPlan {
     /// sites changes the fault sequence a given site produces. Two
     /// differently named sites whose names hash to the same stream key
     /// would silently share one fault sequence, so that is an error too.
-    pub fn try_enable(&mut self, site: &'static str, spec: FaultSpec) -> Result<(), String> {
+    pub(crate) fn try_enable(&mut self, site: &'static str, spec: FaultSpec) -> Result<(), String> {
         if let FaultSpec::Probability(p) = spec {
             if !p.is_finite() || !(0.0..=1.0).contains(&p) {
                 return Err(format!(
@@ -244,7 +244,7 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics with the [`Self::try_enable`] error on an invalid spec.
+    /// Panics with the `Self::try_enable` error on an invalid spec.
     pub fn enable(&mut self, site: &'static str, spec: FaultSpec) {
         if let Err(e) = self.try_enable(site, spec) {
             panic!("{e}");

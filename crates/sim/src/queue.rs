@@ -48,7 +48,8 @@ impl FifoServer {
 
     /// Like [`FifoServer::offer`] but also returns the start instant — useful
     /// for breakdown accounting that distinguishes queueing from service.
-    pub fn offer_with_start(&mut self, now: SimTime, service_ns: u64) -> (SimTime, SimTime) {
+    #[cfg(test)]
+    pub(crate) fn offer_with_start(&mut self, now: SimTime, service_ns: u64) -> (SimTime, SimTime) {
         let start = self.busy_until.max(now);
         let done = start + service_ns;
         self.busy_until = done;
@@ -58,12 +59,13 @@ impl FifoServer {
     }
 
     /// The instant the server next becomes free.
-    pub fn busy_until(&self) -> SimTime {
+    pub(crate) fn busy_until(&self) -> SimTime {
         self.busy_until
     }
 
     /// Whether the server is idle at `now`.
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_idle_at(&self, now: SimTime) -> bool {
         self.busy_until <= now
     }
 

@@ -88,7 +88,7 @@ impl Rng {
     }
 
     /// Standard normal draw (Box–Muller; one value per call for simplicity).
-    pub fn gen_normal(&mut self) -> f64 {
+    pub(crate) fn gen_normal(&mut self) -> f64 {
         let u1 = self.gen_f64().max(f64::MIN_POSITIVE);
         let u2 = self.gen_f64();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()

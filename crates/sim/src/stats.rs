@@ -263,7 +263,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
         assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
         if self.count == 0 {
             return None;
@@ -279,7 +279,7 @@ impl Histogram {
         Some(self.max)
     }
 
-    /// [`Histogram::quantile`] with `p` expressed in percent (`p99` is
+    /// `Histogram::quantile` with `p` expressed in percent (`p99` is
     /// `percentile(99.0)`).
     ///
     /// # Panics
@@ -296,7 +296,8 @@ impl Histogram {
     }
 
     /// The 90th percentile.
-    pub fn p90(&self) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn p90(&self) -> Option<u64> {
         self.percentile(90.0)
     }
 

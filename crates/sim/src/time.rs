@@ -64,13 +64,15 @@ impl SimTime {
 
     /// Creates an instant `n` milliseconds after time zero.
     #[inline]
-    pub const fn from_ms(n: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn from_ms(n: u64) -> Self {
         SimTime(n * 1_000_000)
     }
 
     /// Creates an instant `n` seconds after time zero.
     #[inline]
-    pub const fn from_secs(n: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn from_secs(n: u64) -> Self {
         SimTime(n * 1_000_000_000)
     }
 
@@ -82,7 +84,7 @@ impl SimTime {
 
     /// This instant expressed in (fractional) microseconds.
     #[inline]
-    pub fn as_us_f64(self) -> f64 {
+    pub(crate) fn as_us_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
@@ -196,15 +198,6 @@ impl Bandwidth {
         }
     }
 
-    /// A rate in bytes per second.
-    #[inline]
-    pub const fn bytes_per_sec(b: f64) -> Self {
-        assert!(b > 0.0, "bandwidth must be positive");
-        Bandwidth {
-            bits_per_sec: b * 8.0,
-        }
-    }
-
     /// The rate in gigabits per second.
     #[inline]
     pub fn as_gbps(self) -> f64 {
@@ -213,7 +206,8 @@ impl Bandwidth {
 
     /// The rate in bytes per second.
     #[inline]
-    pub fn as_bytes_per_sec(self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn as_bytes_per_sec(self) -> f64 {
         self.bits_per_sec / 8.0
     }
 

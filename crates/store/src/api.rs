@@ -22,7 +22,7 @@ pub const KEY_BITS: u32 = 48;
 /// # Panics
 ///
 /// Panics if `key` overflows the 48-bit per-tenant keyspace.
-pub fn object_id(tenant: usize, key: u64) -> u64 {
+pub(crate) fn object_id(tenant: usize, key: u64) -> u64 {
     assert!(
         key < 1 << KEY_BITS,
         "key {key} overflows the tenant keyspace"

@@ -155,7 +155,7 @@ impl ReadCache {
     /// Snapshot of the resident set, insertion-ordered: `(key, len,
     /// version)` per entry. Feeds the warm-up transfer to a rejoining
     /// node — the caller filters by ring membership and version currency.
-    pub fn warm_set(&self) -> Vec<(u64, u64, u64)> {
+    pub(crate) fn warm_set(&self) -> Vec<(u64, u64, u64)> {
         self.entries
             .iter()
             .map(|(&k, e)| (k, e.len, e.version))
@@ -165,7 +165,7 @@ impl ReadCache {
     /// Admits a warm-up entry directly: no ghost-list probation (the
     /// value already proved itself hot on the donor node) and no scan
     /// gate. The byte budget still holds.
-    pub fn admit_warm(&mut self, key: u64, len: u64, version: u64) {
+    pub(crate) fn admit_warm(&mut self, key: u64, len: u64, version: u64) {
         if self.capacity == 0 || len == 0 || len > self.capacity {
             return;
         }
@@ -197,7 +197,7 @@ impl ReadCache {
 
     /// Drops `key` if resident (a write committed a newer version).
     /// Returns whether anything was dropped.
-    pub fn invalidate(&mut self, key: u64) -> bool {
+    pub(crate) fn invalidate(&mut self, key: u64) -> bool {
         self.ghost.remove(&key);
         match self.entries.remove(&key) {
             Some(e) => {
@@ -210,7 +210,7 @@ impl ReadCache {
     }
 
     /// Drops a value whose cached version went stale at lookup time.
-    pub fn evict_stale(&mut self, key: u64) {
+    pub(crate) fn evict_stale(&mut self, key: u64) {
         if self.invalidate(key) {
             self.stale_evicted += 1;
         }

@@ -57,7 +57,7 @@ pub mod service;
 /// Admission queueing, shared with the rack: it lives in `dcs-cluster`.
 pub use dcs_cluster::qos;
 
-pub use api::{object_id, StoreConfig, TenantSpec};
+pub use api::{StoreConfig, TenantSpec};
 pub use cache::{Admission, CacheConfig, ReadCache};
 pub use service::StoreService;
 
@@ -112,7 +112,7 @@ mod tests {
         let mut mixed = TenantSpec::new("mixed", YcsbWorkload::A);
         mixed.offered_gbps = 1.0;
         let r = run_store(&quick_cfg(vec![gold, mixed]));
-        assert!(r.requests > 0, "{}", r.render("smoke"));
+        assert!(r.requests > 0, "the store must serve requests");
         assert_eq!(r.per_tenant.len(), 2);
         assert_eq!(r.per_tenant[0].name, "gold");
         assert!(r.per_tenant[0].ok > 0, "gold saw traffic");
@@ -121,9 +121,6 @@ mod tests {
         // Workload C issues no writes; A is half writes.
         assert!(r.put_ok > 0, "workload A writes landed");
         assert!(r.get_ok > r.put_ok, "reads dominate the combined mix");
-        // The render includes the tenant rows.
-        let text = r.render("store");
-        assert!(text.contains("tenant gold"), "{text}");
     }
 
     #[test]
@@ -195,7 +192,7 @@ mod tests {
         };
         let a = run_store(&cfg);
         let b = run_store(&cfg);
-        assert_eq!(a.render("x"), b.render("x"), "byte-identical reports");
+        assert_eq!(a, b, "identical reports");
         assert_eq!(a.requests, b.requests);
         assert_eq!(a.cache_hits, b.cache_hits);
     }

@@ -8,20 +8,25 @@
 
 use dcs_sim::Rng;
 
-/// Poisson arrival process: exponential inter-arrival times.
+/// Poisson arrival process: exponential inter-arrival times. The
+/// workloads draw each gap inline as `(rng.gen_exp(mean) as u64).max(1)`;
+/// this is that draw as a process, so the tests can check its mean and
+/// shape.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct PoissonArrivals {
+pub(crate) struct PoissonArrivals {
     mean_interarrival_ns: f64,
     rng: Rng,
 }
 
+#[cfg(test)]
 impl PoissonArrivals {
     /// Arrivals with the given mean inter-arrival time.
     ///
     /// # Panics
     ///
     /// Panics if `mean_interarrival_ns` is not positive.
-    pub fn new(mean_interarrival_ns: f64, rng: Rng) -> Self {
+    pub(crate) fn new(mean_interarrival_ns: f64, rng: Rng) -> Self {
         assert!(
             mean_interarrival_ns > 0.0,
             "inter-arrival time must be positive"
@@ -34,7 +39,7 @@ impl PoissonArrivals {
 
     /// Arrivals tuned to offer `target_gbps` of load at `mean_size` bytes
     /// per request.
-    pub fn for_throughput(target_gbps: f64, mean_size: f64, rng: Rng) -> Self {
+    pub(crate) fn for_throughput(target_gbps: f64, mean_size: f64, rng: Rng) -> Self {
         assert!(target_gbps > 0.0 && mean_size > 0.0);
         // requests/s = target bits/s / bits per request.
         let rate = target_gbps * 1e9 / (mean_size * 8.0);
@@ -42,12 +47,12 @@ impl PoissonArrivals {
     }
 
     /// Next inter-arrival gap in nanoseconds (≥ 1).
-    pub fn next_gap(&mut self) -> u64 {
+    pub(crate) fn next_gap(&mut self) -> u64 {
         (self.rng.gen_exp(self.mean_interarrival_ns) as u64).max(1)
     }
 
     /// The configured mean inter-arrival time.
-    pub fn mean_interarrival_ns(&self) -> f64 {
+    pub(crate) fn mean_interarrival_ns(&self) -> f64 {
         self.mean_interarrival_ns
     }
 }

@@ -23,7 +23,7 @@ pub mod scenario;
 pub mod swift;
 pub mod ycsb;
 
-pub use gen::{PoissonArrivals, SizeDistribution, Zipfian};
+pub use gen::{SizeDistribution, Zipfian};
 pub use hdfs::{run_hdfs, HdfsConfig};
 pub use projection::{project, ProjectionInput, ProjectionPoint, ProjectionResult};
 pub use report::WorkloadReport;

@@ -32,22 +32,9 @@ impl WorkloadReport {
     }
 
     /// Utilization for one tag (zero if absent).
-    pub fn cpu_for(&self, tag: &str) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn cpu_for(&self, tag: &str) -> f64 {
         self.cpu_breakdown.get(tag).copied().unwrap_or(0.0)
-    }
-
-    /// Renders a table row block for the harness output.
-    pub fn render(&self, label: &str) -> String {
-        let mut out = format!(
-            "{label}: {:.2} Gbps, {} requests, CPU {:.1}%\n",
-            self.throughput_gbps(),
-            self.requests,
-            self.cpu_utilization() * 100.0
-        );
-        for (tag, util) in &self.cpu_breakdown {
-            out.push_str(&format!("    {tag:<14} {:5.1}%\n", util * 100.0));
-        }
-        out
     }
 }
 
@@ -69,9 +56,6 @@ mod tests {
         assert!((r.cpu_utilization() - 0.30).abs() < 1e-12);
         assert!((r.cpu_for("kernel-get") - 0.25).abs() < 1e-12);
         assert_eq!(r.cpu_for("absent"), 0.0);
-        let text = r.render("test");
-        assert!(text.contains("10.00 Gbps"));
-        assert!(text.contains("kernel-get"));
     }
 
     #[test]

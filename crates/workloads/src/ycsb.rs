@@ -112,7 +112,7 @@ impl YcsbWorkload {
     }
 
     /// Whether reads favor the most recently inserted keys (workload D).
-    pub fn read_latest(self) -> bool {
+    pub(crate) fn read_latest(self) -> bool {
         matches!(self, YcsbWorkload::D)
     }
 }
@@ -239,7 +239,12 @@ impl YcsbGenerator {
     }
 
     /// A generator with an explicit mix (tenant specs compose their own).
-    pub fn with_mix(mix: OpMix, read_latest: bool, initial_keys: u64, theta: f64) -> YcsbGenerator {
+    pub(crate) fn with_mix(
+        mix: OpMix,
+        read_latest: bool,
+        initial_keys: u64,
+        theta: f64,
+    ) -> YcsbGenerator {
         assert!(mix.total() <= 1.0 + 1e-9, "op mix exceeds 1");
         YcsbGenerator {
             mix,

@@ -9,13 +9,13 @@
 //! cargo run --example hdfs_balancer
 //! ```
 
+use dcs_ctrl::bench::{fig12::workload_table, Report};
 use dcs_ctrl::pcie::PhysMemory;
 use dcs_ctrl::sim::time;
 use dcs_ctrl::workloads::scenario::DesignUnderTest;
 use dcs_ctrl::workloads::{run_hdfs, HdfsConfig};
 
 fn main() {
-    println!("HDFS balancer: sender reads+sends, receiver gathers+CRC32+stores\n");
     let cfg = HdfsConfig {
         duration_ns: time::ms(30),
         warmup_ns: time::ms(8),
@@ -23,15 +23,26 @@ fn main() {
         block_size: 512 * 1024,
         ..HdfsConfig::default()
     };
-    for design in [DesignUnderTest::SwOpt, DesignUnderTest::DcsCtrl] {
-        let (sender, receiver) = run_hdfs(design, &cfg);
-        print!("{}", sender.render(&format!("{} sender  ", design.label())));
-        print!(
-            "{}",
-            receiver.render(&format!("{} receiver", design.label()))
-        );
-        println!();
-    }
+    let runs: Vec<_> = [DesignUnderTest::SwOpt, DesignUnderTest::DcsCtrl]
+        .into_iter()
+        .map(|d| (d, run_hdfs(d, &cfg)))
+        .collect();
+    let mut r = Report::new(
+        "hdfs_balancer",
+        false,
+        "HDFS balancer: sender reads+sends, receiver gathers+CRC32+stores",
+    );
+    workload_table(
+        r.section(""),
+        "hdfs",
+        runs.iter().flat_map(|(d, (snd, rcv))| {
+            [
+                (format!("{} sender", d.label()), snd),
+                (format!("{} receiver", d.label()), rcv),
+            ]
+        }),
+    );
+    println!("{}", r.text());
 
     // Byte-level verification on a fresh testbed: one balancer block,
     // checked end to end.

@@ -9,54 +9,38 @@
 //! ```
 
 use dcs_bench::fig11::{measure, software_latency};
-use dcs_ctrl::sim::Category;
+use dcs_bench::{fig2, Report};
 use dcs_ctrl::workloads::scenario::DesignUnderTest;
-
-const ORDER: [Category; 10] = [
-    Category::DeviceControl,
-    Category::FileSystem,
-    Category::Read,
-    Category::RequestCompletion,
-    Category::GpuCopy,
-    Category::GpuControl,
-    Category::Hash,
-    Category::NetworkStack,
-    Category::Scoreboard,
-    Category::Wire,
-];
 
 fn main() {
     let len = 4096;
-    println!(
-        "Anatomy of one SSD -> MD5 -> NIC operation ({} KiB)\n",
-        len / 1024
+    let mut r = Report::new(
+        "latency_anatomy",
+        false,
+        format!(
+            "Anatomy of one SSD -> MD5 -> NIC operation ({} KiB)",
+            len / 1024
+        ),
     );
-    for design in [
+    for (i, design) in [
         DesignUnderTest::Linux,
         DesignUnderTest::SwOpt,
         DesignUnderTest::SwP2p,
         DesignUnderTest::DcsCtrl,
-    ] {
+    ]
+    .into_iter()
+    .enumerate()
+    {
         let b = measure(design, len, true);
-        let total = b.total() as f64 / 1000.0;
-        println!(
+        let s = r.section(format!(
             "{} — total {:.1} us, software {:.1} us",
             design.label(),
-            total,
+            b.total() as f64 / 1000.0,
             software_latency(&b) as f64 / 1000.0
-        );
-        let mut t = 0.0;
-        for cat in ORDER {
-            let dur = b.get(cat) as f64 / 1000.0;
-            if dur == 0.0 {
-                continue;
-            }
-            let bar = "#".repeat(((dur / total) * 50.0).ceil() as usize);
-            println!("  {:>7.1}..{:<7.1}us {:<18} {bar}", t, t + dur, cat.label());
-            t += dur;
-        }
-        println!();
+        ));
+        fig2::timeline_table(s, &format!("timeline{i}"), &b);
     }
+    println!("{}", r.text());
     println!("Every '#' of Device Control / GPU Control / Network Stack is host");
     println!("software the HDC Engine replaces with the thin Scoreboard slice.");
 }

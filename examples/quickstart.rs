@@ -9,6 +9,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use dcs_ctrl::bench::{breakdown_rows, Report, BREAKDOWN};
 use dcs_ctrl::core::lib_api::Permissions;
 use dcs_ctrl::core::{build_dcs_pair, DcsNodeBuilder, FileDesc, HdcLibrary, SocketDesc};
 use dcs_ctrl::host::job::{D2dDone, D2dJob, D2dOp};
@@ -36,22 +37,26 @@ impl Component for App {
             Err(m) => m,
         };
         let done = msg.downcast::<D2dDone>().expect("job completions");
-        println!(
-            "  job {} finished at t={} ok={} ({} payload bytes)",
-            done.id,
-            ctx.now(),
-            done.ok,
-            done.payload_len
+        let mut r = Report::new(
+            "quickstart",
+            false,
+            format!(
+                "job {} finished at t={} ok={} ({} payload bytes)",
+                done.id,
+                ctx.now(),
+                done.ok,
+                done.payload_len
+            ),
         );
-        for (cat, ns) in done.breakdown.entries() {
-            println!("      {:<18} {:>9.2} us", cat.label(), ns as f64 / 1000.0);
-        }
+        let s = r.section("");
+        breakdown_rows(s.table("breakdown", BREAKDOWN), "DCS-ctrl", &done.breakdown);
         if let Some(d) = &done.digest {
-            println!(
-                "      digest (from the completion record): {}",
+            s.note(format!(
+                "digest (from the completion record): {}",
                 dcs_ctrl::ndp::to_hex(d)
-            );
+            ));
         }
+        println!("{}", r.text());
     }
 }
 

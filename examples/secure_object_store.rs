@@ -9,6 +9,7 @@
 //! cargo run --example secure_object_store
 //! ```
 
+use dcs_ctrl::bench::{fig12::workload_table, Report};
 use dcs_ctrl::host::job::{D2dJob, D2dOp};
 use dcs_ctrl::ndp::NdpFunction;
 use dcs_ctrl::nic::TcpFlow;
@@ -18,6 +19,7 @@ use dcs_ctrl::workloads::scenario::{
     start_scenario_with_app, DesignUnderTest, Request, ScenarioConfig, ScenarioOutcome, Testbed,
     TestbedConfig,
 };
+use dcs_ctrl::workloads::WorkloadReport;
 
 fn aes_aux() -> Vec<u8> {
     let mut aux = vec![0x42u8; 32]; // key
@@ -25,7 +27,8 @@ fn aes_aux() -> Vec<u8> {
     aux
 }
 
-fn run(design: DesignUnderTest) {
+/// The server's CPU bill for the secure mix on `design`.
+fn run(design: DesignUnderTest) -> WorkloadReport {
     let mut tb = Testbed::new(design, &TestbedConfig::default());
     tb.sim.run();
     let server = tb.server.clone();
@@ -115,15 +118,26 @@ fn run(design: DesignUnderTest) {
     );
     tb.sim.run();
     let outcome = tb.sim.world().expect::<ScenarioOutcome>();
-    let report = &outcome.reports[&server.cpu_key];
-    print!("{}", report.render(design.label()));
+    outcome.reports[&server.cpu_key].clone()
 }
 
 fn main() {
-    println!("Secure object store: GET = SSD -> MD5 -> AES-256 -> NIC\n");
-    for design in DesignUnderTest::FIG12 {
-        run(design);
-    }
-    println!("\nEncryption is nearly free on the HDC Engine (AES at 40.9 Gbps per");
-    println!("unit, Table III) but costs the baselines a second GPU round trip.");
+    let runs: Vec<_> = DesignUnderTest::FIG12
+        .into_iter()
+        .map(|d| (d, run(d)))
+        .collect();
+    let mut r = Report::new(
+        "secure_object_store",
+        false,
+        "Secure object store: GET = SSD -> MD5 -> AES-256 -> NIC",
+    );
+    let s = r.section("");
+    workload_table(
+        s,
+        "server",
+        runs.iter().map(|(d, w)| (d.label().to_string(), w)),
+    );
+    s.note("Encryption is nearly free on the HDC Engine (AES at 40.9 Gbps per")
+        .note("unit, Table III) but costs the baselines a second GPU round trip.");
+    print!("{}", r.text());
 }

@@ -45,7 +45,7 @@ fn same_seed_reruns_are_bit_identical() {
     };
     let a = run_cluster(&cfg);
     let b = run_cluster(&cfg);
-    assert_eq!(a.render("run"), b.render("run"), "same seed, same report");
+    assert_eq!(a, b, "same seed, same report");
     assert_eq!(a.requests, b.requests);
     assert_eq!(a.latency.percentile(99.0), b.latency.percentile(99.0));
     assert!(a.requests > 10, "the run must do real work: {}", a.requests);
@@ -55,11 +55,7 @@ fn same_seed_reruns_are_bit_identical() {
         seed: 0xBEEF,
         ..cfg
     });
-    assert_ne!(
-        a.render("run"),
-        c.render("run"),
-        "different seed, different run"
-    );
+    assert_ne!(a, c, "different seed, different run");
 }
 
 #[test]

@@ -95,7 +95,7 @@ fn failure_handling_is_deterministic_and_detection_is_policy_invariant() {
         let a = run_cluster(&cfg);
         let b = run_cluster(&cfg);
         // Same seed ⇒ bit-identical failure handling, counters included.
-        assert_eq!(a.render("run"), b.render("run"), "{policy:?}");
+        assert_eq!(a, b, "{policy:?}");
         assert_eq!(
             (a.hedged, a.hedge_wins, a.retried, a.lost, a.rejected),
             (b.hedged, b.hedge_wins, b.retried, b.lost, b.rejected),
@@ -373,7 +373,7 @@ fn cached_store_never_serves_stale_bytes_through_a_crash() {
     let r = run_store(&crashed_store_cfg());
     // The run exercised the interesting paths: writes committed, cached
     // reads hit, and the crash actually disturbed in-flight traffic.
-    assert!(r.requests > 0, "{}", r.render("crash"));
+    assert!(r.requests > 0, "the crashed store must serve requests");
     assert!(r.put_ok > 0, "workload A writes must land");
     assert!(r.cache_hits > 0, "cached reads must hit between writes");
     assert!(
@@ -390,12 +390,7 @@ fn cached_store_never_serves_stale_bytes_through_a_crash() {
     // at commit mean a cached GET can never return bytes older than the
     // last committed PUT — the tripwire counts any would-be violation,
     // including reads that raced the crash.
-    assert_eq!(
-        r.stale_served,
-        0,
-        "stale cache bytes served: {}",
-        r.render("crash")
-    );
+    assert_eq!(r.stale_served, 0, "stale cache bytes served");
 }
 
 #[test]
@@ -432,12 +427,7 @@ fn restarted_store_node_rejoins_warm_and_serves_no_stale_bytes() {
         r.per_node[1].requests,
         stays_down.per_node[1].requests
     );
-    assert_eq!(
-        r.stale_served,
-        0,
-        "stale bytes served after rejoin: {}",
-        r.render("rejoin")
-    );
+    assert_eq!(r.stale_served, 0, "stale bytes served after rejoin");
 }
 
 #[test]
@@ -463,29 +453,24 @@ fn fail_slow_store_node_is_marked_slow_and_serves_no_stale_bytes() {
     assert!(detect <= bound, "slow in {detect} ns, bound {bound} ns");
     assert!(r.slow_evictions > 0);
     assert_eq!(r.detection_ns, None, "a slow node is never declared dead");
-    assert!(r.put_ok > 0 && r.cache_hits > 0, "{}", r.render("slow"));
-    assert_eq!(
-        r.stale_served,
-        0,
-        "stale bytes served around a slow node: {}",
-        r.render("slow")
+    assert!(
+        r.put_ok > 0 && r.cache_hits > 0,
+        "writes must land and reads must hit ({} PUTs, {} hits)",
+        r.put_ok,
+        r.cache_hits
     );
+    assert_eq!(r.stale_served, 0, "stale bytes served around a slow node");
 }
 
 #[test]
 fn ycsb_sweep_is_byte_identical_across_double_runs() {
     // The acceptance determinism check for `repro store`: every YCSB
-    // letter, run twice from the same seed, must render byte-identically
+    // letter, run twice from the same seed, must replay identically
     // (latency histograms, cache counters, and per-tenant rows included).
     for w in YcsbWorkload::ALL {
         let a = dcs_bench::store::run_ycsb(w, true);
         let b = dcs_bench::store::run_ycsb(w, true);
-        assert_eq!(
-            a.render(w.label()),
-            b.render(w.label()),
-            "YCSB {} must replay byte-identically",
-            w.letter()
-        );
+        assert_eq!(a, b, "YCSB {} must replay identically", w.letter());
         assert_eq!(
             a.per_tenant[0].latency_us(99.9),
             b.per_tenant[0].latency_us(99.9)

@@ -29,9 +29,9 @@ struct Ending {
     ok: (bool, bool),
     /// The faulted site's (injected, recovered, exhausted).
     tally: (u64, u64, u64),
-    /// The client's digest and payload length, when its job succeeded
-    /// (after a failed receive the software executor still digests its
-    /// buffer, the engine does not).
+    /// The client's digest and payload length, whenever its job
+    /// produced a digest (a failed receive ends the job before its MD5
+    /// on both designs).
     delivered: Option<(Vec<u8>, usize)>,
     /// Controller resets the drive saw (`nvme.resets`).
     resets: u64,
@@ -89,12 +89,7 @@ fn run(
     Ending {
         ok: (job(1).ok, job(2).ok),
         tally,
-        delivered: job(2).ok.then(|| {
-            (
-                job(2).digest.clone().unwrap_or_default(),
-                job(2).payload_len,
-            )
-        }),
+        delivered: job(2).digest.clone().map(|d| (d, job(2).payload_len)),
         resets: world.stats.counter_value("nvme.resets"),
     }
 }
