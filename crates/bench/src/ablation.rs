@@ -38,9 +38,9 @@ pub(crate) fn size_sweep(sizes: &[usize]) -> Vec<SizePoint> {
         .iter()
         .map(|&len| {
             let totals = [
-                measure(DesignUnderTest::SwOpt, len, true).total(),
-                measure(DesignUnderTest::SwP2p, len, true).total(),
-                measure(DesignUnderTest::DcsCtrl, len, true).total(),
+                measure(DesignUnderTest::SwOpt, len, true).segment_sum_ns(),
+                measure(DesignUnderTest::SwP2p, len, true).segment_sum_ns(),
+                measure(DesignUnderTest::DcsCtrl, len, true).segment_sum_ns(),
             ];
             SizePoint { len, totals }
         })

@@ -31,9 +31,6 @@ pub struct TraceCapture {
 /// job (the paper's device-to-device composition).
 pub fn capture(design: DesignUnderTest) -> TraceCapture {
     let mut ptb = ProbedTestbed::new(design);
-    // Enable after settle so init-time traffic doesn't clutter the trace;
-    // recording is purely observational either way.
-    ptb.tb.sim.world_mut().obs.enable();
     let payload = vec![0xA5u8; 16 * 1024];
     ptb.seed_flash(64, &payload);
 
@@ -67,19 +64,9 @@ pub fn capture(design: DesignUnderTest) -> TraceCapture {
         "anatomy-d2d",
     ));
 
-    let rec = &ptb.tb.sim.world().obs;
-    let anatomies = done
-        .iter()
-        .filter_map(|d| {
-            Some((
-                d.id,
-                rec.anatomy(d.id).filter(|a| a.end_ns.is_some())?.clone(),
-            ))
-        })
-        .collect();
     TraceCapture {
-        trace_json: chrome_trace(rec),
-        anatomies,
+        trace_json: chrome_trace(&ptb.tb.sim.world().obs),
+        anatomies: done.iter().map(|d| (d.id, ptb.anatomy(d.id))).collect(),
     }
 }
 
@@ -108,8 +95,8 @@ pub fn report(quick: bool) -> Report {
                 "request {id} — latency anatomy ({total} ns end-to-end)"
             ))
             .table(&format!("request-{id}"), "segment time:ns share:%.1");
-        for &(label, ns) in &a.segments {
-            row!(t, label, ns, ns as f64 / total.max(1) as f64);
+        for &(category, ns) in &a.segments {
+            row!(t, category.label(), ns, ns as f64 / total.max(1) as f64);
         }
         row!(t, "total", a.segment_sum_ns(), 1.0);
     }

@@ -65,6 +65,7 @@ pub fn run(design: DesignUnderTest, rate: f64, rounds: usize) -> FaultRow {
         },
     );
     tb.sim.run();
+    tb.sim.world_mut().obs.enable();
     let pat: Vec<u8> = (0..LEN).map(|i| (i * 31 % 251) as u8).collect();
     let addr = tb.server.ssds[0].lba_addr(0);
     tb.sim
@@ -110,10 +111,12 @@ pub fn run(design: DesignUnderTest, rate: f64, rounds: usize) -> FaultRow {
         ]);
         if done.iter().all(|d| d.ok) {
             ok_rounds += 1;
-            // Round latency = the slower of the paired jobs (the drain
-            // afterwards also retires recovery timers, which are not
-            // part of the transfer).
-            ok_lat.record(done.iter().map(|d| d.breakdown.total()).max().unwrap_or(0));
+            // Round latency = the slower of the paired jobs' recorded
+            // end-to-end latency (the drain afterwards also retires
+            // recovery timers, which are not part of the transfer).
+            let obs = &tb.sim.world().obs;
+            let e2e = |id| obs.anatomy(id).and_then(|a| a.total_ns()).unwrap_or(0);
+            ok_lat.record(done.iter().map(|d| e2e(d.id)).max().unwrap_or(0));
         }
     }
     let world = tb.sim.world();

@@ -10,7 +10,7 @@
 use dcs_host::job::D2dOp;
 use dcs_ndp::NdpFunction;
 use dcs_nic::TcpFlow;
-use dcs_sim::Breakdown;
+use dcs_sim::{Anatomy, Category};
 use dcs_workloads::scenario::DesignUnderTest;
 
 use crate::probe::ProbedTestbed;
@@ -21,8 +21,8 @@ use crate::{breakdown_rows, row, Report, BREAKDOWN};
 pub struct Fig11Row {
     /// The design measured.
     pub design: DesignUnderTest,
-    /// Its latency breakdown.
-    pub breakdown: Breakdown,
+    /// The measured job's latency anatomy.
+    pub anatomy: Anatomy,
 }
 
 /// The designs Figure 11 compares.
@@ -32,8 +32,9 @@ pub const DESIGNS: [DesignUnderTest; 3] = [
     DesignUnderTest::DcsCtrl,
 ];
 
-/// Runs one design's single-op measurement.
-pub fn measure(design: DesignUnderTest, len: usize, with_processing: bool) -> Breakdown {
+/// Runs one design's single-op measurement and returns the job's
+/// latency anatomy.
+pub fn measure(design: DesignUnderTest, len: usize, with_processing: bool) -> Anatomy {
     let mut rig = ProbedTestbed::new(design);
     let payload: Vec<u8> = (0..len).map(|i| (i * 37 % 251) as u8).collect();
     rig.seed_flash(0, &payload);
@@ -52,7 +53,8 @@ pub fn measure(design: DesignUnderTest, len: usize, with_processing: bool) -> Br
         flow: TcpFlow::example(1, 2, 40_000, 9_000),
         seq: 0,
     });
-    rig.run_server_job(ops, "fig11").breakdown
+    let done = rig.run_server_job(ops, "fig11");
+    rig.anatomy(done.id)
 }
 
 /// Runs the full figure: `(sub-figure a rows, sub-figure b rows)`.
@@ -61,14 +63,14 @@ pub fn run(len: usize) -> (Vec<Fig11Row>, Vec<Fig11Row>) {
         .iter()
         .map(|&design| Fig11Row {
             design,
-            breakdown: measure(design, len, false),
+            anatomy: measure(design, len, false),
         })
         .collect();
     let b = DESIGNS
         .iter()
         .map(|&design| Fig11Row {
             design,
-            breakdown: measure(design, len, true),
+            anatomy: measure(design, len, true),
         })
         .collect();
     (a, b)
@@ -80,7 +82,7 @@ pub(crate) fn software_reduction(rows: &[Fig11Row]) -> f64 {
     let sw = |d: DesignUnderTest| {
         rows.iter()
             .find(|r| r.design == d)
-            .map(|r| software_latency(&r.breakdown))
+            .map(|r| software_latency(&r.anatomy))
             .expect("design measured")
     };
     let p2p = sw(DesignUnderTest::SwP2p);
@@ -93,17 +95,22 @@ pub(crate) fn total_reduction(rows: &[Fig11Row]) -> f64 {
     let total = |d: DesignUnderTest| {
         rows.iter()
             .find(|r| r.design == d)
-            .map(|r| r.breakdown.total())
+            .map(|r| r.anatomy.segment_sum_ns())
             .expect("design measured")
     };
     1.0 - total(DesignUnderTest::DcsCtrl) as f64 / total(DesignUnderTest::SwP2p) as f64
 }
 
-/// The software portion of a breakdown: everything except raw device
+/// The software portion of a latency: everything except raw device
 /// service (read/write), wire time, and the hash computation itself.
-pub fn software_latency(b: &Breakdown) -> u64 {
-    use dcs_sim::Category as C;
-    b.total() - b.get(C::Read) - b.get(C::Write) - b.get(C::Wire) - b.get(C::Hash)
+pub fn software_latency(a: &Anatomy) -> u64 {
+    let device = [
+        Category::Read,
+        Category::Write,
+        Category::Wire,
+        Category::Hash,
+    ];
+    a.segment_sum_ns() - device.iter().map(|&c| a.category_ns(c)).sum::<u64>()
 }
 
 /// Both sub-figures at 4 KiB with the headline changes (`quick`
@@ -128,7 +135,7 @@ pub fn report(quick: bool) -> Report {
         let s = r.section(heading);
         let t = s.table(&format!("latency_{sub}"), BREAKDOWN);
         for row in rows {
-            breakdown_rows(t, row.design.label(), &row.breakdown);
+            breakdown_rows(t, row.design.label(), &row.anatomy);
         }
         row!(
             s.table(&format!("change_{sub}"), "pair total:% software:%"),
@@ -155,8 +162,8 @@ mod tests {
                 rows.iter()
                     .find(|r| r.design == d)
                     .unwrap()
-                    .breakdown
-                    .total()
+                    .anatomy
+                    .segment_sum_ns()
             };
             assert!(
                 total(DesignUnderTest::DcsCtrl) < total(DesignUnderTest::SwP2p),

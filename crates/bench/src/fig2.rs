@@ -2,50 +2,35 @@
 //!
 //! The paper's figure is schematic: user/kernel/driver code bouncing
 //! across boundaries around each device operation. We regenerate it as a
-//! measured timeline: the per-category spans of one SW-ctrl-P2P
-//! SSD→MD5→NIC operation laid out in execution order, showing exactly
-//! where software sits between the device phases.
+//! measured timeline: the chronological anatomy of one SW-ctrl-P2P
+//! SSD→MD5→NIC operation, each segment ending where a driver, the
+//! executor or the engine marked a phase, showing exactly where software
+//! sits between the device phases.
 
-use dcs_sim::{Breakdown, Category};
+use dcs_sim::{Anatomy, Category};
 use dcs_workloads::scenario::DesignUnderTest;
 
 use crate::fig11::measure;
 use crate::{row, Report, Section};
 
-/// The categories in the order the operation traverses them. Only the
-/// HDC Engine has a Scoreboard segment.
-const ORDER: [Category; 10] = [
-    Category::FileSystem,
-    Category::DeviceControl,
-    Category::Read,
-    Category::RequestCompletion,
-    Category::GpuCopy,
-    Category::GpuControl,
-    Category::Hash,
-    Category::NetworkStack,
-    Category::Scoreboard,
-    Category::Wire,
-];
-
-/// Lays a breakdown out as sequential `(category, start_us, end_us)`
-/// spans.
-pub fn timeline(b: &Breakdown) -> Vec<(Category, f64, f64)> {
-    let mut t = 0.0;
-    let mut out = Vec::new();
-    for cat in ORDER {
-        let dur = b.get(cat) as f64 / 1000.0;
-        if dur > 0.0 {
-            out.push((cat, t, t + dur));
-            t += dur;
-        }
-    }
-    out
+/// Lays an anatomy out as its chronological `(category, start_us,
+/// end_us)` spans, from the job's submission.
+pub fn timeline(a: &Anatomy) -> Vec<(Category, f64, f64)> {
+    let mut end = 0;
+    a.segments
+        .iter()
+        .map(|&(cat, ns)| {
+            let start = end;
+            end += ns;
+            (cat, start as f64 / 1000.0, end as f64 / 1000.0)
+        })
+        .collect()
 }
 
-/// Appends `b`'s [`timeline`] to `s` as table `name`, each span with a
+/// Appends `a`'s [`timeline`] to `s` as table `name`, each span with a
 /// bar of its share of the whole, and returns the whole in µs.
-pub fn timeline_table(s: &mut Section, name: &str, b: &Breakdown) -> f64 {
-    let spans = timeline(b);
+pub fn timeline_table(s: &mut Section, name: &str, a: &Anatomy) -> f64 {
+    let spans = timeline(a);
     let total = spans.last().map(|s| s.2).unwrap_or(0.0);
     let t = s.table(name, "phase start:us.1 end:us.1 span");
     for (cat, start, end) in &spans {
@@ -81,12 +66,14 @@ mod tests {
 
     #[test]
     fn timeline_is_contiguous_and_ordered() {
-        let b = measure(DesignUnderTest::SwP2p, 16 * 1024, true);
-        let spans = timeline(&b);
+        let a = measure(DesignUnderTest::SwP2p, 16 * 1024, true);
+        let spans = timeline(&a);
         assert!(spans.len() >= 5, "{spans:?}");
         for w in spans.windows(2) {
             assert!((w[0].2 - w[1].1).abs() < 1e-9, "spans must abut");
         }
+        let total = a.total_ns().expect("completed") as f64 / 1000.0;
+        assert!((spans.last().expect("spans").2 - total).abs() < 1e-9);
         // Software phases surround the device phases.
         assert!(spans.iter().any(|(c, _, _)| *c == Category::DeviceControl));
         assert!(spans.iter().any(|(c, _, _)| *c == Category::Read));

@@ -13,13 +13,13 @@ use dcs_host::job::{D2dJob, D2dOp};
 use dcs_ndp::NdpFunction;
 use dcs_nic::TcpFlow;
 use dcs_pcie::{PhysMemory, PortId};
-use dcs_sim::{time, Breakdown, ComponentId, Simulator};
+use dcs_sim::{time, Anatomy, ComponentId, Simulator};
 use dcs_workloads::scenario::{
     start_scenario, DesignUnderTest, Request, ScenarioConfig, ScenarioOutcome, Testbed,
     TestbedConfig,
 };
 
-use crate::probe::{Inbox, Probe, ProbedTestbed, Submit};
+use crate::probe::{Probe, ProbedTestbed, Submit};
 use crate::{breakdown_rows, cpu_table, Report, BREAKDOWN};
 
 /// The three bars of Figure 3.
@@ -83,13 +83,14 @@ fn integration_rig() -> (Simulator, ComponentId, ComponentId) {
     (sim, exec, probe)
 }
 
-/// Single-operation latency breakdown for one design.
-pub fn latency(design: Fig3Design, len: usize) -> Breakdown {
+/// Single-operation latency anatomy for one design.
+pub fn latency(design: Fig3Design, len: usize) -> Anatomy {
     match design {
         Fig3Design::SwOpt => single_sw(DesignUnderTest::SwOpt, len),
         Fig3Design::SwP2p => single_sw(DesignUnderTest::SwP2p, len),
         Fig3Design::DeviceIntegration => {
             let (mut sim, exec, probe) = integration_rig();
+            sim.world_mut().obs.enable();
             let job = D2dJob {
                 id: 1,
                 ops: micro_ops(len),
@@ -98,15 +99,17 @@ pub fn latency(design: Fig3Design, len: usize) -> Breakdown {
             };
             sim.kickoff(probe, Submit { to: exec, job });
             sim.run();
-            sim.world().expect::<Inbox>().0[0].breakdown.clone()
+            let a = sim.world().obs.anatomy(1).filter(|a| a.end_ns.is_some());
+            a.expect("job completes").clone()
         }
     }
 }
 
-fn single_sw(design: DesignUnderTest, len: usize) -> Breakdown {
+fn single_sw(design: DesignUnderTest, len: usize) -> Anatomy {
     let mut rig = ProbedTestbed::new(design);
     rig.seed_flash(0, &vec![0x33; len]);
-    rig.run_server_job(micro_ops(len), "fig3").breakdown
+    let done = rig.run_server_job(micro_ops(len), "fig3");
+    rig.anatomy(done.id)
 }
 
 /// Sustained-stream CPU utilization (fraction of all cores) by tag.
@@ -224,8 +227,8 @@ mod tests {
         let sw = latency(Fig3Design::SwOpt, len);
         let p2p = latency(Fig3Design::SwP2p, len);
         let fused = latency(Fig3Design::DeviceIntegration, len);
-        assert!(p2p.total() <= sw.total());
-        assert!(fused.total() < p2p.total());
+        assert!(p2p.total_ns() <= sw.total_ns());
+        assert!(fused.total_ns() < p2p.total_ns());
     }
 
     #[test]

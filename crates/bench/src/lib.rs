@@ -97,11 +97,13 @@ pub fn experiment(name: &str) -> Option<&'static Experiment> {
 /// The columns [`breakdown_rows`] fills.
 pub const BREAKDOWN: &str = "design segment latency:us.2";
 
-/// Appends a latency breakdown to a `design` / `segment` / `latency`
-/// table: a `total` row, then one row per nonzero category.
-pub fn breakdown_rows(table: &mut Table, label: &str, b: &dcs_sim::Breakdown) {
-    row!(table, label, "total", b.total() as f64 / 1000.0);
-    for (cat, ns) in b.entries() {
+/// Appends a request's latency breakdown to a `design` / `segment` /
+/// `latency` table: a `total` row, then one row per nonzero category.
+/// The rows are the anatomy's segments summed per category, so they add
+/// up to the total exactly.
+pub fn breakdown_rows(table: &mut Table, label: &str, a: &dcs_sim::Anatomy) {
+    row!(table, label, "total", a.segment_sum_ns() as f64 / 1000.0);
+    for (cat, ns) in a.by_category() {
         row!(table, label, cat.label(), ns as f64 / 1000.0);
     }
 }

@@ -3,7 +3,7 @@
 
 use dcs_host::job::{D2dDone, D2dJob, D2dOp};
 use dcs_pcie::PhysMemory;
-use dcs_sim::{Component, ComponentId, Ctx, Msg, World};
+use dcs_sim::{Anatomy, Component, ComponentId, Ctx, Msg, World};
 use dcs_workloads::scenario::{DesignUnderTest, Testbed, TestbedConfig};
 
 /// World-resident mailbox of collected completions.
@@ -72,7 +72,8 @@ impl Component for Probe {
     }
 }
 
-/// A testbed with a probe installed and initialization settled.
+/// A testbed with a probe installed, initialization settled, and the
+/// sim-time recorder on, so every job's latency anatomy is recorded.
 pub struct ProbedTestbed {
     /// The underlying testbed.
     pub tb: Testbed,
@@ -81,12 +82,27 @@ pub struct ProbedTestbed {
 }
 
 impl ProbedTestbed {
-    /// Builds and settles a testbed for `design`.
+    /// Builds and settles a testbed for `design`, then turns the
+    /// recorder on (after the settle, so bring-up traffic stays out of
+    /// traces; recording is purely observational either way).
     pub fn new(design: DesignUnderTest) -> ProbedTestbed {
         let mut tb = Testbed::new(design, &TestbedConfig::default());
         let probe = tb.sim.add("probe", Probe);
         tb.sim.run();
+        tb.sim.world_mut().obs.enable();
         ProbedTestbed { tb, probe }
+    }
+
+    /// The latency anatomy of completed job `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job has not completed.
+    pub fn anatomy(&self, id: u64) -> Anatomy {
+        let a = self.tb.sim.world().obs.anatomy(id);
+        a.filter(|a| a.end_ns.is_some())
+            .expect("completed job")
+            .clone()
     }
 
     /// Pre-populates the server SSD's flash at `lba` with `data`.

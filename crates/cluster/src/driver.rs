@@ -759,12 +759,11 @@ impl<S: Service> ClusterDriver<S> {
         }
         let (stream, cost) = (pend.req.stream, pend.req.len as f64);
         match self.queues[node].try_push(stream, cost, pend) {
-            Ok(()) => ctx.world().obs.count(S::LABEL, "queued", 1),
+            Ok(()) => {}
             Err(pend) => {
                 // The stream's queue bound is full: shed at the front
                 // end, graceful overload.
                 ctx.world().stats.counter(S::SHED).add(1);
-                ctx.world().obs.count(S::LABEL, "shed", 1);
                 self.note_denied(&pend, Some(node), false);
             }
         }
@@ -824,6 +823,8 @@ impl<S: Service> ClusterDriver<S> {
             let now = ctx.now();
             let obs = &mut ctx.world().obs;
             obs.span(S::LABEL, "uplink", req, now, deliver);
+            // Read by the benchmark's `cluster.dispatched`
+            // (`benchmark/src/run.rs`).
             obs.count(S::LABEL, "dispatched", 1);
         }
         ctx.send_at(deliver, ctx.self_id(), Delivered { req });
@@ -1111,13 +1112,6 @@ impl<S: Service> ClusterDriver<S> {
             return;
         };
         self.free_leg(&r);
-        {
-            let now = ctx.now();
-            let e2e = now - r.arrival;
-            let obs = &mut ctx.world().obs;
-            obs.count(S::LABEL, "responses", 1);
-            obs.observe(S::LABEL, "req.e2e_ns", e2e);
-        }
         // The freed slot admits the queue's next pick, before the served
         // leg's effects land.
         if !self.window_closed {

@@ -13,7 +13,7 @@
 use std::fmt;
 
 use dcs_sim::{Ctx, Rng};
-use dcs_workloads::gen::SizeDistribution;
+use dcs_workloads::gen::{poisson_gap, SizeDistribution};
 
 use crate::driver::ClusterConfig;
 use crate::qos::QosPolicy;
@@ -174,7 +174,7 @@ impl Service for SwiftMix {
     }
 
     fn gap_ns(&mut self, _stream: usize) -> u64 {
-        (self.rng.gen_exp(self.mean_interarrival_ns) as u64).max(1)
+        poisson_gap(&mut self.rng, self.mean_interarrival_ns)
     }
 
     fn draw(&mut self, _stream: usize) -> Request<()> {

@@ -22,10 +22,10 @@ use dcs_nic::TcpFlow;
 use dcs_pcie::{
     DmaComplete, DmaOp, DmaRequest, MmioWrite, MsiDelivery, PhysAddr, PhysMemory, PortId, TlpClass,
 };
-use dcs_sim::{fault, Breakdown, Category, Component, ComponentId, Ctx, Msg, SimTime};
+use dcs_sim::{fault, Category, Component, ComponentId, Ctx, Msg, SimTime};
 
 use crate::command::{CompletionRecord, D2dCommand, DevOpCode};
-use crate::engine::{EngineBreakdown, EngineInit, RegisterConnection};
+use crate::engine::{EngineInit, RegisterConnection};
 
 /// Where the driver's host-side structures live.
 #[derive(Debug, Clone, Copy)]
@@ -40,14 +40,6 @@ pub struct DriverLayout {
 
 struct JobCtx {
     job: D2dJob,
-    /// Driver CPU time charged to this job (DeviceControl category).
-    driver_ns: u64,
-    /// Engine-side split (arrives as out-of-band instrumentation).
-    engine_bd: Option<Breakdown>,
-    /// The DMA'd completion record.
-    record: Option<CompletionRecord>,
-    /// Completion-path CPU time, added when the interrupt is handled.
-    completion_ns: u64,
     submitted_at: SimTime,
     /// Poisoned aux DMAs retried for this job.
     aux_attempts: u8,
@@ -237,17 +229,12 @@ impl HdcDriver {
             let obs = &mut ctx.world().obs;
             obs.req_begin(id, now);
             obs.span_begin("host", "submit-cpu", id, now);
-            obs.count("host", "jobs.submitted", 1);
         }
         let tag = job.tag;
         self.jobs.insert(
             id,
             JobCtx {
                 job,
-                driver_ns: cost,
-                engine_bd: None,
-                record: None,
-                completion_ns: 0,
                 submitted_at: ctx.now(),
                 aux_attempts: 0,
             },
@@ -313,20 +300,15 @@ impl HdcDriver {
         let Some(j) = self.jobs.remove(&id) else {
             return;
         };
-        let mut breakdown = j.engine_bd.unwrap_or_default();
-        breakdown.add(Category::DeviceControl, j.driver_ns);
-        {
-            let now = ctx.now();
-            let obs = &mut ctx.world().obs;
-            obs.req_end(id, "host:failed", now);
-            obs.count("host", "jobs.failed", 1);
-        }
+        let now = ctx.now();
+        ctx.world()
+            .obs
+            .req_end(id, Category::RequestCompletion, now);
         ctx.send_now(
             j.job.reply_to,
             D2dDone {
                 id,
                 ok: false,
-                breakdown,
                 digest: None,
                 payload_len: 0,
             },
@@ -342,7 +324,7 @@ impl HdcDriver {
             let now = ctx.now();
             let obs = &mut ctx.world().obs;
             obs.span_end("host", "submit-cpu", id, now);
-            obs.mark(id, "host:ioctl+metadata", now);
+            obs.mark(id, Category::DeviceControl, now);
         }
         self.send_aux_or_command(ctx, id, cmd, aux);
     }
@@ -459,43 +441,27 @@ impl HdcDriver {
                 self.comp_head = 0;
                 self.comp_phase = !self.comp_phase;
             }
-            let id = record.id;
-            if let Some(j) = self.jobs.get_mut(&id) {
-                j.completion_ns = costs::HDC_COMPLETION_NS;
-                j.record = Some(record);
-            }
-            self.try_finish(ctx, id);
+            self.finish(ctx, record);
         }
     }
 
-    fn try_finish(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        let ready = self
-            .jobs
-            .get(&id)
-            .is_some_and(|j| j.record.is_some() && j.engine_bd.is_some());
-        if !ready {
+    /// Completes the job a drained completion record names (none when the
+    /// driver already failed it).
+    fn finish(&mut self, ctx: &mut Ctx<'_>, record: CompletionRecord) {
+        let id = record.id;
+        let Some(j) = self.jobs.remove(&id) else {
             return;
-        }
-        let j = self.jobs.remove(&id).expect("checked");
-        let record = j.record.expect("checked");
-        let mut breakdown = j.engine_bd.expect("checked");
-        breakdown.add(Category::DeviceControl, j.driver_ns);
-        breakdown.add(Category::RequestCompletion, j.completion_ns);
+        };
         ctx.world().stats.counter("hdc.jobs_done").add(1);
-        {
-            let now = ctx.now();
-            let e2e = now - j.submitted_at;
-            let obs = &mut ctx.world().obs;
-            obs.req_end(id, "host:irq+completion", now);
-            obs.count("host", "jobs.done", 1);
-            obs.observe("host", "job.e2e_ns", e2e);
-        }
+        let now = ctx.now();
+        ctx.world()
+            .obs
+            .req_end(id, Category::RequestCompletion, now);
         ctx.send_now(
             j.job.reply_to,
             D2dDone {
                 id,
                 ok: record.ok,
-                breakdown,
                 digest: (!record.digest.is_empty()).then_some(record.digest),
                 payload_len: record.payload_len as usize,
             },
@@ -539,18 +505,6 @@ impl Component for HdcDriver {
                 }
                 aux.remove(0);
                 self.send_aux_or_command(ctx, id, cmd, aux);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<EngineBreakdown>() {
-            Ok(eb) => {
-                ctx.world().stats.counter("hdc.driver_engine_bd").add(1);
-                if let Some(j) = self.jobs.get_mut(&eb.id) {
-                    j.engine_bd = Some(eb.breakdown);
-                }
-                let id = eb.id;
-                self.try_finish(ctx, id);
                 return;
             }
             Err(m) => m,

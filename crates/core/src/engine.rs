@@ -42,8 +42,7 @@ use dcs_pcie::{
     PortId, TlpClass,
 };
 use dcs_sim::{
-    fault, Bandwidth, Breakdown, Category, Component, ComponentId, Ctx, DetMap, FifoServer, Msg,
-    SimTime,
+    fault, Bandwidth, Category, Component, ComponentId, Ctx, DetMap, FifoServer, Msg, SimTime,
 };
 
 use crate::buffers::{ChunkAllocator, CHUNK_SIZE};
@@ -119,17 +118,6 @@ pub struct RegisterConnection {
     pub seq: u32,
 }
 
-/// Out-of-band instrumentation: the engine's internal latency split for a
-/// completed command (read by the driver to assemble Figure 11-style
-/// breakdowns; not part of the architectural interface).
-#[derive(Debug, Clone)]
-pub struct EngineBreakdown {
-    /// The D2D command id.
-    pub id: u64,
-    /// Per-category engine-side latency.
-    pub breakdown: Breakdown,
-}
-
 /// Internal messages.
 #[derive(Debug)]
 struct AdmitCmd {
@@ -167,10 +155,6 @@ struct CmdCtx {
     buffers: Vec<AddrRange>,
     /// Digest from the last digest NDP op.
     digest: Option<Vec<u8>>,
-    /// Engine-side latency split.
-    breakdown: Breakdown,
-    /// Fixed scoreboard/interface overhead accumulated.
-    scoreboard_ns: u64,
 }
 
 /// A pending receive expectation.
@@ -180,9 +164,8 @@ struct RecvExpectation {
     len: usize,
     buf: PhysAddr,
     received: usize,
-    issued_at: SimTime,
-    /// Last time bytes landed, from `issued_at` on (the fault watchdog
-    /// abandons stalled receives).
+    /// Last time bytes landed, or the issue time before any did (the
+    /// fault watchdog abandons stalled receives).
     last_progress: SimTime,
 }
 
@@ -216,9 +199,9 @@ pub struct HdcEngine {
     /// Commands awaiting scoreboard room or buffer space.
     pending_admit: VecDeque<D2dCommand>,
     ndp: NdpBank,
-    ndp_pending: DetMap<u64, (SlotRef, SimTime)>,
+    ndp_pending: DetMap<u64, SlotRef>,
     /// In-flight host-DRAM fetches (cache-hit fast path), by token.
-    hostread_pending: DetMap<u64, (SlotRef, SimTime)>,
+    hostread_pending: DetMap<u64, SlotRef>,
     /// One NVMe controller per SSD; requests are keyed by scoreboard
     /// entry.
     nvme: Vec<NvmeInitiator<SlotRef>>,
@@ -409,10 +392,11 @@ impl HdcEngine {
             Ok(cmd) => {
                 let parse = CMD_PARSE_NS;
                 {
+                    // The command's trip from the driver ends here.
                     let now = ctx.now();
                     let obs = &mut ctx.world().obs;
+                    obs.mark(cmd.id, Category::DeviceControl, now);
                     obs.span("hdc", "cmd-parse", cmd.id, now, now + parse);
-                    obs.count("hdc", "cmds.received", 1);
                 }
                 ctx.send_self_in(parse, AdmitCmd { cmd });
             }
@@ -427,8 +411,6 @@ impl HdcEngine {
                     CmdCtx {
                         buffers: vec![],
                         digest: None,
-                        breakdown: Breakdown::new(),
-                        scoreboard_ns: CMD_PARSE_NS,
                     },
                 );
                 self.deliver_completion(ctx, id, false, 0);
@@ -535,11 +517,9 @@ impl HdcEngine {
             dev_cmds.push(dc);
         }
         let id = cmd.id;
-        let mut context = CmdCtx {
+        let context = CmdCtx {
             buffers: vec![buf],
             digest: None,
-            breakdown: Breakdown::new(),
-            scoreboard_ns: CMD_PARSE_NS,
         };
         if !ok {
             ctx.world()
@@ -550,18 +530,12 @@ impl HdcEngine {
             self.deliver_completion(ctx, id, false, 0);
             return;
         }
-        context.scoreboard_ns += SCOREBOARD_STEP_NS * dev_cmds.len() as u64;
         self.contexts.insert(id, context);
         self.scoreboard
             .admit(id, dev_cmds)
             .expect("room checked above");
         ctx.world().stats.counter("hdc.cmds_admitted").add(1);
-        {
-            let now = ctx.now();
-            let obs = &mut ctx.world().obs;
-            obs.mark(id, "hdc:parse+admit", now);
-            obs.count("hdc", "cmds.admitted", 1);
-        }
+        ctx.mark(id, Category::Scoreboard);
         self.pump(ctx);
     }
 
@@ -600,14 +574,10 @@ impl HdcEngine {
                     let _ = buf;
                     let token = self.token();
                     let done = self.ndp.schedule(ctx.now(), function, len);
-                    self.ndp_pending.insert(token, (at, ctx.now()));
+                    self.ndp_pending.insert(token, at);
                     let delay = done - ctx.now();
-                    {
-                        let now = ctx.now();
-                        let obs = &mut ctx.world().obs;
-                        obs.span("hdc", "ndp", token, now, done);
-                        obs.observe("hdc", "ndp.ns", delay);
-                    }
+                    let now = ctx.now();
+                    ctx.world().obs.span("hdc", "ndp", token, now, done);
                     ctx.send_self_in(delay, NdpDone { token });
                 }
                 DevCmd::NicSend {
@@ -622,14 +592,11 @@ impl HdcEngine {
                     // copy bandwidth — the same mover the NIC gather path
                     // models.
                     let delay = GATHER_BANDWIDTH.transfer_time(len).max(1);
-                    self.hostread_pending.insert(token, (at, ctx.now()));
-                    {
-                        let now = ctx.now();
-                        let done = now + delay;
-                        let obs = &mut ctx.world().obs;
-                        obs.span("hdc", "host-read", token, now, done);
-                        obs.observe("hdc", "host_read.ns", delay);
-                    }
+                    self.hostread_pending.insert(token, at);
+                    let now = ctx.now();
+                    ctx.world()
+                        .obs
+                        .span("hdc", "host-read", token, now, now + delay);
                     // The cache bytes themselves are modeled as zeros in
                     // engine memory (the store layer accounts content by
                     // version, not by value).
@@ -644,7 +611,6 @@ impl HdcEngine {
                         len,
                         buf,
                         received: 0,
-                        issued_at: ctx.now(),
                         last_progress: ctx.now(),
                     });
                     self.drain_early(ctx);
@@ -777,11 +743,7 @@ impl HdcEngine {
         } else {
             Category::Read
         };
-        let dur = ctx.now() - io.issued_at;
-        if let Some(c) = self.contexts.get_mut(&id) {
-            c.breakdown.add(cat, dur);
-            c.scoreboard_ns += SCOREBOARD_STEP_NS;
-        }
+        ctx.mark(id, cat);
         if ok {
             let len = self.scoreboard.op(io.req).len();
             self.scoreboard.mark_done(io.req, len);
@@ -791,7 +753,7 @@ impl HdcEngine {
     }
 
     fn on_ndp_done(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let (at, issued_at) = self.ndp_pending.remove(&token).expect("live ndp op");
+        let at = self.ndp_pending.remove(&token).expect("live ndp op");
         if !self.scoreboard.is_issued(at) {
             // The entry was settled by other means (fault recovery timed
             // the command out); a stale unit completion must not touch
@@ -856,10 +818,7 @@ impl HdcEngine {
                         self.allocator.free(old);
                     }
                 }
-                if let Some(c) = self.contexts.get_mut(&id) {
-                    c.breakdown.add(Category::Hash, ctx.now() - issued_at);
-                    c.scoreboard_ns += SCOREBOARD_STEP_NS;
-                }
+                ctx.mark(id, Category::Hash);
                 self.scoreboard.mark_done(at, out_len);
             }
             Err(_) => {
@@ -871,7 +830,7 @@ impl HdcEngine {
     }
 
     fn on_hostread_done(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let (at, issued_at) = self
+        let at = self
             .hostread_pending
             .remove(&token)
             .expect("live host read");
@@ -882,17 +841,13 @@ impl HdcEngine {
             return;
         }
         let len = self.scoreboard.op(at).len();
-        let id = self.scoreboard.id_of(at.slot);
-        if let Some(c) = self.contexts.get_mut(&id) {
-            c.breakdown.add(Category::DataCopy, ctx.now() - issued_at);
-            c.scoreboard_ns += SCOREBOARD_STEP_NS;
-        }
+        ctx.mark(self.scoreboard.id_of(at.slot), Category::DataCopy);
         self.scoreboard.mark_done(at, len);
         self.after_progress(ctx);
     }
 
     fn on_nic_tx_msi(&mut self, ctx: &mut Ctx<'_>) {
-        let Some((at, issued_at, last)) = self.tx_fifo.pop_front() else {
+        let Some((at, _, last)) = self.tx_fifo.pop_front() else {
             // A duplicate or late interrupt for a send the fault watchdog
             // already reclaimed.
             ctx.world().stats.counter("hdc.stale_tx_msi").add(1);
@@ -907,11 +862,7 @@ impl HdcEngine {
                 return; // duplicate last-descriptor interrupt (retransmit)
             }
             send.ladder.descs_done = true;
-            let id = self.scoreboard.id_of(at.slot);
-            if let Some(c) = self.contexts.get_mut(&id) {
-                c.breakdown.add(Category::Wire, ctx.now() - issued_at);
-                c.scoreboard_ns += SCOREBOARD_STEP_NS;
-            }
+            ctx.mark(self.scoreboard.id_of(at.slot), Category::Wire);
             self.try_complete_nic_send(ctx, at);
             self.after_progress(ctx);
             return;
@@ -923,11 +874,7 @@ impl HdcEngine {
             return;
         }
         self.inflight_tx -= 1;
-        let id = self.scoreboard.id_of(at.slot);
-        if let Some(c) = self.contexts.get_mut(&id) {
-            c.breakdown.add(Category::Wire, ctx.now() - issued_at);
-            c.scoreboard_ns += SCOREBOARD_STEP_NS;
-        }
+        ctx.mark(self.scoreboard.id_of(at.slot), Category::Wire);
         let len = self.scoreboard.op(at).len();
         self.scoreboard.mark_done(at, len);
         self.after_progress(ctx);
@@ -949,6 +896,8 @@ impl HdcEngine {
         }
         self.inflight_tx -= 1;
         self.tx_fifo.retain(|e| e.0 != at);
+        // Under fault injection the send ends with the peer's ack.
+        ctx.mark(self.scoreboard.id_of(at.slot), Category::Wire);
         let len = self.scoreboard.op(at).len();
         self.scoreboard.mark_done(at, len);
     }
@@ -1091,11 +1040,7 @@ impl HdcEngine {
         }
         for i in completed.into_iter().rev() {
             let e = self.expectations.remove(i);
-            let id = self.scoreboard.id_of(e.at.slot);
-            if let Some(c) = self.contexts.get_mut(&id) {
-                c.breakdown.add(Category::Wire, ctx.now() - e.issued_at);
-                c.scoreboard_ns += SCOREBOARD_STEP_NS;
-            }
+            ctx.mark(self.scoreboard.id_of(e.at.slot), Category::Wire);
             self.scoreboard.mark_done(e.at, e.len);
         }
     }
@@ -1248,11 +1193,7 @@ impl HdcEngine {
 
     fn deliver_completion(&mut self, ctx: &mut Ctx<'_>, id: u64, ok: bool, final_len: usize) {
         let init = self.init.expect("engine initialized before use");
-        let context = self.contexts.get_mut(&id).expect("live command context");
-        context.breakdown.add(
-            Category::Scoreboard,
-            context.scoreboard_ns + COMPLETION_WRITE_NS,
-        );
+        let context = &self.contexts[&id];
         let record = CompletionRecord {
             id,
             ok,
@@ -1268,9 +1209,11 @@ impl HdcEngine {
             self.comp_phase = !self.comp_phase;
         }
         {
+            // Fault-free, the last op marked this instant; under fault
+            // injection the watchdog may settle a stalled op later.
             let now = ctx.now();
             let obs = &mut ctx.world().obs;
-            obs.mark(id, "hdc:data+compute", now);
+            obs.mark(id, Category::Other, now);
             obs.span_begin("hdc", "completion-dma", id, now);
         }
         // Write the record to the host ring; the MSI follows the DMA
@@ -1330,27 +1273,12 @@ impl HdcEngine {
             let now = ctx.now();
             let obs = &mut ctx.world().obs;
             obs.span_end("hdc", "completion-dma", id, now);
-            obs.mark(id, "hdc:completion-dma", now);
-            obs.count("hdc", "cmds.completed", 1);
+            obs.mark(id, Category::RequestCompletion, now);
         }
-        // Free the command's buffers and surface the instrumentation to the
-        // driver (resolved through its claimed MSI address).
         if let Some(context) = self.contexts.remove(&id) {
             for b in &context.buffers {
                 self.allocator.free(*b);
             }
-            let driver = ctx
-                .world_ref()
-                .expect::<dcs_pcie::MmioRouting>()
-                .owner_of(init.msi_addr)
-                .expect("driver claimed its MSI address");
-            ctx.send_now(
-                driver,
-                EngineBreakdown {
-                    id,
-                    breakdown: context.breakdown,
-                },
-            );
         }
         let fabric = self.fabric;
         ctx.send_now(

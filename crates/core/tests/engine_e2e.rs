@@ -661,6 +661,7 @@ fn engine_reports_scoreboard_overhead_in_breakdowns() {
     // The Scoreboard category must be present and small (Figure 11's
     // "minimal scoreboard overhead").
     let mut rig = setup();
+    rig.sim.world_mut().obs.enable();
     rig.sim
         .world_mut()
         .expect_mut::<PhysMemory>()
@@ -690,17 +691,17 @@ fn engine_reports_scoreboard_overhead_in_breakdowns() {
     );
     rig.sim.run();
     assert_eq!(rig.sim.world().stats.counter_value("app.ok"), 1);
-    let inbox = rig.sim.world().expect::<Inbox>();
-    let bd = &inbox.0.last().expect("one result").breakdown;
-    let scoreboard = bd.get(Category::Scoreboard);
+    let bd = rig.sim.world().obs.anatomy(41).expect("job traced");
+    assert_eq!(bd.segment_sum_ns(), bd.total_ns().expect("job ended"));
+    let scoreboard = bd.category_ns(Category::Scoreboard);
     assert!(scoreboard > 0, "scoreboard overhead must be visible");
     assert!(scoreboard < time::us(2), "and minimal: {scoreboard}ns");
     assert!(
-        bd.get(Category::Read) > time::us(10),
+        bd.category_ns(Category::Read) > time::us(10),
         "flash time dominates"
     );
     assert!(
-        bd.get(Category::DeviceControl) < time::us(10),
+        bd.category_ns(Category::DeviceControl) < time::us(10),
         "driver software is thin"
     );
 }

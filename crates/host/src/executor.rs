@@ -16,14 +16,15 @@
 //! Control, in every personality, stays on the CPU: each device operation
 //! pays the submit-side and completion-side software costs through the
 //! host drivers, and those costs show up in both the latency breakdowns
-//! (Figure 11) and the CPU-utilization breakdowns (Figures 3b, 12).
+//! (Figure 11: each driver marks its phases in the job's anatomy) and the
+//! CPU-utilization breakdowns (Figures 3b, 12).
 
 use dcs_sim::DetMap;
 
 use dcs_gpu::GpuHandle;
 use dcs_ndp::NdpFunction;
 use dcs_pcie::{DmaComplete, DmaOp, DmaRequest, PhysAddr, PhysMemory, TlpClass};
-use dcs_sim::{Breakdown, Category, Component, ComponentId, Ctx, IntegrityAudit, Msg, SimTime};
+use dcs_sim::{Category, Component, ComponentId, Ctx, IntegrityAudit, Msg, SimTime};
 
 use crate::costs::{self, KernelMode};
 use crate::cpu::{CpuJob, CpuJobDone};
@@ -95,7 +96,6 @@ struct JobState {
     job: D2dJob,
     step: usize,
     payload: PayloadLoc,
-    breakdown: Breakdown,
     digest: Option<Vec<u8>>,
     ok: bool,
     waiting: Option<Waiting>,
@@ -179,7 +179,6 @@ impl SwExecutor {
                 len: 0,
                 in_gpu: false,
             },
-            breakdown: Breakdown::new(),
             digest: None,
             ok: true,
             waiting: None,
@@ -196,7 +195,6 @@ impl SwExecutor {
             let obs = &mut ctx.world().obs;
             obs.req_begin(id, now);
             obs.span_begin("host", "sw-execute", id, now);
-            obs.count("host", "jobs.submitted", 1);
         }
         self.advance(ctx, id);
     }
@@ -275,6 +273,7 @@ impl SwExecutor {
             driver,
             BlockRequest {
                 id: token,
+                job: id,
                 op: BlockOp::Read,
                 lba,
                 len,
@@ -306,6 +305,7 @@ impl SwExecutor {
             driver,
             BlockRequest {
                 id: token,
+                job: id,
                 op: BlockOp::Write,
                 lba,
                 len: len.div_ceil(4096) * 4096,
@@ -367,6 +367,7 @@ impl SwExecutor {
             driver,
             GpuOpRequest {
                 id: token,
+                job: id,
                 function,
                 aux,
                 input_addr,
@@ -417,8 +418,8 @@ impl SwExecutor {
         let cpu = self.wiring.cpu;
         let cpu_token = self.token_for(id);
         // The CPU setup and the DMA run back-to-back; we only gate job
-        // progress on the DMA completion and fold the setup into GPU
-        // control accounting.
+        // progress on the DMA completion, which marks the setup as GPU
+        // control and the DMA as the copy.
         ctx.send_now(
             cpu,
             CpuJob {
@@ -440,8 +441,6 @@ impl SwExecutor {
                 reply_to: ctx.self_id(),
             },
         );
-        let state = self.jobs.get_mut(&id).expect("live job");
-        state.breakdown.add(Category::GpuControl, setup);
     }
 
     fn do_send(&mut self, ctx: &mut Ctx<'_>, id: u64, flow: dcs_nic::TcpFlow, seq: u32) {
@@ -465,6 +464,7 @@ impl SwExecutor {
             nic,
             SendRequest {
                 id: token,
+                job: id,
                 flow,
                 seq,
                 payload_addr: state.payload.addr,
@@ -490,6 +490,7 @@ impl SwExecutor {
             nic,
             RecvExpect {
                 id: token,
+                job: id,
                 flow,
                 len,
                 into: state.host_buf,
@@ -517,15 +518,13 @@ impl SwExecutor {
             let now = ctx.now();
             let obs = &mut ctx.world().obs;
             obs.span_end("host", "sw-execute", id, now);
-            obs.req_end(id, "host:sw-execute", now);
-            obs.count("host", "jobs.done", 1);
+            obs.req_end(id, Category::RequestCompletion, now);
         }
         ctx.send_now(
             state.job.reply_to,
             D2dDone {
                 id,
                 ok: state.ok,
-                breakdown: state.breakdown,
                 digest: state.digest,
                 payload_len: state.payload.len,
             },
@@ -554,7 +553,6 @@ impl Component for SwExecutor {
                 let id = self.tokens.remove(&done.id).expect("token routed");
                 let state = self.jobs.get_mut(&id).expect("live job");
                 debug_assert!(matches!(state.waiting, Some(Waiting::Block)));
-                state.breakdown.merge(&done.breakdown);
                 state.ok &= done.ok;
                 self.step_done(ctx, id);
                 return;
@@ -565,7 +563,6 @@ impl Component for SwExecutor {
             Ok(done) => {
                 let id = self.tokens.remove(&done.id).expect("token routed");
                 let state = self.jobs.get_mut(&id).expect("live job");
-                state.breakdown.merge(&done.breakdown);
                 state.ok &= done.ok;
                 self.step_done(ctx, id);
                 return;
@@ -576,7 +573,6 @@ impl Component for SwExecutor {
             Ok(done) => {
                 let id = self.tokens.remove(&done.id).expect("token routed");
                 let state = self.jobs.get_mut(&id).expect("live job");
-                state.breakdown.merge(&done.breakdown);
                 state.ok &= done.ok;
                 self.step_done(ctx, id);
                 return;
@@ -606,7 +602,6 @@ impl Component for SwExecutor {
                     state.digest = Some(digest);
                     // Fetching the digest to the host is a small D2H read,
                     // folded into the GPU-control segment.
-                    state.breakdown.merge(&done.breakdown);
                     state.ok &= done.ok;
                 } else {
                     let state = self.jobs.get_mut(&id).expect("live job");
@@ -615,7 +610,6 @@ impl Component for SwExecutor {
                         len: done.output_len,
                         in_gpu: true,
                     };
-                    state.breakdown.merge(&done.breakdown);
                     state.ok &= done.ok;
                 }
                 self.step_done(ctx, id);
@@ -626,13 +620,13 @@ impl Component for SwExecutor {
         let msg = match msg.downcast::<DmaComplete>() {
             Ok(done) => {
                 let id = self.tokens.remove(&done.id).expect("token routed");
-                let copy_time = {
-                    let state = self.jobs.get_mut(&id).expect("live job");
-                    ctx.now() - state.copy_started
-                };
                 let then = {
                     let state = self.jobs.get_mut(&id).expect("live job");
-                    state.breakdown.add(Category::GpuCopy, copy_time);
+                    let now = ctx.now();
+                    let obs = &mut ctx.world().obs;
+                    let dma_start = state.copy_started + costs::GPU_COPY_SETUP_NS;
+                    obs.mark(id, Category::GpuControl, dma_start);
+                    obs.mark(id, Category::GpuCopy, now);
                     if !done.status.is_ok() {
                         // Poisoned or timed-out staging copy: the payload
                         // can't be trusted, so the job is marked failed
@@ -664,16 +658,12 @@ impl Component for SwExecutor {
                     // Fire-and-forget accounting job (copy setup).
                     return;
                 };
-                let (function, aux, addr, len, start) = {
+                let (function, aux, addr, len) = {
                     let state = self.jobs.get_mut(&id).expect("live job");
                     match state.waiting.take() {
-                        Some(Waiting::CpuHash { function, aux }) => (
-                            function,
-                            aux,
-                            state.payload.addr,
-                            state.payload.len,
-                            state.copy_started,
-                        ),
+                        Some(Waiting::CpuHash { function, aux }) => {
+                            (function, aux, state.payload.addr, state.payload.len)
+                        }
                         Some(Waiting::MemFill { len }) => {
                             // Cache copy finished: the staging buffer is
                             // the payload now.
@@ -683,15 +673,14 @@ impl Component for SwExecutor {
                                 len,
                                 in_gpu: false,
                             };
-                            let cost = costs::copy_cost(len).max(1);
-                            state.breakdown.add(Category::DataCopy, cost);
+                            ctx.mark(id, Category::DataCopy);
                             self.step_done(ctx, id);
                             return;
                         }
                         _ => panic!("CpuJobDone while not hashing on CPU"),
                     }
                 };
-                let _ = start;
+                ctx.mark(id, Category::Hash);
                 let input = ctx.world_ref().expect::<PhysMemory>().read(addr, len);
                 let result = function.apply(&input, &aux);
                 let state = self.jobs.get_mut(&id).expect("live job");
@@ -711,9 +700,6 @@ impl Component for SwExecutor {
                                 .expect_mut::<PhysMemory>()
                                 .write(host_buf, &data);
                         }
-                        let cost = costs::cpu_hash_cost(len);
-                        let state = self.jobs.get_mut(&id).expect("live job");
-                        state.breakdown.add(Category::Hash, cost);
                     }
                     Err(_) => state.ok = false,
                 }

@@ -13,7 +13,7 @@ use dcs_sim::DetMap;
 use dcs_gpu::{GpuHandle, KernelDone, LaunchKernel};
 use dcs_ndp::NdpFunction;
 use dcs_pcie::PhysAddr;
-use dcs_sim::{Breakdown, Category, Component, ComponentId, Ctx, Msg, SimTime};
+use dcs_sim::{Category, Component, ComponentId, Ctx, Msg};
 
 use crate::costs;
 use crate::cpu::{CpuJob, CpuJobDone};
@@ -23,6 +23,8 @@ use crate::cpu::{CpuJob, CpuJobDone};
 pub struct GpuOpRequest {
     /// Requester-chosen identifier echoed in [`GpuOpDone`].
     pub id: u64,
+    /// The D2D job this op serves: its anatomy takes the phases.
+    pub job: u64,
     /// The processing function.
     pub function: NdpFunction,
     /// Function parameters (AES key‖nonce).
@@ -48,14 +50,10 @@ pub struct GpuOpDone {
     pub ok: bool,
     /// Bytes written at the output address.
     pub output_len: usize,
-    /// Latency breakdown (GPU control vs. compute).
-    pub breakdown: Breakdown,
 }
 
 struct Pending {
     req: GpuOpRequest,
-    launched_at: SimTime,
-    kernel_done_at: Option<SimTime>,
     ok: bool,
     output_len: usize,
 }
@@ -114,8 +112,6 @@ impl Component for HostGpuDriver {
                     token,
                     Pending {
                         req,
-                        launched_at: ctx.now(),
-                        kernel_done_at: None,
                         ok: false,
                         output_len: 0,
                     },
@@ -131,7 +127,7 @@ impl Component for HostGpuDriver {
                 match self.cpu_phases.remove(&done.token).expect("live cpu phase") {
                     CpuPhase::Launch { token } => {
                         let p = self.pending.get_mut(&token).expect("live op");
-                        p.launched_at = ctx.now();
+                        ctx.mark(p.req.job, Category::GpuControl);
                         let launch = LaunchKernel {
                             id: token,
                             function: p.req.function,
@@ -145,20 +141,13 @@ impl Component for HostGpuDriver {
                     }
                     CpuPhase::Sync { token } => {
                         let p = self.pending.remove(&token).expect("live op");
-                        let kdone = p.kernel_done_at.expect("kernel completed");
-                        let mut breakdown = Breakdown::new();
-                        breakdown.add(Category::Hash, kdone - p.launched_at);
-                        breakdown.add(
-                            Category::GpuControl,
-                            costs::GPU_LAUNCH_NS + costs::GPU_SYNC_NS,
-                        );
+                        ctx.mark(p.req.job, Category::GpuControl);
                         ctx.send_now(
                             p.req.reply_to,
                             GpuOpDone {
                                 id: p.req.id,
                                 ok: p.ok,
                                 output_len: p.output_len,
-                                breakdown,
                             },
                         );
                     }
@@ -171,9 +160,9 @@ impl Component for HostGpuDriver {
             Ok(done) => {
                 let tag = {
                     let p = self.pending.get_mut(&done.id).expect("live op");
-                    p.kernel_done_at = Some(ctx.now());
                     p.ok = done.ok;
                     p.output_len = done.output_len;
+                    ctx.mark(p.req.job, Category::Hash);
                     p.req.tag
                 };
                 let cost = costs::GPU_SYNC_NS;
@@ -244,6 +233,7 @@ mod tests {
             caller,
             Go(GpuOpRequest {
                 id: 1,
+                job: 1,
                 function: NdpFunction::Md5,
                 aux: vec![],
                 input_addr: gpu.memory.start,

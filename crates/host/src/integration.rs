@@ -16,7 +16,7 @@ use dcs_sim::DetMap;
 use dcs_nic::wire::PROPAGATION_NS;
 use dcs_nvme::{device as nvme, LBA_SIZE};
 use dcs_pcie::{AddrRange, PhysMemory};
-use dcs_sim::{Bandwidth, Breakdown, Category, Component, ComponentId, Ctx, Msg};
+use dcs_sim::{Bandwidth, Category, Component, ComponentId, Ctx, Msg};
 
 use crate::costs;
 use crate::cpu::{CpuJob, CpuJobDone};
@@ -53,7 +53,9 @@ pub struct IntegratedExecutor {
 #[derive(Debug)]
 struct DeviceDone {
     job_id: u64,
-    breakdown: Breakdown,
+    /// The device phases in order, `(category, ns)`; the job waits their
+    /// sum.
+    phases: Vec<(Category, u64)>,
     digest: Option<Vec<u8>>,
     ok: bool,
     payload_len: usize,
@@ -73,18 +75,18 @@ impl IntegratedExecutor {
 
     /// Computes device time and runs the real data path for `job`.
     fn execute(&self, ctx: &mut Ctx<'_>, job: &D2dJob) -> DeviceDone {
-        let mut breakdown = Breakdown::new();
+        let mut phases = Vec::new();
         let mut payload: Vec<u8> = Vec::new();
         let mut digest = None;
         let mut ok = true;
         for op in &job.ops {
-            breakdown.add(Category::DeviceControl, CONTROL_NS);
+            phases.push((Category::DeviceControl, CONTROL_NS));
             match op {
                 D2dOp::SsdRead { lba, len, .. } => {
                     let t = nvme::READ_LATENCY_NS
                         + nvme::READ_BANDWIDTH.transfer_time(*len)
                         + INTERNAL_BANDWIDTH.transfer_time(*len);
-                    breakdown.add(Category::Read, t);
+                    phases.push((Category::Read, t));
                     payload = ctx
                         .world_ref()
                         .expect::<PhysMemory>()
@@ -94,14 +96,14 @@ impl IntegratedExecutor {
                     let t = nvme::WRITE_LATENCY_NS
                         + nvme::WRITE_BANDWIDTH.transfer_time(payload.len())
                         + INTERNAL_BANDWIDTH.transfer_time(payload.len());
-                    breakdown.add(Category::Write, t);
+                    phases.push((Category::Write, t));
                     ctx.world()
                         .expect_mut::<PhysMemory>()
                         .write(self.flash.start + *lba * LBA_SIZE, &payload);
                 }
                 D2dOp::Process { function, aux } => {
                     let t = PROCESSING.transfer_time(payload.len());
-                    breakdown.add(Category::Hash, t);
+                    phases.push((Category::Hash, t));
                     match function.apply(&payload, aux) {
                         Ok(out) => {
                             if let Some(d) = out.digest {
@@ -116,11 +118,11 @@ impl IntegratedExecutor {
                 }
                 D2dOp::NicSend { .. } => {
                     let t = WIRE.transfer_time(payload.len()) + PROPAGATION_NS;
-                    breakdown.add(Category::Wire, t);
+                    phases.push((Category::Wire, t));
                 }
                 D2dOp::NicRecv { len, .. } => {
                     let t = WIRE.transfer_time(*len) + PROPAGATION_NS;
-                    breakdown.add(Category::Wire, t);
+                    phases.push((Category::Wire, t));
                     // Integrated receive synthesizes the payload locally
                     // (the fused device has no discrete peer in this
                     // reference model).
@@ -130,14 +132,14 @@ impl IntegratedExecutor {
                     // Cache-hit fast path: the fused device pulls the
                     // bytes from host DRAM over its internal interconnect.
                     let t = INTERNAL_BANDWIDTH.transfer_time(*len);
-                    breakdown.add(Category::DataCopy, t);
+                    phases.push((Category::DataCopy, t));
                     payload = vec![0u8; *len];
                 }
             }
         }
         DeviceDone {
             job_id: job.id,
-            breakdown,
+            phases,
             digest,
             ok,
             payload_len: payload.len(),
@@ -150,6 +152,8 @@ impl Component for IntegratedExecutor {
         let msg = match msg.downcast::<D2dJob>() {
             Ok(job) => {
                 // One syscall of host software per job.
+                let now = ctx.now();
+                ctx.world().obs.req_begin(job.id, now);
                 let token = self.next_token;
                 self.next_token += 1;
                 self.tokens.insert(token, job.id);
@@ -174,12 +178,9 @@ impl Component for IntegratedExecutor {
             Ok(done) => {
                 let job_id = self.tokens.remove(&done.token).expect("token routed");
                 let job = self.pending.get(&job_id).expect("live job").clone();
-                let mut result = self.execute(ctx, &job);
-                result.breakdown.add(
-                    Category::DeviceControl,
-                    costs::SYSCALL_NS + costs::VFS_LOOKUP_NS,
-                );
-                let delay = result.breakdown.total();
+                ctx.mark(job_id, Category::DeviceControl);
+                let result = self.execute(ctx, &job);
+                let delay = result.phases.iter().map(|(_, ns)| ns).sum();
                 ctx.send_self_in(delay, result);
                 return;
             }
@@ -188,12 +189,19 @@ impl Component for IntegratedExecutor {
         match msg.downcast::<DeviceDone>() {
             Ok(done) => {
                 let job = self.pending.remove(&done.job_id).expect("live job");
+                let now = ctx.now();
+                let obs = &mut ctx.world().obs;
+                let mut at = now - done.phases.iter().map(|(_, ns)| ns).sum::<u64>();
+                for &(category, ns) in &done.phases {
+                    at += ns;
+                    obs.mark(done.job_id, category, at);
+                }
+                obs.req_end(done.job_id, Category::DeviceControl, now);
                 ctx.send_now(
                     job.reply_to,
                     D2dDone {
                         id: done.job_id,
                         ok: done.ok,
-                        breakdown: done.breakdown,
                         digest: done.digest,
                         payload_len: done.payload_len,
                     },
@@ -272,5 +280,66 @@ mod tests {
         assert_eq!(sim.world().stats.counter_value("sink.digest_ok"), 1);
         // The fused device should complete well under 50us for 8 KiB.
         assert!(sim.now().as_nanos() < time::us(50), "{}", sim.now());
+    }
+
+    #[test]
+    fn end_to_end_is_one_syscall_plus_the_device_ops() {
+        let mut sim = Simulator::new(4);
+        sim.world_mut().insert(PhysMemory::new());
+        sim.world_mut().obs.enable();
+        let flash = sim.world_mut().expect_mut::<PhysMemory>().alloc_region(
+            "fused-flash",
+            1 << 30,
+            PortId(1),
+        );
+        let len = 8192;
+        sim.world_mut()
+            .expect_mut::<PhysMemory>()
+            .write(flash.start, &vec![0x11u8; len]);
+        let cpu = sim.add("cpu", CpuPool::new("node0", 6));
+        let exec = sim.add("integrated", IntegratedExecutor::new(cpu, flash));
+        let sink = sim.add("sink", Sink);
+        let ops = vec![
+            D2dOp::SsdRead {
+                ssd: 0,
+                lba: 0,
+                len,
+            },
+            D2dOp::Process {
+                function: NdpFunction::Md5,
+                aux: vec![],
+            },
+            D2dOp::NicSend {
+                flow: dcs_nic::TcpFlow::example(1, 2, 3, 4),
+                seq: 0,
+            },
+        ];
+        let job = D2dJob {
+            id: 7,
+            ops,
+            reply_to: sink,
+            tag: "fused",
+        };
+        sim.kickoff(exec, job);
+        sim.run();
+        let syscall = costs::SYSCALL_NS + costs::VFS_LOOKUP_NS;
+        let read = nvme::READ_LATENCY_NS
+            + nvme::READ_BANDWIDTH.transfer_time(len)
+            + INTERNAL_BANDWIDTH.transfer_time(len);
+        let process = PROCESSING.transfer_time(len);
+        let send = WIRE.transfer_time(len) + PROPAGATION_NS;
+        let e2e = syscall + 3 * CONTROL_NS + read + process + send;
+        assert_eq!(sim.now().as_nanos(), e2e, "the syscall is paid once");
+        let a = sim.world().obs.anatomy(7).expect("job begun");
+        assert_eq!(a.total_ns(), Some(e2e));
+        assert_eq!(
+            a.by_category(),
+            [
+                (Category::Hash, process),
+                (Category::Read, read),
+                (Category::DeviceControl, syscall + 3 * CONTROL_NS),
+                (Category::Wire, send),
+            ]
+        );
     }
 }

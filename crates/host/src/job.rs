@@ -10,7 +10,7 @@
 
 use dcs_ndp::NdpFunction;
 use dcs_nic::TcpFlow;
-use dcs_sim::{Breakdown, ComponentId};
+use dcs_sim::ComponentId;
 
 /// One step of a multi-device task.
 #[derive(Debug, Clone)]
@@ -83,7 +83,9 @@ impl D2dOp {
 /// A complete multi-device task submitted to an executor.
 #[derive(Debug, Clone)]
 pub struct D2dJob {
-    /// Requester-chosen identifier echoed in [`D2dDone`].
+    /// Requester-chosen identifier echoed in [`D2dDone`]. The job's
+    /// latency anatomy (`world.obs`, when enabled) is keyed on it: every
+    /// executor, driver and engine phase it passes through marks there.
     pub id: u64,
     /// Pipeline steps, executed in order.
     pub ops: Vec<D2dOp>,
@@ -101,8 +103,6 @@ pub struct D2dDone {
     pub id: u64,
     /// Whether every step succeeded.
     pub ok: bool,
-    /// Per-category latency breakdown of the whole job.
-    pub breakdown: Breakdown,
     /// Digest produced by the last digest-type [`D2dOp::Process`] step, if
     /// any.
     pub digest: Option<Vec<u8>>,

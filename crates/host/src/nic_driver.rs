@@ -31,7 +31,7 @@ use dcs_nic::{
     SendRung, TcpFlow, Transmit, MSS,
 };
 use dcs_pcie::{AddrRange, MsiDelivery, PhysAddr, PhysMemory};
-use dcs_sim::{fault, Breakdown, Category, Component, ComponentId, Ctx, DetMap, Msg, SimTime};
+use dcs_sim::{fault, Category, Component, ComponentId, Ctx, DetMap, Msg, SimTime};
 
 use crate::costs::{self, KernelMode};
 use crate::cpu::{CpuJob, CpuJobDone};
@@ -44,6 +44,8 @@ pub const RECV_BUFFERS: u16 = 512;
 pub struct SendRequest {
     /// Requester-chosen identifier echoed in [`SendDone`].
     pub id: u64,
+    /// The D2D job this send serves: its anatomy takes the phases.
+    pub job: u64,
     /// Established connection to transmit on.
     pub flow: TcpFlow,
     /// Starting sequence number.
@@ -67,8 +69,6 @@ pub struct SendDone {
     /// False when the fault-recovery retransmission budget ran out
     /// before the peer acknowledged the data (always true fault-free).
     pub ok: bool,
-    /// Latency breakdown (network-stack CPU, device control, wire).
-    pub breakdown: Breakdown,
 }
 
 /// Ask the driver to accumulate `len` received payload bytes of `flow`
@@ -77,6 +77,8 @@ pub struct SendDone {
 pub struct RecvExpect {
     /// Requester-chosen identifier echoed in [`RecvDone`].
     pub id: u64,
+    /// The D2D job this receive serves: its anatomy takes the phases.
+    pub job: u64,
     /// Connection to receive on (matched by source port of arriving
     /// frames).
     pub flow: TcpFlow,
@@ -98,14 +100,10 @@ pub struct RecvDone {
     /// False when the expectation made no progress for a full fault
     /// timeout and was abandoned (always true fault-free).
     pub ok: bool,
-    /// Latency breakdown (per-packet network stack time, gather copies).
-    pub breakdown: Breakdown,
 }
 
 struct PendingSend {
     req: SendRequest,
-    stack_ns: u64,
-    submitted_at: SimTime,
     /// Transmit descriptors still outstanding (large sends split at the
     /// LSO limit).
     descs_remaining: usize,
@@ -120,9 +118,10 @@ struct PendingSend {
 struct Expectation {
     req: RecvExpect,
     received: usize,
+    /// Network-stack and gather-copy CPU time charged to this receive
+    /// (its share of each batch that delivered bytes to it).
     stack_ns: u64,
     copy_ns: u64,
-    started_at: SimTime,
     /// Last time bytes landed (fault mode abandons stalled receives).
     last_progress: SimTime,
 }
@@ -267,8 +266,6 @@ impl HostNicDriver {
             id,
             PendingSend {
                 req,
-                stack_ns,
-                submitted_at: ctx.now(),
                 descs_remaining: 0,
                 start_off,
                 ladder: SendLadder::new(ctx.now(), acked),
@@ -284,8 +281,8 @@ impl HostNicDriver {
             .pop_front()
             .expect("a send awaited this CPU job");
         let s = self.sends.get_mut(&id).expect("live send");
-        s.submitted_at = ctx.now();
         s.ladder.last_attempt = ctx.now();
+        ctx.mark(s.req.job, Category::NetworkStack);
         let rto = s.ladder.rto_ns();
         self.push_send_descs(ctx, id);
         if fault::active(ctx.world_ref()) {
@@ -356,25 +353,14 @@ impl HostNicDriver {
         if let Some(q) = self.unacked.get_mut(&key) {
             q.retain(|&u| u != id);
         }
-        let mut breakdown = Breakdown::new();
-        breakdown.add(Category::NetworkStack, s.stack_ns);
-        // Wire/device time: doorbell to MSI, minus the completion path we
-        // just charged.
-        let wire_time = (ctx.now() - s.submitted_at)
-            .saturating_sub(costs::IRQ_ENTRY_NS + costs::COMPLETION_PATH_NS);
-        breakdown.add(Category::Wire, wire_time);
-        breakdown.add(
-            Category::RequestCompletion,
-            costs::IRQ_ENTRY_NS + costs::COMPLETION_PATH_NS,
-        );
-        ctx.send_now(
-            s.req.reply_to,
-            SendDone {
-                id,
-                ok: true,
-                breakdown,
-            },
-        );
+        // Wire/device time runs from the doorbell to the MSI, followed
+        // by the completion path just charged.
+        let now = ctx.now();
+        let obs = &mut ctx.world().obs;
+        let completion = costs::IRQ_ENTRY_NS + costs::COMPLETION_PATH_NS;
+        obs.mark(s.req.job, Category::Wire, now - completion);
+        obs.mark(s.req.job, Category::RequestCompletion, now);
+        ctx.send_now(s.req.reply_to, SendDone { id, ok: true });
     }
 
     /// A cumulative ack for the transmit direction keyed by the frame's
@@ -454,17 +440,8 @@ impl HostNicDriver {
         if let Some(q) = self.unacked.get_mut(&key) {
             q.retain(|&u| u != id);
         }
-        let mut breakdown = Breakdown::new();
-        breakdown.add(Category::NetworkStack, s.stack_ns);
-        breakdown.add(Category::Wire, ctx.now() - s.submitted_at);
-        ctx.send_now(
-            s.req.reply_to,
-            SendDone {
-                id,
-                ok: false,
-                breakdown,
-            },
-        );
+        ctx.mark(s.req.job, Category::Wire);
+        ctx.send_now(s.req.reply_to, SendDone { id, ok: false });
     }
 
     fn on_rx_msi(&mut self, ctx: &mut Ctx<'_>) {
@@ -590,21 +567,7 @@ impl HostNicDriver {
         }
         for i in done.into_iter().rev() {
             let e = self.expectations.remove(i);
-            let mut breakdown = Breakdown::new();
-            breakdown.add(Category::NetworkStack, e.stack_ns);
-            breakdown.add(Category::DataCopy, e.copy_ns);
-            breakdown.add(
-                Category::Wire,
-                (ctx.now() - e.started_at).saturating_sub(e.stack_ns + e.copy_ns),
-            );
-            ctx.send_now(
-                e.req.reply_to,
-                RecvDone {
-                    id: e.req.id,
-                    ok: true,
-                    breakdown,
-                },
-            );
+            finish_recv(ctx, &e, true);
         }
     }
 
@@ -622,22 +585,20 @@ impl HostNicDriver {
         let e = self.expectations.remove(pos);
         fault::exhausted(ctx.world(), fault::WIRE_DROP);
         ctx.world().stats.counter("nic.rx_expect_timeouts").add(1);
-        let mut breakdown = Breakdown::new();
-        breakdown.add(Category::NetworkStack, e.stack_ns);
-        breakdown.add(Category::DataCopy, e.copy_ns);
-        breakdown.add(
-            Category::Wire,
-            (ctx.now() - e.started_at).saturating_sub(e.stack_ns + e.copy_ns),
-        );
-        ctx.send_now(
-            e.req.reply_to,
-            RecvDone {
-                id: e.req.id,
-                ok: false,
-                breakdown,
-            },
-        );
+        finish_recv(ctx, &e, false);
     }
+}
+
+/// Completes a receive expectation. Its bytes were on the wire until the
+/// last batch's CPU work, which ran network stack then gather copy.
+fn finish_recv(ctx: &mut Ctx<'_>, e: &Expectation, ok: bool) {
+    let now = ctx.now();
+    let obs = &mut ctx.world().obs;
+    let job = e.req.job;
+    obs.mark(job, Category::Wire, now - (e.stack_ns + e.copy_ns));
+    obs.mark(job, Category::NetworkStack, now - e.copy_ns);
+    obs.mark(job, Category::DataCopy, now);
+    ctx.send_now(e.req.reply_to, RecvDone { id: e.req.id, ok });
 }
 
 /// One-time driver start: post receive buffers.
@@ -672,7 +633,6 @@ impl Component for HostNicDriver {
                     received: 0,
                     stack_ns: 0,
                     copy_ns: 0,
-                    started_at: ctx.now(),
                     last_progress: ctx.now(),
                 });
                 if fault::active(ctx.world_ref()) {

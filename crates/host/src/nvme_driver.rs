@@ -3,9 +3,9 @@
 //! Speaks the same queues/doorbells/MSIs as the HDC Engine's NVMe
 //! controller, but every step costs CPU time: submit-side kernel work
 //! (syscall, VFS, block mapping, driver submit), then the interrupt and
-//! completion path when the drive raises its MSI. Completion reports carry
-//! a per-category latency breakdown so Figure 11-style plots can be
-//! assembled from real measurements.
+//! completion path when the drive raises its MSI. Each phase's end is
+//! marked in the anatomy of the D2D job the request serves, so Figure
+//! 11-style breakdowns are assembled from real measurements.
 //!
 //! While a [`dcs_sim::FaultPlan`] is installed the driver also runs the
 //! kernel's error path: a retryable completion status (media error)
@@ -24,7 +24,7 @@ use dcs_nvme::{
     LBA_SIZE,
 };
 use dcs_pcie::{AddrRange, MsiDelivery, PhysAddr, PhysMemory};
-use dcs_sim::{fault, Breakdown, Category, Component, ComponentId, Ctx, Msg, SimTime};
+use dcs_sim::{fault, Category, Component, ComponentId, Ctx, Msg, SimTime};
 
 use crate::costs::{self, KernelMode};
 use crate::cpu::{CpuJob, CpuJobDone};
@@ -43,6 +43,8 @@ pub enum BlockOp {
 pub struct BlockRequest {
     /// Requester-chosen identifier echoed in [`BlockDone`].
     pub id: u64,
+    /// The D2D job this request serves: its anatomy takes the phases.
+    pub job: u64,
     /// Direction.
     pub op: BlockOp,
     /// Starting logical block.
@@ -65,18 +67,12 @@ pub struct BlockDone {
     pub id: u64,
     /// Whether the device reported success.
     pub ok: bool,
-    /// Latency breakdown: file-system and device-control software time,
-    /// device time, completion-path time.
-    pub breakdown: Breakdown,
 }
 
 struct Outstanding {
     req: BlockRequest,
-    /// Software submit time split for the breakdown.
-    fs_ns: u64,
+    /// Device-control part of the submit path (the rest is file system).
     ctrl_ns: u64,
-    /// When the doorbell rang (device time starts).
-    submitted_at: SimTime,
     /// When the last command settled (device time ends).
     device_done_at: Option<SimTime>,
     /// Every command succeeded.
@@ -187,9 +183,7 @@ impl HostNvmeDriver {
             cid,
             Outstanding {
                 req,
-                fs_ns,
                 ctrl_ns,
-                submitted_at: ctx.now(), // refined after the CPU job
                 device_done_at: None,
                 ok: true,
             },
@@ -202,7 +196,9 @@ impl HostNvmeDriver {
     fn submit_to_device(&mut self, ctx: &mut Ctx<'_>, cid: u16) {
         let now = ctx.now();
         let out = self.outstanding.get_mut(&cid).expect("live request");
-        out.submitted_at = now;
+        let obs = &mut ctx.world().obs;
+        obs.mark(out.req.job, Category::FileSystem, now - out.ctrl_ns);
+        obs.mark(out.req.job, Category::DeviceControl, now);
         let io = NvmeIo {
             req: cid,
             write: out.req.op == BlockOp::Write,
@@ -296,22 +292,19 @@ impl HostNvmeDriver {
     fn finish(&mut self, ctx: &mut Ctx<'_>, cid: u16) {
         let out = self.outstanding.remove(&cid).expect("live request");
         let device_done = out.device_done_at.expect("device completed");
-        let mut breakdown = Breakdown::new();
-        breakdown.add(Category::FileSystem, out.fs_ns);
-        breakdown.add(Category::DeviceControl, out.ctrl_ns);
-        let device_time = device_done - out.submitted_at;
         let dev_cat = match out.req.op {
             BlockOp::Read => Category::Read,
             BlockOp::Write => Category::Write,
         };
-        breakdown.add(dev_cat, device_time);
-        breakdown.add(Category::RequestCompletion, ctx.now() - device_done);
+        let now = ctx.now();
+        let obs = &mut ctx.world().obs;
+        obs.mark(out.req.job, dev_cat, device_done);
+        obs.mark(out.req.job, Category::RequestCompletion, now);
         ctx.send_now(
             out.req.reply_to,
             BlockDone {
                 id: out.req.id,
                 ok: out.ok,
-                breakdown,
             },
         );
     }
@@ -436,10 +429,14 @@ mod tests {
             .expect_mut::<PhysMemory>()
             .write(ssd.lba_addr(10), &payload);
         let buf = dram.start + (4 << 20);
+        let now = sim.now();
+        sim.world_mut().obs.enable();
+        sim.world_mut().obs.req_begin(1, now);
         sim.kickoff(
             caller,
             Go(BlockRequest {
                 id: 1,
+                job: 1,
                 op: BlockOp::Read,
                 lba: 10,
                 len: 8192,
@@ -451,13 +448,27 @@ mod tests {
         sim.run();
         assert_eq!(sim.world().stats.counter_value("caller.ok"), 1);
         assert_eq!(sim.world().expect::<PhysMemory>().read(buf, 8192), payload);
-        // The breakdown must contain software + device categories.
+        // The job's anatomy holds the software and device phases, in
+        // order, ending where the completion path did.
         let stats = sim.world().expect::<crate::cpu::CpuStats>();
         assert!(stats.pool("node0").unwrap().jobs >= 2);
-        assert!(
-            sim.now().as_nanos() > time::us(14),
-            "includes flash latency"
+        let a = sim.world().obs.anatomy(1).expect("job begun");
+        let cats: Vec<Category> = a.segments.iter().map(|s| s.0).collect();
+        assert_eq!(
+            cats,
+            [
+                Category::FileSystem,
+                Category::DeviceControl,
+                Category::Read,
+                Category::RequestCompletion
+            ]
         );
+        assert_eq!(
+            a.segments[0].1,
+            costs::VFS_LOOKUP_NS + costs::FS_BLOCK_MAP_NS
+        );
+        assert_eq!(a.segments[3].1, costs::STORAGE_COMPLETE_NS);
+        assert!(a.segments[2].1 > time::us(14), "includes flash latency");
     }
 
     #[test]
@@ -469,6 +480,7 @@ mod tests {
                 caller,
                 Go(BlockRequest {
                     id: 1,
+                    job: 1,
                     op: BlockOp::Read,
                     lba: 0,
                     len: 4096,
@@ -496,6 +508,7 @@ mod tests {
             caller,
             Go(BlockRequest {
                 id: 2,
+                job: 2,
                 op: BlockOp::Write,
                 lba: 77,
                 len: 4096,
@@ -522,6 +535,7 @@ mod tests {
             caller,
             Go(BlockRequest {
                 id: 3,
+                job: 3,
                 op: BlockOp::Read,
                 lba: (1 << 20) + 5, // beyond 1Mi-LBA namespace
                 len: 4096,
@@ -551,6 +565,7 @@ mod tests {
             caller,
             Go(BlockRequest {
                 id: 9,
+                job: 9,
                 op: BlockOp::Read,
                 lba: 3,
                 len: 4096,
@@ -580,6 +595,7 @@ mod tests {
             caller,
             Go(BlockRequest {
                 id: 10,
+                job: 10,
                 op: BlockOp::Read,
                 lba: 0,
                 len: 4096,
@@ -612,6 +628,7 @@ mod tests {
             caller,
             Go(BlockRequest {
                 id: 11,
+                job: 11,
                 op: BlockOp::Read,
                 lba: 8,
                 len: 4096,
@@ -656,6 +673,7 @@ mod tests {
             caller,
             Go(BlockRequest {
                 id: 12,
+                job: 12,
                 op: BlockOp::Read,
                 lba: 4,
                 len: 4096,
@@ -701,6 +719,7 @@ mod tests {
                 caller,
                 Go(BlockRequest {
                     id: i,
+                    job: i,
                     op: BlockOp::Read,
                     lba: i * 16,
                     len: 65536,

@@ -7,7 +7,7 @@ use dcs_host::{build_pair, CpuStats, HostNode, HostNodeBuilder, SwDesign};
 use dcs_ndp::{md5::md5, NdpFunction};
 use dcs_nic::{TcpFlow, WireConfig};
 use dcs_pcie::PhysMemory;
-use dcs_sim::{time, Category, Component, ComponentId, Ctx, Msg, SimTime, Simulator};
+use dcs_sim::{time, Anatomy, Category, Component, ComponentId, Ctx, Msg, SimTime, Simulator};
 
 #[derive(Default, Debug)]
 struct Inbox(Vec<D2dDone>);
@@ -56,6 +56,7 @@ fn setup(design: SwDesign) -> Rig {
 
 fn setup_with(builder: impl Fn(&str) -> HostNodeBuilder) -> Rig {
     let mut sim = Simulator::new(9);
+    sim.world_mut().obs.enable();
     let (a, b) = build_pair(
         &mut sim,
         &builder("alpha"),
@@ -125,14 +126,25 @@ fn run_read_hash_send(design: SwDesign) -> (Rig, D2dDone) {
     (rig, done)
 }
 
+/// Job `id`'s recorded latency anatomy.
+fn anatomy(sim: &Simulator, id: u64) -> &Anatomy {
+    sim.world().obs.anatomy(id).expect("job traced")
+}
+
 #[test]
 fn swopt_read_hash_send_works_and_accounts_gpu() {
     let (rig, done) = run_read_hash_send(SwDesign::SwOpt);
-    let bd = &done.breakdown;
-    assert!(bd.get(Category::GpuControl) > 0, "gpu control must appear");
-    assert!(bd.get(Category::GpuCopy) > 0, "host->gpu copy must appear");
-    assert!(bd.get(Category::Read) > time::us(10));
-    assert!(bd.get(Category::DeviceControl) > 0);
+    let bd = anatomy(&rig.sim, done.id);
+    assert!(
+        bd.category_ns(Category::GpuControl) > 0,
+        "gpu control must appear"
+    );
+    assert!(
+        bd.category_ns(Category::GpuCopy) > 0,
+        "host->gpu copy must appear"
+    );
+    assert!(bd.category_ns(Category::Read) > time::us(10));
+    assert!(bd.category_ns(Category::DeviceControl) > 0);
     // CPU accounting exists for the node.
     let stats = rig.sim.world().expect::<CpuStats>();
     assert!(stats.pool("alpha").unwrap().tracker.total_busy() > 0);
@@ -161,18 +173,20 @@ fn linux_costs_more_cpu_than_swopt() {
 
 #[test]
 fn swp2p_reduces_gpu_copy_latency_vs_swopt() {
-    let (_, done_opt) = run_read_hash_send(SwDesign::SwOpt);
-    let (_, done_p2p) = run_read_hash_send(SwDesign::SwP2p);
+    let (rig_opt, done_opt) = run_read_hash_send(SwDesign::SwOpt);
+    let (rig_p2p, done_p2p) = run_read_hash_send(SwDesign::SwP2p);
+    let opt = anatomy(&rig_opt.sim, done_opt.id);
+    let p2p = anatomy(&rig_p2p.sim, done_p2p.id);
     // P2P reads straight into GPU memory: the explicit host->GPU staging
     // copy disappears (digest read-back may keep a sliver).
     assert!(
-        done_p2p.breakdown.get(Category::GpuCopy) < done_opt.breakdown.get(Category::GpuCopy),
+        p2p.category_ns(Category::GpuCopy) < opt.category_ns(Category::GpuCopy),
         "p2p {} vs opt {}",
-        done_p2p.breakdown.get(Category::GpuCopy),
-        done_opt.breakdown.get(Category::GpuCopy)
+        p2p.category_ns(Category::GpuCopy),
+        opt.category_ns(Category::GpuCopy)
     );
     // And total latency drops.
-    assert!(done_p2p.breakdown.total() < done_opt.breakdown.total());
+    assert!(p2p.total_ns() < opt.total_ns());
 }
 
 #[test]
@@ -353,6 +367,7 @@ fn large_receive_on_two_concurrent_flows_lands_byte_identical() {
 #[test]
 fn cpu_hash_fallback_when_no_gpu() {
     let mut sim = Simulator::new(3);
+    sim.world_mut().obs.enable();
     let mut builder = HostNodeBuilder::new("alpha", SwDesign::SwOpt);
     builder.gpu = false;
     let (a, _b) = build_pair(
@@ -396,9 +411,9 @@ fn cpu_hash_fallback_when_no_gpu() {
     let inbox = sim.world().expect::<Inbox>();
     assert_eq!(inbox.0[0].digest.as_deref(), Some(md5(&payload).as_slice()));
     // Hash time charged to the CPU.
-    let bd = &inbox.0[0].breakdown;
-    assert!(bd.get(Category::Hash) > 0);
-    assert_eq!(bd.get(Category::GpuControl), 0);
+    let bd = anatomy(&sim, inbox.0[0].id);
+    assert!(bd.category_ns(Category::Hash) > 0);
+    assert_eq!(bd.category_ns(Category::GpuControl), 0);
 }
 
 #[test]

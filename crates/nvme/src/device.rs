@@ -280,12 +280,10 @@ impl NvmeDevice {
                     phase: OpPhase::FetchEntry,
                 },
             );
-            {
-                let now = ctx.now();
-                let obs = &mut ctx.world().obs;
-                obs.span_begin("nvme", "doorbell-fetch", token, now);
-                obs.count("nvme", "sq.fetches", 1);
-            }
+            let now = ctx.now();
+            ctx.world()
+                .obs
+                .span_begin("nvme", "doorbell-fetch", token, now);
             let req = DmaRequest {
                 id: token,
                 op: DmaOp::Read {
@@ -442,12 +440,8 @@ impl NvmeDevice {
                     },
                 );
                 let delay = done - ctx.now();
-                {
-                    let now = ctx.now();
-                    let obs = &mut ctx.world().obs;
-                    obs.span("nvme", "flash-read", token, now, done);
-                    obs.observe("nvme", "flash.read_ns", delay);
-                }
+                let now = ctx.now();
+                ctx.world().obs.span("nvme", "flash-read", token, now, done);
                 ctx.send_self_in(delay, FlashDone { token });
             }
             NvmeOpcode::Write => {
@@ -600,12 +594,10 @@ impl NvmeDevice {
                     },
                 );
                 let delay = done - ctx.now();
-                {
-                    let now = ctx.now();
-                    let obs = &mut ctx.world().obs;
-                    obs.span("nvme", "flash-write", token, now, done);
-                    obs.observe("nvme", "flash.write_ns", delay);
-                }
+                let now = ctx.now();
+                ctx.world()
+                    .obs
+                    .span("nvme", "flash-write", token, now, done);
                 ctx.send_self_in(delay, FlashDone { token });
             }
             NvmeOpcode::Flush => unreachable!(),
@@ -776,12 +768,8 @@ impl Component for NvmeDevice {
                         let fabric = self.fabric;
                         ctx.send_now(fabric, msi);
                         ctx.world().stats.counter("nvme.completions").add(1);
-                        {
-                            let now = ctx.now();
-                            let obs = &mut ctx.world().obs;
-                            obs.span_end("nvme", "cq-write", token, now);
-                            obs.count("nvme", "cmd.completed", 1);
-                        }
+                        let now = ctx.now();
+                        ctx.world().obs.span_end("nvme", "cq-write", token, now);
                     }
                     OpPhase::FlashRead { .. } | OpPhase::FlashWrite { .. } => {
                         panic!("DmaComplete in flash phase")

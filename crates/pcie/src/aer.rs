@@ -130,10 +130,8 @@ pub fn record(world: &mut World, time_ns: u64, token: u64, site: &'static str, k
         kind,
     });
     world.stats.counter(kind.label()).add(1);
-    world.obs.count("pcie", kind.label(), 1);
     if kind.detected() {
         world.stats.counter("aer.detected").add(1);
-        world.obs.count("pcie", "aer.detected", 1);
     }
 }
 

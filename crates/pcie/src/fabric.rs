@@ -371,14 +371,9 @@ impl PcieFabric {
                 }
             }
         }
-        {
-            let obs = &mut ctx.world().obs;
-            let end = now + delay;
-            obs.span("pcie", "dma", req.id, now, end);
-            obs.count("pcie", "dma.ops", 1);
-            obs.count("pcie", "dma.bytes", len as u64);
-            obs.observe("pcie", "dma.ns", delay);
-        }
+        ctx.world()
+            .obs
+            .span("pcie", "dma", req.id, now, now + delay);
         ctx.send_self_in(
             delay,
             DmaDone {
@@ -459,13 +454,10 @@ impl PcieFabric {
             .unwrap_or_else(|| panic!("MMIO write to unclaimed address {addr}"));
         ctx.world().stats.counter("pcie.mmio_writes").add(1);
         let delay = config::MMIO_WRITE_NS + 2 * config::HOP_LATENCY_NS;
-        {
-            let now = ctx.now();
-            let end = now + delay;
-            let obs = &mut ctx.world().obs;
-            obs.span("pcie", "mmio-write", addr.0, now, end);
-            obs.count("pcie", "mmio.writes", 1);
-        }
+        let now = ctx.now();
+        ctx.world()
+            .obs
+            .span("pcie", "mmio-write", addr.0, now, now + delay);
         ctx.forward_in(delay, owner, msg);
     }
 
@@ -482,13 +474,9 @@ impl PcieFabric {
             ctx.world().stats.counter("pcie.msi_lost").add(1);
             return;
         }
-        {
-            let now = ctx.now();
-            let end = now + config::MSI_NS;
-            let obs = &mut ctx.world().obs;
-            obs.span("pcie", "msi", msi.vector as u64, now, end);
-            obs.count("pcie", "msi.delivered", 1);
-        }
+        let (now, vector) = (ctx.now(), msi.vector as u64);
+        let end = now + config::MSI_NS;
+        ctx.world().obs.span("pcie", "msi", vector, now, end);
         ctx.send_in(config::MSI_NS, owner, MsiDelivery { vector: msi.vector });
     }
 }

@@ -14,6 +14,7 @@ use crate::component::{Component, ComponentId};
 use crate::event::{Msg, Payload};
 use crate::profile::{host_clock, HostProfile, ProfileRow};
 use crate::time::SimTime;
+use crate::trace::Category;
 use crate::world::World;
 
 /// The deterministic discrete-event simulator.
@@ -362,6 +363,13 @@ impl Ctx<'_> {
     #[inline]
     pub fn world_ref(&self) -> &World {
         self.world
+    }
+
+    /// Marks, now, the end of request `req`'s `category` phase in its
+    /// latency anatomy (`world.obs`; a no-op while recording is off).
+    #[inline]
+    pub fn mark(&mut self, req: u64, category: Category) {
+        self.world.obs.mark(req, category, self.now);
     }
 
     /// Schedules `payload` for delivery to `dst` after `delay` nanoseconds.

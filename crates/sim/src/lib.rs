@@ -77,7 +77,7 @@ pub use queue::{FifoServer, LineServer, ServerBank};
 pub use rng::Rng;
 pub use stats::{BusyTracker, Counter, Histogram};
 pub use time::{Bandwidth, SimTime};
-pub use trace::{Breakdown, Category};
+pub use trace::Category;
 pub use world::World;
 
 // Compile-time proof that a whole simulation can move to another

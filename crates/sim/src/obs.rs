@@ -13,9 +13,11 @@
 //!   `tests/determinism.rs`).
 //! * **Anatomy** ([`Recorder::req_begin`], [`Recorder::mark`],
 //!   [`Recorder::req_end`]) records a contiguous chain of phase segments
-//!   per request. Each mark closes the segment since the previous mark,
-//!   so the segments telescope: their sum equals the end-to-end latency
-//!   *exactly* (±0), by construction.
+//!   per request, each tagged with the paper's [`Category`]. Each mark
+//!   closes the segment since the previous mark, so the segments
+//!   telescope: their sum equals the end-to-end latency *exactly* (±0),
+//!   by construction. The Fig 2/3a/11 breakdowns are these segments
+//!   summed per category ([`Anatomy::by_category`]).
 //! * **Metrics** ([`Recorder::count`], [`Recorder::observe`]) maintain
 //!   named counters / histograms per component, snapshotted into a
 //!   [`MetricsReport`].
@@ -35,6 +37,7 @@ use std::collections::BTreeMap;
 use crate::detmap::DetMap;
 use crate::stats::Histogram;
 use crate::time::SimTime;
+use crate::trace::Category;
 
 pub mod json;
 
@@ -59,13 +62,15 @@ pub struct Span {
 /// The contiguous phase chain of one request.
 ///
 /// Segments telescope: `begin + Σ segment = end`, so
-/// `Σ segment == end - begin` exactly.
+/// `Σ segment == end - begin` exactly. Each segment carries the
+/// category of the phase whose end closed it; empty segments are
+/// dropped and adjacent segments of one category merged.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Anatomy {
     /// Virtual time the request was submitted.
     pub begin_ns: u64,
-    /// `(label, duration_ns)` segments in chronological order.
-    pub segments: Vec<(&'static str, u64)>,
+    /// `(category, duration_ns)` segments in chronological order.
+    pub segments: Vec<(Category, u64)>,
     /// Virtual time the request completed (`None` while in flight).
     pub end_ns: Option<u64>,
     /// End of the last closed segment (next segment starts here).
@@ -82,6 +87,37 @@ impl Anatomy {
     /// the request has ended).
     pub fn segment_sum_ns(&self) -> u64 {
         self.segments.iter().map(|(_, ns)| ns).sum()
+    }
+
+    /// Time per category, nonzero ones in [`Category::ALL`] order: the
+    /// request's latency breakdown, summing to [`Anatomy::segment_sum_ns`].
+    pub fn by_category(&self) -> Vec<(Category, u64)> {
+        Category::ALL
+            .iter()
+            .map(|&c| (c, self.category_ns(c)))
+            .filter(|&(_, ns)| ns > 0)
+            .collect()
+    }
+
+    /// Time spent in `category` (zero if no segment carries it).
+    pub fn category_ns(&self, category: Category) -> u64 {
+        let ns = self.segments.iter().filter(|s| s.0 == category);
+        ns.map(|s| s.1).sum()
+    }
+
+    /// Closes the segment `[previous mark, at]` under `category`. A time
+    /// before the previous mark closes an empty segment, so the chain
+    /// stays contiguous.
+    fn close(&mut self, category: Category, at: u64) {
+        let ns = at.saturating_sub(self.last_ns);
+        if ns == 0 {
+            return;
+        }
+        self.last_ns = at;
+        match self.segments.last_mut() {
+            Some((c, d)) if *c == category => *d += ns,
+            _ => self.segments.push((category, ns)),
+        }
     }
 }
 
@@ -322,32 +358,31 @@ impl Recorder {
         );
     }
 
-    /// Closes the segment `[previous mark, now]` under `label`. Ignored
+    /// Closes the segment `[previous mark, at]` under `category`: the
+    /// phase that ended at `at`. `at` may be a known past time (a driver
+    /// learns when its device finished only when it handles the
+    /// completion); one before the previous mark closes nothing. Ignored
     /// for requests with no [`Recorder::req_begin`] (e.g. tracing was
-    /// enabled mid-flight).
+    /// enabled mid-flight) and for ended ones.
     #[inline]
-    pub fn mark(&mut self, req: u64, label: &'static str, now: SimTime) {
+    pub fn mark(&mut self, req: u64, category: Category, at: SimTime) {
         if !self.enabled {
             return;
         }
-        if let Some(a) = self.requests.get_mut(&req) {
-            let ns = now.as_nanos();
-            a.segments.push((label, ns.saturating_sub(a.last_ns)));
-            a.last_ns = ns;
+        if let Some(a) = self.requests.get_mut(&req).filter(|a| a.end_ns.is_none()) {
+            a.close(category, at.as_nanos());
         }
     }
 
-    /// Closes the final segment under `label` and ends the request.
+    /// Closes the final segment under `category` and ends the request.
     #[inline]
-    pub fn req_end(&mut self, req: u64, label: &'static str, now: SimTime) {
+    pub fn req_end(&mut self, req: u64, category: Category, now: SimTime) {
         if !self.enabled {
             return;
         }
-        if let Some(a) = self.requests.get_mut(&req) {
-            let ns = now.as_nanos();
-            a.segments.push((label, ns.saturating_sub(a.last_ns)));
-            a.last_ns = ns;
-            a.end_ns = Some(ns);
+        if let Some(a) = self.requests.get_mut(&req).filter(|a| a.end_ns.is_none()) {
+            a.close(category, now.as_nanos());
+            a.end_ns = Some(a.last_ns);
         }
     }
 
@@ -441,9 +476,9 @@ pub fn chrome_trace(rec: &Recorder) -> String {
         let pid = pid_of("anatomy", &mut pids);
         let mut at = a.begin_ns;
         let mut segs_meta: Vec<Json> = Vec::new();
-        for (label, ns) in &a.segments {
+        for (category, ns) in &a.segments {
             events.push(Json::Obj(vec![
-                ("name".to_string(), Json::Str(label.to_string())),
+                ("name".to_string(), Json::Str(category.label().to_string())),
                 ("cat".to_string(), Json::Str("anatomy".to_string())),
                 ("ph".to_string(), Json::Str("X".to_string())),
                 ("ts".to_string(), us(at)),
@@ -460,7 +495,7 @@ pub fn chrome_trace(rec: &Recorder) -> String {
                 ),
             ]));
             segs_meta.push(Json::Obj(vec![
-                ("label".to_string(), Json::Str(label.to_string())),
+                ("label".to_string(), Json::Str(category.label().to_string())),
                 ("ns".to_string(), Json::Int(*ns as i128)),
             ]));
             at += ns;
@@ -520,8 +555,8 @@ mod tests {
         r.span_begin("nvme", "flash", 1, t(0));
         r.span_end("nvme", "flash", 1, t(5));
         r.req_begin(1, t(0));
-        r.mark(1, "x", t(3));
-        r.req_end(1, "y", t(9));
+        r.mark(1, Category::Read, t(3));
+        r.req_end(1, Category::Wire, t(9));
         r.count("pcie", "dma.count", 1);
         r.observe("pcie", "dma.ns", 10);
         assert!(r.spans().is_empty());
@@ -534,16 +569,26 @@ mod tests {
         let mut r = Recorder::new();
         r.enable();
         r.req_begin(7, t(100));
-        r.mark(7, "parse", t(137));
-        r.mark(7, "data", t(977));
-        r.req_end(7, "completion", t(1003));
+        r.mark(7, Category::DeviceControl, t(137));
+        r.mark(7, Category::Read, t(977));
+        r.mark(7, Category::Wire, t(990));
+        r.mark(7, Category::Read, t(980)); // before the last mark: empty
+        r.mark(7, Category::Wire, t(995)); // merges with the Wire before
+        r.req_end(7, Category::RequestCompletion, t(1003));
+        r.mark(7, Category::Other, t(2000)); // after the end: ignored
         let a = r.anatomy(7).expect("begun");
         assert_eq!(a.total_ns(), Some(903));
         assert_eq!(a.segment_sum_ns(), 903);
         assert_eq!(
             a.segments,
-            vec![("parse", 37), ("data", 840), ("completion", 26)]
+            vec![
+                (Category::DeviceControl, 37),
+                (Category::Read, 840),
+                (Category::Wire, 18),
+                (Category::RequestCompletion, 8)
+            ]
         );
+        assert_eq!(a.by_category()[0], (Category::Read, 840));
     }
 
     #[test]
@@ -604,7 +649,7 @@ mod tests {
         r.enable();
         r.span("pcie", "dma", 1, t(0), t(1500));
         r.req_begin(1, t(0));
-        r.req_end(1, "all", t(2500));
+        r.req_end(1, Category::Other, t(2500));
         let text = chrome_trace(&r);
         let root = Json::parse(&text).expect("valid JSON");
         let events = root
@@ -626,8 +671,8 @@ mod tests {
         let mut r = Recorder::new();
         r.req_begin(5, t(0)); // disabled: dropped
         r.enable();
-        r.mark(5, "late", t(10));
-        r.req_end(5, "later", t(20));
+        r.mark(5, Category::Read, t(10));
+        r.req_end(5, Category::Wire, t(20));
         assert!(r.anatomy(5).is_none());
     }
 }

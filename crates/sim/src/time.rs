@@ -135,6 +135,16 @@ impl AddAssign<u64> for SimTime {
     }
 }
 
+/// The time `dur` before this one, saturating at zero (a phase known to
+/// have ended `dur` ago).
+impl Sub<u64> for SimTime {
+    type Output = SimTime;
+    #[inline]
+    fn sub(self, dur: u64) -> SimTime {
+        SimTime(self.0.saturating_sub(dur))
+    }
+}
+
 impl Sub<SimTime> for SimTime {
     type Output = u64;
     #[inline]

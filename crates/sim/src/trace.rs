@@ -1,11 +1,11 @@
-//! Latency-breakdown accounting.
+//! Latency-breakdown categories.
 //!
-//! Figures 3a and 11 of the paper decompose end-to-end operation latency
-//! into labelled phases (file system, network stack, hash, device control,
-//! …). Each in-flight request in our simulation carries a [`Breakdown`]
-//! that the orchestrators and the HDC Engine fill in as phases complete.
+//! Figures 2, 3a and 11 of the paper decompose end-to-end operation
+//! latency into labelled phases (file system, network stack, hash, device
+//! control, …). Every segment of a request's anatomy
+//! ([`crate::obs::Anatomy`]) carries one [`Category`]; the figures sum
+//! the segments per category, so their totals are the end-to-end latency.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Latency-breakdown categories, the union of the phase labels used across
@@ -86,79 +86,9 @@ impl fmt::Display for Category {
     }
 }
 
-/// Accumulated per-category durations for one request.
-///
-/// ```
-/// use dcs_sim::{Breakdown, Category};
-/// let mut b = Breakdown::new();
-/// b.add(Category::Read, 20_000);
-/// b.add(Category::DeviceControl, 3_000);
-/// b.add(Category::DeviceControl, 2_000);
-/// assert_eq!(b.get(Category::DeviceControl), 5_000);
-/// assert_eq!(b.total(), 25_000);
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Breakdown {
-    spans: BTreeMap<Category, u64>,
-}
-
-impl Breakdown {
-    /// An empty breakdown.
-    pub fn new() -> Self {
-        Breakdown::default()
-    }
-
-    /// Adds `dur_ns` to `category`.
-    pub fn add(&mut self, category: Category, dur_ns: u64) {
-        *self.spans.entry(category).or_insert(0) += dur_ns;
-    }
-
-    /// Accumulated time for a category (zero if never recorded).
-    pub fn get(&self, category: Category) -> u64 {
-        self.spans.get(&category).copied().unwrap_or(0)
-    }
-
-    /// Sum across all categories.
-    pub fn total(&self) -> u64 {
-        self.spans.values().sum()
-    }
-
-    /// Non-zero `(category, duration)` pairs in presentation order.
-    pub fn entries(&self) -> Vec<(Category, u64)> {
-        Category::ALL
-            .iter()
-            .filter_map(|&c| {
-                let v = self.get(c);
-                (v > 0).then_some((c, v))
-            })
-            .collect()
-    }
-
-    /// Element-wise sum with another breakdown.
-    pub fn merge(&mut self, other: &Breakdown) {
-        for (&cat, &dur) in &other.spans {
-            self.add(cat, dur);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn breakdown_accumulates_and_orders_entries() {
-        let mut b = Breakdown::new();
-        b.add(Category::Scoreboard, 10);
-        b.add(Category::FileSystem, 5);
-        b.add(Category::Scoreboard, 10);
-        let entries = b.entries();
-        assert_eq!(
-            entries,
-            vec![(Category::FileSystem, 5), (Category::Scoreboard, 20)]
-        );
-        assert_eq!(b.total(), 25);
-    }
 
     #[test]
     fn category_labels_are_unique() {

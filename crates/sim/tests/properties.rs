@@ -2,9 +2,7 @@
 //! driven by the deterministic in-repo [`Rng`] (the container builds
 //! offline, so no external property-testing framework is available).
 
-use dcs_sim::{
-    time, Breakdown, Category, Component, Ctx, FifoServer, Msg, Rng, SimTime, Simulator,
-};
+use dcs_sim::{time, Category, Component, Ctx, FifoServer, Msg, Recorder, Rng, SimTime, Simulator};
 
 /// FIFO servers never travel back in time, conserve total service, and
 /// serve work-conservingly.
@@ -51,30 +49,33 @@ fn rng_bounds() {
     }
 }
 
-/// Breakdown merging is commutative and totals add.
+/// Anatomy marks telescope under any mark sequence, past times
+/// included: the per-category sums equal the end-to-end latency.
 #[test]
-fn breakdown_merge() {
+fn anatomy_category_sums_equal_end_to_end() {
     let mut rng = Rng::new(0x51_B12D);
     let cats = Category::ALL;
     for _ in 0..128 {
-        let n = rng.gen_range(0..40) as usize;
-        let mut a = Breakdown::new();
-        let mut b = Breakdown::new();
-        for i in 0..n {
-            let c = rng.gen_range(0..cats.len() as u64) as usize;
-            let v = rng.gen_range(0..1_000_000);
-            if i % 2 == 0 {
-                a.add(cats[c], v);
-            } else {
-                b.add(cats[c], v);
-            }
+        let mut rec = Recorder::new();
+        rec.enable();
+        let begin = rng.gen_range(0..1_000_000);
+        rec.req_begin(1, SimTime::from_nanos(begin));
+        let mut now = begin;
+        for _ in 0..rng.gen_range(0..40) {
+            now += rng.gen_range(0..10_000);
+            // Some marks land before the previous one.
+            let at = now.saturating_sub(rng.gen_range(0..20_000));
+            let c = cats[rng.gen_range(0..cats.len() as u64) as usize];
+            rec.mark(1, c, SimTime::from_nanos(at));
         }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.total(), a.total() + b.total());
+        now += rng.gen_range(0..10_000);
+        rec.req_end(1, Category::Other, SimTime::from_nanos(now));
+        let a = rec.anatomy(1).expect("begun");
+        assert_eq!(a.total_ns(), Some(now - begin));
+        let by_cat: u64 = a.by_category().iter().map(|(_, ns)| ns).sum();
+        assert_eq!(by_cat, now - begin);
+        assert!(a.segments.iter().all(|&(_, ns)| ns > 0));
+        assert!(a.segments.windows(2).all(|w| w[0].0 != w[1].0));
     }
 }
 

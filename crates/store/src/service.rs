@@ -18,6 +18,7 @@ use dcs_cluster::{
     CacheDecision, ClusterReport, HashRing, Lane, QosPolicy, Request, Service, TenantPerf,
 };
 use dcs_sim::{Ctx, DetMap, DetSet, Rng};
+use dcs_workloads::gen::poisson_gap;
 use dcs_workloads::ycsb::{StoreOp, StoreOpKind, YcsbGenerator};
 
 use crate::api::{object_id, StoreConfig, TenantSpec, KEY_BITS};
@@ -108,7 +109,7 @@ impl Service for StoreService {
     }
 
     fn gap_ns(&mut self, tenant: usize) -> u64 {
-        (self.rngs[tenant].gen_exp(self.mean_gap_ns[tenant]) as u64).max(1)
+        poisson_gap(&mut self.rngs[tenant], self.mean_gap_ns[tenant])
     }
 
     fn draw(&mut self, tenant: usize) -> Request<StoreOp> {
@@ -214,8 +215,6 @@ impl Service for StoreService {
                 ctx.world().stats.counter("store.stale_lookup").add(1);
             }
         }
-        let name = if hit { "cache.hit" } else { "cache.miss" };
-        ctx.world().obs.count("store", name, 1);
         Some(CacheDecision { hit, version })
     }
 
@@ -243,6 +242,8 @@ impl Service for StoreService {
                     }
                 }
                 if dropped > 0 {
+                    // Read by the benchmark's `store.invalidations`
+                    // (`benchmark/src/run.rs`).
                     ctx.world().obs.count("store", "cache.invalidated", dropped);
                 }
             }
@@ -282,23 +283,20 @@ impl Service for StoreService {
     /// insertion order per cache, nodes ascending), deduped by object:
     /// every resident entry a donor holds for an object `node`
     /// replicates, at the version committed now.
-    fn on_restart(&mut self, ctx: &mut Ctx<'_>, ring: &HashRing, node: usize, donors: &[bool]) {
+    fn on_restart(&mut self, _ctx: &mut Ctx<'_>, ring: &HashRing, node: usize, donors: &[bool]) {
         let mut seen: DetSet<u64> = DetSet::new();
         let mut plan = Vec::new();
-        let mut bytes = 0u64;
         for donor in (0..self.caches.len()).filter(|&d| donors[d]) {
             for (object, len, version) in self.caches[donor].warm_set() {
                 if ring.replicas(object).contains(&node)
                     && version == self.committed(object)
                     && seen.insert(object)
                 {
-                    bytes += len;
                     plan.push((object, len, version));
                 }
             }
         }
         self.warm_plan = plan;
-        ctx.world().obs.count("store", "warmup.bytes", bytes);
     }
 
     /// Admits every gathered entry still at its committed version (a

@@ -8,53 +8,11 @@
 
 use dcs_sim::Rng;
 
-/// Poisson arrival process: exponential inter-arrival times. The
-/// workloads draw each gap inline as `(rng.gen_exp(mean) as u64).max(1)`;
-/// this is that draw as a process, so the tests can check its mean and
-/// shape.
-#[cfg(test)]
-#[derive(Debug)]
-pub(crate) struct PoissonArrivals {
-    mean_interarrival_ns: f64,
-    rng: Rng,
-}
-
-#[cfg(test)]
-impl PoissonArrivals {
-    /// Arrivals with the given mean inter-arrival time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_interarrival_ns` is not positive.
-    pub(crate) fn new(mean_interarrival_ns: f64, rng: Rng) -> Self {
-        assert!(
-            mean_interarrival_ns > 0.0,
-            "inter-arrival time must be positive"
-        );
-        PoissonArrivals {
-            mean_interarrival_ns,
-            rng,
-        }
-    }
-
-    /// Arrivals tuned to offer `target_gbps` of load at `mean_size` bytes
-    /// per request.
-    pub(crate) fn for_throughput(target_gbps: f64, mean_size: f64, rng: Rng) -> Self {
-        assert!(target_gbps > 0.0 && mean_size > 0.0);
-        // requests/s = target bits/s / bits per request.
-        let rate = target_gbps * 1e9 / (mean_size * 8.0);
-        PoissonArrivals::new(1e9 / rate, rng)
-    }
-
-    /// Next inter-arrival gap in nanoseconds (≥ 1).
-    pub(crate) fn next_gap(&mut self) -> u64 {
-        (self.rng.gen_exp(self.mean_interarrival_ns) as u64).max(1)
-    }
-
-    /// The configured mean inter-arrival time.
-    pub(crate) fn mean_interarrival_ns(&self) -> f64 {
-        self.mean_interarrival_ns
-    }
+/// One gap of a Poisson arrival process: an exponential inter-arrival
+/// time of mean `mean_ns` nanoseconds, at least 1 ns so arrivals never
+/// share a timestamp. Every open-loop workload draws its arrivals here.
+pub fn poisson_gap(rng: &mut Rng, mean_ns: f64) -> u64 {
+    (rng.gen_exp(mean_ns) as u64).max(1)
 }
 
 /// Object-size distribution.
@@ -190,17 +148,13 @@ mod tests {
 
     #[test]
     fn poisson_gap_mean_is_close() {
-        let mut p = PoissonArrivals::new(10_000.0, Rng::new(1));
+        let mut rng = Rng::new(1);
         let n = 20_000;
-        let mean: f64 = (0..n).map(|_| p.next_gap() as f64).sum::<f64>() / n as f64;
+        let mean: f64 = (0..n)
+            .map(|_| poisson_gap(&mut rng, 10_000.0) as f64)
+            .sum::<f64>()
+            / n as f64;
         assert!((mean - 10_000.0).abs() < 300.0, "{mean}");
-    }
-
-    #[test]
-    fn throughput_tuning_matches_rate() {
-        let p = PoissonArrivals::for_throughput(9.0, 128.0 * 1024.0, Rng::new(2));
-        // 9 Gbps at 128 KiB/request ≈ 8583 req/s → ≈116.5 us gaps.
-        assert!((p.mean_interarrival_ns() - 116_508.0).abs() < 1_000.0);
     }
 
     #[test]
@@ -228,9 +182,9 @@ mod tests {
         // Catching either off guards against a generator that hits the
         // mean with the wrong shape (e.g. uniform or constant gaps).
         let mean = 25_000.0;
-        let mut p = PoissonArrivals::new(mean, Rng::new(11));
+        let mut rng = Rng::new(11);
         let n = 40_000;
-        let gaps: Vec<f64> = (0..n).map(|_| p.next_gap() as f64).collect();
+        let gaps: Vec<f64> = (0..n).map(|_| poisson_gap(&mut rng, mean) as f64).collect();
         let m = gaps.iter().sum::<f64>() / n as f64;
         let var = gaps.iter().map(|g| (g - m) * (g - m)).sum::<f64>() / n as f64;
         let cv = var.sqrt() / m;

@@ -15,6 +15,7 @@ use dcs_nic::WireConfig;
 use dcs_nvme::{NvmeConfig, NvmeHandle};
 use dcs_sim::{Component, ComponentId, Ctx, FaultPlan, Msg, Rng, SimTime, Simulator};
 
+use crate::gen::poisson_gap;
 use crate::report::WorkloadReport;
 
 /// The designs a workload can run over.
@@ -505,7 +506,7 @@ impl Component for ScenarioDriver {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         let msg = match msg.downcast::<Start>() {
             Ok(Start) => {
-                let gap = (self.rng.gen_exp(self.cfg.mean_interarrival_ns) as u64).max(1);
+                let gap = poisson_gap(&mut self.rng, self.cfg.mean_interarrival_ns);
                 ctx.send_self_in(gap, Arrival);
                 ctx.send_self_in(self.cfg.warmup_ns, WarmupOver);
                 ctx.send_self_in(self.cfg.duration_ns, WindowOver);
@@ -517,7 +518,7 @@ impl Component for ScenarioDriver {
             Ok(Arrival) => {
                 if !self.window_closed {
                     self.launch(ctx);
-                    let gap = (self.rng.gen_exp(self.cfg.mean_interarrival_ns) as u64).max(1);
+                    let gap = poisson_gap(&mut self.rng, self.cfg.mean_interarrival_ns);
                     ctx.send_self_in(gap, Arrival);
                 }
                 return;

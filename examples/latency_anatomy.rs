@@ -31,14 +31,14 @@ fn main() {
     .into_iter()
     .enumerate()
     {
-        let b = measure(design, len, true);
+        let a = measure(design, len, true);
         let s = r.section(format!(
             "{} — total {:.1} us, software {:.1} us",
             design.label(),
-            b.total() as f64 / 1000.0,
-            software_latency(&b) as f64 / 1000.0
+            a.segment_sum_ns() as f64 / 1000.0,
+            software_latency(&a) as f64 / 1000.0
         ));
-        fig2::timeline_table(s, &format!("timeline{i}"), &b);
+        fig2::timeline_table(s, &format!("timeline{i}"), &a);
     }
     println!("{}", r.text());
     println!("Every '#' of Device Control / GPU Control / Network Stack is host");

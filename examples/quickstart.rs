@@ -49,7 +49,8 @@ impl Component for App {
             ),
         );
         let s = r.section("");
-        breakdown_rows(s.table("breakdown", BREAKDOWN), "DCS-ctrl", &done.breakdown);
+        let anatomy = ctx.world_ref().obs.anatomy(done.id).expect("job traced");
+        breakdown_rows(s.table("breakdown", BREAKDOWN), "DCS-ctrl", anatomy);
         if let Some(d) = &done.digest {
             s.note(format!(
                 "digest (from the completion record): {}",
@@ -74,6 +75,7 @@ fn main() {
     );
     let app = sim.add("app", App);
     sim.run(); // let device initialization settle
+    sim.world_mut().obs.enable(); // record each job's latency anatomy
 
     // 2. Put a file on alpha's flash.
     let content: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();

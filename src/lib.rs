@@ -43,3 +43,9 @@ pub use dcs_pcie as pcie;
 pub use dcs_sim as sim;
 pub use dcs_store as store;
 pub use dcs_workloads as workloads;
+
+/// README.md, compiled as doctests: its Rust snippet builds against the
+/// API it names, so a README that outlives an API fails `cargo test`.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

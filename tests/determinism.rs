@@ -1,7 +1,8 @@
 //! Determinism regression: the same seeded testbed job, run twice in
 //! fresh processes' worth of state, must produce **byte-identical**
-//! trace output — completions, per-category latency breakdowns, final
-//! simulated time, and every counter in the world stats.
+//! trace output — completions, final simulated time, and every counter
+//! in the world stats (the latency anatomy is compared as a Chrome trace
+//! by `chrome_traces_are_themselves_deterministic`).
 //!
 //! This is the property the workspace lints protect (DESIGN.md §10:
 //! `clippy.toml`, `[workspace.lints]` and `tests/dcs_lint.rs`): before
@@ -118,9 +119,6 @@ fn serialize_trace(tb: &Testbed, done: &[D2dDone]) -> String {
             "job id={} ok={} payload_len={} digest={:?}\n",
             d.id, d.ok, d.payload_len, d.digest
         ));
-        for (cat, ns) in d.breakdown.entries() {
-            out.push_str(&format!("  {}={ns}\n", cat.label()));
-        }
     }
     // Every counter in the world: hash-order divergence anywhere in the
     // event stream shows up in retry/fault/queue counters even when the

@@ -1,15 +1,22 @@
 //! Acceptance tests for the observability layer (DESIGN.md §11): the
 //! Chrome trace export that `repro --trace-out` writes must be valid
 //! JSON covering every instrumented layer, and each request's anatomy
-//! segments must sum to its end-to-end latency **exactly** (±0 ns).
-//! Also covers the machine-readable `BENCH_fig8.json` report.
+//! segments must sum to its end-to-end latency **exactly** (±0 ns), on
+//! every design and job shape. Also covers the machine-readable
+//! `BENCH_fig8.json` report.
 
 use std::collections::BTreeSet;
 
 use dcs_bench::anatomy;
 use dcs_bench::fig8;
-use dcs_ctrl::sim::Json;
-use dcs_ctrl::workloads::scenario::DesignUnderTest;
+use dcs_ctrl::host::cpu::CpuPool;
+use dcs_ctrl::host::integration::IntegratedExecutor;
+use dcs_ctrl::host::job::{D2dDone, D2dJob, D2dOp};
+use dcs_ctrl::ndp::NdpFunction;
+use dcs_ctrl::nic::TcpFlow;
+use dcs_ctrl::pcie::{PhysMemory, PortId};
+use dcs_ctrl::sim::{Component, ComponentId, Ctx, Json, Msg, Simulator};
+use dcs_ctrl::workloads::scenario::{DesignUnderTest, Testbed, TestbedConfig};
 
 /// Parses the capture that `--trace-out` writes verbatim.
 fn traced_capture() -> (anatomy::TraceCapture, Json) {
@@ -128,4 +135,200 @@ fn bench_fig8_json_parses_and_contains_expected_keys() {
             "per-category breakdown present"
         );
     }
+}
+
+/// Submits jobs and stamps, per job, when it was submitted and when its
+/// completion arrived.
+struct Stamper;
+
+#[derive(Debug)]
+struct Go {
+    to: ComponentId,
+    job: D2dJob,
+}
+
+/// One submitted job: when it went in, and when (and whether ok) it
+/// came back.
+struct Stamp {
+    id: u64,
+    submitted: u64,
+    done: Option<(u64, bool)>,
+}
+
+/// Every submitted job, in submission order.
+#[derive(Default)]
+struct Stamps(Vec<Stamp>);
+
+/// A shape's jobs, submitted at once: `(shape, [(target, ops)])`.
+type Batch<'a> = (&'a str, Vec<(ComponentId, Vec<D2dOp>)>);
+
+impl Component for Stamper {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+        let now = ctx.now().as_nanos();
+        let msg = match msg.downcast::<Go>() {
+            Ok(Go { to, job }) => {
+                let stamp = Stamp {
+                    id: job.id,
+                    submitted: now,
+                    done: None,
+                };
+                ctx.world().expect_mut::<Stamps>().0.push(stamp);
+                ctx.send_now(to, job);
+                return;
+            }
+            Err(m) => m,
+        };
+        let done = msg.downcast::<D2dDone>().expect("job completions");
+        let stamps = ctx.world().expect_mut::<Stamps>();
+        let stamp = stamps.0.iter_mut().find(|s| s.id == done.id);
+        let stamp = stamp.expect("a submitted job");
+        assert!(stamp.done.is_none(), "job {} completed twice", done.id);
+        stamp.done = Some((now, done.ok));
+    }
+}
+
+/// The four job shapes, each as `(server ops, client ops)`: the client's
+/// ops feed or drain the server's network op. `n` keeps flows apart.
+fn shapes(n: u16) -> Vec<(&'static str, Vec<D2dOp>, Vec<D2dOp>)> {
+    let len = 16 * 1024;
+    let flow = |k: u16| TcpFlow::example(1, 2, 44_000 + 8 * n + k, 9_400 + 8 * n + k);
+    let read = D2dOp::SsdRead {
+        ssd: 0,
+        lba: 0,
+        len,
+    };
+    let md5 = D2dOp::Process {
+        function: NdpFunction::Md5,
+        aux: vec![],
+    };
+    let recv = |k: u16| D2dOp::NicRecv {
+        flow: flow(k).reversed(),
+        len,
+    };
+    vec![
+        (
+            "SSD read -> NIC send",
+            vec![
+                read.clone(),
+                D2dOp::NicSend {
+                    flow: flow(0),
+                    seq: 0,
+                },
+            ],
+            vec![recv(0)],
+        ),
+        (
+            "SSD read -> MD5 -> NIC send",
+            vec![
+                read,
+                md5,
+                D2dOp::NicSend {
+                    flow: flow(1),
+                    seq: 0,
+                },
+            ],
+            vec![recv(1)],
+        ),
+        (
+            "NIC recv -> SSD write",
+            vec![
+                D2dOp::NicRecv { flow: flow(2), len },
+                D2dOp::SsdWrite { ssd: 0, lba: 512 },
+            ],
+            vec![
+                D2dOp::MemRead { len },
+                D2dOp::NicSend {
+                    flow: flow(2).reversed(),
+                    seq: 0,
+                },
+            ],
+        ),
+        (
+            "memory read -> NIC send",
+            vec![
+                D2dOp::MemRead { len },
+                D2dOp::NicSend {
+                    flow: flow(3),
+                    seq: 0,
+                },
+            ],
+            vec![recv(3)],
+        ),
+    ]
+}
+
+/// Runs `batches` (each a set of `(target, ops)` submitted at once) to
+/// completion and checks every job: it succeeded, its anatomy ended, and
+/// its per-category sum is the probe's submit → `D2dDone` latency.
+fn check_anatomies(sim: &mut Simulator, label: &str, batches: Vec<Batch<'_>>) {
+    sim.run();
+    sim.world_mut().obs.enable();
+    sim.world_mut().insert(Stamps::default());
+    let stamper = sim.add("stamper", Stamper);
+    let mut id = 100;
+    for (shape, jobs) in batches {
+        let n = jobs.len();
+        for (to, ops) in jobs {
+            id += 1;
+            let job = D2dJob {
+                id,
+                ops,
+                reply_to: stamper,
+                tag: "sweep",
+            };
+            sim.kickoff(stamper, Go { to, job });
+        }
+        sim.run();
+        let stamps = &sim.world().expect::<Stamps>().0;
+        assert_eq!(stamps.len(), n, "{label} {shape}");
+        for &Stamp {
+            id,
+            submitted,
+            done,
+        } in stamps
+        {
+            let (done_at, ok) =
+                done.unwrap_or_else(|| panic!("{label} {shape}: job {id} never completed"));
+            assert!(ok, "{label} {shape}: job {id} failed");
+            let a = sim.world().obs.anatomy(id).expect("job traced");
+            let e2e = done_at - submitted;
+            assert_eq!(a.total_ns(), Some(e2e), "{label} {shape}: job {id} end");
+            let by_cat: u64 = a.by_category().iter().map(|(_, ns)| ns).sum();
+            assert_eq!(by_cat, e2e, "{label} {shape}: job {id} {a:?}");
+        }
+        sim.world_mut().expect_mut::<Stamps>().0.clear();
+    }
+}
+
+#[test]
+fn every_design_and_shape_has_an_exact_category_sum() {
+    for design in [
+        DesignUnderTest::Linux,
+        DesignUnderTest::SwOpt,
+        DesignUnderTest::SwP2p,
+        DesignUnderTest::DcsCtrl,
+    ] {
+        let mut tb = Testbed::new(design, &TestbedConfig::default());
+        let (server, client) = (tb.server.submit_to, tb.client.submit_to);
+        let batches = shapes(0)
+            .into_iter()
+            .map(|(shape, s, c)| (shape, vec![(client, c), (server, s)]))
+            .collect();
+        check_anatomies(&mut tb.sim, design.label(), batches);
+    }
+    // The consolidated device runs each shape alone: its receive
+    // synthesizes the payload, and it has no peer.
+    let mut sim = Simulator::new(5);
+    sim.world_mut().insert(PhysMemory::new());
+    let flash =
+        sim.world_mut()
+            .expect_mut::<PhysMemory>()
+            .alloc_region("fused-flash", 1 << 30, PortId(1));
+    let cpu = sim.add("fused-cpu", CpuPool::new("fused", 6));
+    let exec = sim.add("fused-exec", IntegratedExecutor::new(cpu, flash));
+    let batches = shapes(0)
+        .into_iter()
+        .map(|(shape, s, _)| (shape, vec![(exec, s)]))
+        .collect();
+    check_anatomies(&mut sim, "Device integration", batches);
 }

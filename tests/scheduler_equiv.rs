@@ -119,6 +119,9 @@ fn replay(
         }
     );
     tb.sim.run();
+    // Record each job's latency anatomy: both calendars must time every
+    // phase alike, not only the end.
+    tb.sim.world_mut().obs.enable();
     let addr = tb.server.ssds[0].lba_addr(0);
     tb.sim
         .world_mut()
@@ -182,8 +185,10 @@ fn serialize(tb: &Testbed, done: &[D2dDone]) -> String {
             "job id={} ok={} payload_len={} digest={:?}\n",
             d.id, d.ok, d.payload_len, d.digest
         ));
-        for (cat, ns) in d.breakdown.entries() {
-            out.push_str(&format!("  {}={ns}\n", cat.label()));
+        if let Some(a) = tb.sim.world().obs.anatomy(d.id) {
+            for (cat, ns) in &a.segments {
+                out.push_str(&format!("  {}={ns}\n", cat.label()));
+            }
         }
     }
     for (name, value) in tb.sim.world().stats.iter() {
