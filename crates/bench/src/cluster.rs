@@ -25,7 +25,7 @@
 //! sweep × differential-detection ablation), a degraded ToR link, and the
 //! crash-restart-rejoin lifecycle with bandwidth-capped anti-entropy.
 
-use dcs_cluster::{ClusterConfig, ClusterReport, Degrade, HealthConfig, LbPolicy, NodeFault};
+use dcs_cluster::{ClusterConfig, ClusterReport, HealthConfig, LbPolicy, NodeFault};
 use dcs_workloads::gen::SizeDistribution;
 
 use crate::{row, Cell, Report, Section, Table};
@@ -79,11 +79,12 @@ pub(crate) fn run_degrade(policy: LbPolicy, quick: bool) -> ClusterReport {
         nodes: 4,
         policy,
         offered_gbps_per_node: BASE_GBPS,
-        degrade: Some(Degrade {
+        node_faults: vec![NodeFault::LinkDegrade {
             node: 0,
             at_ns: cfg.warmup_ns,
-            factor: 0.1,
-        }),
+            for_ns: NodeFault::UNTIL_END,
+            speed_pct: 10,
+        }],
         ..cfg
     })
 }

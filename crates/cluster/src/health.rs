@@ -1,4 +1,13 @@
-//! Node-level failure detection and the per-node circuit breaker.
+//! The health layer: what the front end believes about each node, and
+//! what it does about it.
+//!
+//! [`HealthMonitor`] owns the probe loop (sequence numbers, acks,
+//! deadlines), the per-node state machines below, the routing mask, the
+//! retry budget and the hedge delay. It also owns
+//! [`HealthConfig::enabled`]: a disabled monitor is inert — every node
+//! stays Healthy and routable, the request hooks do nothing, and it
+//! grants no retries and no hedges — so the front end never asks whether
+//! the layer is on.
 //!
 //! The front end probes every node over the ToR switch's strict-priority
 //! control lane (see `TorSwitch::control_oneway_ns`). Each probe gets a
@@ -39,12 +48,15 @@
 //! events; the module owns no RNG, so detection times are reproducible
 //! bit-for-bit from the probe schedule alone.
 
-use dcs_sim::SimTime;
+use dcs_sim::{Ctx, Histogram, SimTime};
+
+use crate::switch::TorSwitch;
 
 /// Liveness state of one node as the front end believes it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum NodeState {
     /// Acking probes; fully routable.
+    #[default]
     Healthy,
     /// Missed at least `SUSPECT_AFTER` consecutive probe deadlines (or
     /// showed a retry-exhaustion burst); still routable, but hedges fire
@@ -74,9 +86,10 @@ pub enum NodeState {
 }
 
 /// Per-node circuit-breaker state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BreakerState {
     /// Normal operation.
+    #[default]
     Closed,
     /// Tripped by consecutive failures: unroutable until the open window
     /// elapses.
@@ -101,11 +114,6 @@ pub const BREAKER_OPEN_NS: u64 = 3_000_000;
 pub const REQUEST_RETRIES: u32 = 2;
 /// Floor for the hedge delay (and the delay used against Suspect nodes).
 pub const HEDGE_MIN_NS: u64 = 2_000_000;
-/// Pacing rate of the re-replication stream, Gbps (the bandwidth cap;
-/// chunks still serialize — and contend — on the ToR ports).
-pub const REPAIR_GBPS: f64 = 2.0;
-/// Chunk size of the re-replication stream.
-pub const REPAIR_CHUNK_BYTES: usize = 256 * 1024;
 /// Jump in the cluster-wide `SiteStats::exhausted` tally within one probe
 /// period that counts as a fault storm: nodes failing requests during
 /// such a burst are marked Suspect immediately instead of waiting out
@@ -238,7 +246,50 @@ pub enum SlowTransition {
     Readmitted(usize),
 }
 
-#[derive(Clone, Debug)]
+/// Heartbeat cadence: probe every node, then re-arm.
+#[derive(Debug)]
+pub(crate) struct ProbeTick;
+
+/// A probe frame finished arriving at the node.
+#[derive(Debug)]
+pub(crate) struct ProbeDelivered {
+    pub(crate) node: usize,
+    pub(crate) seq: u64,
+}
+
+/// A probe ack finished arriving back at the front end.
+#[derive(Debug)]
+pub(crate) struct ProbeAck {
+    node: usize,
+    seq: u64,
+}
+
+/// The probe's deadline: no ack by now counts as a miss.
+#[derive(Debug)]
+pub(crate) struct ProbeDeadline {
+    node: usize,
+    seq: u64,
+}
+
+/// What one probe tick changed, for the front end's report.
+#[derive(Debug)]
+pub(crate) struct Tick {
+    /// Nodes a contained-fault burst moved from Healthy to Degraded.
+    pub(crate) degraded: u64,
+    /// Nodes differential detection marked Slow, in node order.
+    pub(crate) slowed: Vec<usize>,
+    /// Slow nodes readmitted.
+    pub(crate) readmitted: u64,
+}
+
+/// Node `node` acks probe `seq`: the ack crosses the control lane back
+/// to the front end.
+pub(crate) fn ack_probe(ctx: &mut Ctx<'_>, switch: &TorSwitch, node: usize, seq: u64) {
+    let oneway = switch.control_oneway_ns(node, PROBE_BYTES);
+    ctx.send_self_in(oneway, ProbeAck { node, seq });
+}
+
+#[derive(Clone, Debug, Default)]
 struct NodeHealth {
     state: NodeState,
     /// Consecutive missed probe deadlines.
@@ -258,23 +309,14 @@ struct NodeHealth {
     slow_marks: u32,
     /// Consecutive below-threshold evaluations while Slow.
     fast_marks: u32,
-}
-
-impl NodeHealth {
-    fn new() -> NodeHealth {
-        NodeHealth {
-            state: NodeState::Healthy,
-            misses: 0,
-            breaker: BreakerState::Closed,
-            opened_at: SimTime::ZERO,
-            consecutive_failures: 0,
-            trial_inflight: false,
-            clean_acks: 0,
-            ewma_ns: 0,
-            slow_marks: 0,
-            fast_marks: 0,
-        }
-    }
+    /// Highest probe seq acked.
+    last_ack: u64,
+    /// Failed a request since the last probe tick (exhausted-burst
+    /// attribution).
+    fail_mark: bool,
+    /// Was dispatched a request since the last probe tick (contained-
+    /// burst attribution).
+    serve_mark: bool,
 }
 
 /// The front end's per-node health book-keeping (probes in, routing mask
@@ -284,6 +326,12 @@ impl NodeHealth {
 pub struct HealthMonitor {
     cfg: HealthConfig,
     nodes: Vec<NodeHealth>,
+    /// Last probe seq sent (probes are numbered across nodes).
+    probe_seq: u64,
+    /// The cluster-wide exhausted and contained fault tallies at the
+    /// last probe tick: the baselines a burst is measured against.
+    last_exhausted: u64,
+    last_contained: u64,
 }
 
 impl HealthMonitor {
@@ -291,7 +339,160 @@ impl HealthMonitor {
     pub fn new(cfg: &HealthConfig, n: usize) -> HealthMonitor {
         HealthMonitor {
             cfg: cfg.clone(),
-            nodes: vec![NodeHealth::new(); n],
+            nodes: vec![NodeHealth::default(); n],
+            probe_seq: 0,
+            last_exhausted: 0,
+            last_contained: 0,
+        }
+    }
+
+    /// Traffic starts: arm the probe loop (not on a disabled monitor).
+    pub(crate) fn start(&self, ctx: &mut Ctx<'_>) {
+        if self.cfg.enabled {
+            ctx.send_self_in(PROBE_PERIOD_NS, ProbeTick);
+        }
+    }
+
+    /// One probe tick. A jump in the cluster-wide retry-exhaustion tally
+    /// is a fault storm: nodes that failed requests since the last tick
+    /// turn Suspect at once instead of waiting out probe deadlines. A
+    /// jump in the *contained*-fault tally (corruptions detected and
+    /// recovered in place: ECRC replays, completion-entry rewrites,
+    /// device resets) marks the nodes that were serving Degraded — not
+    /// Suspect, and never Dead: every one of those errors was caught.
+    /// Then one differential evaluation, a probe to every node over
+    /// `switch`'s control lane with its deadline, and the next tick.
+    pub(crate) fn on_probe_tick(&mut self, ctx: &mut Ctx<'_>, switch: &TorSwitch) -> Tick {
+        let now = ctx.now();
+        let exhausted = dcs_sim::fault::exhausted_total(ctx.world_ref());
+        if exhausted.saturating_sub(self.last_exhausted) >= EXHAUSTED_BURST {
+            for node in 0..self.nodes.len() {
+                if self.nodes[node].fail_mark {
+                    self.on_exhausted_burst(node, now);
+                }
+            }
+        }
+        self.last_exhausted = exhausted;
+        let contained = dcs_sim::fault::contained_total(ctx.world_ref());
+        let mut degraded = 0;
+        if contained.saturating_sub(self.last_contained) >= CONTAINED_BURST {
+            for node in 0..self.nodes.len() {
+                if self.nodes[node].serve_mark {
+                    if self.state(node) == NodeState::Healthy {
+                        ctx.world().stats.counter("cluster.nodes_degraded").add(1);
+                        degraded += 1;
+                    }
+                    self.on_contained_burst(node);
+                }
+            }
+        }
+        self.last_contained = contained;
+        for n in &mut self.nodes {
+            n.fail_mark = false;
+            n.serve_mark = false;
+        }
+        let (mut slowed, mut readmitted) = (Vec::new(), 0);
+        for t in self.evaluate_slow() {
+            let counter = match t {
+                SlowTransition::Slowed(node) => {
+                    slowed.push(node);
+                    "cluster.node_slow"
+                }
+                SlowTransition::Readmitted(_) => {
+                    readmitted += 1;
+                    "cluster.node_readmitted"
+                }
+            };
+            ctx.world().stats.counter(counter).add(1);
+        }
+        for node in 0..self.nodes.len() {
+            self.probe_seq += 1;
+            let seq = self.probe_seq;
+            let oneway = switch.control_oneway_ns(node, PROBE_BYTES);
+            ctx.send_self_in(oneway, ProbeDelivered { node, seq });
+            ctx.send_self_in(self.cfg.probe_timeout_ns, ProbeDeadline { node, seq });
+        }
+        ctx.send_self_in(PROBE_PERIOD_NS, ProbeTick);
+        Tick {
+            degraded,
+            slowed,
+            readmitted,
+        }
+    }
+
+    /// Probe `seq`'s ack from `node` arrived. The Revived transition
+    /// flips the routing state by itself; the front end's resume path
+    /// is the one place a node comes back.
+    pub(crate) fn on_ack(&mut self, msg: &ProbeAck, now: SimTime) {
+        let n = &mut self.nodes[msg.node];
+        n.last_ack = n.last_ack.max(msg.seq);
+        let _: Option<Transition> = self.on_probe_ack(msg.node, now);
+    }
+
+    /// Probe `seq`'s deadline for `node` passed. Returns the node when
+    /// this miss declared it Dead.
+    pub(crate) fn on_deadline(&mut self, msg: &ProbeDeadline, now: SimTime) -> Option<usize> {
+        if self.nodes[msg.node].last_ack >= msg.seq {
+            return None;
+        }
+        (self.on_probe_miss(msg.node, now) == Some(Transition::Died)).then_some(msg.node)
+    }
+
+    /// Failover re-dispatches a new request may spend if its node dies
+    /// with it in flight (none on a disabled monitor: the request is
+    /// simply lost).
+    pub(crate) fn retries(&self) -> u32 {
+        if self.cfg.enabled {
+            REQUEST_RETRIES
+        } else {
+            0
+        }
+    }
+
+    /// Phantom outstanding requests queue-aware policies charge `node`:
+    /// a Slow node stays routable, but new work goes to faster replicas
+    /// first.
+    pub(crate) fn load_penalty(&self, node: usize) -> usize {
+        if self.state(node) == NodeState::Slow {
+            SLOW_LOAD_PENALTY
+        } else {
+            0
+        }
+    }
+
+    /// How long to wait before hedging a read on `node`, given the
+    /// window's served `latency` so far: the minimum against a Suspect,
+    /// Degraded or Slow node, else the measured p99 (clamped) once the
+    /// histogram has signal, else the configured default. `None` on a
+    /// disabled monitor: no hedges.
+    pub(crate) fn hedge_delay(&self, node: usize, latency: &Histogram) -> Option<u64> {
+        if !self.cfg.enabled {
+            return None;
+        }
+        if matches!(
+            self.state(node),
+            NodeState::Suspect | NodeState::Degraded | NodeState::Slow
+        ) {
+            return Some(HEDGE_MIN_NS);
+        }
+        if latency.count() >= 64 {
+            if let Some(p99) = latency.percentile(99.0) {
+                return Some(p99.clamp(HEDGE_MIN_NS, self.cfg.hedge_max_ns));
+            }
+        }
+        Some(self.cfg.hedge_default_ns)
+    }
+
+    /// The winning leg of a request on `node` completed, `ok` or not.
+    pub(crate) fn on_request_done(&mut self, node: usize, ok: bool, now: SimTime) {
+        if !self.cfg.enabled {
+            return;
+        }
+        if ok {
+            self.on_request_success(node);
+        } else {
+            self.on_request_failure(node, now);
+            self.nodes[node].fail_mark = true;
         }
     }
 
@@ -386,7 +587,7 @@ impl HealthMonitor {
     pub fn record_latency(&mut self, node: usize, sample_ns: u64) {
         let shift = EWMA_SHIFT;
         let n = &mut self.nodes[node];
-        if matches!(n.state, NodeState::Dead | NodeState::Joining) {
+        if !self.cfg.enabled || matches!(n.state, NodeState::Dead | NodeState::Joining) {
             return;
         }
         if n.ewma_ns == 0 {
@@ -468,18 +669,23 @@ impl HealthMonitor {
     /// A crashed node restarted: it comes back *empty* in `Joining` —
     /// alive to probes but unroutable until anti-entropy repair and cache
     /// warm-up complete ([`complete_join`](Self::complete_join)). Its
-    /// EWMA and hysteresis restart from scratch.
-    pub(crate) fn begin_join(&mut self, node: usize) {
+    /// EWMA and hysteresis restart from scratch. Returns whether the
+    /// rejoin lifecycle runs: a disabled monitor leaves the node to
+    /// serve again at once, unmanaged.
+    pub(crate) fn begin_join(&mut self, node: usize) -> bool {
+        if !self.cfg.enabled {
+            return false;
+        }
         let n = &mut self.nodes[node];
-        n.state = NodeState::Joining;
-        n.misses = 0;
-        n.breaker = BreakerState::Closed;
-        n.consecutive_failures = 0;
-        n.trial_inflight = false;
-        n.clean_acks = 0;
-        n.ewma_ns = 0;
-        n.slow_marks = 0;
-        n.fast_marks = 0;
+        *n = NodeHealth {
+            state: NodeState::Joining,
+            opened_at: n.opened_at,
+            last_ack: n.last_ack,
+            fail_mark: n.fail_mark,
+            serve_mark: n.serve_mark,
+            ..NodeHealth::default()
+        };
+        true
     }
 
     /// The rejoin lifecycle finished: the node is routable again.
@@ -490,7 +696,7 @@ impl HealthMonitor {
     }
 
     /// A request to `node` completed successfully.
-    pub(crate) fn on_request_success(&mut self, node: usize) {
+    fn on_request_success(&mut self, node: usize) {
         let n = &mut self.nodes[node];
         n.consecutive_failures = 0;
         if n.breaker == BreakerState::HalfOpen {
@@ -500,7 +706,7 @@ impl HealthMonitor {
     }
 
     /// A request to `node` completed with an error.
-    pub(crate) fn on_request_failure(&mut self, node: usize, now: SimTime) {
+    fn on_request_failure(&mut self, node: usize, now: SimTime) {
         let n = &mut self.nodes[node];
         n.consecutive_failures = n.consecutive_failures.saturating_add(1);
         match n.breaker {
@@ -575,6 +781,9 @@ impl HealthMonitor {
     ///
     /// [`HashRing::replicas_excluding`]: crate::HashRing::replicas_excluding
     pub(crate) fn unroutable_mask(&mut self, now: SimTime) -> Vec<bool> {
+        if !self.cfg.enabled {
+            return vec![false; self.nodes.len()];
+        }
         (0..self.nodes.len())
             .map(|n| !self.routable(n, now))
             .collect()
@@ -583,7 +792,11 @@ impl HealthMonitor {
     /// The driver dispatched a request to `node`; a half-open breaker
     /// spends its single trial on it.
     pub(crate) fn on_dispatch(&mut self, node: usize) {
+        if !self.cfg.enabled {
+            return;
+        }
         let n = &mut self.nodes[node];
+        n.serve_mark = true;
         if n.breaker == BreakerState::HalfOpen {
             n.trial_inflight = true;
         }
@@ -609,232 +822,4 @@ impl HealthMonitor {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn t(ns: u64) -> SimTime {
-        SimTime::ZERO + ns
-    }
-
-    fn monitor() -> HealthMonitor {
-        HealthMonitor::new(&HealthConfig::default(), 2)
-    }
-
-    #[test]
-    fn misses_walk_healthy_suspect_dead_and_ack_revives() {
-        let mut m = monitor();
-        assert_eq!(m.state(0), NodeState::Healthy);
-        assert_eq!(m.on_probe_miss(0, t(1)), None);
-        assert_eq!(m.state(0), NodeState::Healthy, "one miss is noise");
-        assert_eq!(m.on_probe_miss(0, t(2)), None);
-        assert_eq!(m.state(0), NodeState::Suspect);
-        assert!(m.score(0) < 1.0);
-        assert_eq!(m.on_probe_miss(0, t(3)), None);
-        assert_eq!(m.on_probe_miss(0, t(4)), Some(Transition::Died));
-        assert_eq!(m.state(0), NodeState::Dead);
-        assert!(m.score(0) >= 1.0);
-        assert!(!m.routable(0, t(5)));
-        // Node 1 is untouched throughout.
-        assert_eq!(m.state(1), NodeState::Healthy);
-        // A late ack (hang ended) revives it in one step.
-        assert_eq!(m.on_probe_ack(0, t(6)), Some(Transition::Revived));
-        assert_eq!(m.state(0), NodeState::Healthy);
-        assert!(m.routable(0, t(7)));
-        // Dying again re-reports the transition.
-        for i in 0..3 {
-            assert_eq!(m.on_probe_miss(0, t(8 + i)), None);
-        }
-        assert_eq!(m.on_probe_miss(0, t(12)), Some(Transition::Died));
-    }
-
-    #[test]
-    fn breaker_opens_after_k_failures_and_half_open_trial_decides() {
-        let mut m = monitor();
-        // Interleaved successes keep resetting the consecutive count.
-        for i in 0..10 {
-            m.on_request_failure(0, t(i));
-            m.on_request_success(0);
-        }
-        assert_eq!(m.breaker(0), BreakerState::Closed);
-        for i in 0..3 {
-            m.on_request_failure(0, t(100 + i));
-        }
-        assert_eq!(m.breaker(0), BreakerState::Open);
-        assert!(!m.routable(0, t(110)), "open breaker blocks routing");
-        // After the open window: half-open admits exactly one trial.
-        let later = t(100 + 2 + 3_000_000);
-        assert!(m.routable(0, later));
-        assert_eq!(m.breaker(0), BreakerState::HalfOpen);
-        m.on_dispatch(0);
-        assert!(!m.routable(0, later), "one trial at a time");
-        // Trial fails: reopen (and the window restarts from now).
-        m.on_request_failure(0, later);
-        assert_eq!(m.breaker(0), BreakerState::Open);
-        assert!(!m.routable(0, later + 1_000_000));
-        // Next half-open trial succeeds: closed.
-        let again = later + 3_000_000;
-        assert!(m.routable(0, again));
-        m.on_dispatch(0);
-        m.on_request_success(0);
-        assert_eq!(m.breaker(0), BreakerState::Closed);
-        assert!(m.routable(0, again));
-    }
-
-    #[test]
-    fn probe_ack_closes_an_open_breaker() {
-        let mut m = monitor();
-        for i in 0..3 {
-            m.on_request_failure(1, t(i));
-        }
-        assert_eq!(m.breaker(1), BreakerState::Open);
-        m.on_probe_ack(1, t(10));
-        assert_eq!(m.breaker(1), BreakerState::Closed);
-        assert!(m.routable(1, t(11)));
-    }
-
-    #[test]
-    fn exhausted_burst_jumps_straight_to_suspect() {
-        let mut m = monitor();
-        m.on_exhausted_burst(0, t(1));
-        assert_eq!(m.state(0), NodeState::Suspect);
-        // It feeds the breaker too: two more failures open it.
-        m.on_request_failure(0, t(2));
-        m.on_request_failure(0, t(3));
-        assert_eq!(m.breaker(0), BreakerState::Open);
-        // But bursts alone never declare death — only probes do, which is
-        // what keeps detection times policy-invariant.
-        for i in 0..20 {
-            m.on_exhausted_burst(0, t(10 + i));
-        }
-        assert_eq!(m.state(0), NodeState::Suspect);
-    }
-
-    #[test]
-    fn contained_burst_degrades_without_unrouting() {
-        let mut m = monitor();
-        m.on_contained_burst(0);
-        assert_eq!(m.state(0), NodeState::Degraded);
-        // Degraded stays routable and never opens the breaker.
-        assert!(m.routable(0, t(1)));
-        assert_eq!(m.breaker(0), BreakerState::Closed);
-        // One clean ack is not enough; two clear it.
-        m.on_probe_ack(0, t(2));
-        assert_eq!(m.state(0), NodeState::Degraded);
-        m.on_probe_ack(0, t(3));
-        assert_eq!(m.state(0), NodeState::Healthy);
-        // Liveness doubt outranks the downgrade.
-        m.on_contained_burst(0);
-        m.on_probe_miss(0, t(4));
-        m.on_probe_miss(0, t(5));
-        assert_eq!(m.state(0), NodeState::Suspect);
-        // A miss between acks restarts the clean-ack requirement.
-        m.on_probe_ack(0, t(6));
-        m.on_contained_burst(0);
-        m.on_probe_ack(0, t(7));
-        m.on_probe_miss(0, t(8));
-        m.on_probe_ack(0, t(9));
-        assert_eq!(m.state(0), NodeState::Degraded, "miss reset the streak");
-        m.on_probe_ack(0, t(10));
-        assert_eq!(m.state(0), NodeState::Healthy);
-    }
-
-    #[test]
-    fn slow_detection_walks_hysteresis_both_ways() {
-        let mut m = HealthMonitor::new(&HealthConfig::default(), 4);
-        // Nodes 0-2 serve at ~1 ms; node 3 at ~10 ms.
-        for _ in 0..16 {
-            for n in 0..3 {
-                m.record_latency(n, 1_000_000);
-            }
-            m.record_latency(3, 10_000_000);
-        }
-        assert!(m.ewma_ns(3) > 5_000_000, "EWMA converges toward samples");
-        // slow_after = 3 evaluations before the transition fires.
-        assert_eq!(m.evaluate_slow(), vec![]);
-        assert_eq!(m.evaluate_slow(), vec![]);
-        assert_eq!(m.evaluate_slow(), vec![SlowTransition::Slowed(3)]);
-        assert_eq!(m.state(3), NodeState::Slow);
-        assert_eq!(m.slow_count(), 1);
-        // Slow stays routable — that is the whole point.
-        assert!(m.routable(3, t(1)));
-        // The fault ends; fast samples drag the EWMA back down.
-        for _ in 0..64 {
-            m.record_latency(3, 1_000_000);
-        }
-        // readmit_after = 6 below-threshold evaluations readmit it.
-        for _ in 0..5 {
-            assert_eq!(m.evaluate_slow(), vec![]);
-        }
-        assert_eq!(m.evaluate_slow(), vec![SlowTransition::Readmitted(3)]);
-        assert_eq!(m.state(3), NodeState::Healthy);
-    }
-
-    #[test]
-    fn blind_config_never_marks_slow() {
-        let mut m = HealthMonitor::new(&HealthConfig::blind(), 2);
-        for _ in 0..32 {
-            m.record_latency(0, 1_000_000);
-            m.record_latency(1, 50_000_000);
-        }
-        for _ in 0..10 {
-            assert_eq!(m.evaluate_slow(), vec![]);
-        }
-        assert_eq!(m.state(1), NodeState::Healthy);
-    }
-
-    #[test]
-    fn probe_misses_outrank_slow() {
-        let mut m = HealthMonitor::new(&HealthConfig::default(), 4);
-        for _ in 0..16 {
-            for n in 0..3 {
-                m.record_latency(n, 1_000_000);
-            }
-            m.record_latency(3, 20_000_000);
-        }
-        for _ in 0..3 {
-            m.evaluate_slow();
-        }
-        assert_eq!(m.state(3), NodeState::Slow);
-        m.on_probe_miss(3, t(1));
-        m.on_probe_miss(3, t(2));
-        assert_eq!(m.state(3), NodeState::Suspect, "liveness doubt wins");
-        for i in 0..2 {
-            m.on_probe_miss(3, t(3 + i));
-        }
-        assert_eq!(m.state(3), NodeState::Dead);
-    }
-
-    #[test]
-    fn joining_is_unroutable_until_completed_and_acks_do_not_promote() {
-        let mut m = monitor();
-        for _ in 0..4 {
-            m.on_probe_miss(0, t(1));
-        }
-        assert_eq!(m.state(0), NodeState::Dead);
-        m.begin_join(0);
-        assert_eq!(m.state(0), NodeState::Joining);
-        assert!(!m.routable(0, t(2)), "joining nodes take no traffic");
-        // Probe acks keep it alive but do not make it routable.
-        assert_eq!(m.on_probe_ack(0, t(3)), None);
-        assert_eq!(m.state(0), NodeState::Joining);
-        // Misses during the join drive no transition either.
-        assert_eq!(m.on_probe_miss(0, t(4)), None);
-        assert_eq!(m.state(0), NodeState::Joining);
-        m.complete_join(0);
-        assert_eq!(m.state(0), NodeState::Healthy);
-        assert!(m.routable(0, t(5)));
-    }
-
-    #[test]
-    fn mask_reflects_dead_and_open_nodes() {
-        let mut m = monitor();
-        for _ in 0..4 {
-            m.on_probe_miss(0, t(1));
-        }
-        for i in 0..3 {
-            m.on_request_failure(1, t(2 + i));
-        }
-        assert_eq!(m.unroutable_mask(t(10)), vec![true, true]);
-        assert_eq!(m.dead_count(), 1);
-    }
-}
+mod tests;

@@ -21,20 +21,30 @@
 //! tenants with node read caches through the same trait.
 //!
 //! Everything composes with the fault layer from `dcs-sim`: a
-//! [`FaultPlan`] injects wire/flash/PCIe faults inside
-//! any node, and [`Degrade`] slows one node's switch port mid-run — the
-//! queue-aware policies observe the backlog and reroute, which is the
-//! cluster-level payoff the `repro cluster` sweep quantifies.
+//! [`FaultPlan`] injects wire/flash/PCIe faults inside any node. A
+//! [`NodeFault`] acts on a node as a whole: it crashes (and may
+//! restart), hangs, serves slowly, or has its switch port degraded
+//! (`LinkDegrade`, the `repro cluster` degraded-node panel, where the
+//! queue-aware policies observe the backlog and reroute).
 //!
-//! Whole-node failures ([`NodeFault`]: crashes, hangs and gray failures)
-//! are handled by the failure-tolerance layer in [`health`], for every
-//! service alike: heartbeat probing over the switch's strict-priority
-//! control lane, a per-node circuit breaker, replica failover with
-//! bounded retries, hedged reads, write fallback to surviving replicas,
-//! differential slow-node detection, bandwidth-capped re-replication of
-//! the dead node's shards, and the crash-restart rejoin lifecycle — the
-//! `repro cluster-failover` sweep measures detection time, availability
-//! through the failure, and time-to-repair.
+//! The front end is split along its three jobs, as modules of the one
+//! [`ClusterDriver`] component:
+//!
+//! - [`driver`] serves requests: arrivals, routing, admission, hedging,
+//!   dispatch, responses, failover and the measurement window.
+//! - [`node_fault`] is fault injection, the ground truth of what the rack
+//!   does to a node: whether work reaching it runs, vanishes or waits,
+//!   and how much slower it serves.
+//! - [`health`] is what the front end believes about a node and what it
+//!   does about it, for every service alike: heartbeat probing over the
+//!   switch's strict-priority control lane, a per-node circuit breaker,
+//!   the failover retry budget, hedge delays, write fallback to
+//!   surviving replicas and differential slow-node detection.
+//!
+//! A private `repair` module streams a dead node's shards to ring
+//! successors and a restarted node's back to it (the rejoin lifecycle).
+//! The `repro cluster-failover` sweep measures detection time,
+//! availability through the failure, and time-to-repair.
 //!
 //! ```
 //! use dcs_cluster::{run_cluster, ClusterConfig, LbPolicy};
@@ -51,17 +61,20 @@
 
 pub mod driver;
 pub mod health;
+pub mod node_fault;
 pub mod policy;
 pub mod qos;
+mod repair;
 pub mod report;
 pub mod service;
 pub mod shard;
 pub mod switch;
 
-pub use driver::{ClusterConfig, ClusterDriver, ClusterNode, ClusterOutcome, Degrade, NodeFault};
+pub use driver::ClusterDriver;
 pub use health::{
     BreakerState, HealthConfig, HealthMonitor, NodeState, SlowTransition, Transition,
 };
+pub use node_fault::NodeFault;
 pub use policy::{LbPolicy, NodeLoad};
 pub use qos::{FairQueue, QosPolicy, QosQueue};
 pub use report::{ClusterReport, NodePerf, PhasePerf, TenantPerf};
@@ -71,6 +84,102 @@ pub use switch::{Lane, SwitchConfig, TorSwitch};
 
 use dcs_sim::{ComponentId, FaultPlan, Rng, Simulator};
 use dcs_workloads::build_testbed_nodes;
+use dcs_workloads::gen::SizeDistribution;
+use dcs_workloads::scenario::NodeRef;
+
+/// Full description of a cluster experiment.
+#[derive(Clone, Debug)]
+pub struct ClusterConfig {
+    /// Number of DCS server nodes.
+    pub nodes: usize,
+    /// Design each node runs (the HDC Engine, or a software baseline).
+    pub design: dcs_workloads::DesignUnderTest,
+    /// Load-balancing policy at the front end.
+    pub policy: LbPolicy,
+    /// Replica count per object (GETs choose among these).
+    pub replication: usize,
+    /// Virtual nodes per physical node on the hash ring.
+    pub vnodes_per_node: usize,
+    /// Size of the object-id space.
+    pub objects: u64,
+    /// Fraction of requests that are GETs.
+    pub get_fraction: f64,
+    /// Object-size distribution.
+    pub sizes: SizeDistribution,
+    /// Offered load per node, Gbps (cluster offered load is this × N).
+    pub offered_gbps_per_node: f64,
+    /// Total run length.
+    pub duration_ns: u64,
+    /// Warm-up trimmed from measurements.
+    pub warmup_ns: u64,
+    /// Per-node concurrent request limit (admission control).
+    pub max_outstanding: usize,
+    /// Per-node admission queue bound per arrival stream; beyond it
+    /// requests are shed.
+    pub queue_cap: usize,
+    /// Top-of-rack switch provisioning.
+    pub switch: SwitchConfig,
+    /// Per-node testbed parameters (SSD count, node wire).
+    pub testbed: dcs_workloads::TestbedConfig,
+    /// Simulation seed (drives arrivals, sizes, and any fault plan).
+    pub seed: u64,
+    /// If positive, installs `FaultPlan::uniform(rate)` over every
+    /// injection site in every node before traffic starts.
+    pub fault_rate: f64,
+    /// Whole-node faults to inject: crashes, hangs, fail-slow nodes and
+    /// degraded switch ports.
+    pub node_faults: Vec<NodeFault>,
+    /// The failure-tolerance layer (probing, failover, hedging, repair);
+    /// [`HealthConfig::disabled`] is the ablation arm.
+    pub health: HealthConfig,
+}
+
+impl Default for ClusterConfig {
+    fn default() -> Self {
+        ClusterConfig {
+            nodes: 4,
+            design: dcs_workloads::DesignUnderTest::DcsCtrl,
+            policy: LbPolicy::JoinShortestQueue,
+            replication: 2,
+            // Placement spread shrinks like 1/sqrt(vnodes); 256 keeps the
+            // hottest node within ~10% of the mean, which matters because
+            // PUTs are pinned to primaries and cannot be rerouted.
+            vnodes_per_node: 256,
+            objects: 4096,
+            get_fraction: 0.67,
+            sizes: SizeDistribution::default(),
+            offered_gbps_per_node: 6.0,
+            duration_ns: dcs_sim::time::ms(30),
+            warmup_ns: dcs_sim::time::ms(5),
+            // The node pipeline (SSD → hash → NIC, 48-deep wire interleave)
+            // needs ~48 concurrent requests to reach line rate; the queue
+            // bound keeps worst-case sojourn a small multiple of service.
+            max_outstanding: 48,
+            queue_cap: 64,
+            switch: SwitchConfig::default(),
+            testbed: dcs_workloads::TestbedConfig::default(),
+            seed: 0xDC5C,
+            fault_rate: 0.0,
+            node_faults: vec![],
+            health: HealthConfig::default(),
+        }
+    }
+}
+
+/// The finished report, left in the world when the window closes (or, if a
+/// repair stream outlives the window, when the repair completes).
+#[derive(Debug)]
+pub struct ClusterOutcome(pub ClusterReport);
+
+/// One cluster node as the front end sees it: the measured server and its
+/// rack-side access peer (the opposite end of the node's downlink wire).
+#[derive(Clone, Debug)]
+pub struct ClusterNode {
+    /// The DCS server.
+    pub server: NodeRef,
+    /// The access endpoint terminating the node's downlink at the rack.
+    pub access: NodeRef,
+}
 
 /// A built (but not yet run) cluster.
 pub struct Cluster {

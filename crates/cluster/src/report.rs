@@ -2,6 +2,8 @@
 
 use dcs_sim::Histogram;
 
+use crate::service::{CacheDecision, Request};
+
 /// What one node contributed within the measurement window.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NodePerf {
@@ -94,7 +96,7 @@ impl PhasePerf {
 }
 
 /// Cluster-wide measurements over the (warm-up-trimmed) window.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ClusterReport {
     /// Measured span, ns.
     pub span_ns: u64,
@@ -169,44 +171,6 @@ pub struct ClusterReport {
     pub per_tenant: Vec<TenantPerf>,
 }
 
-impl Default for ClusterReport {
-    fn default() -> Self {
-        ClusterReport {
-            span_ns: 0,
-            requests: 0,
-            bytes: 0,
-            rejected: 0,
-            failures: 0,
-            get_ok: 0,
-            get_denied: 0,
-            put_ok: 0,
-            put_denied: 0,
-            hedged: 0,
-            hedge_wins: 0,
-            retried: 0,
-            lost: 0,
-            put_fallbacks: 0,
-            degraded_marks: 0,
-            detection_ns: None,
-            slow_detection_ns: None,
-            slow_evictions: 0,
-            slow_readmissions: 0,
-            repair_bytes: 0,
-            repair_ns: None,
-            rejoin_bytes: 0,
-            rejoin_ns: None,
-            warmup_bytes: 0,
-            phases: None,
-            cache_hits: 0,
-            cache_misses: 0,
-            stale_served: 0,
-            latency: Histogram::new(),
-            per_node: vec![],
-            per_tenant: vec![],
-        }
-    }
-}
-
 impl ClusterReport {
     /// Served goodput in Gbps (completed, non-failed payload only).
     pub fn goodput_gbps(&self) -> f64 {
@@ -268,6 +232,86 @@ impl ClusterReport {
             return 0.0;
         }
         self.cache_hits as f64 / gets as f64
+    }
+}
+
+/// Why a resolved request went unserved.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Denial {
+    /// Shed at admission, or no replica was routable.
+    Rejected,
+    /// Stranded on a failed node with its retry budget spent.
+    Lost,
+    /// Its node completed it with an error.
+    Failed,
+}
+
+impl ClusterReport {
+    /// Tallies a resolved request that was not served, and `node`'s
+    /// share when it got as far as a node.
+    pub(crate) fn tally_denied<Op>(&mut self, req: &Request<Op>, node: Option<usize>, why: Denial) {
+        if req.write {
+            self.put_denied += 1;
+        } else {
+            self.get_denied += 1;
+        }
+        if let Some(t) = self.per_tenant.get_mut(req.stream) {
+            t.denied += 1;
+        }
+        let (total, per_node): (&mut u64, fn(&mut NodePerf) -> &mut u64) = match why {
+            Denial::Rejected => (&mut self.rejected, |p| &mut p.rejected),
+            Denial::Lost => (&mut self.lost, |p| &mut p.lost),
+            Denial::Failed => (&mut self.failures, |p| &mut p.failures),
+        };
+        *total += 1;
+        if let Some(n) = node {
+            *per_node(&mut self.per_node[n]) += 1;
+        }
+    }
+
+    /// Tallies a request `node` served in `latency_ns` end to end;
+    /// `hedge` when the winning leg was the hedged copy.
+    pub(crate) fn tally_served<Op>(
+        &mut self,
+        node: usize,
+        req: &Request<Op>,
+        latency_ns: u64,
+        hedge: bool,
+        cache: Option<CacheDecision>,
+    ) {
+        let len = req.len as u64;
+        self.requests += 1;
+        self.bytes += len;
+        self.per_node[node].requests += 1;
+        self.per_node[node].bytes += len;
+        self.latency.record(latency_ns);
+        if req.write {
+            self.put_ok += 1;
+        } else {
+            self.get_ok += 1;
+        }
+        if hedge {
+            self.hedge_wins += 1;
+        }
+        let hit = cache.map(|c| c.hit);
+        match hit {
+            Some(true) => self.cache_hits += 1,
+            Some(false) => self.cache_misses += 1,
+            None => {}
+        }
+        if let Some(t) = self.per_tenant.get_mut(req.stream) {
+            t.ok += 1;
+            t.bytes += len;
+            t.latency.record(latency_ns);
+            if t.slo_ns == 0 || latency_ns <= t.slo_ns {
+                t.slo_met += 1;
+            }
+            match hit {
+                Some(true) => t.cache_hits += 1,
+                Some(false) => t.cache_misses += 1,
+                None => {}
+            }
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! What the request lifecycle asks of a workload.
 //!
-//! [`ClusterDriver`](crate::ClusterDriver) owns everything a request goes
+//! [`ClusterDriver`](crate::ClusterDriver) runs everything a request goes
 //! through once it exists: admission, routing, dispatch, the health
 //! layer, failover, hedging, repair and rejoin, and the window close. A
 //! [`Service`] supplies only what differs between workloads: where
@@ -12,14 +12,17 @@
 
 use std::fmt;
 
+use dcs_host::job::D2dOp;
+use dcs_ndp::NdpFunction;
+use dcs_nic::TcpFlow;
 use dcs_sim::{Ctx, Rng};
 use dcs_workloads::gen::{poisson_gap, SizeDistribution};
 
-use crate::driver::ClusterConfig;
 use crate::qos::QosPolicy;
 use crate::report::{ClusterReport, TenantPerf};
 use crate::shard::HashRing;
 use crate::switch::Lane;
+use crate::ClusterConfig;
 
 /// One request as the lifecycle routes it.
 #[derive(Clone, Copy, Debug)]
@@ -47,6 +50,48 @@ pub struct CacheDecision {
     pub hit: bool,
     /// The object's committed version when the decision was taken.
     pub version: u64,
+}
+
+/// The device jobs that serve one request on its node, the receiving
+/// end's first, each as (runs on the server rather than its access peer,
+/// ops, tag). A read's server sends flash → integrity hash → downlink
+/// (DRAM → downlink on a cache `hit`, hashed at admission) to the access
+/// peer; a write's access peer streams the body down the node link and
+/// the server receives, verifies and persists it at `lba`. The
+/// request's admission `slot` picks its TCP ports; `server_tag` tags the
+/// server's job.
+pub(crate) fn node_jobs(
+    write: bool,
+    hit: bool,
+    len: usize,
+    lba: u64,
+    slot: u16,
+    server_tag: &'static str,
+) -> [(bool, Vec<D2dOp>, &'static str); 2] {
+    let flow = if write {
+        TcpFlow::example(2, 1, 30_000 + slot, 8_100 + slot)
+    } else {
+        TcpFlow::example(1, 2, 20_000 + slot, 8_000 + slot)
+    };
+    let md5 = D2dOp::Process {
+        function: NdpFunction::Md5,
+        aux: vec![],
+    };
+    let mut recv = vec![D2dOp::NicRecv {
+        flow: flow.reversed(),
+        len,
+    }];
+    let mut send = vec![D2dOp::SsdRead { ssd: 0, lba, len }];
+    if write {
+        recv.extend([md5, D2dOp::SsdWrite { ssd: 0, lba }]);
+    } else if hit {
+        send = vec![D2dOp::MemRead { len }];
+    } else {
+        send.push(md5);
+    }
+    send.push(D2dOp::NicSend { flow, seq: 0 });
+    let tag = |on_server: bool| if on_server { server_tag } else { "access" };
+    [(write, recv, tag(write)), (!write, send, tag(!write))]
 }
 
 /// The workload-specific half of a front end; see the module docs.

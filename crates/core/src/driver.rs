@@ -266,21 +266,24 @@ impl HdcDriver {
     }
 
     fn on_poll(&mut self, ctx: &mut Ctx<'_>) {
-        if !fault::active(ctx.world_ref()) {
+        let Some(rc) = fault::recovery(ctx.world_ref()) else {
             self.poll_armed = false;
             return;
-        }
+        };
         ctx.world().stats.counter("hdc.drv_polls").add(1);
         self.drain_completions(ctx);
         // Fail jobs whose completion record was lost for good (e.g. a
         // poisoned record the engine could not rewrite): the engine-side
         // watchdog already accounted the fault, so this is containment
         // only — the submitter gets a clean `ok = false` instead of a hang.
+        // The deadline outlasts the NVMe ladder, whose reset rung may
+        // still complete the job.
         let now = ctx.now();
+        let limit = dcs_nvme::ladder_bound_ns(&rc);
         let stale: Vec<u64> = self
             .jobs
             .iter()
-            .filter(|(_, j)| now - j.submitted_at > fault::OP_TIMEOUT_NS)
+            .filter(|(_, j)| now - j.submitted_at > limit)
             .map(|(&id, _)| id)
             .collect();
         for id in stale {

@@ -1135,11 +1135,12 @@ impl HdcEngine {
         }
         // Receive expectations the receive ladder finds stalled: the
         // sender gave up (or never existed); fail them cleanly.
+        let limit = dcs_nvme::ladder_bound_ns(&rc);
         let stale: Vec<usize> = self
             .expectations
             .iter()
             .enumerate()
-            .filter(|(_, e)| stalled(now - e.last_progress))
+            .filter(|(_, e)| stalled(now - e.last_progress, limit))
             .map(|(i, _)| i)
             .collect();
         for i in stale.into_iter().rev() {
@@ -1153,7 +1154,7 @@ impl HdcEngine {
         while self
             .tx_fifo
             .front()
-            .is_some_and(|&(_, t, _)| stalled(now - t))
+            .is_some_and(|&(_, t, _)| stalled(now - t, fault::OP_TIMEOUT_NS))
         {
             self.tx_fifo.pop_front();
             ctx.world().stats.counter("hdc.stale_tx_entries").add(1);

@@ -566,6 +566,47 @@ fn lost_cqe_climbs_the_reset_ladder_and_recovers() {
 }
 
 #[test]
+fn a_lost_write_cqe_is_saved_by_the_reset_rung_before_the_job_deadline() {
+    // Draws 5 and 6 lose the write's CQE and its rewrite. The write was
+    // issued after the read finished, so its ladder resets the
+    // controller later than `OP_TIMEOUT_NS` after the job's submission:
+    // the driver's job deadline outlasts the whole ladder
+    // (`dcs_nvme::ladder_bound_ns`), so the resubmitted write completes
+    // the job.
+    let (rig, done, payload) = copy_with_lost_tlps(vec![5, 6]);
+    let stats = &rig.sim.world().stats;
+    assert_eq!(stats.counter_value("nvme.cqe_lost"), 1);
+    assert_eq!(stats.counter_value("hdc.nvme_resets"), 1);
+    assert_eq!(stats.counter_value("hdc.drv_timeouts"), 0);
+    assert!(done.ok, "the job completed after the reset");
+    let on_flash = rig
+        .sim
+        .world()
+        .expect::<PhysMemory>()
+        .read(rig.a.ssds[0].lba_addr(900), payload.len());
+    assert_eq!(on_flash, payload, "the copy landed intact");
+}
+
+#[test]
+fn a_completion_record_lost_for_good_still_fails_the_job() {
+    // Draws 6 and 7 lose the job's completion record and the engine's
+    // one rewrite of it. Nothing else can deliver the result, so the
+    // driver's job deadline fails the job cleanly once the NVMe ladder's
+    // worst case has passed.
+    let (rig, done, _) = copy_with_lost_tlps(vec![6, 7]);
+    let stats = &rig.sim.world().stats;
+    assert_eq!(stats.counter_value("hdc.completion_rewrites"), 1);
+    assert_eq!(stats.counter_value("hdc.completion_lost"), 1);
+    assert_eq!(stats.counter_value("hdc.drv_timeouts"), 1);
+    assert!(!done.ok, "a lost completion record fails the job");
+    let bound = dcs_nvme::ladder_bound_ns(&RecoveryConfig::default());
+    assert!(
+        rig.sim.now().as_nanos() > bound,
+        "not before the ladder gave up"
+    );
+}
+
+#[test]
 fn dcs_latency_beats_typical_software_budget() {
     // A 4 KiB SSD->NIC op completes within tens of microseconds: flash
     // latency dominates and software contributes almost nothing.

@@ -578,8 +578,9 @@ impl HostNicDriver {
         let Some(pos) = self.expectations.iter().position(|e| e.req.id == id) else {
             return;
         };
-        if !stalled(ctx.now() - self.expectations[pos].last_progress) {
-            ctx.send_self_in(fault::OP_TIMEOUT_NS, RxCheck { id });
+        let limit = rx_limit_ns(ctx);
+        if !stalled(ctx.now() - self.expectations[pos].last_progress, limit) {
+            ctx.send_self_in(limit, RxCheck { id });
             return;
         }
         let e = self.expectations.remove(pos);
@@ -587,6 +588,13 @@ impl HostNicDriver {
         ctx.world().stats.counter("nic.rx_expect_timeouts").add(1);
         finish_recv(ctx, &e, false);
     }
+}
+
+/// How long a receive may land no bytes before it counts as stalled:
+/// the NVMe ladder's worst case, since flash may feed the sender.
+fn rx_limit_ns(ctx: &Ctx<'_>) -> u64 {
+    fault::recovery(ctx.world_ref())
+        .map_or(fault::OP_TIMEOUT_NS, |rc| dcs_nvme::ladder_bound_ns(&rc))
 }
 
 /// Completes a receive expectation. Its bytes were on the wire until the
@@ -636,7 +644,7 @@ impl Component for HostNicDriver {
                     last_progress: ctx.now(),
                 });
                 if fault::active(ctx.world_ref()) {
-                    ctx.send_self_in(fault::OP_TIMEOUT_NS, RxCheck { id });
+                    ctx.send_self_in(rx_limit_ns(ctx), RxCheck { id });
                 }
                 // Data may already be waiting.
                 self.deliver_frames(ctx, vec![], 0, 0);

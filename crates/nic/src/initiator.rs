@@ -339,11 +339,13 @@ impl SendLadder {
     }
 }
 
-/// The NIC stall test: a receive that landed no bytes for `idle_ns` (at
-/// least `fault::OP_TIMEOUT_NS`) lost its sender and fails; a transmit
-/// interrupt that late was lost.
-pub fn stalled(idle_ns: u64) -> bool {
-    idle_ns >= fault::OP_TIMEOUT_NS
+/// The NIC stall test: a receive that landed no bytes for `idle_ns`, at
+/// least `limit_ns`, lost its sender and fails; a transmit interrupt that
+/// late was lost. A receive's limit is the sender's recovery worst case
+/// (`dcs_nvme::ladder_bound_ns` when flash feeds it), so the receive
+/// outlasts every rung that could still deliver its bytes.
+pub fn stalled(idle_ns: u64, limit_ns: u64) -> bool {
+    idle_ns >= limit_ns
 }
 
 /// How a received data frame relates to its stream's in-order count.
@@ -688,8 +690,8 @@ mod tests {
         let none = RecoveryConfig::no_retries();
         let fresh = SendLadder::new(t0, false);
         assert_eq!(fresh.rung(t0 + rto, &none), SendRung::Fail);
-        assert!(!stalled(fault::OP_TIMEOUT_NS - 1));
-        assert!(stalled(fault::OP_TIMEOUT_NS));
+        assert!(!stalled(fault::OP_TIMEOUT_NS - 1, fault::OP_TIMEOUT_NS));
+        assert!(stalled(fault::OP_TIMEOUT_NS, fault::OP_TIMEOUT_NS));
     }
 
     #[test]

@@ -98,6 +98,17 @@ pub fn rung(age_ns: u64, resets_used: u32, rc: &RecoveryConfig) -> Rung {
     }
 }
 
+/// The ladder's worst case: how long a request can stay unsettled before
+/// [`rung`] resets its controller for the last time and then fails it.
+/// Each of the `rc.nvme_resets` resets, and the final failure, waits out
+/// `fault::OP_TIMEOUT_NS`, and the initiator's check may notice each up
+/// to one `fault::NVME_TIMEOUT_NS` period late. Anyone waiting on a
+/// request — a job deadline, a peer's receive — must wait at least this
+/// long, or the reset rung can never save it.
+pub fn ladder_bound_ns(rc: &RecoveryConfig) -> u64 {
+    (u64::from(rc.nvme_resets) + 1) * (fault::OP_TIMEOUT_NS + fault::NVME_TIMEOUT_NS)
+}
+
 /// One initiator's queue pair on one drive, with its outstanding
 /// commands and requests. `R` is the caller's request key.
 pub struct NvmeInitiator<R> {

@@ -30,6 +30,6 @@ pub mod queue;
 pub mod spec;
 
 pub use device::{install_nvme, AttachQueuePair, NvmeConfig, NvmeDevice, NvmeHandle};
-pub use initiator::{rung, NvmeInitiator, NvmeIo, Outcome, Rung};
+pub use initiator::{ladder_bound_ns, rung, NvmeInitiator, NvmeIo, Outcome, Rung};
 pub use queue::{CompletionQueueReader, SubmissionQueueWriter};
 pub use spec::{NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus, PrpList, LBA_SIZE};

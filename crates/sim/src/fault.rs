@@ -74,9 +74,9 @@ pub const NVME_TIMEOUT_NS: u64 = 5_000_000;
 pub const NIC_RTO_NS: u64 = 1_000_000;
 /// Engine scoreboard watchdog sweep period.
 pub const WATCHDOG_PERIOD_NS: u64 = 1_000_000;
-/// Age at which a silent NVMe request stops waiting on the recovery
-/// ladder (`dcs_nvme::rung`) and a NIC receive without progress counts
-/// as stalled (`dcs_nic::stalled`).
+/// Age at which a silent NVMe request takes the recovery ladder's next
+/// rung (`dcs_nvme::rung`). Whoever waits on such a request waits out
+/// the whole ladder (`dcs_nvme::ladder_bound_ns`).
 pub const OP_TIMEOUT_NS: u64 = 20_000_000;
 /// Completion-ring / receive-ring poll fallback period (recovers lost
 /// MSIs on paths without their own timers).

@@ -8,7 +8,7 @@
 //! and composition with the PR 1 fault plan.
 
 use dcs_ctrl::cluster::{
-    build_cluster, run_cluster, ClusterConfig, Degrade, HealthConfig, LbPolicy,
+    build_cluster, run_cluster, ClusterConfig, HealthConfig, LbPolicy, NodeFault,
 };
 use dcs_ctrl::sim::{time, FaultPlan};
 use dcs_ctrl::workloads::gen::SizeDistribution;
@@ -36,11 +36,12 @@ fn same_seed_reruns_are_bit_identical() {
     // GET/PUT mix, fault injection, and a mid-run port degradation.
     let cfg = ClusterConfig {
         fault_rate: 0.001,
-        degrade: Some(Degrade {
+        node_faults: vec![NodeFault::LinkDegrade {
             node: 1,
             at_ns: time::ms(5),
-            factor: 0.25,
-        }),
+            for_ns: NodeFault::UNTIL_END,
+            speed_pct: 25,
+        }],
         ..small_cfg()
     };
     let a = run_cluster(&cfg);
@@ -101,11 +102,12 @@ fn jsq_reroutes_around_a_degraded_node_where_round_robin_cannot() {
             offered_gbps_per_node: 6.0,
             duration_ns: time::ms(30),
             warmup_ns: time::ms(5),
-            degrade: Some(Degrade {
+            node_faults: vec![NodeFault::LinkDegrade {
                 node: 0,
                 at_ns: time::ms(5),
-                factor: 0.1,
-            }),
+                for_ns: NodeFault::UNTIL_END,
+                speed_pct: 10,
+            }],
             health: HealthConfig::disabled(),
             ..ClusterConfig::default()
         })

@@ -1,7 +1,9 @@
-//! The six determinism and invariant rules clippy cannot express
+//! The seven determinism and invariant rules clippy cannot express
 //! (DESIGN.md §10), as token rules over `crates/*`, `src`, `tests` and
-//! `examples` with comments and literals stripped. Clippy enforces the
-//! rest from the root `clippy.toml` and `[workspace.lints]`.
+//! `examples` with comments and literals stripped. `benchmark/` is read
+//! only as a user of the workspace's items, never linted. Clippy
+//! enforces the rest from the root `clippy.toml` and
+//! `[workspace.lints]`.
 //!
 //! * `float-in-sim-state`: an `f32`/`f64` field of a cluster or store
 //!   struct that is not a `*Config`/`*Spec` input or a `*Perf`/`*Report`
@@ -20,6 +22,10 @@
 //!   misses integer matches such as MMIO register offsets.
 //! * `lossy-cast`: a narrowing `as` cast of a time- or address-named
 //!   value. `clippy::cast_possible_truncation` flags every narrowing cast.
+//! * `pub-item-never-used`: a `pub fn` or `pub const` in `crates/*/src`
+//!   whose name no token outside its definition mentions. rustc's
+//!   `dead_code` cannot see `pub` items; make it `pub(crate)` (where
+//!   `dead_code` guards it) or delete it.
 //!
 //! Test code is exempt. A sanctioned site carries
 //! `// dcs-lint: allow(rule) — reason` on its line or on a comment line
@@ -31,13 +37,14 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The rules this file owns; a pragma may name only these.
-const RULES: [&str; 6] = [
+const RULES: [&str; 7] = [
     "float-in-sim-state",
     "report-field-never-written",
     "config-field-never-set",
     "unwrap-in-recovery-path",
     "wildcard-event-arm",
     "lossy-cast",
+    "pub-item-never-used",
 ];
 
 /// An identifier, a number, or one punctuation character, with its
@@ -373,6 +380,26 @@ fn file_rules(s: &Source, out: &mut Vec<Finding>) {
     }
 }
 
+/// The use detector: every token in `sources` naming one of `names`,
+/// as (file, token index, name), except those `skip(file, index)` marks.
+/// Name-based, so a shared name counts as a use of each of its items.
+fn mentions<'a>(
+    sources: &[Source],
+    names: &BTreeSet<&'a str>,
+    skip: impl Fn(usize, usize) -> bool,
+) -> Vec<(usize, usize, &'a str)> {
+    let mut found = Vec::new();
+    for (n, s) in sources.iter().enumerate() {
+        for (i, t) in s.toks.iter().enumerate() {
+            match names.get(t.0.as_str()) {
+                Some(&name) if !skip(n, i) => found.push((n, i, name)),
+                _ => {}
+            }
+        }
+    }
+    found
+}
+
 /// The names among `names` that a token in `sources` plausibly writes:
 /// `x.f = …`, `x.f += …`, `x.f.method(…)`, `&mut x.f`, or a literal's
 /// `f: …` or `Name { f, … }` outside a type declaration or fn
@@ -383,63 +410,117 @@ fn written<'a>(
     names: &BTreeSet<&'a str>,
     skip: impl Fn(usize, usize) -> bool,
 ) -> BTreeSet<&'a str> {
+    // Type declarations and fn parameter lists declare, not write.
+    let decls: Vec<Vec<(usize, usize)>> = sources
+        .iter()
+        .map(|s| {
+            let toks = &s.toks;
+            (0..toks.len())
+                .filter_map(|i| {
+                    if toks[i].is("struct") || toks[i].is("enum") {
+                        Some((i, decl_span(toks, i).0 + 1))
+                    } else if toks[i].is("fn") {
+                        let open = i + toks[i..].iter().position(|t| t.is("("))?;
+                        let close = (open..toks.len()).find(|&k| toks[k].is(")"))?;
+                        Some((open, close + 1))
+                    } else {
+                        None
+                    }
+                })
+                .collect()
+        })
+        .collect();
     let mut written = BTreeSet::new();
-    for (n, s) in sources.iter().enumerate() {
-        let toks = &s.toks;
-        // Type declarations and fn parameter lists declare, not write.
-        let decls: Vec<(usize, usize)> = (0..toks.len())
-            .filter_map(|i| {
-                if toks[i].is("struct") || toks[i].is("enum") {
-                    Some((i, decl_span(toks, i).0 + 1))
-                } else if toks[i].is("fn") {
-                    let open = i + toks[i..].iter().position(|t| t.is("("))?;
-                    let close = (open..toks.len()).find(|&k| toks[k].is(")"))?;
-                    Some((open, close + 1))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        for (i, t) in toks.iter().enumerate() {
-            let Some(&name) = names.get(t.0.as_str()) else {
-                continue;
-            };
-            if skip(n, i) {
-                continue;
-            }
-            let at = |k: usize, p: &str| toks.get(k).is_some_and(|t| t.is(p));
-            let prev_dot = i >= 1 && at(i - 1, ".");
-            let op = |k: usize, ops: &str| toks.get(k).is_some_and(|t| ops.contains(&t.0));
-            // `f += …` or `f <<= …`, but not the comparisons `f <= …`.
-            let compound = (op(i + 1, "+-*/%&|^") && at(i + 2, "="))
-                || (op(i + 1, "<>") && at(i + 2, &toks[i + 1].0) && at(i + 3, "="));
-            // `f = …`, but not `f == …` or a `=>` match arm.
-            let assign = (at(i + 1, "=") && !op(i + 2, "=>")) || compound;
-            let method =
-                at(i + 1, ".") && toks.get(i + 2).and_then(Tok::ident).is_some() && at(i + 3, "(");
-            let init = !decls.iter().any(|&(a, b)| (a..b).contains(&i))
-                && (i == 0 || !at(i - 1, ":"))
-                && at(i + 1, ":")
-                && !at(i + 2, ":");
-            // Shorthand `Name { f, … }`: the innermost open bracket is a
-            // `{` after a name.
-            let shorthand = i >= 1
-                && (at(i - 1, "{") || at(i - 1, ","))
-                && (at(i + 1, ",") || at(i + 1, "}"))
-                && opener(toks, i)
-                    .is_some_and(|o| o >= 1 && at(o, "{") && toks[o - 1].ident().is_some());
-            // `&mut a.b.f`: walk back over the field path.
-            let mut k = i;
-            while k >= 2 && at(k - 1, ".") && toks[k - 2].ident().is_some() {
-                k -= 2;
-            }
-            let borrow = prev_dot && k >= 2 && at(k - 1, "mut") && at(k - 2, "&");
-            if (prev_dot && (assign || method)) || init || shorthand || borrow {
-                written.insert(name);
-            }
+    for (n, i, name) in mentions(sources, names, skip) {
+        let (toks, decls) = (&sources[n].toks, &decls[n]);
+        let at = |k: usize, p: &str| toks.get(k).is_some_and(|t| t.is(p));
+        let prev_dot = i >= 1 && at(i - 1, ".");
+        let op = |k: usize, ops: &str| toks.get(k).is_some_and(|t| ops.contains(&t.0));
+        // `f += …` or `f <<= …`, but not the comparisons `f <= …`.
+        let compound = (op(i + 1, "+-*/%&|^") && at(i + 2, "="))
+            || (op(i + 1, "<>") && at(i + 2, &toks[i + 1].0) && at(i + 3, "="));
+        // `f = …`, but not `f == …` or a `=>` match arm.
+        let assign = (at(i + 1, "=") && !op(i + 2, "=>")) || compound;
+        let method =
+            at(i + 1, ".") && toks.get(i + 2).and_then(Tok::ident).is_some() && at(i + 3, "(");
+        let init = !decls.iter().any(|&(a, b)| (a..b).contains(&i))
+            && (i == 0 || !at(i - 1, ":"))
+            && at(i + 1, ":")
+            && !at(i + 2, ":");
+        // Shorthand `Name { f, … }`: the innermost open bracket is a
+        // `{` after a name.
+        let shorthand = i >= 1
+            && (at(i - 1, "{") || at(i - 1, ","))
+            && (at(i + 1, ",") || at(i + 1, "}"))
+            && opener(toks, i)
+                .is_some_and(|o| o >= 1 && at(o, "{") && toks[o - 1].ident().is_some());
+        // `&mut a.b.f`: walk back over the field path.
+        let mut k = i;
+        while k >= 2 && at(k - 1, ".") && toks[k - 2].ident().is_some() {
+            k -= 2;
+        }
+        let borrow = prev_dot && k >= 2 && at(k - 1, "mut") && at(k - 2, "&");
+        if (prev_dot && (assign || method)) || init || shorthand || borrow {
+            written.insert(name);
         }
     }
     written
+}
+
+/// The `pub fn`s and `pub const`s of the non-test code in `s`, as (name,
+/// token index of the name).
+fn pub_items(s: &Source) -> Vec<(&str, usize)> {
+    let toks = &s.toks;
+    let tests = test_ranges(toks);
+    let mut items = Vec::new();
+    for i in (0..toks.len()).filter(|&i| toks[i].is("pub")) {
+        if tests.iter().any(|&(a, b)| (a..b).contains(&i)) {
+            continue;
+        }
+        let mut k = i + 1;
+        while toks
+            .get(k)
+            .is_some_and(|t| ["const", "unsafe", "async"].contains(&t.0.as_str()))
+            && !toks.get(k + 2).is_some_and(|t| t.is(":"))
+        {
+            k += 1;
+        }
+        let named = |kw: &str| toks.get(k).is_some_and(|t| t.is(kw));
+        if named("fn") || (named("const") && toks.get(k + 2).is_some_and(|t| t.is(":"))) {
+            if let Some(name) = toks.get(k + 1).and_then(Tok::ident) {
+                items.push((name, k + 1));
+            }
+        }
+    }
+    items
+}
+
+/// `pub-item-never-used`, across every file: a `pub fn` or `pub const`
+/// in `crates/*/src` that no token outside its own name mentions.
+fn use_liveness(sources: &[Source], out: &mut Vec<Finding>) {
+    let items: Vec<(usize, &str, usize)> = sources
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.path.starts_with("crates/") && s.path.contains("/src/"))
+        .flat_map(|(n, s)| pub_items(s).into_iter().map(move |(name, i)| (n, name, i)))
+        .collect();
+    let names = items.iter().map(|&(_, name, _)| name).collect();
+    let defs: BTreeSet<(usize, usize)> = items.iter().map(|&(n, _, i)| (n, i)).collect();
+    let used: BTreeSet<&str> = mentions(sources, &names, |n, i| defs.contains(&(n, i)))
+        .into_iter()
+        .map(|(_, _, name)| name)
+        .collect();
+    for (n, name, i) in items {
+        if !used.contains(name) {
+            let msg = format!("nothing uses `{name}`; make it `pub(crate)` or delete it");
+            out.push(Finding(
+                sources[n].path.clone(),
+                sources[n].toks[i].1,
+                "pub-item-never-used",
+                msg,
+            ));
+        }
+    }
 }
 
 /// The fields of the non-test structs in `s` whose name ends in one of
@@ -472,6 +553,7 @@ fn fields_of<'a>(s: &'a Source, suffixes: &[&str], only_pub: bool) -> Vec<(&'a s
 fn report_liveness(sources: &[Source], out: &mut Vec<Finding>) {
     let fields: Vec<_> = sources
         .iter()
+        .filter(|s| !s.path.starts_with("benchmark/"))
         .flat_map(|s| {
             let found = fields_of(s, &["Report", "Perf"], false);
             found.into_iter().map(move |f| (&s.path, f))
@@ -529,14 +611,16 @@ fn config_liveness(sources: &[Source], out: &mut Vec<Finding>) {
 /// applies their pragmas. Returns what is left, plus pragma misuse.
 fn lint(files: &[(String, String)]) -> Vec<Finding> {
     let sources: Vec<Source> = files.iter().map(|(p, s)| lex(p, s)).collect();
+    let linted = || sources.iter().filter(|s| !s.path.starts_with("benchmark/"));
     let mut found = Vec::new();
-    for s in &sources {
+    for s in linted() {
         file_rules(s, &mut found);
     }
     report_liveness(&sources, &mut found);
     config_liveness(&sources, &mut found);
+    use_liveness(&sources, &mut found);
     let mut misuse = Vec::new();
-    for s in &sources {
+    for s in linted() {
         let mut code_lines: Vec<u32> = s.toks.iter().map(|t| t.1).collect();
         code_lines.dedup();
         for (line, text) in &s.comments {
@@ -582,11 +666,11 @@ fn lint(files: &[(String, String)]) -> Vec<Finding> {
     found
 }
 
-/// Every `.rs` file under `crates/`, `src/`, `tests/` and `examples/`,
-/// as (workspace-relative path, source).
+/// Every `.rs` file under `crates/`, `src/`, `tests/`, `examples/` and
+/// `benchmark/`, as (workspace-relative path, source).
 fn workspace_sources() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut stack: Vec<PathBuf> = ["crates", "src", "tests", "examples"]
+    let mut stack: Vec<PathBuf> = ["crates", "src", "tests", "examples", "benchmark"]
         .iter()
         .map(|d| root.join(d))
         .collect();
@@ -737,7 +821,38 @@ mod tests {
 }
 "#;
 
-const CASES: [Case; 6] = [
+const PUB_DECL: &str = r#"pub fn used_elsewhere() -> u32 { 1 }
+pub fn never_called() -> u32 { 2 }
+pub const LIMIT: u64 = 4;
+pub const ORPHAN: u64 = 5;
+pub(crate) fn internal() {}
+fn private() {}
+pub const fn rate() -> u64 { 7 }
+pub struct Meter;
+impl Meter {
+    pub fn read(&self) -> u64 { self.tick() }
+    pub fn tick(&self) -> u64 { 0 }
+    pub fn spare(&self) {}
+}
+#[cfg(test)]
+mod tests {
+    pub fn helper() {}
+}
+"#;
+
+/// Uses from outside the crate sources: a test and the benchmark.
+const PUB_USERS: Files = &[
+    (
+        "tests/meter.rs",
+        "fn run(m: &Meter) -> u64 { m.read() + LIMIT }\n",
+    ),
+    (
+        "benchmark/src/probes.rs",
+        "fn probe() -> u32 { used_elsewhere() }\n",
+    ),
+];
+
+const CASES: [Case; 7] = [
     Case(
         "float-in-sim-state",
         &[("crates/cluster/src/driver.rs", FLOAT)],
@@ -773,6 +888,15 @@ const CASES: [Case; 6] = [
         "lossy-cast",
         &[("crates/core/src/engine.rs", LOSSY)],
         &[3, 4, 10, 10],
+    ),
+    Case(
+        "pub-item-never-used",
+        &[
+            ("crates/sim/src/meter.rs", PUB_DECL),
+            PUB_USERS[0],
+            PUB_USERS[1],
+        ],
+        &[2, 4, 7, 12],
     ),
 ];
 
@@ -913,6 +1037,21 @@ fn config_fields_set_anywhere_but_their_default_are_live() {
     assert_eq!(lines_of(&lint(&files), rule), [2, 3, 4, 13, 14]);
     // Outside `crates/*/src` the same struct is no knob of the model.
     assert!(hits("tests/config.rs", CONFIG_DECL, rule).is_empty());
+}
+
+#[test]
+fn pub_items_mentioned_anywhere_are_live() {
+    let (path, rule) = ("crates/sim/src/meter.rs", "pub-item-never-used");
+    // Alone, only `tick` (called by `read`) is used; `pub(crate)`,
+    // private and test items are not this rule's to check.
+    assert_eq!(hits(path, PUB_DECL, rule), [1, 2, 3, 4, 7, 10, 12]);
+    assert!(messages(path, PUB_DECL, 2)[0].contains("nothing uses `never_called`"));
+    // A test and the benchmark use `read`, `LIMIT` and `used_elsewhere`.
+    check(&CASES[6], None, &[2, 4, 7, 12], &[]);
+    // Outside `crates/*/src` a `pub fn` is no workspace surface, and the
+    // benchmark is read, never linted.
+    assert!(hits("tests/meter.rs", PUB_DECL, rule).is_empty());
+    assert!(lint(&[("benchmark/src/x.rs".into(), RECOVERY.into())]).is_empty());
 }
 
 #[test]
@@ -1075,7 +1214,14 @@ fn workspace_is_clean() {
 #[test]
 fn workspace_walk_covers_every_source_tree() {
     let files = workspace_sources();
-    for tree in ["crates/", "crates/bench/", "src/", "tests/", "examples/"] {
+    for tree in [
+        "crates/",
+        "crates/bench/",
+        "src/",
+        "tests/",
+        "examples/",
+        "benchmark/",
+    ] {
         assert!(
             files.iter().any(|f| f.0.starts_with(tree)),
             "{tree} unscanned"
