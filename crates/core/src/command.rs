@@ -13,6 +13,7 @@
 //! registers each flow's metadata with the engine once (mirroring §IV-B's
 //! retrieval of TCP connection information from the kernel).
 
+use dcs_host::job::D2dJob;
 use dcs_ndp::NdpFunction;
 
 /// One encoded device operation inside a D2D command.
@@ -149,18 +150,16 @@ const MAGIC: u8 = 0xD2;
 impl D2dCommand {
     /// Encoded size.
     pub const SIZE: usize = 64;
-    /// Maximum operations per command.
-    pub const MAX_OPS: usize = 4;
 
     /// Encodes into the 64-byte layout.
     ///
     /// # Panics
     ///
     /// Panics if the command holds no ops or more than
-    /// [`D2dCommand::MAX_OPS`].
+    /// [`D2dJob::MAX_OPS`].
     pub fn to_bytes(&self) -> [u8; Self::SIZE] {
         assert!(
-            (1..=Self::MAX_OPS).contains(&self.ops.len()),
+            (1..=D2dJob::MAX_OPS).contains(&self.ops.len()),
             "a D2D command carries 1..=4 ops"
         );
         let mut b = [0u8; Self::SIZE];
@@ -215,7 +214,7 @@ impl D2dCommand {
             return Err(CommandError::BadMagic);
         }
         let n = b[1] as usize;
-        if !(1..=Self::MAX_OPS).contains(&n) {
+        if !(1..=D2dJob::MAX_OPS).contains(&n) {
             return Err(CommandError::BadOpCount);
         }
         let id = u64::from_le_bytes(b[8..16].try_into().expect("8 bytes"));

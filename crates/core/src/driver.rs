@@ -13,6 +13,12 @@
 //! workloads and benchmarks swap designs by choosing which component they
 //! submit to.
 
+// A job that passed `D2dJob::check` fits the wire command's fields: every
+// narrowing below is a checked conversion, never a silent `as`.
+#![deny(clippy::cast_possible_truncation)]
+
+use std::num::TryFromIntError;
+
 use dcs_sim::DetMap;
 
 use dcs_host::costs;
@@ -43,6 +49,14 @@ struct JobCtx {
     submitted_at: SimTime,
     /// Poisoned aux DMAs retried for this job.
     aux_attempts: u8,
+}
+
+/// Slots in the engine's 1 MiB aux buffer.
+const AUX_SLOTS: u32 = 16_384;
+
+/// `v` in its D2D command field, which [`D2dJob::check`] made it fit.
+fn field<T: TryFrom<usize, Error = TryFromIntError>>(v: usize) -> T {
+    T::try_from(v).expect("D2dJob::check bounds the command fields")
 }
 
 /// An aux block and the offset of its 64-byte slot in the engine's aux
@@ -85,8 +99,8 @@ pub struct HdcDriver {
     comp_phase: bool,
     cpu_phases: DetMap<u64, CpuPhase>,
     next_token: u64,
-    /// Rotating aux slot cursor (64-byte slots).
-    aux_slot: u64,
+    /// Rotating cursor over the engine's aux slots.
+    aux_slot: u32,
     /// A `RingPoll` is scheduled.
     poll_armed: bool,
 }
@@ -159,71 +173,57 @@ impl HdcDriver {
     }
 
     fn on_job(&mut self, ctx: &mut Ctx<'_>, job: D2dJob) {
-        assert!(
-            job.ops.len() <= D2dCommand::MAX_OPS,
-            "a D2D command carries at most {} ops",
-            D2dCommand::MAX_OPS
-        );
+        if job.check().is_err() {
+            ctx.send_now(job.reply_to, D2dDone::failed(job.id));
+            return;
+        }
         // Translate the design-independent job into the wire command.
+        // Each device op costs a metadata lookup: the VFS block mapping,
+        // the TCP connection or the cache page table.
         let mut aux_blocks = Vec::new();
+        let mut metadata_lookups = 0;
         let mut ops = Vec::with_capacity(job.ops.len());
-        let mut metadata_lookups = 0u64;
         for op in &job.ops {
-            let code = match op {
-                D2dOp::SsdRead { ssd, lba, len } => {
-                    metadata_lookups += 1; // VFS block mapping
-                    DevOpCode::SsdRead {
-                        ssd: *ssd as u8,
-                        lba: *lba,
-                        len: *len as u32,
-                    }
-                }
-                D2dOp::SsdWrite { ssd, lba } => {
-                    metadata_lookups += 1;
-                    DevOpCode::SsdWrite {
-                        ssd: *ssd as u8,
-                        lba: *lba,
-                    }
-                }
+            metadata_lookups += u64::from(!matches!(op, D2dOp::Process { .. }));
+            ops.push(match op {
+                D2dOp::SsdRead { ssd, lba, len } => DevOpCode::SsdRead {
+                    ssd: field(*ssd),
+                    lba: *lba,
+                    len: field(*len),
+                },
+                D2dOp::SsdWrite { ssd, lba } => DevOpCode::SsdWrite {
+                    ssd: field(*ssd),
+                    lba: *lba,
+                },
                 D2dOp::Process { function, aux } => {
-                    let off = if aux.is_empty() {
+                    let aux_off = if aux.is_empty() {
                         0
                     } else {
-                        assert!(aux.len() <= 64, "aux block exceeds one slot");
-                        let off = ((self.aux_slot % 16_384) * 64) as u32;
-                        self.aux_slot += 1;
+                        let off = self.aux_slot * field::<u32>(D2dJob::AUX_SLOT);
+                        self.aux_slot = (self.aux_slot + 1) % AUX_SLOTS;
                         aux_blocks.push((off, aux.clone()));
                         off
                     };
                     DevOpCode::Process {
                         function: *function,
-                        aux_off: off,
-                        aux_len: aux.len() as u16,
+                        aux_off,
+                        aux_len: field(aux.len()),
                     }
                 }
-                D2dOp::NicSend { flow, seq } => {
-                    metadata_lookups += 1; // TCP connection lookup
-                    let conn = self.conn_for(ctx, *flow, *seq);
-                    DevOpCode::NicSend { conn, seq: *seq }
-                }
-                D2dOp::NicRecv { flow, len } => {
-                    metadata_lookups += 1;
-                    let conn = self.conn_for(ctx, *flow, 0);
-                    DevOpCode::NicRecv {
-                        conn,
-                        len: *len as u32,
-                    }
-                }
-                D2dOp::MemRead { len } => {
-                    metadata_lookups += 1; // cache page-table lookup
-                    DevOpCode::MemRead { len: *len as u32 }
-                }
-            };
-            ops.push(code);
+                D2dOp::NicSend { flow, seq } => DevOpCode::NicSend {
+                    conn: self.conn_for(ctx, *flow, *seq),
+                    seq: *seq,
+                },
+                D2dOp::NicRecv { flow, len } => DevOpCode::NicRecv {
+                    conn: self.conn_for(ctx, *flow, 0),
+                    len: field(*len),
+                },
+                D2dOp::MemRead { len } => DevOpCode::MemRead { len: field(*len) },
+            });
         }
         let id = job.id;
         let cmd = D2dCommand { id, ops };
-        let cost = costs::HDC_IOCTL_NS + costs::HDC_METADATA_NS * metadata_lookups.max(1);
+        let cost = costs::HDC_IOCTL_NS + costs::HDC_METADATA_NS * metadata_lookups;
         {
             let now = ctx.now();
             let obs = &mut ctx.world().obs;
@@ -307,15 +307,7 @@ impl HdcDriver {
         ctx.world()
             .obs
             .req_end(id, Category::RequestCompletion, now);
-        ctx.send_now(
-            j.job.reply_to,
-            D2dDone {
-                id,
-                ok: false,
-                digest: None,
-                payload_len: 0,
-            },
-        );
+        ctx.send_now(j.job.reply_to, D2dDone::failed(id));
     }
 
     fn submit(&mut self, ctx: &mut Ctx<'_>, id: u64, cmd: D2dCommand, aux: Vec<AuxBlock>) {

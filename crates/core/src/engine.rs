@@ -28,6 +28,7 @@
 
 use std::collections::VecDeque;
 
+use dcs_host::job::{fill_mem_read, pad_to_blocks};
 use dcs_ndp::NdpFunction;
 use dcs_nic::initiator::RECV_BUF_SIZE;
 use dcs_nic::{
@@ -286,11 +287,12 @@ impl HdcEngine {
         off += 2048 * 64;
         assert!(off <= bar.len, "BRAM layout exceeds BAR window");
 
-        // DDR3 layout: 1 MiB aux area, then recv frame buffers, then the
-        // chunked intermediate-buffer pool.
+        // DDR3 layout: 1 MiB aux area, then one recv frame buffer per
+        // receive-ring slot (the ring keeps one slot more than it posts),
+        // then the chunked intermediate-buffer pool.
         let aux_base = ddr.start;
         let recv_bufs = ddr.start + (1 << 20);
-        let pool_start = recv_bufs + RECV_BUFFERS as u64 * RECV_BUF_SIZE;
+        let pool_start = recv_bufs + (RECV_BUFFERS as u64 + 1) * RECV_BUF_SIZE;
         let pool_start = PhysAddr(pool_start.as_u64().div_ceil(CHUNK_SIZE) * CHUNK_SIZE);
         let pool = AddrRange::new(pool_start, ddr.end() - pool_start);
 
@@ -400,12 +402,11 @@ impl HdcEngine {
                 }
                 ctx.send_self_in(parse, AdmitCmd { cmd });
             }
-            Err(e) => {
+            Err(_) => {
                 // Parser rejects the command: error completion with the id
                 // field read best-effort.
                 let id = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
                 ctx.world().stats.counter("hdc.cmd_parse_errors").add(1);
-                let _ = e;
                 self.contexts.insert(
                     id,
                     CmdCtx {
@@ -438,84 +439,17 @@ impl HdcEngine {
             self.pending_admit.push_back(cmd);
             return;
         };
-        let mut dev_cmds = Vec::with_capacity(cmd.ops.len());
-        let mut ok = true;
-        for op in &cmd.ops {
-            let dc = match *op {
-                DevOpCode::SsdRead { ssd, lba, len } => {
-                    if ssd as usize >= self.nvme.len() {
-                        ok = false;
-                        break;
-                    }
-                    DevCmd::NvmeRead {
-                        ssd: ssd as usize,
-                        lba,
-                        len: len as usize,
-                        buf: buf.start,
-                    }
-                }
-                DevOpCode::SsdWrite { ssd, lba } => {
-                    if ssd as usize >= self.nvme.len() {
-                        ok = false;
-                        break;
-                    }
-                    DevCmd::NvmeWrite {
-                        ssd: ssd as usize,
-                        lba,
-                        len: 0,
-                        buf: buf.start,
-                    }
-                }
-                DevOpCode::Process {
-                    function,
-                    aux_off,
-                    aux_len,
-                } => {
-                    if !self.ndp.supports(function) {
-                        ok = false;
-                        break;
-                    }
-                    let aux = ctx
-                        .world_ref()
-                        .expect::<PhysMemory>()
-                        .read(self.aux_base + aux_off as u64, aux_len as usize);
-                    DevCmd::Ndp {
-                        function,
-                        aux,
-                        buf: buf.start,
-                        len: 0,
-                    }
-                }
-                DevOpCode::NicSend { conn, seq } => {
-                    if !self.connections.contains_key(&conn) {
-                        ok = false;
-                        break;
-                    }
-                    DevCmd::NicSend {
-                        conn,
-                        seq,
-                        buf: buf.start,
-                        len: 0,
-                    }
-                }
-                DevOpCode::NicRecv { conn, len } => {
-                    if !self.connections.contains_key(&conn) {
-                        ok = false;
-                        break;
-                    }
-                    DevCmd::NicRecv {
-                        conn,
-                        len: len as usize,
-                        buf: buf.start,
-                    }
-                }
-                DevOpCode::MemRead { len } => DevCmd::HostRead {
-                    len: len as usize,
-                    buf: buf.start,
-                },
-            };
-            dev_cmds.push(dc);
-        }
+        // The engine's own resources: SSDs, NDP units and connections.
+        let ok = cmd.ops.iter().all(|op| match *op {
+            DevOpCode::SsdRead { ssd, .. } | DevOpCode::SsdWrite { ssd, .. } => {
+                (ssd as usize) < self.nvme.len()
+            }
+            DevOpCode::Process { function, .. } => self.ndp.supports(function),
+            DevOpCode::NicSend { conn, .. } | DevOpCode::NicRecv { conn, .. } => {
+                self.connections.contains_key(&conn)
+            }
+            DevOpCode::MemRead { .. } => true,
+        });
         let id = cmd.id;
         let context = CmdCtx {
             buffers: vec![buf],
@@ -530,6 +464,52 @@ impl HdcEngine {
             self.deliver_completion(ctx, id, false, 0);
             return;
         }
+        let dev_cmds: Vec<DevCmd> = cmd
+            .ops
+            .iter()
+            .map(|op| match *op {
+                DevOpCode::SsdRead { ssd, lba, len } => DevCmd::NvmeRead {
+                    ssd: ssd as usize,
+                    lba,
+                    len: len as usize,
+                    buf: buf.start,
+                },
+                DevOpCode::SsdWrite { ssd, lba } => DevCmd::NvmeWrite {
+                    ssd: ssd as usize,
+                    lba,
+                    len: 0,
+                    buf: buf.start,
+                },
+                DevOpCode::Process {
+                    function,
+                    aux_off,
+                    aux_len,
+                } => DevCmd::Ndp {
+                    function,
+                    aux: ctx
+                        .world_ref()
+                        .expect::<PhysMemory>()
+                        .read(self.aux_base + aux_off as u64, aux_len as usize),
+                    buf: buf.start,
+                    len: 0,
+                },
+                DevOpCode::NicSend { conn, seq } => DevCmd::NicSend {
+                    conn,
+                    seq,
+                    buf: buf.start,
+                    len: 0,
+                },
+                DevOpCode::NicRecv { conn, len } => DevCmd::NicRecv {
+                    conn,
+                    len: len as usize,
+                    buf: buf.start,
+                },
+                DevOpCode::MemRead { len } => DevCmd::HostRead {
+                    len: len as usize,
+                    buf: buf.start,
+                },
+            })
+            .collect();
         self.contexts.insert(id, context);
         self.scoreboard
             .admit(id, dev_cmds)
@@ -566,6 +546,7 @@ impl HdcEngine {
                     self.issue_nvme(ctx, at, ssd, lba, len, buf, false)
                 }
                 DevCmd::NvmeWrite { ssd, lba, len, buf } => {
+                    pad_to_blocks(ctx.world().expect_mut::<PhysMemory>(), buf, len);
                     self.issue_nvme(ctx, at, ssd, lba, len, buf, true)
                 }
                 DevCmd::Ndp {
@@ -597,11 +578,7 @@ impl HdcEngine {
                     ctx.world()
                         .obs
                         .span("hdc", "host-read", token, now, now + delay);
-                    // The cache bytes themselves are modeled as zeros in
-                    // engine memory (the store layer accounts content by
-                    // version, not by value).
-                    let zeros = vec![0u8; len];
-                    ctx.world().expect_mut::<PhysMemory>().write(buf, &zeros);
+                    fill_mem_read(ctx.world().expect_mut::<PhysMemory>(), buf, len);
                     ctx.send_self_in(delay, HostReadDone { token });
                 }
                 DevCmd::NicRecv { conn, len, buf } => {

@@ -6,9 +6,11 @@
 //! library checks descriptor permissions before building the job —
 //! "unpermitted storage or network devices cannot be involved in direct
 //! inter-device communications" — and maps file offsets to block addresses
-//! the way the driver would via the VFS.
+//! the way the driver would via the VFS. Every job it builds must pass
+//! [`D2dJob::check`], so a job the library hands out is one every design
+//! accepts.
 
-use dcs_host::job::{D2dJob, D2dOp};
+use dcs_host::job::{D2dJob, D2dOp, JobError};
 use dcs_ndp::NdpFunction;
 use dcs_nic::TcpFlow;
 use dcs_nvme::LBA_SIZE;
@@ -56,17 +58,21 @@ pub struct FileDesc {
 }
 
 impl FileDesc {
-    /// Maps a byte offset to its logical block.
+    /// Maps the `len` bytes at `offset` to their first logical block.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `offset` is not block-aligned (direct I/O requires it).
-    pub(crate) fn lba_at(&self, offset: u64) -> u64 {
-        assert!(
-            offset.is_multiple_of(LBA_SIZE),
-            "direct I/O offsets must be 4 KiB-aligned"
-        );
-        self.base_lba + offset / LBA_SIZE
+    /// Returns [`ApiError::OutOfRange`] past the file's last block and
+    /// [`ApiError::UnalignedOffset`] if `offset` is not block-aligned
+    /// (direct I/O requires it).
+    pub(crate) fn lba_at(&self, offset: u64, len: usize) -> Result<u64, ApiError> {
+        if offset + len as u64 > self.len.div_ceil(LBA_SIZE) * LBA_SIZE {
+            return Err(ApiError::OutOfRange);
+        }
+        if !offset.is_multiple_of(LBA_SIZE) {
+            return Err(ApiError::UnalignedOffset);
+        }
+        Ok(self.base_lba + offset / LBA_SIZE)
     }
 }
 
@@ -82,7 +88,7 @@ pub struct SocketDesc {
 }
 
 /// Errors the library returns before anything reaches the hardware.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ApiError {
     /// The file descriptor lacks the required mode.
     FilePermission,
@@ -90,8 +96,10 @@ pub enum ApiError {
     SocketPermission,
     /// The requested range exceeds the file.
     OutOfRange,
-    /// Length must be a whole number of blocks for direct device I/O.
-    Unaligned,
+    /// File offsets must be block-aligned for direct device I/O.
+    UnalignedOffset,
+    /// The job breaks the contract every design enforces.
+    Job(JobError),
 }
 
 impl std::fmt::Display for ApiError {
@@ -100,13 +108,21 @@ impl std::fmt::Display for ApiError {
             ApiError::FilePermission => "file descriptor not opened for this access",
             ApiError::SocketPermission => "socket descriptor not opened for this access",
             ApiError::OutOfRange => "range exceeds file length",
-            ApiError::Unaligned => "length must be a multiple of the 4 KiB block size",
+            ApiError::UnalignedOffset => "file offset must be a multiple of the 4 KiB block size",
+            ApiError::Job(e) => return write!(f, "invalid job: {e}"),
         };
         f.write_str(msg)
     }
 }
 
-impl std::error::Error for ApiError {}
+impl std::error::Error for ApiError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ApiError::Job(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 /// Builds [`D2dJob`]s from descriptors. Stateless; owns only an id
 /// counter so jobs are uniquely identified.
@@ -121,10 +137,22 @@ impl HdcLibrary {
         HdcLibrary { next_id: 1 }
     }
 
-    fn id(&mut self) -> u64 {
-        let i = self.next_id;
+    /// The job of `ops`, under the next id once it passes the contract.
+    fn job(
+        &mut self,
+        ops: Vec<D2dOp>,
+        reply_to: ComponentId,
+        tag: &'static str,
+    ) -> Result<D2dJob, ApiError> {
+        let job = D2dJob {
+            id: self.next_id,
+            ops,
+            reply_to,
+            tag,
+        };
+        job.check().map_err(ApiError::Job)?;
         self.next_id += 1;
-        i
+        Ok(job)
     }
 
     /// `hdc_sendfile(out_sock, in_file, offset, len)` — transmit a file
@@ -132,7 +160,8 @@ impl HdcLibrary {
     ///
     /// # Errors
     ///
-    /// Returns [`ApiError`] on permission or range violations.
+    /// Returns [`ApiError`] on permission, range or alignment violations,
+    /// or a job that fails [`D2dJob::check`].
     pub fn sendfile(
         &mut self,
         file: &FileDesc,
@@ -150,7 +179,8 @@ impl HdcLibrary {
     ///
     /// # Errors
     ///
-    /// Returns [`ApiError`] on permission or range violations.
+    /// Returns [`ApiError`] on permission, range or alignment violations,
+    /// or a job that fails [`D2dJob::check`].
     #[expect(
         clippy::too_many_arguments,
         reason = "mirrors the paper's library call, which takes each argument separately"
@@ -171,15 +201,9 @@ impl HdcLibrary {
         if !socket.perms.write {
             return Err(ApiError::SocketPermission);
         }
-        if offset + len as u64 > file.len.div_ceil(LBA_SIZE) * LBA_SIZE {
-            return Err(ApiError::OutOfRange);
-        }
-        if !len.is_multiple_of(LBA_SIZE as usize) {
-            return Err(ApiError::Unaligned);
-        }
         let mut ops = vec![D2dOp::SsdRead {
             ssd: file.ssd,
-            lba: file.lba_at(offset),
+            lba: file.lba_at(offset, len)?,
             len,
         }];
         if let Some((function, aux)) = processing {
@@ -189,12 +213,7 @@ impl HdcLibrary {
             flow: socket.flow,
             seq: socket.seq,
         });
-        Ok(D2dJob {
-            id: self.id(),
-            ops,
-            reply_to,
-            tag,
-        })
+        self.job(ops, reply_to, tag)
     }
 
     /// `hdc_recvfile(in_sock, out_file, offset, len)` — receive into a
@@ -203,7 +222,8 @@ impl HdcLibrary {
     ///
     /// # Errors
     ///
-    /// Returns [`ApiError`] on permission or range violations.
+    /// Returns [`ApiError`] on permission, range or alignment violations,
+    /// or a job that fails [`D2dJob::check`].
     #[expect(
         clippy::too_many_arguments,
         reason = "mirrors the paper's library call, which takes each argument separately"
@@ -224,9 +244,6 @@ impl HdcLibrary {
         if !file.perms.write {
             return Err(ApiError::FilePermission);
         }
-        if offset + len as u64 > file.len.div_ceil(LBA_SIZE) * LBA_SIZE {
-            return Err(ApiError::OutOfRange);
-        }
         let mut ops = vec![D2dOp::NicRecv {
             flow: socket.flow,
             len,
@@ -236,14 +253,9 @@ impl HdcLibrary {
         }
         ops.push(D2dOp::SsdWrite {
             ssd: file.ssd,
-            lba: file.lba_at(offset),
+            lba: file.lba_at(offset, len)?,
         });
-        Ok(D2dJob {
-            id: self.id(),
-            ops,
-            reply_to,
-            tag,
-        })
+        self.job(ops, reply_to, tag)
     }
 
     /// Receive-and-check without storing (e.g. a verification pass):
@@ -251,7 +263,8 @@ impl HdcLibrary {
     ///
     /// # Errors
     ///
-    /// Returns [`ApiError::SocketPermission`] if the socket cannot read.
+    /// Returns [`ApiError::SocketPermission`] if the socket cannot read,
+    /// or [`ApiError::Job`] if the job fails [`D2dJob::check`].
     pub fn recv_digest(
         &mut self,
         socket: &SocketDesc,
@@ -263,21 +276,17 @@ impl HdcLibrary {
         if !socket.perms.read {
             return Err(ApiError::SocketPermission);
         }
-        Ok(D2dJob {
-            id: self.id(),
-            ops: vec![
-                D2dOp::NicRecv {
-                    flow: socket.flow,
-                    len,
-                },
-                D2dOp::Process {
-                    function,
-                    aux: vec![],
-                },
-            ],
-            reply_to,
-            tag,
-        })
+        let ops = vec![
+            D2dOp::NicRecv {
+                flow: socket.flow,
+                len,
+            },
+            D2dOp::Process {
+                function,
+                aux: vec![],
+            },
+        ];
+        self.job(ops, reply_to, tag)
     }
 }
 
@@ -416,8 +425,77 @@ mod tests {
                 "t"
             )
             .unwrap_err(),
-            ApiError::Unaligned
+            ApiError::Job(JobError::Unaligned(0, 100))
         );
+        // An unaligned file offset is the library's own error, on both
+        // directions.
+        assert_eq!(
+            lib.sendfile(
+                &file(Permissions::RO),
+                &socket(Permissions::RW),
+                100,
+                4096,
+                ComponentId::INVALID,
+                "t"
+            )
+            .unwrap_err(),
+            ApiError::UnalignedOffset
+        );
+        assert_eq!(
+            lib.recvfile_processed(
+                &socket(Permissions::RO),
+                &file(Permissions::RW),
+                100,
+                4096,
+                None,
+                ComponentId::INVALID,
+                "t"
+            )
+            .unwrap_err(),
+            ApiError::UnalignedOffset
+        );
+    }
+
+    #[test]
+    fn both_directions_enforce_the_job_contract() {
+        let mut lib = HdcLibrary::new();
+        let aes = |aux_len| Some((NdpFunction::Aes256Encrypt, vec![0u8; aux_len]));
+        let err = lib
+            .sendfile_processed(
+                &file(Permissions::RO),
+                &socket(Permissions::RW),
+                0,
+                4096,
+                aes(80),
+                ComponentId::INVALID,
+                "t",
+            )
+            .unwrap_err();
+        assert_eq!(err, ApiError::Job(JobError::AuxSlot(1, 80)));
+        let err = lib
+            .recvfile_processed(
+                &socket(Permissions::RO),
+                &file(Permissions::RW),
+                0,
+                4096,
+                aes(16),
+                ComponentId::INVALID,
+                "t",
+            )
+            .unwrap_err();
+        assert!(matches!(err, ApiError::Job(JobError::Aux(1, _))), "{err}");
+        assert!(std::error::Error::source(&err).is_some());
+        // A rejected job takes no id.
+        let ok = lib
+            .recv_digest(
+                &socket(Permissions::RO),
+                4096,
+                NdpFunction::Md5,
+                ComponentId::INVALID,
+                "t",
+            )
+            .unwrap();
+        assert_eq!(ok.id, 1);
     }
 
     #[test]
@@ -481,9 +559,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "4 KiB-aligned")]
     fn lba_mapping_requires_alignment() {
         let f = file(Permissions::RO);
-        let _ = f.lba_at(100);
+        assert_eq!(f.lba_at(100, 4096), Err(ApiError::UnalignedOffset));
+        assert_eq!(f.lba_at(8192, 4096), Ok(102));
+        assert_eq!(f.lba_at(1 << 20, 4096), Err(ApiError::OutOfRange));
     }
 }

@@ -308,10 +308,14 @@ impl Scoreboard {
         let op = &mut entry.ops[at.op];
         assert_eq!(op.state, CmdState::Issued, "mark_done on non-issued entry");
         op.state = CmdState::Done;
-        if let Some(next) = entry.ops.get_mut(at.op + 1) {
-            debug_assert_eq!(next.state, CmdState::Wait);
-            next.cmd.set_len(out_len);
-            next.state = CmdState::Ready;
+        match entry.ops.get_mut(at.op + 1) {
+            Some(next) => {
+                debug_assert_eq!(next.state, CmdState::Wait);
+                next.cmd.set_len(out_len);
+                next.state = CmdState::Ready;
+            }
+            // The last op's output is the command's final payload.
+            None => entry.ops[at.op].cmd.set_len(out_len),
         }
     }
 
@@ -447,6 +451,19 @@ mod tests {
         sb.mark_done(r2, 4096);
         assert_eq!(sb.pop_deliverable(), vec![(10, true, 4096)]);
         assert_eq!(sb.occupancy(), 0);
+    }
+
+    #[test]
+    fn a_last_transform_sets_the_final_length() {
+        // gzip shrinking 4 KiB to 320 B as the last op: the completion
+        // reports the transform's output, not its input.
+        let mut sb = Scoreboard::new(4);
+        sb.admit(3, vec![read(4096), ndp()]).unwrap();
+        let (r0, _) = sb.issue_next(|_| true).unwrap();
+        sb.mark_done(r0, 4096);
+        let (r1, _) = sb.issue_next(|_| true).unwrap();
+        sb.mark_done(r1, 320);
+        assert_eq!(sb.pop_deliverable(), vec![(3, true, 320)]);
     }
 
     #[test]

@@ -29,9 +29,9 @@ use dcs_sim::{Category, Component, ComponentId, Ctx, IntegrityAudit, Msg, SimTim
 use crate::costs::{self, KernelMode};
 use crate::cpu::{CpuJob, CpuJobDone};
 use crate::gpu_driver::{GpuOpDone, GpuOpRequest};
-use crate::job::{D2dDone, D2dJob, D2dOp};
-use crate::nic_driver::{RecvDone, RecvExpect, SendDone, SendRequest};
-use crate::nvme_driver::{BlockDone, BlockOp, BlockRequest};
+use crate::job::{fill_mem_read, pad_to_blocks, D2dDone, D2dJob, D2dOp, OpDone};
+use crate::nic_driver::{RecvExpect, SendRequest};
+use crate::nvme_driver::{BlockOp, BlockRequest};
 
 /// Which baseline personality an executor runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -64,13 +64,10 @@ struct PayloadLoc {
 
 /// Why the executor is waiting.
 enum Waiting {
-    Block,
-    Send,
-    Recv,
-    Gpu {
-        is_digest: bool,
-        function: NdpFunction,
-    },
+    /// A block, send or receive request of a host driver ([`OpDone`]).
+    Driver,
+    /// A GPU kernel running the function.
+    Gpu(NdpFunction),
     /// A host↔GPU staging copy; `then` resumes the op afterwards.
     Copy {
         then: AfterCopy,
@@ -162,6 +159,16 @@ impl SwExecutor {
     }
 
     fn start_job(&mut self, ctx: &mut Ctx<'_>, job: D2dJob) {
+        // The job contract, then the node's SSDs (as on the HDC Engine):
+        // a job failing either runs no CPU job and no device op.
+        let ssds = self.wiring.nvme_drivers.len();
+        let missing_ssd = job.ops.iter().any(|op| {
+            matches!(op, D2dOp::SsdRead { ssd, .. } | D2dOp::SsdWrite { ssd, .. } if *ssd >= ssds)
+        });
+        if missing_ssd || job.check().is_err() {
+            ctx.send_now(job.reply_to, D2dDone::failed(job.id));
+            return;
+        }
         let slot = self.next_slot % self.wiring.slots;
         self.next_slot += 1;
         let host_buf = self.wiring.staging_base + slot * self.wiring.slot_len;
@@ -199,10 +206,17 @@ impl SwExecutor {
         self.advance(ctx, id);
     }
 
-    /// Peeks whether the op after `step` is a GPU-processed step.
-    fn next_is_process(&self, id: u64, step: usize) -> bool {
-        let job = &self.jobs[&id].job;
-        matches!(job.ops.get(step + 1), Some(D2dOp::Process { .. }))
+    /// Charges `cost_ns` of CPU time under `tag`; `token` routes its
+    /// completion.
+    fn cpu_job(&self, ctx: &mut Ctx<'_>, token: u64, cost_ns: u64, tag: &'static str) {
+        let reply_to = ctx.self_id();
+        let job = CpuJob {
+            token,
+            cost_ns,
+            tag,
+            reply_to,
+        };
+        ctx.send_now(self.wiring.cpu, job);
     }
 
     fn advance(&mut self, ctx: &mut Ctx<'_>, id: u64) {
@@ -234,25 +248,19 @@ impl SwExecutor {
         let token = self.token_for(id);
         let state = self.jobs.get_mut(&id).expect("live job");
         state.waiting = Some(Waiting::MemFill { len });
-        let cost = costs::copy_cost(len).max(1);
         let tag = state.job.tag;
-        let cpu = self.wiring.cpu;
-        ctx.send_now(
-            cpu,
-            CpuJob {
-                token,
-                cost_ns: cost,
-                tag,
-                reply_to: ctx.self_id(),
-            },
-        );
+        self.cpu_job(ctx, token, costs::copy_cost(len).max(1), tag);
     }
 
     fn do_ssd_read(&mut self, ctx: &mut Ctx<'_>, id: u64, ssd: usize, lba: u64, len: usize) {
         // P2P: if the data is about to be processed on the GPU, read
         // straight into GPU memory (GPUDirect).
+        let state = &self.jobs[&id];
         let to_gpu = self.design == SwDesign::SwP2p
-            && self.next_is_process(id, self.jobs[&id].step)
+            && matches!(
+                state.job.ops.get(state.step + 1),
+                Some(D2dOp::Process { .. })
+            )
             && self.wiring.gpu.is_some();
         let token = self.token_for(id);
         let state = self.jobs.get_mut(&id).expect("live job");
@@ -266,7 +274,7 @@ impl SwExecutor {
             len,
             in_gpu: to_gpu,
         };
-        state.waiting = Some(Waiting::Block);
+        state.waiting = Some(Waiting::Driver);
         let tag = state.job.tag;
         let driver = self.wiring.nvme_drivers[ssd];
         ctx.send_now(
@@ -284,23 +292,29 @@ impl SwExecutor {
         );
     }
 
+    /// Outside P2P a device reads only host DRAM: starts copying a payload
+    /// out of the GPU (the op reruns afterwards) and says whether it did.
+    fn stage_out_of_gpu(&mut self, ctx: &mut Ctx<'_>, id: u64) -> bool {
+        let stage = self.jobs[&id].payload.in_gpu && self.design != SwDesign::SwP2p;
+        if stage {
+            self.copy_gpu_host(ctx, id, false, AfterCopy::Advance);
+        }
+        stage
+    }
+
     fn do_ssd_write(&mut self, ctx: &mut Ctx<'_>, id: u64, ssd: usize, lba: u64) {
         // The SSD pulls write data via PRPs; under P2P it may pull from
         // GPU memory, otherwise the payload must be in host DRAM first.
-        let needs_stage = {
-            let s = &self.jobs[&id];
-            s.payload.in_gpu && self.design != SwDesign::SwP2p
-        };
-        if needs_stage {
-            self.copy_gpu_host(ctx, id, false, AfterCopy::Advance);
+        if self.stage_out_of_gpu(ctx, id) {
             return;
         }
         let token = self.token_for(id);
         let state = self.jobs.get_mut(&id).expect("live job");
-        state.waiting = Some(Waiting::Block);
+        state.waiting = Some(Waiting::Driver);
         let tag = state.job.tag;
         let driver = self.wiring.nvme_drivers[ssd];
         let (buf, len) = (state.payload.addr, state.payload.len);
+        let len = pad_to_blocks(ctx.world().expect_mut::<PhysMemory>(), buf, len);
         ctx.send_now(
             driver,
             BlockRequest {
@@ -308,7 +322,7 @@ impl SwExecutor {
                 job: id,
                 op: BlockOp::Write,
                 lba,
-                len: len.div_ceil(4096) * 4096,
+                len,
                 buf,
                 tag,
                 reply_to: ctx.self_id(),
@@ -322,18 +336,8 @@ impl SwExecutor {
             let token = self.token_for(id);
             let state = self.jobs.get_mut(&id).expect("live job");
             state.waiting = Some(Waiting::CpuHash { function, aux });
-            let cost = costs::cpu_hash_cost(state.payload.len);
-            let tag = state.job.tag;
-            let cpu = self.wiring.cpu;
-            ctx.send_now(
-                cpu,
-                CpuJob {
-                    token,
-                    cost_ns: cost,
-                    tag,
-                    reply_to: ctx.self_id(),
-                },
-            );
+            let (cost, tag) = (costs::cpu_hash_cost(state.payload.len), state.job.tag);
+            self.cpu_job(ctx, token, cost, tag);
             return;
         }
         let in_gpu = self.jobs[&id].payload.in_gpu;
@@ -347,22 +351,10 @@ impl SwExecutor {
 
     fn launch_gpu(&mut self, ctx: &mut Ctx<'_>, id: u64, function: NdpFunction, aux: Vec<u8>) {
         let token = self.token_for(id);
-        let out_addr = self.gpu_out_addr(id);
+        let output_addr = self.gpu_out_addr(id);
         let state = self.jobs.get_mut(&id).expect("live job");
-        let is_digest = function.is_digest();
-        state.waiting = Some(Waiting::Gpu {
-            is_digest,
-            function,
-        });
-        // GPU control CPU time gets its own utilization tag so the
-        // Figure 12-style breakdowns separate it from kernel work.
-        let tag = "gpu-control";
-        let _ = state.job.tag;
-        let (driver, handle) = self.wiring.gpu.as_ref().expect("gpu attached");
-        let input_addr = state.payload.addr;
-        let input_len = state.payload.len;
-        let _ = handle;
-        let driver = *driver;
+        state.waiting = Some(Waiting::Gpu(function));
+        let driver = self.wiring.gpu.as_ref().expect("gpu attached").0;
         ctx.send_now(
             driver,
             GpuOpRequest {
@@ -370,10 +362,12 @@ impl SwExecutor {
                 job: id,
                 function,
                 aux,
-                input_addr,
-                input_len,
-                output_addr: out_addr,
-                tag,
+                input_addr: state.payload.addr,
+                input_len: state.payload.len,
+                output_addr,
+                // GPU control CPU time gets its own utilization tag so the
+                // Figure 12-style breakdowns separate it from kernel work.
+                tag: "gpu-control",
                 reply_to: ctx.self_id(),
             },
         );
@@ -413,22 +407,11 @@ impl SwExecutor {
         };
         // The CUDA driver charges setup CPU time; the copy itself is DMA.
         let setup = costs::GPU_COPY_SETUP_NS;
-        let tag = "gpu-copy";
-        let _ = state.job.tag;
-        let cpu = self.wiring.cpu;
         let cpu_token = self.token_for(id);
         // The CPU setup and the DMA run back-to-back; we only gate job
         // progress on the DMA completion, which marks the setup as GPU
         // control and the DMA as the copy.
-        ctx.send_now(
-            cpu,
-            CpuJob {
-                token: cpu_token,
-                cost_ns: setup,
-                tag,
-                reply_to: ctx.self_id(),
-            },
-        );
+        self.cpu_job(ctx, cpu_token, setup, "gpu-copy");
         self.tokens.remove(&cpu_token); // accounted, no continuation
         let fabric = self.wiring.fabric;
         ctx.send_in(
@@ -447,17 +430,12 @@ impl SwExecutor {
         // Under SwOpt/Linux the NIC gathers from host memory; stage out of
         // the GPU if needed. Under SwP2p GPUDirect lets the NIC gather
         // straight from GPU memory.
-        let needs_stage = {
-            let s = &self.jobs[&id];
-            s.payload.in_gpu && self.design != SwDesign::SwP2p
-        };
-        if needs_stage {
-            self.copy_gpu_host(ctx, id, false, AfterCopy::Advance);
+        if self.stage_out_of_gpu(ctx, id) {
             return;
         }
         let token = self.token_for(id);
         let state = self.jobs.get_mut(&id).expect("live job");
-        state.waiting = Some(Waiting::Send);
+        state.waiting = Some(Waiting::Driver);
         let tag = state.job.tag;
         let nic = self.wiring.nic_driver;
         ctx.send_now(
@@ -478,7 +456,7 @@ impl SwExecutor {
     fn do_recv(&mut self, ctx: &mut Ctx<'_>, id: u64, flow: dcs_nic::TcpFlow, len: usize) {
         let token = self.token_for(id);
         let state = self.jobs.get_mut(&id).expect("live job");
-        state.waiting = Some(Waiting::Recv);
+        state.waiting = Some(Waiting::Driver);
         state.payload = PayloadLoc {
             addr: state.host_buf,
             len,
@@ -531,8 +509,10 @@ impl SwExecutor {
         );
     }
 
-    fn step_done(&mut self, ctx: &mut Ctx<'_>, id: u64) {
+    /// Ends the current op; a failed one (`ok = false`) ends the job.
+    fn step_done(&mut self, ctx: &mut Ctx<'_>, id: u64, ok: bool) {
         let state = self.jobs.get_mut(&id).expect("live job");
+        state.ok &= ok;
         state.step += 1;
         state.waiting = None;
         self.advance(ctx, id);
@@ -548,33 +528,11 @@ impl Component for SwExecutor {
             }
             Err(m) => m,
         };
-        let msg = match msg.downcast::<BlockDone>() {
+        let msg = match msg.downcast::<OpDone>() {
             Ok(done) => {
+                // A block, send or receive request settled.
                 let id = self.tokens.remove(&done.id).expect("token routed");
-                let state = self.jobs.get_mut(&id).expect("live job");
-                debug_assert!(matches!(state.waiting, Some(Waiting::Block)));
-                state.ok &= done.ok;
-                self.step_done(ctx, id);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<SendDone>() {
-            Ok(done) => {
-                let id = self.tokens.remove(&done.id).expect("token routed");
-                let state = self.jobs.get_mut(&id).expect("live job");
-                state.ok &= done.ok;
-                self.step_done(ctx, id);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<RecvDone>() {
-            Ok(done) => {
-                let id = self.tokens.remove(&done.id).expect("token routed");
-                let state = self.jobs.get_mut(&id).expect("live job");
-                state.ok &= done.ok;
-                self.step_done(ctx, id);
+                self.step_done(ctx, id, done.ok);
                 return;
             }
             Err(m) => m,
@@ -582,37 +540,27 @@ impl Component for SwExecutor {
         let msg = match msg.downcast::<GpuOpDone>() {
             Ok(done) => {
                 let id = self.tokens.remove(&done.id).expect("token routed");
-                let (is_digest, function) = {
-                    let state = &self.jobs[&id];
-                    match &state.waiting {
-                        Some(Waiting::Gpu {
-                            is_digest,
-                            function,
-                        }) => (*is_digest, *function),
-                        other => {
-                            panic!("GpuOpDone while not waiting on GPU: {:?}", other.is_some())
-                        }
+                let function = match self.jobs[&id].waiting {
+                    Some(Waiting::Gpu(function)) => function,
+                    ref other => {
+                        panic!("GpuOpDone while not waiting on GPU: {:?}", other.is_some())
                     }
                 };
                 let out_addr = self.gpu_out_addr(id);
-                if is_digest {
+                if function.is_digest() {
                     let dlen = function.digest_len().expect("digest function");
                     let digest = ctx.world_ref().expect::<PhysMemory>().read(out_addr, dlen);
-                    let state = self.jobs.get_mut(&id).expect("live job");
-                    state.digest = Some(digest);
                     // Fetching the digest to the host is a small D2H read,
                     // folded into the GPU-control segment.
-                    state.ok &= done.ok;
+                    self.jobs.get_mut(&id).expect("live job").digest = Some(digest);
                 } else {
-                    let state = self.jobs.get_mut(&id).expect("live job");
-                    state.payload = PayloadLoc {
+                    self.jobs.get_mut(&id).expect("live job").payload = PayloadLoc {
                         addr: out_addr,
                         len: done.output_len,
                         in_gpu: true,
                     };
-                    state.ok &= done.ok;
                 }
-                self.step_done(ctx, id);
+                self.step_done(ctx, id, done.ok);
                 return;
             }
             Err(m) => m,
@@ -673,8 +621,9 @@ impl Component for SwExecutor {
                                 len,
                                 in_gpu: false,
                             };
+                            fill_mem_read(ctx.world().expect_mut::<PhysMemory>(), host_buf, len);
                             ctx.mark(id, Category::DataCopy);
-                            self.step_done(ctx, id);
+                            self.step_done(ctx, id, true);
                             return;
                         }
                         _ => panic!("CpuJobDone while not hashing on CPU"),
@@ -684,26 +633,24 @@ impl Component for SwExecutor {
                 let input = ctx.world_ref().expect::<PhysMemory>().read(addr, len);
                 let result = function.apply(&input, &aux);
                 let state = self.jobs.get_mut(&id).expect("live job");
-                match result {
-                    Ok(out) => {
-                        if let Some(d) = out.digest {
-                            state.digest = Some(d);
-                        }
-                        if let Some(data) = out.data {
-                            let host_buf = state.host_buf;
-                            state.payload = PayloadLoc {
-                                addr: host_buf,
-                                len: data.len(),
-                                in_gpu: false,
-                            };
-                            ctx.world()
-                                .expect_mut::<PhysMemory>()
-                                .write(host_buf, &data);
-                        }
+                let ok = result.is_ok();
+                if let Ok(out) = result {
+                    if let Some(d) = out.digest {
+                        state.digest = Some(d);
                     }
-                    Err(_) => state.ok = false,
+                    if let Some(data) = out.data {
+                        let host_buf = state.host_buf;
+                        state.payload = PayloadLoc {
+                            addr: host_buf,
+                            len: data.len(),
+                            in_gpu: false,
+                        };
+                        ctx.world()
+                            .expect_mut::<PhysMemory>()
+                            .write(host_buf, &data);
+                    }
                 }
-                self.step_done(ctx, id);
+                self.step_done(ctx, id, ok);
             }
             Err(other) => panic!("SwExecutor received unexpected message: {other:?}"),
         }

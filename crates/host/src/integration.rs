@@ -73,7 +73,7 @@ impl IntegratedExecutor {
         }
     }
 
-    /// Computes device time and runs the real data path for `job`.
+    /// Computes device time and runs the data path to `job`'s first failure.
     fn execute(&self, ctx: &mut Ctx<'_>, job: &D2dJob) -> DeviceDone {
         let mut phases = Vec::new();
         let mut payload: Vec<u8> = Vec::new();
@@ -104,17 +104,12 @@ impl IntegratedExecutor {
                 D2dOp::Process { function, aux } => {
                     let t = PROCESSING.transfer_time(payload.len());
                     phases.push((Category::Hash, t));
-                    match function.apply(&payload, aux) {
-                        Ok(out) => {
-                            if let Some(d) = out.digest {
-                                digest = Some(d);
-                            }
-                            if let Some(data) = out.data {
-                                payload = data;
-                            }
-                        }
-                        Err(_) => ok = false,
-                    }
+                    let Ok(out) = function.apply(&payload, aux) else {
+                        ok = false;
+                        break;
+                    };
+                    digest = out.digest.or(digest);
+                    payload = out.data.unwrap_or(payload);
                 }
                 D2dOp::NicSend { .. } => {
                     let t = WIRE.transfer_time(payload.len()) + PROPAGATION_NS;
@@ -151,6 +146,10 @@ impl Component for IntegratedExecutor {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         let msg = match msg.downcast::<D2dJob>() {
             Ok(job) => {
+                if job.check().is_err() {
+                    ctx.send_now(job.reply_to, D2dDone::failed(job.id));
+                    return;
+                }
                 // One syscall of host software per job.
                 let now = ctx.now();
                 ctx.world().obs.req_begin(job.id, now);
@@ -280,6 +279,67 @@ mod tests {
         assert_eq!(sim.world().stats.counter_value("sink.digest_ok"), 1);
         // The fused device should complete well under 50us for 8 KiB.
         assert!(sim.now().as_nanos() < time::us(50), "{}", sim.now());
+    }
+
+    /// Completions land in the world, for tests that read them.
+    #[derive(Default)]
+    struct Inbox(Vec<D2dDone>);
+
+    struct Collect;
+    impl Component for Collect {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            let d = msg.downcast::<D2dDone>().expect("job completions");
+            ctx.world().expect_mut::<Inbox>().0.push(d);
+        }
+    }
+
+    #[test]
+    fn a_failed_op_ends_the_job_before_the_write() {
+        let mut sim = Simulator::new(4);
+        sim.world_mut().insert(PhysMemory::new());
+        sim.world_mut().insert(Inbox::default());
+        let flash = sim.world_mut().expect_mut::<PhysMemory>().alloc_region(
+            "fused-flash",
+            1 << 30,
+            PortId(1),
+        );
+        sim.world_mut()
+            .expect_mut::<PhysMemory>()
+            .write(flash.start, &[0x5au8; 4096]);
+        let cpu = sim.add("cpu", CpuPool::new("node0", 6));
+        let exec = sim.add("integrated", IntegratedExecutor::new(cpu, flash));
+        let sink = sim.add("sink", Collect);
+        let ops = vec![
+            D2dOp::SsdRead {
+                ssd: 0,
+                lba: 0,
+                len: 4096,
+            },
+            D2dOp::Process {
+                function: NdpFunction::GzipDecompress,
+                aux: vec![],
+            },
+            D2dOp::SsdWrite { ssd: 0, lba: 8 },
+        ];
+        let job = D2dJob {
+            id: 1,
+            ops,
+            reply_to: sink,
+            tag: "fused",
+        };
+        sim.kickoff(exec, job);
+        sim.run();
+        let done = &sim.world().expect::<Inbox>().0;
+        assert_eq!(done.len(), 1);
+        assert!(!done[0].ok, "non-gzip input cannot decompress");
+        let written = sim
+            .world()
+            .expect::<PhysMemory>()
+            .read(flash.start + 8 * LBA_SIZE, 4096);
+        assert!(
+            written.iter().all(|&b| b == 0),
+            "the undecoded payload must not reach flash"
+        );
     }
 
     #[test]

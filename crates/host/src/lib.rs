@@ -39,7 +39,7 @@ pub use cpu::{CpuJob, CpuJobDone, CpuPool, CpuStats};
 pub use executor::{ExecutorWiring, SwDesign, SwExecutor};
 pub use gpu_driver::{GpuOpDone, GpuOpRequest, HostGpuDriver};
 pub use integration::IntegratedExecutor;
-pub use job::{D2dDone, D2dJob, D2dOp, Design};
-pub use nic_driver::{HostNicDriver, RecvDone, RecvExpect, SendDone, SendRequest, StartNicDriver};
+pub use job::{D2dDone, D2dJob, D2dOp, JobError, OpDone};
+pub use nic_driver::{HostNicDriver, RecvExpect, SendRequest, StartNicDriver};
 pub use node::{build_pair, HostNode, HostNodeBuilder};
-pub use nvme_driver::{BlockDone, BlockOp, BlockRequest, HostNvmeDriver};
+pub use nvme_driver::{BlockOp, BlockRequest, HostNvmeDriver};

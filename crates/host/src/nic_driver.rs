@@ -35,6 +35,7 @@ use dcs_sim::{fault, Category, Component, ComponentId, Ctx, DetMap, Msg, SimTime
 
 use crate::costs::{self, KernelMode};
 use crate::cpu::{CpuJob, CpuJobDone};
+use crate::job::OpDone;
 
 /// Number of 2 KiB receive buffers kept posted.
 pub const RECV_BUFFERS: u16 = 512;
@@ -42,7 +43,7 @@ pub const RECV_BUFFERS: u16 = 512;
 /// Transmit `len` payload bytes at `payload_addr` on `flow`.
 #[derive(Debug, Clone)]
 pub struct SendRequest {
-    /// Requester-chosen identifier echoed in [`SendDone`].
+    /// Requester-chosen identifier echoed in [`OpDone`].
     pub id: u64,
     /// The D2D job this send serves: its anatomy takes the phases.
     pub job: u64,
@@ -61,21 +62,11 @@ pub struct SendRequest {
     pub reply_to: ComponentId,
 }
 
-/// Completion of a [`SendRequest`].
-#[derive(Debug, Clone)]
-pub struct SendDone {
-    /// Identifier from the originating request.
-    pub id: u64,
-    /// False when the fault-recovery retransmission budget ran out
-    /// before the peer acknowledged the data (always true fault-free).
-    pub ok: bool,
-}
-
 /// Ask the driver to accumulate `len` received payload bytes of `flow`
 /// into `into` (contiguous).
 #[derive(Debug, Clone)]
 pub struct RecvExpect {
-    /// Requester-chosen identifier echoed in [`RecvDone`].
+    /// Requester-chosen identifier echoed in [`OpDone`].
     pub id: u64,
     /// The D2D job this receive serves: its anatomy takes the phases.
     pub job: u64,
@@ -90,16 +81,6 @@ pub struct RecvExpect {
     pub tag: &'static str,
     /// Component notified when `len` bytes have been gathered.
     pub reply_to: ComponentId,
-}
-
-/// Completion of a [`RecvExpect`].
-#[derive(Debug, Clone)]
-pub struct RecvDone {
-    /// Identifier from the originating expectation.
-    pub id: u64,
-    /// False when the expectation made no progress for a full fault
-    /// timeout and was abandoned (always true fault-free).
-    pub ok: bool,
 }
 
 struct PendingSend {
@@ -360,7 +341,7 @@ impl HostNicDriver {
         let completion = costs::IRQ_ENTRY_NS + costs::COMPLETION_PATH_NS;
         obs.mark(s.req.job, Category::Wire, now - completion);
         obs.mark(s.req.job, Category::RequestCompletion, now);
-        ctx.send_now(s.req.reply_to, SendDone { id, ok: true });
+        ctx.send_now(s.req.reply_to, OpDone { id, ok: true });
     }
 
     /// A cumulative ack for the transmit direction keyed by the frame's
@@ -441,7 +422,7 @@ impl HostNicDriver {
             q.retain(|&u| u != id);
         }
         ctx.mark(s.req.job, Category::Wire);
-        ctx.send_now(s.req.reply_to, SendDone { id, ok: false });
+        ctx.send_now(s.req.reply_to, OpDone { id, ok: false });
     }
 
     fn on_rx_msi(&mut self, ctx: &mut Ctx<'_>) {
@@ -606,7 +587,7 @@ fn finish_recv(ctx: &mut Ctx<'_>, e: &Expectation, ok: bool) {
     obs.mark(job, Category::Wire, now - (e.stack_ns + e.copy_ns));
     obs.mark(job, Category::NetworkStack, now - e.copy_ns);
     obs.mark(job, Category::DataCopy, now);
-    ctx.send_now(e.req.reply_to, RecvDone { id: e.req.id, ok });
+    ctx.send_now(e.req.reply_to, OpDone { id: e.req.id, ok });
 }
 
 /// One-time driver start: post receive buffers.

@@ -28,6 +28,7 @@ use dcs_sim::{fault, Category, Component, ComponentId, Ctx, Msg, SimTime};
 
 use crate::costs::{self, KernelMode};
 use crate::cpu::{CpuJob, CpuJobDone};
+use crate::job::OpDone;
 
 /// Read or write.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -41,7 +42,7 @@ pub enum BlockOp {
 /// A block I/O request against the driver.
 #[derive(Debug, Clone)]
 pub struct BlockRequest {
-    /// Requester-chosen identifier echoed in [`BlockDone`].
+    /// Requester-chosen identifier echoed in [`OpDone`].
     pub id: u64,
     /// The D2D job this request serves: its anatomy takes the phases.
     pub job: u64,
@@ -58,15 +59,6 @@ pub struct BlockRequest {
     pub tag: &'static str,
     /// Component notified on completion.
     pub reply_to: ComponentId,
-}
-
-/// Completion of a [`BlockRequest`].
-#[derive(Debug, Clone)]
-pub struct BlockDone {
-    /// Identifier from the originating request.
-    pub id: u64,
-    /// Whether the device reported success.
-    pub ok: bool,
 }
 
 struct Outstanding {
@@ -302,7 +294,7 @@ impl HostNvmeDriver {
         obs.mark(out.req.job, Category::RequestCompletion, now);
         ctx.send_now(
             out.req.reply_to,
-            BlockDone {
+            OpDone {
                 id: out.req.id,
                 ok: out.ok,
             },
@@ -353,7 +345,7 @@ mod tests {
 
     struct Caller {
         driver: ComponentId,
-        done: Vec<BlockDone>,
+        done: Vec<OpDone>,
     }
 
     #[derive(Debug)]
@@ -370,7 +362,7 @@ mod tests {
                 Err(m) => m,
             };
             let d = msg
-                .downcast::<BlockDone>()
+                .downcast::<OpDone>()
                 .expect("caller gets block completions");
             ctx.world().stats.counter("caller.done").add(1);
             if d.ok {

@@ -84,11 +84,26 @@ impl NdpFunction {
         )
     }
 
-    /// Executes the function over `input`.
+    /// The function's own rule for `aux`: the AES variants take the
+    /// 32-byte key followed by the 16-byte CTR nonce; the rest ignore it.
     ///
-    /// `aux` carries function-specific parameters: for the AES variants it
-    /// must be the 32-byte key followed by the 16-byte CTR nonce; other
-    /// functions ignore it.
+    /// # Errors
+    ///
+    /// Returns [`NdpError::BadAux`] if `aux` is malformed.
+    pub fn check_aux(self, aux: &[u8]) -> Result<(), NdpError> {
+        match self {
+            NdpFunction::Aes256Encrypt | NdpFunction::Aes256Decrypt if aux.len() != 48 => {
+                Err(NdpError::BadAux {
+                    function: self,
+                    expected: "32-byte key followed by 16-byte nonce",
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Executes the function over `input` with the parameters `aux`
+    /// ([`NdpFunction::check_aux`]).
     ///
     /// # Errors
     ///
@@ -96,18 +111,13 @@ impl NdpFunction {
     /// [`NdpFunction::GzipDecompress`]) the input is not a valid gzip
     /// stream.
     pub fn apply(self, input: &[u8], aux: &[u8]) -> Result<NdpOutput, NdpError> {
+        self.check_aux(aux)?;
         match self {
             NdpFunction::Md5 => Ok(NdpOutput::digest(md5(input).to_vec())),
             NdpFunction::Sha1 => Ok(NdpOutput::digest(sha1(input).to_vec())),
             NdpFunction::Sha256 => Ok(NdpOutput::digest(sha256(input).to_vec())),
             NdpFunction::Crc32 => Ok(NdpOutput::digest(crc32(input).to_be_bytes().to_vec())),
             NdpFunction::Aes256Encrypt | NdpFunction::Aes256Decrypt => {
-                if aux.len() != 48 {
-                    return Err(NdpError::BadAux {
-                        function: self,
-                        expected: "32-byte key followed by 16-byte nonce",
-                    });
-                }
                 let key: [u8; 32] = aux[..32].try_into().expect("length checked");
                 let nonce: [u8; 16] = aux[32..].try_into().expect("length checked");
                 let aes = Aes256::new(&key);

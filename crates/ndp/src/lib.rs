@@ -37,7 +37,7 @@ pub mod md5;
 pub mod sha1;
 pub mod sha256;
 
-pub use function::{NdpFunction, NdpOutput};
+pub use function::{NdpError, NdpFunction, NdpOutput};
 
 /// Formats bytes as lowercase hex (handy for digest comparison in tests and
 /// examples).
