@@ -26,7 +26,8 @@ use dcs_host::cpu::{CpuJob, CpuJobDone};
 use dcs_host::job::{D2dDone, D2dJob, D2dOp};
 use dcs_nic::TcpFlow;
 use dcs_pcie::{
-    DmaComplete, DmaOp, DmaRequest, MmioWrite, MsiDelivery, PhysAddr, PhysMemory, PortId, TlpClass,
+    DmaComplete, DmaOp, DmaRequest, FabricId, MmioWrite, MsiDelivery, PhysAddr, PhysMemory, PortId,
+    TlpClass,
 };
 use dcs_sim::{fault, Category, Component, ComponentId, Ctx, Msg, SimTime};
 
@@ -85,7 +86,7 @@ struct RingPoll;
 /// The HDC Driver component.
 pub struct HdcDriver {
     cpu: ComponentId,
-    fabric: ComponentId,
+    fabric: FabricId,
     engine: ComponentId,
     cmd_queue: PhysAddr,
     engine_aux_base: PhysAddr,
@@ -110,7 +111,7 @@ impl HdcDriver {
     /// to the engine.
     pub fn new(
         cpu: ComponentId,
-        fabric: ComponentId,
+        fabric: FabricId,
         engine: ComponentId,
         cmd_queue: PhysAddr,
         engine_aux_base: PhysAddr,
@@ -342,9 +343,9 @@ impl HdcDriver {
 
     /// Writes `cmd` into the engine's command queue.
     fn write_command(&mut self, ctx: &mut Ctx<'_>, cmd: &D2dCommand) {
-        let fabric = self.fabric;
-        ctx.send_now(
-            fabric,
+        dcs_pcie::mmio_write(
+            ctx,
+            0,
             MmioWrite {
                 addr: self.cmd_queue,
                 data: cmd.to_bytes().to_vec(),
@@ -367,13 +368,11 @@ impl HdcDriver {
                 data: block.clone(),
             },
             class: TlpClass::Data,
-            reply_to: ctx.self_id(),
         };
         self.next_token += 1;
         self.cpu_phases
             .insert(req.id, CpuPhase::Submit { id, cmd, aux });
-        let fabric = self.fabric;
-        ctx.send_now(fabric, req);
+        dcs_pcie::dma(ctx, self.fabric, req);
     }
 
     /// A poisoned/timed-out aux DMA. The driver still holds the blocks,
@@ -487,6 +486,7 @@ impl Component for HdcDriver {
             Ok(done) => {
                 // An aux DMA finished: post the next block or write the
                 // command.
+                let done = done.land(ctx.world());
                 let Some(phase) = self.cpu_phases.remove(&done.id) else {
                     ctx.world().stats.counter("hdc.drv_stale_dmas").add(1);
                     return;

@@ -39,12 +39,10 @@ use dcs_nvme::{
     AttachQueuePair, NvmeCommand, NvmeCompletion, NvmeHandle, NvmeInitiator, NvmeIo, Outcome, Rung,
 };
 use dcs_pcie::{
-    AddrRange, DmaComplete, DmaOp, DmaRequest, MmioWrite, Msi, MsiDelivery, PhysAddr, PhysMemory,
-    PortId, TlpClass,
+    AddrRange, DmaComplete, DmaOp, DmaRequest, DmaStart, FabricId, MmioWrite, Msi, MsiDelivery,
+    PhysAddr, PhysMemory, PortId, TlpClass,
 };
-use dcs_sim::{
-    fault, Bandwidth, Category, Component, ComponentId, Ctx, DetMap, FifoServer, Msg, SimTime,
-};
+use dcs_sim::{fault, Bandwidth, Category, Component, Ctx, DetMap, FifoServer, Msg, SimTime};
 
 use crate::buffers::{ChunkAllocator, CHUNK_SIZE};
 use crate::command::{CompletionRecord, D2dCommand, DevOpCode};
@@ -185,7 +183,7 @@ struct EngineSend {
 /// The HDC Engine component.
 pub struct HdcEngine {
     config: EngineConfig,
-    fabric: ComponentId,
+    fabric: FabricId,
     /// BAR: command queue + rings live here (BRAM window).
     bar: AddrRange,
     /// The engine's PCIe port: the device end of its completion writes.
@@ -243,7 +241,7 @@ impl HdcEngine {
     /// [`build_dcs_node`](crate::node)).
     pub fn new(
         config: EngineConfig,
-        fabric: ComponentId,
+        fabric: FabricId,
         bar: AddrRange,
         ddr: AddrRange,
         port: PortId,
@@ -381,7 +379,7 @@ impl HdcEngine {
         let doorbell = self
             .nic
             .post_recv_buffers(ctx.world().expect_mut::<PhysMemory>(), n);
-        ctx.send_now(self.fabric, doorbell);
+        dcs_pcie::mmio_write(ctx, 0, doorbell);
     }
 
     // ------------------------------------------------------------------
@@ -623,7 +621,7 @@ impl HdcEngine {
         let doorbell = ctrl.submit(ctx.world().expect_mut::<PhysMemory>(), tag, io);
         // Hardware-speed doorbell: a posted PCIe P2P write, with the
         // scoreboard's bookkeeping as the only added latency.
-        ctx.send_in(SCOREBOARD_STEP_NS, self.fabric, doorbell);
+        dcs_pcie::mmio_write(ctx, SCOREBOARD_STEP_NS, doorbell);
     }
 
     fn issue_nic_send(
@@ -675,7 +673,7 @@ impl HdcEngine {
             .push_send(ctx.world().expect_mut::<PhysMemory>(), tx);
         self.tx_fifo
             .extend((0..descs).map(|i| (at, now, i == descs - 1)));
-        ctx.send_in(SCOREBOARD_STEP_NS, self.fabric, doorbell);
+        dcs_pcie::mmio_write(ctx, SCOREBOARD_STEP_NS, doorbell);
     }
 
     // ------------------------------------------------------------------
@@ -691,7 +689,7 @@ impl HdcEngine {
         else {
             return;
         };
-        ctx.send_now(self.fabric, doorbell);
+        dcs_pcie::mmio_write(ctx, 0, doorbell);
         for entry in entries {
             match self.nvme[ssd].complete(ctx.world(), &entry) {
                 // A poisoned entry, or a straggler a controller reset
@@ -700,7 +698,7 @@ impl HdcEngine {
                 // A straggler for a request the watchdog already failed.
                 Outcome::Stale => ctx.world().stats.counter("hdc.stale_subop").add(1),
                 Outcome::Retried(doorbell) => {
-                    ctx.send_in(SCOREBOARD_STEP_NS, self.fabric, doorbell)
+                    dcs_pcie::mmio_write(ctx, SCOREBOARD_STEP_NS, doorbell)
                 }
                 Outcome::Settled { io, done } => self.nvme_settled(ctx, io, done),
             }
@@ -960,7 +958,7 @@ impl HdcEngine {
             frames.push((conn, frame.payload));
         }
         if let Some(doorbell) = scan.repost {
-            ctx.send_now(self.fabric, doorbell);
+            dcs_pcie::mmio_write(ctx, 0, doorbell);
         }
         // Acknowledge the batch: one coalesced cumulative ack per flow that
         // delivered data (accepted or not — duplicates are re-acked so a
@@ -1065,7 +1063,7 @@ impl HdcEngine {
                 let ctrl = &mut self.nvme[ssd];
                 let (attach, doorbell) = ctrl.reset(ctx.world().expect_mut::<PhysMemory>(), now);
                 ctx.send_now(ctrl.device(), attach);
-                ctx.send_in(SCOREBOARD_STEP_NS, self.fabric, doorbell);
+                dcs_pcie::mmio_write(ctx, SCOREBOARD_STEP_NS, doorbell);
             }
             for (at, _) in ladder.into_iter().filter(|&(_, step)| step == Rung::Fail) {
                 self.nvme[ssd].abandon(&at);
@@ -1217,14 +1215,13 @@ impl HdcEngine {
                 data: dma.record.to_vec(),
             },
             class: TlpClass::Completion,
-            reply_to: ctx.self_id(),
         };
         self.comp_dmas.insert(token, dma);
-        let fabric = self.fabric;
-        ctx.send_in(delay, fabric, req);
+        dcs_pcie::dma_in(ctx, delay, self.fabric, req);
     }
 
-    fn on_completion_dma_done(&mut self, ctx: &mut Ctx<'_>, done: &DmaComplete) {
+    fn on_completion_dma_done(&mut self, ctx: &mut Ctx<'_>, done: DmaComplete) {
+        let done = done.land(ctx.world());
         let Some(dma) = self.comp_dmas.remove(&done.id) else {
             ctx.world()
                 .stats
@@ -1258,9 +1255,8 @@ impl HdcEngine {
                 self.allocator.free(*b);
             }
         }
-        let fabric = self.fabric;
-        ctx.send_now(
-            fabric,
+        dcs_pcie::msi(
+            ctx,
             Msi {
                 addr: init.msi_addr,
                 vector: init.msi_vector,
@@ -1354,8 +1350,12 @@ impl Component for HdcEngine {
             }
             Err(m) => m,
         };
+        let msg = match msg.downcast::<DmaStart>() {
+            Ok(start) => return start.book(ctx),
+            Err(m) => m,
+        };
         match msg.downcast::<DmaComplete>() {
-            Ok(done) => self.on_completion_dma_done(ctx, &done),
+            Ok(done) => self.on_completion_dma_done(ctx, done),
             Err(other) => panic!("HdcEngine received unexpected message: {other:?}"),
         }
     }

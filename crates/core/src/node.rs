@@ -9,7 +9,9 @@
 use dcs_host::cpu::CpuPool;
 use dcs_nic::{install_nic, install_wire, NicConfig, NicHandle, WireConfig};
 use dcs_nvme::{install_nvme, NvmeConfig, NvmeHandle};
-use dcs_pcie::{AddrRange, MmioRouting, PcieConfig, PcieFabric, PhysAddr, PhysMemory, PortId};
+use dcs_pcie::{
+    install_fabric, AddrRange, FabricId, MmioRouting, PcieConfig, PhysAddr, PhysMemory, PortId,
+};
 use dcs_sim::{ComponentId, Simulator};
 
 use crate::driver::{DriverLayout, HdcDriver};
@@ -54,7 +56,7 @@ pub struct DcsNode {
     /// Core count.
     pub cores: usize,
     /// Node PCIe fabric.
-    pub fabric: ComponentId,
+    pub fabric: FabricId,
     /// Host DRAM.
     pub dram: AddrRange,
     /// Mounted SSDs.
@@ -96,12 +98,12 @@ pub(crate) fn build_dcs_node(
 ) -> DcsNode {
     let name = &builder.name;
     let ports = 2 + builder.ssds.len() + 1 /* engine */ + 1;
-    let fabric = sim.add(
-        &format!("{name}-pcie"),
-        PcieFabric::new(PcieConfig {
+    let fabric = install_fabric(
+        sim.world_mut(),
+        PcieConfig {
             ports,
             ..PcieConfig::default()
-        }),
+        },
     );
     let cpu = sim.add(&format!("{name}-cpu"), CpuPool::new(name, builder.cores));
     let dram = sim.world_mut().expect_mut::<PhysMemory>().alloc_region(

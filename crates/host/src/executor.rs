@@ -23,7 +23,9 @@ use dcs_sim::DetMap;
 
 use dcs_gpu::GpuHandle;
 use dcs_ndp::NdpFunction;
-use dcs_pcie::{DmaComplete, DmaOp, DmaRequest, PhysAddr, PhysMemory, TlpClass};
+use dcs_pcie::{
+    DmaComplete, DmaOp, DmaRequest, DmaStart, FabricId, PhysAddr, PhysMemory, TlpClass,
+};
 use dcs_sim::{Category, Component, ComponentId, Ctx, IntegrityAudit, Msg, SimTime};
 
 use crate::costs::{self, KernelMode};
@@ -109,7 +111,7 @@ pub struct ExecutorWiring {
     /// The node's CPU pool.
     pub cpu: ComponentId,
     /// The node's PCIe fabric.
-    pub fabric: ComponentId,
+    pub fabric: FabricId,
     /// NVMe driver components, indexed by `D2dOp::SsdRead::ssd`.
     pub nvme_drivers: Vec<ComponentId>,
     /// The NIC driver.
@@ -413,17 +415,12 @@ impl SwExecutor {
         // control and the DMA as the copy.
         self.cpu_job(ctx, cpu_token, setup, "gpu-copy");
         self.tokens.remove(&cpu_token); // accounted, no continuation
-        let fabric = self.wiring.fabric;
-        ctx.send_in(
-            setup,
-            fabric,
-            DmaRequest {
-                id: token,
-                op: DmaOp::Copy { src, dst, len },
-                class: TlpClass::Data,
-                reply_to: ctx.self_id(),
-            },
-        );
+        let req = DmaRequest {
+            id: token,
+            op: DmaOp::Copy { src, dst, len },
+            class: TlpClass::Data,
+        };
+        dcs_pcie::dma_in(ctx, setup, self.wiring.fabric, req);
     }
 
     fn do_send(&mut self, ctx: &mut Ctx<'_>, id: u64, flow: dcs_nic::TcpFlow, seq: u32) {
@@ -565,8 +562,16 @@ impl Component for SwExecutor {
             }
             Err(m) => m,
         };
+        let msg = match msg.downcast::<DmaStart>() {
+            Ok(start) => {
+                start.book(ctx);
+                return;
+            }
+            Err(m) => m,
+        };
         let msg = match msg.downcast::<DmaComplete>() {
             Ok(done) => {
+                let done = done.land(ctx.world());
                 let id = self.tokens.remove(&done.id).expect("token routed");
                 let then = {
                     let state = self.jobs.get_mut(&id).expect("live job");

@@ -133,7 +133,6 @@ struct RxCheck {
 /// The driver component. One instance drives one NIC.
 pub struct HostNicDriver {
     cpu: ComponentId,
-    fabric: ComponentId,
     /// Kernel mode (vanilla pays socket-buffer and extra copy costs).
     mode: KernelMode,
     nic: NicInitiator,
@@ -164,7 +163,6 @@ impl HostNicDriver {
     /// memory; `msi_addr` (16 bytes) must be claimed for this component.
     pub fn new(
         cpu: ComponentId,
-        fabric: ComponentId,
         nic: NicHandle,
         mode: KernelMode,
         area: AddrRange,
@@ -189,7 +187,6 @@ impl HostNicDriver {
         };
         let driver = HostNicDriver {
             cpu,
-            fabric,
             mode,
             nic: NicInitiator::new(nic, configure, recv_bufs, hdr_area),
             tx_queue: VecDeque::new(),
@@ -290,7 +287,7 @@ impl HostNicDriver {
             .push_send(ctx.world().expect_mut::<PhysMemory>(), &tx);
         self.sends.get_mut(&id).expect("live send").descs_remaining += descs;
         self.tx_queue.extend(std::iter::repeat_n(id, descs));
-        ctx.send_now(self.fabric, doorbell);
+        dcs_pcie::mmio_write(ctx, 0, doorbell);
     }
 
     fn on_tx_msi(&mut self, ctx: &mut Ctx<'_>) {
@@ -454,7 +451,7 @@ impl HostNicDriver {
         // Reposts cover ACK-only and corrupt frames too: they consume
         // posted buffers as well.
         if let Some(doorbell) = scan.repost {
-            ctx.send_now(self.fabric, doorbell);
+            dcs_pcie::mmio_write(ctx, 0, doorbell);
         }
         if frames.is_empty() {
             return;
@@ -602,7 +599,7 @@ impl Component for HostNicDriver {
                 let doorbell = self
                     .nic
                     .post_recv_buffers(ctx.world().expect_mut::<PhysMemory>(), n);
-                ctx.send_now(self.fabric, doorbell);
+                dcs_pcie::mmio_write(ctx, 0, doorbell);
                 return;
             }
             Err(m) => m,

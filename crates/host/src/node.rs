@@ -8,7 +8,9 @@
 use dcs_gpu::{install_gpu, GpuHandle};
 use dcs_nic::{install_nic, install_wire, NicConfig, NicHandle, WireConfig};
 use dcs_nvme::{install_nvme, NvmeConfig, NvmeHandle};
-use dcs_pcie::{AddrRange, MmioRouting, PcieConfig, PcieFabric, PhysAddr, PhysMemory, PortId};
+use dcs_pcie::{
+    install_fabric, AddrRange, FabricId, MmioRouting, PcieConfig, PhysAddr, PhysMemory, PortId,
+};
 use dcs_sim::{ComponentId, Simulator};
 
 use crate::cpu::CpuPool;
@@ -64,7 +66,7 @@ pub struct HostNode {
     /// Core count.
     pub cores: usize,
     /// The node's PCIe fabric.
-    pub fabric: ComponentId,
+    pub fabric: FabricId,
     /// Host DRAM region.
     pub dram: AddrRange,
     /// Mounted SSDs.
@@ -117,12 +119,12 @@ pub(crate) fn build_node(
     let name = &builder.name;
     // Per-node PCIe switch: the root port plus one port per device.
     let ports = 2 + builder.ssds.len() + usize::from(builder.gpu) + 1;
-    let fabric = sim.add(
-        &format!("{name}-pcie"),
-        PcieFabric::new(PcieConfig {
+    let fabric = install_fabric(
+        sim.world_mut(),
+        PcieConfig {
             ports,
             ..PcieConfig::default()
-        }),
+        },
     );
     let cpu = sim.add(&format!("{name}-cpu"), CpuPool::new(name, builder.cores));
     let dram = sim.world_mut().expect_mut::<PhysMemory>().alloc_region(
@@ -151,7 +153,6 @@ pub(crate) fn build_node(
         let driver_id = sim.reserve(&format!("{name}-nvme-driver{i}"));
         let (driver, attach) = HostNvmeDriver::new(
             cpu,
-            fabric,
             ssd.clone(),
             builder.design.kernel_mode(),
             rings,
@@ -183,7 +184,6 @@ pub(crate) fn build_node(
     let nic_driver_id = sim.reserve(&format!("{name}-nic-driver"));
     let (nic_driver, configure) = HostNicDriver::new(
         cpu,
-        fabric,
         nic.clone(),
         builder.design.kernel_mode(),
         nic_area,

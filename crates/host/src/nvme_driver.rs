@@ -86,7 +86,6 @@ struct NvmeCheck {
 /// The driver component. One instance drives one SSD queue pair.
 pub struct HostNvmeDriver {
     cpu: ComponentId,
-    fabric: ComponentId,
     mode: KernelMode,
     /// The queue pair; requests are keyed by their first command's CID
     /// (requests above the drive's MDTS split into several commands, as
@@ -106,7 +105,6 @@ impl HostNvmeDriver {
     /// PRP-list scratch; `msi_addr` must be claimed for this component.
     pub fn new(
         cpu: ComponentId,
-        fabric: ComponentId,
         ssd: NvmeHandle,
         mode: KernelMode,
         rings: AddrRange,
@@ -128,7 +126,6 @@ impl HostNvmeDriver {
         };
         let driver = HostNvmeDriver {
             cpu,
-            fabric,
             mode,
             nvme: NvmeInitiator::new(ssd, attach, prp_base),
             outstanding: DetMap::new(),
@@ -202,7 +199,7 @@ impl HostNvmeDriver {
         let doorbell = self
             .nvme
             .submit(ctx.world().expect_mut::<PhysMemory>(), cid, io);
-        ctx.send_now(self.fabric, doorbell);
+        dcs_pcie::mmio_write(ctx, 0, doorbell);
         if fault::active(ctx.world_ref()) {
             ctx.send_self_in(fault::NVME_TIMEOUT_NS, NvmeCheck { cid });
         }
@@ -219,7 +216,7 @@ impl HostNvmeDriver {
             return;
         };
         // Ring the CQ head doorbell once for the batch.
-        ctx.send_now(self.fabric, doorbell);
+        dcs_pcie::mmio_write(ctx, 0, doorbell);
         for entry in entries {
             match self.nvme.complete(ctx.world(), &entry) {
                 // A poisoned entry (the device rewrites the slot, but a
@@ -227,7 +224,7 @@ impl HostNvmeDriver {
                 Outcome::Unknown => ctx.world().stats.counter("nvme.drv_bad_cqe").add(1),
                 // A straggler for a request a timeout already failed.
                 Outcome::Stale => ctx.world().stats.counter("nvme.drv_stale_cqe").add(1),
-                Outcome::Retried(doorbell) => ctx.send_now(self.fabric, doorbell),
+                Outcome::Retried(doorbell) => dcs_pcie::mmio_write(ctx, 0, doorbell),
                 Outcome::Settled { done: None, .. } => {}
                 Outcome::Settled { io, done: Some(ok) } => self.device_done(ctx, io.req, ok),
             }
@@ -268,7 +265,7 @@ impl HostNvmeDriver {
                 let (attach, doorbell) =
                     self.nvme.reset(ctx.world().expect_mut::<PhysMemory>(), now);
                 ctx.send_now(self.nvme.device(), attach);
-                ctx.send_now(self.fabric, doorbell);
+                dcs_pcie::mmio_write(ctx, 0, doorbell);
             }
             Some((_, Rung::Fail)) => {
                 ctx.world().stats.counter("nvme.drv_timeouts").add(1);
@@ -340,7 +337,7 @@ mod tests {
     use super::*;
     use crate::cpu::CpuPool;
     use dcs_nvme::{install_nvme, NvmeConfig};
-    use dcs_pcie::{MmioRouting, PcieConfig, PcieFabric, PortId};
+    use dcs_pcie::{install_fabric, MmioRouting, PcieConfig, PortId};
     use dcs_sim::{time, Simulator};
 
     struct Caller {
@@ -376,7 +373,7 @@ mod tests {
         let mut sim = Simulator::new(5);
         sim.world_mut().insert(PhysMemory::new());
         sim.world_mut().insert(MmioRouting::new());
-        let fabric = sim.add("pcie", PcieFabric::new(PcieConfig::default()));
+        let fabric = install_fabric(sim.world_mut(), PcieConfig::default());
         let cpu = sim.add("cpu", CpuPool::new("node0", 6));
         let ssd = install_nvme(
             &mut sim,
@@ -396,7 +393,7 @@ mod tests {
         let rings = AddrRange::new(dram.start, 1 << 20);
         let msi_addr = dram.start + (2 << 20);
         let driver_id = sim.reserve("nvme-driver");
-        let (driver, attach) = HostNvmeDriver::new(cpu, fabric, ssd.clone(), mode, rings, msi_addr);
+        let (driver, attach) = HostNvmeDriver::new(cpu, ssd.clone(), mode, rings, msi_addr);
         sim.install(driver_id, driver);
         sim.world_mut()
             .expect_mut::<MmioRouting>()

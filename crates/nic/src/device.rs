@@ -2,9 +2,9 @@
 //!
 //! Transmit: doorbell → batched descriptor fetch (DMA) → header-template
 //! and payload gather (DMA) → LSO segmentation with per-segment header
-//! fix-up (real sequence numbers and checksums) → frames serialized on the
-//! wire → per-descriptor completion MSI when the last segment leaves the
-//! adapter.
+//! fix-up (real sequence numbers and checksums) → the send's frames handed
+//! to the wire in one message → per-descriptor completion MSI when the
+//! wire reports the last segment gone.
 //!
 //! Receive: frames arrive from the wire → next posted buffer descriptor →
 //! frame DMA into the buffer → write-back record → interrupt-coalesced MSI.
@@ -16,12 +16,16 @@
 //! Fetches and gathers are fabric reads whose completions carry the bytes,
 //! and a received frame is a posted write that carries them, so nothing
 //! the NIC holds occupies [`PhysMemory`].
+//!
+//! Every DMA, MSI and doorbell is booked inline on the node's fabric
+//! ([`dcs_pcie::dma`], [`dcs_pcie::msi`]): a received frame costs the NIC
+//! two events, its [`FrameDelivery`] and its write's [`DmaComplete`].
 
 use std::collections::VecDeque;
 
 use dcs_pcie::{
-    aer, AddrRange, DmaComplete, DmaOp, DmaRequest, MmioWrite, Msi, PhysAddr, PhysMemory, PortId,
-    TlpClass,
+    aer, AddrRange, DmaComplete, DmaOp, DmaRequest, FabricId, MmioWrite, Msi, PhysAddr, PhysMemory,
+    PortId, TlpClass,
 };
 use dcs_sim::{fault, time, Component, ComponentId, Ctx, DetMap, Msg, Simulator};
 
@@ -155,7 +159,7 @@ struct TxOp {
 /// The NIC component.
 pub struct NicDevice {
     config: NicConfig,
-    fabric: ComponentId,
+    fabric: FabricId,
     wire: ComponentId,
     bar: AddrRange,
     /// The NIC's PCIe port: the device end of its DMAs.
@@ -167,9 +171,9 @@ pub struct NicDevice {
     /// In-flight DMA bookkeeping.
     dmas: DetMap<u64, DmaPurpose>,
     tx_ops: DetMap<u64, TxOp>,
-    /// Wire-transmit token → whether it is its send op's last segment
-    /// (control frames never are).
-    frames: DetMap<u64, bool>,
+    /// Wire-transmit token → whether its end raises the transmit MSI
+    /// (an LSO send's does, a control frame's does not).
+    sends: DetMap<u64, bool>,
     /// Posted receive buffers in ring order.
     posted: VecDeque<(u16, RecvDescriptor)>,
     /// Ring index of the next posted buffer / write-back slot.
@@ -182,7 +186,7 @@ impl NicDevice {
     /// Creates a NIC with register BAR `bar`, sitting behind `port`.
     pub fn new(
         config: NicConfig,
-        fabric: ComponentId,
+        fabric: FabricId,
         wire: ComponentId,
         bar: AddrRange,
         port: PortId,
@@ -198,7 +202,7 @@ impl NicDevice {
             rx_cons: 0,
             dmas: DetMap::new(),
             tx_ops: DetMap::new(),
-            frames: DetMap::new(),
+            sends: DetMap::new(),
             posted: VecDeque::new(),
             rx_wb_next: 0,
             next_token: 1,
@@ -240,10 +244,8 @@ impl NicDevice {
             id: token,
             op,
             class: TlpClass::Data,
-            reply_to: ctx.self_id(),
         };
-        let fabric = self.fabric;
-        ctx.send_now(fabric, req);
+        dcs_pcie::dma(ctx, self.fabric, req);
     }
 
     /// Reads `len` bytes at `src` into the adapter.
@@ -394,8 +396,9 @@ impl NicDevice {
         if txop.aborted {
             return;
         }
-        // Both header template and payload are in: segment and send, each
-        // frame copying its payload straight out of the gathered bytes.
+        // Both header template and payload are in: segment, each frame
+        // copying its payload straight out of the gathered bytes, and hand
+        // the wire the whole send.
         let mss = if txop.desc.mss == 0 {
             usize::from(MSS)
         } else {
@@ -406,43 +409,43 @@ impl NicDevice {
         let payload_len = txop.payload.len();
         // An empty send still leaves as one header-only frame.
         let n = payload_len.div_ceil(mss).max(1);
-        for i in 0..n {
-            let offset = i * mss;
-            let len = mss.min(payload_len - offset);
-            let frame = build_frame_in_place(
-                &flow,
-                seq0.wrapping_add(offset as u32),
-                ack.wrapping_add(offset as u32),
-                len,
-                |p| p.copy_from_slice(&txop.payload[offset..offset + len]),
-            );
-            let ftoken = self.token();
-            self.frames.insert(ftoken, i == n - 1);
-            let wire = self.wire;
-            let overhead = DESCRIPTOR_OVERHEAD_NS;
-            ctx.send_in(overhead, wire, TransmitFrame { id: ftoken, frame });
-            ctx.world().stats.counter("nic.tx_frames").add(1);
-            let now = ctx.now();
-            ctx.world().obs.span_begin("nic", "wire-tx", ftoken, now);
-        }
+        let frames = (0..n)
+            .map(|i| {
+                let offset = i * mss;
+                let len = mss.min(payload_len - offset);
+                build_frame_in_place(
+                    &flow,
+                    seq0.wrapping_add(offset as u32),
+                    ack.wrapping_add(offset as u32),
+                    len,
+                    |p| p.copy_from_slice(&txop.payload[offset..offset + len]),
+                )
+            })
+            .collect();
+        self.transmit(ctx, frames, true);
+        ctx.world().stats.counter("nic.tx_frames").add(n as u64);
+    }
+
+    /// Hands `frames` to the wire as one send, after the descriptor
+    /// overhead; `msi` says whether its end raises the transmit MSI.
+    fn transmit(&mut self, ctx: &mut Ctx<'_>, frames: Vec<Vec<u8>>, msi: bool) {
+        let id = self.token();
+        self.sends.insert(id, msi);
+        let wire = self.wire;
+        ctx.send_in(DESCRIPTOR_OVERHEAD_NS, wire, TransmitFrame { id, frames });
     }
 
     fn on_transmit_done(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        {
-            let now = ctx.now();
-            ctx.world().obs.span_end("nic", "wire-tx", id, now);
-        }
-        let Some(last) = self.frames.remove(&id) else {
+        let Some(msi) = self.sends.remove(&id) else {
             ctx.world().stats.counter("nic.stale_completions").add(1);
             return;
         };
-        if !last {
+        if !msi {
             return;
         }
         let rings = *self.rings();
-        let fabric = self.fabric;
-        ctx.send_now(
-            fabric,
+        dcs_pcie::msi(
+            ctx,
             Msi {
                 addr: rings.tx_msi_addr,
                 vector: rings.tx_msi_vector,
@@ -613,6 +616,7 @@ impl NicDevice {
     }
 
     fn on_dma_complete(&mut self, ctx: &mut Ctx<'_>, done: DmaComplete) {
+        let done = done.land(ctx.world());
         let Some(purpose) = self.dmas.remove(&done.id) else {
             // Late completion for a transfer a reset abandoned.
             ctx.world().stats.counter("nic.stale_completions").add(1);
@@ -680,7 +684,7 @@ impl Component for NicDevice {
                     // restart ring state from index zero.
                     self.dmas = DetMap::new();
                     self.tx_ops = DetMap::new();
-                    self.frames = DetMap::new();
+                    self.sends = DetMap::new();
                     self.posted.clear();
                     self.tx_cons = 0;
                     self.rx_cons = 0;
@@ -704,18 +708,7 @@ impl Component for NicDevice {
         };
         let msg = match msg.downcast::<ControlFrame>() {
             Ok(cf) => {
-                let ftoken = self.token();
-                self.frames.insert(ftoken, false);
-                let wire = self.wire;
-                let overhead = DESCRIPTOR_OVERHEAD_NS;
-                ctx.send_in(
-                    overhead,
-                    wire,
-                    TransmitFrame {
-                        id: ftoken,
-                        frame: cf.frame,
-                    },
-                );
+                self.transmit(ctx, vec![cf.frame], false);
                 ctx.world().stats.counter("nic.tx_ctrl_frames").add(1);
                 return;
             }
@@ -725,9 +718,8 @@ impl Component for NicDevice {
             Ok(RaiseRxIrq) => {
                 self.irq_pending = false;
                 let rings = *self.rings();
-                let fabric = self.fabric;
-                ctx.send_now(
-                    fabric,
+                dcs_pcie::msi(
+                    ctx,
                     Msi {
                         addr: rings.rx_msi_addr,
                         vector: rings.rx_msi_vector,
@@ -745,7 +737,7 @@ impl Component for NicDevice {
 pub fn install_nic(
     sim: &mut Simulator,
     id: ComponentId,
-    fabric: ComponentId,
+    fabric: FabricId,
     wire: ComponentId,
     config: NicConfig,
     name: &str,

@@ -5,9 +5,10 @@
 //! cannot collide, and a completion that arrives for work the NIC dropped
 //! must start nothing.
 //!
-//! A holding fabric records every DMA the NIC issues and completes them
-//! only when a test says so, which makes "in flight" a state the test
-//! controls.
+//! The NIC runs on a real fabric inside a holding wrapper: every DMA
+//! completion the fabric sends it is kept, its bytes not yet landed, until
+//! a test releases it, which makes "in flight" a state the test controls.
+//! Poisoned transfers come from a fault plan that corrupts chosen TLPs.
 
 use dcs_nic::headers::{build_frame, build_template};
 use dcs_nic::{
@@ -15,45 +16,60 @@ use dcs_nic::{
     SendDescriptor, TcpFlow, TransmitFrame,
 };
 use dcs_pcie::{
-    AddrRange, DmaComplete, DmaOp, DmaRequest, DmaStatus, MmioWrite, Msi, PhysAddr, PhysMemory,
-    PortId,
+    install_fabric, AddrRange, DmaComplete, DmaOp, MmioRouting, MmioWrite, MsiDelivery, PcieConfig,
+    PhysAddr, PhysMemory, PortId,
 };
-use dcs_sim::{Component, Ctx, Msg, Simulator};
+use dcs_sim::{fault, Component, Ctx, FaultPlan, FaultSpec, Msg, RecoveryConfig, Rng, Simulator};
 
-/// What the NIC sent out: DMAs not yet completed (in issue order), MSIs
-/// and frames handed to the wire.
+/// What the NIC sent out: DMA completions not yet released (in arrival
+/// order), MSIs and frames handed to the wire.
 #[derive(Default)]
 struct Held {
-    dmas: Vec<DmaRequest>,
+    dmas: Vec<DmaComplete>,
     msis: usize,
-    frames: usize,
+    frames: Vec<Vec<u8>>,
 }
 
-/// Stands in for the PCIe fabric: holds DMAs, counts MSIs.
-struct HoldingFabric;
+/// Releases a held completion to the NIC.
+#[derive(Debug)]
+struct Release(DmaComplete);
 
-impl Component for HoldingFabric {
+/// The NIC, with its DMA completions held until released.
+struct Holding(NicDevice);
+
+impl Component for Holding {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        let held = ctx.world().expect_mut::<Held>();
-        match msg.downcast::<DmaRequest>() {
-            Ok(req) => held.dmas.push(req),
-            Err(m) => {
-                m.downcast::<Msi>()
-                    .expect("the NIC sends the fabric only DMAs and MSIs");
-                held.msis += 1;
-            }
+        let msg = match msg.downcast::<DmaComplete>() {
+            Ok(done) => return ctx.world().expect_mut::<Held>().dmas.push(done),
+            Err(m) => m,
+        };
+        match msg.downcast::<Release>() {
+            Ok(Release(done)) => self.0.handle(ctx, Msg::new(ctx.self_id(), done)),
+            Err(m) => self.0.handle(ctx, m),
         }
     }
 }
 
-/// Stands in for the wire: counts the frames handed to it.
-struct CountingWire;
+/// Counts the NIC's interrupts.
+struct MsiCounter;
 
-impl Component for CountingWire {
+impl Component for MsiCounter {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        msg.downcast::<TransmitFrame>()
+        msg.downcast::<MsiDelivery>()
+            .expect("the counter owns only MSI targets");
+        ctx.world().expect_mut::<Held>().msis += 1;
+    }
+}
+
+/// Stands in for the wire: keeps the frames handed to it.
+struct KeepingWire;
+
+impl Component for KeepingWire {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+        let tf = msg
+            .downcast::<TransmitFrame>()
             .expect("the NIC sends the wire only frames");
-        ctx.world().expect_mut::<Held>().frames += 1;
+        ctx.world().expect_mut::<Held>().frames.extend(tf.frames);
     }
 }
 
@@ -75,9 +91,10 @@ impl Rig {
     fn new() -> Rig {
         let mut sim = Simulator::new(3);
         sim.world_mut().insert(PhysMemory::new());
+        sim.world_mut().insert(MmioRouting::new());
         sim.world_mut().insert(Held::default());
-        let fabric = sim.add("fabric", HoldingFabric);
-        let wire = sim.add("wire", CountingWire);
+        let fabric = install_fabric(sim.world_mut(), PcieConfig::default());
+        let wire = sim.add("wire", KeepingWire);
         let (bar, host) = {
             let mem = sim.world_mut().expect_mut::<PhysMemory>();
             (
@@ -89,7 +106,7 @@ impl Rig {
         let max_lso = config.max_lso;
         let device = sim.add(
             "nic-d",
-            NicDevice::new(config, fabric, wire, bar, PortId(1)),
+            Holding(NicDevice::new(config, fabric, wire, bar, PortId(1))),
         );
         let rings = ConfigureNic {
             send_ring_base: host.start,
@@ -102,6 +119,10 @@ impl Rig {
             rx_msi_addr: host.start + 0x3_0008,
             rx_msi_vector: 2,
         };
+        let counter = sim.add("msi-counter", MsiCounter);
+        sim.world_mut()
+            .expect_mut::<MmioRouting>()
+            .claim(AddrRange::new(rings.tx_msi_addr, 16), counter);
         let flow = TcpFlow::example(1, 2, 40_000, 8080);
         let template = build_template(&flow, 0, 0);
         sim.world_mut()
@@ -125,6 +146,15 @@ impl Rig {
         rig
     }
 
+    /// Poisons the data TLPs at the 0-based draw indices `tlps` (counted
+    /// over every data DMA from now on), with no replay budget.
+    fn poison(&mut self, tlps: Vec<u64>) {
+        let mut plan = FaultPlan::new(Rng::new(0xD0A));
+        plan.enable(fault::DMA_CORRUPT, FaultSpec::Nth(tlps));
+        plan.recovery = RecoveryConfig::no_retries();
+        self.sim.world_mut().insert(plan);
+    }
+
     /// Programs the NIC's rings from index zero; a second call is a device
     /// reset.
     fn configure(&mut self) {
@@ -146,60 +176,26 @@ impl Rig {
         self.sim.world().expect::<PhysMemory>()
     }
 
-    /// Takes every held DMA, in issue order.
-    fn take(&mut self) -> Vec<DmaRequest> {
+    /// Takes every held completion, in arrival order.
+    fn take(&mut self) -> Vec<DmaComplete> {
         std::mem::take(&mut self.sim.world_mut().expect_mut::<Held>().dmas)
     }
 
-    /// Takes the single held DMA.
-    fn take_one(&mut self) -> DmaRequest {
+    /// Takes the single held completion.
+    fn take_one(&mut self) -> DmaComplete {
         let mut held = self.take();
         assert_eq!(held.len(), 1, "exactly one DMA in flight");
         held.remove(0)
     }
 
-    /// Completes `req` with `status`, moving its bytes as the fabric would:
-    /// a timed-out transfer moves nothing, and a poisoned one moves its
-    /// bytes with the first bit flipped.
-    fn complete(&mut self, req: &DmaRequest, status: DmaStatus) {
-        let mut data = Vec::new();
-        let mut len = 0;
-        if status != DmaStatus::Timeout {
-            let poison = u8::from(status == DmaStatus::Poisoned);
-            let mem = self.sim.world_mut().expect_mut::<PhysMemory>();
-            match &req.op {
-                DmaOp::Copy { .. } => panic!("the NIC's DMAs all have a device end"),
-                DmaOp::Write {
-                    dst, data: bytes, ..
-                } => {
-                    let mut bytes = bytes.clone();
-                    bytes[0] ^= poison;
-                    mem.write(*dst, &bytes);
-                    len = bytes.len();
-                }
-                DmaOp::Read { src, len: n, .. } => {
-                    data = mem.read(*src, *n);
-                    if let Some(b) = data.first_mut() {
-                        *b ^= poison;
-                    }
-                    len = *n;
-                }
-            }
-        }
-        self.sim.kickoff(
-            req.reply_to,
-            DmaComplete {
-                id: req.id,
-                len,
-                status,
-                data,
-            },
-        );
+    /// Hands `done` to the NIC, which lands its bytes.
+    fn release(&mut self, done: DmaComplete) {
+        self.sim.kickoff(self.nic.device, Release(done));
         self.sim.run();
     }
 
     /// Hands the NIC `frame` from the wire and returns its delivery DMA.
-    fn deliver(&mut self, frame: &[u8]) -> DmaRequest {
+    fn deliver(&mut self, frame: &[u8]) -> DmaComplete {
         let delivery = FrameDelivery {
             frame: frame.to_vec(),
         };
@@ -222,18 +218,22 @@ impl Rig {
         self.sim.kickoff(self.nic.device, doorbell);
         self.sim.run();
         let batch = self.take_one();
-        self.complete(&batch, DmaStatus::Ok);
+        self.release(batch);
     }
 
     fn buffer(&self, i: u64) -> PhysAddr {
         self.host.start + BUFFERS + i * 2048
     }
 
+    fn payload_addr(&self, i: usize) -> PhysAddr {
+        self.host.start + PAYLOADS + i as u64 * (64 << 10)
+    }
+
     /// Queues one send of `len` payload bytes per entry of `lens` behind
     /// one doorbell and returns the descriptor-batch fetch.
-    fn send(&mut self, lens: &[u32]) -> DmaRequest {
+    fn send(&mut self, lens: &[u32]) -> DmaComplete {
         for (i, &len) in lens.iter().enumerate() {
-            let payload_addr = self.host.start + PAYLOADS + i as u64 * (64 << 10);
+            let payload_addr = self.payload_addr(i);
             let payload: Vec<u8> = (0..len).map(|b| (b % 251) as u8 + 1).collect();
             let desc = SendDescriptor {
                 header_addr: self.host.start + HEADER,
@@ -254,9 +254,9 @@ impl Rig {
     }
 
     /// Lets a send's descriptor batch land and returns its header and
-    /// payload gathers.
-    fn gathers(&mut self, batch: &DmaRequest) -> (DmaRequest, DmaRequest) {
-        self.complete(batch, DmaStatus::Ok);
+    /// payload gathers (the shorter header transfer ends first).
+    fn gathers(&mut self, batch: DmaComplete) -> (DmaComplete, DmaComplete) {
+        self.release(batch);
         let mut held = self.take();
         assert_eq!(held.len(), 2, "one header and one payload gather");
         let pay = held.pop().expect("payload gather");
@@ -265,25 +265,27 @@ impl Rig {
     }
 }
 
-/// A read's source and length.
-fn read_of(req: &DmaRequest) -> (PhysAddr, usize) {
-    match req.op {
-        DmaOp::Read { port, src, len } => {
-            assert_eq!(port, PortId(1), "the NIC reads into its own port");
-            (src, len)
-        }
-        ref op => panic!("expected a read, got {op:?}"),
+/// Whether `done` is the completion of `op` (its debug form names the
+/// op; its fields are reachable only by landing it).
+fn is_op(done: &DmaComplete, op: &DmaOp) -> bool {
+    format!("{done:?}").contains(&format!("op: {op:?},"))
+}
+
+/// The NIC's read of `len` bytes at `src`.
+fn read(src: PhysAddr, len: usize) -> DmaOp {
+    DmaOp::Read {
+        port: PortId(1),
+        src,
+        len,
     }
 }
 
-/// A write's destination and bytes.
-fn write_of(req: &DmaRequest) -> (PhysAddr, &[u8]) {
-    match &req.op {
-        DmaOp::Write { port, dst, data } => {
-            assert_eq!(*port, PortId(1), "the NIC writes from its own port");
-            (*dst, data)
-        }
-        op => panic!("expected a write, got {op:?}"),
+/// The NIC's write of `data` to `dst`.
+fn write(dst: PhysAddr, data: &[u8]) -> DmaOp {
+    DmaOp::Write {
+        port: PortId(1),
+        dst,
+        data: data.to_vec(),
     }
 }
 
@@ -296,15 +298,15 @@ fn two_frames_in_flight_land_independently() {
         .collect();
     let first = rig.deliver(&frames[0]);
     let second = rig.deliver(&frames[1]);
-    assert_eq!(write_of(&first), (rig.buffer(0), &frames[0][..]));
-    assert_eq!(write_of(&second), (rig.buffer(1), &frames[1][..]));
+    assert!(is_op(&first, &write(rig.buffer(0), &frames[0])));
+    assert!(is_op(&second, &write(rig.buffer(1), &frames[1])));
 
     // Completing out of order lands each frame in its own buffer.
-    rig.complete(&second, DmaStatus::Ok);
+    rig.release(second);
     let len = frames[0].len();
     assert_eq!(rig.mem().read(rig.buffer(1), len), frames[1]);
     assert_eq!(rig.mem().read(rig.buffer(0), len), vec![0; len]);
-    rig.complete(&first, DmaStatus::Ok);
+    rig.release(first);
     for (i, frame) in frames.iter().enumerate() {
         assert_eq!(
             &rig.mem().read(rig.buffer(i as u64), frame.len()),
@@ -332,7 +334,7 @@ fn a_buffer_reads_zero_until_its_frames_write_completes() {
         "a frame in flight occupies no host-visible memory"
     );
     assert_eq!(rig.counter("nic.rx_delivered"), 0);
-    rig.complete(&write, DmaStatus::Ok);
+    rig.release(write);
     assert_eq!(rig.mem().read(rig.buffer(0), frame.len()), frame);
     assert_eq!(rig.counter("nic.rx_delivered"), 1);
 }
@@ -340,35 +342,36 @@ fn a_buffer_reads_zero_until_its_frames_write_completes() {
 #[test]
 fn a_send_whose_gather_fails_twice_is_dropped_and_its_siblings_late_data_is_stale() {
     let mut rig = Rig::new();
+    // Data TLP draws: the 32-byte descriptor batch is draw 0, the 54-byte
+    // header gather draw 1, the 4096-byte payload gather draws 2-17 (it
+    // stops at its first hit), and its re-fetch starts at draw 3.
+    rig.poison(vec![2, 3]);
     let batch = rig.send(&[4096]);
-    let (hdr, pay) = rig.gathers(&batch);
-    assert_eq!(read_of(&pay), (rig.host.start + PAYLOADS, 4096));
+    let (hdr, pay) = rig.gathers(batch);
+    let span = read(rig.payload_addr(0), 4096);
+    assert!(is_op(&pay, &span), "{pay:?}");
 
     // The payload gather fails, and so does its one re-fetch: the op
     // aborts while its header gather is still in flight.
-    rig.complete(&pay, DmaStatus::Poisoned);
+    rig.release(pay);
     let refetch = rig.take_one();
-    assert_eq!(
-        read_of(&refetch),
-        read_of(&pay),
-        "a re-fetch reads the same span"
-    );
-    rig.complete(&refetch, DmaStatus::Poisoned);
+    assert!(is_op(&refetch, &span), "a re-fetch reads the same span");
+    rig.release(refetch);
     assert_eq!(rig.counter("nic.tx_aborted_gathers"), 1);
 
     // The header lands stale and sends nothing.
-    rig.complete(&hdr, DmaStatus::Ok);
+    rig.release(hdr);
     assert_eq!(rig.counter("nic.stale_gathers"), 1);
     assert_eq!(rig.counter("nic.tx_frames"), 0);
-    assert_eq!(rig.held().frames, 0);
+    assert!(rig.held().frames.is_empty());
     assert!(rig.take().is_empty(), "a dropped send starts no DMA");
 
     // The next send goes out whole: 4096 bytes are three MSS frames.
     let batch = rig.send(&[4096]);
-    let (hdr, pay) = rig.gathers(&batch);
-    rig.complete(&pay, DmaStatus::Ok);
-    rig.complete(&hdr, DmaStatus::Ok);
-    assert_eq!(rig.held().frames, 3);
+    let (hdr, pay) = rig.gathers(batch);
+    rig.release(pay);
+    rig.release(hdr);
+    assert_eq!(rig.held().frames.len(), 3);
 }
 
 #[test]
@@ -378,27 +381,30 @@ fn after_a_reset_late_completions_are_stale_and_start_nothing() {
     let frame = build_frame(&rig.flow, 0, 0, &[7; 1000]);
     let delivery = rig.deliver(&frame);
     let batch = rig.send(&[4096]);
-    let (hdr, pay) = rig.gathers(&batch);
-    rig.complete(&pay, DmaStatus::Ok);
+    let (hdr, pay) = rig.gathers(batch);
+    rig.release(pay);
 
     // The reset drops a send whose payload landed while its header gather
     // is in flight, and a frame delivery in flight.
     rig.configure();
     let msis = rig.held().msis;
-    rig.complete(&delivery, DmaStatus::Ok);
-    rig.complete(&hdr, DmaStatus::Ok);
+    rig.release(delivery);
+    rig.release(hdr);
     assert_eq!(rig.counter("nic.stale_completions"), 2);
     assert_eq!(rig.counter("nic.rx_delivered"), 0, "no write-back");
     assert_eq!(rig.counter("nic.tx_frames"), 0);
-    assert_eq!(rig.held().frames, 0);
+    assert!(rig.held().frames.is_empty());
     assert_eq!(rig.held().msis, msis, "no interrupt");
     assert!(rig.take().is_empty(), "no DMA");
 
     // The reset NIC sends from ring index zero again.
     let batch = rig.send(&[100]);
-    let (hdr, pay) = rig.gathers(&batch);
-    assert_eq!(read_of(&batch).0, rig.rings.send_ring_base);
-    rig.complete(&hdr, DmaStatus::Ok);
-    rig.complete(&pay, DmaStatus::Ok);
-    assert_eq!(rig.held().frames, 1);
+    assert!(is_op(
+        &batch,
+        &read(rig.rings.send_ring_base, SendDescriptor::SIZE)
+    ));
+    let (hdr, pay) = rig.gathers(batch);
+    rig.release(hdr);
+    rig.release(pay);
+    assert_eq!(rig.held().frames.len(), 1);
 }

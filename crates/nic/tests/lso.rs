@@ -3,49 +3,26 @@
 //! frames `build_frame` makes from the payload cut into MSS chunks
 //! (headers, per-segment seq/ack and both checksums).
 //!
-//! An instant fabric completes every DMA at once, moving its bytes (a
-//! read's come back in its completion), and a recording wire keeps every
-//! frame handed to it.
+//! The NIC's DMAs run on a fabric of their own (a read's bytes come back
+//! in its completion), and a recording wire keeps every frame handed to
+//! it.
 
 use dcs_nic::headers::{build_frame, build_template};
 use dcs_nic::{
     ConfigureNic, NicConfig, NicDevice, RingWriter, SendDescriptor, TcpFlow, TransmitFrame, MSS,
 };
 use dcs_pcie::{
-    AddrRange, DmaComplete, DmaOp, DmaRequest, DmaStatus, MmioWrite, Msi, PhysMemory, PortId,
+    install_fabric, AddrRange, MmioRouting, MmioWrite, MsiDelivery, PcieConfig, PhysMemory, PortId,
 };
 use dcs_sim::{Component, ComponentId, Ctx, Msg, Simulator};
 
-/// Stands in for the PCIe fabric: completes each DMA at once, moving its
-/// bytes; swallows MSIs.
-struct InstantFabric;
+/// Takes the NIC's interrupts.
+struct MsiSink;
 
-impl Component for InstantFabric {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        match msg.downcast::<DmaRequest>() {
-            Ok(req) => {
-                let mem = ctx.world().expect_mut::<PhysMemory>();
-                let (len, data) = match req.op {
-                    DmaOp::Copy { .. } => panic!("the NIC's DMAs all have a device end"),
-                    DmaOp::Write { dst, data, .. } => {
-                        mem.write(dst, &data);
-                        (data.len(), Vec::new())
-                    }
-                    DmaOp::Read { src, len, .. } => (len, mem.read(src, len)),
-                };
-                let done = DmaComplete {
-                    id: req.id,
-                    len,
-                    status: DmaStatus::Ok,
-                    data,
-                };
-                ctx.send_now(req.reply_to, done);
-            }
-            Err(m) => {
-                m.downcast::<Msi>()
-                    .expect("the NIC sends the fabric only DMAs and MSIs");
-            }
-        }
+impl Component for MsiSink {
+    fn handle(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
+        msg.downcast::<MsiDelivery>()
+            .expect("the sink owns only MSI targets");
     }
 }
 
@@ -53,7 +30,7 @@ impl Component for InstantFabric {
 #[derive(Default)]
 struct Sent(Vec<Vec<u8>>);
 
-/// Stands in for the wire: records every frame.
+/// Stands in for the wire: records every frame of every send.
 struct RecordingWire;
 
 impl Component for RecordingWire {
@@ -61,19 +38,20 @@ impl Component for RecordingWire {
         let tf = msg
             .downcast::<TransmitFrame>()
             .expect("the NIC sends the wire only frames");
-        ctx.world().expect_mut::<Sent>().0.push(tf.frame);
+        ctx.world().expect_mut::<Sent>().0.extend(tf.frames);
     }
 }
 
 const HEADER: u64 = 0x4_0000;
 const PAYLOAD: u64 = 0x10_0000;
 
-/// One NIC behind the instant fabric, its rings in `host`.
+/// One NIC on a fabric of its own, its rings in `host`.
 fn rig() -> (Simulator, ComponentId, AddrRange, AddrRange) {
     let mut sim = Simulator::new(5);
     sim.world_mut().insert(PhysMemory::new());
     sim.world_mut().insert(Sent::default());
-    let fabric = sim.add("fabric", InstantFabric);
+    sim.world_mut().insert(MmioRouting::new());
+    let fabric = install_fabric(sim.world_mut(), PcieConfig::default());
     let wire = sim.add("wire", RecordingWire);
     let (bar, host) = {
         let mem = sim.world_mut().expect_mut::<PhysMemory>();
@@ -98,6 +76,10 @@ fn rig() -> (Simulator, ComponentId, AddrRange, AddrRange) {
         rx_msi_addr: host.start + 0x3_0008,
         rx_msi_vector: 2,
     };
+    let sink = sim.add("msi-sink", MsiSink);
+    sim.world_mut()
+        .expect_mut::<MmioRouting>()
+        .claim(AddrRange::new(rings.tx_msi_addr, 16), sink);
     sim.kickoff(nic, rings);
     sim.run();
     (sim, nic, bar, host)

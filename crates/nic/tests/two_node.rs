@@ -9,10 +9,9 @@ use dcs_nic::{
     RingWriter, SendDescriptor, TcpFlow, WireConfig,
 };
 use dcs_pcie::{
-    AddrRange, MmioRouting, MmioWrite, MsiDelivery, PcieConfig, PcieFabric, PhysAddr, PhysMemory,
-    PortId,
+    AddrRange, MmioRouting, MmioWrite, MsiDelivery, PcieConfig, PhysAddr, PhysMemory, PortId,
 };
-use dcs_sim::{time, Component, ComponentId, Ctx, Msg, Simulator};
+use dcs_sim::{time, Component, Ctx, Msg, Simulator};
 
 /// Counts MSIs per vector; the test harness inspects memory directly.
 struct IrqSink;
@@ -40,7 +39,6 @@ struct Node {
 
 struct Rig {
     sim: Simulator,
-    fabric: ComponentId,
     a: Node,
     b: Node,
 }
@@ -49,7 +47,7 @@ fn setup(wire_cfg: WireConfig) -> Rig {
     let mut sim = Simulator::new(7);
     sim.world_mut().insert(PhysMemory::new());
     sim.world_mut().insert(MmioRouting::new());
-    let fabric = sim.add("pcie", PcieFabric::new(PcieConfig::default()));
+    let fabric = dcs_pcie::install_fabric(sim.world_mut(), PcieConfig::default());
     let nic_a_id = sim.reserve("nic-a");
     let nic_b_id = sim.reserve("nic-b");
     let wire = install_wire(&mut sim, wire_cfg, nic_a_id, nic_b_id);
@@ -110,7 +108,7 @@ fn setup(wire_cfg: WireConfig) -> Rig {
     };
     let a = mk_node(&mut sim, nic_a, "a");
     let b = mk_node(&mut sim, nic_b, "b");
-    Rig { sim, fabric, a, b }
+    Rig { sim, a, b }
 }
 
 /// Posts `n` receive buffers of `size` bytes on a node, returning the first
@@ -128,8 +126,19 @@ fn post_recv(rig: &mut Rig, on_b: bool, n: usize, size: u32) -> PhysAddr {
     }
     let tail = node.recv_ring.tail();
     let db = node.nic.rx_doorbell();
-    rig.sim.kickoff(rig.fabric, MmioWrite::doorbell(db, tail));
+    ring(rig, MmioWrite::doorbell(db, tail));
     bufs
+}
+
+/// Delivers a host's doorbell write to the NIC owning its register.
+fn ring(rig: &mut Rig, write: MmioWrite) {
+    let owner = rig
+        .sim
+        .world()
+        .expect::<MmioRouting>()
+        .owner_of(write.addr)
+        .expect("a claimed doorbell");
+    rig.sim.kickoff(owner, write);
 }
 
 /// Stages a payload + header template on node A and rings the TX doorbell.
@@ -157,7 +166,7 @@ fn send_payload(rig: &mut Rig, flow: &TcpFlow, seq: u32, payload: &[u8], mss: u1
     }
     let tail = node.send_ring.tail();
     let db = node.nic.tx_doorbell();
-    rig.sim.kickoff(rig.fabric, MmioWrite::doorbell(db, tail));
+    ring(rig, MmioWrite::doorbell(db, tail));
 }
 
 /// Reads back the delivered frames on node B using the write-back ring and
@@ -285,7 +294,7 @@ fn wire_bandwidth_bounds_transfer_time() {
     }
     let tail = rig.a.send_ring.tail();
     let db = rig.a.nic.tx_doorbell();
-    rig.sim.kickoff(rig.fabric, MmioWrite::doorbell(db, tail));
+    ring(&mut rig, MmioWrite::doorbell(db, tail));
     rig.sim.run();
     // Time floor: payload + headers + framing at 10 Gbps. Each 64 KiB
     // descriptor segments independently (46 frames per chunk).

@@ -19,8 +19,8 @@
 use dcs_sim::DetMap;
 
 use dcs_pcie::{
-    aer, AddrRange, DmaComplete, DmaOp, DmaRequest, MmioWrite, Msi, PhysAddr, PhysMemory, PortId,
-    TlpClass,
+    aer, AddrRange, DmaComplete, DmaOp, DmaRequest, DmaStart, FabricId, MmioWrite, Msi, PhysAddr,
+    PhysMemory, PortId, TlpClass,
 };
 use dcs_sim::{time, Bandwidth, Component, ComponentId, Ctx, FifoServer, Msg, Simulator};
 
@@ -189,7 +189,7 @@ struct FlashDone {
 /// The SSD component.
 pub struct NvmeDevice {
     config: NvmeConfig,
-    fabric: ComponentId,
+    fabric: FabricId,
     /// The device's PCIe port. Fetched SQ entries and PRP lists land in
     /// device-internal SRAM, and completion entries leave from it, as
     /// device-end DMAs charged to this port: none of them has an address.
@@ -210,7 +210,7 @@ impl NvmeDevice {
     /// `port` (see [`install_nvme`] for the standard wiring).
     pub fn new(
         config: NvmeConfig,
-        fabric: ComponentId,
+        fabric: FabricId,
         port: PortId,
         bar: AddrRange,
         flash: AddrRange,
@@ -292,10 +292,8 @@ impl NvmeDevice {
                     len: NvmeCommand::SIZE,
                 },
                 class: TlpClass::Data,
-                reply_to: ctx.self_id(),
             };
-            let fabric = self.fabric;
-            ctx.send_in(COMMAND_OVERHEAD_NS / 2, fabric, req);
+            dcs_pcie::dma_in(ctx, COMMAND_OVERHEAD_NS / 2, self.fabric, req);
         }
     }
 
@@ -347,7 +345,6 @@ impl NvmeDevice {
                 data: cqe.entry.to_vec(),
             },
             class: TlpClass::Completion,
-            reply_to: ctx.self_id(),
         };
         self.ops.insert(
             token,
@@ -356,8 +353,7 @@ impl NvmeDevice {
                 phase: OpPhase::WriteCompletion(cqe),
             },
         );
-        let fabric = self.fabric;
-        ctx.send_in(delay, fabric, req);
+        dcs_pcie::dma_in(ctx, delay, self.fabric, req);
     }
 
     fn on_entry_fetched(&mut self, ctx: &mut Ctx<'_>, token: u64, qid: u16, raw: &[u8]) {
@@ -399,10 +395,8 @@ impl NvmeDevice {
                     len: list_len,
                 },
                 class: TlpClass::Data,
-                reply_to: ctx.self_id(),
             };
-            let fabric = self.fabric;
-            ctx.send_now(fabric, req);
+            dcs_pcie::dma(ctx, self.fabric, req);
         } else {
             self.start_data_phase(ctx, token, qid, cmd, vec![]);
         }
@@ -467,8 +461,6 @@ impl NvmeDevice {
                         .span_begin("nvme", "data-transfer", token, now);
                 }
                 let mut off = 0u64;
-                let fabric = self.fabric;
-                let me = ctx.self_id();
                 for (addr, run_len) in runs {
                     let req = DmaRequest {
                         id: token,
@@ -478,9 +470,8 @@ impl NvmeDevice {
                             len: run_len,
                         },
                         class: TlpClass::Data,
-                        reply_to: me,
                     };
-                    ctx.send_now(fabric, req);
+                    dcs_pcie::dma(ctx, self.fabric, req);
                     off += run_len as u64;
                 }
             }
@@ -519,8 +510,6 @@ impl NvmeDevice {
                 .span_begin("nvme", "data-transfer", token, now);
         }
         let mut off = 0u64;
-        let fabric = self.fabric;
-        let me = ctx.self_id();
         for (addr, run_len) in runs {
             let req = DmaRequest {
                 id: token,
@@ -530,9 +519,8 @@ impl NvmeDevice {
                     len: run_len,
                 },
                 class: TlpClass::Data,
-                reply_to: me,
             };
-            ctx.send_now(fabric, req);
+            dcs_pcie::dma(ctx, self.fabric, req);
             off += run_len as u64;
         }
     }
@@ -692,8 +680,13 @@ impl Component for NvmeDevice {
             }
             Err(m) => m,
         };
+        let msg = match msg.downcast::<DmaStart>() {
+            Ok(start) => return start.book(ctx),
+            Err(m) => m,
+        };
         match msg.downcast::<DmaComplete>() {
             Ok(done) => {
+                let done = done.land(ctx.world());
                 let token = done.id;
                 let Some(op) = self.ops.remove(&token) else {
                     // Late completion for an op a controller reset dropped.
@@ -765,8 +758,7 @@ impl Component for NvmeDevice {
                             addr: qp.msi_addr,
                             vector: qp.msi_vector,
                         };
-                        let fabric = self.fabric;
-                        ctx.send_now(fabric, msi);
+                        dcs_pcie::msi(ctx, msi);
                         ctx.world().stats.counter("nvme.completions").add(1);
                         let now = ctx.now();
                         ctx.world().obs.span_end("nvme", "cq-write", token, now);
@@ -787,7 +779,7 @@ impl Component for NvmeDevice {
 /// device id and region addresses.
 pub fn install_nvme(
     sim: &mut Simulator,
-    fabric: ComponentId,
+    fabric: FabricId,
     config: NvmeConfig,
     name: &str,
     port: PortId,
@@ -817,7 +809,7 @@ pub fn install_nvme(
 mod tests {
     use super::*;
     use crate::queue::{CompletionQueueReader, SubmissionQueueWriter};
-    use dcs_pcie::{MmioRouting, PcieConfig, PcieFabric};
+    use dcs_pcie::{MmioRouting, PcieConfig};
     use dcs_sim::{FaultPlan, FaultSpec, RecoveryConfig, Rng};
 
     /// A minimal initiator driving the SSD directly (stands in for the
@@ -852,7 +844,6 @@ mod tests {
     struct Bench {
         sim: Simulator,
         handle: NvmeHandle,
-        fabric: ComponentId,
         initiator: ComponentId,
         sq: SubmissionQueueWriter,
         rings: AddrRange,
@@ -867,7 +858,7 @@ mod tests {
         let mut sim = Simulator::new(1);
         sim.world_mut().insert(PhysMemory::new());
         sim.world_mut().insert(MmioRouting::new());
-        let fabric = sim.add("pcie", PcieFabric::new(PcieConfig::default()));
+        let fabric = dcs_pcie::install_fabric(sim.world_mut(), PcieConfig::default());
         let cfg = NvmeConfig {
             capacity_lbas: 1 << 20,
             max_transfer,
@@ -907,7 +898,6 @@ mod tests {
         Bench {
             sim,
             handle,
-            fabric,
             initiator,
             sq,
             rings,
@@ -926,8 +916,10 @@ mod tests {
             sq.push(mem, &cmd);
             sq.tail()
         };
-        b.sim
-            .kickoff(b.fabric, MmioWrite::doorbell(b.handle.sq_doorbell(1), tail));
+        b.sim.kickoff(
+            b.handle.device,
+            MmioWrite::doorbell(b.handle.sq_doorbell(1), tail),
+        );
     }
 
     #[test]
@@ -1147,8 +1139,10 @@ mod tests {
     #[should_panic(expected = "unattached queue")]
     fn doorbell_on_unattached_queue_panics() {
         let mut b = setup();
-        b.sim
-            .kickoff(b.fabric, MmioWrite::doorbell(b.handle.sq_doorbell(5), 1));
+        b.sim.kickoff(
+            b.handle.device,
+            MmioWrite::doorbell(b.handle.sq_doorbell(5), 1),
+        );
         b.sim.run();
     }
 
@@ -1309,8 +1303,10 @@ mod tests {
             }
             b.sim.run();
             let head = (batch + 1) * 10 % 64;
-            b.sim
-                .kickoff(b.fabric, MmioWrite::doorbell(b.handle.cq_doorbell(1), head));
+            b.sim.kickoff(
+                b.handle.device,
+                MmioWrite::doorbell(b.handle.cq_doorbell(1), head),
+            );
             b.sim.run();
         }
         assert_eq!(b.sim.world().stats.counter_value("init.ok"), 100);

@@ -12,12 +12,14 @@
 //!   internal buffers stay off the map: their DMAs carry the bytes).
 //! * [`routing::MmioRouting`] — which component owns which MMIO range
 //!   (doorbell registers, command queues, MSI target addresses).
-//! * [`fabric::PcieFabric`] — the switch component: executes [`DmaRequest`]s
-//!   with bandwidth/latency/TLP-overhead modeling, routes posted
-//!   [`MmioWrite`]s, and delivers message-signaled interrupts.
+//! * [`fabric`] — the switch: [`dma`] books a [`DmaRequest`] with
+//!   bandwidth/latency/TLP-overhead modeling, [`mmio_write`] routes posted
+//!   [`MmioWrite`]s, and [`msi`] delivers message-signaled interrupts,
+//!   each called by the device that starts the transaction.
 //!
-//! Both `PhysMemory` and `MmioRouting` live in the simulator
-//! [`World`](dcs_sim::World) so that any component can reach them.
+//! `PhysMemory`, `MmioRouting` and the switches' link state live in the
+//! simulator [`World`](dcs_sim::World) so that any component can reach
+//! them.
 //!
 //! ```
 //! use dcs_sim::Simulator;
@@ -42,7 +44,8 @@ pub use addr::{AddrRange, PhysAddr};
 pub use aer::{AerEntry, AerKind, AerLog};
 pub use config::PcieConfig;
 pub use fabric::{
-    DmaComplete, DmaOp, DmaRequest, DmaStatus, MmioWrite, Msi, MsiDelivery, PcieFabric, TlpClass,
+    dma, dma_in, install_fabric, mmio_write, msi, DmaComplete, DmaLanded, DmaOp, DmaRequest,
+    DmaStart, DmaStatus, FabricId, MmioWrite, Msi, MsiDelivery, TlpClass,
 };
 pub use mem::{PhysMemory, PortId, RegionInfo};
 pub use routing::MmioRouting;

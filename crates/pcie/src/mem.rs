@@ -54,6 +54,28 @@ fn is_zero(data: &[u8]) -> bool {
 
 type Page = Box<[u8; PAGE_SIZE]>;
 
+/// Bytes per granule of a page's [`Slot::live`] bitmap: 64 granules
+/// cover a page.
+const GRANULE: usize = PAGE_SIZE / 64;
+
+/// The `live` bits of the granules `[in_page, in_page + n)` touches.
+fn granules(in_page: usize, n: usize) -> u64 {
+    let first = in_page / GRANULE;
+    let last = (in_page + n - 1) / GRANULE;
+    (u64::MAX >> (63 - last)) & (u64::MAX << first)
+}
+
+/// The `live` bits of the granules `[in_page, in_page + n)` covers
+/// whole.
+fn whole_granules(in_page: usize, n: usize) -> u64 {
+    let first = in_page.div_ceil(GRANULE);
+    let end = (in_page + n) / GRANULE;
+    if first >= end {
+        return 0;
+    }
+    granules(first * GRANULE, (end - first) * GRANULE)
+}
+
 /// All-zero pages released by takes, shared by every region of a
 /// [`PhysMemory`].
 #[derive(Default)]
@@ -71,10 +93,37 @@ impl PagePool {
     }
 }
 
+/// A materialized page and which of its granules may hold a non-zero
+/// byte.
+struct Slot {
+    /// Bit `i` is set when granule `i` was written since a take last
+    /// cleared it; a clear bit means the granule is all zero, so a take
+    /// decides whether the page is all zero by looking only at set bits.
+    live: u64,
+    bytes: Page,
+}
+
+impl Slot {
+    /// Clears the bit of every granule in `bits` that is all zero, and
+    /// stops at the first one that is not. Returns whether the page is
+    /// all zero.
+    fn settle(&mut self, mut bits: u64) -> bool {
+        while bits != 0 {
+            let g = bits.trailing_zeros() as usize;
+            if !is_zero(&self.bytes[g * GRANULE..(g + 1) * GRANULE]) {
+                return false;
+            }
+            self.live &= !(1 << g);
+            bits &= bits - 1;
+        }
+        self.live == 0
+    }
+}
+
 /// Byte storage materialized page-by-page on the first non-zero write.
 #[derive(Default)]
 struct SparseBytes {
-    pages: DetMap<u64, Page>,
+    pages: DetMap<u64, Slot>,
 }
 
 impl SparseBytes {
@@ -88,13 +137,21 @@ impl SparseBytes {
             let in_page = (off as usize) & (PAGE_SIZE - 1);
             let n = (PAGE_SIZE - in_page).min(out.len() - done);
             match self.pages.get(&page) {
-                Some(p) => out[done..done + n].copy_from_slice(&p[in_page..in_page + n]),
+                Some(p) => out[done..done + n].copy_from_slice(&p.bytes[in_page..in_page + n]),
                 None if out_zeroed => {}
                 None => out[done..done + n].fill(0),
             }
             off += n as u64;
             done += n;
         }
+    }
+
+    /// Materializes `page` from `pool` with `chunk` at `in_page`.
+    fn insert(&mut self, page: u64, in_page: usize, chunk: &[u8], pool: &mut PagePool) {
+        let mut bytes = pool.zeroed();
+        bytes[in_page..in_page + chunk.len()].copy_from_slice(chunk);
+        let live = granules(in_page, chunk.len());
+        self.pages.insert(page, Slot { live, bytes });
     }
 
     fn write_from(&mut self, offset: u64, data: &[u8], pool: &mut PagePool) {
@@ -106,14 +163,13 @@ impl SparseBytes {
             let n = (PAGE_SIZE - in_page).min(data.len() - done);
             let chunk = &data[done..done + n];
             match self.pages.get_mut(&page) {
-                Some(p) => p[in_page..in_page + n].copy_from_slice(chunk),
+                Some(p) => {
+                    p.bytes[in_page..in_page + n].copy_from_slice(chunk);
+                    p.live |= granules(in_page, n);
+                }
                 // An absent page already reads as zero.
                 None if is_zero(chunk) => {}
-                None => {
-                    let mut p = pool.zeroed();
-                    p[in_page..in_page + n].copy_from_slice(chunk);
-                    self.pages.insert(page, p);
-                }
+                None => self.insert(page, in_page, chunk, pool),
             }
             off += n as u64;
             done += n;
@@ -122,6 +178,9 @@ impl SparseBytes {
 
     /// Moves `out.len()` bytes at `offset` into `out`, leaving the span
     /// zero, and releases each page the move leaves all zero into `pool`.
+    /// The granules the span covers whole are zero after the move; a
+    /// page is all zero once the rest of its live granules are, and the
+    /// check stops at the first that is not.
     fn take_into(&mut self, offset: u64, out: &mut [u8], pool: &mut PagePool) {
         let mut off = offset;
         let mut done = 0;
@@ -130,12 +189,14 @@ impl SparseBytes {
             let in_page = (off as usize) & (PAGE_SIZE - 1);
             let n = (PAGE_SIZE - in_page).min(out.len() - done);
             if let Some(p) = self.pages.get_mut(&page) {
-                let span = &mut p[in_page..in_page + n];
+                let span = &mut p.bytes[in_page..in_page + n];
                 out[done..done + n].copy_from_slice(span);
                 span.fill(0);
-                if is_zero(&p[..in_page]) && is_zero(&p[in_page + n..]) {
+                let whole = whole_granules(in_page, n);
+                p.live &= !whole;
+                if p.settle(p.live) {
                     let p = self.pages.remove(&page).expect("present page");
-                    pool.release(p);
+                    pool.release(p.bytes);
                 }
             }
             off += n as u64;
@@ -168,15 +229,14 @@ impl SparseBytes {
                 self.pages.get_mut(&d_page),
             ) {
                 (Some(from), Some(to)) => {
-                    to[d_in..d_in + n].copy_from_slice(&from[s_in..s_in + n]);
+                    to.bytes[d_in..d_in + n].copy_from_slice(&from.bytes[s_in..s_in + n]);
+                    to.live |= granules(d_in, n);
                 }
-                (None, Some(to)) => to[d_in..d_in + n].fill(0),
+                (None, Some(to)) => to.bytes[d_in..d_in + n].fill(0),
                 (Some(from), None) => {
-                    let chunk = &from[s_in..s_in + n];
+                    let chunk = &from.bytes[s_in..s_in + n];
                     if !is_zero(chunk) {
-                        let mut p = pool.zeroed();
-                        p[d_in..d_in + n].copy_from_slice(chunk);
-                        self.pages.insert(d_page, p);
+                        self.insert(d_page, d_in, chunk, pool);
                     }
                 }
                 (None, None) => {}
@@ -616,6 +676,36 @@ mod tests {
         assert_eq!(m.resident_bytes(), PAGE_SIZE);
         assert_eq!(m.read(r.start + 2048, 5), b"slot1");
         assert_eq!(m.take(r.start + 2048, 5), b"slot1");
+        assert_eq!(m.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn two_buffers_sharing_a_page_release_it_when_both_are_taken() {
+        let mut m = PhysMemory::new();
+        let r = m.alloc_region("ddr", 1 << 20, PortId::ROOT);
+        // Two 2 KiB receive buffers on one page, each taking frames that
+        // end mid-granule, written and taken in interleaved order.
+        let (a, b) = (r.start, r.start + 2048);
+        let frame = |len: usize, fill: u8| vec![fill; len];
+        for round in 0..3u8 {
+            let (la, lb) = (1514 - usize::from(round) * 100, 61 + usize::from(round));
+            m.write(a, &frame(la, 0xA0 + round));
+            assert_eq!(m.resident_bytes(), PAGE_SIZE);
+            m.write(b, &frame(lb, 0xB0 + round));
+            assert_eq!(m.take(a, la), frame(la, 0xA0 + round));
+            assert_eq!(m.resident_bytes(), PAGE_SIZE, "b still holds its frame");
+            // A zero write onto the taken buffer leaves nothing to keep.
+            m.write(a, &[0; 100]);
+            assert_eq!(m.take(b, lb), frame(lb, 0xB0 + round));
+            assert_eq!(m.resident_bytes(), 0, "round {round}: both taken");
+            assert_eq!(m.pool.0.len(), 1, "the page went back to the pool");
+        }
+        // A take that leaves a written byte in a granule it only partly
+        // covers keeps the page.
+        m.write(a, b"head+tail");
+        assert_eq!(m.take(a, 4), b"head");
+        assert_eq!(m.resident_bytes(), PAGE_SIZE);
+        assert_eq!(m.take(a + 4, 5), b"+tail");
         assert_eq!(m.resident_bytes(), 0);
     }
 

@@ -64,15 +64,34 @@ const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 /// overflow to the far tier.
 pub(crate) const WHEEL_HORIZON_NS: u128 = (WHEEL_SLOTS as u128) << SLOT_SHIFT;
 
-/// A message waiting on the calendar.
+/// A message waiting on the calendar. Its destination rides in the
+/// message's own padding beside the sender, which keeps an entry at 56
+/// bytes with the payload's type tag.
 pub(crate) struct Scheduled {
     pub(crate) time: SimTime,
     pub(crate) seq: u64,
-    pub(crate) dst: ComponentId,
     pub(crate) msg: Msg,
 }
 
+const _: () = assert!(
+    std::mem::size_of::<Scheduled>() <= 56,
+    "a calendar entry outgrew 56 bytes"
+);
+
 impl Scheduled {
+    /// `msg`, due at `time` for `dst`, `seq`-th in scheduling order.
+    #[inline]
+    pub(crate) fn new(time: SimTime, seq: u64, dst: ComponentId, mut msg: Msg) -> Scheduled {
+        msg.dst = dst;
+        Scheduled { time, seq, msg }
+    }
+
+    /// The component the message is for.
+    #[inline]
+    pub(crate) fn dst(&self) -> ComponentId {
+        self.msg.dst
+    }
+
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.time, self.seq)
@@ -218,12 +237,12 @@ impl TimingWheel {
         let slots = (0..WHEEL_SLOTS)
             .map(|_| {
                 let mut s = VecDeque::with_capacity(8);
-                s.push_back(Scheduled {
-                    time: SimTime::ZERO,
-                    seq: 0,
-                    dst: ComponentId(0),
-                    msg: Msg::new(ComponentId::INVALID, ()),
-                });
+                s.push_back(Scheduled::new(
+                    SimTime::ZERO,
+                    0,
+                    ComponentId(0),
+                    Msg::new(ComponentId::INVALID, ()),
+                ));
                 s.clear();
                 s
             })
@@ -321,7 +340,7 @@ impl TimingWheel {
         // means same window, and the window was materialized to pop the
         // event this one is batched behind), so no tier scan is needed.
         let head = self.cur.front()?;
-        if head.time == time && head.dst == dst {
+        if head.time == time && head.dst() == dst {
             self.len -= 1;
             self.cur.pop_front()
         } else {
@@ -507,7 +526,7 @@ impl HeapCalendar {
 
     pub(crate) fn pop_if(&mut self, time: SimTime, dst: ComponentId) -> Option<Scheduled> {
         match self.heap.peek() {
-            Some(Reverse(head)) if head.time == time && head.dst == dst => self.pop(),
+            Some(Reverse(head)) if head.time == time && head.dst() == dst => self.pop(),
             _ => None,
         }
     }
@@ -529,12 +548,12 @@ mod tests {
     use crate::rng::Rng;
 
     fn ev(time: u64, seq: u64) -> Scheduled {
-        Scheduled {
-            time: SimTime::from_nanos(time),
+        Scheduled::new(
+            SimTime::from_nanos(time),
             seq,
-            dst: ComponentId(0),
-            msg: Msg::new(ComponentId::INVALID, ()),
-        }
+            ComponentId(0),
+            Msg::new(ComponentId::INVALID, ()),
+        )
     }
 
     /// Drains a wheel and a heap loaded with the same events and
@@ -681,31 +700,31 @@ mod tests {
     fn pop_if_takes_only_matching_head() {
         let mut wheel = TimingWheel::new();
         let t = SimTime::from_nanos(100);
-        wheel.push(Scheduled {
-            time: t,
-            seq: 0,
-            dst: ComponentId(1),
-            msg: Msg::new(ComponentId::INVALID, ()),
-        });
-        wheel.push(Scheduled {
-            time: t,
-            seq: 1,
-            dst: ComponentId(1),
-            msg: Msg::new(ComponentId::INVALID, ()),
-        });
-        wheel.push(Scheduled {
-            time: t,
-            seq: 2,
-            dst: ComponentId(2),
-            msg: Msg::new(ComponentId::INVALID, ()),
-        });
+        wheel.push(Scheduled::new(
+            t,
+            0,
+            ComponentId(1),
+            Msg::new(ComponentId::INVALID, ()),
+        ));
+        wheel.push(Scheduled::new(
+            t,
+            1,
+            ComponentId(1),
+            Msg::new(ComponentId::INVALID, ()),
+        ));
+        wheel.push(Scheduled::new(
+            t,
+            2,
+            ComponentId(2),
+            Msg::new(ComponentId::INVALID, ()),
+        ));
         let first = wheel.pop().unwrap();
-        assert_eq!(first.dst, ComponentId(1));
+        assert_eq!(first.dst(), ComponentId(1));
         // Same time, same dst: batched.
         assert!(wheel.pop_if(t, ComponentId(1)).is_some());
         // Same time, different dst: refused.
         assert!(wheel.pop_if(t, ComponentId(1)).is_none());
-        assert_eq!(wheel.pop().unwrap().dst, ComponentId(2));
+        assert_eq!(wheel.pop().unwrap().dst(), ComponentId(2));
     }
 
     #[test]

@@ -182,12 +182,8 @@ impl Simulator {
         assert!(at >= self.now, "cannot schedule into the past");
         let seq = self.seq;
         self.seq += 1;
-        self.calendar.push(Scheduled {
-            time: at,
-            seq,
-            dst,
-            msg: Msg::new(ComponentId::INVALID, payload),
-        });
+        let msg = Msg::new(ComponentId::INVALID, payload);
+        self.calendar.push(Scheduled::new(at, seq, dst, msg));
     }
 
     /// Schedules `payload` for immediate delivery to `dst` (at the current
@@ -212,16 +208,17 @@ impl Simulator {
             return false;
         };
         debug_assert!(ev.time >= self.now, "calendar produced a past event");
+        let dst = ev.dst();
         self.now = ev.time;
         self.delivered += 1;
 
-        let mut component = self.components[ev.dst.index()].take().unwrap_or_else(|| {
+        let mut component = self.components[dst.index()].take().unwrap_or_else(|| {
             panic!(
                 "message {:?} delivered to vacant component {} ({}); reserved but never installed, \
                  or a component sent itself a message while being dispatched re-entrantly",
                 ev.msg,
-                ev.dst,
-                self.names[ev.dst.index()]
+                dst,
+                self.names[dst.index()]
             )
         });
 
@@ -229,7 +226,7 @@ impl Simulator {
         {
             let mut ctx = Ctx {
                 now: self.now,
-                self_id: ev.dst,
+                self_id: dst,
                 out: &mut out,
                 world: &mut self.world,
             };
@@ -239,7 +236,7 @@ impl Simulator {
                 ev.msg,
                 self.profile.as_deref_mut(),
             );
-            while let Some(next) = self.calendar.pop_if(ev.time, ev.dst) {
+            while let Some(next) = self.calendar.pop_if(ev.time, dst) {
                 self.delivered += 1;
                 self.batched += 1;
                 deliver(
@@ -250,17 +247,12 @@ impl Simulator {
                 );
             }
         }
-        self.components[ev.dst.index()] = Some(component);
+        self.components[dst.index()] = Some(component);
 
         for (time, dst, msg) in out.drain(..) {
             let seq = self.seq;
             self.seq += 1;
-            self.calendar.push(Scheduled {
-                time,
-                seq,
-                dst,
-                msg,
-            });
+            self.calendar.push(Scheduled::new(time, seq, dst, msg));
         }
         self.scratch_out = out;
         true

@@ -56,6 +56,9 @@ impl<T: Any + fmt::Debug + Send> Payload for T {
 pub struct Msg {
     /// The component that scheduled this message.
     pub src: ComponentId,
+    /// The component it is scheduled for, set when it enters the
+    /// calendar (it fills what would be padding after `src`).
+    pub(crate) dst: ComponentId,
     /// `TypeId::of` the payload's concrete type.
     tag: TypeId,
     payload: Box<dyn Payload>,
@@ -66,6 +69,7 @@ impl Msg {
     pub fn new<P: Payload>(src: ComponentId, payload: P) -> Self {
         Msg {
             src,
+            dst: ComponentId::INVALID,
             tag: TypeId::of::<P>(),
             payload: Box::new(payload),
         }

@@ -419,11 +419,21 @@ impl Bench {
     }
 }
 
-/// Runs the plan on `design` and asserts every run matches the oracle.
-fn check_design(design: DesignUnderTest) {
+/// Every valid chain at every size: the full sweep (about 2 minutes in
+/// the test profile).
+fn full_plan() -> Vec<(usize, Vec<Shape>)> {
+    SMALL
+        .into_iter()
+        .chain([MAX_TRANSFER])
+        .map(|len| (len, shapes(&NdpFunction::ALL, 2)))
+        .collect()
+}
+
+/// Runs `plan` on `design` and asserts every run matches the oracle.
+fn check_design(design: DesignUnderTest, plan: Vec<(usize, Vec<Shape>)>) {
     let mut failures = Vec::new();
     let (mut runs, mut exempt_diverged) = (0, 0);
-    for (len, shapes) in plan() {
+    for (len, shapes) in plan {
         let mut b = Bench::new(design, len);
         for shape in &shapes {
             runs += 1;
@@ -457,6 +467,14 @@ fn check_design(design: DesignUnderTest) {
 }
 
 #[test]
+#[ignore = "the full sweep takes about 2 minutes; CI runs it with --ignored"]
+fn every_design_matches_the_oracle_on_every_shape_at_every_size() {
+    for design in ALL {
+        check_design(design, full_plan());
+    }
+}
+
+#[test]
 fn the_plan_covers_every_chain_at_one_lba() {
     let plan = plan();
     // 3 sources × (5 sink lists with no step, 5 with one of 8 steps,
@@ -468,22 +486,22 @@ fn the_plan_covers_every_chain_at_one_lba() {
 
 #[test]
 fn linux_matches_the_oracle_on_every_shape() {
-    check_design(DesignUnderTest::Linux);
+    check_design(DesignUnderTest::Linux, plan());
 }
 
 #[test]
 fn sw_opt_matches_the_oracle_on_every_shape() {
-    check_design(DesignUnderTest::SwOpt);
+    check_design(DesignUnderTest::SwOpt, plan());
 }
 
 #[test]
 fn sw_p2p_matches_the_oracle_on_every_shape() {
-    check_design(DesignUnderTest::SwP2p);
+    check_design(DesignUnderTest::SwP2p, plan());
 }
 
 #[test]
 fn dcs_ctrl_matches_the_oracle_on_every_shape() {
-    check_design(DesignUnderTest::DcsCtrl);
+    check_design(DesignUnderTest::DcsCtrl, plan());
 }
 
 fn read(ssd: usize, lba: u64, len: usize) -> D2dOp {
