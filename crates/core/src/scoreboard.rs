@@ -165,8 +165,9 @@ pub enum CmdState {
     Failed,
 }
 
-/// Addresses one entry: command slot + op index.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// Addresses one entry: command slot + op index (ordered by slot, then
+/// op).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SlotRef {
     /// Index of the D2D command slot.
     pub slot: usize,

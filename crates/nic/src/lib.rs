@@ -13,9 +13,11 @@
 //! * [`ring`] — send/receive descriptor rings in initiator memory
 //!   (Broadcom-style producer/consumer indices, serialized descriptors).
 //! * [`initiator`] — the initiator side of the protocol, shared by the
-//!   host NIC driver and the HDC Engine's NIC controller: LSO descriptor
-//!   chains split at the adapter's limit, receive-buffer posting, the
-//!   write-back scan, and the go-back-N stream state used under faults.
+//!   host NIC driver and the HDC Engine's NIC controller: the ring work
+//!   (LSO descriptor chains split at the adapter's limit, receive-buffer
+//!   posting, the write-back scan) and the transport above it (the send
+//!   table, the ack rule, go-back-N under faults, reassembly into the
+//!   receives, and the stall tests).
 //! * [`wire`] — the cable between two nodes: line-rate serialization plus
 //!   propagation delay, in-order and lossless (a switched LAN segment).
 //! * [`device`] — the NIC component: TX doorbell → descriptor fetch →
@@ -36,9 +38,6 @@ pub use device::{install_nic, ConfigureNic, ControlFrame, NicConfig, NicDevice, 
 pub use headers::{
     ParsedPacket, TcpFlow, ACK_MAGIC, ETH_HEADER_LEN, IPV4_HEADER_LEN, TCP_HEADER_LEN,
 };
-pub use initiator::{
-    stalled, GoBackN, NicInitiator, RxEvent, RxFrame, RxOrder, RxScan, SendLadder, SendRung,
-    Transmit,
-};
+pub use initiator::{Counters, RecvCheck, RxBatch, RxFrame, SendCheck, Transmit, Transport, TxIrq};
 pub use ring::{RecvDescriptor, RecvWriteback, RingWriter, SendDescriptor};
 pub use wire::{install_wire, FrameDelivery, TransmitDone, TransmitFrame, Wire, WireConfig};
