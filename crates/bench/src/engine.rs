@@ -1,7 +1,7 @@
 //! Engine-speed benchmark: wall-clock events/sec of the simulation
 //! kernel, timing wheel vs the `BinaryHeap` reference calendar.
 //!
-//! ROADMAP item 1's receipts. Four scenarios, each run on both
+//! The calendar's speed receipts. Four scenarios, each run on both
 //! calendars (the heap arm via `Simulator::set_reference_heap`, the
 //! same hook the equivalence suites use):
 //!
@@ -15,7 +15,7 @@
 //!   drains each burst through batched same-time/same-dst dispatch.
 //! * **cluster-8** / **cluster-64** — the real rack workload (open-loop
 //!   GET/PUT traffic over the ToR switch) at the old sweep ceiling and
-//!   at the scale ROADMAP item 1 asks for.
+//!   at rack scale.
 //!
 //! [`collect`] runs every arm [`runs`] times (5 under `--quick`, 11
 //! otherwise), alternating which arm of a pair goes first, and reports

@@ -7,8 +7,8 @@
 //! machine-independent fields (`events`, `sim` — identical on every
 //! host by determinism, re-derived here for the cheap scenario), the
 //! median-of-N wall times (each arm's median inside its quartiles, the
-//! speedup a ratio of medians), and the acceptance floor ROADMAP item 1
-//! set: the wheel must beat the heap by ≥5× on fan-out. The cluster-64
+//! speedup a ratio of medians), and the calendar's acceptance
+//! floor: the wheel must beat the heap by ≥5× on fan-out. The cluster-64
 //! host-time profile rides along and is held to its schema and its
 //! heaviest-first order. On an intentional change, regenerate with:
 //!

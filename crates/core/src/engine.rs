@@ -196,7 +196,7 @@ pub struct HdcEngine {
     /// The NIC transport: streams keyed by connection id, sends and
     /// receives by scoreboard entry.
     nic: Transport<u16, SlotRef>,
-    connections: DetMap<u16, (TcpFlow, u32)>,
+    connections: Connections,
     /// A `WatchdogTick` is scheduled.
     watchdog_armed: bool,
     gather_unit: FifoServer,
@@ -303,7 +303,7 @@ impl HdcEngine {
             hostread_pending: DetMap::new(),
             nvme,
             nic: Transport::new(nic, configure, recv_bufs, hdr_area, NIC_COUNTERS),
-            connections: DetMap::new(),
+            connections: Connections::default(),
             watchdog_armed: false,
             gather_unit: FifoServer::new(),
             init: None,
@@ -418,7 +418,7 @@ impl HdcEngine {
             }
             DevOpCode::Process { function, .. } => self.ndp.supports(function),
             DevOpCode::NicSend { conn, .. } | DevOpCode::NicRecv { conn, .. } => {
-                self.connections.contains_key(&conn)
+                self.connections.by_id.contains_key(&conn)
             }
             DevOpCode::MemRead { .. } => true,
         });
@@ -603,7 +603,7 @@ impl HdcEngine {
         len: usize,
     ) {
         let tx = Transmit {
-            flow: self.connections[&conn].0,
+            flow: self.connections.by_id[&conn].0,
             seq,
             payload: buf,
             len,
@@ -1045,14 +1045,45 @@ impl HdcEngine {
     }
 }
 
+/// The registered connections, indexed by flow for the receive path.
+#[derive(Default)]
+struct Connections {
+    /// Each connection's flow and initial sequence number.
+    by_id: DetMap<u16, (TcpFlow, u32)>,
+    /// The smallest connection id registered on each flow, in either
+    /// direction.
+    by_flow: DetMap<TcpFlow, u16>,
+}
+
+impl Connections {
+    /// Registers connection `reg.conn`. Re-registering an id on a new
+    /// flow rebuilds the flow index, so the old flow no longer names it.
+    fn register(&mut self, reg: RegisterConnection) {
+        let old = self.by_id.insert(reg.conn, (reg.flow, reg.seq));
+        if old.is_some_and(|(flow, _)| flow != reg.flow) {
+            self.by_flow.clear();
+            for (&conn, &(flow, _)) in self.by_id.iter() {
+                index(&mut self.by_flow, conn, flow);
+            }
+        } else {
+            index(&mut self.by_flow, reg.conn, reg.flow);
+        }
+    }
+}
+
+/// Indexes connection `conn` under `flow` in both directions, keeping
+/// the smallest id per flow.
+fn index(by_flow: &mut DetMap<TcpFlow, u16>, conn: u16, flow: TcpFlow) {
+    for f in [flow, flow.reversed()] {
+        let c = by_flow.entry(f).or_insert(conn);
+        *c = (*c).min(conn);
+    }
+}
+
 /// The registered connection a frame belongs to (the engine receives on
-/// the *destination* side of flows).
-fn conn_of(conns: &DetMap<u16, (TcpFlow, u32)>, world: &mut World, flow: &TcpFlow) -> Option<u16> {
-    let conn = conns
-        .iter()
-        .filter(|(_, (f, _))| f.reversed() == *flow || f == flow)
-        .map(|(c, _)| *c)
-        .min();
+/// the *destination* side of flows): the smallest id on its flow.
+fn conn_of(conns: &Connections, world: &mut World, flow: &TcpFlow) -> Option<u16> {
+    let conn = conns.by_flow.get(flow).copied();
     if conn.is_none() {
         world.stats.counter("hdc.rx_unknown_flow").add(1);
     }
@@ -1108,10 +1139,7 @@ impl Component for HdcEngine {
             Err(m) => m,
         };
         let msg = match msg.downcast::<RegisterConnection>() {
-            Ok(reg) => {
-                self.connections.insert(reg.conn, (reg.flow, reg.seq));
-                return;
-            }
+            Ok(reg) => return self.connections.register(reg),
             Err(m) => m,
         };
         let msg = match msg.downcast::<AdmitCmd>() {
@@ -1150,5 +1178,47 @@ impl Component for HdcEngine {
             Ok(done) => self.on_completion_dma_done(ctx, done),
             Err(other) => panic!("HdcEngine received unexpected message: {other:?}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcs_sim::Rng;
+
+    /// The flow lookup answers what a scan of every registration does:
+    /// the smallest id whose flow matches in either direction, also
+    /// after ids are re-registered on other flows.
+    #[test]
+    fn the_flow_index_matches_a_scan_of_the_registrations() {
+        let mut rng = Rng::new(0xC0_22);
+        let flows: Vec<TcpFlow> = (0..6)
+            .map(|i| TcpFlow::example(1, 2, 4000 + i, 80))
+            .collect();
+        let mut conns = Connections::default();
+        let mut world = World::new(1);
+        let mut unknown = 0;
+        for _ in 0..500 {
+            let conn = rng.gen_range(0..8) as u16;
+            let flow = flows[rng.gen_range(0..flows.len() as u64) as usize];
+            let flow = if rng.gen_bool(0.5) {
+                flow
+            } else {
+                flow.reversed()
+            };
+            conns.register(RegisterConnection { conn, flow, seq: 0 });
+            for f in flows.iter().flat_map(|f| [*f, f.reversed()]) {
+                let scan = conns
+                    .by_id
+                    .iter()
+                    .filter(|(_, (g, _))| g.reversed() == f || *g == f)
+                    .map(|(c, _)| *c)
+                    .min();
+                assert_eq!(conn_of(&conns, &mut world, &f), scan);
+                unknown += u64::from(scan.is_none());
+            }
+        }
+        assert!(unknown > 0);
+        assert_eq!(world.stats.counter_value("hdc.rx_unknown_flow"), unknown);
     }
 }

@@ -354,9 +354,25 @@ struct Recv<K, I, D> {
     len: usize,
     into: PhysAddr,
     received: usize,
+    /// Bytes the running [`Transport::drain`] call landed here, once the
+    /// call reached it with bytes of its stream left; `None` otherwise.
+    took: Option<usize>,
     /// Last time bytes landed, or the registration time before any did.
     last_progress: SimTime,
     data: D,
+}
+
+impl<K, I, D> Recv<K, I, D> {
+    /// Room left for bytes.
+    fn room(&self) -> usize {
+        self.len - self.received
+    }
+
+    /// Counts `n` bytes this call landed, zero included.
+    fn land(&mut self, n: usize) {
+        self.received += n;
+        *self.took.get_or_insert(0) += n;
+    }
 }
 
 /// One stream's go-back-N state (kept only under a fault plan). A key
@@ -388,7 +404,8 @@ pub struct Transport<K, I, D = ()> {
     /// adapter (see [`retire`](Self::retire)).
     tx_descs: VecDeque<Option<I>>,
     streams: DetMap<K, Stream>,
-    /// Accepted bytes no receive has taken yet, per receive stream.
+    /// Accepted bytes no receive could take yet, per receive stream; a
+    /// stream has an entry only while it has bytes staged.
     early: DetMap<K, VecDeque<u8>>,
     /// Receives in registration order; bytes fill the oldest first.
     recvs: Vec<Recv<K, I, D>>,
@@ -688,6 +705,7 @@ impl<K: Copy + Ord + Hash, I: Copy + Ord, D> Transport<K, I, D> {
             len,
             into,
             received: 0,
+            took: None,
             last_progress: now,
             data,
         });
@@ -698,10 +716,14 @@ impl<K: Copy + Ord + Hash, I: Copy + Ord, D> Transport<K, I, D> {
         self.recvs.first().map(|r| &r.data)
     }
 
-    /// Queues accepted `payloads` behind their streams' earlier bytes,
-    /// then lands queued bytes in the receives, greedily in registration
-    /// order; `charge` sees each receive that took bytes with the count
-    /// it took. Returns the receives this filled, newest first.
+    /// Lands accepted `payloads` in the receives, each byte once: a
+    /// stream's bytes fill its receives greedily in registration order,
+    /// its staged bytes first, then each payload straight from its
+    /// buffer. Only bytes no receive has room for yet are staged, and a
+    /// stream's staging buffer is dropped once it is empty. `charge`
+    /// sees each receive this call reached with bytes left in its stream
+    /// once, in registration order, with the count it took. Returns the
+    /// receives this filled, newest first.
     pub fn drain(
         &mut self,
         mem: &mut PhysMemory,
@@ -709,29 +731,59 @@ impl<K: Copy + Ord + Hash, I: Copy + Ord, D> Transport<K, I, D> {
         payloads: impl IntoIterator<Item = (K, Vec<u8>)>,
         mut charge: impl FnMut(&mut D, usize),
     ) -> Vec<(I, D)> {
-        for (key, payload) in payloads {
-            self.early.entry(key).or_default().extend(payload);
-        }
-        let mut filled = Vec::new();
-        for (i, r) in self.recvs.iter_mut().enumerate() {
-            let Some(buf) = self.early.get_mut(&r.key).filter(|b| !b.is_empty()) else {
+        // Bytes staged before this call, for receives registered since.
+        for r in &mut self.recvs {
+            let Some(buf) = self.early.get_mut(&r.key) else {
                 continue;
             };
-            let take = (r.len - r.received).min(buf.len());
-            mem.write_front(r.into + r.received as u64, buf, take);
-            r.received += take;
-            r.last_progress = now;
-            charge(&mut r.data, take);
-            if r.received == r.len {
-                filled.push(i);
+            let take = r.room().min(buf.len());
+            if take > 0 {
+                mem.write_front(r.into + r.received as u64, buf, take);
+            }
+            r.land(take);
+            if buf.is_empty() {
+                self.early.remove(&r.key);
             }
         }
-        let mut out = Vec::with_capacity(filled.len());
-        for i in filled.into_iter().rev() {
-            let r = self.recvs.remove(i);
-            out.push((r.id, r.data));
+        for (key, payload) in payloads {
+            if let Some(buf) = self.early.get_mut(&key) {
+                // Every receive of the stream is full.
+                buf.extend(payload);
+                continue;
+            }
+            let mut off = 0;
+            for r in self.recvs.iter_mut().filter(|r| r.key == key) {
+                if off == payload.len() {
+                    break;
+                }
+                let take = r.room().min(payload.len() - off);
+                if take > 0 {
+                    mem.write(r.into + r.received as u64, &payload[off..off + take]);
+                }
+                r.land(take);
+                off += take;
+            }
+            if off < payload.len() {
+                let mut rest = VecDeque::from(payload);
+                rest.drain(..off);
+                self.early.insert(key, rest);
+            }
         }
-        out
+        for r in &mut self.recvs {
+            if let Some(took) = r.took {
+                r.last_progress = now;
+                charge(&mut r.data, took);
+            }
+        }
+        let mut filled = Vec::new();
+        for i in (0..self.recvs.len()).rev() {
+            let r = &mut self.recvs[i];
+            if r.took.take().is_some() && r.received == r.len {
+                let r = self.recvs.remove(i);
+                filled.push((r.id, r.data));
+            }
+        }
+        filled
     }
 
     /// Every receive waiting for bytes, in registration order.
@@ -1195,5 +1247,38 @@ mod tests {
         );
         assert_eq!(t.check_recv(&mut world, 3, at(limit), limit), None);
         assert_eq!(world.stats.counter_value(COUNTERS.recv_timeouts), 1);
+    }
+
+    #[test]
+    fn a_streams_staging_buffer_is_freed_once_drained() {
+        let (mut world, mut t) = faulty_transport();
+        let at = |ns| SimTime::ZERO + ns;
+        let base = world
+            .expect_mut::<PhysMemory>()
+            .alloc_region("dst", 0x1000, PortId::ROOT)
+            .start;
+        let mem = world.expect_mut::<PhysMemory>();
+        // No receive yet: the bytes are staged.
+        assert!(t
+            .drain(mem, at(0), [(5, b"abc".to_vec())], |_, _| {})
+            .is_empty());
+        assert_eq!(t.early.len(), 1);
+        // A receive with room for part of them leaves the rest staged.
+        t.open_recv(at(1), 1, 5, 2, base, ());
+        let filled = t.drain(mem, at(1), [(5, b"de".to_vec())], |_, _| {});
+        assert_eq!(filled, [(1, ())]);
+        assert_eq!(t.early[&5], b"cde".to_vec());
+        // The next receive takes the rest, and the buffer goes with it.
+        t.open_recv(at(2), 2, 5, 3, base + 0x100, ());
+        assert_eq!(t.drain(mem, at(2), [], |_, _| {}), [(2, ())]);
+        assert!(t.early.is_empty());
+        assert_eq!(mem.read(base, 2), b"ab");
+        assert_eq!(mem.read(base + 0x100, 3), b"cde");
+        // Bytes a receive takes whole are never staged.
+        t.open_recv(at(3), 3, 5, 4, base + 0x200, ());
+        assert!(t
+            .drain(mem, at(3), [(5, b"fg".to_vec())], |_, _| {})
+            .is_empty());
+        assert!(t.early.is_empty());
     }
 }

@@ -560,3 +560,312 @@ mod transport {
         assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
     }
 }
+
+/// Receive landing against a staging reference: random payload splits
+/// over a few streams, with receives registered before and after their
+/// bytes arrive, zero-length ones included, go through
+/// `Transport::drain` and through a model that stages every accepted
+/// byte before landing it. Both must put the same bytes at the same
+/// addresses, charge each receive the same total per call in the same
+/// order, fill the same receives in the same order and leave the same
+/// stall clocks.
+mod landing {
+    use std::collections::{BTreeMap, VecDeque};
+
+    use dcs_nic::{ConfigureNic, Counters, NicHandle, RecvCheck, Transport};
+    use dcs_pcie::{AddrRange, PhysAddr, PhysMemory, PortId};
+    use dcs_sim::{ComponentId, Rng, SimTime, World};
+
+    const STREAMS: u64 = 3;
+    /// Address stride of the receives; every receive is shorter.
+    const SLOT: u64 = 0x1000;
+    const MAX_RECVS: u64 = 24;
+    const LIMIT_NS: u64 = 1_000;
+
+    const COUNTERS: Counters = Counters {
+        bad_writebacks: "l.bad_writebacks",
+        bad_frames: "l.bad_frames",
+        duplicates: "l.duplicates",
+        out_of_order: "l.out_of_order",
+        retransmits: "l.retransmits",
+        recv_timeouts: "l.recv_timeouts",
+    };
+
+    /// One step of a case.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Registers a receive of `len` bytes on `key`; `drain` also
+        /// lands staged bytes at once, as both callers do.
+        Open { key: u16, len: usize, drain: bool },
+        /// Lands accepted payloads.
+        Drain(Vec<(u16, Vec<u8>)>),
+    }
+
+    /// One receive of the reference.
+    struct RefRecv {
+        id: u64,
+        key: u16,
+        len: usize,
+        received: usize,
+        last_progress: u64,
+    }
+
+    /// The staging reference: every accepted byte is queued on its
+    /// stream first, then the queues fill the receives greedily in
+    /// registration order.
+    #[derive(Default)]
+    struct Reference {
+        staged: BTreeMap<u16, VecDeque<u8>>,
+        recvs: Vec<RefRecv>,
+        /// Bytes of the receive area.
+        mem: Vec<u8>,
+    }
+
+    impl Reference {
+        /// Returns the `(receive, bytes)` charges in order and the filled
+        /// receives, newest first.
+        fn drain(
+            &mut self,
+            now: u64,
+            payloads: &[(u16, Vec<u8>)],
+        ) -> (Vec<(u64, usize)>, Vec<u64>) {
+            for (key, p) in payloads {
+                self.staged.entry(*key).or_default().extend(p);
+            }
+            let mut charged = Vec::new();
+            let mut filled = Vec::new();
+            for (i, r) in self.recvs.iter_mut().enumerate() {
+                let Some(q) = self.staged.get_mut(&r.key).filter(|q| !q.is_empty()) else {
+                    continue;
+                };
+                let take = (r.len - r.received).min(q.len());
+                let at = (r.id * SLOT) as usize + r.received;
+                for (dst, b) in self.mem[at..at + take].iter_mut().zip(q.drain(..take)) {
+                    *dst = b;
+                }
+                r.received += take;
+                r.last_progress = now;
+                charged.push((r.id, take));
+                if r.received == r.len {
+                    filled.push(i);
+                }
+            }
+            let filled = filled
+                .into_iter()
+                .rev()
+                .map(|i| self.recvs.remove(i).id)
+                .collect();
+            (charged, filled)
+        }
+    }
+
+    /// A transport whose receives land in a `MAX_RECVS * SLOT` area of
+    /// the world's memory; returns the area's base. Its rings are never
+    /// used.
+    fn rig() -> (World, Transport<u16, u64, u64>, PhysAddr) {
+        let mut world = World::new(1);
+        let mut mem = PhysMemory::new();
+        let rings = mem.alloc_region("rings", 1 << 20, PortId::ROOT).start;
+        let area = mem
+            .alloc_region("recvs", MAX_RECVS * SLOT, PortId::ROOT)
+            .start;
+        world.insert(mem);
+        let handle = NicHandle {
+            device: ComponentId::INVALID,
+            bar: AddrRange::new(PhysAddr(0x3000_0000), 0x1000),
+            port: PortId(2),
+            max_lso: 4096,
+        };
+        let configure = ConfigureNic {
+            send_ring_base: rings,
+            send_ring_depth: 16,
+            recv_ring_base: rings + 0x1000,
+            recv_ring_depth: 9,
+            wb_ring_base: rings + 0x2000,
+            tx_msi_addr: PhysAddr::ZERO,
+            tx_msi_vector: 0,
+            rx_msi_addr: PhysAddr::ZERO,
+            rx_msi_vector: 1,
+        };
+        let t = Transport::new(handle, configure, rings + 0x10000, rings + 0x4000, COUNTERS);
+        (world, t, area)
+    }
+
+    /// Runs `ops` through the transport and the reference, checking
+    /// every step; returns how many receives were registered after
+    /// bytes of their stream were staged, how many streams had two
+    /// receives waiting at once, and how many zero-length receives
+    /// filled.
+    fn check(case: &str, ops: &[Op]) -> [usize; 3] {
+        let (mut world, mut t, area) = rig();
+        let mut reference = Reference {
+            mem: vec![0; (MAX_RECVS * SLOT) as usize],
+            ..Reference::default()
+        };
+        let mut seen = [0; 3];
+        // Each receive's length, by id.
+        let mut lens = Vec::new();
+        for (step, op) in ops.iter().enumerate() {
+            let now = 10 * (step as u64 + 1);
+            let payloads = match op {
+                Op::Open { key, len, drain } => {
+                    let id = lens.len() as u64;
+                    lens.push(*len);
+                    assert!(id < MAX_RECVS && (*len as u64) < SLOT);
+                    if reference.staged.get(key).is_some_and(|q| !q.is_empty()) {
+                        seen[0] += 1;
+                    }
+                    if reference.recvs.iter().any(|r| r.key == *key) {
+                        seen[1] += 1;
+                    }
+                    let into = area + id * SLOT;
+                    t.open_recv(SimTime::from_nanos(now), id, *key, *len, into, id);
+                    reference.recvs.push(RefRecv {
+                        id,
+                        key: *key,
+                        len: *len,
+                        received: 0,
+                        last_progress: now,
+                    });
+                    if !drain {
+                        continue;
+                    }
+                    Vec::new()
+                }
+                Op::Drain(payloads) => payloads.clone(),
+            };
+            let (want_charged, want_filled) = reference.drain(now, &payloads);
+            seen[2] += want_filled
+                .iter()
+                .filter(|&&id| lens[id as usize] == 0)
+                .count();
+            let mut charged = Vec::new();
+            let mem = world.expect_mut::<PhysMemory>();
+            let filled = t.drain(mem, SimTime::from_nanos(now), payloads, |&mut id, n| {
+                charged.push((id, n))
+            });
+            assert_eq!(charged, want_charged, "{case} step {step}: charges");
+            let filled: Vec<u64> = filled
+                .into_iter()
+                .map(|(id, data)| {
+                    assert_eq!(id, data);
+                    id
+                })
+                .collect();
+            assert_eq!(filled, want_filled, "{case} step {step}: filled receives");
+            assert_eq!(
+                mem.read(area, reference.mem.len()),
+                reference.mem,
+                "{case} step {step}: landed bytes"
+            );
+        }
+        let ids: Vec<u64> = reference.recvs.iter().map(|r| r.id).collect();
+        assert_eq!(t.recv_ids(), ids, "{case}: waiting receives");
+        // The same stall clocks: each waiting receive is live one
+        // nanosecond before its reference deadline and stalled at it.
+        for r in &reference.recvs {
+            let deadline = SimTime::from_nanos(r.last_progress + LIMIT_NS);
+            assert_eq!(
+                t.check_recv(&mut world, r.id, deadline - 1, LIMIT_NS),
+                Some(RecvCheck::Live),
+                "{case}: receive {} stall clock",
+                r.id
+            );
+            assert_eq!(
+                t.check_recv(&mut world, r.id, deadline, LIMIT_NS),
+                Some(RecvCheck::Failed(r.id)),
+                "{case}: receive {} stall clock",
+                r.id
+            );
+        }
+        seen
+    }
+
+    fn bytes(rng: &mut Rng, len: usize) -> Vec<u8> {
+        let mut v = vec![0u8; len];
+        rng.fill_bytes(&mut v);
+        v
+    }
+
+    /// A random case: receives and payload batches interleaved, with
+    /// some payloads empty and some receives zero-length.
+    fn random_ops(rng: &mut Rng) -> Vec<Op> {
+        let mut ops = Vec::new();
+        let mut recvs = 0;
+        for _ in 0..rng.gen_range(4..40) {
+            if recvs < MAX_RECVS && rng.gen_bool(0.35) {
+                recvs += 1;
+                let len = if rng.gen_bool(0.15) {
+                    0
+                } else {
+                    rng.gen_range(1..SLOT) as usize
+                };
+                ops.push(Op::Open {
+                    key: rng.gen_range(0..STREAMS) as u16,
+                    len,
+                    drain: rng.gen_bool(0.7),
+                });
+            } else {
+                let payloads = (0..rng.gen_range(0..5))
+                    .map(|_| {
+                        let len = if rng.gen_bool(0.1) {
+                            0
+                        } else {
+                            rng.gen_range(1..1500) as usize
+                        };
+                        (rng.gen_range(0..STREAMS) as u16, bytes(rng, len))
+                    })
+                    .collect();
+                ops.push(Op::Drain(payloads));
+            }
+        }
+        ops
+    }
+
+    #[test]
+    fn direct_landing_matches_the_staging_reference() {
+        let mut rng = Rng::new(0x1A4D);
+        // Two receives on one stream, one registered after its bytes,
+        // and a zero-length one, in one scripted case.
+        let scripted = [
+            Op::Drain(vec![(0, bytes(&mut rng, 700)), (1, bytes(&mut rng, 50))]),
+            Op::Open {
+                key: 0,
+                len: 300,
+                drain: true,
+            },
+            Op::Open {
+                key: 0,
+                len: 900,
+                drain: false,
+            },
+            Op::Open {
+                key: 0,
+                len: 0,
+                drain: false,
+            },
+            Op::Drain(vec![(0, bytes(&mut rng, 1000)), (2, Vec::new())]),
+            Op::Open {
+                key: 1,
+                len: 0,
+                drain: true,
+            },
+            Op::Open {
+                key: 1,
+                len: 20,
+                drain: true,
+            },
+        ];
+        let got = check("scripted", &scripted);
+        assert!(got.iter().all(|&n| n > 0), "scripted case covers {got:?}");
+        let mut seen = [0; 3];
+        for case in 0..200 {
+            let ops = random_ops(&mut rng);
+            let got = check(&format!("case {case}"), &ops);
+            for (s, g) in seen.iter_mut().zip(got) {
+                *s += g;
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "random cases cover {seen:?}");
+    }
+}

@@ -15,7 +15,7 @@
 //!   inserts append at the back (`O(1)`), and other near inserts are a
 //!   binary-search splice.
 //! * **near wheel** — [`WHEEL_SLOTS`] ring slots of [`SLOT_SPAN`] ns
-//!   each (~[`WHEEL_HORIZON_NS`] ns of horizon). Inserts are `O(1)`
+//!   each (~[`NEAR_HORIZON_NS`] ns of horizon). Inserts are `O(1)`
 //!   appends; a slot is sorted once, when it becomes current. A bitmap
 //!   finds the next occupied slot without scanning empties one by one.
 //! * **far tier** — a small heap for events beyond the wheel horizon.
@@ -61,8 +61,9 @@ pub(crate) const WHEEL_SLOTS: usize = 1 << 7;
 const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 /// The wheel horizon: ~65.5 µs. Device-latency events (ns–µs) stay in
 /// the ring; slower timers (heartbeats, watchdogs, request timeouts)
-/// overflow to the far tier.
-pub(crate) const WHEEL_HORIZON_NS: u128 = (WHEEL_SLOTS as u128) << SLOT_SHIFT;
+/// overflow to the far tier. Public so a component that books a deep
+/// queue ahead (the NIC wire) can keep its bookings inside the ring.
+pub const NEAR_HORIZON_NS: u64 = (WHEEL_SLOTS as u64) << SLOT_SHIFT;
 
 /// A message waiting on the calendar. Its destination rides in the
 /// message's own padding beside the sender, which keeps an entry at 56
@@ -254,7 +255,7 @@ impl TimingWheel {
             cur: VecDeque::new(),
             cur_start: 0,
             cur_last: SLOT_SPAN - 1,
-            wheel_last: WHEEL_HORIZON_NS as u64 - 1,
+            wheel_last: NEAR_HORIZON_NS - 1,
             far: BinaryHeap::new(),
             len: 0,
         }
@@ -267,7 +268,7 @@ impl TimingWheel {
         debug_assert_eq!(start & (SLOT_SPAN - 1), 0);
         self.cur_start = start;
         self.cur_last = start + (SLOT_SPAN - 1);
-        self.wheel_last = start.saturating_add(WHEEL_HORIZON_NS as u64 - 1);
+        self.wheel_last = start.saturating_add(NEAR_HORIZON_NS - 1);
     }
 
     #[inline]
@@ -585,9 +586,9 @@ mod tests {
             (SLOT_SPAN - 1, 1),
             (SLOT_SPAN, 2),
             (SLOT_SPAN * 3, 3),
-            ((WHEEL_HORIZON_NS - 1) as u64, 4),
-            (WHEEL_HORIZON_NS as u64, 5),
-            (WHEEL_HORIZON_NS as u64 * 7 + 13, 6),
+            (NEAR_HORIZON_NS - 1, 4),
+            (NEAR_HORIZON_NS, 5),
+            (NEAR_HORIZON_NS * 7 + 13, 6),
             (5, 7),
         ]);
     }
@@ -615,7 +616,7 @@ mod tests {
                     // with frequent exact collisions.
                     let t = match rng.gen_range(0..5) {
                         0 => rng.gen_range(0..SLOT_SPAN),
-                        1 => rng.gen_range(0..WHEEL_HORIZON_NS as u64),
+                        1 => rng.gen_range(0..NEAR_HORIZON_NS),
                         2 => (rng.gen_range(0..64)) * SLOT_SPAN, // boundaries
                         3 => rng.gen_range(0..32) * 1_000,       // collisions
                         _ => rng.gen_range(0..u64::MAX >> 1),
@@ -652,7 +653,7 @@ mod tests {
                     let delay = match rng.gen_range(0..4) {
                         0 => 0,
                         1 => rng.gen_range(0..SLOT_SPAN * 2),
-                        2 => rng.gen_range(0..WHEEL_HORIZON_NS as u64 * 2),
+                        2 => rng.gen_range(0..NEAR_HORIZON_NS * 2),
                         _ => SLOT_SPAN * rng.gen_range(0..WHEEL_SLOTS as u64),
                     };
                     push_both(&mut wheel, &mut heap, now.saturating_add(delay), &mut seq);
@@ -684,13 +685,13 @@ mod tests {
         // peek_time materializes the window of a far event; a later
         // push in between `now` and that window must still pop first.
         let mut wheel = TimingWheel::new();
-        wheel.push(ev(WHEEL_HORIZON_NS as u64 * 3, 0));
+        wheel.push(ev(NEAR_HORIZON_NS * 3, 0));
         assert_eq!(
             wheel.peek_time(),
-            Some(SimTime::from_nanos(WHEEL_HORIZON_NS as u64 * 3))
+            Some(SimTime::from_nanos(NEAR_HORIZON_NS * 3))
         );
         wheel.push(ev(7, 1)); // behind the materialized window
-        wheel.push(ev(WHEEL_HORIZON_NS as u64 * 2, 2));
+        wheel.push(ev(NEAR_HORIZON_NS * 2, 2));
         assert_eq!(wheel.pop().unwrap().seq, 1);
         assert_eq!(wheel.pop().unwrap().seq, 2);
         assert_eq!(wheel.pop().unwrap().seq, 0);
@@ -735,7 +736,7 @@ mod tests {
         let mut seq = 0;
         for round in 0..5u64 {
             for i in 0..200 {
-                wheel.push(ev(round * WHEEL_HORIZON_NS as u64 + i * 17, seq));
+                wheel.push(ev(round * NEAR_HORIZON_NS + i * 17, seq));
                 seq += 1;
             }
             while wheel.pop().is_some() {}

@@ -61,6 +61,7 @@ pub mod time;
 pub mod trace;
 pub mod world;
 
+pub use calendar::NEAR_HORIZON_NS;
 pub use component::{Component, ComponentId};
 pub use detmap::{DetMap, DetSet};
 pub use engine::{Ctx, Simulator};

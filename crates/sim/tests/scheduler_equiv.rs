@@ -13,12 +13,12 @@
 
 use dcs_sim::{Component, ComponentId, Ctx, Msg, Rng, SimTime, Simulator};
 
-/// Wheel geometry mirrored from `crates/sim/src/calendar.rs`; the
-/// constants are private to the crate, so the adversarial generator
-/// restates them (drifting is harmless — the schedules stay legal,
-/// they just stop landing exactly on the boundaries).
+/// The slot width mirrored from `crates/sim/src/calendar.rs`; it is
+/// private to the crate, so the adversarial generator restates it
+/// (drifting is harmless — the schedules stay legal, they just stop
+/// landing exactly on the boundaries).
 const SLOT_SPAN: u64 = 512;
-const WHEEL_HORIZON: u64 = 128 * SLOT_SPAN;
+const WHEEL_HORIZON: u64 = dcs_sim::NEAR_HORIZON_NS;
 
 /// Everything observable about one delivery.
 #[derive(Debug, PartialEq, Eq, Default)]
